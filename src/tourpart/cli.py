@@ -5,6 +5,7 @@ Exit codes are a scripting contract:
   1  infeasible / none found
   2  search budget exhausted (verdict unknown)
   3  input error (bad arguments, unparsable files)
+  141  standard output closed by its reader (128 + SIGPIPE, no message)
 
 Every randomized command takes an explicit --seed; there is no ambient
 entropy anywhere, so runs and experiment tables reproduce exactly.
@@ -16,12 +17,13 @@ import argparse
 import csv
 import dataclasses
 import io
+import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__
-from .connectivity import is_k_linked, is_strongly_k_connected, vertex_connectivity
+from .connectivity import is_k_linked, vertex_connectivity
 from .formats import FormatError, read_digraph, read_tournament, to_dot, write_compact, write_edge_list
 from .generators import paley_tournament, random_tournament, transitive_tournament
 from .hamilton import FOUND, NONE, UNKNOWN
@@ -34,6 +36,7 @@ EXIT_OK = 0
 EXIT_INFEASIBLE = 1
 EXIT_UNKNOWN = 2
 EXIT_INPUT = 3
+EXIT_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a reader that left
 
 
 class InputError(Exception):
@@ -104,8 +107,8 @@ def cmd_analyze(args):
     print(f"out-degree: min {int(dout.min())} max {int(dout.max())}")
     print(f"in-degree: min {int(din.min())} max {int(din.max())}")
     print(f"vertex connectivity: {kappa}")
-    for k in range(1, kappa + 1):
-        print(f"strongly {k}-connected: {is_strongly_k_connected(T, k)}")
+    for k in range(1, kappa + 1):  # true for every k <= kappa by definition
+        print(f"strongly {k}-connected: True")
     if args.linked is not None:
         if T.n > 10:
             raise InputError("exhaustive linkedness checking is limited to n <= 10")
@@ -469,10 +472,18 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
-    except InputError as exc:
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at interpreter exit
+        return code
+    except (InputError, ValueError) as exc:
+        # the library raises ValueError for arguments it cannot accept
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except BrokenPipeError:
+        # the reader stopped early (`tourpart analyze T | head -1`): end
+        # quietly, with stdout on /dev/null so the exit flush cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 """Strong connectivity certification, minimum separators and disjoint paths.
 
-Vertex cuts are computed by unit-vertex-capacity max-flow after the usual
-vertex-splitting reduction (v_in -> v_out with capacity 1, original arcs
+Vertex cuts are computed by unit-vertex-capacity max-flow in the usual
+vertex-split network (v_in -> v_out with capacity 1, original arcs
 uncapped).  A pair (x, y) joined by the direct edge x->y can never be
 separated by deleting other vertices, so such pairs impose no constraint on
 strong connectivity and are skipped everywhere.
@@ -11,6 +11,21 @@ Whole-graph checks do not inspect all n^2 ordered pairs: if some set F with
 a vertex u outside F, and F also separates a pair with u as one endpoint.
 Sweeping the pairs incident to U is therefore sound, and the same argument
 with a growing U computes the exact connectivity.
+
+Most swept pairs need no flow at all.  Paths x->w->y through distinct
+middles w are internally disjoint, so a pair with at least k common middles
+(the 2-path count, entry (x, y) of A @ A) has k disjoint paths by Menger and
+is settled on the spot.  Every caller only asks whether a pair reaches k,
+so the remaining flows start from those 2-paths, add greedy 3-paths
+x->a->b->y through unused vertices, and stop as soon as the value reaches
+k (Even & Tarjan, "Network flow and testing graph connectivity", 1975).
+
+A flow that stops short of its cap is maximum, and the kernel then reports
+the residual cut: the vertices whose in-copy is reachable from x in the
+residual network and whose out-copy is not.  The vertices reachable in the
+residual network are the same for every maximum flow (they form the source
+side of the minimum cut that lies closest to x), so the cut does not
+depend on the order in which paths were found.
 """
 
 from __future__ import annotations
@@ -19,8 +34,6 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_flow
 
 from .core import Digraph, is_path, reachable_mask
 
@@ -34,102 +47,173 @@ class BudgetExceeded(Exception):
 
 
 # ---------------------------------------------------------------------------
-# vertex-split flow network
+# the flow kernel on the implicit vertex-split network
+
+
+def maximum_flow(adj, x, y, cap=None):
+    """Internally disjoint x->y paths in the digraph ``adj`` (arc x->y absent).
+
+    Returns ``(value, flow, cut)``.  ``flow`` is the 0/1 arc-flow matrix,
+    one unit per arc u->v on a path; ``value`` is the number of paths, at
+    most ``cap``.  ``cut`` is the residual minimum vertex cut when the flow
+    is maximum below ``cap``, and None when the flow reached ``cap``.
+
+    The split network is never built: ``carries[v]`` says whether v_in ->
+    v_out is used.  Every vertex other than x passes at most one unit, so no
+    arc ever carries two and 0/1 matrices hold the whole residual state.
+    """
+    flow, carries = _short_paths(adj, x, y, cap)
+    return _augmented(adj, x, y, cap, flow, carries)
+
+
+def _short_paths(adj, x, y, cap):
+    """Warm start: the 2-paths x->w->y, then greedy 3-paths x->a->b->y
+    through unused vertices, at most ``cap`` paths in all."""
+    n = adj.shape[0]
+    flow = np.zeros((n, n), dtype=bool)
+    carries = np.zeros(n, dtype=bool)
+    mids = (adj[x] & adj[:, y]).nonzero()[0][:cap]
+    flow[x, mids] = flow[mids, y] = carries[mids] = True
+    value = len(mids)
+    if value == cap:
+        return flow, carries
+    # every common middle is used, so the a and b candidates are disjoint
+    into_y = adj[:, y] & ~carries
+    for a in (adj[x] & ~carries).nonzero()[0].tolist():
+        bs = (adj[a] & into_y).nonzero()[0]
+        if bs.size:
+            b = bs[0]
+            flow[x, a] = flow[a, b] = flow[b, y] = True
+            carries[a] = carries[b] = True
+            into_y[b] = False
+            value += 1
+            if value == cap:
+                break
+    return flow, carries
+
+
+def _augmented(adj, x, y, cap, flow, carries):
+    """Augment a valid flow until it reaches ``cap`` or is maximum."""
+    value = int(flow[x].sum())
+    while value != cap:
+        parent_in, parent_out, seen_in, seen_out = _residual_search(adj, flow, carries, x, y)
+        if not seen_in[y]:
+            return value, flow, frozenset((seen_in & ~seen_out).nonzero()[0].tolist())
+        _augment(flow, carries, parent_in, parent_out, x, y)
+        value += 1
+    return value, flow, None
+
+
+def _residual_search(adj, flow, carries, x, y):
+    """Level-synchronous BFS from x_out in the residual split network.
+
+    Levels alternate between out-copies and in-copies.  ``parent_in[v] = u``
+    means v_in was reached over the arc u->v, and ``u == v`` over the
+    reversed split arc; ``parent_out[u] = v`` means u_out was reached over
+    the reversed flow arc u->v, and ``v == u`` over the split arc.
+    """
+    n = adj.shape[0]
+    seen_in = np.zeros(n, dtype=bool)
+    seen_out = np.zeros(n, dtype=bool)
+    parent_in = np.arange(n)
+    parent_out = np.arange(n)
+    seen_out[x] = True
+    frontier = seen_out.copy()
+    while True:
+        # out-copies -> in-copies: original arcs (uncapped), reversed split arcs
+        by_arc = adj[frontier].any(axis=0) & ~seen_in
+        tails = frontier.nonzero()[0]
+        heads = by_arc.nonzero()[0]
+        parent_in[heads] = tails[adj[tails][:, heads].argmax(axis=0)]
+        frontier = by_arc | (frontier & carries & ~seen_in)
+        seen_in |= frontier
+        if seen_in[y] or not frontier.any():
+            break
+        # in-copies -> out-copies: unused split arcs, reversed flow arcs
+        undo = flow[:, frontier].any(axis=1) & ~seen_out
+        parent_out[undo] = flow[undo].argmax(axis=1)  # a carrier's one flow arc
+        frontier = undo | (frontier & ~carries & ~seen_out)
+        seen_out |= frontier
+        if not frontier.any():
+            break
+    return parent_in, parent_out, seen_in, seen_out
+
+
+def _augment(flow, carries, parent_in, parent_out, x, y):
+    """Push one unit back along the BFS parents from y_in to x_out."""
+    v = int(y)
+    while True:  # at v_in
+        u = int(parent_in[v])
+        if u == v:
+            carries[v] = False
+        else:
+            flow[u, v] = True
+        if u == x:  # at the source x_out
+            return
+        v = int(parent_out[u])  # at u_out
+        if v == u:
+            carries[u] = True
+        else:
+            flow[u, v] = False
+
+
+def _flow_paths(flow, x, y):
+    """Decompose a 0/1 flow into its x->y paths, in order of first step."""
+    paths = []
+    for w in np.flatnonzero(flow[x]).tolist():
+        path = [x, w]
+        while w != y:
+            w = int(flow[w].argmax())
+            path.append(w)
+        paths.append(path)
+    return paths
 
 
 class VertexFlow:
-    """Reusable split network for one graph; queries differ only in (x, y).
-
-    Node 2v is the entry copy of v, node 2v+1 the exit copy.  Split arcs have
-    capacity 1, original arcs are effectively uncapped, so every minimum cut
-    consists of split arcs and reads off directly as a vertex set.
-    """
+    """Per-graph handle on the flow kernel; queries differ only in (x, y)."""
 
     def __init__(self, adj):
-        self.n = n = adj.shape[0]
-        us, vs = np.nonzero(adj)
-        big = n + 1
-        rows = np.concatenate([np.arange(0, 2 * n, 2), 2 * us + 1])
-        cols = np.concatenate([np.arange(1, 2 * n, 2), 2 * vs])
-        caps = np.concatenate([np.ones(n, dtype=np.int32),
-                               np.full(us.size, big, dtype=np.int32)])
-        self.graph = csr_matrix((caps, (rows, cols)), shape=(2 * n, 2 * n), dtype=np.int32)
+        self.n = adj.shape[0]
         self.adj = adj
+        self._counts = adj.astype(np.int32)
 
-    def flow_value(self, x, y):
-        """Number of internally disjoint x->y paths (edge x->y must be absent)."""
-        return int(maximum_flow(self.graph, 2 * x + 1, 2 * y).flow_value)
+    def middles(self, u):
+        """2-path counts at u: (#u->w->v for every v, #v->w->u for every v)."""
+        a = self._counts
+        return a[u] @ a, a @ a[:, u]
 
-    def flow_result(self, x, y):
-        return maximum_flow(self.graph, 2 * x + 1, 2 * y)
+    def flow_value(self, x, y, cap=None):
+        """Number of internally disjoint x->y paths, at most ``cap``."""
+        return maximum_flow(self.adj, x, y, cap)[0]
 
-    def paths_and_cut(self, x, y):
-        """Decompose a maximum flow into paths and read the residual cut."""
-        res = self.flow_result(x, y)
-        flow = res.flow.tocsr()
-        paths = self._decompose(flow, x, y, res.flow_value)
-        cut = self._residual_cut(flow, x)
-        return res.flow_value, paths, cut
+    def paths_and_cut(self, x, y, cap=None):
+        """(value, paths, cut) of a flow capped at ``cap``; the cut is None
+        when the value reached ``cap``."""
+        value, flow, cut = maximum_flow(self.adj, x, y, cap)
+        return value, _flow_paths(flow, x, y), cut
 
-    def _decompose(self, flow, x, y, value):
-        data = flow.data.copy()
-        indptr, indices = flow.indptr, flow.indices
-        source, sink = 2 * x + 1, 2 * y
-        paths = []
-        for _ in range(value):
-            path = [x]
-            node = source
-            while node != sink:
-                lo, hi = indptr[node], indptr[node + 1]
-                nxt = -1
-                for pos in range(lo, hi):
-                    if data[pos] > 0:
-                        nxt = pos
-                        break
-                assert nxt >= 0, "flow conservation violated during decomposition"
-                data[nxt] -= 1
-                node = int(indices[nxt])
-                if node % 2 == 0 and node != sink:
-                    path.append(node // 2)
-                    # step through the split arc
-                    lo, hi = indptr[node], indptr[node + 1]
-                    for pos in range(lo, hi):
-                        if indices[pos] == node + 1 and data[pos] > 0:
-                            data[pos] -= 1
-                            break
-                    node += 1
-            path.append(y)
-            paths.append(path)
-        return paths
 
-    def _residual_cut(self, flow, x):
-        g = self.graph
-        n2 = 2 * self.n
-        seen = np.zeros(n2, dtype=bool)
-        seen[2 * x + 1] = True
-        stack = [2 * x + 1]
-        fT = flow.T.tocsr()
-        gi, gp, gd = g.indices, g.indptr, g.data
-        fi, fp, fd = flow.indices, flow.indptr, flow.data
-        ri, rp, rd = fT.indices, fT.indptr, fT.data
-        while stack:
-            u = stack.pop()
-            lo, hi = gp[u], gp[u + 1]
-            fl, fhh = fp[u], fp[u + 1]
-            fmap = {int(fi[p]): int(fd[p]) for p in range(fl, fhh)}
-            for pos in range(lo, hi):
-                w = int(gi[pos])
-                if not seen[w] and gd[pos] - fmap.get(w, 0) > 0:
-                    seen[w] = True
-                    stack.append(w)
-            lo, hi = rp[u], rp[u + 1]
-            for pos in range(lo, hi):
-                w = int(ri[pos])
-                if not seen[w] and rd[pos] > 0:
-                    seen[w] = True
-                    stack.append(w)
-        cut = [v for v in range(self.n) if seen[2 * v] and not seen[2 * v + 1]]
-        return frozenset(cut)
+def sweep_pairs(net, nodes, k):
+    """The ordered pairs a cut below k could separate, in sweep order.
+
+    For u among the first k of ``nodes`` and v in ``nodes``: (u, v) then
+    (v, u), leaving out pairs joined by an arc and pairs with at least k
+    common middles.
+    """
+    adj = net.adj
+    nodes = np.asarray(nodes)
+    members = np.zeros(net.n, dtype=bool)
+    members[nodes] = True
+    for u in nodes[:k].tolist():
+        out2, in2 = net.middles(u)
+        fwd = members & ~adj[u] & (out2 < k)
+        bwd = members & ~adj[:, u] & (in2 < k)
+        fwd[u] = bwd[u] = False
+        for v in np.flatnonzero(fwd | bwd).tolist():
+            if fwd[v]:
+                yield u, v
+            if bwd[v]:
+                yield v, u
 
 
 def _strongly_connected(G):
@@ -163,16 +247,7 @@ def is_strongly_k_connected(G, k):
     if k == 1:
         return True
     net = VertexFlow(G.adj)
-    adj = G.adj
-    for u in range(k):
-        for v in range(n):
-            if v == u:
-                continue
-            if not adj[u, v] and net.flow_value(u, v) < k:
-                return False
-            if not adj[v, u] and net.flow_value(v, u) < k:
-                return False
-    return True
+    return all(net.flow_value(x, y, k) >= k for x, y in sweep_pairs(net, range(n), k))
 
 
 def vertex_connectivity(G):
@@ -187,13 +262,15 @@ def vertex_connectivity(G):
     net = VertexFlow(G.adj)
     adj = G.adj
     for u in range(n):
+        # a pair with >= best common middles cannot lower best
+        out2, in2 = net.middles(u)
         for v in range(n):
             if v == u:
                 continue
-            if not adj[u, v]:
-                best = min(best, net.flow_value(u, v))
-            if not adj[v, u]:
-                best = min(best, net.flow_value(v, u))
+            if not adj[u, v] and out2[v] < best:
+                best = net.flow_value(u, v, best)
+            if not adj[v, u] and in2[v] < best:
+                best = net.flow_value(v, u, best)
         if u + 1 > best:
             break
     return best
@@ -269,23 +346,11 @@ def safe_flow(G, v, targets, k, direction="forward", restrict=None):
     ids = np.flatnonzero(ok)
     pos = {int(u): i for i, u in enumerate(ids)}
     m = len(ids)
-    sub = adj[np.ix_(ids, ids)]
-    us, vs = np.nonzero(sub)
-    big = m + 1
-    sink = 2 * m
-    rows = [2 * i for i in range(m)]
-    cols = [2 * i + 1 for i in range(m)]
-    caps = [1] * m
-    rows += (2 * us + 1).tolist()
-    cols += (2 * vs).tolist()
-    caps += [big] * len(us)
-    for w in W:
-        rows.append(2 * pos[w] + 1)
-        cols.append(sink)
-        caps.append(1)
-    g = csr_matrix((caps, (rows, cols)), shape=(sink + 1, sink + 1), dtype=np.int32)
-    value = int(maximum_flow(g, 2 * pos[v] + 1, sink).flow_value)
-    return value >= k
+    # the restricted graph plus one sink m fed by every target
+    net = np.zeros((m + 1, m + 1), dtype=bool)
+    net[:m, :m] = adj[np.ix_(ids, ids)]
+    net[[pos[w] for w in W], m] = True
+    return maximum_flow(net, pos[v], m, k)[0] >= k
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,18 @@ def _parse_edge_lines(lines, start_line, n, m):
     return adj
 
 
+def _header_counts(line, lineno):
+    """The nonnegative ``n`` and count that open every format."""
+    head = line.split()
+    try:
+        n, m = int(head[0]), int(head[1])
+    except ValueError:
+        raise FormatError(f"bad header {line!r}", lineno) from None
+    if n < 0 or m < 0:
+        raise FormatError(f"negative count in header {line!r}", lineno)
+    return n, m
+
+
 def _load_lines(fh):
     lines = fh.read().splitlines()
     for i, raw in enumerate(lines):
@@ -97,10 +109,7 @@ def read_tournament(fh):
     lines, first = _load_lines(fh)
     head = lines[0].split()
     if len(head) == 3:
-        try:
-            n, m = int(head[0]), int(head[1])
-        except ValueError:
-            raise FormatError(f"bad header {lines[0]!r}", first) from None
+        n, m = _header_counts(lines[0], first)
         if set(head[2]) - {"0", "1"}:
             raise FormatError("orientation bits must be 0/1", first)
         if m != len(head[2]):
@@ -111,13 +120,11 @@ def read_tournament(fh):
             raise FormatError(str(exc), first) from None
     if len(head) != 2:
         raise FormatError(f"bad header {lines[0]!r}", first)
-    try:
-        n, m = int(head[0]), int(head[1])
-    except ValueError:
-        raise FormatError(f"bad header {lines[0]!r}", first) from None
-    adj = _parse_edge_lines(lines[1:], first + 1, n, m)
+    n, m = _header_counts(lines[0], first)
+    # checked before _parse_edge_lines allocates the n x n matrix
     if m != n * (n - 1) // 2:
-        raise FormatError(f"{m} edges cannot be a complete orientation of {n} vertices")
+        raise FormatError(f"{m} edges cannot be a complete orientation of {n} vertices", first)
+    adj = _parse_edge_lines(lines[1:], first + 1, n, m)
     try:
         return Tournament(adj)
     except ValueError as exc:
@@ -130,10 +137,7 @@ def read_digraph(fh):
     head = lines[0].split()
     if len(head) != 2:
         raise FormatError(f"bad header {lines[0]!r}", first)
-    try:
-        n, m = int(head[0]), int(head[1])
-    except ValueError:
-        raise FormatError(f"bad header {lines[0]!r}", first) from None
+    n, m = _header_counts(lines[0], first)
     adj = _parse_edge_lines(lines[1:], first + 1, n, m)
     return Digraph(adj)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .connectivity import VertexFlow, is_strongly_k_connected, vertex_connectivity
+from .connectivity import VertexFlow, is_strongly_k_connected, sweep_pairs, vertex_connectivity
 from .core import bipartite_subdigraph, reachable_mask
 from .pipeline import PipelineError, PipelineParams, pipeline_feasible, run_pipeline
 
@@ -121,16 +121,10 @@ def _flow_violation(T, in_v1, k):
     for tag in ("v1", "v2", "cross"):
         adjm, nodes = _graph_view(T, in_v1, tag)
         net = VertexFlow(adjm)
-        for u in nodes[:k].tolist():
-            for v in nodes.tolist():
-                if v == u:
-                    continue
-                for x, y in ((u, v), (v, u)):
-                    if adjm[x, y]:
-                        continue
-                    value, _, cut = net.paths_and_cut(x, y)
-                    if value < k:
-                        return tag, (x, y), value, cut
+        for x, y in sweep_pairs(net, nodes, k):
+            value, _, cut = net.paths_and_cut(x, y, k)
+            if value < k:
+                return tag, (x, y), value, cut
     return None
 
 
@@ -148,7 +142,7 @@ def _pair_flow(T, in_v1, tag, pair, k):
         return k
     if adjm[x, y]:
         return k
-    return min(k, VertexFlow(adjm).flow_value(x, y))
+    return VertexFlow(adjm).flow_value(x, y, k)
 
 
 def search_partition(T, k, seed, budget=400):

@@ -83,6 +83,27 @@ def test_analyze_parse_error_exit(tmp_path):
     assert code == 3
 
 
+def test_analyze_negative_header_exit(tmp_path):
+    bad = tmp_path / "neg.txt"
+    bad.write_text("-3 3\n")
+    code, _ = run_cli("analyze", str(bad))
+    assert code == 3
+
+
+def test_analyze_into_closed_pipe_ends_quietly(tmp_path):
+    p = tmp_path / "p7.txt"
+    run_cli("gen", "--kind", "paley", "--q", "7", "--out", str(p))
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first write, as after `| head -1`
+    try:
+        proc = subprocess.run([sys.executable, "-m", "tourpart.cli", "analyze", str(p)],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.stderr == ""
+    assert proc.returncode == 141
+
+
 def test_carve_trivial_and_blocked(tmp_path):
     t = tmp_path / "t4.txt"
     run_cli("gen", "--kind", "transitive", "--n", "4", "--out", str(t))
@@ -109,6 +130,14 @@ def test_link_spanning_and_infeasible(tmp_path):
     assert code == 0 and "coverage: 4/4 vertices" in out
     code, _ = run_cli("link", str(t), "--pairs", "3:0")
     assert code == 1
+
+
+def test_link_rejected_pair_is_an_input_error(tmp_path, capsys):
+    t = tmp_path / "t4.txt"
+    run_cli("gen", "--kind", "transitive", "--n", "4", "--out", str(t))
+    code, _ = run_cli("link", str(t), "--pairs", "0:0")
+    assert code == 3
+    assert "equal endpoints" in capsys.readouterr().err
 
 
 def test_link_two_pairs_coverage(tmp_path):
@@ -210,3 +239,9 @@ def test_console_entry_point():
     proc = subprocess.run([sys.executable, "-m", "tourpart.cli", "--version"],
                           capture_output=True, text=True)
     assert proc.returncode == 0 and "tourpart" in proc.stdout
+
+
+def test_import_loads_no_scipy():
+    code = "import sys, tourpart; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stdout.strip() == "[]"

@@ -1,0 +1,149 @@
+"""The flow kernel against brute-force cuts and a second flow implementation.
+
+``maximum_flow`` warm-starts from short paths and augments the rest; the
+cold start below augments from the empty flow, so every augmenting-path
+case (reversed flow arcs, reversed split arcs) is reached too.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from oracles import brute_min_cut, path_exists
+from tourpart import connectivity
+from tourpart.connectivity import _augmented, _flow_paths, maximum_flow, vertex_connectivity
+from tourpart.core import Digraph, bipartite_subdigraph
+from tourpart.generators import random_tournament
+
+CAPS = (None, 1, 2, 3)
+
+
+def _cold(adj, x, y, cap):
+    n = adj.shape[0]
+    return _augmented(adj, x, y, cap, np.zeros((n, n), dtype=bool), np.zeros(n, dtype=bool))
+
+
+def _tournaments(count):
+    return [random_tournament(5 + s % 4, s).adj for s in range(count)]
+
+
+def _crossing_digraphs(count):
+    graphs = []
+    for s in range(count):
+        n = 6 + s % 3
+        side = np.random.default_rng(s).permutation(n)
+        graphs.append(bipartite_subdigraph(random_tournament(n, 100 + s),
+                                           side[: n // 2], side[n // 2:])[0].adj)
+    return graphs
+
+
+def _safety_networks(count):
+    """Restricted tournaments plus one appended sink fed by a target set,
+    the network ``safe_flow`` runs on; the source is vertex 0."""
+    nets = []
+    for s in range(count):
+        rng = np.random.default_rng(s)
+        m = 6 + s % 3
+        net = np.zeros((m + 1, m + 1), dtype=bool)
+        net[:m, :m] = random_tournament(m, 200 + s).adj
+        targets = rng.choice(np.arange(1, m), int(rng.integers(2, m)), replace=False)
+        net[targets, m] = True
+        net[0, m] = False
+        nets.append(net)
+    return nets
+
+
+def _pairs(adj):
+    n = adj.shape[0]
+    return [(x, y) for x, y in itertools.permutations(range(n), 2) if not adj[x, y]]
+
+
+def _check_pair(adj, x, y, want):
+    """Warm and cold runs at every cap against the brute-force cut size."""
+    checks = 0
+    for cap in CAPS:
+        runs = [maximum_flow(adj, x, y, cap), _cold(adj, x, y, cap)]
+        expect = want if cap is None else min(cap, want)
+        for value, flow, cut in runs:
+            assert value == expect, (x, y, cap)
+            paths = _flow_paths(flow, x, y)
+            assert len(paths) == value
+            inner = [v for p in paths for v in p[1:-1]]
+            assert len(inner) == len(set(inner))
+            assert all(adj[a, b] for p in paths for a, b in zip(p, p[1:]))
+            if cap is not None and value == cap:
+                assert cut is None
+            else:
+                assert len(cut) == want and x not in cut and y not in cut
+                assert not path_exists(adj, x, y, cut)
+            checks += 1
+        assert runs[0][2] == runs[1][2], "warm and cold starts found different cuts"
+    return checks
+
+
+@pytest.mark.parametrize("family, graphs", [
+    ("tournaments", _tournaments(40)),
+    ("crossing digraphs", _crossing_digraphs(30)),
+])
+def test_capped_value_and_cut_match_brute_force(family, graphs):
+    checks = 0
+    for adj in graphs:
+        for x, y in _pairs(adj):
+            checks += _check_pair(adj, x, y, len(brute_min_cut(Digraph(adj), x, y)))
+    assert checks >= 5000, family
+
+
+def test_safety_networks_match_brute_force():
+    checks = 0
+    for net in _safety_networks(300):
+        sink = net.shape[0] - 1
+        checks += _check_pair(net, 0, sink, len(brute_min_cut(Digraph(net), 0, sink)))
+    assert checks >= 2000
+
+
+def test_warm_start_settles_direct_targets_without_augmenting(monkeypatch):
+    def no_search(*args):
+        raise AssertionError("the warm start should have reached the cap")
+
+    monkeypatch.setattr(connectivity, "_residual_search", no_search)
+    for net in _safety_networks(20):
+        sink = net.shape[0] - 1
+        direct = np.flatnonzero(net[0] & net[:, sink])
+        value, flow, cut = maximum_flow(net, 0, sink, len(direct))
+        assert value == len(direct) and cut is None
+        assert sorted(p[1] for p in _flow_paths(flow, 0, sink)) == direct.tolist()
+
+
+def _min_local_connectivity(adj):
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.connectivity import (
+        build_auxiliary_node_connectivity,
+        local_node_connectivity,
+    )
+    from networkx.algorithms.flow import build_residual_network
+
+    n = adj.shape[0]
+    G = nx.DiGraph()
+    G.add_nodes_from(range(n))
+    G.add_edges_from(zip(*(a.tolist() for a in np.nonzero(adj))))
+    aux = build_auxiliary_node_connectivity(G)
+    residual = build_residual_network(aux, "capacity")
+    return min(local_node_connectivity(G, x, y, auxiliary=aux, residual=residual)
+               for x, y in _pairs(adj))
+
+
+@pytest.mark.parametrize("n", [20, 28, 36, 44])
+def test_vertex_connectivity_matches_networkx_on_tournaments(n):
+    # nx.node_connectivity is not used: it returns 5 for random_tournament(17, 5),
+    # whose connectivity is 4; the per-pair minimum is exact
+    T = random_tournament(n, n)
+    assert vertex_connectivity(T) == _min_local_connectivity(T.adj)
+
+
+@pytest.mark.parametrize("n", [20, 40, 60])
+def test_vertex_connectivity_matches_networkx_on_crossing_digraphs(n):
+    T = random_tournament(n, n + 1)
+    side = np.random.default_rng(n).permutation(n)
+    D, _ = bipartite_subdigraph(T, side[: n // 2], side[n // 2:])
+    assert vertex_connectivity(D) == _min_local_connectivity(D.adj)

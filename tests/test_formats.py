@@ -67,6 +67,21 @@ def test_compact_header_mismatch():
         read_tournament(io.StringIO("3 4 0110\n"))
 
 
+def test_header_counts_checked_before_allocating(monkeypatch):
+    import tourpart.formats as formats
+
+    def no_parse(*args):
+        raise AssertionError("edge lines parsed before the header was checked")
+
+    monkeypatch.setattr(formats, "_parse_edge_lines", no_parse)
+    for text in ("-3 3\n", "3 -1\n", "5000 1\n0 1\n", "-3 6 000000\n"):
+        with pytest.raises(FormatError):
+            read_tournament(io.StringIO(text))
+    for text in ("-3 3\n", "4 -2\n"):
+        with pytest.raises(FormatError):
+            read_digraph(io.StringIO(text))
+
+
 def test_dot_output():
     text = to_dot(paley_tournament(3), "c3")
     assert text.startswith("digraph c3 {")
