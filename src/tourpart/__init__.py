@@ -3,6 +3,7 @@
 from .core import (
     Digraph,
     Tournament,
+    Verdict,
     bipartite_subdigraph,
     is_backwards_transitive,
     is_path,
@@ -15,9 +16,11 @@ from .core import (
 from .generators import paley_tournament, random_tournament, transitive_tournament
 from .hamilton import hamiltonian_path
 from .connectivity import (
+    Certificate,
     LinkageRequest,
     LinkageResult,
     SeparatorCertificate,
+    certify,
     find_disjoint_paths,
     is_k_linked,
     is_strongly_k_connected,

@@ -2,8 +2,9 @@
 
 Exit codes are a scripting contract:
   0  verified success
-  1  infeasible / none found
-  2  search budget exhausted (verdict unknown)
+  1  infeasible, with the proof named on stderr (or a verifier rejection)
+  2  verdict unknown: a search or pipeline budget ran out, including
+     `partition` searches that found nothing and have no proof
   3  input error (bad arguments, unparsable files)
   141  standard output closed by its reader (128 + SIGPIPE, no message)
 
@@ -20,23 +21,23 @@ import io
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__
-from .connectivity import is_k_linked, vertex_connectivity
+from .connectivity import LinkageRequest, certify, find_disjoint_paths, is_k_linked, vertex_connectivity
+from .core import Verdict
 from .formats import FormatError, read_digraph, read_tournament, to_dot, write_compact, write_edge_list
 from .generators import paley_tournament, random_tournament, transitive_tournament
-from .hamilton import FOUND, NONE, UNKNOWN
 from .partition import format_partition, partition
 from .pipeline import PipelineError, PipelineParams
 from .surgery import NoPath, SubdivisionSpec, nonseparating_subdivision, remove_nonseparating_path, spanning_linkage
-from .connectivity import LinkageRequest, find_disjoint_paths
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
 EXIT_UNKNOWN = 2
 EXIT_INPUT = 3
 EXIT_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a reader that left
+EXIT_CODE = {Verdict.FOUND: EXIT_OK, Verdict.INFEASIBLE: EXIT_INFEASIBLE,
+             Verdict.UNKNOWN: EXIT_UNKNOWN}
 
 
 class InputError(Exception):
@@ -56,6 +57,12 @@ def _load_tournament(path):
         raise InputError(f"{path}: {exc.strerror}") from None
     except FormatError as exc:
         raise InputError(f"{path}: {exc}") from None
+
+
+def _unresolved(verdict, reason):
+    """Name a verdict other than found and its reason on stderr; its exit code."""
+    print(f"{verdict}: {reason}", file=sys.stderr)
+    return EXIT_CODE[verdict]
 
 
 def _write_text(path, text):
@@ -151,29 +158,18 @@ def cmd_link(args):
         if args.seed is None:
             raise InputError("--spanning uses randomized search and needs --seed")
         res = spanning_linkage(T, pairs, seed=args.seed)
-        if res.status == "infeasible":
-            print(f"proven infeasible: {res.detail}", file=sys.stderr)
-            return EXIT_INFEASIBLE
-        if res.status == "unknown":
-            print(f"unknown: {res.detail}", file=sys.stderr)
-            return EXIT_UNKNOWN
-        covered = set()
-        for (x, y), p in zip(pairs, res.paths):
-            print(f"{x}->{y}: " + " ".join(map(str, p)))
-            covered.update(p)
-        print(f"coverage: {len(covered)}/{T.n} vertices")
-        print(f"status: {'theorem-backed' if res.theorem_backed else 'best-effort'}")
-        return EXIT_OK
-    req = LinkageRequest(pairs)
-    res = find_disjoint_paths(T, req)
-    if res.status == "infeasible":
-        print("proven infeasible", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    if res.status == "unknown":
-        print("unknown: search budget exhausted", file=sys.stderr)
-        return EXIT_UNKNOWN
+        reason = res.detail
+    else:
+        res = find_disjoint_paths(T, LinkageRequest(pairs))
+        reason = ("search budget exhausted" if res.status == Verdict.UNKNOWN
+                  else "no internally disjoint paths for these pairs")
+    if res.status != Verdict.FOUND:
+        return _unresolved(res.status, reason)
     for (x, y), p in zip(pairs, res.paths):
         print(f"{x}->{y}: " + " ".join(map(str, p)))
+    if args.spanning:
+        print(f"coverage: {len({v for p in res.paths for v in p})}/{T.n} vertices")
+        print(f"status: {'theorem-backed' if res.theorem_backed else 'best-effort'}")
     return EXIT_OK
 
 
@@ -181,7 +177,7 @@ def cmd_subdivide(args):
     T = _load_tournament(args.path)
     try:
         with open(args.pattern) as fh:
-            H = read_digraph(fh)
+            H = read_digraph(fh, max_n=T.n)  # branch vertices are distinct in T
     except OSError as exc:
         raise InputError(f"{args.pattern}: {exc.strerror}") from None
     except FormatError as exc:
@@ -247,6 +243,19 @@ def _params_from_file(path, k):
     return dataclasses.replace(base, **values)
 
 
+def _no_split_proof(T, k):
+    """Why no split of T can be strongly k-connected, when one of two cheap
+    necessary conditions fails; None when both hold."""
+    d0 = int(min(T.out_degrees().min(), T.in_degrees().min()))
+    if d0 < 2 * k:
+        return (f"delta0(T) = {d0} < {2 * k}, but every vertex needs {k} out- and "
+                f"{k} in-neighbours in its own side and {k} of each across")
+    if not certify(T, k).ok:
+        return (f"T is not strongly {k}-connected, so neither is T[V1, V2], "
+                f"which spans T")
+    return None
+
+
 def cmd_partition(args):
     T = _load_tournament(args.path)
     params = None
@@ -256,13 +265,14 @@ def cmd_partition(args):
         res = partition(T, args.k, mode=args.mode, params=params, seed=args.seed,
                         search_budget=args.budget)
     except PipelineError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_UNKNOWN if exc.kind == "budget" else EXIT_INFEASIBLE
+        return _unresolved(Verdict.UNKNOWN if exc.kind == "budget" else Verdict.INFEASIBLE, exc)
     except ValueError as exc:
         raise InputError(str(exc)) from None
     if res is None:
-        print("none found within budget", file=sys.stderr)
-        return EXIT_INFEASIBLE
+        proof = _no_split_proof(T, args.k)
+        if proof is None:
+            return _unresolved(Verdict.UNKNOWN, f"no partition found within budget {args.budget}")
+        return _unresolved(Verdict.INFEASIBLE, proof)
     text = format_partition(res)
     _write_text(args.out, text)
     if args.out != "-":
@@ -383,11 +393,7 @@ def cmd_experiment(args):
     trials = [(kind, n, k, cfg["mode"], seed, cfg["budget"])
               for kind in cfg["kind"] for n in cfg["n"] for k in cfg["k"]
               for seed in cfg["seeds"]]
-    if args.jobs > 1 and trials:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(lambda t: _one_trial(*t), trials))
-    else:
-        rows = [_one_trial(*t) for t in trials]
+    rows = [_one_trial(*t) for t in trials]
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(CSV_COLUMNS)
@@ -463,7 +469,6 @@ def build_parser():
     e = sub.add_parser("experiment", help="seeded sweep, one CSV row per trial")
     e.add_argument("config")
     e.add_argument("--out", default="-")
-    e.add_argument("--jobs", type=int, default=1)
     e.set_defaults(func=cmd_experiment)
     return p
 

@@ -25,7 +25,8 @@ the residual cut: the vertices whose in-copy is reachable from x in the
 residual network and whose out-copy is not.  The vertices reachable in the
 residual network are the same for every maximum flow (they form the source
 side of the minimum cut that lies closest to x), so the cut does not
-depend on the order in which paths were found.
+depend on the order in which paths were found.  ``certify(G, k)`` is the
+one whole-graph check; a failing pair's certificate carries that cut.
 """
 
 from __future__ import annotations
@@ -35,11 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Digraph, is_path, reachable_mask
-
-FOUND = "found"
-INFEASIBLE = "infeasible"
-UNKNOWN = "unknown"
+from .core import Verdict, is_path, reachable_mask
 
 
 class BudgetExceeded(Exception):
@@ -193,21 +190,18 @@ class VertexFlow:
         return value, _flow_paths(flow, x, y), cut
 
 
-def sweep_pairs(net, nodes, k):
+def sweep_pairs(net, k):
     """The ordered pairs a cut below k could separate, in sweep order.
 
-    For u among the first k of ``nodes`` and v in ``nodes``: (u, v) then
+    For u among the first k < n vertices and every other v: (u, v) then
     (v, u), leaving out pairs joined by an arc and pairs with at least k
     common middles.
     """
     adj = net.adj
-    nodes = np.asarray(nodes)
-    members = np.zeros(net.n, dtype=bool)
-    members[nodes] = True
-    for u in nodes[:k].tolist():
+    for u in range(k):
         out2, in2 = net.middles(u)
-        fwd = members & ~adj[u] & (out2 < k)
-        bwd = members & ~adj[:, u] & (in2 < k)
+        fwd = ~adj[u] & (out2 < k)
+        bwd = ~adj[:, u] & (in2 < k)
         fwd[u] = bwd[u] = False
         for v in np.flatnonzero(fwd | bwd).tolist():
             if fwd[v]:
@@ -229,25 +223,40 @@ def _strongly_connected(G):
     return bool(bwd.all())
 
 
-def is_strongly_k_connected(G, k):
-    """Exact strong k-connectivity test per the |G| > k definition."""
+@dataclass(frozen=True)
+class Certificate:
+    """The answer of ``certify``.  When a swept pair fails, ``pair`` is that
+    pair, ``value`` its flow value (below k) and ``cut`` the residual cut of
+    ``value`` vertices separating it; a graph failing the size, degree or
+    strong-connectivity screen carries no pair."""
+
+    ok: bool
+    pair: tuple | None = None
+    value: int | None = None
+    cut: frozenset | None = None
+
+
+def certify(G, k):
+    """Certify G at level k: strongly k-connected per the |G| > k definition."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     n = G.n
-    if k == 0:
-        return n >= 1
-    if n <= k:
-        return False
-    degs_out = G.out_degrees()
-    degs_in = G.in_degrees()
-    if degs_out.min() < k or degs_in.min() < k:
-        return False
-    if not _strongly_connected(G):
-        return False
-    if k == 1:
-        return True
-    net = VertexFlow(G.adj)
-    return all(net.flow_value(x, y, k) >= k for x, y in sweep_pairs(net, range(n), k))
+    if k == 0 or n <= k:
+        return Certificate(n > k)
+    if min(G.out_degrees().min(), G.in_degrees().min()) < k or not _strongly_connected(G):
+        return Certificate(False)
+    if k > 1:
+        net = VertexFlow(G.adj)
+        for x, y in sweep_pairs(net, k):
+            value, _, cut = maximum_flow(G.adj, x, y, k)
+            if value < k:
+                return Certificate(False, (x, y), value, cut)
+    return Certificate(True)
+
+
+def is_strongly_k_connected(G, k):
+    """Exact strong k-connectivity test per the |G| > k definition."""
+    return certify(G, k).ok
 
 
 def vertex_connectivity(G):
@@ -329,28 +338,27 @@ def safe_flow(G, v, targets, k, direction="forward", restrict=None):
     if direction not in ("forward", "backward"):
         raise ValueError("direction must be forward or backward")
     n = G.n
-    if restrict is None:
-        ok = np.ones(n, dtype=bool)
-    else:
-        ok = np.zeros(n, dtype=bool)
-        for u in restrict:
-            ok[u] = True
+    ok = np.ones(n, dtype=bool)
+    if restrict is not None:
+        ok[:] = False
+        ok[list(restrict)] = True
     if not ok[v]:
         raise ValueError("v must belong to the restriction set")
-    W = sorted({int(w) for w in targets} & set(np.flatnonzero(ok).tolist()))
-    if v in W:
+    hit = np.zeros(n, dtype=bool)
+    hit[list(targets)] = True
+    hit &= ok
+    if hit[v]:
         return True
-    if not W:
+    if not hit.any():
         return False
     adj = G.adj if direction == "forward" else G.adj.T
     ids = np.flatnonzero(ok)
-    pos = {int(u): i for i, u in enumerate(ids)}
     m = len(ids)
     # the restricted graph plus one sink m fed by every target
     net = np.zeros((m + 1, m + 1), dtype=bool)
     net[:m, :m] = adj[np.ix_(ids, ids)]
-    net[[pos[w] for w in W], m] = True
-    return maximum_flow(net, pos[v], m, k)[0] >= k
+    net[:m, m] = hit[ids]
+    return maximum_flow(net, int(np.count_nonzero(ok[:v])), m, k)[0] >= k
 
 
 # ---------------------------------------------------------------------------
@@ -403,11 +411,11 @@ class LinkageRequest:
 
 @dataclass
 class LinkageResult:
-    status: str  # found | infeasible | unknown
+    status: Verdict
     paths: list | None = None
 
     def __bool__(self):
-        return self.status == FOUND
+        return self.status == Verdict.FOUND
 
 
 def _uniform_bundle(req):
@@ -434,9 +442,9 @@ def _bundle_by_flow(T, req):
     value, paths, _ = net.paths_and_cut(x, y)
     total = value + direct
     if total < want:
-        return LinkageResult(INFEASIBLE)
+        return LinkageResult(Verdict.INFEASIBLE)
     chosen = ([[x, y]] if direct else []) + sorted(paths, key=len)
-    return LinkageResult(FOUND, chosen[:want])
+    return LinkageResult(Verdict.FOUND, chosen[:want])
 
 
 def find_disjoint_paths(T, req, budget=500_000):
@@ -532,19 +540,16 @@ def find_disjoint_paths(T, req, budget=500_000):
 
         return extend(x, {x}, [x])
 
-    if req.disjointness == "full":
-        # terminals of other pairs are off limits entirely
-        pass
     try:
         if not feasible_rest(0):
-            return LinkageResult(INFEASIBLE)
+            return LinkageResult(Verdict.INFEASIBLE)
         if dfs_pair(0):
             result = [list(p) for p in paths]
             _check_linkage(T, req, result)
-            return LinkageResult(FOUND, result)
-        return LinkageResult(INFEASIBLE)
+            return LinkageResult(Verdict.FOUND, result)
+        return LinkageResult(Verdict.INFEASIBLE)
     except BudgetExceeded:
-        return LinkageResult(UNKNOWN)
+        return LinkageResult(Verdict.UNKNOWN)
 
 
 def _check_linkage(T, req, paths):
@@ -589,8 +594,8 @@ def is_k_linked(T, k, budget=500_000):
         if any(pairs[i] >= pairs[i + 1] for i in range(k - 1)):
             continue  # unordered between pairs: keep one representative
         res = find_disjoint_paths(T, LinkageRequest(pairs, "full"), budget=budget)
-        if res.status == INFEASIBLE:
+        if res.status == Verdict.INFEASIBLE:
             return False
-        if res.status == UNKNOWN:
+        if res.status == Verdict.UNKNOWN:
             hit_unknown = True
     return None if hit_unknown else True

@@ -9,11 +9,20 @@ can be shared freely between concurrent workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from enum import StrEnum
 
 import numpy as np
 
 Path = list  # a directed simple path, as a list of vertex ids
+
+
+class Verdict(StrEnum):
+    """Outcome of an exact search: a witness was found, none exists (proven),
+    or the budget ran out first."""
+
+    FOUND = "found"
+    INFEASIBLE = "infeasible"
+    UNKNOWN = "unknown"
 
 
 class Digraph:
@@ -145,10 +154,6 @@ def is_path(G, vertices):
     if len(set(vertices)) != len(vertices):
         return False
     return all(G.has_edge(u, v) for u, v in zip(vertices, vertices[1:]))
-
-
-def path_length(path):
-    return len(path) - 1
 
 
 def is_backwards_transitive(T, path):

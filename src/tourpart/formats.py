@@ -57,6 +57,8 @@ def tournament_from_bits(n, bitstring):
 
 
 def _parse_edge_lines(lines, start_line, n, m):
+    if len(lines) < m:  # checked before allocating: one line per edge
+        raise FormatError(f"header announced {m} edges, but only {len(lines)} lines follow")
     adj = np.zeros((n, n), dtype=bool)
     count = 0
     for offset, raw in enumerate(lines):
@@ -131,13 +133,20 @@ def read_tournament(fh):
         raise FormatError(str(exc)) from None
 
 
-def read_digraph(fh):
-    """Load a general digraph in edge-list format (no completeness check)."""
+def read_digraph(fh, max_n=None):
+    """Load a general digraph in edge-list format (no completeness check).
+
+    A digraph's edge count does not bound its vertex count, so a caller that
+    knows a bound passes it as ``max_n``; larger headers are rejected before
+    the n x n matrix is allocated.
+    """
     lines, first = _load_lines(fh)
     head = lines[0].split()
     if len(head) != 2:
         raise FormatError(f"bad header {lines[0]!r}", first)
     n, m = _header_counts(lines[0], first)
+    if max_n is not None and n > max_n:
+        raise FormatError(f"{n} vertices exceed the bound of {max_n}", first)
     adj = _parse_edge_lines(lines[1:], first + 1, n, m)
     return Digraph(adj)
 

@@ -2,9 +2,9 @@
 
 Exact subset dynamic programming up to ``exact_threshold`` vertices; above
 that an insertion heuristic with randomized restarts, falling back to a
-budgeted backtracking search with reachability pruning.  A "none" verdict is
-only ever produced by an exact argument; running out of budget is reported
-as "unknown" instead.
+budgeted backtracking search with reachability pruning.  An "infeasible"
+verdict is only ever produced by an exact argument; running out of budget is
+reported as "unknown" instead.
 """
 
 from __future__ import annotations
@@ -14,36 +14,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import bfs_shortest_path
-
-FOUND = "found"
-NONE = "none"
-UNKNOWN = "unknown"
+from .core import Verdict, bfs_shortest_path
 
 
 @dataclass
 class PathSearch:
-    status: str  # found | none | unknown
+    status: Verdict
     path: list | None = None
 
     def __bool__(self):
-        return self.status == FOUND
+        return self.status == Verdict.FOUND
 
 
 def _bit_masks(adj):
-    n = adj.shape[0]
-    out = [0] * n
-    inn = [0] * n
-    for v in range(n):
-        m = 0
-        for u in np.flatnonzero(adj[v]):
-            m |= 1 << int(u)
-        out[v] = m
-        inn_m = 0
-        for u in np.flatnonzero(adj[:, v]):
-            inn_m |= 1 << int(u)
-        inn[v] = inn_m
-    return out, inn
+    """Out- and in-neighbourhoods of every vertex as integer bitmasks."""
+    def masks(rows):
+        return [sum(1 << u for u in np.flatnonzero(row).tolist()) for row in rows]
+    return masks(adj), masks(adj.T)
 
 
 def _mask_reach(out, start, within):
@@ -83,7 +70,7 @@ def _dp_exact(adj, x, y):
                 ext &= ext - 1
                 dp[S | (1 << u)] |= 1 << u
     if not dp[full] & (1 << y):
-        return PathSearch(NONE)
+        return PathSearch(Verdict.INFEASIBLE)
     path = [y]
     S = full
     cur = y
@@ -94,7 +81,7 @@ def _dp_exact(adj, x, y):
         path.append(cur)
         S = prev
     path.reverse()
-    return PathSearch(FOUND, path)
+    return PathSearch(Verdict.FOUND, path)
 
 
 def _try_insertions(out, inn, path, remaining, rng):
@@ -206,9 +193,9 @@ def hamiltonian_path(T, x, y, exact_threshold=14, budget=200_000, restarts=24, s
     # exact nonexistence proofs: every vertex must be reachable from x and
     # must reach y
     if _mask_reach(out, x, full) != full:
-        return PathSearch(NONE)
+        return PathSearch(Verdict.INFEASIBLE)
     if _mask_reach(inn, y, full) != full:
-        return PathSearch(NONE)
+        return PathSearch(Verdict.INFEASIBLE)
 
     rng = random.Random(seed)
     base = bfs_shortest_path(T.adj, x, y)
@@ -218,12 +205,12 @@ def hamiltonian_path(T, x, y, exact_threshold=14, budget=200_000, restarts=24, s
             path = list(base)
             remaining = set(range(n)) - set(path)
             if _try_insertions(out, inn, path, remaining, rng):
-                return PathSearch(FOUND, path)
+                return PathSearch(Verdict.FOUND, path)
         slice_budget = max(1, left // max(1, restarts - attempt))
         got, slice_left = _dfs(out, inn, x, y, n, slice_budget, rng)
         left -= slice_budget - slice_left
         if got is not None:
-            return PathSearch(FOUND, got)
+            return PathSearch(Verdict.FOUND, got)
         if left <= 0:
             break
-    return PathSearch(UNKNOWN)
+    return PathSearch(Verdict.UNKNOWN)

@@ -2,20 +2,20 @@
 
 ``verify_partition`` is the single gatekeeper: it re-checks, from scratch,
 that both induced subtournaments and the crossing bipartite digraph are
-strongly k-connected.  ``search_partition`` hunts for a partition by seeded
-random balanced splits plus local repair moves and only ever returns
-verifier-certified results.  ``partition`` wires the constructive pipeline
-and the search together behind one entry point.
+strongly k-connected, certifying each of the three graphs once.
+``search_partition`` hunts for a partition by seeded random balanced splits
+plus local repair moves and only ever returns verifier-certified results.
+``partition`` wires the constructive pipeline and the search together
+behind one entry point.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .connectivity import VertexFlow, is_strongly_k_connected, sweep_pairs, vertex_connectivity
+from .connectivity import VertexFlow, certify, is_strongly_k_connected, vertex_connectivity
 from .core import bipartite_subdigraph, reachable_mask
 from .pipeline import PipelineError, PipelineParams, pipeline_feasible, run_pipeline
 
@@ -37,7 +37,20 @@ class PartitionResult:
         return self.verified
 
 
-def _reported_connectivity(G, k, exact_threshold):
+def _split_graph(T, in_v1, which):
+    """One of the three graphs of the split ``in_v1`` (a mask of V1) with
+    its map from new ids to T ids, ascending: ``which`` is 0 for T[V1], 1
+    for T[V2] and 2 for the crossing digraph T[V1, V2]."""
+    v1, v2 = np.flatnonzero(in_v1), np.flatnonzero(~in_v1)
+    if which == 2:
+        return bipartite_subdigraph(T, v1, v2)
+    return T.subtournament(v2 if which else v1)
+
+
+def _certified_level(G, k, exact_threshold):
+    """(level, exact) with level >= k iff G is strongly k-connected: the
+    exact kappa up to ``exact_threshold`` vertices, otherwise k or, when k
+    fails, the largest lower level that certifies."""
     if G.n <= exact_threshold:
         return vertex_connectivity(G), True
     for j in range(k, 0, -1):
@@ -53,6 +66,8 @@ def verify_partition(T, v1, v2, k, exact_threshold=150):
     Reports per-graph connectivity: exact below ``exact_threshold``
     vertices, otherwise the largest level at most k that verifies.
     """
+    if k < 0:
+        raise ValueError("k must be nonnegative")
     s1 = sorted({int(v) for v in v1})
     s2 = sorted({int(v) for v in v2})
     if not s1 or not s2:
@@ -61,24 +76,18 @@ def verify_partition(T, v1, v2, k, exact_threshold=150):
         raise ValueError("sides overlap")
     if len(s1) + len(s2) != T.n:
         raise ValueError("sides do not partition the vertex set")
-    t1, _ = T.subtournament(s1)
-    t2, _ = T.subtournament(s2)
-    cross, _ = bipartite_subdigraph(T, s1, s2)
-    graphs = (t1, t2, cross)
-    ok = [is_strongly_k_connected(g, k) for g in graphs]
-    reported = [_reported_connectivity(g, k, exact_threshold) for g in graphs]
+    in_v1 = np.zeros(T.n, dtype=bool)
+    in_v1[s1] = True
+    levels = [_certified_level(_split_graph(T, in_v1, which)[0], k, exact_threshold)
+              for which in range(3)]
     return PartitionResult(
-        v1=s1, v2=s2, k=k, verified=all(ok),
-        connectivity=tuple(r[0] for r in reported),
-        connectivity_exact=all(r[1] for r in reported))
+        v1=s1, v2=s2, k=k, verified=all(level >= k for level, _ in levels),
+        connectivity=tuple(level for level, _ in levels),
+        connectivity_exact=all(exact for _, exact in levels))
 
 
 # ---------------------------------------------------------------------------
 # randomized search with cut-repair moves
-
-
-def _masked_adj(T, mask_row, mask_col):
-    return T.adj & mask_row[:, None] & mask_col[None, :]
 
 
 def _screen_score(T, in_v1, k):
@@ -97,52 +106,39 @@ def _screen_score(T, in_v1, k):
         seen_f = reachable_mask(adj, int(ids[0]), mask)
         seen_b = reachable_mask(adj.T, int(ids[0]), mask)
         score += int((mask & ~seen_f).sum() + (mask & ~seen_b).sum())
-    cross_out = (adj & ~np.equal.outer(in_v1, in_v1)).sum(axis=1)
-    cross_in = (adj & ~np.equal.outer(in_v1, in_v1)).sum(axis=0)
-    score += int(np.maximum(0, k - cross_out).sum() + np.maximum(0, k - cross_in).sum())
     cross_adj = adj & ~np.equal.outer(in_v1, in_v1)
+    cross_out = cross_adj.sum(axis=1)
+    cross_in = cross_adj.sum(axis=0)
+    score += int(np.maximum(0, k - cross_out).sum() + np.maximum(0, k - cross_in).sum())
     seen_f = reachable_mask(cross_adj, 0)
     seen_b = reachable_mask(cross_adj.T, 0)
     score += int((~seen_f).sum() + (~seen_b).sum())
     return score
 
 
-def _graph_view(T, in_v1, tag):
-    if tag == "v1":
-        return _masked_adj(T, in_v1, in_v1), np.flatnonzero(in_v1)
-    if tag == "v2":
-        return _masked_adj(T, ~in_v1, ~in_v1), np.flatnonzero(~in_v1)
-    return T.adj & ~np.equal.outer(in_v1, in_v1), np.arange(T.n)
-
-
-def _flow_violation(T, in_v1, k):
-    """First ordered pair in one of the three graphs whose vertex cut is
-    below k, with its flow value and minimum cut, or None."""
-    for tag in ("v1", "v2", "cross"):
-        adjm, nodes = _graph_view(T, in_v1, tag)
-        net = VertexFlow(adjm)
-        for x, y in sweep_pairs(net, nodes, k):
-            value, _, cut = net.paths_and_cut(x, y, k)
-            if value < k:
-                return tag, (x, y), value, cut
+def _witness(T, in_v1, k):
+    """(graph, pair, value, cut) in T ids for the first of the three graphs
+    that fails to certify at k, or None when all three certify."""
+    for which in range(3):
+        G, ids = _split_graph(T, in_v1, which)
+        cert = certify(G, k)
+        if not cert.ok:
+            x, y = cert.pair
+            return which, (ids[x], ids[y]), cert.value, {ids[c] for c in cert.cut}
     return None
 
 
-def _pair_flow(T, in_v1, tag, pair, k):
+def _pair_flow(T, in_v1, which, pair, k):
     """Cut size of one witness pair under the current split, capped at k;
     a pair that left its graph no longer constrains anything."""
+    G, ids = _split_graph(T, in_v1, which)
     x, y = pair
-    adjm, nodes = _graph_view(T, in_v1, tag)
-    members = set(nodes.tolist())
-    if x not in members or y not in members:
+    if x not in ids or y not in ids:
         return k
-    if tag == "v1" and not (in_v1[x] and in_v1[y]):
+    x, y = ids.index(x), ids.index(y)
+    if G.adj[x, y]:
         return k
-    if tag == "v2" and (in_v1[x] or in_v1[y]):
-        return k
-    if adjm[x, y]:
-        return k
-    return VertexFlow(adjm).flow_value(x, y, k)
+    return VertexFlow(G.adj).flow_value(x, y, k)
 
 
 def search_partition(T, k, seed, budget=400):
@@ -183,7 +179,7 @@ def search_partition(T, k, seed, budget=400):
                 score = best[0]
                 in_v1[best[1]] = ~in_v1[best[1]]
                 continue
-            viol = _flow_violation(T, in_v1, k) if k > 1 else None
+            viol = _witness(T, in_v1, k)
             if viol is None:
                 res = verify_partition(T, np.flatnonzero(in_v1), np.flatnonzero(~in_v1), k)
                 assert res.verified, "search produced an uncertified partition"
@@ -191,13 +187,13 @@ def search_partition(T, k, seed, budget=400):
                 res.seed = seed
                 res.params_fingerprint = f"search-{budget}"
                 return res
-            tag, pair, value, cut = viol
-            pool = sorted(set(map(int, cut)) | set(map(int, rng.integers(0, n, size=8))))
+            which, pair, value, cut = viol
+            pool = sorted(cut | set(map(int, rng.integers(0, n, size=8))))
             best = None
             for v in pool:
                 in_v1[v] = ~in_v1[v]
                 if k < int(in_v1.sum()) < n - k and _screen_score(T, in_v1, k) == 0:
-                    slack = _pair_flow(T, in_v1, tag, pair, k)
+                    slack = _pair_flow(T, in_v1, which, pair, k)
                     if best is None or slack > best[0]:
                         best = (slack, v)
                 in_v1[v] = ~in_v1[v]

@@ -31,8 +31,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .connectivity import FOUND, LinkageRequest, find_disjoint_paths
-from .core import bfs_parity_path, bfs_shortest_path, is_path, transitive_order
+from .connectivity import LinkageRequest, find_disjoint_paths
+from .core import Verdict, bfs_parity_path, bfs_shortest_path, is_path, transitive_order
 from .domination import DominatingStructure, in_dominating_structure, out_dominating_structure
 from .safety import ALPHA, BETA, Coloring, SafetyContext, all_colored_safe
 
@@ -139,11 +139,10 @@ def select_extremal_sets(T, k, count=None):
 class PipelineState:
     """All named sets of one pipeline run, plus the audit trail."""
 
-    def __init__(self, T, k, params, seed, flipped=False):
+    def __init__(self, T, k, params, flipped=False):
         self.T = T
         self.k = k
         self.params = params
-        self.seed = seed
         self.flipped = flipped
         self.coloring = Coloring(T.n)
         self.audits = []
@@ -444,19 +443,6 @@ def bootstrap_safety(state):
 # stage 3: connector paths
 
 
-def _color_alternating_path(state, path):
-    """Color the interior of a path so colors alternate consistently with
-    its (already colored) endpoints."""
-    col = state.coloring
-    cb = col.of(path[0])
-    ca = col.of(path[-1])
-    length = len(path) - 1
-    if (cb == ca) != (length % 2 == 0):
-        raise AssertionError("path parity inconsistent with endpoint colors")
-    for pos in range(1, length):
-        col.assign([path[pos]], cb if pos % 2 == 0 else 1 - cb)
-
-
 def _collect_short_connectors(state):
     """Greedy maximal system of short disjoint connector paths with the
     parity each class needs; multi-pass until no index improves."""
@@ -505,7 +491,7 @@ def find_connector_paths(state):
         elif cls == MONO_B:
             col.assign(p[1:-1], BETA)
         else:
-            _color_alternating_path(state, p)
+            _color_alternating_interior(state, p)
     extend_coloring_safely(state, interiors)
 
     # repeatedly burn any remaining nontrivial short connector route for the
@@ -587,7 +573,7 @@ def _build_bundles(state):
                                  - {b, a})
             res = find_disjoint_paths(T, req)
             candidates = [p for p in (res.paths or []) if len(p) > 2]
-            if res.status != FOUND or len(candidates) < want:
+            if res.status != Verdict.FOUND or len(candidates) < want:
                 state.require(stage, False,
                               f"index {i}: only {max(len(paths), len(candidates))} disjoint "
                               f"connector routes available, bundle needs {want}",
@@ -716,18 +702,6 @@ def _audit_bundles(state):
                 state.require(stage, bool((last_out - first_in < 3).all()),
                               f"index {i}: neighbour propagation audit failed")
     state.record(stage, info={"bundles": {i: len(ps) for i, ps in state.bundles.items()}})
-
-
-def _scaffold_positions(state, picks):
-    """Vertices of the chosen segments over all bundle paths."""
-    k = state.k
-    verts = set()
-    for i, paths in state.bundles.items():
-        for p in paths:
-            segs = _segment_positions(len(p) - 1, k)
-            for s in picks:
-                verts.update(p[pos] for pos in segs[s])
-    return verts
 
 
 def _place_hubs(state):
@@ -943,9 +917,14 @@ def _hub_mid_vertices(state):
 
 
 def _color_alternating_interior(state, path):
+    """Color the uncolored interior of a path so colors alternate from its
+    (already colored) endpoints; an interior vertex already colored must fit
+    the alternation."""
     col = state.coloring
     cb = col.of(path[0])
     length = len(path) - 1
+    if (cb == col.of(path[-1])) != (length % 2 == 0):
+        raise AssertionError("path parity inconsistent with endpoint colors")
     for pos in range(1, length):
         v = path[pos]
         if not col.is_colored(v):
@@ -1121,15 +1100,18 @@ def pipeline_feasible(T, k, params):
 
 
 def run_pipeline(T, k, params=None, seed=0):
-    """Run all stages; returns the finished state (raises PipelineError)."""
+    """Run all stages; returns the finished state (raises PipelineError).
+
+    The stages are deterministic; ``seed`` is accepted and ignored so that
+    callers can pass the seed of a run through uniformly."""
     params = params if params is not None else PipelineParams.guaranteed(k)
     ok, reason = pipeline_feasible(T, k, params)
     if not ok:
         raise PipelineError("feasibility", reason)
-    state = PipelineState(T, k, params, seed)
+    state = PipelineState(T, k, params)
     build_dominating_family(state)
     if len(state.exc_out) > len(state.exc_in):
-        flipped = PipelineState(T.reverse(), k, params, seed, flipped=True)
+        flipped = PipelineState(T.reverse(), k, params, flipped=True)
         build_dominating_family(flipped)
         if len(flipped.exc_out) <= len(flipped.exc_in):
             state = flipped

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .connectivity import is_strongly_k_connected
-from .core import Digraph, bfs_shortest_path, is_backwards_transitive
-from .hamilton import FOUND, NONE, UNKNOWN, hamiltonian_path
+from .core import Digraph, Verdict, bfs_shortest_path, is_backwards_transitive
+from .hamilton import hamiltonian_path
 
 
 class NoPath(Exception):
@@ -169,13 +169,13 @@ def check_subdivision(T, spec, sub):
 
 @dataclass
 class SpanningLinkage:
-    status: str  # found | infeasible | unknown
+    status: Verdict
     paths: list | None
     theorem_backed: bool
     detail: str = ""
 
     def __bool__(self):
-        return self.status == FOUND
+        return self.status == Verdict.FOUND
 
 
 def spanning_linkage(T, pairs, seed=0, ham_budget=300_000):
@@ -210,9 +210,9 @@ def spanning_linkage(T, pairs, seed=0, ham_budget=300_000):
         path = bfs_shortest_path(T.adj, x, y, allowed)
         if path is None:
             if alive.all():
-                return SpanningLinkage("infeasible", None, backed,
+                return SpanningLinkage(Verdict.INFEASIBLE, None, backed,
                                        f"pair {idx}: no admissible {x}->{y} path exists")
-            return SpanningLinkage("unknown", None, backed,
+            return SpanningLinkage(Verdict.UNKNOWN, None, backed,
                                    f"pair {idx}: carve order dead-ended")
         assert is_backwards_transitive(T, path)
         paths[idx] = path
@@ -224,17 +224,17 @@ def spanning_linkage(T, pairs, seed=0, ham_budget=300_000):
     sub, index_map = T.subtournament(ids)
     back = {g: i for i, g in enumerate(index_map)}
     res = hamiltonian_path(sub, back[x], back[y], budget=ham_budget, seed=seed)
-    if res.status == UNKNOWN:
-        return SpanningLinkage("unknown", None, backed, "pair 0: Hamiltonian budget exhausted")
-    if res.status == NONE:
+    if res.status == Verdict.UNKNOWN:
+        return SpanningLinkage(Verdict.UNKNOWN, None, backed, "pair 0: Hamiltonian budget exhausted")
+    if res.status == Verdict.INFEASIBLE:
         if len(ids) == T.n:
-            return SpanningLinkage("infeasible", None, backed,
+            return SpanningLinkage(Verdict.INFEASIBLE, None, backed,
                                    "pair 0: no spanning path exists")
-        return SpanningLinkage("unknown", None, backed,
+        return SpanningLinkage(Verdict.UNKNOWN, None, backed,
                                "pair 0: no Hamiltonian close for this carve order")
     paths[0] = [index_map[v] for v in res.path]
     check_spanning_linkage(T, pairs, paths)
-    return SpanningLinkage(FOUND, paths, backed)
+    return SpanningLinkage(Verdict.FOUND, paths, backed)
 
 
 def check_spanning_linkage(T, pairs, paths):

@@ -162,6 +162,23 @@ def test_subdivide_triangle_and_bad_map(tmp_path):
     assert code == 3  # non-injective placement
 
 
+def test_subdivide_bounds_the_pattern_before_allocating(tmp_path, capsys):
+    import tracemalloc
+
+    r = tmp_path / "r80.txt"
+    run_cli("gen", "--kind", "random", "--n", "80", "--seed", "9", "--out", str(r))
+    big = tmp_path / "big.txt"
+    big.write_text("3000 0\n")  # a 3000 x 3000 matrix would take 9 MB
+    tracemalloc.start()
+    try:
+        code, _ = run_cli("subdivide", str(r), "--pattern", str(big), "--map", "0:1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and "exceed the bound of 80" in capsys.readouterr().err
+    assert peak < 2_000_000
+
+
 def test_partition_search_and_negative(tmp_path):
     r = tmp_path / "r40.txt"
     run_cli("gen", "--kind", "random", "--n", "40", "--seed", "3", "--out", str(r))
@@ -175,6 +192,35 @@ def test_partition_search_and_negative(tmp_path):
     code, _ = run_cli("partition", str(t), "--k", "1", "--seed", "0",
                       "--mode", "search", "--budget", "120")
     assert code == 1
+
+
+def test_partition_budget_exhaustion_without_proof_is_unknown(tmp_path, capsys):
+    r = tmp_path / "r40.txt"
+    run_cli("gen", "--kind", "random", "--n", "40", "--seed", "3", "--out", str(r))
+    # T is strongly 3-connected and delta0(T) = 8 >= 6: neither proof applies
+    code, out = run_cli("partition", str(r), "--mode", "search", "--k", "3",
+                        "--seed", "0", "--budget", "1")
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err.startswith("unknown: no partition found")
+
+
+def test_partition_infeasible_names_its_proof(tmp_path, capsys):
+    t = tmp_path / "t40.txt"
+    run_cli("gen", "--kind", "transitive", "--n", "40", "--out", str(t))
+    code, _ = run_cli("partition", str(t), "--k", "1", "--seed", "0",
+                      "--mode", "search", "--budget", "20")
+    assert code == 1
+    assert capsys.readouterr().err.startswith("infeasible: delta0(T) = 0 < 2")
+    # two 5-vertex rotational tournaments, every edge from the first to the
+    # second: delta0 = 2 = 2k, but T is not strongly connected
+    edges = [(b + i, b + (i + d) % 5) for b in (0, 5) for i in range(5) for d in (1, 2)]
+    edges += [(u, v) for u in range(5) for v in range(5, 10)]
+    two = tmp_path / "two.txt"
+    two.write_text(f"10 {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    code, _ = run_cli("partition", str(two), "--k", "1", "--seed", "0",
+                      "--mode", "search", "--budget", "20")
+    assert code == 1
+    assert capsys.readouterr().err.startswith("infeasible: T is not strongly 1-connected")
 
 
 def test_partition_strict_mode_diagnoses_infeasibility(tmp_path, capsys):

@@ -125,7 +125,7 @@ def test_parity_bfs(c3):
 def test_hamiltonian_transitive(t4):
     res = hamiltonian_path(t4, 0, 3)
     assert res.status == "found" and res.path == [0, 1, 2, 3]
-    assert hamiltonian_path(t4, 3, 0).status == "none"
+    assert hamiltonian_path(t4, 3, 0).status == "infeasible"
 
 
 def test_hamiltonian_paley_all_pairs(paley7):
@@ -167,7 +167,7 @@ def test_hamiltonian_heuristic_above_threshold(rand):
 
 def test_hamiltonian_unreachable_proof_above_threshold():
     T = transitive_tournament(30)
-    assert hamiltonian_path(T, 5, 0).status == "none"
+    assert hamiltonian_path(T, 5, 0).status == "infeasible"
 
 
 def test_hamiltonian_rejects_equal_endpoints(t4):

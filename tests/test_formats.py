@@ -82,6 +82,20 @@ def test_header_counts_checked_before_allocating(monkeypatch):
             read_digraph(io.StringIO(text))
 
 
+def test_edge_count_bounds_the_allocation(monkeypatch):
+    import tourpart.formats as formats
+
+    def no_alloc(*args, **kwargs):
+        raise AssertionError("n x n matrix allocated for a header the file cannot back")
+
+    # a complete orientation of 3000 vertices needs 4498500 edge lines
+    monkeypatch.setattr(formats.np, "zeros", no_alloc)
+    with pytest.raises(FormatError, match="only 1 lines follow"):
+        read_tournament(io.StringIO("3000 4498500\n0 1\n"))
+    with pytest.raises(FormatError, match="exceed the bound of 10"):
+        read_digraph(io.StringIO("3000 0\n"), max_n=10)
+
+
 def test_dot_output():
     text = to_dot(paley_tournament(3), "c3")
     assert text.startswith("digraph c3 {")

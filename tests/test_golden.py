@@ -1,0 +1,168 @@
+"""Golden digests of the partitions and connectivities the library returns,
+and the checks that let certification change without moving them.
+
+The digests were recorded before certification was consolidated into
+``connectivity.certify``; a change that moves any returned partition or
+reported connectivity changes them.
+"""
+
+import hashlib
+import importlib
+import json
+
+import numpy as np
+
+from oracles import all_tournaments, brute_strong_k
+from tourpart.connectivity import certify, vertex_connectivity
+from tourpart.core import Tournament, bipartite_subdigraph, reachable_mask
+from tourpart.generators import random_tournament
+from tourpart.partition import search_partition, verify_partition
+from tourpart.pipeline import PipelineParams, run_pipeline
+
+
+SEARCH_DIGEST = "d356b400ca5aa1aa"
+PIPELINE_DIGEST = "e7c7468ac305132c"
+SPLIT_DIGEST = "980bc7bc62d361d7"
+REPAIR_DIGEST = "26f3927b3f490fb6"
+
+
+def _digest(results):
+    rows = [None if r is None else [r.v1, r.verified, list(r.connectivity),
+                                    r.connectivity_exact]
+            for r in results]
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16]
+
+
+def test_search_partitions_are_pinned():
+    # criterion 9's draws
+    results = [search_partition(random_tournament(40, 31415 + i), 2, seed=i)
+               for i in range(50)]
+    assert _digest(results) == SEARCH_DIGEST
+
+
+def _planted(n, f, seed):
+    """A random tournament with a planted weak spot: every edge between two
+    halves X and Y of all but f vertices runs Y -> X, so the f others cut
+    each x in X from each y in Y."""
+    rng = np.random.default_rng(seed)
+    adj = random_tournament(n, seed).adj.copy()
+    half = (n - f) // 2
+    part = rng.permutation(np.repeat([0, 1, 2], [half, n - f - half, f]))
+    X, Y = part == 0, part == 1
+    adj[np.ix_(Y, X)] = True
+    adj[np.ix_(X, Y)] = False
+    return Tournament(adj)
+
+
+def test_search_repairs_are_pinned():
+    # splits that pass the degree and reachability screens but fail a flow,
+    # so the search repairs around witness cuts (and gives up when f < 4)
+    results = [search_partition(_planted(40, f, seed), 2, seed=seed, budget=150)
+               for f in (2, 4, 5) for seed in range(3)]
+    assert _digest(results) == REPAIR_DIGEST
+
+
+def test_pipeline_verdicts_are_pinned():
+    results = []
+    for i in range(1, 6):
+        T = random_tournament(1500, 5000 + i)
+        state = run_pipeline(T, 1, PipelineParams.relaxed(1), seed=i)
+        results.append(verify_partition(T, *state.partition_sets(), 1))
+    assert _digest(results) == PIPELINE_DIGEST
+
+
+def test_random_splits_are_pinned():
+    # mostly failing splits: exact kappa below the threshold, and above it
+    # the level sweep stepping down from k
+    results = []
+    for i in range(12):
+        T = random_tournament(30, 700 + i)
+        rng = np.random.default_rng(i)
+        in_v1 = rng.permutation(30) < 15
+        v1, v2 = np.flatnonzero(in_v1), np.flatnonzero(~in_v1)
+        for k in (1, 2, 4):
+            results.append(verify_partition(T, v1, v2, k))
+            results.append(verify_partition(T, v1, v2, k, exact_threshold=0))
+    assert _digest(results) == SPLIT_DIGEST
+
+
+# ---------------------------------------------------------------------------
+# certify against the definition
+
+
+def _funnel(n, seed):
+    """A tournament on 7 to 9 vertices whose degrees pass the screens of
+    certify but whose n - 6 vertices F cut X from Y: two 3-cycles X and Y,
+    all edges X -> F -> Y -> X, then up to two random edge flips and a
+    random relabelling."""
+    rng = np.random.default_rng(seed)
+    adj = random_tournament(n, seed).adj.copy()
+    X, Y, F = [0, 1, 2], [3, 4, 5], list(range(6, n))
+    for C in (X, Y):
+        adj[np.ix_(C, C)] = np.roll(np.eye(3, dtype=bool), 1, axis=1)
+    for S, R in ((Y, X), (X, F), (F, Y)):
+        adj[np.ix_(S, R)] = True
+        adj[np.ix_(R, S)] = False
+    for _ in range(int(rng.integers(0, 3))):
+        u, v = rng.choice(n, 2, replace=False)
+        adj[u, v], adj[v, u] = adj[v, u], adj[u, v]
+    p = rng.permutation(n)
+    return Tournament(adj[np.ix_(p, p)])
+
+
+def _small_graphs():
+    """Tournaments and crossing digraphs on at most 9 vertices."""
+    for n in range(1, 6):
+        yield from all_tournaments(n)
+    rng = np.random.default_rng(5)
+    for n in range(6, 10):
+        for seed in range(120):
+            T = random_tournament(n, 100 * n + seed) if n == 6 else _funnel(n, seed)
+            yield T
+            side = rng.permutation(n) < n // 2
+            yield bipartite_subdigraph(T, np.flatnonzero(side), np.flatnonzero(~side))[0]
+
+
+def test_certify_agrees_with_the_definition_and_its_cuts_separate():
+    witnessed = 0
+    for G in _small_graphs():
+        kappa = vertex_connectivity(G)
+        for k in range(5):
+            cert = certify(G, k)
+            assert cert.ok == brute_strong_k(G, k) == (kappa >= k), (G.adj.tolist(), k)
+            if cert.pair is None:
+                continue
+            x, y = cert.pair
+            assert not cert.ok and not G.adj[x, y]
+            assert len(cert.cut) == cert.value < k
+            assert x not in cert.cut and y not in cert.cut
+            allowed = np.ones(G.n, dtype=bool)
+            allowed[list(cert.cut)] = False
+            assert not reachable_mask(G.adj, x, allowed)[y]
+            witnessed += 1
+    assert witnessed >= 50
+
+
+def test_verify_certifies_each_graph_once(monkeypatch):
+    connectivity = importlib.import_module("tourpart.connectivity")
+    partition_module = importlib.import_module("tourpart.partition")
+    seen = []
+
+    def counting(fn):
+        def wrapped(G, *args):
+            seen.append(G)
+            return fn(G, *args)
+        return wrapped
+
+    monkeypatch.setattr(connectivity, "certify", counting(connectivity.certify))
+    monkeypatch.setattr(partition_module, "certify", counting(partition_module.certify))
+    monkeypatch.setattr(partition_module, "vertex_connectivity",
+                        counting(partition_module.vertex_connectivity))
+    T = random_tournament(40, 31415)
+    found = search_partition(T, 2, seed=0)
+    assert found is not None
+    for threshold in (150, 0):  # exact kappa, then one certify at k
+        seen.clear()
+        res = verify_partition(T, found.v1, found.v2, 2, exact_threshold=threshold)
+        assert res.verified and res.connectivity_exact == (threshold > 0)
+        assert len(seen) == 3 and len({id(G) for G in seen}) == 3
