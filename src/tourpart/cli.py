@@ -2,9 +2,10 @@
 
 Exit codes are a scripting contract:
   0  verified success
-  1  infeasible, with the proof named on stderr (or a verifier rejection)
+  1  infeasible, with the proof named on stderr (or a verifier rejection
+     of a carve or subdivision remainder)
   2  verdict unknown: a search or pipeline budget ran out, including
-     `partition` searches that found nothing and have no proof
+     `partition` runs that found no verified split and have no proof
   3  input error (bad arguments, unparsable files)
   141  standard output closed by its reader (128 + SIGPIPE, no message)
 
@@ -243,17 +244,19 @@ def _params_from_file(path, k):
     return dataclasses.replace(base, **values)
 
 
-def _no_split_proof(T, k):
-    """Why no split of T can be strongly k-connected, when one of two cheap
-    necessary conditions fails; None when both hold."""
+def _no_split(T, k, reason):
+    """Exit 1 naming the proof when one of two cheap necessary conditions for
+    a strongly k-connected split fails; otherwise exit 2 with ``reason``."""
     d0 = int(min(T.out_degrees().min(), T.in_degrees().min()))
     if d0 < 2 * k:
-        return (f"delta0(T) = {d0} < {2 * k}, but every vertex needs {k} out- and "
-                f"{k} in-neighbours in its own side and {k} of each across")
+        return _unresolved(Verdict.INFEASIBLE,
+                           f"delta0(T) = {d0} < {2 * k}, but every vertex needs {k} out- and "
+                           f"{k} in-neighbours in its own side and {k} of each across")
     if not certify(T, k).ok:
-        return (f"T is not strongly {k}-connected, so neither is T[V1, V2], "
-                f"which spans T")
-    return None
+        return _unresolved(Verdict.INFEASIBLE,
+                           f"T is not strongly {k}-connected, so neither is T[V1, V2], "
+                           f"which spans T")
+    return _unresolved(Verdict.UNKNOWN, reason)
 
 
 def cmd_partition(args):
@@ -265,19 +268,20 @@ def cmd_partition(args):
         res = partition(T, args.k, mode=args.mode, params=params, seed=args.seed,
                         search_budget=args.budget)
     except PipelineError as exc:
-        return _unresolved(Verdict.UNKNOWN if exc.kind == "budget" else Verdict.INFEASIBLE, exc)
+        # a stage that cannot run proves nothing about T's splits
+        print(f"pipeline stopped ({exc.kind}): {exc}", file=sys.stderr)
+        return _no_split(T, args.k, "the pipeline produced no split")
     except ValueError as exc:
         raise InputError(str(exc)) from None
     if res is None:
-        proof = _no_split_proof(T, args.k)
-        if proof is None:
-            return _unresolved(Verdict.UNKNOWN, f"no partition found within budget {args.budget}")
-        return _unresolved(Verdict.INFEASIBLE, proof)
+        return _no_split(T, args.k, f"no partition found within budget {args.budget}")
     text = format_partition(res)
     _write_text(args.out, text)
     if args.out != "-":
         sys.stdout.write(text)
-    return EXIT_OK if res.verified else EXIT_INFEASIBLE
+    if not res.verified:
+        return _no_split(T, args.k, "the split found failed verification")
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Verdict, is_path, reachable_mask
+from .core import Verdict, is_path, reachable_mask, vertex_mask
 
 
 class BudgetExceeded(Exception):
@@ -321,9 +321,7 @@ def _assert_menger(G, x, y, cert, value):
         inner = set(p[1:-1])
         assert not inner & interiors, "paths share an interior vertex"
         interiors |= inner
-    allowed = np.ones(G.n, dtype=bool)
-    for v in cert.separator:
-        allowed[v] = False
+    allowed = ~vertex_mask(G.n, cert.separator)
     assert not reachable_mask(G.adj, x, allowed)[y], "claimed separator does not cut"
 
 
@@ -426,9 +424,7 @@ def _uniform_bundle(req):
 def _bundle_by_flow(T, req):
     x, y = req.pairs[0]
     want = len(req.pairs)
-    allowed = np.ones(T.n, dtype=bool)
-    for u in req.forbidden:
-        allowed[u] = False
+    allowed = ~vertex_mask(T.n, req.forbidden)
     allowed[x] = allowed[y] = True
     adj = T.adj & allowed[:, None] & allowed[None, :]
     if adj[x, y]:
@@ -462,11 +458,7 @@ def find_disjoint_paths(T, req, budget=500_000):
     n = T.n
     adj = T.adj
     terminals = {u for p in req.pairs for u in p}
-    base_allowed = np.ones(n, dtype=bool)
-    for u in req.forbidden:
-        base_allowed[u] = False
-    for u in terminals:
-        base_allowed[u] = False
+    base_allowed = ~vertex_mask(n, [*req.forbidden, *terminals])
 
     out_nbrs = [np.flatnonzero(adj[v]).tolist() for v in range(n)]
     counter = [budget]

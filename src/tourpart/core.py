@@ -34,10 +34,22 @@ class Digraph:
             raise ValueError("adjacency matrix must be square")
         if adj.shape[0] and adj.diagonal().any():
             raise ValueError("self-loops are not allowed")
-        adj = adj.copy()
+        self._wrap(adj.copy())
+
+    def _wrap(self, adj):
         adj.setflags(write=False)
         self.adj = adj
         self.n = adj.shape[0]
+
+    @classmethod
+    def _derived(cls, adj):
+        """Wrap ``adj`` read-only without copying or validating it.
+
+        For fresh matrices cut out of a graph that already passed the
+        checks of ``cls``, such as a principal submatrix of a tournament."""
+        graph = cls.__new__(cls)
+        graph._wrap(adj)
+        return graph
 
     def has_edge(self, u, v):
         return bool(self.adj[u, v])
@@ -88,7 +100,7 @@ class Tournament(Digraph):
 
     def reverse(self):
         """The tournament with every edge orientation flipped (an involution)."""
-        return Tournament(self.adj.T)
+        return Tournament._derived(self.adj.T.copy())
 
     def subtournament(self, vertices):
         """Restriction to ``vertices``; returns (sub, index_map) with
@@ -98,8 +110,14 @@ class Tournament(Digraph):
             raise ValueError("subtournament needs at least one vertex")
         if ids[0] < 0 or ids[-1] >= self.n:
             raise ValueError("vertex id out of range")
-        sub = Tournament(self.adj[np.ix_(ids, ids)])
-        return sub, ids
+        return Tournament._derived(self.adj[ids][:, ids]), ids
+
+
+def vertex_mask(n, vertices):
+    """Boolean mask over 0..n-1 that is true exactly on ``vertices``."""
+    mask = np.zeros(n, dtype=bool)
+    mask[np.fromiter(vertices, dtype=np.intp)] = True
+    return mask
 
 
 def tournament_from_edges(n, edges):
@@ -140,11 +158,10 @@ def bipartite_subdigraph(T, side_a, side_b):
     ids = sorted(A | B)
     if ids[0] < 0 or ids[-1] >= T.n:
         raise ValueError("vertex id out of range")
-    sub = T.adj[np.ix_(ids, ids)].copy()
-    in_a = np.array([v in A for v in ids])
-    same_side = in_a[:, None] == in_a[None, :]
-    sub[same_side] = False
-    return Digraph(sub), ids
+    sub = T.adj[ids][:, ids]
+    in_a = vertex_mask(T.n, A)[ids]
+    sub[in_a[:, None] == in_a[None, :]] = False
+    return Digraph._derived(sub), ids
 
 
 def is_path(G, vertices):

@@ -6,6 +6,11 @@ out-neighbourhood.  Building on the same halving idea, ``out_dominating_structur
 grows a short transitive chain ending at a prescribed vertex whose tail
 out-dominates everything outside a small exception set.  All selections
 break ties toward the lowest vertex id so runs are reproducible.
+
+The chain structures are built on the host tournament restricted by a
+boolean ``alive`` mask, the subtournament T[alive], without copying it:
+they come back in the host's vertex ids, and the in-structures read the
+host's rows where a reversed copy would read columns.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import transitive_order
+from .core import transitive_order, vertex_mask
 
 
 @dataclass(frozen=True)
@@ -72,107 +77,128 @@ def greedy_out_dominating_set(T):
     return greedy_in_dominating_set(T.reverse())
 
 
-def out_dominating_structure(T, v, c):
+def out_dominating_structure(T, v, c, alive=None):
     """Chain A with sink ``v`` such that A minus its source out-dominates
-    all but an exception set E with |E| * 2^(c-2) <= d^-(v).
+    all but an exception set E with |E| * 2^(c-2) <= d^-(v), inside the
+    subtournament T[alive] (default: all of T).
 
     Follows the halving construction: keep intersecting in-neighbourhoods
     of chain vertices, always descending to a low in-degree vertex of the
     current exception pool, with a one-vertex waiting slot for the case
     where the pool has a dominant source.
     """
+    return _halving_structure(T, v, c, alive, "out")
+
+
+def in_dominating_structure(T, v, c, alive=None):
+    """Mirror structure: chain with source ``v`` whose tail in-dominates."""
+    return _halving_structure(T, v, c, alive, "in")
+
+
+def _neighbourhood_degree(T, v, alive, mode):
+    """d^-(v) ("out") or d^+(v) ("in") inside T[alive]."""
+    nbrs = T.adj[:, v] if mode == "out" else T.adj[v]
+    return int((nbrs & alive).sum())
+
+
+def _halving_structure(T, v, c, alive, mode):
+    """The halving construction on T[alive], read off the host adjacency.
+
+    Mode "out" descends through in-neighbourhoods (columns of ``adj``);
+    mode "in" is the same construction on the reversed tournament, read
+    through rows, so no reversed copy is made.  Vertex ids stay T's, and
+    since T[alive] keeps their order every lowest-id tie-break agrees with
+    a run on a relabelled copy of T[alive].
+    """
     if c < 2:
         raise ValueError("chain cap c must be at least 2")
-    n = T.n
+    alive = np.ones(T.n, dtype=bool) if alive is None else alive
+    if not alive[v]:
+        raise ValueError(f"vertex {v} is not alive")
     adj = T.adj
-    d_in = T.in_degree(v)
-    if d_in < 2 ** (c - 1):
-        raise ValueError(f"in-degree {d_in} of vertex {v} is below 2^(c-1) = {2 ** (c - 1)}")
+
+    def nbrs(u):
+        return adj[:, u] if mode == "out" else adj[u]
+
+    def pool_indegrees(ids):
+        sub = adj[ids][:, ids]
+        return sub.sum(axis=0) if mode == "out" else sub.sum(axis=1)
+
+    degree = _neighbourhood_degree(T, v, alive, mode)
+    if degree < 2 ** (c - 1):
+        side = "in" if mode == "out" else "out"
+        raise ValueError(f"{side}-degree {degree} of vertex {v} is below 2^(c-1) = {2 ** (c - 1)}")
 
     chain = [v]
     waiting = None
-    pool = adj[:, v].copy()  # common in-neighbourhood of the chain, minus waiting
+    pool = nbrs(v) & alive  # common neighbourhood of the chain, minus waiting
     trace = [int(pool.sum())]
 
     while True:
         size = int(pool.sum())
-        assert size * (1 << (len(chain) - 1)) <= d_in, "halving invariant broken"
-        if size << (c - 2) <= d_in:
+        assert size * (1 << (len(chain) - 1)) <= degree, "halving invariant broken"
+        if size << (c - 2) <= degree:
             if waiting is None:
                 assert size > 0
                 tip = int(np.flatnonzero(pool)[0])
                 pool[tip] = False
             else:
                 tip = waiting
-            order = tuple([tip] + chain[::-1])
+            order = [tip] + chain[::-1] if mode == "out" else chain + [tip]
             struct = DominatingStructure(
-                mode="out", anchor=v, order=order, tip=tip,
+                mode=mode, anchor=v, order=tuple(order), tip=tip,
                 exceptions=frozenset(np.flatnonzero(pool).tolist()),
                 cap=c, shrink_trace=tuple(trace))
-            check_structure(T, struct)
+            check_structure(T, struct, alive)
             return struct
 
         assert size >= 2
         ids = np.flatnonzero(pool)
-        sub = adj[np.ix_(ids, ids)]
-        indeg = sub.sum(axis=0)
+        indeg = pool_indegrees(ids)
         x = int(ids[indeg.argmin()])
         if indeg.min() > 0 or waiting is not None:
             nxt = x
         else:
-            rest = [int(i) for i in ids if i != x]
-            sub2 = adj[np.ix_(rest, rest)]
-            nxt = int(rest[int(sub2.sum(axis=0).argmin())])
+            rest = ids[ids != x]
+            nxt = int(rest[pool_indegrees(rest).argmin()])
             waiting = x
             pool[x] = False
         chain.append(nxt)
-        pool &= adj[:, nxt]
+        pool &= nbrs(nxt)
         pool[nxt] = False
         trace.append(int(pool.sum()))
         if len(chain) >= c:
             raise AssertionError("construction failed to exit within the chain cap")
 
 
-def in_dominating_structure(T, v, c):
-    """Mirror structure: chain with source ``v`` whose tail in-dominates."""
-    s = out_dominating_structure(T.reverse(), v, c)
-    struct = DominatingStructure(
-        mode="in", anchor=v, order=tuple(reversed(s.order)), tip=s.tip,
-        exceptions=s.exceptions, cap=c, shrink_trace=s.shrink_trace)
-    check_structure(T, struct)
-    return struct
-
-
-def check_structure(T, s):
-    """Full invariant scan; raises AssertionError on any violation."""
+def check_structure(T, s, alive=None):
+    """Full invariant scan of ``s`` as a structure of T[alive] (default:
+    all of T); raises AssertionError on any violation."""
     A = s.members
     assert 2 <= len(A) <= s.cap
     assert s.anchor in A and s.tip in A
     assert not A & s.exceptions
+    alive = np.ones(T.n, dtype=bool) if alive is None else alive
+    taken = vertex_mask(T.n, A | s.exceptions)
+    assert not (taken & ~alive).any(), "structure uses a vertex outside T[alive]"
     order = transitive_order(T, A)
     assert order is not None, "chain is not transitive"
     assert tuple(order) == s.order
     if s.mode == "out":
         assert s.order[0] == s.tip and s.order[-1] == s.anchor
-        degree = T.in_degree(s.anchor)
     else:
         assert s.order[0] == s.anchor and s.order[-1] == s.tip
-        degree = T.out_degree(s.anchor)
+    degree = _neighbourhood_degree(T, s.anchor, alive, s.mode)
     assert len(s.exceptions) << (s.cap - 2) <= degree, "exception set too large"
-    outside = np.ones(T.n, dtype=bool)
-    for u in A | s.exceptions:
-        outside[u] = False
-    out_ids = np.flatnonzero(outside)
+    outside = alive & ~taken
     cover = sorted(s.cover)
-    if out_ids.size:
-        if s.mode == "out":
-            hit = T.adj[np.ix_(cover, out_ids)].any(axis=0)
-        else:
-            hit = T.adj[np.ix_(out_ids, cover)].any(axis=1)
-        assert hit.all(), "domination fails outside the exception set"
-    d0 = degree
+    if s.mode == "out":
+        hit = T.adj[cover][:, outside].any(axis=0)
+    else:
+        hit = T.adj[:, cover][outside].any(axis=1)
+    assert hit.all(), "domination fails outside the exception set"
     for i, size in enumerate(s.shrink_trace):
-        assert size * (1 << i) <= d0, "recorded pool sizes violate halving"
+        assert size * (1 << i) <= degree, "recorded pool sizes violate halving"
 
 
 @dataclass(frozen=True)

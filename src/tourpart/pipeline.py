@@ -32,8 +32,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .connectivity import LinkageRequest, find_disjoint_paths
-from .core import Verdict, bfs_parity_path, bfs_shortest_path, is_path, transitive_order
-from .domination import DominatingStructure, in_dominating_structure, out_dominating_structure
+from .core import Verdict, bfs_parity_path, bfs_shortest_path, is_path, transitive_order, vertex_mask
+from .domination import in_dominating_structure, out_dominating_structure
 from .safety import ALPHA, BETA, Coloring, SafetyContext, all_colored_safe
 
 MONO_A, MONO_B, ALT_AA, ALT_BB, ALT_AB, ALT_BA = range(6)
@@ -229,18 +229,14 @@ def build_dominating_family(state):
 
     def build_one(anchor, mode, index):
         protect = (anchors - {anchor}) | used
-        alive = [v for v in range(T.n) if v not in protect]
-        sub, ids = T.subtournament(alive)
-        pos = {g: i for i, g in enumerate(ids)}[anchor]
-        deg = sub.in_degree(pos) if mode == "out" else sub.out_degree(pos)
+        alive = ~vertex_mask(T.n, protect)
+        nbrs = T.adj[:, anchor] if mode == "out" else T.adj[anchor]
+        deg = int((nbrs & alive).sum())
         state.require(stage, deg >= 2 ** (c - 1),
                       f"structure {index} ({mode}): degree {deg} below 2^(c-1)={2 ** (c - 1)} "
                       f"after removing {len(protect)} protected vertices")
-        local = (out_dominating_structure if mode == "out" else in_dominating_structure)(sub, pos, c)
-        order = tuple(ids[j] for j in local.order)
-        exc = frozenset(ids[j] for j in local.exceptions)
-        return DominatingStructure(mode, anchor, order, ids[local.tip], exc, c,
-                                   local.shrink_trace)
+        build = out_dominating_structure if mode == "out" else in_dominating_structure
+        return build(T, anchor, c, alive)
 
     for i, x in enumerate(state.low_in):
         s = build_one(x, "out", i)
@@ -259,9 +255,7 @@ def build_dominating_family(state):
 
 def _audit_family(state):
     T, c, stage = state.T, state.params.chain_cap, "dominating_family"
-    resv = np.zeros(T.n, dtype=bool)
-    for v in state.reserved:
-        resv[v] = True
+    resv = vertex_mask(T.n, state.reserved)
     for structs, dhat, mode in ((state.out_structs, state.dhat_in, "out"),
                                 (state.in_structs, state.dhat_out, "in")):
         members_seen = set()
@@ -274,9 +268,7 @@ def _audit_family(state):
                           f"{mode}-chain {i} is not transitive in the host tournament")
             state.require(stage, len(s.exceptions) << (c - 2) <= dhat,
                           f"{mode}-chain {i} exception pool too large: {len(s.exceptions)}")
-            outside = ~resv.copy()
-            for v in s.exceptions:
-                outside[v] = False
+            outside = ~resv & ~vertex_mask(T.n, s.exceptions)
             out_ids = np.flatnonzero(outside)
             cover = sorted(s.cover)
             if out_ids.size:
@@ -360,15 +352,9 @@ def extend_coloring_safely(state, group, protected=frozenset()):
     lab = col.labels
     state.require(stage, all(lab[z] != -1 for z in Z), "extension group must be colored")
     n = T.n
-    nmask = np.zeros(n, dtype=bool)
-    for v in protected:
-        nmask[v] = True
-    exc_out_mask = np.zeros(n, dtype=bool)
-    for v in state.exc_out:
-        exc_out_mask[v] = True
-    exc_mask = exc_out_mask.copy()
-    for v in state.exc_in:
-        exc_mask[v] = True
+    nmask = vertex_mask(n, protected)
+    exc_out_mask = vertex_mask(n, state.exc_out)
+    exc_mask = exc_out_mask | vertex_mask(n, state.exc_in)
     colored_or_protected = int((col.colored_mask() | nmask).sum())
     cost = state.params.growth * len(Z) + colored_or_protected
     if state.budget_cap is not None:
@@ -539,10 +525,7 @@ def _bundle_allowed(state, i, used):
     for j in state.long_idx:
         if j != i:
             other_tips.update(state.tips(j))
-    allowed = col.uncolored_mask().copy()
-    for v in used | other_tips:
-        allowed[v] = False
-    return allowed
+    return col.uncolored_mask() & ~vertex_mask(col.n, used | other_tips)
 
 
 def _build_bundles(state):
@@ -591,17 +574,11 @@ def _shortcut_bundles(state):
     propagate along each path with offset three."""
     T, col = state.T, state.coloring
     adj = T.adj
-    on_path = np.zeros(T.n, dtype=bool)
-    for paths in state.bundles.values():
-        for p in paths:
-            for v in p[1:-1]:
-                on_path[v] = True
-    avail = col.uncolored_mask() & ~on_path
+    avail = col.uncolored_mask() & ~_bundle_interior_mask(state)
 
     def free(vs):
         # freed interiors are uncolored by the bundle invariant
         for v in vs:
-            on_path[v] = False
             avail[v] = True
 
     changed = True
@@ -641,10 +618,14 @@ def _shortcut_bundles(state):
                         s, t = int(first_in[ci]), int(last_out[ci])
                         free(q[s + 1:t])
                         avail[v] = False
-                        on_path[v] = True
                         paths[idx] = q[:s + 1] + [v] + q[t:]
                         changed = True
                         break
+
+
+def _bundle_interior_mask(state):
+    return vertex_mask(state.T.n, (v for paths in state.bundles.values()
+                                   for p in paths for v in p[1:-1]))
 
 
 def _segment_positions(length, k):
@@ -668,12 +649,7 @@ def _audit_bundles(state):
     T, k, col = state.T, state.k, state.coloring
     adj = T.adj
     L = state.params.short_cap
-    on_path = np.zeros(T.n, dtype=bool)
-    for paths in state.bundles.values():
-        for p in paths:
-            for v in p[1:-1]:
-                on_path[v] = True
-    outside = np.flatnonzero(col.uncolored_mask() & ~on_path)
+    outside = np.flatnonzero(col.uncolored_mask() & ~_bundle_interior_mask(state))
     seen_interiors = set()
     for i, paths in state.bundles.items():
         b, a = state.tips(i)
@@ -989,7 +965,7 @@ def _audit_connectors(state):
             state.require(stage, bool(ok_out.all() and ok_in.all()),
                           "bulk neighbour audit failed")
     c4 = col.colored_mask()
-    extra = int((c4 & ~np.isin(np.arange(T.n), sorted(state.bulk))).sum())
+    extra = int((c4 & ~vertex_mask(T.n, state.bulk)).sum())
     info = {"colored": int(c4.sum()), "outside_bulk": extra}
     if state.params.strict:
         k = state.k
@@ -1011,12 +987,8 @@ def finalize_coloring(state):
     T, k, col = state.T, state.k, state.coloring
     c4 = state.snapshots["connectors"]
     adj = T.adj
-    exc_out_mask = np.zeros(T.n, dtype=bool)
-    for v in state.exc_out:
-        exc_out_mask[v] = True
-    exc_mask = exc_out_mask.copy()
-    for v in state.exc_in:
-        exc_mask[v] = True
+    exc_out_mask = vertex_mask(T.n, state.exc_out)
+    exc_mask = exc_out_mask | vertex_mask(T.n, state.exc_in)
     bulk_ids = sorted(state.bulk)
 
     for v in sorted(state.exc_out):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .connectivity import safe_flow
-from .core import Digraph, reachable_mask
+from .core import Digraph, reachable_mask, vertex_mask
 
 ALPHA = 0
 BETA = 1
@@ -78,16 +78,8 @@ class SafetyContext:
 
     def masks(self):
         n = self.T.n
-        resv = np.zeros(n, dtype=bool)
-        for v in self.reserved:
-            resv[v] = True
-        exc_out = np.zeros(n, dtype=bool)
-        for v in self.out_exceptions:
-            exc_out[v] = True
-        exc_in = np.zeros(n, dtype=bool)
-        for v in self.in_exceptions:
-            exc_in[v] = True
-        return resv, exc_out, exc_in
+        return (vertex_mask(n, self.reserved), vertex_mask(n, self.out_exceptions),
+                vertex_mask(n, self.in_exceptions))
 
 
 @dataclass
@@ -177,10 +169,5 @@ def all_colored_safe(ctx, vertices=None):
     """True iff every requested (default: every colored) vertex is safe."""
     lab = ctx.coloring.labels
     table = safety_scan(ctx, vertices)
-    if vertices is None:
-        sel = lab != UNCOLORED
-    else:
-        sel = np.zeros(ctx.T.n, dtype=bool)
-        for v in vertices:
-            sel[v] = True
+    sel = lab != UNCOLORED if vertices is None else vertex_mask(ctx.T.n, vertices)
     return bool(table[sel].all())

@@ -6,7 +6,10 @@ import sys
 
 import pytest
 
+from tourpart import cli
 from tourpart.cli import main
+from tourpart.generators import random_tournament
+from tourpart.partition import verify_partition
 
 def run_cli(*argv):
     """Invoke the CLI in-process, capturing stdout and the exit code."""
@@ -228,9 +231,29 @@ def test_partition_strict_mode_diagnoses_infeasibility(tmp_path, capsys):
     run_cli("gen", "--kind", "random", "--n", "40", "--seed", "3", "--out", str(r))
     code, _ = run_cli("partition", str(r), "--k", "1", "--seed", "0",
                       "--mode", "pipeline")
-    assert code == 1
+    assert code == 2  # the gate stops the pipeline but proves nothing about T
     err = capsys.readouterr().err
     assert "guaranteed constants" in err and "delta0" in err
+
+
+def test_partition_pipeline_exits_1_only_with_a_proof(tmp_path, capsys, monkeypatch):
+    t = tmp_path / "t40.txt"
+    run_cli("gen", "--kind", "transitive", "--n", "40", "--out", str(t))
+    code, _ = run_cli("partition", str(t), "--k", "1", "--seed", "0", "--mode", "pipeline")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "pipeline stopped (infeasible): [feasibility]" in err
+    assert "infeasible: delta0(T) = 0 < 2" in err
+    # a split that fails verification is no proof either
+    r = tmp_path / "r40.txt"
+    run_cli("gen", "--kind", "random", "--n", "40", "--seed", "3", "--out", str(r))
+    T = random_tournament(40, 3)
+    rejected = verify_partition(T, range(20), range(20, 40), 3)
+    assert not rejected.verified
+    monkeypatch.setattr(cli, "partition", lambda *args, **kwargs: rejected)
+    code, out = run_cli("partition", str(r), "--k", "3", "--seed", "0", "--mode", "pipeline")
+    assert code == 2 and "verified: false" in out
+    assert capsys.readouterr().err.startswith("unknown: the split found failed verification")
 
 
 def test_partition_params_file(tmp_path, capsys):
@@ -240,7 +263,7 @@ def test_partition_params_file(tmp_path, capsys):
     good.write_text("per_class=1\nbundle_size=4\nbudget=none\n")
     code, _ = run_cli("partition", str(r), "--k", "1", "--seed", "0",
                       "--mode", "pipeline", "--params-file", str(good))
-    assert code == 1  # n=40 cannot absorb the coloring load; precise diagnostic
+    assert code == 2  # n=40 cannot absorb the coloring load; precise diagnostic
     assert "infeasible" in capsys.readouterr().err
     bad = tmp_path / "bad.txt"
     bad.write_text("no_such_knob=3\n")

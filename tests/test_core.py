@@ -3,6 +3,7 @@ import pytest
 
 from oracles import all_tournaments, brute_hamiltonian_path
 from tourpart import (
+    Digraph,
     Tournament,
     bipartite_subdigraph,
     hamiltonian_path,
@@ -84,6 +85,28 @@ def test_bipartite_subdigraph_examples(c3, rand):
         bipartite_subdigraph(c3, [0, 1], [1, 2])
     with pytest.raises(ValueError):
         bipartite_subdigraph(c3, [], [1])
+
+
+def test_derived_graphs_are_read_only_and_pass_the_checked_constructors(rand):
+    # subtournament, reverse and bipartite_subdigraph skip the constructor
+    # checks; what they return must still pass them
+    rng = np.random.default_rng(11)
+    for seed in range(30):
+        n = int(rng.integers(2, 40))
+        T = rand(n, seed)
+        ids = sorted(rng.choice(n, int(rng.integers(1, n + 1)), replace=False).tolist())
+        sub, sub_ids = subtournament(T, ids)
+        side = rng.permutation(n) < max(1, n // 3)
+        cross, cross_ids = bipartite_subdigraph(T, np.flatnonzero(side), np.flatnonzero(~side))
+        for G, checked in ((sub, Tournament), (reverse(T), Tournament), (cross, Digraph)):
+            assert type(G) is checked and not G.adj.flags.writeable
+            with pytest.raises(ValueError):
+                G.adj[0, 0] = True
+            assert (checked(G.adj).adj == G.adj).all()
+        assert sub_ids == ids and (sub.adj == T.adj[np.ix_(ids, ids)]).all()
+        assert (reverse(T).adj == T.adj.T).all()
+        crossing = side[:, None] != side[None, :]
+        assert cross_ids == list(range(n)) and (cross.adj == (T.adj & crossing)).all()
 
 
 def test_backwards_transitive(c3):

@@ -155,3 +155,55 @@ def test_core_set_preconditions():
         core_set(random_tournament(3, 0), 1)
     with pytest.raises(ValueError):
         core_set(random_tournament(8, 0), 0)
+
+
+def _on_copy(T, v, c, alive, mode):
+    """Reference: the structure built on a copy of T[alive], mapped back to
+    T's ids (the construction before it read masks of the host)."""
+    sub, ids = T.subtournament(np.flatnonzero(alive))
+    build = out_dominating_structure if mode == "out" else in_dominating_structure
+    s = build(sub, ids.index(v), c)
+    return (tuple(ids[j] for j in s.order), ids[s.tip],
+            frozenset(ids[j] for j in s.exceptions), s.shrink_trace)
+
+
+def _fields(s):
+    return s.order, s.tip, s.exceptions, s.shrink_trace
+
+
+def test_masked_structures_match_the_copy_construction():
+    rng = np.random.default_rng(2024)
+    done = 0
+    while done < 60:
+        n = int(rng.integers(40, 301))
+        c = int(rng.integers(3, 6))
+        T = random_tournament(n, int(rng.integers(0, 10 ** 6)))
+        alive = rng.random(n) >= rng.uniform(0.0, 0.5)
+        v = int(rng.choice(np.flatnonzero(alive)))
+        if min((T.adj[:, v] & alive).sum(), (T.adj[v] & alive).sum()) < 2 ** (c - 1):
+            continue
+        out = out_dominating_structure(T, v, c, alive)
+        inn = in_dominating_structure(T, v, c, alive)
+        assert (out.mode, inn.mode) == ("out", "in") and out.anchor == inn.anchor == v
+        assert _fields(out) == _on_copy(T, v, c, alive, "out")
+        assert _fields(inn) == _on_copy(T, v, c, alive, "in")
+        mirror = out_dominating_structure(T.reverse(), v, c, alive)
+        assert _fields(inn) == (mirror.order[::-1], mirror.tip, mirror.exceptions,
+                                mirror.shrink_trace)
+        check_structure(T, out, alive)
+        check_structure(T, inn, alive)
+        done += 1
+
+
+def test_masked_structure_rejects_what_lies_outside_the_mask(rand):
+    T = rand(64, 5)
+    alive = np.ones(64, dtype=bool)
+    alive[::3] = False
+    with pytest.raises(ValueError):
+        out_dominating_structure(T, 0, 3, alive)  # vertex 0 is not alive
+    s = out_dominating_structure(T, 1, 3, alive)
+    check_structure(T, s, alive)
+    shrunk = alive.copy()
+    shrunk[sorted(s.members | s.exceptions)[0]] = False
+    with pytest.raises(AssertionError):
+        check_structure(T, s, shrunk)

@@ -19,11 +19,14 @@ from tourpart.generators import random_tournament
 from tourpart.partition import search_partition, verify_partition
 from tourpart.pipeline import PipelineParams, run_pipeline
 
+pipeline_module = importlib.import_module("tourpart.pipeline")
+
 
 SEARCH_DIGEST = "d356b400ca5aa1aa"
 PIPELINE_DIGEST = "e7c7468ac305132c"
 SPLIT_DIGEST = "980bc7bc62d361d7"
 REPAIR_DIGEST = "26f3927b3f490fb6"
+FAMILY_DIGEST = "f0ad5af5eb075d74"
 
 
 def _digest(results):
@@ -69,6 +72,49 @@ def test_pipeline_verdicts_are_pinned():
         state = run_pipeline(T, 1, PipelineParams.relaxed(1), seed=i)
         results.append(verify_partition(T, *state.partition_sets(), 1))
     assert _digest(results) == PIPELINE_DIGEST
+
+
+def test_dominating_families_are_pinned(monkeypatch):
+    # every family the pipeline builds on the benchmark's five instances, the
+    # reversed one too when a run takes the reversal branch
+    built = []
+
+    def recording(state):
+        build(state)
+        built.append(state)
+
+    build = pipeline_module.build_dominating_family
+    monkeypatch.setattr(pipeline_module, "build_dominating_family", recording)
+    rows = []
+    for i in range(1, 6):
+        built.clear()
+        final = run_pipeline(random_tournament(1500, 5000 + i), 1, PipelineParams.relaxed(1))
+        rows.append([[state.flipped, state is final,
+                      [[s.mode, s.anchor, list(s.order), s.tip, sorted(s.exceptions),
+                        list(s.shrink_trace)]
+                       for s in state.out_structs + state.in_structs]]
+                     for state in built])
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16] == FAMILY_DIGEST
+
+
+def test_pipeline_makes_no_tournament_copies(monkeypatch):
+    # the dominating family reads masks of the host tournament and the
+    # reversal branch wraps its transpose without re-validating it
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in ("subtournament", "__init__"):
+        monkeypatch.setattr(Tournament, name, counting(name, getattr(Tournament, name)))
+    T = random_tournament(1500, 5001)
+    calls.clear()
+    state = run_pipeline(T, 1, PipelineParams.relaxed(1))
+    assert state.flipped  # the run took the reversal branch
+    assert calls == []
 
 
 def test_random_splits_are_pinned():
