@@ -335,28 +335,28 @@ def safe_flow(G, v, targets, k, direction="forward", restrict=None):
     inside G[restrict].  F may intersect the target set."""
     if direction not in ("forward", "backward"):
         raise ValueError("direction must be forward or backward")
-    n = G.n
-    ok = np.ones(n, dtype=bool)
-    if restrict is not None:
-        ok[:] = False
-        ok[list(restrict)] = True
-    if not ok[v]:
+    within = np.ones(G.n, dtype=bool) if restrict is None else vertex_mask(G.n, restrict)
+    if not within[v]:
         raise ValueError("v must belong to the restriction set")
-    hit = np.zeros(n, dtype=bool)
-    hit[list(targets)] = True
-    hit &= ok
+    adj = G.adj if direction == "forward" else G.adj.T
+    return safe_flow_on_masks(adj, v, vertex_mask(G.n, targets), k, within)
+
+
+def safe_flow_on_masks(adj, v, targets, k, within):
+    """``safe_flow`` forwards in the digraph ``adj`` with the target set and
+    the restriction given as masks; v must lie in ``within``."""
+    hit = targets & within
     if hit[v]:
         return True
     if not hit.any():
         return False
-    adj = G.adj if direction == "forward" else G.adj.T
-    ids = np.flatnonzero(ok)
+    ids = np.flatnonzero(within)
     m = len(ids)
     # the restricted graph plus one sink m fed by every target
     net = np.zeros((m + 1, m + 1), dtype=bool)
     net[:m, :m] = adj[np.ix_(ids, ids)]
     net[:m, m] = hit[ids]
-    return maximum_flow(net, int(np.count_nonzero(ok[:v])), m, k)[0] >= k
+    return maximum_flow(net, int(np.count_nonzero(within[:v])), m, k)[0] >= k
 
 
 # ---------------------------------------------------------------------------

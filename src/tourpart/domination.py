@@ -7,10 +7,12 @@ grows a short transitive chain ending at a prescribed vertex whose tail
 out-dominates everything outside a small exception set.  All selections
 break ties toward the lowest vertex id so runs are reproducible.
 
-The chain structures are built on the host tournament restricted by a
-boolean ``alive`` mask, the subtournament T[alive], without copying it:
-they come back in the host's vertex ids, and the in-structures read the
-host's rows where a reversed copy would read columns.
+The chain structures and the core sets are built on the host tournament
+restricted by a boolean ``alive`` mask, the subtournament T[alive], without
+copying it: they come back in the host's vertex ids.  Each mirror pair is
+one routine: the in-structures read the host's rows where a reversed copy
+would read columns, and the out-dominating sets run the in-dominating
+greedy on the transpose.
 """
 
 from __future__ import annotations
@@ -53,28 +55,32 @@ class DominatingStructure:
 
 def greedy_in_dominating_set(T):
     """In-dominating set of size at most ceil(log2 n) (at least one vertex)."""
-    n = T.n
-    adj = T.adj
-    alive = np.ones(n, dtype=bool)
-    chosen = []
-    while alive.any():
-        sub = adj & alive[:, None] & alive[None, :]
-        degs = sub.sum(axis=1)
-        degs[~alive] = n + 1
-        x = int(degs.argmin())
-        chosen.append(x)
-        alive &= adj[x]
-    S = set(chosen)
-    assert len(S) <= max(1, math.ceil(math.log2(n))) if n > 1 else True
-    outside = [u for u in range(n) if u not in S]
-    for u in outside:
-        assert adj[u, sorted(S)].any(), f"vertex {u} does not reach the dominating set"
-    return S
+    return _greedy_dominating(T.adj, np.ones(T.n, dtype=bool))
 
 
 def greedy_out_dominating_set(T):
     """Out-dominating mirror of ``greedy_in_dominating_set``."""
-    return greedy_in_dominating_set(T.reverse())
+    return _greedy_dominating(T.adj.T, np.ones(T.n, dtype=bool))
+
+
+def _greedy_dominating(adj, alive):
+    """In-dominating set of T[alive] read off ``adj``, T's adjacency; the
+    out-dominating set when ``adj`` is its transpose.  Each step takes the
+    lowest-id vertex of minimum out-degree inside the shrinking common
+    out-neighbourhood."""
+    n = int(alive.sum())
+    pool = alive.copy()
+    chosen = []
+    while pool.any():
+        ids = np.flatnonzero(pool)
+        x = int(ids[adj[ids][:, ids].sum(axis=1).argmin()])
+        chosen.append(x)
+        pool &= adj[x]
+    S = sorted(chosen)
+    assert len(S) <= max(1, math.ceil(math.log2(n))) if n > 1 else True
+    outside = alive & ~vertex_mask(adj.shape[0], S)
+    assert adj[outside][:, S].any(axis=1).all(), "a vertex does not reach the dominating set"
+    return set(S)
 
 
 def out_dominating_structure(T, v, c, alive=None):
@@ -214,44 +220,39 @@ class CoreSet:
         return len(self.vertices)
 
 
-def core_set(T, k):
-    """Union of k in-dominating and k out-dominating sets, peeled greedily."""
-    n = T.n
+def core_set(T, k, alive=None):
+    """Union of k in-dominating and k out-dominating sets, peeled greedily,
+    inside the subtournament T[alive] (default: all of T); host ids."""
+    alive = np.ones(T.n, dtype=bool) if alive is None else alive
+    n = int(alive.sum())
     if n < 4:
         raise ValueError("core_set needs at least 4 vertices")
     if k < 1:
         raise ValueError("k must be positive")
     if n < 3 * k * math.log2(n):
-        return CoreSet(frozenset(range(n)), k, True)
+        return CoreSet(frozenset(np.flatnonzero(alive).tolist()), k, True)
 
-    def peel(source, kind):
+    def peel(adj):
         taken = []
-        remaining = set(range(n))
+        remaining = alive.copy()
         for _ in range(k):
-            if not remaining:
+            if not remaining.any():
                 break
-            sub, ids = source.subtournament(remaining)
-            local = (greedy_in_dominating_set(sub) if kind == "in"
-                     else greedy_out_dominating_set(sub))
-            chosen = {ids[i] for i in local}
+            chosen = _greedy_dominating(adj, remaining)
             taken.append(chosen)
-            remaining -= chosen
+            remaining[list(chosen)] = False
         return taken
 
-    in_sets = peel(T, "in")
-    out_sets = peel(T, "out")
-    Z = frozenset().union(*in_sets, *out_sets)
+    Z = frozenset().union(*peel(T.adj), *peel(T.adj.T))
     result = CoreSet(Z, k, False)
     assert len(Z) <= 3 * k * math.log2(n) + 1e-9
-    _check_core(T, result)
+    _check_core(T, result, alive)
     return result
 
 
-def _check_core(T, cs):
+def _check_core(T, cs, alive):
+    """Every vertex of T[alive] outside Z has k out- and k in-neighbours in Z."""
     Z = sorted(cs.vertices)
-    outside = [v for v in range(T.n) if v not in cs.vertices]
-    if not outside:
-        return
-    out_ok = T.adj[np.ix_(outside, Z)].sum(axis=1) >= cs.k
-    in_ok = T.adj[np.ix_(Z, outside)].sum(axis=0) >= cs.k
-    assert out_ok.all() and in_ok.all(), "core-set degree clause violated"
+    outside = alive & ~vertex_mask(T.n, Z)
+    for adj in (T.adj, T.adj.T):
+        assert (adj[outside][:, Z].sum(axis=1) >= cs.k).all(), "core-set degree clause violated"

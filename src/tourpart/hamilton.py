@@ -84,7 +84,7 @@ def _dp_exact(adj, x, y):
     return PathSearch(Verdict.FOUND, path)
 
 
-def _try_insertions(out, inn, path, remaining, rng):
+def _try_insertions(out, path, remaining, rng):
     """Grow a fixed-endpoint path by single and pair insertions."""
     progress = True
     while remaining and progress:
@@ -204,7 +204,7 @@ def hamiltonian_path(T, x, y, exact_threshold=14, budget=200_000, restarts=24, s
         if base is not None:
             path = list(base)
             remaining = set(range(n)) - set(path)
-            if _try_insertions(out, inn, path, remaining, rng):
+            if _try_insertions(out, path, remaining, rng):
                 return PathSearch(Verdict.FOUND, path)
         slice_budget = max(1, left // max(1, restarts - attempt))
         got, slice_left = _dfs(out, inn, x, y, n, slice_budget, rng)

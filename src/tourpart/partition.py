@@ -179,14 +179,16 @@ def search_partition(T, k, seed, budget=400):
                 score = best[0]
                 in_v1[best[1]] = ~in_v1[best[1]]
                 continue
-            viol = _witness(T, in_v1, k)
-            if viol is None:
-                res = verify_partition(T, np.flatnonzero(in_v1), np.flatnonzero(~in_v1), k)
-                assert res.verified, "search produced an uncertified partition"
+            # the verifier certifies the split once; only a rejected split
+            # pays for the witness that steers the repair
+            res = verify_partition(T, np.flatnonzero(in_v1), np.flatnonzero(~in_v1), k)
+            if res.verified:
                 res.mode = "search"
                 res.seed = seed
                 res.params_fingerprint = f"search-{budget}"
                 return res
+            viol = _witness(T, in_v1, k)
+            assert viol is not None, "the verifier rejected a split that certifies at k"
             which, pair, value, cut = viol
             pool = sorted(cut | set(map(int, rng.integers(0, n, size=8))))
             best = None
@@ -214,8 +216,9 @@ def partition(T, k, mode="auto", params=None, seed=0, search_budget=400):
     constants by default; raises PipelineError with a stage diagnostic on
     failure).
     mode "search": randomized certified search; returns None when nothing
-    was found within budget.  mode "auto": pipeline when its preconditions
-    hold for the active params, search otherwise.
+    was found within budget.  mode "auto": the pipeline when its
+    preconditions hold for the active params and its split verifies, the
+    search otherwise.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -240,7 +243,9 @@ def partition(T, k, mode="auto", params=None, seed=0, search_budget=400):
     ok, _reason = pipeline_feasible(T, k, params)
     if ok:
         try:
-            return run_pipe()
+            res = run_pipe()
+            if res.verified:
+                return res
         except PipelineError:
             pass
     return search_partition(T, k, seed, budget=search_budget)

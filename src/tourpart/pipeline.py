@@ -27,13 +27,21 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .connectivity import LinkageRequest, find_disjoint_paths
-from .core import Verdict, bfs_parity_path, bfs_shortest_path, is_path, transitive_order, vertex_mask
-from .domination import in_dominating_structure, out_dominating_structure
+from .core import (
+    Verdict,
+    bfs_parity_path,
+    bfs_shortest_path,
+    is_backwards_transitive,
+    is_path,
+    transitive_order,
+    vertex_mask,
+)
+from .domination import core_set, in_dominating_structure, out_dominating_structure
 from .safety import ALPHA, BETA, Coloring, SafetyContext, all_colored_safe
 
 MONO_A, MONO_B, ALT_AA, ALT_BB, ALT_AB, ALT_BA = range(6)
@@ -95,11 +103,7 @@ class PipelineParams:
         )
 
     def as_dict(self):
-        return {
-            "k": self.k, "per_class": self.per_class, "chain_cap": self.chain_cap,
-            "bundle_size": self.bundle_size, "short_cap": self.short_cap,
-            "growth": self.growth, "budget": self.budget, "strict": self.strict,
-        }
+        return asdict(self)
 
     def fingerprint(self):
         text = ";".join(f"{k}={v}" for k, v in sorted(self.as_dict().items()))
@@ -363,31 +367,28 @@ def extend_coloring_safely(state, group, protected=frozenset()):
                       f"> {state.budget_cap}", kind="budget")
     state.record(stage, info={"group": len(Z), "cost": cost,
                               "cap": state.budget_cap})
-    adj = T.adj
-    first_wave = []
-    for z in Z:
-        cand = np.flatnonzero(adj[:, z] & col.uncolored_mask() & ~nmask & ~exc_out_mask)
-        state.require(stage, cand.size >= 2 * k,
-                      f"vertex {z} is starving: {cand.size} fresh in-neighbours, "
-                      f"needs {2 * k}", kind="budget")
-        picks = cand[:2 * k]
-        col.assign(picks[:k], ALPHA)
-        col.assign(picks[k:], BETA)
-        first_wave.extend(int(u) for u in picks)
-    second_wave = []
-    for w in Z + first_wave:
-        cand = np.flatnonzero(adj[w] & col.uncolored_mask() & ~nmask & ~exc_mask)
-        state.require(stage, cand.size >= 2 * k,
-                      f"vertex {w} is starving: {cand.size} fresh out-neighbours, "
-                      f"needs {2 * k}", kind="budget")
-        picks = cand[:2 * k]
-        col.assign(picks[:k], ALPHA)
-        col.assign(picks[k:], BETA)
-        second_wave.extend(int(u) for u in picks)
-    grown = set(first_wave) | set(second_wave)
+    # the in-wave serves Z, the out-wave serves Z and the in-wave
+    grown, wave = set(), []
+    for nbrs, side, banned in ((T.adj.T, "in", exc_out_mask), (T.adj, "out", exc_mask)):
+        served, wave = Z + wave, []
+        for z in served:
+            cand = np.flatnonzero(nbrs[z] & col.uncolored_mask() & ~nmask & ~banned)
+            state.require(stage, cand.size >= 2 * k,
+                          f"vertex {z} is starving: {cand.size} fresh {side}-neighbours, "
+                          f"needs {2 * k}", kind="budget")
+            wave += _grant(col, cand, k)
+        grown.update(wave)
     state.require(stage, len(set(Z) | grown) <= state.params.growth * len(Z),
                   "extension grew beyond its cap")
     return grown
+
+
+def _grant(col, cand, k):
+    """Color the first 2k candidates, k alpha then k beta; returns them."""
+    picks = cand[:2 * k]
+    col.assign(picks[:k], ALPHA)
+    col.assign(picks[k:], BETA)
+    return [int(u) for u in picks]
 
 
 def bootstrap_safety(state):
@@ -398,20 +399,12 @@ def bootstrap_safety(state):
     T, k, col = state.T, state.k, state.coloring
     fresh = []
     for v in state.low_in + state.low_out:
-        cin = np.flatnonzero(T.adj[:, v] & col.uncolored_mask())
-        state.require(stage, cin.size >= 2 * k,
-                      f"anchor {v}: only {cin.size} uncolored in-neighbours", kind="budget")
-        picks = cin[:2 * k]
-        col.assign(picks[:k], ALPHA)
-        col.assign(picks[k:], BETA)
-        fresh.extend(int(u) for u in picks)
-        cout = np.flatnonzero(T.adj[v] & col.uncolored_mask())
-        state.require(stage, cout.size >= 2 * k,
-                      f"anchor {v}: only {cout.size} uncolored out-neighbours", kind="budget")
-        picks = cout[:2 * k]
-        col.assign(picks[:k], ALPHA)
-        col.assign(picks[k:], BETA)
-        fresh.extend(int(u) for u in picks)
+        for nbrs, side in ((T.adj.T, "in"), (T.adj, "out")):
+            cand = np.flatnonzero(nbrs[v] & col.uncolored_mask())
+            state.require(stage, cand.size >= 2 * k,
+                          f"anchor {v}: only {cand.size} uncolored {side}-neighbours",
+                          kind="budget")
+            fresh += _grant(col, cand, k)
     group = set(fresh) | (state.reserved - state.anchors())
     extend_coloring_safely(state, group)
     state.snapshot("bootstrap")
@@ -587,40 +580,44 @@ def _shortcut_bundles(state):
         for i, paths in state.bundles.items():
             for idx, p in enumerate(paths):
                 q = p
-                # forward chord inside the path
-                sub = adj[np.ix_(q, q)]
-                m = len(q)
-                chord = None
-                for s in range(m):
-                    hits = np.flatnonzero(sub[s, s + 2:])
-                    if hits.size:
-                        chord = (s, s + 2 + int(hits[-1]))
-                        break
-                if chord:
-                    s, t = chord
+                # forward chord inside the path: the first chord tail, cut to
+                # its farthest head
+                chords = np.triu(adj[np.ix_(q, q)], 2)
+                tails = np.flatnonzero(chords.any(axis=1))
+                if tails.size:
+                    s = int(tails[0])
+                    t = int(np.flatnonzero(chords[s])[-1])
                     free(q[s + 1:t])
                     paths[idx] = q[:s + 1] + q[t:]
                     changed = True
                     continue
                 # two-hop bypass through an outside vertex
                 av = np.flatnonzero(avail)
-                if av.size:
-                    into = adj[np.ix_(q, av)]
-                    outof = adj[np.ix_(av, q)]
-                    first_in = np.where(into.any(axis=0), into.argmax(axis=0), m)
-                    last_out = np.where(outof.any(axis=1),
-                                        m - 1 - np.argmax(outof[:, ::-1], axis=1), -1)
-                    gain = last_out - first_in
-                    cand = np.flatnonzero(gain >= 3)
-                    if cand.size:
-                        ci = int(cand[0])
-                        v = int(av[ci])
-                        s, t = int(first_in[ci]), int(last_out[ci])
-                        free(q[s + 1:t])
-                        avail[v] = False
-                        paths[idx] = q[:s + 1] + [v] + q[t:]
-                        changed = True
-                        break
+                first_in, last_out = _bypass_spans(adj, q, av)
+                cand = np.flatnonzero(last_out - first_in >= 3)
+                if cand.size:
+                    ci = int(cand[0])
+                    v = int(av[ci])
+                    s, t = int(first_in[ci]), int(last_out[ci])
+                    free(q[s + 1:t])
+                    avail[v] = False
+                    paths[idx] = q[:s + 1] + [v] + q[t:]
+                    changed = True
+                    break
+
+
+def _bypass_spans(adj, path, outside):
+    """For each outside vertex w, the first path position s with path[s] -> w
+    and the last position t with w -> path[t] (len(path) and -1 when there is
+    none); t - s >= 3 makes path[s] -> w -> path[t] a shortcut.  The last
+    position of ``w -> path`` is the first of ``path -> w`` read on the
+    transpose along the reversed path."""
+
+    def first(a, p):
+        hits = a[np.ix_(p, outside)]
+        return np.where(hits.any(axis=0), hits.argmax(axis=0), len(p))
+
+    return first(adj, path), len(path) - 1 - first(adj.T, path[::-1])
 
 
 def _bundle_interior_mask(state):
@@ -646,8 +643,7 @@ def _segment_positions(length, k):
 
 def _audit_bundles(state):
     stage = "connector_bundles"
-    T, k, col = state.T, state.k, state.coloring
-    adj = T.adj
+    T, col = state.T, state.coloring
     L = state.params.short_cap
     outside = np.flatnonzero(col.uncolored_mask() & ~_bundle_interior_mask(state))
     seen_interiors = set()
@@ -664,27 +660,17 @@ def _audit_bundles(state):
             state.require(stage, not any(col.is_colored(v) for v in inner),
                           f"index {i}: bundle interior touches a colored vertex")
             seen_interiors |= inner
-            sub = adj[np.ix_(p, p)]
-            m = len(p)
-            iu, jv = np.triu_indices(m, 2)
-            state.require(stage, not sub[iu, jv].any(),
+            state.require(stage, is_backwards_transitive(T, p),
                           f"index {i}: interior not backwards-transitive after shortcuts")
-            if outside.size:
-                into = adj[np.ix_(p, outside)]
-                outof = adj[np.ix_(outside, p)]
-                first_in = np.where(into.any(axis=0), into.argmax(axis=0), m)
-                last_out = np.where(outof.any(axis=1),
-                                    m - 1 - np.argmax(outof[:, ::-1], axis=1), -1)
-                state.require(stage, bool((last_out - first_in < 3).all()),
-                              f"index {i}: neighbour propagation audit failed")
+            first_in, last_out = _bypass_spans(T.adj, p, outside)
+            state.require(stage, bool((last_out - first_in < 3).all()),
+                          f"index {i}: neighbour propagation audit failed")
     state.record(stage, info={"bundles": {i: len(ps) for i, ps in state.bundles.items()}})
 
 
 def _place_hubs(state):
     """Pick small hub sets inside the bundle scaffolding so every other
     scaffold vertex sees k in- and k out-neighbours in a hub of each color."""
-    from .domination import core_set
-
     stage = "connector_hubs"
     T, k = state.T, state.k
     segs0 = (1, 2, 3, 7, 8, 9)
@@ -693,39 +679,25 @@ def _place_hubs(state):
         for j, p in enumerate(paths):
             segs = _segment_positions(len(p) - 1, k)
             pool[(i, j)] = {p[pos] for s in segs0 for pos in segs[s]}
-    all_v0 = sorted(set().union(*pool.values()))
-    if len(all_v0) >= 4:
-        sub, ids = T.subtournament(all_v0)
-        za = {ids[v] for v in core_set(sub, k).vertices}
-    else:
-        za = set(all_v0)
-    hub_a_idx = {key for key, verts in pool.items() if verts & za}
-    rest = [key for key in pool if key not in hub_a_idx]
-    hub_b_idx = set()
-    zb = set()
-    if rest:
-        w = sorted(set().union(*(pool[key] for key in rest)))
-        if len(w) >= 4:
-            sub2, ids2 = T.subtournament(w)
-            zb = {ids2[v] for v in core_set(sub2, k).vertices}
-        else:
-            zb = set(w)
-        hub_b_idx = {key for key in rest if pool[key] & zb}
-    state.hub_alpha_idx = hub_a_idx
-    state.hub_beta_idx = hub_b_idx
-    state.hub_alpha = set().union(*(pool[key] for key in hub_a_idx)) if hub_a_idx else set()
-    state.hub_beta = set().union(*(pool[key] for key in hub_b_idx)) if hub_b_idx else set()
-    leftover = [v for key in pool if key not in hub_a_idx | hub_b_idx
-                for v in pool[key]]
-    if leftover:
-        ha, hb = sorted(state.hub_alpha), sorted(state.hub_beta)
-        lo = np.asarray(sorted(set(leftover)))
-        for hub, name in ((ha, "alpha"), (hb, "beta")):
+    # the alpha hub paths meet a core set of all scaffold vertices, the beta
+    # hub paths one of the scaffold vertices the alpha pass left
+    hubs, rest = [], list(pool)
+    for _ in (ALPHA, BETA):
+        w = set().union(*(pool[key] for key in rest))
+        z = core_set(T, k, alive=vertex_mask(T.n, w)).vertices if len(w) >= 4 else w
+        hubs.append({key for key in rest if pool[key] & z})
+        rest = [key for key in rest if key not in hubs[-1]]
+    state.hub_alpha_idx, state.hub_beta_idx = hubs
+    state.hub_alpha, state.hub_beta = (set().union(*(pool[key] for key in idx)) for idx in hubs)
+    leftover = vertex_mask(T.n, (v for key in rest for v in pool[key]))
+    if leftover.any():
+        for hub, name in ((state.hub_alpha, "alpha"), (state.hub_beta, "beta")):
             state.require(stage, len(hub) > 0,
                           f"hub {name} is empty but scaffold vertices remain")
-            into = T.adj[np.ix_(lo, hub)].sum(axis=1)
-            outof = T.adj[np.ix_(hub, lo)].sum(axis=0)
-            state.require(stage, bool((into >= k).all() and (outof >= k).all()),
+            # k out-neighbours in the hub on adj, k in-neighbours on its transpose
+            hub = sorted(hub)
+            state.require(stage, all((nbrs[leftover][:, hub].sum(axis=1) >= k).all()
+                                     for nbrs in (T.adj, T.adj.T)),
                           f"scaffold vertex lacks k neighbours in hub {name}")
     state.record(stage, info={"hub_alpha": len(state.hub_alpha),
                               "hub_beta": len(state.hub_beta)})
@@ -947,23 +919,15 @@ def _audit_connectors(state):
     # bulk neighbour property: anything uncolored that sees the bulk pool
     # must see k colored neighbours of each color
     if state.bulk:
-        k = state.k
-        lab = col.labels
-        bulk_ids = sorted(state.bulk)
         unc = np.flatnonzero(col.uncolored_mask())
-        if unc.size:
-            touches_out = T.adj[np.ix_(unc, bulk_ids)].any(axis=1)
-            touches_in = T.adj[np.ix_(bulk_ids, unc)].any(axis=0)
-            alpha = lab == ALPHA
-            beta = lab == BETA
-            out_a = (T.adj[unc] & alpha[None, :]).sum(axis=1)
-            out_b = (T.adj[unc] & beta[None, :]).sum(axis=1)
-            in_a = (T.adj.T[unc] & alpha[None, :]).sum(axis=1)
-            in_b = (T.adj.T[unc] & beta[None, :]).sum(axis=1)
-            ok_out = (~touches_out) | ((out_a >= k) & (out_b >= k))
-            ok_in = (~touches_in) | ((in_a >= k) & (in_b >= k))
-            state.require(stage, bool(ok_out.all() and ok_in.all()),
-                          "bulk neighbour audit failed")
+        bulk = vertex_mask(T.n, state.bulk)
+        ok = True
+        for nbrs in (T.adj, T.adj.T):
+            rows = nbrs[unc]
+            enough = np.logical_and.reduce([(rows & col.mask(c)).sum(axis=1) >= state.k
+                                            for c in (ALPHA, BETA)])
+            ok &= bool((enough | ~(rows & bulk).any(axis=1)).all())
+        state.require(stage, ok, "bulk neighbour audit failed")
     c4 = col.colored_mask()
     extra = int((c4 & ~vertex_mask(T.n, state.bulk)).sum())
     info = {"colored": int(c4.sum()), "outside_bulk": extra}
@@ -986,48 +950,28 @@ def finalize_coloring(state):
     stage = "finalize"
     T, k, col = state.T, state.k, state.coloring
     c4 = state.snapshots["connectors"]
-    adj = T.adj
     exc_out_mask = vertex_mask(T.n, state.exc_out)
     exc_mask = exc_out_mask | vertex_mask(T.n, state.exc_in)
-    bulk_ids = sorted(state.bulk)
+    bulk = vertex_mask(T.n, state.bulk)
 
-    for v in sorted(state.exc_out):
-        if c4[v]:
-            continue
-        cand = np.flatnonzero(adj[:, v] & col.uncolored_mask() & ~exc_out_mask)
-        if cand.size >= 2 * k:
-            picks = cand[:2 * k]
-            col.assign(picks[:k], ALPHA)
-            col.assign(picks[k:], BETA)
-            state.grabbed_in.extend(int(u) for u in picks)
-        else:
-            has_bulk = bool(bulk_ids) and bool(adj[bulk_ids, v].any())
-            state.require(stage, has_bulk,
-                          f"exception vertex {v}: no fresh in-neighbours and no "
-                          f"bulk in-neighbour", kind="budget")
-        if not col.is_colored(v):
-            col.assign([v], ALPHA)
-    state.require(stage, len(state.grabbed_in) <= 2 * k * len(state.exc_out),
-                  "in-grab bookkeeping cap violated")
-
-    for v in sorted(state.exc_in):
-        if c4[v]:
-            continue
-        cand = np.flatnonzero(adj[v] & col.uncolored_mask() & ~exc_mask)
-        if cand.size >= 2 * k:
-            picks = cand[:2 * k]
-            col.assign(picks[:k], ALPHA)
-            col.assign(picks[k:], BETA)
-            state.grabbed_out.extend(int(u) for u in picks)
-        else:
-            has_bulk = bool(bulk_ids) and bool(adj[v, bulk_ids].any())
-            state.require(stage, has_bulk,
-                          f"exception vertex {v}: no fresh out-neighbours and no "
-                          f"bulk out-neighbour", kind="budget")
-        if not col.is_colored(v):
-            col.assign([v], ALPHA)
-    state.require(stage, len(state.grabbed_out) <= 2 * k * len(state.exc_in),
-                  "out-grab bookkeeping cap violated")
+    # out-exceptions grab in-neighbours, in-exceptions grab out-neighbours
+    for nbrs, side, pool, banned, grabbed in (
+            (T.adj.T, "in", state.exc_out, exc_out_mask, state.grabbed_in),
+            (T.adj, "out", state.exc_in, exc_mask, state.grabbed_out)):
+        for v in sorted(pool):
+            if c4[v]:
+                continue
+            cand = np.flatnonzero(nbrs[v] & col.uncolored_mask() & ~banned)
+            if cand.size >= 2 * k:
+                grabbed += _grant(col, cand, k)
+            else:
+                state.require(stage, bool((nbrs[v] & bulk).any()),
+                              f"exception vertex {v}: no fresh {side}-neighbours and no "
+                              f"bulk {side}-neighbour", kind="budget")
+            if not col.is_colored(v):
+                col.assign([v], ALPHA)
+        state.require(stage, len(grabbed) <= 2 * k * len(pool),
+                      f"{side}-grab bookkeeping cap violated")
 
     rest = np.flatnonzero(col.uncolored_mask())
     col.assign(rest, ALPHA)

@@ -3,9 +3,12 @@
 A colored vertex is safe when no deletion of at most k-1 other vertices can
 cut it off from the bulk of the tournament in any of four senses: along
 monochromatic paths forwards or backwards, and along color-alternating
-paths forwards or backwards.  The exact check reduces to a vertex-capacity
-flow against a super-target (``connectivity.safe_flow``); for k = 1 safety
-is plain reachability and a whole-coloring scan runs as eight BFS sweeps.
+paths forwards or backwards.  Each sense is one rule, "v reaches its
+targets inside its group of the graph", on the tournament or on the graph
+of color-changing edges, read forwards or through the transpose.  The exact
+check reduces to a vertex-capacity flow against a super-target
+(``connectivity.safe_flow``); for k = 1 safety is plain reachability and a
+whole-coloring scan runs as six BFS sweeps.
 """
 
 from __future__ import annotations
@@ -14,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connectivity import safe_flow
-from .core import Digraph, reachable_mask, vertex_mask
+from .connectivity import safe_flow_on_masks
+from .core import reachable_mask, vertex_mask
 
 ALPHA = 0
 BETA = 1
@@ -94,74 +97,61 @@ class SafetyReport:
         return self.forwards and self.backwards and self.alt_forwards and self.alt_backwards
 
 
-def _cross_digraph(T, labels):
-    colored = labels != UNCOLORED
-    cross = (labels[:, None] != labels[None, :]) & colored[:, None] & colored[None, :]
-    return Digraph(T.adj & cross)
+def _senses(ctx):
+    """The four predicates as (column, group, graph, targets): a vertex v of
+    ``group`` is safe in the sense of table column ``column`` when no k-1
+    vertices other than v cut every path v -> targets inside graph[group].
+    The monochromatic senses come once per color; the alternating ones run
+    on the color-changing edges, which need no colored mask since every
+    group lies inside the colored vertices.  Backward senses read the
+    transpose."""
+    adj = ctx.T.adj
+    lab = ctx.coloring.labels
+    resv, exc_out, exc_in = ctx.masks()
+    cross = adj & (lab[:, None] != lab[None, :])
+    senses = []
+    for column, group, graph in ((0, lab == ALPHA, adj), (0, lab == BETA, adj),
+                                 (2, lab != UNCOLORED, cross)):
+        senses.append((column, group, graph, group & ~resv & ~exc_in))
+        senses.append((column + 1, group, graph.T, group & ~resv & ~exc_out))
+    return senses
+
+
+def _flow_row(senses, v, k):
+    """The four predicates of one vertex by flows, in table column order."""
+    row = [None] * 4
+    for column, group, graph, targets in senses:
+        if group[v]:
+            row[column] = safe_flow_on_masks(graph, v, targets, k, group)
+    if None in row:
+        raise ValueError(f"vertex {v} is uncolored")
+    return row
 
 
 def is_safe(ctx, v):
     """Evaluate all four safety predicates for one colored vertex."""
-    lab = ctx.coloring.labels
-    if lab[v] == UNCOLORED:
-        raise ValueError(f"vertex {v} is uncolored")
-    T, k = ctx.T, ctx.k
-    resv, exc_out, exc_in = ctx.masks()
-    gamma = lab == lab[v]
-    own = np.flatnonzero(gamma).tolist()
-    w_fwd = np.flatnonzero(gamma & ~resv & ~exc_in).tolist()
-    w_bwd = np.flatnonzero(gamma & ~resv & ~exc_out).tolist()
-    fwd = safe_flow(T, v, w_fwd, k, "forward", own)
-    bwd = safe_flow(T, v, w_bwd, k, "backward", own)
-    colored = lab != UNCOLORED
-    cids = np.flatnonzero(colored).tolist()
-    cross = _cross_digraph(T, lab)
-    w_afwd = np.flatnonzero(colored & ~resv & ~exc_in).tolist()
-    w_abwd = np.flatnonzero(colored & ~resv & ~exc_out).tolist()
-    afwd = safe_flow(cross, v, w_afwd, k, "forward", cids)
-    abwd = safe_flow(cross, v, w_abwd, k, "backward", cids)
-    return SafetyReport(fwd, bwd, afwd, abwd)
+    return SafetyReport(*_flow_row(_senses(ctx), v, ctx.k))
 
 
 def safety_scan(ctx, vertices=None):
     """Safety reports for many vertices at once.
 
     For k = 1 each predicate is a single reachability sweep, so the whole
-    coloring is scanned with eight BFS passes; for larger k this falls back
+    coloring is scanned with six BFS passes; for larger k this falls back
     to per-vertex flow checks.  Returns an (n, 4) boolean table whose rows
     are meaningful for colored vertices only.
     """
-    T = ctx.T
-    n = T.n
     lab = ctx.coloring.labels
-    table = np.zeros((n, 4), dtype=bool)
+    table = np.zeros((ctx.T.n, 4), dtype=bool)
+    senses = _senses(ctx)
     if ctx.k > 1:
         ids = vertices if vertices is not None else np.flatnonzero(lab != UNCOLORED)
         for v in ids:
-            rep = is_safe(ctx, int(v))
-            table[v] = (rep.forwards, rep.backwards, rep.alt_forwards, rep.alt_backwards)
+            table[v] = _flow_row(senses, int(v), ctx.k)
         return table
-
-    adj = T.adj
-    resv, exc_out, exc_in = ctx.masks()
-    for gamma in (ALPHA, BETA):
-        gmask = lab == gamma
-        if not gmask.any():
-            continue
-        w_fwd = gmask & ~resv & ~exc_in
-        ok = reachable_mask(adj.T, np.flatnonzero(w_fwd), gmask)
-        table[gmask, 0] = ok[gmask]
-        w_bwd = gmask & ~resv & ~exc_out
-        ok = reachable_mask(adj, np.flatnonzero(w_bwd), gmask)
-        table[gmask, 1] = ok[gmask]
-    colored = lab != UNCOLORED
-    cross = adj & (lab[:, None] != lab[None, :]) & colored[:, None] & colored[None, :]
-    w_afwd = colored & ~resv & ~exc_in
-    ok = reachable_mask(cross.T, np.flatnonzero(w_afwd), colored)
-    table[colored, 2] = ok[colored]
-    w_abwd = colored & ~resv & ~exc_out
-    ok = reachable_mask(cross, np.flatnonzero(w_abwd), colored)
-    table[colored, 3] = ok[colored]
+    for column, group, graph, targets in senses:
+        if group.any():
+            table[group, column] = reachable_mask(graph.T, np.flatnonzero(targets), group)[group]
     return table
 
 

@@ -17,7 +17,17 @@ from tourpart.connectivity import certify, vertex_connectivity
 from tourpart.core import Tournament, bipartite_subdigraph, reachable_mask
 from tourpart.generators import random_tournament
 from tourpart.partition import search_partition, verify_partition
-from tourpart.pipeline import PipelineParams, run_pipeline
+from tourpart.pipeline import (
+    PipelineParams,
+    _audit_bundles,
+    _build_bundles,
+    _color_bundles,
+    _place_hubs,
+    _shortcut_bundles,
+    run_pipeline,
+)
+from tourpart.safety import ALPHA, UNCOLORED, Coloring, SafetyContext, is_safe, safety_scan
+from test_pipeline import _bundle_state, _planted_instance
 
 pipeline_module = importlib.import_module("tourpart.pipeline")
 
@@ -27,6 +37,8 @@ PIPELINE_DIGEST = "e7c7468ac305132c"
 SPLIT_DIGEST = "980bc7bc62d361d7"
 REPAIR_DIGEST = "26f3927b3f490fb6"
 FAMILY_DIGEST = "f0ad5af5eb075d74"
+BUNDLE_DIGEST = "29d9e4ed9b6753d1"
+SAFETY_DIGEST = "38dc838f183b05f2"
 
 
 def _digest(results):
@@ -115,6 +127,49 @@ def test_pipeline_makes_no_tournament_copies(monkeypatch):
     state = run_pipeline(T, 1, PipelineParams.relaxed(1))
     assert state.flipped  # the run took the reversal branch
     assert calls == []
+
+
+def test_long_connector_runs_are_pinned():
+    # the planted instances are the only ones that reach the bundles, hubs
+    # and splices: the alternating class (a single bundle path of the right
+    # parity) and the monochromatic class (a three-way splice)
+    rows = []
+    for paths, index in ((6, 2), (9, 0)):
+        T, b, a, _ = _planted_instance(paths, 21, early=550, late=230)
+        state = _bundle_state(T, b, a, index, bundle_size=paths)
+        state.coloring.assign([b, a], ALPHA)
+        for stage in (_build_bundles, _shortcut_bundles, _audit_bundles, _place_hubs,
+                      _color_bundles):
+            stage(state)
+        rows.append([state.coloring.labels.tolist(),
+                     {i: p for i, p in sorted(state.connectors.items())},
+                     {i: list(s) for i, s in sorted(state.splices.items())},
+                     sorted(state.hub_alpha), sorted(state.hub_beta),
+                     sorted(state.hub_alpha_idx), sorted(state.hub_beta_idx),
+                     sorted(state.bulk),
+                     {i: ps for i, ps in sorted(state.bundles.items())}])
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16] == BUNDLE_DIGEST
+
+
+def test_flow_safety_tables_are_pinned():
+    # k >= 2 takes the per-vertex flow branch of the scan; random partial
+    # colorings with reserved vertices and both exception pools
+    rows = []
+    for seed in range(24):
+        rng = np.random.default_rng(seed)
+        n = 12 + seed % 5 * 6
+        T = random_tournament(n, 900 + seed)
+        col = Coloring(n)
+        col.labels = rng.integers(0, 2, n).astype(np.int8)
+        col.labels[rng.random(n) < 0.2] = UNCOLORED
+        resv, exc_out, exc_in = (frozenset(rng.choice(n, n // d, replace=False).tolist())
+                                 for d in (3, 4, 4))
+        for k in (2, 3):
+            ctx = SafetyContext(T, resv, exc_out, exc_in, col, k)
+            colored = np.flatnonzero(col.labels != UNCOLORED)
+            reports = [vars(is_safe(ctx, int(v))) for v in colored[::3]]
+            rows.append([safety_scan(ctx).tolist(), reports])
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16] == SAFETY_DIGEST
 
 
 def test_random_splits_are_pinned():
@@ -212,3 +267,25 @@ def test_verify_certifies_each_graph_once(monkeypatch):
         res = verify_partition(T, found.v1, found.v2, 2, exact_threshold=threshold)
         assert res.verified and res.connectivity_exact == (threshold > 0)
         assert len(seen) == 3 and len({id(G) for G in seen}) == 3
+
+
+def test_search_certifies_a_successful_split_once(monkeypatch):
+    # the first split of this draw that passes the screens certifies: the
+    # verifier proves its three graphs, and no witness certifies them again
+    connectivity = importlib.import_module("tourpart.connectivity")
+    partition_module = importlib.import_module("tourpart.partition")
+    seen = []
+
+    def counting(fn):
+        def wrapped(G, *args):
+            seen.append(G)
+            return fn(G, *args)
+        return wrapped
+
+    for module, name in ((connectivity, "certify"), (partition_module, "certify"),
+                         (partition_module, "vertex_connectivity"),
+                         (partition_module, "is_strongly_k_connected")):
+        monkeypatch.setattr(module, name, counting(getattr(module, name)))
+    found = search_partition(random_tournament(40, 31415), 2, seed=0)
+    assert found is not None and found.verified
+    assert len(seen) == 3

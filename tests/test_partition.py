@@ -1,3 +1,6 @@
+import importlib
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -95,6 +98,22 @@ def test_partition_entry_modes(rand):
         partition(T, 0, seed=1)
     with pytest.raises(ValueError):
         partition(T, 1, mode="bogus", seed=1)
+
+
+def test_auto_mode_falls_back_when_the_pipeline_split_fails(monkeypatch, rand):
+    # a pipeline that finishes but hands back a split the verifier rejects
+    partition_module = importlib.import_module("tourpart.partition")
+
+    def rejected_split(T, k, params, seed):
+        return SimpleNamespace(partition_sets=lambda: ([0], list(range(1, T.n))), audits=[])
+
+    monkeypatch.setattr(partition_module, "pipeline_feasible", lambda *args: (True, "ok"))
+    monkeypatch.setattr(partition_module, "run_pipeline", rejected_split)
+    T = rand(40, 7)
+    assert not partition(T, 2, mode="pipeline", seed=1).verified
+    res = partition(T, 2, mode="auto", seed=1)
+    assert res is not None and res.verified and res.mode == "search"
+    assert res.v1 == search_partition(T, 2, seed=1).v1
 
 
 def test_pipeline_mode_end_to_end():

@@ -72,7 +72,7 @@ def test_select_extremal_requires_enough_vertices():
 def _relaxed_state(n, seed, k=1, **kw):
     T = random_tournament(n, seed)
     params = PipelineParams.relaxed(k, **kw)
-    return PipelineState(T, k, params, seed)
+    return PipelineState(T, k, params)
 
 
 def test_dominating_family_invariants():
@@ -220,7 +220,7 @@ def _planted_instance(num_paths, length, early=250, late=250, k=1):
 
 def _bundle_state(T, b, a, index, k=1, bundle_size=3):
     params = PipelineParams.relaxed(k, bundle_size=bundle_size)
-    state = PipelineState(T, k, params, 0)
+    state = PipelineState(T, k, params)
     r = params.per_class
     state.in_structs = [SimpleNamespace(tip=b) for _ in range(6 * r)]
     state.out_structs = [SimpleNamespace(tip=a) for _ in range(6 * r)]
@@ -240,18 +240,22 @@ def test_segment_positions_layout():
 
 
 def test_shortcut_removes_forward_chords():
-    T, b, a, planted = _planted_instance(1, 21, early=5, late=5)
-    # hand the machinery a deliberately bad path: skip-free planted path is
-    # backwards-transitive, so splice in a detour that leaves a chord
+    T, b, a, planted = _planted_instance(1, 25, early=5, late=5)
+    path = planted[0]
     state = _bundle_state(T, b, a, 0)
-    bad = [b] + planted[0][1:-1] + [a]  # drop one interior vertex: chord b->?
-    inner = planted[0][1:-1]
-    detour = [b, inner[0], inner[1], inner[2], a]  # a->? no: use real edges
-    state.bundles = {0: [list(planted[0])]}
-    # introduce the chord by hand: the full path plus a repeated prefix is not
-    # a path, so instead verify the no-op case: already backwards-transitive
+    state.bundles = {0: [list(path)]}
+    _shortcut_bundles(state)  # the planted path is backwards-transitive
+    assert state.bundles[0][0] == path
+    # turn the backward edge q6 -> q3 into a forward chord q3 -> q6
+    adj = T.adj.copy()
+    adj[path[6], path[3]], adj[path[3], path[6]] = False, True
+    state = _bundle_state(Tournament(adj), b, a, 0)
+    state.bundles = {0: [list(path)]}
+    with pytest.raises(PipelineError, match="backwards-transitive"):
+        _audit_bundles(state)
     _shortcut_bundles(state)
-    assert state.bundles[0][0] == planted[0]
+    assert state.bundles[0][0] == path[:4] + path[6:]
+    _audit_bundles(state)  # backwards-transitive again, no bypass, length 23
 
 
 def test_shortcut_two_hop_bypass():
@@ -272,6 +276,8 @@ def test_shortcut_two_hop_bypass():
     T2 = Tournament(adj)
     state = _bundle_state(T2, b, a, 0)
     state.bundles = {0: [list(path)]}
+    with pytest.raises(PipelineError, match="neighbour propagation"):
+        _audit_bundles(state)
     _shortcut_bundles(state)
     got = state.bundles[0][0]
     assert w in got and len(got) < len(path)
