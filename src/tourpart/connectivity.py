@@ -6,27 +6,37 @@ uncapped).  A pair (x, y) joined by the direct edge x->y can never be
 separated by deleting other vertices, so such pairs impose no constraint on
 strong connectivity and are skipped everywhere.
 
-Whole-graph checks do not inspect all n^2 ordered pairs: if some set F with
-|F| < k separates some pair, then any fixed k-element vertex set U contains
-a vertex u outside F, and F also separates a pair with u as one endpoint.
-Sweeping the pairs incident to U is therefore sound, and the same argument
-with a growing U computes the exact connectivity.
+Every whole-graph question is one sweep (S. Even, "An algorithm for
+determining whether the connectivity of a graph is at least k", 1975).
+``sweep(G, ceiling, stop)`` keeps a running best, which starts at the
+minimum semi-degree, capped by n - 1 and by ``ceiling``, and caps every
+flow.  It does not inspect all n^2 ordered pairs: if a set F separates x
+from y, then for any vertex u outside F, F separates u from y or x from u.
+Among the first |F| + 1 vertices one lies outside F, so once the pairs
+incident to the first ``best`` vertices are swept and none fell below
+``best``, no cut smaller than ``best`` exists.  The sweep therefore visits
+the pairs at vertex u only while u < best, and ends with min(kappa,
+ceiling).  With a ``stop`` level it returns at the first pair whose flow
+falls below ``stop``: ``certify(G, k)`` is ``sweep(G, k, k)``, and
+``vertex_connectivity(G)`` is ``sweep(G).level``.
 
 Most swept pairs need no flow at all.  Paths x->w->y through distinct
-middles w are internally disjoint, so a pair with at least k common middles
-(the 2-path count, entry (x, y) of A @ A) has k disjoint paths by Menger and
-is settled on the spot.  Every caller only asks whether a pair reaches k,
-so the remaining flows start from those 2-paths, add greedy 3-paths
-x->a->b->y through unused vertices, and stop as soon as the value reaches
-k (Even & Tarjan, "Network flow and testing graph connectivity", 1975).
+middles w are internally disjoint, so a pair with at least ``best`` common
+middles (the 2-path count, entry (x, y) of A @ A) cannot lower ``best`` and
+is settled on the spot.  The remaining flows start from those 2-paths, add
+greedy 3-paths x->a->b->y through unused vertices, and stop as soon as the
+value reaches the cap (Even & Tarjan, "Network flow and testing graph
+connectivity", 1975).
 
 A flow that stops short of its cap is maximum, and the kernel then reports
 the residual cut: the vertices whose in-copy is reachable from x in the
 residual network and whose out-copy is not.  The vertices reachable in the
 residual network are the same for every maximum flow (they form the source
 side of the minimum cut that lies closest to x), so the cut does not
-depend on the order in which paths were found.  ``certify(G, k)`` is the
-one whole-graph check; a failing pair's certificate carries that cut.
+depend on the order in which paths were found, nor on the cap.  Every cap
+stays at or above ``stop`` until the sweep stops, and the pairs that one
+cap rule settles and another flows have at least ``stop`` middles, so the
+stopping pair, its value and its cut do not depend on ``ceiling``.
 """
 
 from __future__ import annotations
@@ -179,10 +189,6 @@ class VertexFlow:
         a = self._counts
         return a[u] @ a, a @ a[:, u]
 
-    def flow_value(self, x, y, cap=None):
-        """Number of internally disjoint x->y paths, at most ``cap``."""
-        return maximum_flow(self.adj, x, y, cap)[0]
-
     def paths_and_cut(self, x, y, cap=None):
         """(value, paths, cut) of a flow capped at ``cap``; the cut is None
         when the value reached ``cap``."""
@@ -190,32 +196,7 @@ class VertexFlow:
         return value, _flow_paths(flow, x, y), cut
 
 
-def sweep_pairs(net, k):
-    """The ordered pairs a cut below k could separate, in sweep order.
-
-    For u among the first k < n vertices and every other v: (u, v) then
-    (v, u), leaving out pairs joined by an arc and pairs with at least k
-    common middles.
-    """
-    adj = net.adj
-    for u in range(k):
-        out2, in2 = net.middles(u)
-        fwd = ~adj[u] & (out2 < k)
-        bwd = ~adj[:, u] & (in2 < k)
-        fwd[u] = bwd[u] = False
-        for v in np.flatnonzero(fwd | bwd).tolist():
-            if fwd[v]:
-                yield u, v
-            if bwd[v]:
-                yield v, u
-
-
 def _strongly_connected(G):
-    n = G.n
-    if n == 0:
-        return False
-    if n == 1:
-        return True
     fwd = reachable_mask(G.adj, 0)
     if not fwd.all():
         return False
@@ -225,33 +206,61 @@ def _strongly_connected(G):
 
 @dataclass(frozen=True)
 class Certificate:
-    """The answer of ``certify``.  When a swept pair fails, ``pair`` is that
-    pair, ``value`` its flow value (below k) and ``cut`` the residual cut of
-    ``value`` vertices separating it; a graph failing the size, degree or
-    strong-connectivity screen carries no pair."""
+    """The answer of ``sweep``: ``ok`` says whether G is strongly
+    ``stop``-connected and ``level`` is min(kappa(G), ceiling), or an upper
+    bound on it when the sweep stopped early.  When a swept pair fails,
+    ``pair`` is that pair, ``value`` its flow value (below ``stop``) and
+    ``cut`` the residual cut of ``value`` vertices separating it; a graph
+    failing the size, degree or strong-connectivity screen carries no pair."""
 
     ok: bool
     pair: tuple | None = None
     value: int | None = None
     cut: frozenset | None = None
+    level: int = 0
+
+
+def sweep(G, ceiling=None, stop=0):
+    """min(kappa(G), ceiling) as ``level`` by Even's sweep (no cap when
+    ``ceiling`` is None), stopping at the first pair whose flow falls below
+    ``stop``; see the module docstring."""
+    if stop < 0 or (ceiling is not None and ceiling < 0):
+        raise ValueError("k must be nonnegative")
+    n = G.n
+    best = 0
+    if n > 1:
+        best = min(n - 1, int(G.out_degrees().min()), int(G.in_degrees().min()),
+                   n if ceiling is None else ceiling)
+    # the degree screen alone may settle the answer; search only past it
+    if best >= max(stop, 1) and not _strongly_connected(G):
+        best = 0
+    if best < stop:
+        return Certificate(False, level=best)
+    if best > 1:  # a strong graph has a path between every pair
+        adj = G.adj
+        net = VertexFlow(adj)
+        u = 0
+        while u < best:
+            out2, in2 = net.middles(u)
+            # an arc, like n common middles, settles its pair
+            out2[adj[u]] = in2[adj[:, u]] = n
+            out2[u] = in2[u] = n
+            vs = np.flatnonzero((out2 < best) | (in2 < best))
+            for v, o, i in zip(vs.tolist(), out2[vs].tolist(), in2[vs].tolist()):
+                for x, y, mids in ((u, v, o), (v, u, i)):
+                    # a pair with >= best common middles cannot lower best
+                    if mids < best:
+                        # capped at best, the flow's value is the new best
+                        best, _, cut = maximum_flow(adj, x, y, best)
+                        if best < stop:
+                            return Certificate(False, (x, y), best, cut, best)
+            u += 1
+    return Certificate(n > stop, level=best)
 
 
 def certify(G, k):
     """Certify G at level k: strongly k-connected per the |G| > k definition."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    n = G.n
-    if k == 0 or n <= k:
-        return Certificate(n > k)
-    if min(G.out_degrees().min(), G.in_degrees().min()) < k or not _strongly_connected(G):
-        return Certificate(False)
-    if k > 1:
-        net = VertexFlow(G.adj)
-        for x, y in sweep_pairs(net, k):
-            value, _, cut = maximum_flow(G.adj, x, y, k)
-            if value < k:
-                return Certificate(False, (x, y), value, cut)
-    return Certificate(True)
+    return sweep(G, k, k)
 
 
 def is_strongly_k_connected(G, k):
@@ -261,28 +270,7 @@ def is_strongly_k_connected(G, k):
 
 def vertex_connectivity(G):
     """Largest k for which G is strongly k-connected (0 when not strong)."""
-    n = G.n
-    if n <= 1:
-        return 0
-    if not _strongly_connected(G):
-        return 0
-    best = int(min(G.out_degrees().min(), G.in_degrees().min()))
-    best = min(best, n - 1)
-    net = VertexFlow(G.adj)
-    adj = G.adj
-    for u in range(n):
-        # a pair with >= best common middles cannot lower best
-        out2, in2 = net.middles(u)
-        for v in range(n):
-            if v == u:
-                continue
-            if not adj[u, v] and out2[v] < best:
-                best = net.flow_value(u, v, best)
-            if not adj[v, u] and in2[v] < best:
-                best = net.flow_value(v, u, best)
-        if u + 1 > best:
-            break
-    return best
+    return sweep(G).level
 
 
 @dataclass

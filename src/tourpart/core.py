@@ -210,16 +210,12 @@ def transitive_order(T, vertices):
 def reachable_mask(adj, sources, allowed=None):
     """Boolean mask of vertices reachable from ``sources`` inside ``allowed``.
 
-    ``sources`` may be a vertex id or an iterable; sources outside ``allowed``
+    ``sources`` is a vertex id or an index array; sources outside ``allowed``
     are ignored.  Reachability includes the sources themselves.
     """
     n = adj.shape[0]
     seen = np.zeros(n, dtype=bool)
-    if np.isscalar(sources):
-        seen[int(sources)] = True
-    else:
-        for s in sources:
-            seen[int(s)] = True
+    seen[sources] = True
     if allowed is not None:
         seen &= allowed
     frontier = seen.copy()

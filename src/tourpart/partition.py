@@ -2,9 +2,11 @@
 
 ``verify_partition`` is the single gatekeeper: it re-checks, from scratch,
 that both induced subtournaments and the crossing bipartite digraph are
-strongly k-connected, certifying each of the three graphs once.
-``search_partition`` hunts for a partition by seeded random balanced splits
-plus local repair moves and only ever returns verifier-certified results.
+strongly k-connected, with one connectivity sweep of each of the three
+graphs.  ``search_partition`` hunts for a partition by seeded random
+balanced splits plus local repair moves and only ever returns splits that
+the same three sweeps certified; on a rejected split they stop at the
+first pair below k, which steers the repair.
 ``partition`` wires the constructive pipeline and the search together
 behind one entry point.
 """
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .connectivity import VertexFlow, certify, is_strongly_k_connected, vertex_connectivity
+from .connectivity import maximum_flow, sweep
 from .core import bipartite_subdigraph, reachable_mask
 from .pipeline import PipelineError, PipelineParams, pipeline_feasible, run_pipeline
 
@@ -47,19 +49,35 @@ def _split_graph(T, in_v1, which):
     return T.subtournament(v2 if which else v1)
 
 
-def _certified_level(G, k, exact_threshold):
-    """(level, exact) with level >= k iff G is strongly k-connected: the
-    exact kappa up to ``exact_threshold`` vertices, otherwise k or, when k
-    fails, the largest lower level that certifies."""
-    if G.n <= exact_threshold:
-        return vertex_connectivity(G), True
-    for j in range(k, 0, -1):
-        if is_strongly_k_connected(G, j):
-            return j, False
-    return 0, False
+EXACT_THRESHOLD = 150
 
 
-def verify_partition(T, v1, v2, k, exact_threshold=150):
+def _sweep_split(T, in_v1, k, stop, exact_threshold):
+    """Sweep T[V1], T[V2] and T[V1, V2] in order: exact kappa up to
+    ``exact_threshold`` vertices, otherwise min(kappa, k).
+
+    Returns ``(result, None)``, or ``(None, witness)`` when a graph's sweep
+    stops at a pair whose flow falls below ``stop``: the witness is
+    (graph, pair, value, cut) in T ids.
+    """
+    levels = []
+    for which in range(3):
+        G, ids = _split_graph(T, in_v1, which)
+        exact = G.n <= exact_threshold
+        cert = sweep(G, None if exact else k, stop)
+        if not cert.ok:
+            assert cert.pair is not None, "the screens passed a graph below the stop level"
+            x, y = cert.pair
+            return None, (which, (ids[x], ids[y]), cert.value, {ids[c] for c in cert.cut})
+        levels.append((cert.level, exact))
+    return PartitionResult(
+        v1=np.flatnonzero(in_v1).tolist(), v2=np.flatnonzero(~in_v1).tolist(), k=k,
+        verified=all(level >= k for level, _ in levels),
+        connectivity=tuple(level for level, _ in levels),
+        connectivity_exact=all(exact for _, exact in levels)), None
+
+
+def verify_partition(T, v1, v2, k, exact_threshold=EXACT_THRESHOLD):
     """Certify a partition: each side induces a strongly k-connected
     tournament and the crossing digraph is strongly k-connected too.
 
@@ -78,12 +96,7 @@ def verify_partition(T, v1, v2, k, exact_threshold=150):
         raise ValueError("sides do not partition the vertex set")
     in_v1 = np.zeros(T.n, dtype=bool)
     in_v1[s1] = True
-    levels = [_certified_level(_split_graph(T, in_v1, which)[0], k, exact_threshold)
-              for which in range(3)]
-    return PartitionResult(
-        v1=s1, v2=s2, k=k, verified=all(level >= k for level, _ in levels),
-        connectivity=tuple(level for level, _ in levels),
-        connectivity_exact=all(exact for _, exact in levels))
+    return _sweep_split(T, in_v1, k, 0, exact_threshold)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -116,18 +129,6 @@ def _screen_score(T, in_v1, k):
     return score
 
 
-def _witness(T, in_v1, k):
-    """(graph, pair, value, cut) in T ids for the first of the three graphs
-    that fails to certify at k, or None when all three certify."""
-    for which in range(3):
-        G, ids = _split_graph(T, in_v1, which)
-        cert = certify(G, k)
-        if not cert.ok:
-            x, y = cert.pair
-            return which, (ids[x], ids[y]), cert.value, {ids[c] for c in cert.cut}
-    return None
-
-
 def _pair_flow(T, in_v1, which, pair, k):
     """Cut size of one witness pair under the current split, capped at k;
     a pair that left its graph no longer constrains anything."""
@@ -138,7 +139,7 @@ def _pair_flow(T, in_v1, which, pair, k):
     x, y = ids.index(x), ids.index(y)
     if G.adj[x, y]:
         return k
-    return VertexFlow(G.adj).flow_value(x, y, k)
+    return maximum_flow(G.adj, x, y, k)[0]
 
 
 def search_partition(T, k, seed, budget=400):
@@ -179,16 +180,14 @@ def search_partition(T, k, seed, budget=400):
                 score = best[0]
                 in_v1[best[1]] = ~in_v1[best[1]]
                 continue
-            # the verifier certifies the split once; only a rejected split
-            # pays for the witness that steers the repair
-            res = verify_partition(T, np.flatnonzero(in_v1), np.flatnonzero(~in_v1), k)
-            if res.verified:
+            # one sweep per graph certifies the split, and a rejected split
+            # stops at the pair that steers the repair
+            res, viol = _sweep_split(T, in_v1, k, k, EXACT_THRESHOLD)
+            if res is not None:
                 res.mode = "search"
                 res.seed = seed
                 res.params_fingerprint = f"search-{budget}"
                 return res
-            viol = _witness(T, in_v1, k)
-            assert viol is not None, "the verifier rejected a split that certifies at k"
             which, pair, value, cut = viol
             pool = sorted(cut | set(map(int, rng.integers(0, n, size=8))))
             best = None

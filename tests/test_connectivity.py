@@ -1,3 +1,4 @@
+import importlib
 import itertools
 
 import numpy as np
@@ -32,6 +33,26 @@ def test_examples(c3, t4, paley7):
     assert vertex_connectivity(t4) == 0
     assert vertex_connectivity(c3) == 1
     assert vertex_connectivity(paley7) == 3
+
+
+def test_kappa_sweeps_only_the_first_kappa_vertices(paley7, monkeypatch):
+    # Even's bound: once the pairs at the first kappa vertices are swept,
+    # kappa is known; Paley-7 has kappa 3 and six unsettled pairs per vertex
+    connectivity = importlib.import_module("tourpart.connectivity")
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(connectivity, "maximum_flow",
+                        counting("flow", connectivity.maximum_flow))
+    monkeypatch.setattr(connectivity.VertexFlow, "middles",
+                        counting("middles", connectivity.VertexFlow.middles))
+    assert vertex_connectivity(paley7) == 3
+    assert calls.count("middles") == 3 and calls.count("flow") == 18
 
 
 def test_small_size_clause():

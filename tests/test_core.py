@@ -14,7 +14,7 @@ from tourpart import (
     transitive_order,
     tournament_from_edges,
 )
-from tourpart.core import bfs_parity_path, bfs_shortest_path
+from tourpart.core import bfs_parity_path, bfs_shortest_path, reachable_mask
 from tourpart.generators import paley_tournament, random_tournament, transitive_tournament
 
 
@@ -126,6 +126,26 @@ def test_bfs_shortest_paths_are_backwards_transitive(rand):
         p = bfs_shortest_path(T.adj, int(x), int(y))
         if p is not None:
             assert is_backwards_transitive(T, p)
+
+
+@pytest.mark.parametrize("sources", [4, np.array([4, 11, 0])])
+def test_reachable_mask_matches_a_search_by_hand(sources):
+    # vertex 0 lies outside ``allowed``, so as a source it is ignored there
+    rng = np.random.default_rng(1)
+    adj = rng.random((16, 16)) < 0.12
+    np.fill_diagonal(adj, False)
+    allowed = rng.random(16) < 0.7
+    allowed[[4, 11]], allowed[0] = True, False
+    for ok in (np.ones(16, dtype=bool), allowed):
+        seen = {s for s in np.atleast_1d(sources).tolist() if ok[s]}
+        stack = list(seen)
+        while stack:
+            for w in np.flatnonzero(adj[stack.pop()] & ok).tolist():
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        got = reachable_mask(adj, sources, None if ok.all() else ok)
+        assert set(np.flatnonzero(got).tolist()) == seen
 
 
 def test_transitive_order(t4, c3):

@@ -8,12 +8,13 @@ reported connectivity changes them.
 
 import hashlib
 import importlib
+import itertools
 import json
 
 import numpy as np
 
 from oracles import all_tournaments, brute_strong_k
-from tourpart.connectivity import certify, vertex_connectivity
+from tourpart.connectivity import certify, sweep, vertex_connectivity
 from tourpart.core import Tournament, bipartite_subdigraph, reachable_mask
 from tourpart.generators import random_tournament
 from tourpart.partition import search_partition, verify_partition
@@ -69,12 +70,25 @@ def _planted(n, f, seed):
     return Tournament(adj)
 
 
-def test_search_repairs_are_pinned():
+def test_search_repairs_are_pinned(monkeypatch):
     # splits that pass the degree and reachability screens but fail a flow,
-    # so the search repairs around witness cuts (and gives up when f < 4)
+    # so the search repairs around witness cuts (and gives up when f < 4);
+    # a rejected split sweeps each graph at most once and stops at its
+    # witness (1,938 flows; sweeping every graph in full cost 25,615)
+    flows = []
+    flow = importlib.import_module("tourpart.connectivity").maximum_flow
+
+    def counting(*args):
+        flows.append(args[1:3])
+        return flow(*args)
+
+    for module in ("connectivity", "partition"):
+        monkeypatch.setattr(importlib.import_module(f"tourpart.{module}"), "maximum_flow",
+                            counting)
     results = [search_partition(_planted(40, f, seed), 2, seed=seed, budget=150)
                for f in (2, 4, 5) for seed in range(3)]
     assert _digest(results) == REPAIR_DIGEST
+    assert len(flows) <= 2100
 
 
 def test_pipeline_verdicts_are_pinned():
@@ -224,12 +238,22 @@ def _small_graphs():
             yield bipartite_subdigraph(T, np.flatnonzero(side), np.flatnonzero(~side))[0]
 
 
+def _assert_sweeps_agree(G, k, kappa, cert):
+    """The uncapped sweep stops at certify's pair, value and cut, and the
+    sweep capped at k reads min(kappa, k)."""
+    stopped = sweep(G, None, k)
+    assert (stopped.ok, stopped.pair, stopped.value, stopped.cut) == \
+        (cert.ok, cert.pair, cert.value, cert.cut), (G.adj.tolist(), k)
+    assert sweep(G, k).level == min(kappa, k)
+
+
 def test_certify_agrees_with_the_definition_and_its_cuts_separate():
     witnessed = 0
     for G in _small_graphs():
         kappa = vertex_connectivity(G)
         for k in range(5):
             cert = certify(G, k)
+            _assert_sweeps_agree(G, k, kappa, cert)
             assert cert.ok == brute_strong_k(G, k) == (kappa >= k), (G.adj.tolist(), k)
             if cert.pair is None:
                 continue
@@ -244,25 +268,43 @@ def test_certify_agrees_with_the_definition_and_its_cuts_separate():
     assert witnessed >= 50
 
 
-def test_verify_certifies_each_graph_once(monkeypatch):
-    connectivity = importlib.import_module("tourpart.connectivity")
-    partition_module = importlib.import_module("tourpart.partition")
+def test_certify_matches_the_uncapped_sweep_on_planted_graphs():
+    # weak spots of f vertices, in tournaments and in their split graphs
+    failing = 0
+    for n, f in itertools.product(range(20, 41, 5), range(1, 5)):
+        T = _planted(n, f, n + f)
+        in_v1 = np.random.default_rng(f).permutation(n) < n // 2
+        v1, v2 = np.flatnonzero(in_v1), np.flatnonzero(~in_v1)
+        for G in (T, T.subtournament(v1)[0], T.subtournament(v2)[0],
+                  bipartite_subdigraph(T, v1, v2)[0]):
+            kappa = vertex_connectivity(G)
+            for k in range(1, 6):
+                cert = certify(G, k)
+                _assert_sweeps_agree(G, k, kappa, cert)
+                failing += cert.pair is not None
+    assert failing >= 30
+
+
+def _count_sweeps(monkeypatch):
+    """A list of the graphs swept, through the connectivity and the
+    partition bindings of ``sweep``."""
     seen = []
 
-    def counting(fn):
-        def wrapped(G, *args):
-            seen.append(G)
-            return fn(G, *args)
-        return wrapped
+    def counting(G, *args):
+        seen.append(G)
+        return sweep(G, *args)
 
-    monkeypatch.setattr(connectivity, "certify", counting(connectivity.certify))
-    monkeypatch.setattr(partition_module, "certify", counting(partition_module.certify))
-    monkeypatch.setattr(partition_module, "vertex_connectivity",
-                        counting(partition_module.vertex_connectivity))
+    for module in ("connectivity", "partition"):
+        monkeypatch.setattr(importlib.import_module(f"tourpart.{module}"), "sweep", counting)
+    return seen
+
+
+def test_verify_certifies_each_graph_once(monkeypatch):
+    seen = _count_sweeps(monkeypatch)
     T = random_tournament(40, 31415)
     found = search_partition(T, 2, seed=0)
     assert found is not None
-    for threshold in (150, 0):  # exact kappa, then one certify at k
+    for threshold in (150, 0):  # exact kappa, then one sweep capped at k
         seen.clear()
         res = verify_partition(T, found.v1, found.v2, 2, exact_threshold=threshold)
         assert res.verified and res.connectivity_exact == (threshold > 0)
@@ -270,22 +312,9 @@ def test_verify_certifies_each_graph_once(monkeypatch):
 
 
 def test_search_certifies_a_successful_split_once(monkeypatch):
-    # the first split of this draw that passes the screens certifies: the
-    # verifier proves its three graphs, and no witness certifies them again
-    connectivity = importlib.import_module("tourpart.connectivity")
-    partition_module = importlib.import_module("tourpart.partition")
-    seen = []
-
-    def counting(fn):
-        def wrapped(G, *args):
-            seen.append(G)
-            return fn(G, *args)
-        return wrapped
-
-    for module, name in ((connectivity, "certify"), (partition_module, "certify"),
-                         (partition_module, "vertex_connectivity"),
-                         (partition_module, "is_strongly_k_connected")):
-        monkeypatch.setattr(module, name, counting(getattr(module, name)))
+    # the first split of this draw that passes the screens certifies: one
+    # sweep per graph proves it and reports its connectivity
+    seen = _count_sweeps(monkeypatch)
     found = search_partition(random_tournament(40, 31415), 2, seed=0)
     assert found is not None and found.verified
     assert len(seen) == 3
