@@ -212,31 +212,10 @@ def cmd_subdivide(args):
 
 
 def _params_from_file(path, k):
-    fields = {f.name: f for f in dataclasses.fields(PipelineParams)}
-    values = {}
-    try:
-        with open(path) as fh:
-            for lineno, raw in enumerate(fh, 1):
-                text = raw.strip()
-                if not text or text.startswith("#"):
-                    continue
-                if "=" not in text:
-                    raise InputError(f"{path}:{lineno}: expected key=value")
-                key, _, val = text.partition("=")
-                key, val = key.strip(), val.strip()
-                if key not in fields:
-                    raise InputError(f"{path}:{lineno}: unknown parameter {key!r}")
-                if key == "strict":
-                    values[key] = val.lower() in ("1", "true", "yes")
-                elif key == "budget" and val.lower() == "none":
-                    values[key] = None
-                else:
-                    try:
-                        values[key] = int(val)
-                    except ValueError:
-                        raise InputError(f"{path}:{lineno}: bad value for {key}") from None
-    except OSError as exc:
-        raise InputError(f"{path}: {exc.strerror}") from None
+    parsers = {f.name: int for f in dataclasses.fields(PipelineParams)}
+    parsers["budget"] = lambda val: None if val.lower() == "none" else int(val)
+    parsers["strict"] = _parse_flag
+    values = _read_key_values(path, parsers)
     if "k" in values and values["k"] != k:
         raise InputError(f"params file pins k={values['k']} but --k is {k}")
     base = PipelineParams.relaxed(k)
@@ -331,39 +310,49 @@ def _parse_seeds(val):
     return list(range(int(val)))
 
 
-def _read_experiment_config(path):
-    cfg = {"kind": ["random"], "n": [], "k": [], "mode": "search",
-           "seeds": [], "budget": 400}
+def _parse_flag(val):
+    # tuple.index raises ValueError for a word outside the list
+    return ("true", "yes", "1", "false", "no", "0").index(val.lower()) < 3
+
+
+def _one_of(*options):
+    """A parser that accepts only ``options``."""
+    return lambda val: options[options.index(val)]
+
+
+def _read_key_values(path, parsers):
+    """The ``key=value`` lines of a file (blank lines and ``#`` comments
+    skipped), each value converted by the parser of its key; every error
+    names the file and line."""
+    values = {}
     try:
         with open(path) as fh:
             for lineno, raw in enumerate(fh, 1):
                 text = raw.strip()
                 if not text or text.startswith("#"):
                     continue
-                if "=" not in text:
+                key, eq, val = (t.strip() for t in text.partition("="))
+                if not eq:
                     raise InputError(f"{path}:{lineno}: expected key=value")
-                key, _, val = text.partition("=")
-                key, val = key.strip(), val.strip()
-                if key == "kind":
-                    kinds = [t.strip() for t in val.split(",") if t.strip()]
-                    for t in kinds:
-                        if t not in ("random", "transitive", "paley"):
-                            raise InputError(f"{path}:{lineno}: unknown kind {t!r}")
-                    cfg["kind"] = kinds
-                elif key in ("n", "k"):
-                    cfg[key] = _parse_int_list(val)
-                elif key == "seeds":
-                    cfg["seeds"] = _parse_seeds(val)
-                elif key == "mode":
-                    if val not in ("auto", "pipeline", "search"):
-                        raise InputError(f"{path}:{lineno}: unknown mode {val!r}")
-                    cfg["mode"] = val
-                elif key == "budget":
-                    cfg["budget"] = int(val)
-                else:
+                if key not in parsers:
                     raise InputError(f"{path}:{lineno}: unknown key {key!r}")
+                try:
+                    values[key] = parsers[key](val)
+                except ValueError:
+                    raise InputError(f"{path}:{lineno}: bad value {val!r} for {key}") from None
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror}") from None
+    return values
+
+
+def _read_experiment_config(path):
+    kind = _one_of("random", "transitive", "paley")
+    cfg = {"kind": ["random"], "n": [], "k": [], "mode": "search",
+           "seeds": [], "budget": 400}
+    cfg.update(_read_key_values(path, {
+        "kind": lambda val: [kind(t.strip()) for t in val.split(",") if t.strip()],
+        "n": _parse_int_list, "k": _parse_int_list, "seeds": _parse_seeds,
+        "mode": _one_of("auto", "pipeline", "search"), "budget": int}))
     return cfg
 
 

@@ -15,9 +15,11 @@ from y, then for any vertex u outside F, F separates u from y or x from u.
 Among the first |F| + 1 vertices one lies outside F, so once the pairs
 incident to the first ``best`` vertices are swept and none fell below
 ``best``, no cut smaller than ``best`` exists.  The sweep therefore visits
-the pairs at vertex u only while u < best, and ends with min(kappa,
-ceiling).  With a ``stop`` level it returns at the first pair whose flow
-falls below ``stop``: ``certify(G, k)`` is ``sweep(G, k, k)``, and
+the pairs at vertex u only while u < best, skips those whose other end
+v < u was visited before (a flow capped at an earlier, larger best already
+bounds them by the running best), and ends with min(kappa, ceiling).  With
+a ``stop`` level it returns at the first pair whose flow falls below
+``stop``: ``certify(G, k)`` is ``sweep(G, k, k)``, and
 ``vertex_connectivity(G)`` is ``sweep(G).level``.
 
 Most swept pairs need no flow at all.  Paths x->w->y through distinct
@@ -242,9 +244,10 @@ def sweep(G, ceiling=None, stop=0):
         u = 0
         while u < best:
             out2, in2 = net.middles(u)
-            # an arc, like n common middles, settles its pair
+            # an arc, like n common middles, settles its pair, and so does
+            # a pair (u, v) or (v, u) with v < u, which the sweep at v visited
             out2[adj[u]] = in2[adj[:, u]] = n
-            out2[u] = in2[u] = n
+            out2[:u + 1] = in2[:u + 1] = n
             vs = np.flatnonzero((out2 < best) | (in2 < best))
             for v, o, i in zip(vs.tolist(), out2[vs].tolist(), in2[vs].tolist()):
                 for x, y, mids in ((u, v, o), (v, u, i)):

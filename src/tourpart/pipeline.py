@@ -31,9 +31,8 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .connectivity import LinkageRequest, find_disjoint_paths
+from .connectivity import VertexFlow
 from .core import (
-    Verdict,
     bfs_parity_path,
     bfs_shortest_path,
     is_backwards_transitive,
@@ -46,6 +45,7 @@ from .safety import ALPHA, BETA, Coloring, SafetyContext, all_colored_safe
 
 MONO_A, MONO_B, ALT_AA, ALT_BB, ALT_AB, ALT_BA = range(6)
 _CLASS_PARITY = {ALT_AA: 0, ALT_BB: 0, ALT_AB: 1, ALT_BA: 1}
+_MONO_COLOR = {MONO_A: ALPHA, MONO_B: BETA}
 
 
 class PipelineError(Exception):
@@ -454,24 +454,17 @@ def _collect_short_connectors(state):
 def find_connector_paths(state):
     """Build all 6r connector paths (stage 3) and color the bundle scaffolding."""
     stage = "connectors"
-    T, k, col, params = state.T, state.k, state.coloring, state.params
-    L = params.short_cap
+    T, col = state.T, state.coloring
+    L = state.params.short_cap
 
     shorts = _collect_short_connectors(state)
     state.short_idx = sorted(shorts)
     state.long_idx = [i for i in range(state.total) if i not in shorts]
     state.connectors = dict(shorts)
 
-    interiors = [v for p in shorts.values() for v in p[1:-1]]
     for i, p in shorts.items():
-        cls = state.klass(i)
-        if cls == MONO_A:
-            col.assign(p[1:-1], ALPHA)
-        elif cls == MONO_B:
-            col.assign(p[1:-1], BETA)
-        else:
-            _color_alternating_interior(state, p)
-    extend_coloring_safely(state, interiors)
+        _color_connector(state, i, p)
+    extend_coloring_safely(state, [v for p in shorts.values() for v in p[1:-1]])
 
     # repeatedly burn any remaining nontrivial short connector route for the
     # long indices, so only the direct edge or genuinely long routes survive
@@ -506,8 +499,6 @@ def find_connector_paths(state):
         _audit_bundles(state)
         _place_hubs(state)
         _color_bundles(state)
-    else:
-        state.bulk = set()
     state.snapshot("connectors")
     _audit_connectors(state)
 
@@ -523,8 +514,8 @@ def _bundle_allowed(state, i, used):
 
 def _build_bundles(state):
     """For each long index, collect ``bundle_size`` internally disjoint
-    nontrivial connector paths: greedy shortest-path peeling first, exact
-    flow solver as fallback."""
+    nontrivial connector paths: greedy shortest-path peeling first, the
+    flow kernel when the peeling falls short."""
     stage = "connector_bundles"
     T, params = state.T, state.params
     want = params.bundle_size
@@ -541,20 +532,17 @@ def _build_bundles(state):
             for v in p[1:-1]:
                 allowed[v] = False
         if len(paths) < want:
-            # greedy peeling is not exhaustive; hand the index to the exact solver
-            base_allowed = _bundle_allowed(state, i, used)
-            count = want + (1 if T.adj[b, a] else 0)
-            req = LinkageRequest([(b, a)] * count,
-                                 forbidden=frozenset(np.flatnonzero(~base_allowed).tolist())
-                                 - {b, a})
-            res = find_disjoint_paths(T, req)
-            candidates = [p for p in (res.paths or []) if len(p) > 2]
-            if res.status != Verdict.FOUND or len(candidates) < want:
-                state.require(stage, False,
-                              f"index {i}: only {max(len(paths), len(candidates))} disjoint "
-                              f"connector routes available, bundle needs {want}",
-                              kind="budget")
-            paths = candidates[:want]
+            # greedy peeling is not exhaustive; a maximum flow finds the most
+            # nontrivial routes, so the arc b->a is left out of its network
+            allowed = _bundle_allowed(state, i, used)
+            allowed[b] = allowed[a] = True
+            sub = T.adj & allowed[:, None] & allowed[None, :]
+            sub[b, a] = False
+            _, routes, _ = VertexFlow(sub).paths_and_cut(b, a)
+            state.require(stage, len(routes) >= want,
+                          f"index {i}: only {len(routes)} disjoint connector routes "
+                          f"available, bundle needs {want}", kind="budget")
+            paths = sorted(routes, key=len)[:want]
         state.bundles[i] = paths
         for p in paths:
             used.update(p[1:-1])
@@ -626,7 +614,11 @@ def _bundle_interior_mask(state):
 
 
 def _segment_positions(length, k):
-    """Position ranges of the nine interior segments of a bundle path."""
+    """Position ranges of the nine interior segments of a bundle path of
+    ``length`` edges.  Segments 1-4 sit at fixed offsets from the front and
+    6-9 at fixed offsets from the back; segment 5, the middle, takes the
+    rest.  This is the one source of the layout: the hubs, the splice
+    points, the bundle coloring and the bulk pool all read it."""
     assert length >= 10 * k + 10
     return {
         1: range(1, k + 1),
@@ -710,63 +702,50 @@ def _splice_long_connectors(state):
     stage = "connector_splice"
     T, k, col = state.T, state.k, state.coloring
     adj = T.adj
+    # the splice points: the first vertex of segments 3 and 5 from the front,
+    # the last of segment 7 from the back; the shortest layout names them
+    # for every length
+    shortest = 10 * k + 10
+    segs = _segment_positions(shortest, k)
+    q3, q5, q7 = segs[3][0], segs[5][0], segs[7][-1] - shortest - 1
     for i in state.long_idx:
         paths = state.bundles[i]
         b, a = state.tips(i)
         clean = [j for j, p in enumerate(paths)
                  if not any(col.is_colored(v) for v in p[1:-1])]
-        cls = state.klass(i)
-        parity = _CLASS_PARITY.get(cls)
-
-        def q3_first(j):
-            return paths[j][2 * k + 1]
-
-        def q5_first(j):
-            return paths[j][5 * k + 5]
-
-        def q7_last(j):
-            return paths[j][len(paths[j]) - 1 - 2 * k - 1]
-
-        if cls in (MONO_A, MONO_B):
+        parity = _CLASS_PARITY.get(state.klass(i))
+        if parity is None:
             state.require(stage, len(clean) >= 5,
                           f"index {i}: only {len(clean)} untouched bundle paths, "
                           f"splice needs 5", kind="budget")
             five = clean[:5]
-            ends = [q7_last(j) for j in five]
-            sub = adj[np.ix_(ends, ends)]
-            deg = sub.sum(axis=1)
-            big = [five[t] for t in range(5) if deg[t] >= 2]
+            ends = [paths[j][q7] for j in five]
+            deg = adj[np.ix_(ends, ends)].sum(axis=1)
+            big = [j for j, d in zip(five, deg) if d >= 2]
             state.require(stage, len(big) >= 2, f"index {i}: endpoint tournament degenerate")
-            s1, s2 = big[0], big[1]
-            if not adj[q3_first(s1), q3_first(s2)]:
+            s1, s2 = big[:2]
+            if not adj[paths[s1][q3], paths[s2][q3]]:
                 s1, s2 = s2, s1
-            s3 = None
-            for j in five:
-                if j not in (s1, s2) and adj[q7_last(s2), q7_last(j)]:
-                    s3 = j
-                    break
+            s3 = next((j for j in five
+                       if j not in (s1, s2) and adj[paths[s2][q7], paths[j][q7]]), None)
             state.require(stage, s3 is not None, f"index {i}: no third splice partner")
             p1, p2, p3 = paths[s1], paths[s2], paths[s3]
-            path = ([b] + p1[1:2 * k + 1] + [p1[2 * k + 1]]
-                    + p2[2 * k + 1:len(p2) - 1 - 2 * k - 1 + 1]
-                    + [p3[len(p3) - 1 - 2 * k - 1]] + p3[len(p3) - 2 * k - 1:-1] + [a])
+            path = p1[:q3 + 1] + p2[q3:q7 + 1] + p3[q7:]
             state.splices[i] = (s1, s2, s3)
         else:
             state.require(stage, len(clean) >= 2,
                           f"index {i}: only {len(clean)} untouched bundle paths, "
                           f"needs 2", kind="budget")
-            s1, s2 = clean[0], clean[1]
-            if (len(paths[s1]) - 1) % 2 == parity:
-                path = paths[s1]
-                state.splices[i] = (s1,)
-            elif (len(paths[s2]) - 1) % 2 == parity:
-                path = paths[s2]
-                state.splices[i] = (s2,)
+            s1, s2 = clean[:2]
+            fits = [j for j in (s1, s2) if (len(paths[j]) - 1) % 2 == parity]
+            if fits:
+                path = paths[fits[0]]
+                state.splices[i] = (fits[0],)
             else:
-                if not adj[q5_first(s1), q5_first(s2)]:
+                if not adj[paths[s1][q5], paths[s2][q5]]:
                     s1, s2 = s2, s1
                 p1, p2 = paths[s1], paths[s2]
-                path = p1[:5 * k + 5 + 1] + p2[5 * k + 5:]
+                path = p1[:q5 + 1] + p2[q5:]
                 state.splices[i] = (s1, s2)
             state.require(stage, (len(path) - 1) % 2 == parity,
                           f"index {i}: spliced path has the wrong parity")
@@ -779,24 +758,24 @@ def _color_bundles(state):
     """The final bundle coloring: connector interiors by class, scaffold
     segments by the fixed pattern, hub segments already colored, and all
     remaining bundle middles alpha (they form the bulk pool)."""
-    T, k, col = state.T, state.k, state.coloring
-    hub_idx = state.hub_alpha_idx | state.hub_beta_idx
+    k, col = state.k, state.coloring
 
     # hubs first: alpha/beta blocks plus alternating mid segments
     col.assign(state.hub_alpha, ALPHA)
     col.assign(state.hub_beta, BETA)
-    for (i, j) in sorted(hub_idx):
+    mids = set()
+    for (i, j) in sorted(state.hub_alpha_idx | state.hub_beta_idx):
         p = state.bundles[i][j]
         segs = _segment_positions(len(p) - 1, k)
         for s in (4, 6):
             verts = [p[pos] for pos in segs[s]]
             col.assign(verts[0::2], ALPHA)
             col.assign(verts[1::2], BETA)
+            mids.update(verts)
     # protect every bundle vertex from the extension grabs, not only the
     # scaffold segments: desk-scale bundles are narrow and splicing needs
     # untouched paths to survive
     on_bundles = {v for paths in state.bundles.values() for p in paths for v in p[1:-1]}
-    mids = _hub_mid_vertices(state)
     group = state.hub_alpha | state.hub_beta | mids
     extend_coloring_safely(state, group, protected=frozenset(on_bundles - group))
     state.snapshot("hubs")
@@ -804,36 +783,23 @@ def _color_bundles(state):
                   "hub audit: some colored vertex is unsafe")
 
     _splice_long_connectors(state)
+    for i in state.long_idx:
+        _color_connector(state, i, state.connectors[i])
 
     for i in state.long_idx:
-        cls = state.klass(i)
-        path = state.connectors[i]
-        interior = [v for v in path[1:-1] if not col.is_colored(v)]
-        if cls == MONO_A:
-            col.assign(interior, ALPHA)
-        elif cls == MONO_B:
-            col.assign(interior, BETA)
-        else:
-            _color_alternating_interior(state, path)
-
-    for i in state.long_idx:
-        cls = state.klass(i)
-        b, a = state.tips(i)
+        mono = _MONO_COLOR.get(state.klass(i))
+        cb, ca = (col.of(t) for t in state.tips(i))
         for p in state.bundles[i]:
             length = len(p) - 1
             segs = _segment_positions(length, k)
-            if cls in (MONO_A, MONO_B):
-                outerc = ALPHA if cls == MONO_A else BETA
-                innerc = 1 - outerc
-                for s, color in ((1, outerc), (9, outerc), (2, innerc), (3, innerc),
-                                 (7, innerc), (8, innerc)):
+            state.bulk.update(p[pos] for pos in segs[5])
+            if mono is not None:
+                pattern = {1: mono, 9: mono, 2: 1 - mono, 3: 1 - mono, 7: 1 - mono,
+                           8: 1 - mono, 4: ALPHA, 6: ALPHA}
+                for s, color in pattern.items():
                     col.assign([p[pos] for pos in segs[s] if not col.is_colored(p[pos])],
                                color)
-                for s in (4, 6):
-                    col.assign([p[pos] for pos in segs[s] if not col.is_colored(p[pos])],
-                               ALPHA)
             else:
-                cb, ca = col.of(b), col.of(a)
                 front = [pos for s in (1, 2, 3, 4) for pos in segs[s]]
                 back = [pos for s in (6, 7, 8, 9) for pos in segs[s]]
                 for pos in front:
@@ -844,24 +810,18 @@ def _color_bundles(state):
                     v = p[pos]
                     if not col.is_colored(v):
                         col.assign([v], ca if (length - pos) % 2 == 0 else 1 - ca)
-
-    bulk = set()
-    for i, paths in state.bundles.items():
-        for p in paths:
-            segs = _segment_positions(len(p) - 1, k)
-            bulk.update(p[pos] for pos in segs[5])
-    state.bulk = bulk
-    col.assign([v for v in sorted(bulk) if not col.is_colored(v)], ALPHA)
+    col.assign([v for v in sorted(state.bulk) if not col.is_colored(v)], ALPHA)
 
 
-def _hub_mid_vertices(state):
-    k = state.k
-    verts = set()
-    for (i, j) in state.hub_alpha_idx | state.hub_beta_idx:
-        p = state.bundles[i][j]
-        segs = _segment_positions(len(p) - 1, k)
-        verts.update(p[pos] for s in (4, 6) for pos in segs[s])
-    return verts
+def _color_connector(state, i, path):
+    """Color the uncolored interior of the i-th connector by its class: all
+    alpha or all beta for the monochromatic classes, alternating otherwise."""
+    col = state.coloring
+    mono = _MONO_COLOR.get(state.klass(i))
+    if mono is None:
+        _color_alternating_interior(state, path)
+    else:
+        col.assign([v for v in path[1:-1] if not col.is_colored(v)], mono)
 
 
 def _color_alternating_interior(state, path):
@@ -911,7 +871,7 @@ def _audit_connectors(state):
             state.require(stage, all(labs[t] != labs[t + 1] for t in range(len(p) - 1)),
                           f"connector {i} is not alternating")
         else:
-            want = ALPHA if cls == MONO_A else BETA
+            want = _MONO_COLOR[cls]
             state.require(stage, all(col.of(v) == want for v in p),
                           f"connector {i} is not monochromatic")
     state.require(stage, all_colored_safe(state.ctx()),

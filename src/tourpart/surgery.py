@@ -34,6 +34,7 @@ def shortest_path_avoiding(T, x, y, forbidden=()):
     if x == y:
         raise ValueError("endpoints must differ")
     blocked = {int(u) for u in forbidden}
+    _check_ids(T, [x, y, *sorted(blocked)])
     if x in blocked or y in blocked:
         raise ValueError("endpoints may not be forbidden")
     allowed = np.ones(T.n, dtype=bool)
@@ -43,6 +44,13 @@ def shortest_path_avoiding(T, x, y, forbidden=()):
     if path is not None:
         assert is_backwards_transitive(T, path), "shortest path has a forward chord"
     return path
+
+
+def _check_ids(T, ids):
+    """Raise ValueError unless every id in ``ids`` names a vertex of T."""
+    for v in ids:
+        if not 0 <= v < T.n:
+            raise ValueError(f"vertex {v} out of range 0..{T.n - 1}")
 
 
 @dataclass
@@ -192,6 +200,7 @@ def spanning_linkage(T, pairs, seed=0, ham_budget=300_000):
     k = len(pairs)
     if k == 0:
         raise ValueError("at least one pair required")
+    _check_ids(T, [v for p in pairs for v in p])
     for x, y in pairs:
         if x == y:
             raise ValueError("pair endpoints must differ")

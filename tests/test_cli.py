@@ -143,6 +143,18 @@ def test_link_rejected_pair_is_an_input_error(tmp_path, capsys):
     assert "equal endpoints" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [("carve", "0", "99"), ("carve", "0", "5", "--avoid", "99"),
+                                  ("carve", "-1", "5"),
+                                  ("link", "--pairs", "0:99", "--spanning", "--seed", "1")])
+def test_foreign_vertex_id_is_an_input_error(tmp_path, capsys, argv):
+    r = tmp_path / "r12.txt"
+    run_cli("gen", "--kind", "random", "--n", "12", "--seed", "1", "--out", str(r))
+    code, _ = run_cli(argv[0], str(r), *argv[1:])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "Traceback" not in err and err.count("\n") == 1 and "out of range" in err
+
+
 def test_link_two_pairs_coverage(tmp_path):
     r = tmp_path / "r40.txt"
     run_cli("gen", "--kind", "random", "--n", "40", "--seed", "13", "--out", str(r))
@@ -302,6 +314,25 @@ def test_experiment_bad_config(tmp_path):
     cfg.write_text("zzz=1\n")
     code, _ = run_cli("experiment", str(cfg))
     assert code == 3
+
+
+def test_experiment_bad_value_names_its_line(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("n=30\nbudget=abc\n")
+    code, _ = run_cli("experiment", str(cfg))
+    assert code == 3
+    assert f"{cfg}:2: bad value 'abc' for budget" in capsys.readouterr().err
+
+
+def test_params_file_rejects_a_flag_that_is_not_boolean(tmp_path, capsys):
+    r = tmp_path / "r40.txt"
+    run_cli("gen", "--kind", "random", "--n", "40", "--seed", "3", "--out", str(r))
+    params = tmp_path / "params.txt"
+    params.write_text("# relaxed\nstrict=maybe\n")
+    code, _ = run_cli("partition", str(r), "--k", "1", "--seed", "0",
+                      "--mode", "pipeline", "--params-file", str(params))
+    assert code == 3
+    assert f"{params}:2: bad value 'maybe' for strict" in capsys.readouterr().err
 
 
 def test_console_entry_point():

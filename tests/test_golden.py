@@ -27,7 +27,7 @@ from tourpart.pipeline import (
     _shortcut_bundles,
     run_pipeline,
 )
-from tourpart.safety import ALPHA, UNCOLORED, Coloring, SafetyContext, is_safe, safety_scan
+from tourpart.safety import ALPHA, BETA, UNCOLORED, Coloring, SafetyContext, is_safe, safety_scan
 from test_pipeline import _bundle_state, _planted_instance
 
 pipeline_module = importlib.import_module("tourpart.pipeline")
@@ -39,6 +39,7 @@ SPLIT_DIGEST = "980bc7bc62d361d7"
 REPAIR_DIGEST = "26f3927b3f490fb6"
 FAMILY_DIGEST = "f0ad5af5eb075d74"
 BUNDLE_DIGEST = "29d9e4ed9b6753d1"
+OTHER_CLASSES_DIGEST = "5c59e80646d1ae5e"
 SAFETY_DIGEST = "38dc838f183b05f2"
 
 
@@ -143,15 +144,15 @@ def test_pipeline_makes_no_tournament_copies(monkeypatch):
     assert calls == []
 
 
-def test_long_connector_runs_are_pinned():
-    # the planted instances are the only ones that reach the bundles, hubs
-    # and splices: the alternating class (a single bundle path of the right
-    # parity) and the monochromatic class (a three-way splice)
+def _long_connector_digest(runs):
+    """Run the bundle stages on planted instances, one (paths, index, color
+    of b, color of a) per run; the digest of what each run colored and chose."""
     rows = []
-    for paths, index in ((6, 2), (9, 0)):
+    for paths, index, b_color, a_color in runs:
         T, b, a, _ = _planted_instance(paths, 21, early=550, late=230)
         state = _bundle_state(T, b, a, index, bundle_size=paths)
-        state.coloring.assign([b, a], ALPHA)
+        state.coloring.assign([b], b_color)
+        state.coloring.assign([a], a_color)
         for stage in (_build_bundles, _shortcut_bundles, _audit_bundles, _place_hubs,
                       _color_bundles):
             stage(state)
@@ -162,7 +163,22 @@ def test_long_connector_runs_are_pinned():
                      sorted(state.hub_alpha_idx), sorted(state.hub_beta_idx),
                      sorted(state.bulk),
                      {i: ps for i, ps in sorted(state.bundles.items())}])
-    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16] == BUNDLE_DIGEST
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16]
+
+
+def test_long_connector_runs_are_pinned():
+    # the planted instances are the only ones that reach the bundles, hubs
+    # and splices: the alternating class (a two-way splice) and the
+    # monochromatic class (a three-way splice)
+    assert _long_connector_digest([(6, 2, ALPHA, ALPHA), (9, 0, ALPHA, ALPHA)]) == BUNDLE_DIGEST
+
+
+def test_other_long_connector_classes_are_pinned():
+    # ALT_AB and ALT_BA (tips of opposite colors) take a single bundle path
+    # of the right parity; MONO_B (both tips beta) colors its splice and
+    # scaffold with the colors of MONO_A swapped
+    runs = [(6, 4, ALPHA, BETA), (6, 5, BETA, ALPHA), (9, 1, BETA, BETA)]
+    assert _long_connector_digest(runs) == OTHER_CLASSES_DIGEST
 
 
 def test_flow_safety_tables_are_pinned():

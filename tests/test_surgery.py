@@ -26,6 +26,13 @@ def test_shortest_path_examples(c3, t4):
         shortest_path_avoiding(c3, 1, 1)
 
 
+@pytest.mark.parametrize("x, y, forbidden", [(0, 3, ()), (-1, 2, ()), (0, 2, (3,)),
+                                             (0, 2, (-1,))])
+def test_shortest_path_rejects_foreign_ids(c3, x, y, forbidden):
+    with pytest.raises(ValueError, match="out of range"):
+        shortest_path_avoiding(c3, x, y, forbidden)
+
+
 def test_carve_keep_semantics(t4):
     res = remove_nonseparating_path(t4, 0, 3, keep=(0, 3))
     assert res.path == [0, 3]
@@ -171,3 +178,6 @@ def test_spanning_validation(t4):
         spanning_linkage(t4, [(0, 0)])
     with pytest.raises(ValueError):
         spanning_linkage(t4, [(0, 1), (0, 1)])
+    for pairs in ([(0, 4)], [(-1, 2)], [(0, 1), (2, 9)]):
+        with pytest.raises(ValueError, match="out of range"):
+            spanning_linkage(t4, pairs)
