@@ -109,6 +109,8 @@ def cmd_gen(args):
 
 def cmd_analyze(args):
     T = _load_tournament(args.path)
+    if args.linked is not None and T.n > 10:
+        raise InputError("exhaustive linkedness checking is limited to n <= 10")
     din, dout = T.in_degrees(), T.out_degrees()
     kappa = vertex_connectivity(T)
     print(f"n: {T.n}")
@@ -118,8 +120,6 @@ def cmd_analyze(args):
     for k in range(1, kappa + 1):  # true for every k <= kappa by definition
         print(f"strongly {k}-connected: True")
     if args.linked is not None:
-        if T.n > 10:
-            raise InputError("exhaustive linkedness checking is limited to n <= 10")
         verdict = is_k_linked(T, args.linked)
         label = {True: "true", False: "false", None: "unknown (budget)"}[verdict]
         print(f"{args.linked}-linked: {label}")
@@ -315,6 +315,13 @@ def _parse_flag(val):
     return ("true", "yes", "1", "false", "no", "0").index(val.lower()) < 3
 
 
+def _nonnegative_int(val):
+    count = int(val)
+    if count < 0:
+        raise ValueError(f"negative count {count}")
+    return count
+
+
 def _one_of(*options):
     """A parser that accepts only ``options``."""
     return lambda val: options[options.index(val)]
@@ -352,7 +359,7 @@ def _read_experiment_config(path):
     cfg.update(_read_key_values(path, {
         "kind": lambda val: [kind(t.strip()) for t in val.split(",") if t.strip()],
         "n": _parse_int_list, "k": _parse_int_list, "seeds": _parse_seeds,
-        "mode": _one_of("auto", "pipeline", "search"), "budget": int}))
+        "mode": _one_of("auto", "pipeline", "search"), "budget": _nonnegative_int}))
     return cfg
 
 

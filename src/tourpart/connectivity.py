@@ -202,7 +202,7 @@ def _strongly_connected(G):
     fwd = reachable_mask(G.adj, 0)
     if not fwd.all():
         return False
-    bwd = reachable_mask(G.adj.T, 0)
+    bwd = reachable_mask(G.radj, 0)
     return bool(bwd.all())
 
 
@@ -329,7 +329,7 @@ def safe_flow(G, v, targets, k, direction="forward", restrict=None):
     within = np.ones(G.n, dtype=bool) if restrict is None else vertex_mask(G.n, restrict)
     if not within[v]:
         raise ValueError("v must belong to the restriction set")
-    adj = G.adj if direction == "forward" else G.adj.T
+    adj = G.adj if direction == "forward" else G.radj
     return safe_flow_on_masks(adj, v, vertex_mask(G.n, targets), k, within)
 
 

@@ -10,9 +10,10 @@ break ties toward the lowest vertex id so runs are reproducible.
 The chain structures and the core sets are built on the host tournament
 restricted by a boolean ``alive`` mask, the subtournament T[alive], without
 copying it: they come back in the host's vertex ids.  Each mirror pair is
-one routine: the in-structures read the host's rows where a reversed copy
-would read columns, and the out-dominating sets run the in-dominating
-greedy on the transpose.
+one routine run on the host's adjacency or its cached transpose ``radj``:
+the out-structures descend through rows of ``radj`` (in-neighbourhoods)
+and the in-structures through rows of ``adj``, and the out-dominating sets
+run the in-dominating greedy on ``radj``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import transitive_order, vertex_mask
+from .core import row_counts, transitive_order, vertex_mask
 
 
 @dataclass(frozen=True)
@@ -60,20 +61,20 @@ def greedy_in_dominating_set(T):
 
 def greedy_out_dominating_set(T):
     """Out-dominating mirror of ``greedy_in_dominating_set``."""
-    return _greedy_dominating(T.adj.T, np.ones(T.n, dtype=bool))
+    return _greedy_dominating(T.radj, np.ones(T.n, dtype=bool))
 
 
 def _greedy_dominating(adj, alive):
     """In-dominating set of T[alive] read off ``adj``, T's adjacency; the
-    out-dominating set when ``adj`` is its transpose.  Each step takes the
-    lowest-id vertex of minimum out-degree inside the shrinking common
-    out-neighbourhood."""
+    out-dominating set when ``adj`` is its row-major transpose.  Each step
+    takes the lowest-id vertex of minimum out-degree inside the shrinking
+    common out-neighbourhood."""
     n = int(alive.sum())
     pool = alive.copy()
     chosen = []
     while pool.any():
         ids = np.flatnonzero(pool)
-        x = int(ids[adj[ids][:, ids].sum(axis=1).argmin()])
+        x = int(ids[row_counts(adj[ids][:, ids]).argmin()])
         chosen.append(x)
         pool &= adj[x]
     S = sorted(chosen)
@@ -103,16 +104,16 @@ def in_dominating_structure(T, v, c, alive=None):
 
 def _neighbourhood_degree(T, v, alive, mode):
     """d^-(v) ("out") or d^+(v) ("in") inside T[alive]."""
-    nbrs = T.adj[:, v] if mode == "out" else T.adj[v]
-    return int((nbrs & alive).sum())
+    rows = T.radj if mode == "out" else T.adj
+    return int((rows[v] & alive).sum())
 
 
 def _halving_structure(T, v, c, alive, mode):
     """The halving construction on T[alive], read off the host adjacency.
 
-    Mode "out" descends through in-neighbourhoods (columns of ``adj``);
-    mode "in" is the same construction on the reversed tournament, read
-    through rows, so no reversed copy is made.  Vertex ids stay T's, and
+    Mode "out" descends through in-neighbourhoods, the rows of ``radj``;
+    mode "in" is the same construction on the reversed tournament, whose
+    in-neighbourhoods are the rows of ``adj``.  Vertex ids stay T's, and
     since T[alive] keeps their order every lowest-id tie-break agrees with
     a run on a relabelled copy of T[alive].
     """
@@ -121,14 +122,10 @@ def _halving_structure(T, v, c, alive, mode):
     alive = np.ones(T.n, dtype=bool) if alive is None else alive
     if not alive[v]:
         raise ValueError(f"vertex {v} is not alive")
-    adj = T.adj
-
-    def nbrs(u):
-        return adj[:, u] if mode == "out" else adj[u]
+    rows = T.radj if mode == "out" else T.adj
 
     def pool_indegrees(ids):
-        sub = adj[ids][:, ids]
-        return sub.sum(axis=0) if mode == "out" else sub.sum(axis=1)
+        return row_counts(rows[ids][:, ids])
 
     degree = _neighbourhood_degree(T, v, alive, mode)
     if degree < 2 ** (c - 1):
@@ -137,7 +134,7 @@ def _halving_structure(T, v, c, alive, mode):
 
     chain = [v]
     waiting = None
-    pool = nbrs(v) & alive  # common neighbourhood of the chain, minus waiting
+    pool = rows[v] & alive  # common neighbourhood of the chain, minus waiting
     trace = [int(pool.sum())]
 
     while True:
@@ -170,7 +167,7 @@ def _halving_structure(T, v, c, alive, mode):
             waiting = x
             pool[x] = False
         chain.append(nxt)
-        pool &= nbrs(nxt)
+        pool &= rows[nxt]
         pool[nxt] = False
         trace.append(int(pool.sum()))
         if len(chain) >= c:
@@ -198,11 +195,8 @@ def check_structure(T, s, alive=None):
     assert len(s.exceptions) << (s.cap - 2) <= degree, "exception set too large"
     outside = alive & ~taken
     cover = sorted(s.cover)
-    if s.mode == "out":
-        hit = T.adj[cover][:, outside].any(axis=0)
-    else:
-        hit = T.adj[:, cover][outside].any(axis=1)
-    assert hit.all(), "domination fails outside the exception set"
+    rows = T.adj if s.mode == "out" else T.radj
+    assert rows[cover][:, outside].any(axis=0).all(), "domination fails outside the exception set"
     for i, size in enumerate(s.shrink_trace):
         assert size * (1 << i) <= degree, "recorded pool sizes violate halving"
 
@@ -243,7 +237,7 @@ def core_set(T, k, alive=None):
             remaining[list(chosen)] = False
         return taken
 
-    Z = frozenset().union(*peel(T.adj), *peel(T.adj.T))
+    Z = frozenset().union(*peel(T.adj), *peel(T.radj))
     result = CoreSet(Z, k, False)
     assert len(Z) <= 3 * k * math.log2(n) + 1e-9
     _check_core(T, result, alive)
@@ -254,5 +248,5 @@ def _check_core(T, cs, alive):
     """Every vertex of T[alive] outside Z has k out- and k in-neighbours in Z."""
     Z = sorted(cs.vertices)
     outside = alive & ~vertex_mask(T.n, Z)
-    for adj in (T.adj, T.adj.T):
-        assert (adj[outside][:, Z].sum(axis=1) >= cs.k).all(), "core-set degree clause violated"
+    for adj in (T.adj, T.radj):
+        assert (row_counts(adj[outside][:, Z]) >= cs.k).all(), "core-set degree clause violated"

@@ -26,11 +26,11 @@ class PathSearch:
         return self.status == Verdict.FOUND
 
 
-def _bit_masks(adj):
-    """Out- and in-neighbourhoods of every vertex as integer bitmasks."""
+def _bit_masks(G):
+    """Out- and in-neighbourhoods of every vertex of G as integer bitmasks."""
     def masks(rows):
         return [sum(1 << u for u in np.flatnonzero(row).tolist()) for row in rows]
-    return masks(adj), masks(adj.T)
+    return masks(G.adj), masks(G.radj)
 
 
 def _mask_reach(out, start, within):
@@ -49,9 +49,9 @@ def _mask_reach(out, start, within):
     return seen
 
 
-def _dp_exact(adj, x, y):
-    n = adj.shape[0]
-    out, inn = _bit_masks(adj)
+def _dp_exact(G, x, y):
+    n = G.n
+    out, inn = _bit_masks(G)
     full = (1 << n) - 1
     dp = [0] * (1 << n)
     dp[1 << x] = 1 << x
@@ -186,9 +186,9 @@ def hamiltonian_path(T, x, y, exact_threshold=14, budget=200_000, restarts=24, s
         raise ValueError("endpoints must differ")
     n = T.n
     if n <= exact_threshold:
-        return _dp_exact(T.adj, x, y)
+        return _dp_exact(T, x, y)
 
-    out, inn = _bit_masks(T.adj)
+    out, inn = _bit_masks(T)
     full = (1 << n) - 1
     # exact nonexistence proofs: every vertex must be reachable from x and
     # must reach y

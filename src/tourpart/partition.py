@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .connectivity import maximum_flow, sweep
-from .core import bipartite_subdigraph, reachable_mask
+from .core import bipartite_subdigraph, reachable_mask, row_counts
 from .pipeline import PipelineError, PipelineParams, pipeline_feasible, run_pipeline
 
 
@@ -105,27 +105,22 @@ def verify_partition(T, v1, v2, k, exact_threshold=EXACT_THRESHOLD):
 
 def _screen_score(T, in_v1, k):
     """Cheap badness score: degree deficits plus unreachable vertices."""
-    adj = T.adj
+    adj, radj = T.adj, T.radj
     score = 0
     for mask in (in_v1, ~in_v1):
         ids = np.flatnonzero(mask)
         if ids.size <= k:
             score += 10 * (k + 1 - ids.size)
             continue
-        sub = adj[np.ix_(ids, ids)]
-        douts = sub.sum(axis=1)
-        dins = sub.sum(axis=0)
-        score += int(np.maximum(0, k - douts).sum() + np.maximum(0, k - dins).sum())
-        seen_f = reachable_mask(adj, int(ids[0]), mask)
-        seen_b = reachable_mask(adj.T, int(ids[0]), mask)
-        score += int((mask & ~seen_f).sum() + (mask & ~seen_b).sum())
-    cross_adj = adj & ~np.equal.outer(in_v1, in_v1)
-    cross_out = cross_adj.sum(axis=1)
-    cross_in = cross_adj.sum(axis=0)
-    score += int(np.maximum(0, k - cross_out).sum() + np.maximum(0, k - cross_in).sum())
-    seen_f = reachable_mask(cross_adj, 0)
-    seen_b = reachable_mask(cross_adj.T, 0)
-    score += int((~seen_f).sum() + (~seen_b).sum())
+        sel = np.ix_(ids, ids)
+        for rows in (adj, radj):
+            score += int(np.maximum(0, k - row_counts(rows[sel])).sum())
+            seen = reachable_mask(rows, int(ids[0]), mask)
+            score += int((mask & ~seen).sum())
+    crossing = in_v1[:, None] != in_v1[None, :]
+    for rows in (adj & crossing, radj & crossing):
+        score += int(np.maximum(0, k - row_counts(rows)).sum())
+        score += int((~reachable_mask(rows, 0)).sum())
     return score
 
 
@@ -154,6 +149,8 @@ def search_partition(T, k, seed, budget=400):
     if n < 2 * k + 2:
         raise ValueError(f"need at least {2 * k + 2} vertices for two strongly "
                          f"{k}-connected sides")
+    if budget < 0:
+        raise ValueError(f"search budget {budget} is negative")
     rng = np.random.default_rng(seed)
     checks = 0
     while checks < budget:
@@ -223,6 +220,8 @@ def partition(T, k, mode="auto", params=None, seed=0, search_budget=400):
         raise ValueError("k must be positive")
     if mode not in ("auto", "pipeline", "search"):
         raise ValueError(f"unknown mode {mode!r}")
+    if search_budget < 0:
+        raise ValueError(f"search budget {search_budget} is negative")
     params = params if params is not None else PipelineParams.guaranteed(k)
 
     def run_pipe():

@@ -37,6 +37,7 @@ from .core import (
     bfs_shortest_path,
     is_backwards_transitive,
     is_path,
+    row_counts,
     transitive_order,
     vertex_mask,
 )
@@ -234,7 +235,7 @@ def build_dominating_family(state):
     def build_one(anchor, mode, index):
         protect = (anchors - {anchor}) | used
         alive = ~vertex_mask(T.n, protect)
-        nbrs = T.adj[:, anchor] if mode == "out" else T.adj[anchor]
+        nbrs = T.radj[anchor] if mode == "out" else T.adj[anchor]
         deg = int((nbrs & alive).sum())
         state.require(stage, deg >= 2 ** (c - 1),
                       f"structure {index} ({mode}): degree {deg} below 2^(c-1)={2 ** (c - 1)} "
@@ -273,13 +274,10 @@ def _audit_family(state):
             state.require(stage, len(s.exceptions) << (c - 2) <= dhat,
                           f"{mode}-chain {i} exception pool too large: {len(s.exceptions)}")
             outside = ~resv & ~vertex_mask(T.n, s.exceptions)
-            out_ids = np.flatnonzero(outside)
             cover = sorted(s.cover)
-            if out_ids.size:
-                if mode == "out":
-                    hit = T.adj[np.ix_(cover, out_ids)].any(axis=0)
-                else:
-                    hit = T.adj[np.ix_(out_ids, cover)].any(axis=1)
+            if outside.any():
+                rows = T.adj if mode == "out" else T.radj
+                hit = rows[cover][:, outside].any(axis=0)
                 state.require(stage, bool(hit.all()),
                               f"{mode}-chain {i} fails to dominate outside its exceptions")
     k = state.k
@@ -369,7 +367,7 @@ def extend_coloring_safely(state, group, protected=frozenset()):
                               "cap": state.budget_cap})
     # the in-wave serves Z, the out-wave serves Z and the in-wave
     grown, wave = set(), []
-    for nbrs, side, banned in ((T.adj.T, "in", exc_out_mask), (T.adj, "out", exc_mask)):
+    for nbrs, side, banned in ((T.radj, "in", exc_out_mask), (T.adj, "out", exc_mask)):
         served, wave = Z + wave, []
         for z in served:
             cand = np.flatnonzero(nbrs[z] & col.uncolored_mask() & ~nmask & ~banned)
@@ -399,7 +397,7 @@ def bootstrap_safety(state):
     T, k, col = state.T, state.k, state.coloring
     fresh = []
     for v in state.low_in + state.low_out:
-        for nbrs, side in ((T.adj.T, "in"), (T.adj, "out")):
+        for nbrs, side in ((T.radj, "in"), (T.adj, "out")):
             cand = np.flatnonzero(nbrs[v] & col.uncolored_mask())
             state.require(stage, cand.size >= 2 * k,
                           f"anchor {v}: only {cand.size} uncolored {side}-neighbours",
@@ -581,7 +579,7 @@ def _shortcut_bundles(state):
                     continue
                 # two-hop bypass through an outside vertex
                 av = np.flatnonzero(avail)
-                first_in, last_out = _bypass_spans(adj, q, av)
+                first_in, last_out = _bypass_spans(T, q, av)
                 cand = np.flatnonzero(last_out - first_in >= 3)
                 if cand.size:
                     ci = int(cand[0])
@@ -594,7 +592,7 @@ def _shortcut_bundles(state):
                     break
 
 
-def _bypass_spans(adj, path, outside):
+def _bypass_spans(T, path, outside):
     """For each outside vertex w, the first path position s with path[s] -> w
     and the last position t with w -> path[t] (len(path) and -1 when there is
     none); t - s >= 3 makes path[s] -> w -> path[t] a shortcut.  The last
@@ -605,7 +603,7 @@ def _bypass_spans(adj, path, outside):
         hits = a[np.ix_(p, outside)]
         return np.where(hits.any(axis=0), hits.argmax(axis=0), len(p))
 
-    return first(adj, path), len(path) - 1 - first(adj.T, path[::-1])
+    return first(T.adj, path), len(path) - 1 - first(T.radj, path[::-1])
 
 
 def _bundle_interior_mask(state):
@@ -654,7 +652,7 @@ def _audit_bundles(state):
             seen_interiors |= inner
             state.require(stage, is_backwards_transitive(T, p),
                           f"index {i}: interior not backwards-transitive after shortcuts")
-            first_in, last_out = _bypass_spans(T.adj, p, outside)
+            first_in, last_out = _bypass_spans(T, p, outside)
             state.require(stage, bool((last_out - first_in < 3).all()),
                           f"index {i}: neighbour propagation audit failed")
     state.record(stage, info={"bundles": {i: len(ps) for i, ps in state.bundles.items()}})
@@ -688,8 +686,8 @@ def _place_hubs(state):
                           f"hub {name} is empty but scaffold vertices remain")
             # k out-neighbours in the hub on adj, k in-neighbours on its transpose
             hub = sorted(hub)
-            state.require(stage, all((nbrs[leftover][:, hub].sum(axis=1) >= k).all()
-                                     for nbrs in (T.adj, T.adj.T)),
+            state.require(stage, all((row_counts(nbrs[leftover][:, hub]) >= k).all()
+                                     for nbrs in (T.adj, T.radj)),
                           f"scaffold vertex lacks k neighbours in hub {name}")
     state.record(stage, info={"hub_alpha": len(state.hub_alpha),
                               "hub_beta": len(state.hub_beta)})
@@ -882,9 +880,9 @@ def _audit_connectors(state):
         unc = np.flatnonzero(col.uncolored_mask())
         bulk = vertex_mask(T.n, state.bulk)
         ok = True
-        for nbrs in (T.adj, T.adj.T):
+        for nbrs in (T.adj, T.radj):
             rows = nbrs[unc]
-            enough = np.logical_and.reduce([(rows & col.mask(c)).sum(axis=1) >= state.k
+            enough = np.logical_and.reduce([row_counts(rows & col.mask(c)) >= state.k
                                             for c in (ALPHA, BETA)])
             ok &= bool((enough | ~(rows & bulk).any(axis=1)).all())
         state.require(stage, ok, "bulk neighbour audit failed")
@@ -916,7 +914,7 @@ def finalize_coloring(state):
 
     # out-exceptions grab in-neighbours, in-exceptions grab out-neighbours
     for nbrs, side, pool, banned, grabbed in (
-            (T.adj.T, "in", state.exc_out, exc_out_mask, state.grabbed_in),
+            (T.radj, "in", state.exc_out, exc_out_mask, state.grabbed_in),
             (T.adj, "out", state.exc_in, exc_mask, state.grabbed_out)):
         for v in sorted(pool):
             if c4[v]:

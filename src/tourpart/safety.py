@@ -5,7 +5,7 @@ cut it off from the bulk of the tournament in any of four senses: along
 monochromatic paths forwards or backwards, and along color-alternating
 paths forwards or backwards.  Each sense is one rule, "v reaches its
 targets inside its group of the graph", on the tournament or on the graph
-of color-changing edges, read forwards or through the transpose.  The exact
+of color-changing edges, read forwards or through the row-major transpose.  The exact
 check reduces to a vertex-capacity flow against a super-target
 (``connectivity.safe_flow``); for k = 1 safety is plain reachability and a
 whole-coloring scan runs as six BFS sweeps.
@@ -98,29 +98,31 @@ class SafetyReport:
 
 
 def _senses(ctx):
-    """The four predicates as (column, group, graph, targets): a vertex v of
-    ``group`` is safe in the sense of table column ``column`` when no k-1
-    vertices other than v cut every path v -> targets inside graph[group].
-    The monochromatic senses come once per color; the alternating ones run
-    on the color-changing edges, which need no colored mask since every
-    group lies inside the colored vertices.  Backward senses read the
-    transpose."""
-    adj = ctx.T.adj
+    """The four predicates as (column, group, graph, reverse, targets): a
+    vertex v of ``group`` is safe in the sense of table column ``column``
+    when no k-1 vertices other than v cut every path v -> targets inside
+    graph[group]; ``reverse`` is graph's transpose, row-major.  The
+    monochromatic senses come once per color; the alternating ones run on
+    the color-changing edges, which need no colored mask since every group
+    lies inside the colored vertices.  Backward senses swap the graph and
+    its reverse."""
+    adj, radj = ctx.T.adj, ctx.T.radj
     lab = ctx.coloring.labels
     resv, exc_out, exc_in = ctx.masks()
-    cross = adj & (lab[:, None] != lab[None, :])
+    changes = lab[:, None] != lab[None, :]
     senses = []
-    for column, group, graph in ((0, lab == ALPHA, adj), (0, lab == BETA, adj),
-                                 (2, lab != UNCOLORED, cross)):
-        senses.append((column, group, graph, group & ~resv & ~exc_in))
-        senses.append((column + 1, group, graph.T, group & ~resv & ~exc_out))
+    for column, group, graph, reverse in ((0, lab == ALPHA, adj, radj),
+                                          (0, lab == BETA, adj, radj),
+                                          (2, lab != UNCOLORED, adj & changes, radj & changes)):
+        senses.append((column, group, graph, reverse, group & ~resv & ~exc_in))
+        senses.append((column + 1, group, reverse, graph, group & ~resv & ~exc_out))
     return senses
 
 
 def _flow_row(senses, v, k):
     """The four predicates of one vertex by flows, in table column order."""
     row = [None] * 4
-    for column, group, graph, targets in senses:
+    for column, group, graph, _, targets in senses:
         if group[v]:
             row[column] = safe_flow_on_masks(graph, v, targets, k, group)
     if None in row:
@@ -149,9 +151,9 @@ def safety_scan(ctx, vertices=None):
         for v in ids:
             table[v] = _flow_row(senses, int(v), ctx.k)
         return table
-    for column, group, graph, targets in senses:
+    for column, group, _, reverse, targets in senses:
         if group.any():
-            table[group, column] = reachable_mask(graph.T, np.flatnonzero(targets), group)[group]
+            table[group, column] = reachable_mask(reverse, np.flatnonzero(targets), group)[group]
     return table
 
 

@@ -93,6 +93,18 @@ def test_analyze_negative_header_exit(tmp_path):
     assert code == 3
 
 
+def test_analyze_linked_size_limit_comes_before_any_output(tmp_path, monkeypatch):
+    r = tmp_path / "r12.txt"
+    run_cli("gen", "--kind", "random", "--n", "12", "--seed", "1", "--out", str(r))
+
+    def no_kappa(T):
+        raise AssertionError("kappa ran before the input check")
+
+    monkeypatch.setattr(cli, "vertex_connectivity", no_kappa)
+    code, out = run_cli("analyze", str(r), "--linked", "0")
+    assert code == 3 and out == ""
+
+
 def test_analyze_into_closed_pipe_ends_quietly(tmp_path):
     p = tmp_path / "p7.txt"
     run_cli("gen", "--kind", "paley", "--q", "7", "--out", str(p))
@@ -207,6 +219,21 @@ def test_partition_search_and_negative(tmp_path):
     code, _ = run_cli("partition", str(t), "--k", "1", "--seed", "0",
                       "--mode", "search", "--budget", "120")
     assert code == 1
+
+
+def test_negative_search_budget_is_an_input_error(tmp_path, capsys):
+    r = tmp_path / "r12.txt"
+    run_cli("gen", "--kind", "random", "--n", "12", "--seed", "1", "--out", str(r))
+    for mode in ("auto", "search", "pipeline"):
+        code, out = run_cli("partition", str(r), "--k", "1", "--seed", "0",
+                            "--mode", mode, "--budget", "-5")
+        assert code == 3 and out == ""
+        assert "budget -5 is negative" in capsys.readouterr().err
+    cfg = tmp_path / "neg.cfg"
+    cfg.write_text("n=12\nk=1\nseeds=1\nbudget=-5\n")
+    code, out = run_cli("experiment", str(cfg))
+    assert code == 3 and out == ""
+    assert f"{cfg}:4: bad value '-5' for budget" in capsys.readouterr().err
 
 
 def test_partition_budget_exhaustion_without_proof_is_unknown(tmp_path, capsys):

@@ -14,7 +14,7 @@ from tourpart import (
     transitive_order,
     tournament_from_edges,
 )
-from tourpart.core import bfs_parity_path, bfs_shortest_path, reachable_mask
+from tourpart.core import bfs_parity_path, bfs_shortest_path, reachable_mask, row_counts
 from tourpart.generators import paley_tournament, random_tournament, transitive_tournament
 
 
@@ -107,6 +107,34 @@ def test_derived_graphs_are_read_only_and_pass_the_checked_constructors(rand):
         assert (reverse(T).adj == T.adj.T).all()
         crossing = side[:, None] != side[None, :]
         assert cross_ids == list(range(n)) and (cross.adj == (T.adj & crossing)).all()
+
+
+def test_every_graph_keeps_its_transpose_row_major(rand):
+    T = rand(30, 4)
+    D = Digraph(T.adj & (np.arange(30) % 3 == 0)[:, None])
+    sub, _ = subtournament(T, range(0, 30, 2))
+    side = np.arange(30) < 11
+    full, _ = bipartite_subdigraph(T, np.flatnonzero(side), np.flatnonzero(~side))
+    part, _ = bipartite_subdigraph(T, range(5), range(20, 27))
+    for G in (T, D, sub, full, part, T.reverse(), sub.reverse()):
+        assert G.adj.flags.c_contiguous and G.radj.flags.c_contiguous
+        assert not G.radj.flags.writeable
+        assert (G.radj == G.adj.T).all()
+        assert G.radj is G.radj  # built once
+        assert (G.in_degrees() == G.adj.sum(axis=0)).all()
+        assert (G.out_degrees() == G.adj.sum(axis=1)).all()
+    # reversal swaps the two matrices, so a double reversal shares T's
+    R = T.reverse()
+    assert R.adj is T.radj and R.radj is T.adj
+    assert R.reverse().adj is T.adj and R.reverse().radj is T.radj
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (1, 1), (40, 40), (2, 70_000)])
+def test_row_counts_match_a_plain_sum(shape):
+    m = np.random.default_rng(shape[1]).random(shape) < 0.5
+    got = row_counts(m)
+    assert got.dtype == np.intp and (got == m.sum(axis=1)).all()
+    assert (row_counts(m.T) == m.sum(axis=0)).all()
 
 
 def test_backwards_transitive(c3):

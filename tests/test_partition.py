@@ -83,6 +83,9 @@ def test_search_negative_control():
 def test_search_size_precondition():
     with pytest.raises(ValueError):
         search_partition(transitive_tournament(5), 2, seed=0)
+    with pytest.raises(ValueError, match="negative"):
+        search_partition(random_tournament(12, 1), 1, seed=0, budget=-5)
+    assert search_partition(random_tournament(12, 1), 1, seed=0, budget=0) is None
 
 
 def test_partition_entry_modes(rand):

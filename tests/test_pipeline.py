@@ -1,9 +1,11 @@
+import sys
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from tourpart import Tournament, is_path
+from tourpart import Tournament, is_path, verify_partition
+from tourpart.core import reachable_mask
 from tourpart.generators import random_tournament, transitive_tournament
 from tourpart.pipeline import (
     ALT_AA,
@@ -12,6 +14,7 @@ from tourpart.pipeline import (
     PipelineParams,
     PipelineState,
     _audit_bundles,
+    _audit_connectors,
     _build_bundles,
     _color_bundles,
     _place_hubs,
@@ -179,21 +182,41 @@ def test_full_run_small_instance():
             assert (len(p) - 1) % 2 == parity
 
 
+def test_every_bfs_sweep_reads_a_row_major_matrix(monkeypatch):
+    # rows of a strided view such as ``adj.T`` are several times slower to
+    # sweep; wrap every binding of reachable_mask and record what it reads
+    seen = []
+
+    def recording(adj, *args, **kwargs):
+        seen.append(adj.flags.c_contiguous)
+        return reachable_mask(adj, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("tourpart") and vars(module).get("reachable_mask") is reachable_mask:
+            monkeypatch.setattr(module, "reachable_mask", recording)
+    T = random_tournament(1500, 5000)
+    state = run_pipeline(T, 1, PipelineParams.relaxed(1))
+    assert verify_partition(T, *state.partition_sets(), 1).verified
+    assert len(seen) > 20 and all(seen)
+
+
 # ---------------------------------------------------------------------------
 # the long-connector bundle machinery, exercised on a planted instance
 
 
 def _planted_instance(num_paths, length, early=250, late=250, k=1):
     """Tournament holding ``num_paths`` disjoint b->a paths of the given
-    length: consecutive path edges run forward, every other pair points from
+    length (one length for all, or a list of one per path): consecutive
+    path edges run forward, every other pair points from
     the later vertex (in a fixed global order) back to the earlier one, so
     the planted paths are the only b->a routes and are already
     backwards-transitive.  Fillers before the paths supply out-neighbour
     grabs, fillers after them supply in-neighbour grabs; neither side can
     shortcut a path."""
+    lengths = [length] * num_paths if isinstance(length, int) else length
     paths = []
     nxt = 1
-    for _ in range(num_paths):
+    for length in lengths:
         inner = list(range(nxt, nxt + length - 1))
         nxt += length - 1
         paths.append(inner)
@@ -321,6 +344,27 @@ def test_bundle_stage_end_to_end_mono_class():
     assert is_path(T, path) and path[0] == b and path[-1] == a
     assert len(state.splices[0]) == 3  # three-way splice
     assert all(state.coloring.of(v) == ALPHA for v in path)
+
+
+def test_splice_takes_the_second_untouched_path_when_only_it_fits(monkeypatch):
+    # one long index of class ALT_AA (even connectors) and no other index,
+    # so the connector audit sees exactly this connector
+    monkeypatch.setattr(PipelineState, "total", property(lambda self: 1))
+    monkeypatch.setattr(PipelineState, "klass", lambda self, i: ALT_AA)
+    T, b, a, planted = _planted_instance(6, [21, 21, 21, 22, 22, 22], early=550, late=230)
+    state = _bundle_state(T, b, a, index=0, bundle_size=6)
+    state.coloring.assign([b, a], ALPHA)
+    _build_bundles(state)
+    _shortcut_bundles(state)
+    _audit_bundles(state)
+    _place_hubs(state)
+    _color_bundles(state)
+    paths = state.bundles[0]
+    hubs = state.hub_alpha_idx | state.hub_beta_idx
+    s1, s2 = [j for j in range(6) if (0, j) not in hubs][:2]
+    assert (len(paths[s1]) - 1) % 2 == 1 and (len(paths[s2]) - 1) % 2 == 0
+    assert state.splices[0] == (s2,) and state.connectors[0] == paths[s2]
+    _audit_connectors(state)
 
 
 def test_bundle_shortfall_is_reported():
