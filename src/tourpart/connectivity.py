@@ -24,8 +24,8 @@ a ``stop`` level it returns at the first pair whose flow falls below
 
 Most swept pairs need no flow at all.  Paths x->w->y through distinct
 middles w are internally disjoint, so a pair with at least ``best`` common
-middles (the 2-path count, entry (x, y) of A @ A) cannot lower ``best`` and
-is settled on the spot.  The remaining flows start from those 2-paths, add
+middles (the 2-path count, the popcount of out(x) & in(y)) cannot lower
+``best`` and is settled on the spot.  The remaining flows start from those 2-paths, add
 greedy 3-paths x->a->b->y through unused vertices, and stop as soon as the
 value reaches the cap (Even & Tarjan, "Network flow and testing graph
 connectivity", 1975).
@@ -39,6 +39,23 @@ depend on the order in which paths were found, nor on the cap.  Every cap
 stays at or above ``stop`` until the sweep stops, and the pairs that one
 cap rule settles and another flows have at least ``stop`` middles, so the
 stopping pair, its value and its cut do not depend on ``ceiling``.
+
+The kernel works on Python-int bitsets, since the networks it certifies are
+small (tens of vertices) and numpy's per-call overhead would outweigh the
+arithmetic.  A ``VertexFlow`` handle holds each out-row of the graph as an
+int (bit v of ``out[u]`` is the arc u->v) and, for the sweep, each in-row;
+a flow on its own needs only the in-row of its sink.  The split network is
+never built.  The flow state is the successor list ``flow`` (bit v of
+``flow[u]`` is one unit on u->v; every vertex but x has at most one), the
+predecessor list ``pred`` of the vertices that pass a unit, and the bitset
+``carries`` of those vertices, whose arcs v_in -> v_out are used.  The
+residual search keeps only its out-copy frontiers, level by level.  The
+parent of an in-copy is the lowest-index tail in its frontier with an arc to
+it, or the vertex itself over its reversed split arc when no arc reached
+it, and the parent of an out-copy follows from the flow, so the augmenting
+paths, and hence every flow, path decomposition and cut, are those of a
+level-synchronous BFS with lowest-index parents, whatever the
+representation.
 """
 
 from __future__ import annotations
@@ -48,7 +65,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Verdict, is_path, reachable_mask, vertex_mask
+from .core import Verdict, _check_ids, _principal_submatrix, is_path, reachable_mask, row_bits, vertex_mask
 
 
 class BudgetExceeded(Exception):
@@ -59,142 +76,198 @@ class BudgetExceeded(Exception):
 # the flow kernel on the implicit vertex-split network
 
 
-def maximum_flow(adj, x, y, cap=None):
-    """Internally disjoint x->y paths in the digraph ``adj`` (arc x->y absent).
+def _bits(m):
+    """The set bits of the int ``m``, lowest first."""
+    while m:
+        low = m & -m
+        yield low.bit_length() - 1
+        m ^= low
 
-    Returns ``(value, flow, cut)``.  ``flow`` is the 0/1 arc-flow matrix,
-    one unit per arc u->v on a path; ``value`` is the number of paths, at
+
+def maximum_flow(net, x, y, cap=None):
+    """Internally disjoint x->y paths in the digraph of the ``VertexFlow``
+    handle ``net`` (arc x->y absent).
+
+    Returns ``(value, flow, cut)``.  ``flow`` holds one unit per arc u->v on
+    a path, as bit v of ``flow[u]``; ``value`` is the number of paths, at
     most ``cap``.  ``cut`` is the residual minimum vertex cut when the flow
     is maximum below ``cap``, and None when the flow reached ``cap``.
-
-    The split network is never built: ``carries[v]`` says whether v_in ->
-    v_out is used.  Every vertex other than x passes at most one unit, so no
-    arc ever carries two and 0/1 matrices hold the whole residual state.
     """
-    flow, carries = _short_paths(adj, x, y, cap)
-    return _augmented(adj, x, y, cap, flow, carries)
+    flow, pred, carries = _short_paths(net, x, y, cap)
+    return _augmented(net, x, y, cap, flow, pred, carries)
 
 
-def _short_paths(adj, x, y, cap):
-    """Warm start: the 2-paths x->w->y, then greedy 3-paths x->a->b->y
-    through unused vertices, at most ``cap`` paths in all."""
-    n = adj.shape[0]
-    flow = np.zeros((n, n), dtype=bool)
-    carries = np.zeros(n, dtype=bool)
-    mids = (adj[x] & adj[:, y]).nonzero()[0][:cap]
-    flow[x, mids] = flow[mids, y] = carries[mids] = True
-    value = len(mids)
+def _short_paths(net, x, y, cap):
+    """Warm start: the 2-paths x->w->y, lowest w first, then greedy 3-paths
+    x->a->b->y through unused vertices in ascending a, each taking the
+    lowest b, at most ``cap`` paths in all.  Returns the flow state
+    ``(flow, pred, carries)``."""
+    out, into_y = net.out, net.into(y)
+    flow = [0] * len(out)
+    pred = [-1] * len(out)
+    carries = value = 0
+    sink = 1 << y
+    mids = out[x] & into_y
+    while mids and value != cap:
+        w = mids & -mids
+        mids ^= w
+        flow[w.bit_length() - 1] = sink
+        pred[w.bit_length() - 1] = x
+        carries |= w
+        value += 1
+    flow[x] = carries
     if value == cap:
-        return flow, carries
+        return flow, pred, carries
     # every common middle is used, so the a and b candidates are disjoint
-    into_y = adj[:, y] & ~carries
-    for a in (adj[x] & ~carries).nonzero()[0].tolist():
-        bs = (adj[a] & into_y).nonzero()[0]
-        if bs.size:
-            b = bs[0]
-            flow[x, a] = flow[a, b] = flow[b, y] = True
-            carries[a] = carries[b] = True
-            into_y[b] = False
+    into_y &= ~carries
+    firsts = out[x] & ~carries
+    while firsts:
+        a = firsts & -firsts
+        firsts ^= a
+        b = out[a.bit_length() - 1] & into_y
+        if b:
+            b &= -b
+            i, j = a.bit_length() - 1, b.bit_length() - 1
+            flow[x] |= a
+            flow[i], flow[j] = b, sink
+            pred[i], pred[j] = x, i
+            carries |= a | b
+            into_y ^= b
             value += 1
             if value == cap:
                 break
-    return flow, carries
+    return flow, pred, carries
 
 
-def _augmented(adj, x, y, cap, flow, carries):
+def _augmented(net, x, y, cap, flow, pred, carries):
     """Augment a valid flow until it reaches ``cap`` or is maximum."""
-    value = int(flow[x].sum())
+    value = flow[x].bit_count()
     while value != cap:
-        parent_in, parent_out, seen_in, seen_out = _residual_search(adj, flow, carries, x, y)
-        if not seen_in[y]:
-            return value, flow, frozenset((seen_in & ~seen_out).nonzero()[0].tolist())
-        _augment(flow, carries, parent_in, parent_out, x, y)
+        levels, seen_in, seen_out = _residual_search(net, pred, carries, x, y)
+        if not seen_in >> y & 1:
+            return value, flow, frozenset(_bits(seen_in & ~seen_out))
+        carries = _augment(net, flow, pred, carries, levels, x, y)
         value += 1
     return value, flow, None
 
 
-def _residual_search(adj, flow, carries, x, y):
+def _residual_search(net, pred, carries, x, y):
     """Level-synchronous BFS from x_out in the residual split network.
 
-    Levels alternate between out-copies and in-copies.  ``parent_in[v] = u``
-    means v_in was reached over the arc u->v, and ``u == v`` over the
-    reversed split arc; ``parent_out[u] = v`` means u_out was reached over
-    the reversed flow arc u->v, and ``v == u`` over the split arc.
+    Levels alternate between out-copies and in-copies; ``levels[j]`` is the
+    j-th frontier of out-copies, and the in-copies of level j are the heads
+    of its original arcs (uncapped) plus, over reversed split arcs, its
+    carriers that no arc reached.  The search returns as soon as y_in is
+    reached, with ``(levels, seen_in, seen_out)``.
     """
-    n = adj.shape[0]
-    seen_in = np.zeros(n, dtype=bool)
-    seen_out = np.zeros(n, dtype=bool)
-    parent_in = np.arange(n)
-    parent_out = np.arange(n)
-    seen_out[x] = True
-    frontier = seen_out.copy()
+    out = net.out
+    levels = []
+    seen_in = 0
+    seen_out = frontier = 1 << x
     while True:
-        # out-copies -> in-copies: original arcs (uncapped), reversed split arcs
-        by_arc = adj[frontier].any(axis=0) & ~seen_in
-        tails = frontier.nonzero()[0]
-        heads = by_arc.nonzero()[0]
-        parent_in[heads] = tails[adj[tails][:, heads].argmax(axis=0)]
-        frontier = by_arc | (frontier & carries & ~seen_in)
+        levels.append(frontier)
+        # out-copies -> in-copies
+        heads = 0
+        tails = frontier
+        while tails:
+            low = tails & -tails
+            heads |= out[low.bit_length() - 1]
+            tails ^= low
+        frontier = (heads | frontier & carries) & ~seen_in
         seen_in |= frontier
-        if seen_in[y] or not frontier.any():
+        if seen_in >> y & 1 or not frontier:
             break
-        # in-copies -> out-copies: unused split arcs, reversed flow arcs
-        undo = flow[:, frontier].any(axis=1) & ~seen_out
-        parent_out[undo] = flow[undo].argmax(axis=1)  # a carrier's one flow arc
-        frontier = undo | (frontier & ~carries & ~seen_out)
+        # in-copies -> out-copies: reversed flow arcs, unused split arcs
+        undo = 0
+        carriers = frontier & carries
+        while carriers:
+            low = carriers & -carriers
+            undo |= 1 << pred[low.bit_length() - 1]  # its one flow arc in
+            carriers ^= low
+        frontier = (undo | frontier & ~carries) & ~seen_out
         seen_out |= frontier
-        if not frontier.any():
+        if not frontier:
             break
-    return parent_in, parent_out, seen_in, seen_out
+    return levels, seen_in, seen_out
 
 
-def _augment(flow, carries, parent_in, parent_out, x, y):
-    """Push one unit back along the BFS parents from y_in to x_out."""
-    v = int(y)
-    while True:  # at v_in
-        u = int(parent_in[v])
+def _augment(net, flow, pred, carries, levels, x, y):
+    """Push one unit back from y_in to x_out along the BFS parents; returns
+    the new ``carries``.
+
+    v_in reached from the out-copies ``levels[j]`` has as parent the lowest
+    of them with an arc to v, or v itself over its reversed split arc; u_out
+    has as parent a carrier's one flow successor (a reversed flow arc), and
+    otherwise u itself (the split arc).  The parents are those of the BFS,
+    so they are read off the flow as the search saw it.
+    """
+    out = net.out
+    v = y
+    for tails in reversed(levels):  # at v_in
+        u = v
+        while tails:
+            low = tails & -tails
+            if out[low.bit_length() - 1] >> v & 1:
+                u = low.bit_length() - 1
+                break
+            tails ^= low
+        w = flow[u].bit_length() - 1 if carries >> u & 1 else u  # parent of u_out
         if u == v:
-            carries[v] = False
+            carries &= ~(1 << v)
         else:
-            flow[u, v] = True
-        if u == x:  # at the source x_out
-            return
-        v = int(parent_out[u])  # at u_out
-        if v == u:
-            carries[u] = True
+            flow[u] |= 1 << v
+            pred[v] = u
+        if u == x:  # at the source x_out, the parent of every level-0 head
+            break
+        if w == u:
+            carries |= 1 << u
         else:
-            flow[u, v] = False
+            flow[u] &= ~(1 << w)
+        v = w
+    return carries
 
 
 def _flow_paths(flow, x, y):
-    """Decompose a 0/1 flow into its x->y paths, in order of first step."""
+    """Decompose a flow into its x->y paths, in order of first step."""
     paths = []
-    for w in np.flatnonzero(flow[x]).tolist():
+    for w in _bits(flow[x]):
         path = [x, w]
         while w != y:
-            w = int(flow[w].argmax())
+            w = flow[w].bit_length() - 1
             path.append(w)
         paths.append(path)
     return paths
 
 
 class VertexFlow:
-    """Per-graph handle on the flow kernel; queries differ only in (x, y)."""
+    """Per-graph handle on the flow kernel; queries differ only in (x, y).
 
-    def __init__(self, adj):
+    ``out[u]`` is row u of ``adj`` as a bitset.  ``radj``, when given, is the
+    transpose of ``adj``, and its rows are kept as the in-rows of the sinks;
+    otherwise a sink's in-row is packed from its column on each query."""
+
+    def __init__(self, adj, radj=None):
         self.n = adj.shape[0]
         self.adj = adj
-        self._counts = adj.astype(np.int32)
+        self.out = row_bits(adj)
+        self.inn = None if radj is None else row_bits(radj)
+
+    def into(self, y):
+        """The in-neighbourhood of y as a bitset."""
+        if self.inn is not None:
+            return self.inn[y]
+        return row_bits(self.adj[:, y][None])[0]
 
     def middles(self, u):
-        """2-path counts at u: (#u->w->v for every v, #v->w->u for every v)."""
-        a = self._counts
-        return a[u] @ a, a @ a[:, u]
+        """2-path counts at u: (#u->w->v for every v, #v->w->u for every v).
+        Needs the in-rows of every vertex (a handle built with ``radj``)."""
+        ou, iu = self.out[u], self.inn[u]
+        return [(ou & i).bit_count() for i in self.inn], [(o & iu).bit_count() for o in self.out]
 
     def paths_and_cut(self, x, y, cap=None):
         """(value, paths, cut) of a flow capped at ``cap``; the cut is None
         when the value reached ``cap``."""
-        value, flow, cut = maximum_flow(self.adj, x, y, cap)
+        value, flow, cut = maximum_flow(self, x, y, cap)
         return value, _flow_paths(flow, x, y), cut
 
 
@@ -239,22 +312,19 @@ def sweep(G, ceiling=None, stop=0):
     if best < stop:
         return Certificate(False, level=best)
     if best > 1:  # a strong graph has a path between every pair
-        adj = G.adj
-        net = VertexFlow(adj)
+        net = VertexFlow(G.adj, G.radj)
+        out = net.out
         u = 0
         while u < best:
             out2, in2 = net.middles(u)
-            # an arc, like n common middles, settles its pair, and so does
-            # a pair (u, v) or (v, u) with v < u, which the sweep at v visited
-            out2[adj[u]] = in2[adj[:, u]] = n
-            out2[:u + 1] = in2[:u + 1] = n
-            vs = np.flatnonzero((out2 < best) | (in2 < best))
-            for v, o, i in zip(vs.tolist(), out2[vs].tolist(), in2[vs].tolist()):
-                for x, y, mids in ((u, v, o), (v, u, i)):
-                    # a pair with >= best common middles cannot lower best
-                    if mids < best:
+            for v in range(u + 1, n):
+                for x, y, mids in ((u, v, out2[v]), (v, u, in2[v])):
+                    # a pair with >= best common middles cannot lower best;
+                    # an arc settles its pair, and so does a pair (u, v) or
+                    # (v, u) with v < u, which the sweep at v visited
+                    if mids < best and not out[x] >> y & 1:
                         # capped at best, the flow's value is the new best
-                        best, _, cut = maximum_flow(adj, x, y, best)
+                        best, _, cut = maximum_flow(net, x, y, best)
                         if best < stop:
                             return Certificate(False, (x, y), best, cut, best)
             u += 1
@@ -291,6 +361,7 @@ class SeparatorCertificate:
 
 
 def min_separator(G, x, y):
+    _check_ids(G, (x, y))
     if x == y:
         raise ValueError("endpoints must differ")
     if G.has_edge(x, y):
@@ -326,16 +397,20 @@ def safe_flow(G, v, targets, k, direction="forward", restrict=None):
     inside G[restrict].  F may intersect the target set."""
     if direction not in ("forward", "backward"):
         raise ValueError("direction must be forward or backward")
+    targets = list(targets)
+    restrict = None if restrict is None else list(restrict)
+    _check_ids(G, [v, *targets, *(restrict or ())])
     within = np.ones(G.n, dtype=bool) if restrict is None else vertex_mask(G.n, restrict)
     if not within[v]:
         raise ValueError("v must belong to the restriction set")
-    adj = G.adj if direction == "forward" else G.radj
-    return safe_flow_on_masks(adj, v, vertex_mask(G.n, targets), k, within)
+    graphs = (G.adj, G.radj) if direction == "forward" else (G.radj, G.adj)
+    return safe_flow_on_masks(*graphs, v, vertex_mask(G.n, targets), k, within)
 
 
-def safe_flow_on_masks(adj, v, targets, k, within):
-    """``safe_flow`` forwards in the digraph ``adj`` with the target set and
-    the restriction given as masks; v must lie in ``within``."""
+def safe_flow_on_masks(adj, radj, v, targets, k, within):
+    """``safe_flow`` forwards in the digraph ``adj``, whose transpose is
+    ``radj``, with the target set and the restriction given as masks; v
+    must lie in ``within``."""
     hit = targets & within
     if hit[v]:
         return True
@@ -345,9 +420,9 @@ def safe_flow_on_masks(adj, v, targets, k, within):
     m = len(ids)
     # the restricted graph plus one sink m fed by every target
     net = np.zeros((m + 1, m + 1), dtype=bool)
-    net[:m, :m] = adj[np.ix_(ids, ids)]
+    net[:m, :m] = _principal_submatrix(radj, ids)
     net[:m, m] = hit[ids]
-    return maximum_flow(net, int(np.count_nonzero(within[:v])), m, k)[0] >= k
+    return maximum_flow(VertexFlow(net), int(np.count_nonzero(within[:v])), m, k)[0] >= k
 
 
 # ---------------------------------------------------------------------------

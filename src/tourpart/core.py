@@ -140,14 +140,33 @@ class Tournament(Digraph):
             raise ValueError("subtournament needs at least one vertex")
         if ids[0] < 0 or ids[-1] >= self.n:
             raise ValueError("vertex id out of range")
-        return Tournament._derived(_principal_submatrix(self, ids)), ids
+        return Tournament._derived(_principal_submatrix(self.radj, ids)), ids
 
 
-def _principal_submatrix(G, ids):
-    """A row-major copy of ``G.adj[ids][:, ids]``.  numpy lays a gather
-    along the second axis out column-major, so the submatrix of the
-    transpose, read transposed, is already row-major: one copy, not two."""
-    return np.ascontiguousarray(G.radj[ids][:, ids].T)
+def _principal_submatrix(radj, ids):
+    """A row-major copy of ``adj[ids][:, ids]``, cut from the transpose
+    ``radj`` of ``adj``.  numpy lays a gather along the second axis out
+    column-major, so the submatrix of the transpose, read transposed, is
+    already row-major: one copy, not two."""
+    return np.ascontiguousarray(radj[ids][:, ids].T)
+
+
+def _check_ids(G, ids):
+    """Raise ValueError unless every id in ``ids`` names a vertex of G."""
+    for v in ids:
+        if not 0 <= v < G.n:
+            raise ValueError(f"vertex {v} out of range 0..{G.n - 1}")
+
+
+def row_bits(m):
+    """Row u of the boolean matrix ``m`` as the int whose bit v is
+    ``m[u, v]``: one packed copy of the matrix, then one ``int.from_bytes``
+    per row."""
+    width = (m.shape[1] + 7) // 8
+    if width == 0:
+        return [0] * m.shape[0]
+    data = np.packbits(m, axis=1, bitorder="little").tobytes()
+    return [int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width)]
 
 
 def row_counts(m):
@@ -207,7 +226,7 @@ def bipartite_subdigraph(T, side_a, side_b):
     crossing = in_a[:, None] != in_a[None, :]
     if len(ids) == T.n:
         return Digraph._derived(T.adj & crossing, T.radj & crossing), ids
-    sub = _principal_submatrix(T, ids)
+    sub = _principal_submatrix(T.radj, ids)
     sub &= crossing
     return Digraph._derived(sub), ids
 
@@ -243,8 +262,7 @@ def transitive_order(T, vertices):
     ids = sorted(set(int(v) for v in vertices))
     if not ids:
         raise ValueError("empty vertex set")
-    sub = T.adj[np.ix_(ids, ids)]
-    degs = sub.sum(axis=1)
+    degs = row_counts(_principal_submatrix(T.radj, ids))
     m = len(ids)
     if sorted(degs.tolist()) != list(range(m)):
         return None

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .connectivity import maximum_flow, sweep
-from .core import bipartite_subdigraph, reachable_mask, row_counts
+from .connectivity import VertexFlow, maximum_flow, sweep
+from .core import _principal_submatrix, bipartite_subdigraph, reachable_mask, row_counts
 from .pipeline import PipelineError, PipelineParams, pipeline_feasible, run_pipeline
 
 
@@ -112,9 +112,8 @@ def _screen_score(T, in_v1, k):
         if ids.size <= k:
             score += 10 * (k + 1 - ids.size)
             continue
-        sel = np.ix_(ids, ids)
-        for rows in (adj, radj):
-            score += int(np.maximum(0, k - row_counts(rows[sel])).sum())
+        for rows, cols in ((adj, radj), (radj, adj)):
+            score += int(np.maximum(0, k - row_counts(_principal_submatrix(cols, ids))).sum())
             seen = reachable_mask(rows, int(ids[0]), mask)
             score += int((mask & ~seen).sum())
     crossing = in_v1[:, None] != in_v1[None, :]
@@ -134,7 +133,7 @@ def _pair_flow(T, in_v1, which, pair, k):
     x, y = ids.index(x), ids.index(y)
     if G.adj[x, y]:
         return k
-    return maximum_flow(G.adj, x, y, k)[0]
+    return maximum_flow(VertexFlow(G.adj), x, y, k)[0]
 
 
 def search_partition(T, k, seed, budget=400):

@@ -122,9 +122,9 @@ def _senses(ctx):
 def _flow_row(senses, v, k):
     """The four predicates of one vertex by flows, in table column order."""
     row = [None] * 4
-    for column, group, graph, _, targets in senses:
+    for column, group, graph, reverse, targets in senses:
         if group[v]:
-            row[column] = safe_flow_on_masks(graph, v, targets, k, group)
+            row[column] = safe_flow_on_masks(graph, reverse, v, targets, k, group)
     if None in row:
         raise ValueError(f"vertex {v} is uncolored")
     return row

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .connectivity import is_strongly_k_connected
-from .core import Digraph, Verdict, bfs_shortest_path, is_backwards_transitive
+from .core import Digraph, Verdict, _check_ids, bfs_shortest_path, is_backwards_transitive
 from .hamilton import hamiltonian_path
 
 
@@ -44,13 +44,6 @@ def shortest_path_avoiding(T, x, y, forbidden=()):
     if path is not None:
         assert is_backwards_transitive(T, path), "shortest path has a forward chord"
     return path
-
-
-def _check_ids(T, ids):
-    """Raise ValueError unless every id in ``ids`` names a vertex of T."""
-    for v in ids:
-        if not 0 <= v < T.n:
-            raise ValueError(f"vertex {v} out of range 0..{T.n - 1}")
 
 
 @dataclass

@@ -105,6 +105,13 @@ def test_min_separator_rejects_adjacent_and_equal(c3):
         min_separator(c3, 2, 2)
 
 
+@pytest.mark.parametrize("x, y", [(-12, 3), (3, -1), (12, 3), (3, 99)])
+def test_min_separator_rejects_foreign_ids(x, y):
+    # a negative id would name the vertex n + id of the network
+    with pytest.raises(ValueError, match="out of range"):
+        min_separator(random_tournament(12, 1), x, y)
+
+
 def test_menger_equality_against_exhaustive_cuts(paley7, rand):
     graphs = [paley7] + [rand(7, s) for s in range(10)]
     for T in graphs:
@@ -149,6 +156,16 @@ def test_safe_flow_respects_restriction(t4):
     assert not safe_flow(t4, 0, {1, 2, 3}, 2, restrict=[0, 1])
     with pytest.raises(ValueError):
         safe_flow(t4, 2, {3}, 1, restrict=[0, 3])
+
+
+@pytest.mark.parametrize("v, targets, restrict", [
+    (-1, [0, 1], None), (12, [0, 1], None),
+    (2, [0, -1], None), (2, [0, 12], None),
+    (2, [0, 1], [2, 0, 1, -3]), (2, [0, 1], [2, 0, 1, 12]),
+])
+def test_safe_flow_rejects_foreign_ids(v, targets, restrict):
+    with pytest.raises(ValueError, match="out of range"):
+        safe_flow(random_tournament(12, 1), v, targets, 2, restrict=restrict)
 
 
 def test_safe_flow_direction(t4):

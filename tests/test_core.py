@@ -14,7 +14,7 @@ from tourpart import (
     transitive_order,
     tournament_from_edges,
 )
-from tourpart.core import bfs_parity_path, bfs_shortest_path, reachable_mask, row_counts
+from tourpart.core import bfs_parity_path, bfs_shortest_path, reachable_mask, row_bits, row_counts
 from tourpart.generators import paley_tournament, random_tournament, transitive_tournament
 
 
@@ -135,6 +135,17 @@ def test_row_counts_match_a_plain_sum(shape):
     got = row_counts(m)
     assert got.dtype == np.intp and (got == m.sum(axis=1)).all()
     assert (row_counts(m.T) == m.sum(axis=0)).all()
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (1, 1), (8, 8), (9, 9), (64, 64), (65, 65),
+                                   (2, 70_000)])
+def test_row_bits_match_the_matrix(shape):
+    m = np.random.default_rng(shape[1]).random(shape) < 0.5
+    rows = row_bits(m)
+    assert len(rows) == shape[0]
+    for u, row in enumerate(rows):
+        assert row >> shape[1] == 0
+        assert [row >> v & 1 == 1 for v in range(shape[1])] == m[u].tolist()
 
 
 def test_backwards_transitive(c3):

@@ -5,6 +5,7 @@ cold start below augments from the empty flow, so every augmenting-path
 case (reversed flow arcs, reversed split arcs) is reached too.
 """
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -12,16 +13,23 @@ import pytest
 
 from oracles import brute_min_cut, path_exists
 from tourpart import connectivity
-from tourpart.connectivity import _augmented, _flow_paths, maximum_flow, vertex_connectivity
+from tourpart.connectivity import (
+    VertexFlow,
+    _augmented,
+    _flow_paths,
+    maximum_flow,
+    vertex_connectivity,
+)
 from tourpart.core import Digraph, bipartite_subdigraph
 from tourpart.generators import random_tournament
 
 CAPS = (None, 1, 2, 3)
 
 
-def _cold(adj, x, y, cap):
-    n = adj.shape[0]
-    return _augmented(adj, x, y, cap, np.zeros((n, n), dtype=bool), np.zeros(n, dtype=bool))
+def _cold(net, x, y, cap):
+    """Augment from the empty flow state: no arcs, no predecessors, no
+    carriers."""
+    return _augmented(net, x, y, cap, [0] * net.n, [-1] * net.n, 0)
 
 
 def _tournaments(count):
@@ -62,8 +70,9 @@ def _pairs(adj):
 def _check_pair(adj, x, y, want):
     """Warm and cold runs at every cap against the brute-force cut size."""
     checks = 0
+    net = VertexFlow(adj)
     for cap in CAPS:
-        runs = [maximum_flow(adj, x, y, cap), _cold(adj, x, y, cap)]
+        runs = [maximum_flow(net, x, y, cap), _cold(net, x, y, cap)]
         expect = want if cap is None else min(cap, want)
         for value, flow, cut in runs:
             assert value == expect, (x, y, cap)
@@ -110,9 +119,41 @@ def test_warm_start_settles_direct_targets_without_augmenting(monkeypatch):
     for net in _safety_networks(20):
         sink = net.shape[0] - 1
         direct = np.flatnonzero(net[0] & net[:, sink])
-        value, flow, cut = maximum_flow(net, 0, sink, len(direct))
+        value, flow, cut = maximum_flow(VertexFlow(net), 0, sink, len(direct))
         assert value == len(direct) and cut is None
         assert sorted(p[1] for p in _flow_paths(flow, 0, sink)) == direct.tolist()
+
+
+def _sparse_digraphs(count):
+    graphs = []
+    for s in range(count):
+        n = 8 + s % 5
+        adj = np.random.default_rng(300 + s).random((n, n)) < 0.3
+        np.fill_diagonal(adj, False)
+        graphs.append(adj)
+    return graphs
+
+
+# recorded with the dense numpy kernel this bitset kernel replaced
+FLOW_DIGEST = "ea645d465a7c266f3eb22e6a7837cc7116af5a09a9282f41437683ff358cf7b3"
+
+
+def test_flows_are_pinned():
+    # value, paths and residual cut of every non-arc pair at every cap: the
+    # 2-paths, greedy 3-paths and lowest-tail BFS parents fix each of them
+    graphs = (_tournaments(40) + [random_tournament(n, n).adj for n in (16, 24, 32)]
+              + _crossing_digraphs(30) + _sparse_digraphs(30))
+    cases = [(adj, _pairs(adj)) for adj in graphs]
+    cases += [(net, [(0, net.shape[0] - 1)]) for net in _safety_networks(100)]
+    digest = hashlib.sha256()
+    for adj, pairs in cases:
+        net = VertexFlow(adj)
+        for x, y in pairs:
+            for cap in (None, 1, 2, 3, 5):
+                value, flow, cut = maximum_flow(net, x, y, cap)
+                answer = (value, _flow_paths(flow, x, y), None if cut is None else sorted(cut))
+                digest.update(repr(answer).encode())
+    assert digest.hexdigest() == FLOW_DIGEST
 
 
 def _min_local_connectivity(adj):
