@@ -65,7 +65,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Verdict, _check_ids, _principal_submatrix, is_path, reachable_mask, row_bits, vertex_mask
+from .core import (
+    Verdict,
+    _bits,
+    _check_ids,
+    _principal_submatrix,
+    bit_reach,
+    is_path,
+    reachable_mask,
+    row_bits,
+    vertex_mask,
+)
 
 
 class BudgetExceeded(Exception):
@@ -74,14 +84,6 @@ class BudgetExceeded(Exception):
 
 # ---------------------------------------------------------------------------
 # the flow kernel on the implicit vertex-split network
-
-
-def _bits(m):
-    """The set bits of the int ``m``, lowest first."""
-    while m:
-        low = m & -m
-        yield low.bit_length() - 1
-        m ^= low
 
 
 def maximum_flow(net, x, y, cap=None):
@@ -459,6 +461,9 @@ class LinkageRequest:
         if self.disjointness == "full":
             if len(set(ends)) != len(ends):
                 raise ValueError("full disjointness needs 2k distinct terminals")
+        for v in self.forbidden:
+            if not 0 <= v < n:
+                raise ValueError(f"forbidden vertex {v} out of range 0..{n - 1}")
         if set(ends) & set(self.forbidden):
             raise ValueError("terminals may not be forbidden")
         for name in ("parity", "max_length"):
@@ -514,35 +519,26 @@ def find_disjoint_paths(T, req, budget=500_000):
 
     Identical-pair requests without side conditions reduce to max-flow and
     are solved exactly that way.  Everything else runs a backtracking search
-    over simple paths with reachability pruning; exhausting ``budget`` is
+    over simple paths on int bitsets, trying out-neighbours in ascending id
+    order and pruning by reachability; exhausting ``budget`` is
     reported as "unknown", exhausting the search space as "infeasible".
     """
     req.validate(T.n)
     if _uniform_bundle(req):
         return _bundle_by_flow(T, req)
 
-    n = T.n
-    adj = T.adj
-    terminals = {u for p in req.pairs for u in p}
-    base_allowed = ~vertex_mask(n, [*req.forbidden, *terminals])
-
-    out_nbrs = [np.flatnonzero(adj[v]).tolist() for v in range(n)]
+    out = row_bits(T.adj)
+    base = (1 << T.n) - 1  # vertices usable as interiors
+    for u in (*req.forbidden, *(u for p in req.pairs for u in p)):
+        base &= ~(1 << u)
     counter = [budget]
     paths: list = []
-    used = np.zeros(n, dtype=bool)  # vertices unusable as interiors
 
-    def target_reachable(i, extra_blocked):
-        x, y = req.pairs[i]
-        ok = base_allowed & ~used
-        for u in extra_blocked:
-            ok[u] = False
-        ok[x] = ok[y] = True
-        return reachable_mask(adj, x, ok)[y]
+    def feasible_rest(i, used):
+        # ``used``: the interiors of the paths before pair i
+        return all(bit_reach(out, x, base & ~used | 1 << y) >> y & 1 for x, y in req.pairs[i:])
 
-    def feasible_rest(i):
-        return all(target_reachable(j, ()) for j in range(i, len(req.pairs)))
-
-    def dfs_pair(i):
+    def dfs_pair(i, used):
         if i == len(req.pairs):
             return True
         x, y = req.pairs[i]
@@ -555,53 +551,36 @@ def find_disjoint_paths(T, req, budget=500_000):
                 raise BudgetExceeded
             if cap is not None and len(acc) - 1 > cap:
                 return False
-            for w in out_nbrs[v]:
-                if w == y:
-                    length = len(acc)
-                    if cap is not None and length > cap:
-                        continue
-                    if parity is not None and length % 2 != parity:
-                        continue
-                    cand = acc + [y]
-                    if req.disjointness == "internal" and length == 1:
-                        # one bare edge per repeated terminal pair
-                        if any(p == cand for p in paths):
-                            continue
+            length = len(acc)
+            if (out[v] >> y & 1 and (cap is None or length <= cap)
+                    and (parity is None or length % 2 == parity)):
+                cand = acc + [y]
+                # interiors are disjoint, so only a bare edge of a repeated
+                # terminal pair can come up twice; it is taken once
+                if cand not in paths:
                     paths.append(cand)
-                    if req.disjointness == "full":
-                        marked = cand
-                    else:
-                        marked = cand[1:-1]
-                    for u in marked:
-                        used[u] = True
-                    if feasible_rest(i + 1) and dfs_pair(i + 1):
+                    marked = used
+                    for u in acc[1:]:
+                        marked |= 1 << u
+                    if feasible_rest(i + 1, marked) and dfs_pair(i + 1, marked):
                         return True
-                    for u in marked:
-                        used[u] = False
                     paths.pop()
-            for w in out_nbrs[v]:
-                if w == y or w in visited or used[w] or not base_allowed[w]:
+            if cap is not None and length >= cap:
+                return False
+            free = base & ~used & ~visited
+            for w in _bits(out[v] & free):
+                if not bit_reach(out, w, free | 1 << y) >> y & 1:
                     continue
-                if cap is not None and len(acc) + 1 - 1 >= cap:
-                    continue
-                ok = base_allowed & ~used
-                for u in visited:
-                    ok[u] = False
-                ok[w] = ok[y] = True
-                if not reachable_mask(adj, w, ok)[y]:
-                    continue
-                visited.add(w)
-                if extend(w, visited, acc + [w]):
+                if extend(w, visited | 1 << w, acc + [w]):
                     return True
-                visited.discard(w)
             return False
 
-        return extend(x, {x}, [x])
+        return extend(x, 1 << x, [x])
 
     try:
-        if not feasible_rest(0):
+        if not feasible_rest(0, 0):
             return LinkageResult(Verdict.INFEASIBLE)
-        if dfs_pair(0):
+        if dfs_pair(0, 0):
             result = [list(p) for p in paths]
             _check_linkage(T, req, result)
             return LinkageResult(Verdict.FOUND, result)

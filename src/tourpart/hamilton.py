@@ -5,6 +5,10 @@ that an insertion heuristic with randomized restarts, falling back to a
 budgeted backtracking search with reachability pruning.  An "infeasible"
 verdict is only ever produced by an exact argument; running out of budget is
 reported as "unknown" instead.
+
+Every search reads the tournament as ``core``'s int bitsets: ``row_bits``
+packs the out- and in-rows once per query and ``bit_reach`` does the
+reachability pruning.
 """
 
 from __future__ import annotations
@@ -12,9 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-import numpy as np
-
-from .core import Verdict, bfs_shortest_path
+from .core import Verdict, _bits, _check_ids, bfs_shortest_path, bit_reach, row_bits
 
 
 @dataclass
@@ -26,32 +28,9 @@ class PathSearch:
         return self.status == Verdict.FOUND
 
 
-def _bit_masks(G):
-    """Out- and in-neighbourhoods of every vertex of G as integer bitmasks."""
-    def masks(rows):
-        return [sum(1 << u for u in np.flatnonzero(row).tolist()) for row in rows]
-    return masks(G.adj), masks(G.radj)
-
-
-def _mask_reach(out, start, within):
-    seen = 1 << start
-    frontier = seen
-    while frontier:
-        nxt = 0
-        f = frontier
-        while f:
-            v = (f & -f).bit_length() - 1
-            f &= f - 1
-            nxt |= out[v]
-        nxt &= within & ~seen
-        seen |= nxt
-        frontier = nxt
-    return seen
-
-
 def _dp_exact(G, x, y):
     n = G.n
-    out, inn = _bit_masks(G)
+    out, inn = row_bits(G.adj), row_bits(G.radj)
     full = (1 << n) - 1
     dp = [0] * (1 << n)
     dp[1 << x] = 1 << x
@@ -61,14 +40,12 @@ def _dp_exact(G, x, y):
         if not ends or not S & xbit:
             continue
         free = full & ~S
-        while ends:
-            v = (ends & -ends).bit_length() - 1
-            ends &= ends - 1
+        for v in _bits(ends):
             ext = out[v] & free
             while ext:
-                u = (ext & -ext).bit_length() - 1
-                ext &= ext - 1
-                dp[S | (1 << u)] |= 1 << u
+                low = ext & -ext
+                dp[S | low] |= low
+                ext ^= low
     if not dp[full] & (1 << y):
         return PathSearch(Verdict.INFEASIBLE)
     path = [y]
@@ -133,16 +110,12 @@ def _dfs(out, inn, x, y, n, budget, rng):
 
     def feasible(e, R):
         # every unvisited vertex must be enterable and leavable
-        f = R
-        while f:
-            v = (f & -f).bit_length() - 1
-            f &= f - 1
-            if not inn[v] & ((R & ~(1 << v)) | (1 << e)):
+        ebit = 1 << e
+        for v in _bits(R):
+            rest = R ^ 1 << v
+            if not inn[v] & (rest | ebit) or v != y and not out[v] & rest:
                 return False
-            if v != y and not out[v] & (R & ~(1 << v)):
-                return False
-        reach = _mask_reach(out, e, R)
-        return reach & R == R
+        return bit_reach(out, e, R) & R == R
 
     def rec(e, R, acc):
         if nodes[0] <= 0:
@@ -152,14 +125,9 @@ def _dfs(out, inn, x, y, n, budget, rng):
             if out[e] >> y & 1:
                 return acc + [y]
             return None
-        cands = []
-        c = out[e] & R & ~ybit
-        while c:
-            v = (c & -c).bit_length() - 1
-            c &= c - 1
-            cands.append(v)
         # fewest onward moves first; seeded jitter breaks ties across restarts
-        cands.sort(key=lambda v: (bin(out[v] & R).count("1"), rng.random()))
+        cands = sorted(_bits(out[e] & R & ~ybit),
+                       key=lambda v: ((out[v] & R).bit_count(), rng.random()))
         for v in cands:
             R2 = R & ~(1 << v)
             if not feasible(v, R2):
@@ -182,19 +150,20 @@ def hamiltonian_path(T, x, y, exact_threshold=14, budget=200_000, restarts=24, s
     with the backtracking search as fallback; exhausting ``budget`` yields
     status "unknown", never a claim of nonexistence.
     """
+    _check_ids(T, (x, y))
     if x == y:
         raise ValueError("endpoints must differ")
     n = T.n
     if n <= exact_threshold:
         return _dp_exact(T, x, y)
 
-    out, inn = _bit_masks(T)
+    out, inn = row_bits(T.adj), row_bits(T.radj)
     full = (1 << n) - 1
     # exact nonexistence proofs: every vertex must be reachable from x and
     # must reach y
-    if _mask_reach(out, x, full) != full:
+    if bit_reach(out, x, full) != full:
         return PathSearch(Verdict.INFEASIBLE)
-    if _mask_reach(inn, y, full) != full:
+    if bit_reach(inn, y, full) != full:
         return PathSearch(Verdict.INFEASIBLE)
 
     rng = random.Random(seed)

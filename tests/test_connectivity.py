@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import itertools
 
@@ -21,6 +22,7 @@ from tourpart import (
     safe_flow,
     vertex_connectivity,
 )
+from tourpart.core import Digraph
 from tourpart.generators import random_tournament, transitive_tournament
 from tourpart.safety import UNCOLORED
 
@@ -227,6 +229,54 @@ def test_linkage_request_validation(t4):
         LinkageRequest([(0, 1)], forbidden=frozenset({1})).validate(4)
     with pytest.raises(ValueError):
         LinkageRequest([(0, 1)], parity=(0, 1)).validate(4)
+    for bad in (-1, 4):
+        # -1 would wrap to vertex 3, and 4 names no vertex
+        with pytest.raises(ValueError, match="forbidden vertex"):
+            LinkageRequest([(0, 1)], forbidden=frozenset({bad})).validate(4)
+    T = random_tournament(20, 1)
+    for bad in (-1, 25):
+        with pytest.raises(ValueError, match="forbidden vertex"):
+            find_disjoint_paths(T, LinkageRequest([(0, 1), (2, 3)], "full", frozenset({bad})))
+
+
+def _linkage_requests(n):
+    """Requests on n >= 7 vertices covering both disjointness rules, the
+    forbidden set, per-pair parity and length caps."""
+    full2, full3 = [(0, 1), (2, 3)], [(1, 0), (3, 2), (4, 5)]
+    return [
+        LinkageRequest(full2, "full"),
+        LinkageRequest(full3, "full"),
+        LinkageRequest([(n - 1, 0), (1, n - 2)], "full", frozenset({2, 3})),
+        LinkageRequest([(0, 1), (0, 2)]),
+        LinkageRequest([(0, 1), (0, 1), (0, 1)], parity=(None, 0, 1)),
+        LinkageRequest([(0, 6), (6, 0)], forbidden=frozenset({1, 5})),
+        LinkageRequest(full2, "full", parity=(0, 1)),
+        LinkageRequest(full2, parity=(1, 1), max_length=(3, 4)),
+        LinkageRequest(full3, "full", max_length=(2, 2, 3)),
+        LinkageRequest([(0, n - 1), (1, n - 2)], max_length=(2, 3)),
+    ]
+
+
+# recorded with the numpy-mask search the bitset search replaced
+LINKAGE_DIGEST = "1873c173966d72de8dd62117eab9cbafebdf46751c4e09568b7f27c16f291473"
+
+
+def test_linkages_are_pinned():
+    # the DFS tries out-neighbours in ascending id order, so the first
+    # linkage found, and the budget it runs out at, fix each answer
+    graphs = [random_tournament(n, 90 + n) for n in (7, 8, 9, 10, 12, 14, 16)]
+    for s in range(8):
+        n = 8 + s
+        adj = np.random.default_rng(700 + s).random((n, n)) < 0.35
+        np.fill_diagonal(adj, False)
+        graphs.append(Digraph(adj))
+    digest = hashlib.sha256()
+    for G in graphs:
+        for req in _linkage_requests(G.n):
+            for budget in (3, 50, 500_000):
+                res = find_disjoint_paths(G, req, budget=budget)
+                digest.update(repr((str(res.status), res.paths)).encode())
+    assert digest.hexdigest() == LINKAGE_DIGEST
 
 
 def test_linkage_budget_exhaustion_is_distinct(rand):

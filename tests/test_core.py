@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -193,11 +195,49 @@ def test_transitive_order(t4, c3):
     assert transitive_order(t4, [3, 1]) == [1, 3]
 
 
+@pytest.mark.parametrize("bad", [[-1, 0], [0, 12]])
+def test_transitive_order_rejects_ids_outside_the_graph(bad):
+    # a negative id would wrap to vertex n-1 and be reported as -1
+    with pytest.raises(ValueError, match="out of range"):
+        transitive_order(random_tournament(12, 1), bad)
+
+
 def test_parity_bfs(c3):
     even = bfs_parity_path(c3.adj, 0, 2, 0)
     assert even == [0, 1, 2]
     odd = bfs_parity_path(c3.adj, 0, 1, 1)
     assert odd == [0, 1]
+
+
+def _search_graphs():
+    """Tournaments and sparse digraphs, each with a fixed ``allowed`` mask."""
+    graphs = [random_tournament(n, 70 + n).adj for n in (6, 9, 13, 20, 31)]
+    for s in range(10):
+        n = 8 + 2 * s
+        adj = np.random.default_rng(500 + s).random((n, n)) < (0.15 if s % 2 else 0.3)
+        np.fill_diagonal(adj, False)
+        graphs.append(adj)
+    return [(adj, np.random.default_rng(adj.shape[0]).random(adj.shape[0]) < 0.7) for adj in graphs]
+
+
+# recorded with the two BFS bodies (shortest and parity) the one body replaced
+BFS_DIGEST = "40e2bef435d4d49b3635541cd7196311bb84a91f5c46919b68e066c3f969d441"
+
+
+def test_bfs_paths_are_pinned():
+    # the lowest-id parent of every BFS level fixes each path; a search that
+    # keeps another parent moves the digest
+    digest = hashlib.sha256()
+    for adj, mask in _search_graphs():
+        n = adj.shape[0]
+        pairs = [(x, y) for x in range(n) for y in range(n) if x != y][::3]
+        for allowed in (None, mask):
+            for x, y in pairs:
+                answer = [bfs_shortest_path(adj, x, y, allowed, m) for m in (1, 2)]
+                answer += [bfs_parity_path(adj, x, y, parity, allowed, max_length=L)
+                           for parity in (0, 1) for L in (None, 3, 4)]
+                digest.update(repr(answer).encode())
+    assert digest.hexdigest() == BFS_DIGEST
 
 
 # ---------------------------------------------------------------------------
@@ -255,3 +295,12 @@ def test_hamiltonian_unreachable_proof_above_threshold():
 def test_hamiltonian_rejects_equal_endpoints(t4):
     with pytest.raises(ValueError):
         hamiltonian_path(t4, 1, 1)
+
+
+@pytest.mark.parametrize("n", [12, 20])
+@pytest.mark.parametrize("x, y", [(-1, 0), (0, -1), (0, 25), (25, 0)])
+def test_hamiltonian_rejects_ids_outside_the_graph(n, x, y):
+    # n=12 runs the exact DP, n=20 the heuristic; neither may answer
+    # "infeasible" for a vertex that does not exist
+    with pytest.raises(ValueError, match="out of range"):
+        hamiltonian_path(random_tournament(n, 1), x, y)
