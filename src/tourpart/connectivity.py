@@ -470,6 +470,9 @@ class LinkageRequest:
             val = getattr(self, name)
             if val is not None and len(val) != len(self.pairs):
                 raise ValueError(f"{name} must list one entry per pair")
+        for p in self.parity or ():
+            if p is not None and p not in (0, 1):
+                raise ValueError(f"parity entry {p} is not None, 0 or 1")
 
     def pair_parity(self, i):
         return None if self.parity is None else self.parity[i]

@@ -12,16 +12,23 @@ Rows of numpy's strided transpose view are slow to read, so every reader of
 in-neighbourhoods (backward BFS sweeps, in-degrees, the mirror halves of
 the dominating and safety rules) reads ``radj`` instead.
 
+Both matrices also come packed, 64 vertices per ``uint64`` word, as
+``packed`` and ``rpacked``: built once on first use by ``pack_rows``, the
+one packer, and swapped by ``reverse`` like the transposes.  A packed row
+is an eighth of a bool row, so the large graphs' hot loops read it: pool
+degrees are popcounts of ``packed[ids] & pool``, grant waves AND one row
+with a free set, and the k = 1 safety sweeps OR packed rows.
+
 The search layer at the end of this module has one routine per job.  One
 BFS body serves both path searches: ``bfs_shortest_path`` runs it with one
 state per vertex and ``bfs_parity_path`` with two, (v, depth % 2), and both
 break ties toward the lowest-id parent.  Reachability comes in two forms on
-purpose.  ``reachable_mask`` sweeps numpy masks and serves the large masked
-graphs (the pipeline, safety scans, strong-connectivity screens), where
-packing the rows first would cost more than the sweep: at n = 1500, on a
-2-core Xeon host, a masked sweep took 0.15 ms and packing 1.2 ms.  The
-exact searches (Hamiltonian paths, linkages, the flow kernel) run on small
-or already packed graphs; they read rows as Python-int bitsets from
+purpose.  ``reachable_mask`` sweeps a bool matrix or its packed rows: the
+packed rows serve the large masked sweeps (the pipeline's safety scans),
+whose graphs keep them cached, and the bool rows serve small graphs
+(strong-connectivity screens, the partition search), where a per-level
+unpack costs more than it saves.  The exact searches (Hamiltonian paths,
+linkages, the flow kernel) read rows as Python-int bitsets from
 ``row_bits`` and reach with ``bit_reach``.
 """
 
@@ -54,23 +61,23 @@ class Digraph:
             raise ValueError("self-loops are not allowed")
         self._wrap(adj.copy())
 
-    def _wrap(self, adj, radj=None):
-        adj.setflags(write=False)
-        if radj is not None:
-            radj.setflags(write=False)
-        self.adj = adj
-        self._radj = radj
+    def _wrap(self, adj, radj=None, packed=None, rpacked=None):
+        self.adj = _frozen(adj)
+        self._radj = radj if radj is None else _frozen(radj)
+        self._packed = packed
+        self._rpacked = rpacked
         self.n = adj.shape[0]
 
     @classmethod
-    def _derived(cls, adj, radj=None):
+    def _derived(cls, adj, radj=None, packed=None, rpacked=None):
         """Wrap ``adj`` read-only without copying or validating it; ``radj``,
-        when given, must be its transpose in row-major order.
+        when given, must be its transpose in row-major order, and
+        ``packed`` and ``rpacked`` the two as ``pack_rows`` made them.
 
         For fresh matrices cut out of a graph that already passed the
         checks of ``cls``, such as a principal submatrix of a tournament."""
         graph = cls.__new__(cls)
-        graph._wrap(adj, radj)
+        graph._wrap(adj, radj, packed, rpacked)
         return graph
 
     @property
@@ -78,10 +85,23 @@ class Digraph:
         """The transpose of ``adj``, read-only and C-contiguous, built on
         first use and kept: row v holds the in-neighbourhood of v."""
         if self._radj is None:
-            radj = self._transpose()
-            radj.setflags(write=False)
-            self._radj = radj
+            self._radj = _frozen(self._transpose())
         return self._radj
+
+    @property
+    def packed(self):
+        """``pack_rows(adj)``, read-only, built on first use and kept."""
+        if self._packed is None:
+            self._packed = _frozen(pack_rows(self.adj))
+        return self._packed
+
+    @property
+    def rpacked(self):
+        """``pack_rows(radj)``, read-only, built on first use and kept: row v
+        holds the in-neighbourhood of v."""
+        if self._rpacked is None:
+            self._rpacked = _frozen(pack_rows(self.radj))
+        return self._rpacked
 
     def _transpose(self):
         return np.ascontiguousarray(self.adj.T)
@@ -142,7 +162,7 @@ class Tournament(Digraph):
 
     def reverse(self):
         """The tournament with every edge orientation flipped (an involution)."""
-        return Tournament._derived(self.radj, self.adj)
+        return Tournament._derived(self.radj, self.adj, self._rpacked, self._packed)
 
     def subtournament(self, vertices):
         """Restriction to ``vertices``; returns (sub, index_map) with
@@ -170,14 +190,29 @@ def _check_ids(G, ids):
             raise ValueError(f"vertex {v} out of range 0..{G.n - 1}")
 
 
+def _frozen(m):
+    m.setflags(write=False)
+    return m
+
+
+def pack_rows(m):
+    """The rows of the boolean matrix ``m`` packed 64 columns per word: a
+    C-contiguous ``uint64`` matrix whose word v // 64 of row u holds
+    ``m[u, v]`` at bit v % 64.  Bits past the last column are zero."""
+    rows, cols = m.shape
+    words = np.zeros((rows, (cols + 63) // 64 * 8), dtype=np.uint8)
+    words[:, :(cols + 7) // 8] = np.packbits(m, axis=1, bitorder="little")
+    return words.view("<u8")
+
+
 def row_bits(m):
-    """Row u of the boolean matrix ``m`` as the int whose bit v is
-    ``m[u, v]``: one packed copy of the matrix, then one ``int.from_bytes``
-    per row."""
-    width = (m.shape[1] + 7) // 8
+    """Row u of the boolean matrix ``m``, or of the packed rows ``m`` that
+    ``pack_rows`` made, as the int whose bit v is ``m[u, v]``: one
+    ``int.from_bytes`` per packed row."""
+    data = (m if m.dtype == np.uint64 else pack_rows(m)).tobytes()
+    width = len(data) // m.shape[0] if m.shape[0] else 0
     if width == 0:
         return [0] * m.shape[0]
-    data = np.packbits(m, axis=1, bitorder="little").tobytes()
     return [int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width)]
 
 
@@ -289,17 +324,24 @@ def transitive_order(T, vertices):
 def reachable_mask(adj, sources, allowed=None):
     """Boolean mask of vertices reachable from ``sources`` inside ``allowed``.
 
+    ``adj`` is a square boolean matrix or its rows packed by ``pack_rows``;
+    packed, each level ORs the frontier's words and unpacks them.
     ``sources`` is a vertex id or an index array; sources outside ``allowed``
     are ignored.  Reachability includes the sources themselves.
     """
     n = adj.shape[0]
+    packed = adj.dtype == np.uint64
     seen = np.zeros(n, dtype=bool)
     seen[sources] = True
     if allowed is not None:
         seen &= allowed
     frontier = seen.copy()
     while frontier.any():
-        nxt = adj[frontier].any(axis=0)
+        if packed:
+            words = np.bitwise_or.reduce(adj[frontier], axis=0)
+            nxt = np.unpackbits(words.view(np.uint8), count=n, bitorder="little").view(bool)
+        else:
+            nxt = adj[frontier].any(axis=0)
         if allowed is not None:
             nxt &= allowed
         nxt &= ~seen

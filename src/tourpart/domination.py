@@ -13,7 +13,10 @@ copying it: they come back in the host's vertex ids.  Each mirror pair is
 one routine run on the host's adjacency or its cached transpose ``radj``:
 the out-structures descend through rows of ``radj`` (in-neighbourhoods)
 and the in-structures through rows of ``adj``, and the out-dominating sets
-run the in-dominating greedy on ``radj``.
+run the in-dominating greedy on ``radj``.  The degrees inside a shrinking
+pool, which every step ranks, are popcounts of the host's packed rows
+(``packed`` or ``rpacked``) ANDed with the packed pool, so no step cuts a
+submatrix out of the host.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import row_counts, transitive_order, vertex_mask
+from .core import pack_rows, row_counts, transitive_order, vertex_mask
 
 
 @dataclass(frozen=True)
@@ -56,25 +59,32 @@ class DominatingStructure:
 
 def greedy_in_dominating_set(T):
     """In-dominating set of size at most ceil(log2 n) (at least one vertex)."""
-    return _greedy_dominating(T.adj, np.ones(T.n, dtype=bool))
+    return _greedy_dominating(T.adj, T.packed, np.ones(T.n, dtype=bool))
 
 
 def greedy_out_dominating_set(T):
     """Out-dominating mirror of ``greedy_in_dominating_set``."""
-    return _greedy_dominating(T.radj, np.ones(T.n, dtype=bool))
+    return _greedy_dominating(T.radj, T.rpacked, np.ones(T.n, dtype=bool))
 
 
-def _greedy_dominating(adj, alive):
-    """In-dominating set of T[alive] read off ``adj``, T's adjacency; the
-    out-dominating set when ``adj`` is its row-major transpose.  Each step
-    takes the lowest-id vertex of minimum out-degree inside the shrinking
-    common out-neighbourhood."""
+def _pool_degrees(packed, pool):
+    """The vertices of the mask ``pool`` in ascending order, and for each
+    the number of pool vertices its row of ``packed`` holds."""
+    ids = np.flatnonzero(pool)
+    return ids, np.bitwise_count(packed[ids] & pack_rows(pool[None])).sum(axis=1)
+
+
+def _greedy_dominating(adj, packed, alive):
+    """In-dominating set of T[alive] read off ``adj``, T's adjacency, and
+    ``packed``, its packed rows; the out-dominating set when the two are
+    the transpose's.  Each step takes the lowest-id vertex of minimum
+    out-degree inside the shrinking common out-neighbourhood."""
     n = int(alive.sum())
     pool = alive.copy()
     chosen = []
     while pool.any():
-        ids = np.flatnonzero(pool)
-        x = int(ids[row_counts(adj[ids][:, ids]).argmin()])
+        ids, deg = _pool_degrees(packed, pool)
+        x = int(ids[deg.argmin()])
         chosen.append(x)
         pool &= adj[x]
     S = sorted(chosen)
@@ -122,11 +132,7 @@ def _halving_structure(T, v, c, alive, mode):
     alive = np.ones(T.n, dtype=bool) if alive is None else alive
     if not alive[v]:
         raise ValueError(f"vertex {v} is not alive")
-    rows = T.radj if mode == "out" else T.adj
-
-    def pool_indegrees(ids):
-        return row_counts(rows[ids][:, ids])
-
+    rows, packed = (T.radj, T.rpacked) if mode == "out" else (T.adj, T.packed)
     degree = _neighbourhood_degree(T, v, alive, mode)
     if degree < 2 ** (c - 1):
         side = "in" if mode == "out" else "out"
@@ -156,16 +162,15 @@ def _halving_structure(T, v, c, alive, mode):
             return struct
 
         assert size >= 2
-        ids = np.flatnonzero(pool)
-        indeg = pool_indegrees(ids)
+        ids, indeg = _pool_degrees(packed, pool)
         x = int(ids[indeg.argmin()])
         if indeg.min() > 0 or waiting is not None:
             nxt = x
         else:
-            rest = ids[ids != x]
-            nxt = int(rest[pool_indegrees(rest).argmin()])
             waiting = x
             pool[x] = False
+            ids, indeg = _pool_degrees(packed, pool)
+            nxt = int(ids[indeg.argmin()])
         chain.append(nxt)
         pool &= rows[nxt]
         pool[nxt] = False
@@ -226,18 +231,18 @@ def core_set(T, k, alive=None):
     if n < 3 * k * math.log2(n):
         return CoreSet(frozenset(np.flatnonzero(alive).tolist()), k, True)
 
-    def peel(adj):
+    def peel(adj, packed):
         taken = []
         remaining = alive.copy()
         for _ in range(k):
             if not remaining.any():
                 break
-            chosen = _greedy_dominating(adj, remaining)
+            chosen = _greedy_dominating(adj, packed, remaining)
             taken.append(chosen)
             remaining[list(chosen)] = False
         return taken
 
-    Z = frozenset().union(*peel(T.adj), *peel(T.radj))
+    Z = frozenset().union(*peel(T.adj, T.packed), *peel(T.radj, T.rpacked))
     result = CoreSet(Z, k, False)
     assert len(Z) <= 3 * k * math.log2(n) + 1e-9
     _check_core(T, result, alive)

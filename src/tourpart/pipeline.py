@@ -37,6 +37,7 @@ from .core import (
     bfs_shortest_path,
     is_backwards_transitive,
     is_path,
+    row_bits,
     row_counts,
     transitive_order,
     vertex_mask,
@@ -366,27 +367,56 @@ def extend_coloring_safely(state, group, protected=frozenset()):
     state.record(stage, info={"group": len(Z), "cost": cost,
                               "cap": state.budget_cap})
     # the in-wave serves Z, the out-wave serves Z and the in-wave
-    grown, wave = set(), []
-    for nbrs, side, banned in ((T.radj, "in", exc_out_mask), (T.adj, "out", exc_mask)):
-        served, wave = Z + wave, []
-        for z in served:
-            cand = np.flatnonzero(nbrs[z] & col.uncolored_mask() & ~nmask & ~banned)
-            state.require(stage, cand.size >= 2 * k,
-                          f"vertex {z} is starving: {cand.size} fresh {side}-neighbours, "
-                          f"needs {2 * k}", kind="budget")
-            wave += _grant(col, cand, k)
-        grown.update(wave)
+    grown, picks = set(), []
+    for rows, side, banned in ((T.rpacked, "in", exc_out_mask), (T.packed, "out", exc_mask)):
+        served, picks = Z + picks, []
+        with _GrantWave(col, col.uncolored_mask() & ~nmask & ~banned, k) as wave:
+            for z, row in zip(served, row_bits(rows[served])):
+                cand = row & wave.free
+                state.require(stage, cand.bit_count() >= 2 * k,
+                              f"vertex {z} is starving: {cand.bit_count()} fresh "
+                              f"{side}-neighbours, needs {2 * k}", kind="budget")
+                picks += wave.grant(cand)
+        grown.update(picks)
     state.require(stage, len(set(Z) | grown) <= state.params.growth * len(Z),
                   "extension grew beyond its cap")
     return grown
 
 
-def _grant(col, cand, k):
-    """Color the first 2k candidates, k alpha then k beta; returns them."""
-    picks = cand[:2 * k]
-    col.assign(picks[:k], ALPHA)
-    col.assign(picks[k:], BETA)
-    return [int(u) for u in picks]
+class _GrantWave:
+    """One wave of grants: vertex after vertex takes the 2k lowest-id free
+    vertices among its neighbours, k alpha then k beta.
+
+    The free vertices are the bits of the int ``free``, so a vertex's
+    candidates are its ``row_bits`` row ANDed with it.  Leaving the
+    ``with`` block colors the wave's picks, one ``Coloring.assign`` per
+    color, also when a check inside it raised: the coloring then holds every
+    grant made before the failure."""
+
+    def __init__(self, col, free, k):
+        self.col, self.k = col, k
+        self.free = row_bits(free[None])[0]
+        self.alpha, self.beta = [], []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.col.assign(self.alpha, ALPHA)
+        self.col.assign(self.beta, BETA)
+        return False
+
+    def grant(self, cand):
+        """Take the 2k lowest bits of the candidate set ``cand``; returns them."""
+        picks = []
+        for _ in range(2 * self.k):
+            low = cand & -cand
+            picks.append(low.bit_length() - 1)
+            cand ^= low
+            self.free ^= low
+        self.alpha += picks[:self.k]
+        self.beta += picks[self.k:]
+        return picks
 
 
 def bootstrap_safety(state):
@@ -396,13 +426,15 @@ def bootstrap_safety(state):
     stage = "bootstrap"
     T, k, col = state.T, state.k, state.coloring
     fresh = []
-    for v in state.low_in + state.low_out:
-        for nbrs, side in ((T.radj, "in"), (T.adj, "out")):
-            cand = np.flatnonzero(nbrs[v] & col.uncolored_mask())
-            state.require(stage, cand.size >= 2 * k,
-                          f"anchor {v}: only {cand.size} uncolored {side}-neighbours",
-                          kind="budget")
-            fresh += _grant(col, cand, k)
+    anchors = state.low_in + state.low_out
+    with _GrantWave(col, col.uncolored_mask(), k) as wave:
+        for v, *rows in zip(anchors, row_bits(T.rpacked[anchors]), row_bits(T.packed[anchors])):
+            for row, side in zip(rows, ("in", "out")):
+                cand = row & wave.free
+                state.require(stage, cand.bit_count() >= 2 * k,
+                              f"anchor {v}: only {cand.bit_count()} uncolored "
+                              f"{side}-neighbours", kind="budget")
+                fresh += wave.grant(cand)
     group = set(fresh) | (state.reserved - state.anchors())
     extend_coloring_safely(state, group)
     state.snapshot("bootstrap")
@@ -910,24 +942,27 @@ def finalize_coloring(state):
     c4 = state.snapshots["connectors"]
     exc_out_mask = vertex_mask(T.n, state.exc_out)
     exc_mask = exc_out_mask | vertex_mask(T.n, state.exc_in)
-    bulk = vertex_mask(T.n, state.bulk)
+    bulk = row_bits(vertex_mask(T.n, state.bulk)[None])[0]
 
     # out-exceptions grab in-neighbours, in-exceptions grab out-neighbours
-    for nbrs, side, pool, banned, grabbed in (
-            (T.radj, "in", state.exc_out, exc_out_mask, state.grabbed_in),
-            (T.adj, "out", state.exc_in, exc_mask, state.grabbed_out)):
-        for v in sorted(pool):
-            if c4[v]:
-                continue
-            cand = np.flatnonzero(nbrs[v] & col.uncolored_mask() & ~banned)
-            if cand.size >= 2 * k:
-                grabbed += _grant(col, cand, k)
-            else:
-                state.require(stage, bool((nbrs[v] & bulk).any()),
-                              f"exception vertex {v}: no fresh {side}-neighbours and no "
-                              f"bulk {side}-neighbour", kind="budget")
-            if not col.is_colored(v):
-                col.assign([v], ALPHA)
+    for rows, side, pool, banned, grabbed in (
+            (T.rpacked, "in", state.exc_out, exc_out_mask, state.grabbed_in),
+            (T.packed, "out", state.exc_in, exc_mask, state.grabbed_out)):
+        todo = [v for v in sorted(pool) if not c4[v]]
+        with _GrantWave(col, col.uncolored_mask() & ~banned, k) as wave:
+            for v, row in zip(todo, row_bits(rows[todo])):
+                cand = row & wave.free
+                if cand.bit_count() >= 2 * k:
+                    grabbed += wave.grant(cand)
+                else:
+                    state.require(stage, bool(row & bulk),
+                                  f"exception vertex {v}: no fresh {side}-neighbours and no "
+                                  f"bulk {side}-neighbour", kind="budget")
+                # v is banned from the grants, so the coloring is current for
+                # it; coloring it now takes it out of the free set too
+                if not col.is_colored(v):
+                    col.assign([v], ALPHA)
+                    wave.free &= ~(1 << v)
         state.require(stage, len(grabbed) <= 2 * k * len(pool),
                       f"{side}-grab bookkeeping cap violated")
 

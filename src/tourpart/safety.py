@@ -5,10 +5,14 @@ cut it off from the bulk of the tournament in any of four senses: along
 monochromatic paths forwards or backwards, and along color-alternating
 paths forwards or backwards.  Each sense is one rule, "v reaches its
 targets inside its group of the graph", on the tournament or on the graph
-of color-changing edges, read forwards or through the row-major transpose.  The exact
-check reduces to a vertex-capacity flow against a super-target
-(``connectivity.safe_flow``); for k = 1 safety is plain reachability and a
-whole-coloring scan runs as six BFS sweeps.
+of color-changing edges, read forwards or through the row-major transpose.
+The exact check reduces to a vertex-capacity flow against a super-target
+(``connectivity.safe_flow``) on bool matrices.  For k = 1 safety is plain
+reachability, and a whole-coloring scan runs as six BFS sweeps backwards
+from the targets over the tournament's cached packed rows; an alternating
+sweep reads each row ANDed with the packed set of the other color, since
+every group lies inside the colored vertices, so no n x n matrix of
+color-changing edges is built.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .connectivity import safe_flow_on_masks
-from .core import reachable_mask, vertex_mask
+from .core import pack_rows, reachable_mask, vertex_mask
 
 ALPHA = 0
 BETA = 1
@@ -98,33 +102,37 @@ class SafetyReport:
 
 
 def _senses(ctx):
-    """The four predicates as (column, group, graph, reverse, targets): a
-    vertex v of ``group`` is safe in the sense of table column ``column``
-    when no k-1 vertices other than v cut every path v -> targets inside
-    graph[group]; ``reverse`` is graph's transpose, row-major.  The
-    monochromatic senses come once per color; the alternating ones run on
-    the color-changing edges, which need no colored mask since every group
-    lies inside the colored vertices.  Backward senses swap the graph and
-    its reverse."""
-    adj, radj = ctx.T.adj, ctx.T.radj
+    """The four predicates as (column, group, targets): a vertex v of
+    ``group`` is safe in the sense of table column ``column`` when no k-1
+    vertices other than v cut every path v -> targets inside graph[group].
+    The graph of columns 0 and 1 is the tournament, read forwards and
+    backwards, and their senses come once per color; that of columns 2 and
+    3 keeps the color-changing edges, and their group is every colored
+    vertex."""
     lab = ctx.coloring.labels
     resv, exc_out, exc_in = ctx.masks()
-    changes = lab[:, None] != lab[None, :]
     senses = []
-    for column, group, graph, reverse in ((0, lab == ALPHA, adj, radj),
-                                          (0, lab == BETA, adj, radj),
-                                          (2, lab != UNCOLORED, adj & changes, radj & changes)):
-        senses.append((column, group, graph, reverse, group & ~resv & ~exc_in))
-        senses.append((column + 1, group, reverse, graph, group & ~resv & ~exc_out))
+    for column, group in ((0, lab == ALPHA), (0, lab == BETA), (2, lab != UNCOLORED)):
+        senses.append((column, group, group & ~resv & ~exc_in))
+        senses.append((column + 1, group, group & ~resv & ~exc_out))
     return senses
 
 
-def _flow_row(senses, v, k):
+def _flow_graphs(ctx):
+    """Per table column, the sense's graph and its row-major reverse as bool
+    matrices, for the flow checks; a backward column swaps the two."""
+    T, lab = ctx.T, ctx.coloring.labels
+    changes = lab[:, None] != lab[None, :]
+    alt = (T.adj & changes, T.radj & changes)
+    return ((T.adj, T.radj), (T.radj, T.adj), alt, alt[::-1])
+
+
+def _flow_row(senses, graphs, v, k):
     """The four predicates of one vertex by flows, in table column order."""
     row = [None] * 4
-    for column, group, graph, reverse, targets in senses:
+    for column, group, targets in senses:
         if group[v]:
-            row[column] = safe_flow_on_masks(graph, reverse, v, targets, k, group)
+            row[column] = safe_flow_on_masks(*graphs[column], v, targets, k, group)
     if None in row:
         raise ValueError(f"vertex {v} is uncolored")
     return row
@@ -132,28 +140,38 @@ def _flow_row(senses, v, k):
 
 def is_safe(ctx, v):
     """Evaluate all four safety predicates for one colored vertex."""
-    return SafetyReport(*_flow_row(_senses(ctx), v, ctx.k))
+    return SafetyReport(*_flow_row(_senses(ctx), _flow_graphs(ctx), v, ctx.k))
 
 
 def safety_scan(ctx, vertices=None):
     """Safety reports for many vertices at once.
 
     For k = 1 each predicate is a single reachability sweep, so the whole
-    coloring is scanned with six BFS passes; for larger k this falls back
-    to per-vertex flow checks.  Returns an (n, 4) boolean table whose rows
-    are meaningful for colored vertices only.
+    coloring is scanned with six BFS passes over packed rows; for larger k
+    this falls back to per-vertex flow checks.  Returns an (n, 4) boolean
+    table whose rows are meaningful for colored vertices only.
     """
-    lab = ctx.coloring.labels
-    table = np.zeros((ctx.T.n, 4), dtype=bool)
+    T, lab = ctx.T, ctx.coloring.labels
+    table = np.zeros((T.n, 4), dtype=bool)
     senses = _senses(ctx)
     if ctx.k > 1:
         ids = vertices if vertices is not None else np.flatnonzero(lab != UNCOLORED)
+        graphs = _flow_graphs(ctx)
         for v in ids:
-            table[v] = _flow_row(senses, int(v), ctx.k)
+            table[v] = _flow_row(senses, graphs, int(v), ctx.k)
         return table
-    for column, group, _, reverse, targets in senses:
+    # row c: the vertices of the color opposite to c, packed
+    opposite = pack_rows(np.stack([lab == BETA, lab == ALPHA]))
+    for column, group, targets in senses:
         if group.any():
-            table[group, column] = reachable_mask(reverse, np.flatnonzero(targets), group)[group]
+            # sweep backwards from the targets: the reverse of a forward
+            # sense's graph is the transpose
+            rows = T.rpacked if column % 2 == 0 else T.packed
+            if column >= 2:
+                alt = opposite[lab]
+                alt &= rows
+                rows = alt
+            table[group, column] = reachable_mask(rows, np.flatnonzero(targets), group)[group]
     return table
 
 

@@ -237,6 +237,11 @@ def test_linkage_request_validation(t4):
     for bad in (-1, 25):
         with pytest.raises(ValueError, match="forbidden vertex"):
             find_disjoint_paths(T, LinkageRequest([(0, 1), (2, 3)], "full", frozenset({bad})))
+    # any parity but 0 and 1 asks for no path, and must not prove one absent
+    T = random_tournament(10, 1)
+    for bad in (-1, 2, 3):
+        with pytest.raises(ValueError, match="parity entry"):
+            find_disjoint_paths(T, LinkageRequest([(0, 1), (2, 3)], "full", parity=(bad, None)))
 
 
 def _linkage_requests(n):

@@ -16,7 +16,14 @@ from tourpart import (
     transitive_order,
     tournament_from_edges,
 )
-from tourpart.core import bfs_parity_path, bfs_shortest_path, reachable_mask, row_bits, row_counts
+from tourpart.core import (
+    bfs_parity_path,
+    bfs_shortest_path,
+    pack_rows,
+    reachable_mask,
+    row_bits,
+    row_counts,
+)
 from tourpart.generators import paley_tournament, random_tournament, transitive_tournament
 
 
@@ -131,6 +138,21 @@ def test_every_graph_keeps_its_transpose_row_major(rand):
     assert R.reverse().adj is T.adj and R.reverse().radj is T.radj
 
 
+def test_every_graph_keeps_its_rows_packed(rand):
+    T = rand(70, 4)
+    sub, _ = subtournament(T, range(0, 70, 2))
+    part, _ = bipartite_subdigraph(T, range(5), range(20, 27))
+    for G in (T, sub, part, T.reverse()):
+        for packed, m in ((G.packed, G.adj), (G.rpacked, G.radj)):
+            assert packed.dtype == np.uint64 and packed.flags.c_contiguous
+            assert not packed.flags.writeable
+            assert (packed == pack_rows(m)).all()
+        assert G.packed is G.packed and G.rpacked is G.rpacked  # built once
+    # reversal swaps the packed rows too
+    R = T.reverse()
+    assert R.packed is T.rpacked and R.rpacked is T.packed
+
+
 @pytest.mark.parametrize("shape", [(0, 0), (1, 1), (40, 40), (2, 70_000)])
 def test_row_counts_match_a_plain_sum(shape):
     m = np.random.default_rng(shape[1]).random(shape) < 0.5
@@ -148,6 +170,9 @@ def test_row_bits_match_the_matrix(shape):
     for u, row in enumerate(rows):
         assert row >> shape[1] == 0
         assert [row >> v & 1 == 1 for v in range(shape[1])] == m[u].tolist()
+    packed = pack_rows(m)
+    assert packed.shape == (shape[0], (shape[1] + 63) // 64)
+    assert row_bits(packed) == rows
 
 
 def test_backwards_transitive(c3):
@@ -187,6 +212,20 @@ def test_reachable_mask_matches_a_search_by_hand(sources):
                     stack.append(w)
         got = reachable_mask(adj, sources, None if ok.all() else ok)
         assert set(np.flatnonzero(got).tolist()) == seen
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
+def test_packed_reach_matches_the_bool_sweep(n):
+    # sparse rows, so a sweep takes several levels; word boundaries at 64
+    rng = np.random.default_rng(n)
+    adj = rng.random((n, n)) < 2.5 / n
+    np.fill_diagonal(adj, False)
+    allowed = rng.random(n) < 0.7
+    packed = pack_rows(adj)
+    for sources in (0, n - 1, rng.choice(n, min(n, 3), replace=False)):
+        for ok in (None, allowed):
+            want = reachable_mask(adj, sources, ok)
+            assert (reachable_mask(packed, sources, ok) == want).all()
 
 
 def test_transitive_order(t4, c3):

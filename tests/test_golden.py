@@ -16,10 +16,11 @@ import numpy as np
 from oracles import all_tournaments, brute_strong_k
 from tourpart.connectivity import certify, sweep, vertex_connectivity
 from tourpart.core import Tournament, bipartite_subdigraph, reachable_mask
-from tourpart.generators import random_tournament
+from tourpart.generators import random_tournament, transitive_tournament
 from tourpart.partition import search_partition, verify_partition
 from tourpart.pipeline import (
     PipelineParams,
+    PipelineState,
     _audit_bundles,
     _build_bundles,
     _color_bundles,
@@ -41,6 +42,9 @@ FAMILY_DIGEST = "f0ad5af5eb075d74"
 BUNDLE_DIGEST = "29d9e4ed9b6753d1"
 OTHER_CLASSES_DIGEST = "5c59e80646d1ae5e"
 SAFETY_DIGEST = "38dc838f183b05f2"
+# recorded while the pipeline and the k = 1 scan still read bool rows
+REACH_SAFETY_DIGEST = "4505c49d523c7569"
+COLORING_DIGEST = "c09069e12c2feda0"
 
 
 def _digest(results):
@@ -200,6 +204,55 @@ def test_flow_safety_tables_are_pinned():
             reports = [vars(is_safe(ctx, int(v))) for v in colored[::3]]
             rows.append([safety_scan(ctx).tolist(), reports])
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16] == SAFETY_DIGEST
+
+
+def _layered(n, seed):
+    """A transitive tournament with every pair at most three apart flipped
+    at random, relabelled: reachability inside a sparse vertex set often
+    fails, so the safety senses disagree."""
+    rng = np.random.default_rng(seed)
+    adj = transitive_tournament(n).adj.copy()
+    i, j = np.triu_indices(n, 1)
+    near = (j - i <= 3) & (rng.random(i.size) < 0.5)
+    adj[i[near], j[near]] = False
+    adj[j[near], i[near]] = True
+    p = rng.permutation(n)
+    return Tournament(adj[np.ix_(p, p)])
+
+
+def test_reach_safety_tables_are_pinned():
+    # k = 1 takes the sweep branch of the scan: partial colorings from sparse
+    # to nearly full, with reserved vertices and both exception pools, up to
+    # the pipeline's n
+    h = hashlib.sha256()
+    for seed in range(24):
+        rng = np.random.default_rng(seed)
+        n = (60, 200, 700, 1500)[seed % 4]
+        T = random_tournament(n, 1900 + seed) if seed % 3 == 0 else _layered(n, 1900 + seed)
+        col = Coloring(n)
+        col.labels = rng.integers(0, 2, n).astype(np.int8)
+        col.labels[rng.random(n) < (0.9, 0.5, 0.1)[seed % 3]] = UNCOLORED
+        resv, exc_out, exc_in = (frozenset(rng.choice(n, n // d, replace=False).tolist())
+                                 for d in (3, 4, 4))
+        h.update(safety_scan(SafetyContext(T, resv, exc_out, exc_in, col, 1)).tobytes())
+    assert h.hexdigest()[:16] == REACH_SAFETY_DIGEST
+
+
+def test_pipeline_colorings_are_pinned(monkeypatch):
+    # the labels at every snapshot of the benchmark's five runs: which vertex
+    # each grant colored, and with which color, in the order of the grants
+    h = hashlib.sha256()
+
+    def recording(state, name):
+        h.update(name.encode())
+        h.update(state.coloring.labels.tobytes())
+        snapshot(state, name)
+
+    snapshot = PipelineState.snapshot
+    monkeypatch.setattr(PipelineState, "snapshot", recording)
+    for i in range(1, 6):
+        run_pipeline(random_tournament(1500, 5000 + i), 1, PipelineParams.relaxed(1))
+    assert h.hexdigest()[:16] == COLORING_DIGEST
 
 
 def test_random_splits_are_pinned():

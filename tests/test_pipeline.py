@@ -1,3 +1,4 @@
+import hashlib
 import sys
 from types import SimpleNamespace
 
@@ -31,6 +32,8 @@ from tourpart.pipeline import (
     select_extremal_sets,
 )
 from tourpart.safety import ALPHA, BETA, UNCOLORED, all_colored_safe
+
+STARVED_DIGEST = "32f0d952f133a2f8"
 
 
 def test_select_extremal_on_transitive():
@@ -134,6 +137,17 @@ def test_extension_rejects_anchors():
     color_reserved(state)
     with pytest.raises(PipelineError):
         extend_coloring_safely(state, [state.low_in[0]])
+    # a vertex that starves partway through a wave leaves every grant made
+    # before it colored (the digest was recorded on the one-grant-at-a-time
+    # coloring)
+    col = state.coloring
+    free = np.flatnonzero(col.uncolored_mask())[:50]
+    protected = frozenset(np.flatnonzero(col.uncolored_mask()).tolist()) - set(free.tolist())
+    before = col.colored_count()
+    with pytest.raises(PipelineError, match="starving"):
+        extend_coloring_safely(state, sorted(state.reserved - state.anchors())[:10], protected)
+    assert col.colored_count() == before + 36  # the in-wave's 20, then 16 in the out-wave
+    assert hashlib.sha256(col.labels.tobytes()).hexdigest()[:16] == STARVED_DIGEST
 
 
 def test_bootstrap_makes_everything_safe():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -129,3 +131,23 @@ def test_all_colored_safe_helper(rand):
     labels = np.zeros(10, dtype=np.int8)
     ctx = _context(T, labels, (), (), (), 1)
     assert all_colored_safe(ctx) == bool(safety_scan(ctx)[ctx.coloring.colored_mask()].all())
+
+
+def test_reach_scan_builds_no_square_temporaries():
+    # the k = 1 scan sweeps the tournament's cached packed rows; at n = 1500
+    # one bool n x n temporary alone would take 2.25 MB
+    n = 1500
+    rng = np.random.default_rng(3)
+    labels = rng.integers(0, 2, n)
+    labels[rng.random(n) < 0.3] = UNCOLORED
+    resv, exc_out, exc_in = (rng.choice(n, 60, replace=False) for _ in range(3))
+    ctx = _context(random_tournament(n, 3), labels, resv, exc_out, exc_in)
+    first = safety_scan(ctx)  # builds the graph's packed rows, kept for later scans
+    tracemalloc.start()
+    try:
+        table = safety_scan(ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (table == first).all()
+    assert peak < 1.5e6, peak
