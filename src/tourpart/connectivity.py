@@ -246,7 +246,9 @@ class VertexFlow:
 
     ``out[u]`` is row u of ``adj`` as a bitset.  ``radj``, when given, is the
     transpose of ``adj``, and its rows are kept as the in-rows of the sinks;
-    otherwise a sink's in-row is packed from its column on each query."""
+    otherwise a sink's in-row is packed from its column on each query.  With
+    ``radj``, both may be the packed rows ``pack_rows`` made (the sweep
+    passes a graph's ``packed`` and ``rpacked``); the ints are the same."""
 
     def __init__(self, adj, radj=None):
         self.n = adj.shape[0]
@@ -274,11 +276,10 @@ class VertexFlow:
 
 
 def _strongly_connected(G):
-    fwd = reachable_mask(G.adj, 0)
-    if not fwd.all():
+    out, inn = G.reach_rows()
+    if not reachable_mask(out, 0).all():
         return False
-    bwd = reachable_mask(G.radj, 0)
-    return bool(bwd.all())
+    return bool(reachable_mask(inn, 0).all())
 
 
 @dataclass(frozen=True)
@@ -314,7 +315,7 @@ def sweep(G, ceiling=None, stop=0):
     if best < stop:
         return Certificate(False, level=best)
     if best > 1:  # a strong graph has a path between every pair
-        net = VertexFlow(G.adj, G.radj)
+        net = VertexFlow(G.packed, G.rpacked)
         out = net.out
         u = 0
         while u < best:

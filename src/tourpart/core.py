@@ -15,9 +15,15 @@ the dominating and safety rules) reads ``radj`` instead.
 Both matrices also come packed, 64 vertices per ``uint64`` word, as
 ``packed`` and ``rpacked``: built once on first use by ``pack_rows``, the
 one packer, and swapped by ``reverse`` like the transposes.  A packed row
-is an eighth of a bool row, so the large graphs' hot loops read it: pool
-degrees are popcounts of ``packed[ids] & pool``, grant waves AND one row
-with a free set, and the k = 1 safety sweeps OR packed rows.
+is an eighth of a bool row, so the large graphs' hot loops read it: the
+degrees are popcounts of the packed rows, pool degrees are popcounts of
+``packed[ids] & pool``, grant waves AND one row with a free set, and the
+k = 1 safety sweeps OR packed rows.
+
+A graph may also be built from its packed rows alone, ``adj`` and ``radj``
+then being unpacked only if something reads them.  The crossing digraph of
+a split of all of T is one: T's packed rows masked by the packed opposite
+side, with no n x n bool temporary.
 
 The search layer at the end of this module has one routine per job.  One
 BFS body serves both path searches: ``bfs_shortest_path`` runs it with one
@@ -25,11 +31,12 @@ state per vertex and ``bfs_parity_path`` with two, (v, depth % 2), and both
 break ties toward the lowest-id parent.  Reachability comes in two forms on
 purpose.  ``reachable_mask`` sweeps a bool matrix or its packed rows: the
 packed rows serve the large masked sweeps (the pipeline's safety scans),
-whose graphs keep them cached, and the bool rows serve small graphs
-(strong-connectivity screens, the partition search), where a per-level
-unpack costs more than it saves.  The exact searches (Hamiltonian paths,
-linkages, the flow kernel) read rows as Python-int bitsets from
-``row_bits`` and reach with ``bit_reach``.
+whose graphs keep them cached, and the bool rows serve small graphs (the
+partition search), where a per-level unpack costs more than it saves.  A
+strong-connectivity screen reads whichever rows the graph holds
+(``reach_rows``).  The exact searches (Hamiltonian paths, linkages, the
+flow kernel) read rows as Python-int bitsets from ``row_bits`` and reach
+with ``bit_reach``.
 """
 
 from __future__ import annotations
@@ -62,17 +69,20 @@ class Digraph:
         self._wrap(adj.copy())
 
     def _wrap(self, adj, radj=None, packed=None, rpacked=None):
-        self.adj = _frozen(adj)
-        self._radj = radj if radj is None else _frozen(radj)
-        self._packed = packed
-        self._rpacked = rpacked
-        self.n = adj.shape[0]
+        self._adj = _frozen(adj)
+        self._radj = _frozen(radj)
+        self._packed = _frozen(packed)
+        self._rpacked = _frozen(rpacked)
+        self.n = (adj if adj is not None else packed).shape[0]
 
     @classmethod
     def _derived(cls, adj, radj=None, packed=None, rpacked=None):
         """Wrap ``adj`` read-only without copying or validating it; ``radj``,
         when given, must be its transpose in row-major order, and
         ``packed`` and ``rpacked`` the two as ``pack_rows`` made them.
+        ``adj`` may be None when ``packed`` and ``rpacked`` are both given:
+        the graph then holds packed rows alone and unpacks its bool
+        matrices on first use.
 
         For fresh matrices cut out of a graph that already passed the
         checks of ``cls``, such as a principal submatrix of a tournament."""
@@ -81,11 +91,21 @@ class Digraph:
         return graph
 
     @property
+    def adj(self):
+        """The orientation matrix, read-only and C-contiguous: ``adj[u, v]``
+        is the arc u->v.  A graph built from packed rows alone unpacks it on
+        first use and keeps it."""
+        if self._adj is None:
+            self._adj = _frozen(unpack_rows(self._packed, self.n))
+        return self._adj
+
+    @property
     def radj(self):
         """The transpose of ``adj``, read-only and C-contiguous, built on
         first use and kept: row v holds the in-neighbourhood of v."""
         if self._radj is None:
-            self._radj = _frozen(self._transpose())
+            self._radj = _frozen(self._transpose() if self._adj is not None
+                                 else unpack_rows(self._rpacked, self.n))
         return self._radj
 
     @property
@@ -103,6 +123,14 @@ class Digraph:
             self._rpacked = _frozen(pack_rows(self.radj))
         return self._rpacked
 
+    def reach_rows(self):
+        """The out- and in-rows a reachability sweep should read: the bool
+        matrices when the graph holds ``adj``, else its packed rows, so a
+        graph built from packed rows alone is never unpacked."""
+        if self._adj is not None:
+            return self.adj, self.radj
+        return self.packed, self.rpacked
+
     def _transpose(self):
         return np.ascontiguousarray(self.adj.T)
 
@@ -110,10 +138,10 @@ class Digraph:
         return bool(self.adj[u, v])
 
     def out_degrees(self):
-        return row_counts(self.adj)
+        return np.bitwise_count(self.packed).sum(axis=1, dtype=np.intp)
 
     def in_degrees(self):
-        return row_counts(self.radj)
+        return np.bitwise_count(self.rpacked).sum(axis=1, dtype=np.intp)
 
     def out_neighbors(self, v):
         return np.flatnonzero(self.adj[v])
@@ -191,7 +219,9 @@ def _check_ids(G, ids):
 
 
 def _frozen(m):
-    m.setflags(write=False)
+    """``m`` made read-only in place (None passes through)."""
+    if m is not None:
+        m.setflags(write=False)
     return m
 
 
@@ -203,6 +233,12 @@ def pack_rows(m):
     words = np.zeros((rows, (cols + 63) // 64 * 8), dtype=np.uint8)
     words[:, :(cols + 7) // 8] = np.packbits(m, axis=1, bitorder="little")
     return words.view("<u8")
+
+
+def unpack_rows(packed, n):
+    """The inverse of ``pack_rows`` for n columns: the boolean rows, or the
+    one boolean row when ``packed`` is a single packed row."""
+    return np.unpackbits(packed.view(np.uint8), axis=-1, count=n, bitorder="little").view(bool)
 
 
 def row_bits(m):
@@ -258,8 +294,9 @@ def subtournament(T, vertices):
 def bipartite_subdigraph(T, side_a, side_b):
     """Digraph keeping only the T-edges that cross between ``side_a`` and
     ``side_b``.  Vertices are relabelled to 0..m-1 over sorted(A | B); the
-    second return value maps new ids back to T ids (identity when A | B
-    covers all of T, and then T's transpose is masked too, not copied)."""
+    second return value maps new ids back to T ids.  When A | B covers all
+    of T the map is the identity and the digraph holds packed rows alone:
+    T's packed rows, each masked by the packed side opposite its vertex."""
     A = set(int(v) for v in side_a)
     B = set(int(v) for v in side_b)
     if not A or not B:
@@ -270,11 +307,12 @@ def bipartite_subdigraph(T, side_a, side_b):
     if ids[0] < 0 or ids[-1] >= T.n:
         raise ValueError("vertex id out of range")
     in_a = vertex_mask(T.n, A)[ids]
-    crossing = in_a[:, None] != in_a[None, :]
     if len(ids) == T.n:
-        return Digraph._derived(T.adj & crossing, T.radj & crossing), ids
+        # row u of ``side`` is the packed side that u is not on
+        side = pack_rows(np.stack([in_a, ~in_a]))[in_a.astype(np.intp)]
+        return Digraph._derived(None, packed=T.packed & side, rpacked=T.rpacked & side), ids
     sub = _principal_submatrix(T.radj, ids)
-    sub &= crossing
+    sub &= in_a[:, None] != in_a[None, :]
     return Digraph._derived(sub), ids
 
 
@@ -339,7 +377,7 @@ def reachable_mask(adj, sources, allowed=None):
     while frontier.any():
         if packed:
             words = np.bitwise_or.reduce(adj[frontier], axis=0)
-            nxt = np.unpackbits(words.view(np.uint8), count=n, bitorder="little").view(bool)
+            nxt = unpack_rows(words, n)
         else:
             nxt = adj[frontier].any(axis=0)
         if allowed is not None:

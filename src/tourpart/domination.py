@@ -10,13 +10,18 @@ break ties toward the lowest vertex id so runs are reproducible.
 The chain structures and the core sets are built on the host tournament
 restricted by a boolean ``alive`` mask, the subtournament T[alive], without
 copying it: they come back in the host's vertex ids.  Each mirror pair is
-one routine run on the host's adjacency or its cached transpose ``radj``:
-the out-structures descend through rows of ``radj`` (in-neighbourhoods)
-and the in-structures through rows of ``adj``, and the out-dominating sets
-run the in-dominating greedy on ``radj``.  The degrees inside a shrinking
-pool, which every step ranks, are popcounts of the host's packed rows
-(``packed`` or ``rpacked``) ANDed with the packed pool, so no step cuts a
-submatrix out of the host.
+one routine run on the host's packed rows ``packed`` or on those of its
+transpose, ``rpacked``: the out-structures descend through rows of
+``rpacked`` (in-neighbourhoods) and the in-structures through rows of
+``packed``, and the out-dominating sets run the in-dominating greedy on
+``rpacked``.  Every shrinking pool is one
+packed row over the host's vertices, as ``pack_rows`` lays it out: a step
+ANDs it with the packed row of the vertex it takes and clears single bits,
+its size is a popcount, and the degrees inside it, which every step ranks,
+are popcounts of the host's packed rows (``packed`` or ``rpacked``) ANDed
+with it, so no step cuts a submatrix out of the host or packs anything.
+``check_structure`` tests domination on packed rows too: the packed
+outside set, less the OR of the cover's packed rows, must be empty.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import pack_rows, row_counts, transitive_order, vertex_mask
+from .core import _check_ids, pack_rows, row_counts, transitive_order, unpack_rows, vertex_mask
 
 
 @dataclass(frozen=True)
@@ -59,38 +64,58 @@ class DominatingStructure:
 
 def greedy_in_dominating_set(T):
     """In-dominating set of size at most ceil(log2 n) (at least one vertex)."""
-    return _greedy_dominating(T.adj, T.packed, np.ones(T.n, dtype=bool))
+    return _greedy_dominating(T.packed, np.ones(T.n, dtype=bool))
 
 
 def greedy_out_dominating_set(T):
     """Out-dominating mirror of ``greedy_in_dominating_set``."""
-    return _greedy_dominating(T.radj, T.rpacked, np.ones(T.n, dtype=bool))
+    return _greedy_dominating(T.rpacked, np.ones(T.n, dtype=bool))
+
+
+def _packed_mask(mask):
+    """The boolean vertex mask ``mask`` as one packed row."""
+    return pack_rows(mask[None])[0]
+
+
+def _pool_ids(pool, n):
+    """The vertices of the packed row ``pool`` over 0..n-1, ascending."""
+    return np.flatnonzero(unpack_rows(pool, n))
+
+
+def _pool_size(pool):
+    return int(np.bitwise_count(pool).sum())
+
+
+def _drop(pool, x):
+    """Clear the bit of vertex x in the packed row ``pool``."""
+    pool[x >> 6] &= ~np.uint64(1 << (x & 63))
 
 
 def _pool_degrees(packed, pool):
-    """The vertices of the mask ``pool`` in ascending order, and for each
-    the number of pool vertices its row of ``packed`` holds."""
-    ids = np.flatnonzero(pool)
-    return ids, np.bitwise_count(packed[ids] & pack_rows(pool[None])).sum(axis=1)
+    """The vertices of the packed row ``pool`` in ascending order, and for
+    each the number of pool vertices its row of ``packed`` holds."""
+    ids = _pool_ids(pool, packed.shape[0])
+    return ids, np.bitwise_count(packed[ids] & pool).sum(axis=1)
 
 
-def _greedy_dominating(adj, packed, alive):
-    """In-dominating set of T[alive] read off ``adj``, T's adjacency, and
-    ``packed``, its packed rows; the out-dominating set when the two are
-    the transpose's.  Each step takes the lowest-id vertex of minimum
-    out-degree inside the shrinking common out-neighbourhood."""
+def _greedy_dominating(packed, alive):
+    """In-dominating set of T[alive] read off ``packed``, T's packed rows;
+    the out-dominating set when they are the transpose's.  Each step takes
+    the lowest-id vertex of minimum out-degree inside the shrinking common
+    out-neighbourhood."""
     n = int(alive.sum())
-    pool = alive.copy()
+    pool = _packed_mask(alive)
     chosen = []
     while pool.any():
         ids, deg = _pool_degrees(packed, pool)
         x = int(ids[deg.argmin()])
         chosen.append(x)
-        pool &= adj[x]
+        pool &= packed[x]
     S = sorted(chosen)
     assert len(S) <= max(1, math.ceil(math.log2(n))) if n > 1 else True
-    outside = alive & ~vertex_mask(adj.shape[0], S)
-    assert adj[outside][:, S].any(axis=1).all(), "a vertex does not reach the dominating set"
+    in_s = vertex_mask(alive.size, S)
+    hits = packed[alive & ~in_s] & _packed_mask(in_s)
+    assert hits.any(axis=1).all(), "a vertex does not reach the dominating set"
     return set(S)
 
 
@@ -112,69 +137,63 @@ def in_dominating_structure(T, v, c, alive=None):
     return _halving_structure(T, v, c, alive, "in")
 
 
-def _neighbourhood_degree(T, v, alive, mode):
-    """d^-(v) ("out") or d^+(v) ("in") inside T[alive]."""
-    rows = T.radj if mode == "out" else T.adj
-    return int((rows[v] & alive).sum())
-
-
 def _halving_structure(T, v, c, alive, mode):
-    """The halving construction on T[alive], read off the host adjacency.
+    """The halving construction on T[alive], read off the host's packed rows.
 
-    Mode "out" descends through in-neighbourhoods, the rows of ``radj``;
+    Mode "out" descends through in-neighbourhoods, the rows of ``rpacked``;
     mode "in" is the same construction on the reversed tournament, whose
-    in-neighbourhoods are the rows of ``adj``.  Vertex ids stay T's, and
+    in-neighbourhoods are the rows of ``packed``.  Vertex ids stay T's, and
     since T[alive] keeps their order every lowest-id tie-break agrees with
     a run on a relabelled copy of T[alive].
     """
+    _check_ids(T, (v,))
     if c < 2:
         raise ValueError("chain cap c must be at least 2")
     alive = np.ones(T.n, dtype=bool) if alive is None else alive
     if not alive[v]:
         raise ValueError(f"vertex {v} is not alive")
-    rows, packed = (T.radj, T.rpacked) if mode == "out" else (T.adj, T.packed)
-    degree = _neighbourhood_degree(T, v, alive, mode)
+    rows = T.rpacked if mode == "out" else T.packed
+    pool = rows[v] & _packed_mask(alive)  # common neighbourhood of the chain, minus waiting
+    degree = _pool_size(pool)
     if degree < 2 ** (c - 1):
         side = "in" if mode == "out" else "out"
         raise ValueError(f"{side}-degree {degree} of vertex {v} is below 2^(c-1) = {2 ** (c - 1)}")
 
     chain = [v]
     waiting = None
-    pool = rows[v] & alive  # common neighbourhood of the chain, minus waiting
-    trace = [int(pool.sum())]
+    trace = [degree]
 
     while True:
-        size = int(pool.sum())
+        size = _pool_size(pool)
         assert size * (1 << (len(chain) - 1)) <= degree, "halving invariant broken"
         if size << (c - 2) <= degree:
             if waiting is None:
                 assert size > 0
-                tip = int(np.flatnonzero(pool)[0])
-                pool[tip] = False
+                tip = int(_pool_ids(pool, T.n)[0])
+                _drop(pool, tip)
             else:
                 tip = waiting
             order = [tip] + chain[::-1] if mode == "out" else chain + [tip]
             struct = DominatingStructure(
                 mode=mode, anchor=v, order=tuple(order), tip=tip,
-                exceptions=frozenset(np.flatnonzero(pool).tolist()),
+                exceptions=frozenset(_pool_ids(pool, T.n).tolist()),
                 cap=c, shrink_trace=tuple(trace))
             check_structure(T, struct, alive)
             return struct
 
         assert size >= 2
-        ids, indeg = _pool_degrees(packed, pool)
+        ids, indeg = _pool_degrees(rows, pool)
         x = int(ids[indeg.argmin()])
         if indeg.min() > 0 or waiting is not None:
             nxt = x
         else:
             waiting = x
-            pool[x] = False
-            ids, indeg = _pool_degrees(packed, pool)
+            _drop(pool, x)
+            ids, indeg = _pool_degrees(rows, pool)
             nxt = int(ids[indeg.argmin()])
         chain.append(nxt)
-        pool &= rows[nxt]
-        pool[nxt] = False
-        trace.append(int(pool.sum()))
+        pool &= rows[nxt]  # a row holds no loop, so nxt leaves the pool
+        trace.append(_pool_size(pool))
         if len(chain) >= c:
             raise AssertionError("construction failed to exit within the chain cap")
 
@@ -196,12 +215,13 @@ def check_structure(T, s, alive=None):
         assert s.order[0] == s.tip and s.order[-1] == s.anchor
     else:
         assert s.order[0] == s.anchor and s.order[-1] == s.tip
-    degree = _neighbourhood_degree(T, s.anchor, alive, s.mode)
+    nbrs = T.radj if s.mode == "out" else T.adj  # d^-(anchor) or d^+(anchor)
+    degree = int((nbrs[s.anchor] & alive).sum())
     assert len(s.exceptions) << (s.cap - 2) <= degree, "exception set too large"
-    outside = alive & ~taken
-    cover = sorted(s.cover)
-    rows = T.adj if s.mode == "out" else T.radj
-    assert rows[cover][:, outside].any(axis=0).all(), "domination fails outside the exception set"
+    rows = T.packed if s.mode == "out" else T.rpacked
+    covered = np.bitwise_or.reduce(rows[sorted(s.cover)], axis=0)
+    outside = _packed_mask(alive & ~taken)
+    assert not (outside & ~covered).any(), "domination fails outside the exception set"
     for i, size in enumerate(s.shrink_trace):
         assert size * (1 << i) <= degree, "recorded pool sizes violate halving"
 
@@ -231,18 +251,18 @@ def core_set(T, k, alive=None):
     if n < 3 * k * math.log2(n):
         return CoreSet(frozenset(np.flatnonzero(alive).tolist()), k, True)
 
-    def peel(adj, packed):
+    def peel(packed):
         taken = []
         remaining = alive.copy()
         for _ in range(k):
             if not remaining.any():
                 break
-            chosen = _greedy_dominating(adj, packed, remaining)
+            chosen = _greedy_dominating(packed, remaining)
             taken.append(chosen)
             remaining[list(chosen)] = False
         return taken
 
-    Z = frozenset().union(*peel(T.adj, T.packed), *peel(T.radj, T.rpacked))
+    Z = frozenset().union(*peel(T.packed), *peel(T.rpacked))
     result = CoreSet(Z, k, False)
     assert len(Z) <= 3 * k * math.log2(n) + 1e-9
     _check_core(T, result, alive)

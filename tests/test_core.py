@@ -16,6 +16,7 @@ from tourpart import (
     transitive_order,
     tournament_from_edges,
 )
+from tourpart.connectivity import certify
 from tourpart.core import (
     bfs_parity_path,
     bfs_shortest_path,
@@ -151,6 +152,44 @@ def test_every_graph_keeps_its_rows_packed(rand):
     # reversal swaps the packed rows too
     R = T.reverse()
     assert R.packed is T.rpacked and R.rpacked is T.packed
+
+
+def test_crossing_graphs_match_the_masked_host(rand):
+    # the full-cover branch holds packed rows alone and unpacks them on
+    # first use; the other branch cuts a bool submatrix
+    T = rand(150, 6)
+    side = np.random.default_rng(6).random(150) < 0.4
+    full, _ = bipartite_subdigraph(T, np.flatnonzero(side), np.flatnonzero(~side))
+    assert full._adj is None and full._radj is None
+    ids = list(range(3, 140, 2))
+    part, part_ids = bipartite_subdigraph(T, ids[:20], ids[20:])
+    for G, ids in ((full, range(150)), (part, part_ids)):
+        ids = list(ids)
+        host = T.adj[np.ix_(ids, ids)]
+        in_a = side[ids] if G is full else np.arange(len(ids)) < 20
+        want = host & (in_a[:, None] != in_a[None, :])
+        for got, m in ((G.packed, want), (G.rpacked, want.T), (G.adj, want), (G.radj, want.T)):
+            assert got.flags.c_contiguous and not got.flags.writeable
+            assert (got == (pack_rows(m) if got.dtype == np.uint64 else m)).all()
+
+
+def test_a_packed_only_graph_is_swept_without_unpacking(rand):
+    T = rand(200, 2)
+    side = np.arange(200) % 3 == 0
+    G, _ = bipartite_subdigraph(T, np.flatnonzero(side), np.flatnonzero(~side))
+    assert certify(G, 2).ok == certify(Digraph(T.adj & (side[:, None] != side[None, :])), 2).ok
+    assert G._adj is None and G._radj is None
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
+def test_degrees_are_the_row_sums(n):
+    T = random_tournament(n, n)
+    adj = T.adj & (np.arange(n) % 4 != 1)[None, :]
+    D = Digraph(adj)
+    packed_only = Digraph._derived(None, packed=pack_rows(adj), rpacked=pack_rows(adj.T))
+    for G, m in ((T, T.adj), (T.reverse(), T.adj.T), (D, adj), (packed_only, adj)):
+        for got, want in ((G.out_degrees(), m.sum(axis=1)), (G.in_degrees(), m.sum(axis=0))):
+            assert got.dtype == np.intp and (got == want).all()
 
 
 @pytest.mark.parametrize("shape", [(0, 0), (1, 1), (40, 40), (2, 70_000)])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from tourpart import (
     out_dominating_structure,
     transitive_order,
 )
+from tourpart import domination
 from tourpart.core import tournament_from_edges
 from tourpart.domination import check_structure
 from tourpart.generators import random_tournament, transitive_tournament
@@ -123,6 +125,32 @@ def test_structure_precondition_errors(t4):
         out_dominating_structure(t4, 3, 4)  # needs in-degree >= 8
     with pytest.raises(ValueError):
         out_dominating_structure(t4, 3, 1)
+
+
+@pytest.mark.parametrize("build", [out_dominating_structure, in_dominating_structure])
+@pytest.mark.parametrize("v", [-1, 40])
+def test_structure_rejects_ids_outside_the_graph_before_any_work(monkeypatch, build, v):
+    # -1 once ran the whole construction on vertex 39; 40 raised IndexError
+    calls = []
+    monkeypatch.setattr(domination, "check_structure", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match=f"vertex {v} out of range"):
+        build(random_tournament(40, 1), v, 3)
+    assert calls == []
+
+
+@pytest.mark.parametrize("mode", ["out", "in"])
+def test_check_structure_misses_no_undominated_vertex(mode):
+    # every exception lies outside the cover's reach; dropping any one of
+    # them, at any bit position of the packed rows, must fail the check
+    T = random_tournament(300, 8)
+    build = out_dominating_structure if mode == "out" else in_dominating_structure
+    s = build(T, 5, 2)
+    rows = T.adj if mode == "out" else T.radj
+    assert len(s.exceptions) > 64
+    for e in sorted(s.exceptions):
+        assert not rows[sorted(s.cover), e].any()
+        with pytest.raises(AssertionError, match="domination fails"):
+            check_structure(T, dataclasses.replace(s, exceptions=s.exceptions - {e}))
 
 
 def test_core_set_examples():

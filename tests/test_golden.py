@@ -16,6 +16,7 @@ import numpy as np
 from oracles import all_tournaments, brute_strong_k
 from tourpart.connectivity import certify, sweep, vertex_connectivity
 from tourpart.core import Tournament, bipartite_subdigraph, reachable_mask
+from tourpart.domination import in_dominating_structure, out_dominating_structure
 from tourpart.generators import random_tournament, transitive_tournament
 from tourpart.partition import search_partition, verify_partition
 from tourpart.pipeline import (
@@ -26,6 +27,7 @@ from tourpart.pipeline import (
     _color_bundles,
     _place_hubs,
     _shortcut_bundles,
+    build_dominating_family,
     run_pipeline,
 )
 from tourpart.safety import ALPHA, BETA, UNCOLORED, Coloring, SafetyContext, is_safe, safety_scan
@@ -39,6 +41,8 @@ PIPELINE_DIGEST = "e7c7468ac305132c"
 SPLIT_DIGEST = "980bc7bc62d361d7"
 REPAIR_DIGEST = "26f3927b3f490fb6"
 FAMILY_DIGEST = "f0ad5af5eb075d74"
+# recorded while the halving pool and the structure check still read bool rows
+STRUCTURE_DIGEST = "9795b4eb33da15d0"
 BUNDLE_DIGEST = "29d9e4ed9b6753d1"
 OTHER_CLASSES_DIGEST = "5c59e80646d1ae5e"
 SAFETY_DIGEST = "38dc838f183b05f2"
@@ -126,6 +130,33 @@ def test_dominating_families_are_pinned(monkeypatch):
                        for s in state.out_structs + state.in_structs]]
                      for state in built])
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16] == FAMILY_DIGEST
+
+
+def _structure_row(s):
+    return [s.mode, s.anchor, list(s.order), s.tip, sorted(s.exceptions), list(s.shrink_trace)]
+
+
+def test_dominating_structures_are_pinned():
+    # the family of each of the benchmark's five instances and of its
+    # reversal, then single structures of random T[alive] in both modes
+    rows = []
+    for i in range(1, 6):
+        T = random_tournament(1500, 5000 + i)
+        for G in (T, T.reverse()):
+            state = PipelineState(G, 1, PipelineParams.relaxed(1))
+            build_dominating_family(state)
+            rows.append([_structure_row(s) for s in state.out_structs + state.in_structs])
+    rng = np.random.default_rng(12)
+    for j in range(20):
+        n = int(rng.integers(60, 401))
+        T = random_tournament(n, 7000 + j)
+        alive = rng.random(n) < rng.uniform(0.5, 1.0)
+        v = int(rng.choice(np.flatnonzero(alive)))
+        for build, nbrs in ((out_dominating_structure, T.radj), (in_dominating_structure, T.adj)):
+            degree = int((nbrs[v] & alive).sum())
+            c = min(degree.bit_length(), int(rng.integers(2, 8)))
+            rows.append([n, c, _structure_row(build(T, v, c, alive))])
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16] == STRUCTURE_DIGEST
 
 
 def test_pipeline_makes_no_tournament_copies(monkeypatch):

@@ -1,4 +1,5 @@
 import importlib
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,7 +15,7 @@ from tourpart.partition import (
     search_partition,
     verify_partition,
 )
-from tourpart.pipeline import PipelineError, PipelineParams
+from tourpart.pipeline import PipelineError, PipelineParams, run_pipeline
 from tourpart.safety import ALPHA
 
 
@@ -128,10 +129,23 @@ def test_pipeline_mode_end_to_end():
     assert sorted(res.v1 + res.v2) == list(range(1500))
 
 
+def test_verifying_a_large_split_allocates_no_n_by_n_temporary():
+    # the crossing digraph of a 1500-vertex split is T's packed rows masked
+    # by the packed opposite side; a bool n x n matrix alone is 2.1 MiB
+    T = random_tournament(1500, 5001)
+    state = run_pipeline(T, 1, PipelineParams.relaxed(1), seed=1)
+    v1, v2 = state.partition_sets()
+    tracemalloc.start()
+    try:
+        assert verify_partition(T, v1, v2, 1).verified
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+
+
 def test_finished_pipeline_state_witnesses_partition():
     # the verifier must agree with what a finished run's audits promised
-    from tourpart.pipeline import run_pipeline
-
     T = random_tournament(1500, 4)
     params = PipelineParams.relaxed(1, chain_cap=6)
     state = run_pipeline(T, 1, params, seed=0)

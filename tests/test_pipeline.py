@@ -94,6 +94,28 @@ def test_dominating_family_invariants():
         assert s.anchor == x and x in s.members
 
 
+def test_dominating_family_checks_each_structure_once(monkeypatch):
+    # check_structure certifies each chain while it is built; the family
+    # audit takes its transitivity and domination from there
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapped
+
+    domination = sys.modules["tourpart.domination"]
+    monkeypatch.setattr(domination, "check_structure",
+                        counting("check", domination.check_structure))
+    for name, module in list(sys.modules.items()):
+        if name.startswith("tourpart") and hasattr(module, "transitive_order"):
+            monkeypatch.setattr(module, "transitive_order",
+                                counting("order", module.transitive_order))
+    build_dominating_family(_relaxed_state(1500, 0))
+    assert calls.count("check") == 12 and calls.count("order") == 12
+
+
 def test_reserved_coloring_class_table():
     state = _relaxed_state(1500, 1, chain_cap=5)
     build_dominating_family(state)
