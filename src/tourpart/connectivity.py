@@ -42,20 +42,19 @@ stopping pair, its value and its cut do not depend on ``ceiling``.
 
 The kernel works on Python-int bitsets, since the networks it certifies are
 small (tens of vertices) and numpy's per-call overhead would outweigh the
-arithmetic.  A ``VertexFlow`` handle holds each out-row of the graph as an
-int (bit v of ``out[u]`` is the arc u->v) and, for the sweep, each in-row;
-a flow on its own needs only the in-row of its sink.  The split network is
-never built.  The flow state is the successor list ``flow`` (bit v of
-``flow[u]`` is one unit on u->v; every vertex but x has at most one), the
-predecessor list ``pred`` of the vertices that pass a unit, and the bitset
-``carries`` of those vertices, whose arcs v_in -> v_out are used.  The
-residual search keeps only its out-copy frontiers, level by level.  The
-parent of an in-copy is the lowest-index tail in its frontier with an arc to
-it, or the vertex itself over its reversed split arc when no arc reached
-it, and the parent of an out-copy follows from the flow, so the augmenting
-paths, and hence every flow, path decomposition and cut, are those of a
-level-synchronous BFS with lowest-index parents, whatever the
-representation.
+arithmetic.  A ``VertexFlow`` handle holds each packed out-row of the graph
+as an int (bit v of ``out[u]`` is the arc u->v) and each packed in-row (bit
+u of ``inn[v]``).  The split network is never built.  The flow state is the
+successor list ``flow`` (bit v of ``flow[u]`` is one unit on u->v; every
+vertex but x has at most one), the predecessor list ``pred`` of the
+vertices that pass a unit, and the bitset ``carries`` of those vertices,
+whose arcs v_in -> v_out are used.  The residual search keeps only its
+out-copy frontiers, level by level.  The parent of an in-copy is the
+lowest-index tail in its frontier with an arc to it, or the vertex itself
+over its reversed split arc when no arc reached it, and the parent of an
+out-copy follows from the flow, so the augmenting paths, and hence every
+flow, path decomposition and cut, are those of a level-synchronous BFS with
+lowest-index parents, whatever the representation.
 """
 
 from __future__ import annotations
@@ -66,6 +65,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
+    Digraph,
     Verdict,
     _bits,
     _check_ids,
@@ -104,7 +104,7 @@ def _short_paths(net, x, y, cap):
     x->a->b->y through unused vertices in ascending a, each taking the
     lowest b, at most ``cap`` paths in all.  Returns the flow state
     ``(flow, pred, carries)``."""
-    out, into_y = net.out, net.into(y)
+    out, into_y = net.out, net.inn[y]
     flow = [0] * len(out)
     pred = [-1] * len(out)
     carries = value = 0
@@ -244,27 +244,18 @@ def _flow_paths(flow, x, y):
 class VertexFlow:
     """Per-graph handle on the flow kernel; queries differ only in (x, y).
 
-    ``out[u]`` is row u of ``adj`` as a bitset.  ``radj``, when given, is the
-    transpose of ``adj``, and its rows are kept as the in-rows of the sinks;
-    otherwise a sink's in-row is packed from its column on each query.  With
-    ``radj``, both may be the packed rows ``pack_rows`` made (the sweep
-    passes a graph's ``packed`` and ``rpacked``); the ints are the same."""
+    ``out[u]`` and ``inn[v]`` are the rows of the digraph G's ``packed`` and
+    ``rpacked`` as ints: the out-neighbourhood of u and the in-neighbourhood
+    of v.  A bool matrix cut for one flow is wrapped as
+    ``Digraph._derived(adj)`` first."""
 
-    def __init__(self, adj, radj=None):
-        self.n = adj.shape[0]
-        self.adj = adj
-        self.out = row_bits(adj)
-        self.inn = None if radj is None else row_bits(radj)
-
-    def into(self, y):
-        """The in-neighbourhood of y as a bitset."""
-        if self.inn is not None:
-            return self.inn[y]
-        return row_bits(self.adj[:, y][None])[0]
+    def __init__(self, G):
+        self.n = G.n
+        self.out = row_bits(G.packed)
+        self.inn = row_bits(G.rpacked)
 
     def middles(self, u):
-        """2-path counts at u: (#u->w->v for every v, #v->w->u for every v).
-        Needs the in-rows of every vertex (a handle built with ``radj``)."""
+        """2-path counts at u: (#u->w->v for every v, #v->w->u for every v)."""
         ou, iu = self.out[u], self.inn[u]
         return [(ou & i).bit_count() for i in self.inn], [(o & iu).bit_count() for o in self.out]
 
@@ -276,10 +267,9 @@ class VertexFlow:
 
 
 def _strongly_connected(G):
-    out, inn = G.reach_rows()
-    if not reachable_mask(out, 0).all():
+    if not reachable_mask(G.packed, 0).all():
         return False
-    return bool(reachable_mask(inn, 0).all())
+    return bool(reachable_mask(G.rpacked, 0).all())
 
 
 @dataclass(frozen=True)
@@ -315,7 +305,7 @@ def sweep(G, ceiling=None, stop=0):
     if best < stop:
         return Certificate(False, level=best)
     if best > 1:  # a strong graph has a path between every pair
-        net = VertexFlow(G.packed, G.rpacked)
+        net = VertexFlow(G)
         out = net.out
         u = 0
         while u < best:
@@ -369,8 +359,7 @@ def min_separator(G, x, y):
         raise ValueError("endpoints must differ")
     if G.has_edge(x, y):
         raise ValueError("pair joined by a direct edge has no vertex cut")
-    net = VertexFlow(G.adj)
-    value, paths, cut = net.paths_and_cut(x, y)
+    value, paths, cut = VertexFlow(G).paths_and_cut(x, y)
     cert = SeparatorCertificate((x, y), cut, paths)
     _assert_menger(G, x, y, cert, value)
     return cert
@@ -387,7 +376,7 @@ def _assert_menger(G, x, y, cert, value):
         assert not inner & interiors, "paths share an interior vertex"
         interiors |= inner
     allowed = ~vertex_mask(G.n, cert.separator)
-    assert not reachable_mask(G.adj, x, allowed)[y], "claimed separator does not cut"
+    assert not reachable_mask(G.packed, x, allowed)[y], "claimed separator does not cut"
 
 
 # ---------------------------------------------------------------------------
@@ -406,26 +395,36 @@ def safe_flow(G, v, targets, k, direction="forward", restrict=None):
     within = np.ones(G.n, dtype=bool) if restrict is None else vertex_mask(G.n, restrict)
     if not within[v]:
         raise ValueError("v must belong to the restriction set")
-    graphs = (G.adj, G.radj) if direction == "forward" else (G.radj, G.adj)
-    return safe_flow_on_masks(*graphs, v, vertex_mask(G.n, targets), k, within)
+    # a backward check runs forwards on the transpose, whose transpose is G
+    radj = G.radj if direction == "forward" else G.adj
+    return TargetFlow(radj, vertex_mask(G.n, targets), within).safe(v, k)
 
 
-def safe_flow_on_masks(adj, radj, v, targets, k, within):
-    """``safe_flow`` forwards in the digraph ``adj``, whose transpose is
-    ``radj``, with the target set and the restriction given as masks; v
-    must lie in ``within``."""
-    hit = targets & within
-    if hit[v]:
-        return True
-    if not hit.any():
-        return False
-    ids = np.flatnonzero(within)
-    m = len(ids)
-    # the restricted graph plus one sink m fed by every target
-    net = np.zeros((m + 1, m + 1), dtype=bool)
-    net[:m, :m] = _principal_submatrix(radj, ids)
-    net[:m, m] = hit[ids]
-    return maximum_flow(VertexFlow(net), int(np.count_nonzero(within[:v])), m, k)[0] >= k
+class TargetFlow:
+    """``safe_flow`` forwards in the digraph whose row-major transpose is
+    ``radj``, with targets and restriction as masks.  The network, the
+    restricted graph plus one sink fed by every target, does not depend on
+    the source v in ``within``: one handle serves all, cut on first need."""
+
+    def __init__(self, radj, targets, within):
+        self.radj, self.within = radj, within
+        self.hit = targets & within
+        self.net = None
+
+    def safe(self, v, k):
+        if self.hit[v]:
+            return True
+        if not self.hit.any():
+            return False
+        if self.net is None:
+            ids = np.flatnonzero(self.within)
+            m = len(ids)
+            net = np.zeros((m + 1, m + 1), dtype=bool)
+            net[:m, :m] = _principal_submatrix(self.radj, ids)
+            net[:m, m] = self.hit[ids]
+            self.net = VertexFlow(Digraph._derived(net))
+        source = int(np.count_nonzero(self.within[:v]))
+        return maximum_flow(self.net, source, self.net.n - 1, k)[0] >= k
 
 
 # ---------------------------------------------------------------------------
@@ -502,15 +501,10 @@ def _bundle_by_flow(T, req):
     allowed = ~vertex_mask(T.n, req.forbidden)
     allowed[x] = allowed[y] = True
     adj = T.adj & allowed[:, None] & allowed[None, :]
-    if adj[x, y]:
-        # the direct edge is one internally disjoint path; cap it at one unit
-        adj = adj.copy()
-        adj[x, y] = False
-        direct = 1
-    else:
-        direct = 0
-    net = VertexFlow(adj)
-    value, paths, _ = net.paths_and_cut(x, y)
+    # the direct edge is one internally disjoint path; cap it at one unit
+    direct = int(adj[x, y])
+    adj[x, y] = False
+    value, paths, _ = VertexFlow(Digraph._derived(adj)).paths_and_cut(x, y)
     total = value + direct
     if total < want:
         return LinkageResult(Verdict.INFEASIBLE)
@@ -531,7 +525,7 @@ def find_disjoint_paths(T, req, budget=500_000):
     if _uniform_bundle(req):
         return _bundle_by_flow(T, req)
 
-    out = row_bits(T.adj)
+    out = row_bits(T.packed)
     base = (1 << T.n) - 1  # vertices usable as interiors
     for u in (*req.forbidden, *(u for p in req.pairs for u in p)):
         base &= ~(1 << u)

@@ -14,11 +14,11 @@ the dominating and safety rules) reads ``radj`` instead.
 
 Both matrices also come packed, 64 vertices per ``uint64`` word, as
 ``packed`` and ``rpacked``: built once on first use by ``pack_rows``, the
-one packer, and swapped by ``reverse`` like the transposes.  A packed row
-is an eighth of a bool row, so the large graphs' hot loops read it: the
-degrees are popcounts of the packed rows, pool degrees are popcounts of
-``packed[ids] & pool``, grant waves AND one row with a free set, and the
-k = 1 safety sweeps OR packed rows.
+one packer, and swapped by ``reverse`` like the transposes.  The packed rows
+are the one bitset input of every hot loop: reachability sweeps OR them,
+neighbour counts inside a vertex set are popcounts of rows ANDed with the
+packed set (``counts_in`` over ``packed_set``), grant waves AND one row with
+a free set, and the flow kernel reads them as Python ints.
 
 A graph may also be built from its packed rows alone, ``adj`` and ``radj``
 then being unpacked only if something reads them.  The crossing digraph of
@@ -28,15 +28,11 @@ side, with no n x n bool temporary.
 The search layer at the end of this module has one routine per job.  One
 BFS body serves both path searches: ``bfs_shortest_path`` runs it with one
 state per vertex and ``bfs_parity_path`` with two, (v, depth % 2), and both
-break ties toward the lowest-id parent.  Reachability comes in two forms on
-purpose.  ``reachable_mask`` sweeps a bool matrix or its packed rows: the
-packed rows serve the large masked sweeps (the pipeline's safety scans),
-whose graphs keep them cached, and the bool rows serve small graphs (the
-partition search), where a per-level unpack costs more than it saves.  A
-strong-connectivity screen reads whichever rows the graph holds
-(``reach_rows``).  The exact searches (Hamiltonian paths, linkages, the
-flow kernel) read rows as Python-int bitsets from ``row_bits`` and reach
-with ``bit_reach``.
+break ties toward the lowest-id parent.  ``reachable_mask`` is the one
+reachability sweep, over packed rows only: a bool matrix would be read as
+words, so it is refused.  The exact searches (Hamiltonian paths, linkages,
+the flow kernel) read packed rows as Python-int bitsets from ``row_bits``
+and reach with ``bit_reach``.
 """
 
 from __future__ import annotations
@@ -123,14 +119,6 @@ class Digraph:
             self._rpacked = _frozen(pack_rows(self.radj))
         return self._rpacked
 
-    def reach_rows(self):
-        """The out- and in-rows a reachability sweep should read: the bool
-        matrices when the graph holds ``adj``, else its packed rows, so a
-        graph built from packed rows alone is never unpacked."""
-        if self._adj is not None:
-            return self.adj, self.radj
-        return self.packed, self.rpacked
-
     def _transpose(self):
         return np.ascontiguousarray(self.adj.T)
 
@@ -147,7 +135,7 @@ class Digraph:
         return np.flatnonzero(self.adj[v])
 
     def in_neighbors(self, v):
-        return np.flatnonzero(self.adj[:, v])
+        return np.flatnonzero(self.radj[v])
 
     def edges(self):
         us, vs = np.nonzero(self.adj)
@@ -186,7 +174,7 @@ class Tournament(Digraph):
         return int(self.adj[v].sum())
 
     def in_degree(self, v):
-        return int(self.adj[:, v].sum())
+        return int(self.radj[v].sum())
 
     def reverse(self):
         """The tournament with every edge orientation flipped (an involution)."""
@@ -252,12 +240,16 @@ def row_bits(m):
     return [int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width)]
 
 
-def row_counts(m):
-    """Number of true entries in each row of the boolean matrix ``m``, as
-    intp.  Summing the bytes with a narrow accumulator is several times
-    faster than ``m.sum(axis=1)``, which widens every entry first."""
-    acc = np.uint16 if m.shape[1] < 1 << 16 else np.intp
-    return m.view(np.uint8).sum(axis=1, dtype=acc).astype(np.intp)
+def packed_set(mask):
+    """The boolean vertex mask ``mask`` as one packed row."""
+    return pack_rows(mask[None])[0]
+
+
+def counts_in(rows, within):
+    """For each of the packed rows ``rows`` (or for the one packed row), how
+    many vertices of the packed set ``within`` it holds, as intp: a bare
+    popcount sum is unsigned, and ``k - counts`` would wrap."""
+    return np.bitwise_count(rows & within).sum(axis=-1, dtype=np.intp)
 
 
 def vertex_mask(n, vertices):
@@ -308,12 +300,17 @@ def bipartite_subdigraph(T, side_a, side_b):
         raise ValueError("vertex id out of range")
     in_a = vertex_mask(T.n, A)[ids]
     if len(ids) == T.n:
-        # row u of ``side`` is the packed side that u is not on
-        side = pack_rows(np.stack([in_a, ~in_a]))[in_a.astype(np.intp)]
-        return Digraph._derived(None, packed=T.packed & side, rpacked=T.rpacked & side), ids
+        return _crossing_graph(T, in_a), ids
     sub = _principal_submatrix(T.radj, ids)
     sub &= in_a[:, None] != in_a[None, :]
     return Digraph._derived(sub), ids
+
+
+def _crossing_graph(T, in_a):
+    """The crossing digraph of the split of all of T with side mask ``in_a``:
+    T's packed rows, each masked by the packed side its vertex is not on."""
+    side = pack_rows(np.stack([in_a, ~in_a]))[in_a.astype(np.intp)]
+    return Digraph._derived(None, packed=T.packed & side, rpacked=T.rpacked & side)
 
 
 def is_path(G, vertices):
@@ -348,7 +345,7 @@ def transitive_order(T, vertices):
     if not ids:
         raise ValueError("empty vertex set")
     _check_ids(T, (ids[0], ids[-1]))
-    degs = row_counts(_principal_submatrix(T.radj, ids))
+    degs = counts_in(T.packed[ids], packed_set(vertex_mask(T.n, ids)))
     m = len(ids)
     if sorted(degs.tolist()) != list(range(m)):
         return None
@@ -359,27 +356,25 @@ def transitive_order(T, vertices):
 # ---------------------------------------------------------------------------
 # the search layer (shared by the surgery, linkage and partition layers)
 
-def reachable_mask(adj, sources, allowed=None):
+def reachable_mask(rows, sources, allowed=None):
     """Boolean mask of vertices reachable from ``sources`` inside ``allowed``.
 
-    ``adj`` is a square boolean matrix or its rows packed by ``pack_rows``;
-    packed, each level ORs the frontier's words and unpacks them.
+    ``rows`` are a graph's packed rows, as ``pack_rows`` made them (its
+    ``packed``, or ``rpacked`` to sweep backwards); each level ORs the
+    frontier's words and unpacks them.  Any other dtype raises TypeError.
     ``sources`` is a vertex id or an index array; sources outside ``allowed``
     are ignored.  Reachability includes the sources themselves.
     """
-    n = adj.shape[0]
-    packed = adj.dtype == np.uint64
+    if rows.dtype != np.uint64:
+        raise TypeError(f"reachable_mask sweeps packed uint64 rows, not {rows.dtype}")
+    n = rows.shape[0]
     seen = np.zeros(n, dtype=bool)
     seen[sources] = True
     if allowed is not None:
         seen &= allowed
     frontier = seen.copy()
     while frontier.any():
-        if packed:
-            words = np.bitwise_or.reduce(adj[frontier], axis=0)
-            nxt = unpack_rows(words, n)
-        else:
-            nxt = adj[frontier].any(axis=0)
+        nxt = unpack_rows(np.bitwise_or.reduce(rows[frontier], axis=0), n)
         if allowed is not None:
             nxt &= allowed
         nxt &= ~seen

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _check_ids, pack_rows, row_counts, transitive_order, unpack_rows, vertex_mask
+from .core import _check_ids, counts_in, packed_set, transitive_order, unpack_rows, vertex_mask
 
 
 @dataclass(frozen=True)
@@ -72,11 +72,6 @@ def greedy_out_dominating_set(T):
     return _greedy_dominating(T.rpacked, np.ones(T.n, dtype=bool))
 
 
-def _packed_mask(mask):
-    """The boolean vertex mask ``mask`` as one packed row."""
-    return pack_rows(mask[None])[0]
-
-
 def _pool_ids(pool, n):
     """The vertices of the packed row ``pool`` over 0..n-1, ascending."""
     return np.flatnonzero(unpack_rows(pool, n))
@@ -95,7 +90,7 @@ def _pool_degrees(packed, pool):
     """The vertices of the packed row ``pool`` in ascending order, and for
     each the number of pool vertices its row of ``packed`` holds."""
     ids = _pool_ids(pool, packed.shape[0])
-    return ids, np.bitwise_count(packed[ids] & pool).sum(axis=1)
+    return ids, counts_in(packed[ids], pool)
 
 
 def _greedy_dominating(packed, alive):
@@ -104,7 +99,7 @@ def _greedy_dominating(packed, alive):
     the lowest-id vertex of minimum out-degree inside the shrinking common
     out-neighbourhood."""
     n = int(alive.sum())
-    pool = _packed_mask(alive)
+    pool = packed_set(alive)
     chosen = []
     while pool.any():
         ids, deg = _pool_degrees(packed, pool)
@@ -114,7 +109,7 @@ def _greedy_dominating(packed, alive):
     S = sorted(chosen)
     assert len(S) <= max(1, math.ceil(math.log2(n))) if n > 1 else True
     in_s = vertex_mask(alive.size, S)
-    hits = packed[alive & ~in_s] & _packed_mask(in_s)
+    hits = packed[alive & ~in_s] & packed_set(in_s)
     assert hits.any(axis=1).all(), "a vertex does not reach the dominating set"
     return set(S)
 
@@ -153,7 +148,7 @@ def _halving_structure(T, v, c, alive, mode):
     if not alive[v]:
         raise ValueError(f"vertex {v} is not alive")
     rows = T.rpacked if mode == "out" else T.packed
-    pool = rows[v] & _packed_mask(alive)  # common neighbourhood of the chain, minus waiting
+    pool = rows[v] & packed_set(alive)  # common neighbourhood of the chain, minus waiting
     degree = _pool_size(pool)
     if degree < 2 ** (c - 1):
         side = "in" if mode == "out" else "out"
@@ -215,12 +210,12 @@ def check_structure(T, s, alive=None):
         assert s.order[0] == s.tip and s.order[-1] == s.anchor
     else:
         assert s.order[0] == s.anchor and s.order[-1] == s.tip
-    nbrs = T.radj if s.mode == "out" else T.adj  # d^-(anchor) or d^+(anchor)
-    degree = int((nbrs[s.anchor] & alive).sum())
+    nbrs = T.rpacked if s.mode == "out" else T.packed  # d^-(anchor) or d^+(anchor)
+    degree = int(counts_in(nbrs[s.anchor], packed_set(alive)))
     assert len(s.exceptions) << (s.cap - 2) <= degree, "exception set too large"
     rows = T.packed if s.mode == "out" else T.rpacked
     covered = np.bitwise_or.reduce(rows[sorted(s.cover)], axis=0)
-    outside = _packed_mask(alive & ~taken)
+    outside = packed_set(alive & ~taken)
     assert not (outside & ~covered).any(), "domination fails outside the exception set"
     for i, size in enumerate(s.shrink_trace):
         assert size * (1 << i) <= degree, "recorded pool sizes violate halving"
@@ -271,7 +266,7 @@ def core_set(T, k, alive=None):
 
 def _check_core(T, cs, alive):
     """Every vertex of T[alive] outside Z has k out- and k in-neighbours in Z."""
-    Z = sorted(cs.vertices)
-    outside = alive & ~vertex_mask(T.n, Z)
-    for adj in (T.adj, T.radj):
-        assert (row_counts(adj[outside][:, Z]) >= cs.k).all(), "core-set degree clause violated"
+    in_z = vertex_mask(T.n, cs.vertices)
+    for rows in (T.packed, T.rpacked):
+        assert (counts_in(rows[alive & ~in_z], packed_set(in_z)) >= cs.k).all(), \
+            "core-set degree clause violated"

@@ -7,8 +7,8 @@ verdict is only ever produced by an exact argument; running out of budget is
 reported as "unknown" instead.
 
 Every search reads the tournament as ``core``'s int bitsets: ``row_bits``
-packs the out- and in-rows once per query and ``bit_reach`` does the
-reachability pruning.
+turns the graph's cached packed out- and in-rows into ints, and
+``bit_reach`` does the reachability pruning.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ class PathSearch:
 
 def _dp_exact(G, x, y):
     n = G.n
-    out, inn = row_bits(G.adj), row_bits(G.radj)
+    out, inn = row_bits(G.packed), row_bits(G.rpacked)
     full = (1 << n) - 1
     dp = [0] * (1 << n)
     dp[1 << x] = 1 << x
@@ -157,7 +157,7 @@ def hamiltonian_path(T, x, y, exact_threshold=14, budget=200_000, restarts=24, s
     if n <= exact_threshold:
         return _dp_exact(T, x, y)
 
-    out, inn = row_bits(T.adj), row_bits(T.radj)
+    out, inn = row_bits(T.packed), row_bits(T.rpacked)
     full = (1 << n) - 1
     # exact nonexistence proofs: every vertex must be reachable from x and
     # must reach y

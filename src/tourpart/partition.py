@@ -18,7 +18,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .connectivity import VertexFlow, maximum_flow, sweep
-from .core import _principal_submatrix, bipartite_subdigraph, reachable_mask, row_counts
+from .core import (
+    Tournament,
+    _check_ids,
+    _crossing_graph,
+    _principal_submatrix,
+    counts_in,
+    packed_set,
+    reachable_mask,
+)
 from .pipeline import PipelineError, PipelineParams, pipeline_feasible, run_pipeline
 
 
@@ -42,11 +50,12 @@ class PartitionResult:
 def _split_graph(T, in_v1, which):
     """One of the three graphs of the split ``in_v1`` (a mask of V1) with
     its map from new ids to T ids, ascending: ``which`` is 0 for T[V1], 1
-    for T[V2] and 2 for the crossing digraph T[V1, V2]."""
-    v1, v2 = np.flatnonzero(in_v1), np.flatnonzero(~in_v1)
+    for T[V2] and 2 for the crossing digraph T[V1, V2].  Built straight
+    from the mask; the callers validated the split."""
     if which == 2:
-        return bipartite_subdigraph(T, v1, v2)
-    return T.subtournament(v2 if which else v1)
+        return _crossing_graph(T, in_v1), list(range(T.n))
+    ids = np.flatnonzero(~in_v1 if which else in_v1)
+    return Tournament._derived(_principal_submatrix(T.radj, ids)), ids.tolist()
 
 
 EXACT_THRESHOLD = 150
@@ -90,6 +99,7 @@ def verify_partition(T, v1, v2, k, exact_threshold=EXACT_THRESHOLD):
     s2 = sorted({int(v) for v in v2})
     if not s1 or not s2:
         raise ValueError("both sides must be nonempty")
+    _check_ids(T, (s1[0], s1[-1], s2[0], s2[-1]))
     if set(s1) & set(s2):
         raise ValueError("sides overlap")
     if len(s1) + len(s2) != T.n:
@@ -105,20 +115,20 @@ def verify_partition(T, v1, v2, k, exact_threshold=EXACT_THRESHOLD):
 
 def _screen_score(T, in_v1, k):
     """Cheap badness score: degree deficits plus unreachable vertices."""
-    adj, radj = T.adj, T.radj
     score = 0
     for mask in (in_v1, ~in_v1):
         ids = np.flatnonzero(mask)
         if ids.size <= k:
             score += 10 * (k + 1 - ids.size)
             continue
-        for rows, cols in ((adj, radj), (radj, adj)):
-            score += int(np.maximum(0, k - row_counts(_principal_submatrix(cols, ids))).sum())
+        side = packed_set(mask)
+        for rows in (T.packed, T.rpacked):
+            score += int(np.maximum(0, k - counts_in(rows[ids], side)).sum())
             seen = reachable_mask(rows, int(ids[0]), mask)
             score += int((mask & ~seen).sum())
-    crossing = in_v1[:, None] != in_v1[None, :]
-    for rows in (adj & crossing, radj & crossing):
-        score += int(np.maximum(0, k - row_counts(rows)).sum())
+    cross = _crossing_graph(T, in_v1)
+    for rows, degrees in ((cross.packed, cross.out_degrees()), (cross.rpacked, cross.in_degrees())):
+        score += int(np.maximum(0, k - degrees).sum())
         score += int((~reachable_mask(rows, 0)).sum())
     return score
 
@@ -133,7 +143,7 @@ def _pair_flow(T, in_v1, which, pair, k):
     x, y = ids.index(x), ids.index(y)
     if G.adj[x, y]:
         return k
-    return maximum_flow(VertexFlow(G.adj), x, y, k)[0]
+    return maximum_flow(VertexFlow(G), x, y, k)[0]
 
 
 def search_partition(T, k, seed, budget=400):

@@ -33,12 +33,14 @@ import numpy as np
 
 from .connectivity import VertexFlow
 from .core import (
+    Digraph,
     bfs_parity_path,
     bfs_shortest_path,
+    counts_in,
     is_backwards_transitive,
     is_path,
+    packed_set,
     row_bits,
-    row_counts,
     vertex_mask,
 )
 from .domination import core_set, in_dominating_structure, out_dominating_structure
@@ -235,8 +237,8 @@ def build_dominating_family(state):
     def build_one(anchor, mode, index):
         protect = (anchors - {anchor}) | used
         alive = ~vertex_mask(T.n, protect)
-        nbrs = T.radj[anchor] if mode == "out" else T.adj[anchor]
-        deg = int((nbrs & alive).sum())
+        rows = T.rpacked if mode == "out" else T.packed
+        deg = int(counts_in(rows[anchor], packed_set(alive)))
         state.require(stage, deg >= 2 ** (c - 1),
                       f"structure {index} ({mode}): degree {deg} below 2^(c-1)={2 ** (c - 1)} "
                       f"after removing {len(protect)} protected vertices")
@@ -562,7 +564,7 @@ def _build_bundles(state):
             allowed[b] = allowed[a] = True
             sub = T.adj & allowed[:, None] & allowed[None, :]
             sub[b, a] = False
-            _, routes, _ = VertexFlow(sub).paths_and_cut(b, a)
+            _, routes, _ = VertexFlow(Digraph._derived(sub)).paths_and_cut(b, a)
             state.require(stage, len(routes) >= want,
                           f"index {i}: only {len(routes)} disjoint connector routes "
                           f"available, bundle needs {want}", kind="budget")
@@ -710,10 +712,10 @@ def _place_hubs(state):
         for hub, name in ((state.hub_alpha, "alpha"), (state.hub_beta, "beta")):
             state.require(stage, len(hub) > 0,
                           f"hub {name} is empty but scaffold vertices remain")
-            # k out-neighbours in the hub on adj, k in-neighbours on its transpose
-            hub = sorted(hub)
-            state.require(stage, all((row_counts(nbrs[leftover][:, hub]) >= k).all()
-                                     for nbrs in (T.adj, T.radj)),
+            # k out-neighbours in the hub on packed, k in-neighbours on rpacked
+            hub = packed_set(vertex_mask(T.n, hub))
+            state.require(stage, all((counts_in(rows[leftover], hub) >= k).all()
+                                     for rows in (T.packed, T.rpacked)),
                           f"scaffold vertex lacks k neighbours in hub {name}")
     state.record(stage, info={"hub_alpha": len(state.hub_alpha),
                               "hub_beta": len(state.hub_beta)})
@@ -904,12 +906,12 @@ def _audit_connectors(state):
     # must see k colored neighbours of each color
     if state.bulk:
         unc = np.flatnonzero(col.uncolored_mask())
-        bulk = vertex_mask(T.n, state.bulk)
+        bulk = packed_set(vertex_mask(T.n, state.bulk))
+        colors = [packed_set(col.mask(c)) for c in (ALPHA, BETA)]
         ok = True
-        for nbrs in (T.adj, T.radj):
-            rows = nbrs[unc]
-            enough = np.logical_and.reduce([row_counts(rows & col.mask(c)) >= state.k
-                                            for c in (ALPHA, BETA)])
+        for packed in (T.packed, T.rpacked):
+            rows = packed[unc]
+            enough = np.logical_and.reduce([counts_in(rows, c) >= state.k for c in colors])
             ok &= bool((enough | ~(rows & bulk).any(axis=1)).all())
         state.require(stage, ok, "bulk neighbour audit failed")
     c4 = col.colored_mask()

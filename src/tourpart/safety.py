@@ -7,12 +7,13 @@ paths forwards or backwards.  Each sense is one rule, "v reaches its
 targets inside its group of the graph", on the tournament or on the graph
 of color-changing edges, read forwards or through the row-major transpose.
 The exact check reduces to a vertex-capacity flow against a super-target
-(``connectivity.safe_flow``) on bool matrices.  For k = 1 safety is plain
-reachability, and a whole-coloring scan runs as six BFS sweeps backwards
-from the targets over the tournament's cached packed rows; an alternating
-sweep reads each row ANDed with the packed set of the other color, since
-every group lies inside the colored vertices, so no n x n matrix of
-color-changing edges is built.
+(``connectivity.safe_flow``); a scan cuts that network once per sense, as a
+``TargetFlow`` handle every vertex of the group shares.  For k = 1 safety
+is plain reachability, and a whole-coloring scan runs as six BFS sweeps
+backwards from the targets over the tournament's cached packed rows; an
+alternating sweep reads each row ANDed with the packed set of the other
+color, since every group lies inside the colored vertices, so no n x n
+matrix of color-changing edges is built.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connectivity import safe_flow_on_masks
-from .core import pack_rows, reachable_mask, vertex_mask
+from .connectivity import TargetFlow
+from .core import _check_ids, pack_rows, reachable_mask, vertex_mask
 
 ALPHA = 0
 BETA = 1
@@ -42,6 +43,7 @@ class Coloring:
         ids = np.asarray(sorted({int(v) for v in vertices}), dtype=np.int64)
         if ids.size == 0:
             return
+        _check_ids(self, (int(ids[0]), int(ids[-1])))
         if (self.labels[ids] != UNCOLORED).any():
             clash = ids[self.labels[ids] != UNCOLORED]
             raise ValueError(f"vertices already colored: {clash.tolist()[:5]}")
@@ -118,21 +120,23 @@ def _senses(ctx):
     return senses
 
 
-def _flow_graphs(ctx):
-    """Per table column, the sense's graph and its row-major reverse as bool
-    matrices, for the flow checks; a backward column swaps the two."""
+def _target_flows(ctx):
+    """Per sense, (column, group, its ``TargetFlow``), one flow network for
+    the group.  A handle reads the transpose of the sense's graph, and a
+    backward column's graph is the transpose of the forward one."""
     T, lab = ctx.T, ctx.coloring.labels
     changes = lab[:, None] != lab[None, :]
-    alt = (T.adj & changes, T.radj & changes)
-    return ((T.adj, T.radj), (T.radj, T.adj), alt, alt[::-1])
+    reverses = (T.radj, T.adj, T.radj & changes, T.adj & changes)
+    return [(column, group, TargetFlow(reverses[column], targets, group))
+            for column, group, targets in _senses(ctx)]
 
 
-def _flow_row(senses, graphs, v, k):
+def _flow_row(flows, v, k):
     """The four predicates of one vertex by flows, in table column order."""
     row = [None] * 4
-    for column, group, targets in senses:
+    for column, group, sense in flows:
         if group[v]:
-            row[column] = safe_flow_on_masks(*graphs[column], v, targets, k, group)
+            row[column] = sense.safe(v, k)
     if None in row:
         raise ValueError(f"vertex {v} is uncolored")
     return row
@@ -140,7 +144,7 @@ def _flow_row(senses, graphs, v, k):
 
 def is_safe(ctx, v):
     """Evaluate all four safety predicates for one colored vertex."""
-    return SafetyReport(*_flow_row(_senses(ctx), _flow_graphs(ctx), v, ctx.k))
+    return SafetyReport(*_flow_row(_target_flows(ctx), v, ctx.k))
 
 
 def safety_scan(ctx, vertices=None):
@@ -153,16 +157,15 @@ def safety_scan(ctx, vertices=None):
     """
     T, lab = ctx.T, ctx.coloring.labels
     table = np.zeros((T.n, 4), dtype=bool)
-    senses = _senses(ctx)
     if ctx.k > 1:
         ids = vertices if vertices is not None else np.flatnonzero(lab != UNCOLORED)
-        graphs = _flow_graphs(ctx)
+        flows = _target_flows(ctx)
         for v in ids:
-            table[v] = _flow_row(senses, graphs, int(v), ctx.k)
+            table[v] = _flow_row(flows, int(v), ctx.k)
         return table
     # row c: the vertices of the color opposite to c, packed
     opposite = pack_rows(np.stack([lab == BETA, lab == ALPHA]))
-    for column, group, targets in senses:
+    for column, group, targets in _senses(ctx):
         if group.any():
             # sweep backwards from the targets: the reverse of a forward
             # sense's graph is the transpose

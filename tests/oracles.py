@@ -36,6 +36,19 @@ def closure(adj):
     return reach
 
 
+def reach_by_hand(adj, sources, ok):
+    """The vertices of the mask ``ok`` reachable from the sources in ``ok``
+    along the bool matrix ``adj``, as a set, by a plain stack search."""
+    seen = {s for s in np.atleast_1d(sources).tolist() if ok[s]}
+    stack = list(seen)
+    while stack:
+        for w in np.flatnonzero(adj[stack.pop()] & ok).tolist():
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
 def path_exists(adj, x, y, removed=()):
     n = adj.shape[0]
     keep = np.ones(n, dtype=bool)

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from oracles import all_tournaments, brute_hamiltonian_path
+from oracles import all_tournaments, brute_hamiltonian_path, reach_by_hand
 from tourpart import (
     Digraph,
     Tournament,
@@ -20,10 +20,11 @@ from tourpart.connectivity import certify
 from tourpart.core import (
     bfs_parity_path,
     bfs_shortest_path,
+    counts_in,
     pack_rows,
+    packed_set,
     reachable_mask,
     row_bits,
-    row_counts,
 )
 from tourpart.generators import paley_tournament, random_tournament, transitive_tournament
 
@@ -193,11 +194,16 @@ def test_degrees_are_the_row_sums(n):
 
 
 @pytest.mark.parametrize("shape", [(0, 0), (1, 1), (40, 40), (2, 70_000)])
-def test_row_counts_match_a_plain_sum(shape):
-    m = np.random.default_rng(shape[1]).random(shape) < 0.5
-    got = row_counts(m)
-    assert got.dtype == np.intp and (got == m.sum(axis=1)).all()
-    assert (row_counts(m.T) == m.sum(axis=0)).all()
+def test_counts_in_match_a_plain_sum(shape):
+    rng = np.random.default_rng(shape[1])
+    m = rng.random(shape) < 0.5
+    within = rng.random(shape[1]) < 0.5
+    got = counts_in(pack_rows(m), packed_set(within))
+    assert got.dtype == np.intp and (got == (m & within).sum(axis=1)).all()
+    # signed: a deficit k - count goes negative instead of wrapping
+    assert ((1 - got) == 1 - (m & within).sum(axis=1)).all()
+    full = counts_in(pack_rows(m.T), packed_set(np.ones(shape[0], dtype=bool)))
+    assert (full == m.sum(axis=0)).all()
 
 
 @pytest.mark.parametrize("shape", [(0, 0), (1, 1), (8, 8), (9, 9), (64, 64), (65, 65),
@@ -242,15 +248,8 @@ def test_reachable_mask_matches_a_search_by_hand(sources):
     allowed = rng.random(16) < 0.7
     allowed[[4, 11]], allowed[0] = True, False
     for ok in (np.ones(16, dtype=bool), allowed):
-        seen = {s for s in np.atleast_1d(sources).tolist() if ok[s]}
-        stack = list(seen)
-        while stack:
-            for w in np.flatnonzero(adj[stack.pop()] & ok).tolist():
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        got = reachable_mask(adj, sources, None if ok.all() else ok)
-        assert set(np.flatnonzero(got).tolist()) == seen
+        got = reachable_mask(pack_rows(adj), sources, None if ok.all() else ok)
+        assert set(np.flatnonzero(got).tolist()) == reach_by_hand(adj, sources, ok)
 
 
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
@@ -263,8 +262,18 @@ def test_packed_reach_matches_the_bool_sweep(n):
     packed = pack_rows(adj)
     for sources in (0, n - 1, rng.choice(n, min(n, 3), replace=False)):
         for ok in (None, allowed):
-            want = reachable_mask(adj, sources, ok)
-            assert (reachable_mask(packed, sources, ok) == want).all()
+            want = reach_by_hand(adj, sources, np.ones(n, dtype=bool) if ok is None else ok)
+            got = reachable_mask(packed, sources, ok)
+            assert set(np.flatnonzero(got).tolist()) == want
+
+
+def test_reachable_mask_refuses_a_bool_matrix():
+    # a bool matrix read as words would give a wrong mask without an error
+    adj = random_tournament(70, 3).adj
+    with pytest.raises(TypeError, match="uint64"):
+        reachable_mask(adj, 0)
+    with pytest.raises(TypeError, match="uint64"):
+        reachable_mask(adj.view(np.uint8), 0)
 
 
 def test_transitive_order(t4, c3):

@@ -70,7 +70,7 @@ def _pairs(adj):
 def _check_pair(adj, x, y, want):
     """Warm and cold runs at every cap against the brute-force cut size."""
     checks = 0
-    net = VertexFlow(adj)
+    net = VertexFlow(Digraph(adj))
     for cap in CAPS:
         runs = [maximum_flow(net, x, y, cap), _cold(net, x, y, cap)]
         expect = want if cap is None else min(cap, want)
@@ -119,7 +119,7 @@ def test_warm_start_settles_direct_targets_without_augmenting(monkeypatch):
     for net in _safety_networks(20):
         sink = net.shape[0] - 1
         direct = np.flatnonzero(net[0] & net[:, sink])
-        value, flow, cut = maximum_flow(VertexFlow(net), 0, sink, len(direct))
+        value, flow, cut = maximum_flow(VertexFlow(Digraph(net)), 0, sink, len(direct))
         assert value == len(direct) and cut is None
         assert sorted(p[1] for p in _flow_paths(flow, 0, sink)) == direct.tolist()
 
@@ -147,7 +147,7 @@ def test_flows_are_pinned():
     cases += [(net, [(0, net.shape[0] - 1)]) for net in _safety_networks(100)]
     digest = hashlib.sha256()
     for adj, pairs in cases:
-        net = VertexFlow(adj)
+        net = VertexFlow(Digraph(adj))
         for x, y in pairs:
             for cap in (None, 1, 2, 3, 5):
                 value, flow, cut = maximum_flow(net, x, y, cap)

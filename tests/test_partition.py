@@ -28,6 +28,17 @@ def test_verify_rejects_non_partitions(c3):
         verify_partition(c3, [0], [1], 1)
 
 
+@pytest.mark.parametrize("v1, v2", [([-1, 0, 1, 2, 3, 4], [5, 6, 7, 8, 9, 10]),
+                                    ([0, 1, 2, 3, 4, 5], [6, 7, 8, 9, 10, 12])])
+def test_verify_rejects_ids_outside_the_graph(v1, v2):
+    # -1 used to wrap to vertex 11, and 12 to be dropped for 11: a
+    # certificate for a split the caller never gave
+    T = random_tournament(12, 1)
+    bad = v1[0] if v1[0] < 0 else v2[-1]
+    with pytest.raises(ValueError, match=f"vertex {bad} out of range"):
+        verify_partition(T, v1, v2, 1)
+
+
 def test_verify_small_cycle_fails_any_split(c3):
     for v in range(3):
         rest = [u for u in range(3) if u != v]

@@ -223,9 +223,9 @@ def test_every_bfs_sweep_reads_a_row_major_matrix(monkeypatch):
     # sweep; wrap every binding of reachable_mask and record what it reads
     seen = []
 
-    def recording(adj, *args, **kwargs):
-        seen.append(adj.flags.c_contiguous)
-        return reachable_mask(adj, *args, **kwargs)
+    def recording(rows, *args, **kwargs):
+        seen.append(rows.flags.c_contiguous and rows.dtype == np.uint64)
+        return reachable_mask(rows, *args, **kwargs)
 
     for name, module in list(sys.modules.items()):
         if name.startswith("tourpart") and vars(module).get("reachable_mask") is reachable_mask:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import brute_safe
+from tourpart import connectivity
 from tourpart.generators import random_tournament
 from tourpart.safety import (
     ALPHA,
@@ -25,6 +26,15 @@ def test_coloring_is_monotone():
         col.assign([1], BETA)
     assert col.of(0) == ALPHA and col.of(2) == BETA and col.of(4) == UNCOLORED
     assert col.colored_count() == 3
+
+
+@pytest.mark.parametrize("bad", [-1, 5])
+def test_coloring_rejects_ids_outside_the_graph(bad):
+    # -1 used to color vertex 4, and 5 raised IndexError
+    col = Coloring(5)
+    with pytest.raises(ValueError, match=f"vertex {bad} out of range"):
+        col.assign([0, bad], ALPHA)
+    assert col.colored_count() == 0
 
 
 def _context(T, labels, reserved=(), exc_out=(), exc_in=(), k=1):
@@ -124,6 +134,21 @@ def test_scan_against_deletion_oracle_k2(rand):
             for col_idx, tag in enumerate(("f", "b", "af", "ab")):
                 want = brute_safe(T, v, labels, {0}, {1}, {2}, 2, tag)
                 assert table[v, col_idx] == want
+
+
+def test_flow_scan_cuts_one_network_per_sense(monkeypatch):
+    # the network of a sense depends on its group and targets, not on the
+    # vertex; the per-vertex answers stay pinned by the deletion oracle above
+    builds = []
+    init = connectivity.VertexFlow.__init__
+    monkeypatch.setattr(connectivity.VertexFlow, "__init__",
+                        lambda self, *args: builds.append(args) or init(self, *args))
+    n = 60
+    rng = np.random.default_rng(4)
+    labels = rng.integers(0, 2, n).astype(np.int8)
+    ctx = _context(random_tournament(n, 4), labels, range(10), range(10, 20), range(20, 30), 2)
+    table = safety_scan(ctx)
+    assert table.any() and 0 < len(builds) <= 6
 
 
 def test_all_colored_safe_helper(rand):
