@@ -25,10 +25,15 @@ a ``stop`` level it returns at the first pair whose flow falls below
 Most swept pairs need no flow at all.  Paths x->w->y through distinct
 middles w are internally disjoint, so a pair with at least ``best`` common
 middles (the 2-path count, the popcount of out(x) & in(y)) cannot lower
-``best`` and is settled on the spot.  The remaining flows start from those 2-paths, add
-greedy 3-paths x->a->b->y through unused vertices, and stop as soon as the
-value reaches the cap (Even & Tarjan, "Network flow and testing graph
-connectivity", 1975).
+``best`` and is settled on the spot; the counts at u to every later v, in
+both directions, are two popcounts of the packed rows.  Flows start from
+those 2-paths, add greedy 3-paths x->a->b->y through unused vertices, and
+stop as soon as the value reaches the cap (Even & Tarjan, "Network flow and
+testing graph connectivity", 1975).  The same greedy, counting paths
+without building any flow state, settles every pair whose short paths
+alone reach ``best``; only the pairs it leaves short take a flow.  A
+settled pair has a flow of at least ``best``, so it neither lowers
+``best`` nor stops the sweep, and every answer is the one the flows give.
 
 A flow that stops short of its cap is maximum, and the kernel then reports
 the residual cut: the vertices whose in-copy is reachable from x in the
@@ -71,6 +76,7 @@ from .core import (
     _check_ids,
     _principal_submatrix,
     bit_reach,
+    counts_in,
     is_path,
     reachable_mask,
     row_bits,
@@ -139,6 +145,25 @@ def _short_paths(net, x, y, cap):
             if value == cap:
                 break
     return flow, pred, carries
+
+
+def _short_paths_reach(net, x, y, need):
+    """Whether the warm start of ``maximum_flow(net, x, y, need)`` reaches
+    ``need`` paths: the same 2-paths and greedy 3-paths, counted only."""
+    out, into_y = net.out, net.inn[y]
+    mids = out[x] & into_y
+    value = mids.bit_count()
+    # the a and b candidates are disjoint, as in the warm start
+    into_y &= ~mids
+    firsts = out[x] & ~mids
+    while value < need and firsts:
+        a = firsts & -firsts
+        firsts ^= a
+        b = out[a.bit_length() - 1] & into_y
+        if b:
+            into_y ^= b & -b
+            value += 1
+    return value >= need
 
 
 def _augmented(net, x, y, cap, flow, pred, carries):
@@ -254,11 +279,6 @@ class VertexFlow:
         self.out = row_bits(G.packed)
         self.inn = row_bits(G.rpacked)
 
-    def middles(self, u):
-        """2-path counts at u: (#u->w->v for every v, #v->w->u for every v)."""
-        ou, iu = self.out[u], self.inn[u]
-        return [(ou & i).bit_count() for i in self.inn], [(o & iu).bit_count() for o in self.out]
-
     def paths_and_cut(self, x, y, cap=None):
         """(value, paths, cut) of a flow capped at ``cap``; the cut is None
         when the value reached ``cap``."""
@@ -309,13 +329,18 @@ def sweep(G, ceiling=None, stop=0):
         out = net.out
         u = 0
         while u < best:
-            out2, in2 = net.middles(u)
-            for v in range(u + 1, n):
-                for x, y, mids in ((u, v, out2[v]), (v, u, in2[v])):
-                    # a pair with >= best common middles cannot lower best;
-                    # an arc settles its pair, and so does a pair (u, v) or
-                    # (v, u) with v < u, which the sweep at v visited
-                    if mids < best and not out[x] >> y & 1:
+            # 2-path counts u->w->v and v->w->u for every v > u; a pair
+            # (u, v) or (v, u) with v < u was visited by the sweep at v
+            out2 = counts_in(G.rpacked[u + 1:], G.packed[u])
+            in2 = counts_in(G.packed[u + 1:], G.rpacked[u])
+            # best only falls, so this is a superset of the pairs to visit
+            for i in np.flatnonzero(np.minimum(out2, in2) < best).tolist():
+                v = u + 1 + i
+                for x, y, mids in ((u, v, out2[i]), (v, u, in2[i])):
+                    # a pair with >= best common middles or short paths
+                    # cannot lower best, and an arc settles its pair
+                    if (mids < best and not out[x] >> y & 1
+                            and not _short_paths_reach(net, x, y, best)):
                         # capped at best, the flow's value is the new best
                         best, _, cut = maximum_flow(net, x, y, best)
                         if best < stop:
@@ -423,8 +448,9 @@ class TargetFlow:
             net[:m, :m] = _principal_submatrix(self.radj, ids)
             net[:m, m] = self.hit[ids]
             self.net = VertexFlow(Digraph._derived(net))
-        source = int(np.count_nonzero(self.within[:v]))
-        return maximum_flow(self.net, source, self.net.n - 1, k)[0] >= k
+        source, sink = int(np.count_nonzero(self.within[:v])), self.net.n - 1
+        return (_short_paths_reach(self.net, source, sink, k)
+                or maximum_flow(self.net, source, sink, k)[0] >= k)
 
 
 # ---------------------------------------------------------------------------

@@ -134,9 +134,6 @@ class Digraph:
     def out_neighbors(self, v):
         return np.flatnonzero(self.adj[v])
 
-    def in_neighbors(self, v):
-        return np.flatnonzero(self.radj[v])
-
     def edges(self):
         us, vs = np.nonzero(self.adj)
         return list(zip(us.tolist(), vs.tolist()))

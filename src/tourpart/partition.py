@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .connectivity import VertexFlow, maximum_flow, sweep
+from .connectivity import VertexFlow, _short_paths_reach, maximum_flow, sweep
 from .core import (
     Tournament,
     _check_ids,
@@ -143,7 +143,8 @@ def _pair_flow(T, in_v1, which, pair, k):
     x, y = ids.index(x), ids.index(y)
     if G.adj[x, y]:
         return k
-    return maximum_flow(VertexFlow(G), x, y, k)[0]
+    net = VertexFlow(G)
+    return k if _short_paths_reach(net, x, y, k) else maximum_flow(net, x, y, k)[0]
 
 
 def search_partition(T, k, seed, budget=400):

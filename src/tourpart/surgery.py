@@ -12,7 +12,7 @@ and that fact is asserted on every path returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

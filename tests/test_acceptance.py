@@ -8,7 +8,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from oracles import all_tournaments, brute_safe, brute_strong_k
 from tourpart import (

@@ -37,25 +37,42 @@ def test_examples(c3, t4, paley7):
     assert vertex_connectivity(paley7) == 3
 
 
-def test_kappa_sweeps_only_the_first_kappa_vertices(paley7, monkeypatch):
-    # Even's bound: once the pairs at the first kappa vertices are swept,
-    # kappa is known; Paley-7 has kappa 3 and six unsettled pairs per vertex,
-    # one of them with each vertex swept before (6 + 5 + 4 flows)
+def _record_pairs(monkeypatch):
+    """The (x, y) of every short-path screen and every flow the sweep
+    makes, as ("screen" | "flow", x, y)."""
     connectivity = importlib.import_module("tourpart.connectivity")
     calls = []
 
-    def counting(name, fn):
-        def wrapped(*args):
-            calls.append(name)
-            return fn(*args)
+    def recording(name, fn):
+        def wrapped(net, x, y, *args):
+            calls.append((name, x, y))
+            return fn(net, x, y, *args)
         return wrapped
 
     monkeypatch.setattr(connectivity, "maximum_flow",
-                        counting("flow", connectivity.maximum_flow))
-    monkeypatch.setattr(connectivity.VertexFlow, "middles",
-                        counting("middles", connectivity.VertexFlow.middles))
+                        recording("flow", connectivity.maximum_flow))
+    monkeypatch.setattr(connectivity, "_short_paths_reach",
+                        recording("screen", connectivity._short_paths_reach))
+    return calls
+
+
+def test_kappa_sweeps_only_the_first_kappa_vertices(paley7, monkeypatch):
+    # Even's bound: once the pairs at the first kappa vertices are swept,
+    # kappa is known; Paley-7 has kappa 3, and the short paths of every pair
+    # it visits reach 3, so none takes a flow (15 did before the screen)
+    calls = _record_pairs(monkeypatch)
     assert vertex_connectivity(paley7) == 3
-    assert calls.count("middles") == 3 and calls.count("flow") == 15
+    assert calls and all({x, y} & {0, 1, 2} for _, x, y in calls)
+    assert [c for c in calls if c[0] == "flow"] == []
+
+
+@pytest.mark.parametrize("n, seed, k", [(80, 2000, 16), (60, 0, 8), (40, 1000, 10)])
+def test_yes_instances_certify_without_a_flow(n, seed, k, monkeypatch):
+    # the surgery workload's measured hypotheses: short paths settle every
+    # pair (154, 6 and 181 flows before the screen)
+    calls = _record_pairs(monkeypatch)
+    assert is_strongly_k_connected(random_tournament(n, seed), k)
+    assert [c for c in calls if c[0] == "flow"] == []
 
 
 def test_small_size_clause():

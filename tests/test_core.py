@@ -14,7 +14,6 @@ from tourpart import (
     reverse,
     subtournament,
     transitive_order,
-    tournament_from_edges,
 )
 from tourpart.connectivity import certify
 from tourpart.core import (
@@ -26,7 +25,7 @@ from tourpart.core import (
     reachable_mask,
     row_bits,
 )
-from tourpart.generators import paley_tournament, random_tournament, transitive_tournament
+from tourpart.generators import random_tournament, transitive_tournament
 
 
 def test_tournament_validation():

@@ -17,6 +17,8 @@ from tourpart.connectivity import (
     VertexFlow,
     _augmented,
     _flow_paths,
+    _short_paths,
+    _short_paths_reach,
     maximum_flow,
     vertex_connectivity,
 )
@@ -122,6 +124,24 @@ def test_warm_start_settles_direct_targets_without_augmenting(monkeypatch):
         value, flow, cut = maximum_flow(VertexFlow(Digraph(net)), 0, sink, len(direct))
         assert value == len(direct) and cut is None
         assert sorted(p[1] for p in _flow_paths(flow, 0, sink)) == direct.tolist()
+
+
+def test_short_path_screen_settles_only_pairs_that_reach_the_cap():
+    # a pair the screen settles has a minimum cut of at least the cap, and
+    # the screen settles exactly when the warm start reaches the cap
+    settled = 0
+    cases = [(adj, _pairs(adj)) for adj in _tournaments(40) + _crossing_digraphs(30)]
+    cases += [(net, [(0, net.shape[0] - 1)]) for net in _safety_networks(100)]
+    for adj, pairs in cases:
+        net = VertexFlow(Digraph(adj))
+        for x, y in pairs:
+            cut = len(brute_min_cut(Digraph(adj), x, y))
+            for cap in (1, 2, 3, 4):
+                reach = _short_paths_reach(net, x, y, cap)
+                assert reach == (_short_paths(net, x, y, cap)[0][x].bit_count() == cap)
+                assert not reach or cut >= cap, (adj.tolist(), x, y, cap)
+                settled += reach
+    assert settled >= 2000
 
 
 def _sparse_digraphs(count):

@@ -347,6 +347,35 @@ def _assert_sweeps_agree(G, k, kappa, cert):
     assert sweep(G, k).level == min(kappa, k)
 
 
+SWEEP_DIGEST = "6c1d6d85a7e98554"
+
+
+def _sweep_graphs():
+    """Random tournaments on 10 to 80 vertices, planted weak spots and the
+    crossing digraphs of random splits of both."""
+    for n in range(10, 81, 10):
+        rng = np.random.default_rng(n)
+        for T in (random_tournament(n, n), random_tournament(n, 1000 + n),
+                  _planted(n, 1 + n % 4, n)):
+            yield T
+            side = rng.permutation(n) < n // 2
+            yield bipartite_subdigraph(T, np.flatnonzero(side), np.flatnonzero(~side))[0]
+
+
+def test_sweeps_are_pinned():
+    # the level, stopping pair, value and cut of every sweep mode, at levels
+    # around kappa where the stopping sweeps fail
+    h = hashlib.sha256()
+    for G in _sweep_graphs():
+        kappa = sweep(G).level
+        for k in sorted({1, 2, kappa, kappa + 1}):
+            for ceiling, stop in ((None, 0), (k, k), (None, k)):
+                c = sweep(G, ceiling, stop)
+                answer = (c.ok, c.level, c.pair, c.value, None if c.cut is None else sorted(c.cut))
+                h.update(repr(answer).encode())
+    assert h.hexdigest()[:16] == SWEEP_DIGEST
+
+
 def test_certify_agrees_with_the_definition_and_its_cuts_separate():
     witnessed = 0
     for G in _small_graphs():

@@ -6,17 +6,15 @@ import numpy as np
 import pytest
 
 from oracles import brute_strong_k
-from tourpart import bipartite_subdigraph, is_strongly_k_connected, subtournament
+from tourpart import bipartite_subdigraph, subtournament
 from tourpart.generators import random_tournament, transitive_tournament
 from tourpart.partition import (
-    PartitionResult,
     format_partition,
     partition,
     search_partition,
     verify_partition,
 )
 from tourpart.pipeline import PipelineError, PipelineParams, run_pipeline
-from tourpart.safety import ALPHA
 
 
 def test_verify_rejects_non_partitions(c3):

@@ -10,7 +10,6 @@ from tourpart.core import reachable_mask
 from tourpart.generators import random_tournament, transitive_tournament
 from tourpart.pipeline import (
     ALT_AA,
-    MONO_A,
     PipelineError,
     PipelineParams,
     PipelineState,
@@ -25,8 +24,6 @@ from tourpart.pipeline import (
     build_dominating_family,
     color_reserved,
     extend_coloring_safely,
-    find_connector_paths,
-    finalize_coloring,
     pipeline_feasible,
     run_pipeline,
     select_extremal_sets,

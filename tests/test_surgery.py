@@ -12,7 +12,7 @@ from tourpart import (
     shortest_path_avoiding,
     spanning_linkage,
 )
-from tourpart.generators import random_tournament, transitive_tournament
+from tourpart.generators import transitive_tournament
 from tourpart.surgery import check_spanning_linkage
 
 
