@@ -47,9 +47,13 @@ stopping pair, its value and its cut do not depend on ``ceiling``.
 
 The kernel works on Python-int bitsets, since the networks it certifies are
 small (tens of vertices) and numpy's per-call overhead would outweigh the
-arithmetic.  A ``VertexFlow`` handle holds each packed out-row of the graph
-as an int (bit v of ``out[u]`` is the arc u->v) and each packed in-row (bit
-u of ``inn[v]``).  The split network is never built.  The flow state is the
+arithmetic.  A restricted graph G[within] reaches it in one form, the host
+G plus a bool vertex mask: a ``VertexFlow(G, within)`` handle holds each
+packed out-row of G, ANDed with the packed mask, as an int (bit v of
+``out[u]`` is the arc u->v), and each packed in-row likewise (bit u of
+``inn[v]``).  Ids stay G's: every tie breaks toward the lowest id, and a
+copy of G[within] would keep their order, so each answer is the copy's,
+with no id map.  The split network is never built.  The flow state is the
 successor list ``flow`` (bit v of ``flow[u]`` is one unit on u->v; every
 vertex but x has at most one), the predecessor list ``pred`` of the
 vertices that pass a unit, and the bitset ``carries`` of those vertices,
@@ -60,6 +64,10 @@ over its reversed split arc when no arc reached it, and the parent of an
 out-copy follows from the flow, so the augmenting paths, and hence every
 flow, path decomposition and cut, are those of a level-synchronous BFS with
 lowest-index parents, whatever the representation.
+
+A safety network, ``TargetFlow(G, targets, within)``, is the handle plus
+one sink, vertex n, fed by the targets in ``within``; its source is the
+vertex checked.  ``disjoint_routes`` drops the arc x->y from a handle.
 """
 
 from __future__ import annotations
@@ -70,14 +78,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
-    Digraph,
     Verdict,
     _bits,
     _check_ids,
-    _principal_submatrix,
     bit_reach,
     counts_in,
     is_path,
+    packed_set,
     reachable_mask,
     row_bits,
     vertex_mask,
@@ -270,14 +277,14 @@ class VertexFlow:
     """Per-graph handle on the flow kernel; queries differ only in (x, y).
 
     ``out[u]`` and ``inn[v]`` are the rows of the digraph G's ``packed`` and
-    ``rpacked`` as ints: the out-neighbourhood of u and the in-neighbourhood
-    of v.  A bool matrix cut for one flow is wrapped as
-    ``Digraph._derived(adj)`` first."""
+    ``rpacked`` as ints, ANDed with the vertex mask ``within`` when one is
+    given: the out-neighbourhood of u and the in-neighbourhood of v inside
+    G[within], in G's ids."""
 
-    def __init__(self, G):
-        self.n = G.n
-        self.out = row_bits(G.packed)
-        self.inn = row_bits(G.rpacked)
+    def __init__(self, G, within=None):
+        mask = ~np.uint64(0) if within is None else packed_set(within)
+        self.out = row_bits(G.packed & mask)
+        self.inn = row_bits(G.rpacked & mask)
 
     def paths_and_cut(self, x, y, cap=None):
         """(value, paths, cut) of a flow capped at ``cap``; the cut is None
@@ -286,10 +293,10 @@ class VertexFlow:
         return value, _flow_paths(flow, x, y), cut
 
 
-def _strongly_connected(G):
-    if not reachable_mask(G.packed, 0).all():
-        return False
-    return bool(reachable_mask(G.rpacked, 0).all())
+def _strongly_connected(G, within):
+    """Whether G[within] is strong: its lowest vertex reaches all of it both ways."""
+    first = int(within.argmax())
+    return all(reachable_mask(rows, first, within)[within].all() for rows in (G.packed, G.rpacked))
 
 
 @dataclass(frozen=True)
@@ -308,33 +315,41 @@ class Certificate:
     level: int = 0
 
 
-def sweep(G, ceiling=None, stop=0):
-    """min(kappa(G), ceiling) as ``level`` by Even's sweep (no cap when
-    ``ceiling`` is None), stopping at the first pair whose flow falls below
-    ``stop``; see the module docstring."""
+def sweep(G, ceiling=None, stop=0, within=None):
+    """min(kappa(G[within]), ceiling) as ``level`` by Even's sweep (no cap
+    when ``ceiling`` is None; all of G when ``within`` is None), stopping
+    at the first pair whose flow falls below ``stop``; see the module
+    docstring.  The vertices of ``within`` are swept in ascending id, and
+    pairs and cuts are G's ids."""
     if stop < 0 or (ceiling is not None and ceiling < 0):
         raise ValueError("k must be nonnegative")
-    n = G.n
+    if within is None:
+        within = np.ones(G.n, dtype=bool)
+    ids, mask = np.flatnonzero(within), packed_set(within)
+    n = len(ids)
     best = 0
     if n > 1:
-        best = min(n - 1, int(G.out_degrees().min()), int(G.in_degrees().min()),
+        best = min(n - 1, int(counts_in(G.packed, mask)[within].min()),
+                   int(counts_in(G.rpacked, mask)[within].min()),
                    n if ceiling is None else ceiling)
     # the degree screen alone may settle the answer; search only past it
-    if best >= max(stop, 1) and not _strongly_connected(G):
+    if best >= max(stop, 1) and not _strongly_connected(G, within):
         best = 0
     if best < stop:
         return Certificate(False, level=best)
     if best > 1:  # a strong graph has a path between every pair
-        net = VertexFlow(G)
+        net = VertexFlow(G, within)
         out = net.out
-        u = 0
-        while u < best:
+        outs, ins = G.packed & mask, G.rpacked & mask
+        rank = 0
+        while rank < best:
+            u = int(ids[rank])
             # 2-path counts u->w->v and v->w->u for every v > u; a pair
             # (u, v) or (v, u) with v < u was visited by the sweep at v
-            out2 = counts_in(G.rpacked[u + 1:], G.packed[u])
-            in2 = counts_in(G.packed[u + 1:], G.rpacked[u])
+            out2 = counts_in(G.rpacked[u + 1:], outs[u])
+            in2 = counts_in(G.packed[u + 1:], ins[u])
             # best only falls, so this is a superset of the pairs to visit
-            for i in np.flatnonzero(np.minimum(out2, in2) < best).tolist():
+            for i in np.flatnonzero((np.minimum(out2, in2) < best) & within[u + 1:]).tolist():
                 v = u + 1 + i
                 for x, y, mids in ((u, v, out2[i]), (v, u, in2[i])):
                     # a pair with >= best common middles or short paths
@@ -345,7 +360,7 @@ def sweep(G, ceiling=None, stop=0):
                         best, _, cut = maximum_flow(net, x, y, best)
                         if best < stop:
                             return Certificate(False, (x, y), best, cut, best)
-            u += 1
+            rank += 1
     return Certificate(n > stop, level=best)
 
 
@@ -420,19 +435,19 @@ def safe_flow(G, v, targets, k, direction="forward", restrict=None):
     within = np.ones(G.n, dtype=bool) if restrict is None else vertex_mask(G.n, restrict)
     if not within[v]:
         raise ValueError("v must belong to the restriction set")
-    # a backward check runs forwards on the transpose, whose transpose is G
-    radj = G.radj if direction == "forward" else G.adj
-    return TargetFlow(radj, vertex_mask(G.n, targets), within).safe(v, k)
+    # a backward check runs forwards on the reverse
+    graph = G if direction == "forward" else G.reverse()
+    return TargetFlow(graph, vertex_mask(G.n, targets), within).safe(v, k)
 
 
 class TargetFlow:
-    """``safe_flow`` forwards in the digraph whose row-major transpose is
-    ``radj``, with targets and restriction as masks.  The network, the
-    restricted graph plus one sink fed by every target, does not depend on
-    the source v in ``within``: one handle serves all, cut on first need."""
+    """``safe_flow`` forwards in G[within], with targets and restriction as
+    masks.  The network is ``VertexFlow(G, within)`` plus one sink, vertex
+    n, fed by every target in ``within``; it does not depend on the source
+    v, so one handle serves every v in ``within``, built on first need."""
 
-    def __init__(self, radj, targets, within):
-        self.radj, self.within = radj, within
+    def __init__(self, G, targets, within):
+        self.G, self.within = G, within
         self.hit = targets & within
         self.net = None
 
@@ -441,16 +456,17 @@ class TargetFlow:
             return True
         if not self.hit.any():
             return False
+        sink = self.G.n
         if self.net is None:
-            ids = np.flatnonzero(self.within)
-            m = len(ids)
-            net = np.zeros((m + 1, m + 1), dtype=bool)
-            net[:m, :m] = _principal_submatrix(self.radj, ids)
-            net[:m, m] = self.hit[ids]
-            self.net = VertexFlow(Digraph._derived(net))
-        source, sink = int(np.count_nonzero(self.within[:v])), self.net.n - 1
-        return (_short_paths_reach(self.net, source, sink, k)
-                or maximum_flow(self.net, source, sink, k)[0] >= k)
+            self.net = net = VertexFlow(self.G, self.within)
+            feed = 0
+            for t in np.flatnonzero(self.hit).tolist():
+                net.out[t] |= 1 << sink
+                feed |= 1 << t
+            net.out.append(0)
+            net.inn.append(feed)
+        return (_short_paths_reach(self.net, v, sink, k)
+                or maximum_flow(self.net, v, sink, k)[0] >= k)
 
 
 # ---------------------------------------------------------------------------
@@ -521,20 +537,24 @@ def _uniform_bundle(req):
             and req.parity is None and req.max_length is None)
 
 
+def disjoint_routes(T, x, y, allowed):
+    """A maximum family of internally disjoint x->y paths of T, each with
+    its interior in the vertex mask ``allowed``; the arc x->y is left out,
+    so every path has an interior."""
+    net = VertexFlow(T, allowed | vertex_mask(T.n, (x, y)))
+    net.out[x] &= ~(1 << y)
+    net.inn[y] &= ~(1 << x)
+    return net.paths_and_cut(x, y)[1]
+
+
 def _bundle_by_flow(T, req):
     x, y = req.pairs[0]
     want = len(req.pairs)
-    allowed = ~vertex_mask(T.n, req.forbidden)
-    allowed[x] = allowed[y] = True
-    adj = T.adj & allowed[:, None] & allowed[None, :]
-    # the direct edge is one internally disjoint path; cap it at one unit
-    direct = int(adj[x, y])
-    adj[x, y] = False
-    value, paths, _ = VertexFlow(Digraph._derived(adj)).paths_and_cut(x, y)
-    total = value + direct
-    if total < want:
+    paths = disjoint_routes(T, x, y, ~vertex_mask(T.n, req.forbidden))
+    # the direct edge is one more internally disjoint path, taken once
+    chosen = ([[x, y]] if T.has_edge(x, y) else []) + sorted(paths, key=len)
+    if len(chosen) < want:
         return LinkageResult(Verdict.INFEASIBLE)
-    chosen = ([[x, y]] if direct else []) + sorted(paths, key=len)
     return LinkageResult(Verdict.FOUND, chosen[:want])
 
 

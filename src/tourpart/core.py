@@ -41,8 +41,6 @@ from enum import StrEnum
 
 import numpy as np
 
-Path = list  # a directed simple path, as a list of vertex ids
-
 
 class Verdict(StrEnum):
     """Outcome of an exact search: a witness was found, none exists (proven),
@@ -134,6 +132,11 @@ class Digraph:
     def out_neighbors(self, v):
         return np.flatnonzero(self.adj[v])
 
+    def reverse(self):
+        """The graph with every arc flipped (an involution); nothing is unpacked."""
+        radj = self.radj if self._adj is not None else self._radj
+        return type(self)._derived(radj, self._adj, self._rpacked, self._packed)
+
     def edges(self):
         us, vs = np.nonzero(self.adj)
         return list(zip(us.tolist(), vs.tolist()))
@@ -172,10 +175,6 @@ class Tournament(Digraph):
 
     def in_degree(self, v):
         return int(self.radj[v].sum())
-
-    def reverse(self):
-        """The tournament with every edge orientation flipped (an involution)."""
-        return Tournament._derived(self.radj, self.adj, self._rpacked, self._packed)
 
     def subtournament(self, vertices):
         """Restriction to ``vertices``; returns (sub, index_map) with
@@ -467,16 +466,20 @@ def bfs_shortest_path(adj, x, y, allowed=None, min_length=1):
     return _bfs_walk(adj, x, y, _open_mask(adj, x, y, allowed), 1, min_length=min_length)
 
 
-def bfs_parity_path(adj, x, y, parity, allowed=None, max_length=None, retries=8):
+PARITY_RETRIES = 8
+
+
+def bfs_parity_path(adj, x, y, parity, allowed=None, max_length=None):
     """Short simple x->y path whose edge count has the requested parity.
 
     BFS on the parity-doubled graph with deterministic lowest-id parents.
     A shortest parity walk can revisit a vertex at opposite parities; such
-    vertices are banned and the search retried, so a None result does not
-    prove absence.  Callers audit what they build from this.
+    vertices are banned and the search retried, at most ``PARITY_RETRIES``
+    times, so a None result does not prove absence.  Callers audit what
+    they build from this.
     """
     ok = _open_mask(adj, x, y, allowed)
-    for _ in range(retries):
+    for _ in range(PARITY_RETRIES):
         walk = _bfs_walk(adj, x, y, ok, 2, parity % 2, max_length=max_length)
         if walk is None or len(set(walk)) == len(walk):
             return walk

@@ -1,6 +1,6 @@
 """Hamiltonian x->y path search in tournaments.
 
-Exact subset dynamic programming up to ``exact_threshold`` vertices; above
+Exact subset dynamic programming up to ``EXACT_THRESHOLD`` vertices; above
 that an insertion heuristic with randomized restarts, falling back to a
 budgeted backtracking search with reachability pruning.  An "infeasible"
 verdict is only ever produced by an exact argument; running out of budget is
@@ -143,8 +143,12 @@ def _dfs(out, inn, x, y, n, budget, rng):
     return rec(x, R0, [x]), nodes[0]
 
 
-def hamiltonian_path(T, x, y, exact_threshold=14, budget=200_000, restarts=24, seed=0):
-    """Hamiltonian path from x to y, exact below ``exact_threshold`` vertices.
+EXACT_THRESHOLD = 14
+RESTARTS = 24
+
+
+def hamiltonian_path(T, x, y, budget=200_000, seed=0):
+    """Hamiltonian path from x to y, exact up to ``EXACT_THRESHOLD`` vertices.
 
     Above the threshold the insertion heuristic runs under seeded restarts
     with the backtracking search as fallback; exhausting ``budget`` yields
@@ -154,7 +158,7 @@ def hamiltonian_path(T, x, y, exact_threshold=14, budget=200_000, restarts=24, s
     if x == y:
         raise ValueError("endpoints must differ")
     n = T.n
-    if n <= exact_threshold:
+    if n <= EXACT_THRESHOLD:
         return _dp_exact(T, x, y)
 
     out, inn = row_bits(T.packed), row_bits(T.rpacked)
@@ -169,13 +173,13 @@ def hamiltonian_path(T, x, y, exact_threshold=14, budget=200_000, restarts=24, s
     rng = random.Random(seed)
     base = bfs_shortest_path(T.adj, x, y)
     left = budget
-    for attempt in range(restarts):
+    for attempt in range(RESTARTS):
         if base is not None:
             path = list(base)
             remaining = set(range(n)) - set(path)
             if _try_insertions(out, path, remaining, rng):
                 return PathSearch(Verdict.FOUND, path)
-        slice_budget = max(1, left // max(1, restarts - attempt))
+        slice_budget = max(1, left // max(1, RESTARTS - attempt))
         got, slice_left = _dfs(out, inn, x, y, n, slice_budget, rng)
         left -= slice_budget - slice_left
         if got is not None:

@@ -3,10 +3,13 @@
 ``verify_partition`` is the single gatekeeper: it re-checks, from scratch,
 that both induced subtournaments and the crossing bipartite digraph are
 strongly k-connected, with one connectivity sweep of each of the three
-graphs.  ``search_partition`` hunts for a partition by seeded random
-balanced splits plus local repair moves and only ever returns splits that
-the same three sweeps certified; on a rejected split they stop at the
-first pair below k, which steers the repair.
+graphs.  No subgraph is copied: T[V1] and T[V2] are T swept under the side
+masks, and T[V1, V2] is T's packed rows masked by the opposite side, so
+witness pairs and cuts come back in T's ids.  ``search_partition`` hunts
+for a partition by seeded random balanced splits plus local repair moves
+and only ever returns splits that the same three sweeps certified; on a
+rejected split they stop at the first pair below k, which steers the
+repair.
 ``partition`` wires the constructive pipeline and the search together
 behind one entry point.
 """
@@ -18,15 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .connectivity import VertexFlow, _short_paths_reach, maximum_flow, sweep
-from .core import (
-    Tournament,
-    _check_ids,
-    _crossing_graph,
-    _principal_submatrix,
-    counts_in,
-    packed_set,
-    reachable_mask,
-)
+from .core import _check_ids, _crossing_graph, counts_in, packed_set, reachable_mask, vertex_mask
 from .pipeline import PipelineError, PipelineParams, pipeline_feasible, run_pipeline
 
 
@@ -47,17 +42,6 @@ class PartitionResult:
         return self.verified
 
 
-def _split_graph(T, in_v1, which):
-    """One of the three graphs of the split ``in_v1`` (a mask of V1) with
-    its map from new ids to T ids, ascending: ``which`` is 0 for T[V1], 1
-    for T[V2] and 2 for the crossing digraph T[V1, V2].  Built straight
-    from the mask; the callers validated the split."""
-    if which == 2:
-        return _crossing_graph(T, in_v1), list(range(T.n))
-    ids = np.flatnonzero(~in_v1 if which else in_v1)
-    return Tournament._derived(_principal_submatrix(T.radj, ids)), ids.tolist()
-
-
 EXACT_THRESHOLD = 150
 
 
@@ -67,17 +51,17 @@ def _sweep_split(T, in_v1, k, stop, exact_threshold):
 
     Returns ``(result, None)``, or ``(None, witness)`` when a graph's sweep
     stops at a pair whose flow falls below ``stop``: the witness is
-    (graph, pair, value, cut) in T ids.
+    (which, pair, value, cut), ``which`` 0, 1 or 2 for the three graphs in
+    that order.
     """
     levels = []
-    for which in range(3):
-        G, ids = _split_graph(T, in_v1, which)
-        exact = G.n <= exact_threshold
-        cert = sweep(G, None if exact else k, stop)
+    for which, within in enumerate((in_v1, ~in_v1, None)):
+        G = T if which < 2 else _crossing_graph(T, in_v1)
+        exact = (T.n if within is None else int(within.sum())) <= exact_threshold
+        cert = sweep(G, None if exact else k, stop, within)
         if not cert.ok:
             assert cert.pair is not None, "the screens passed a graph below the stop level"
-            x, y = cert.pair
-            return None, (which, (ids[x], ids[y]), cert.value, {ids[c] for c in cert.cut})
+            return None, (which, cert.pair, cert.value, cert.cut)
         levels.append((cert.level, exact))
     return PartitionResult(
         v1=np.flatnonzero(in_v1).tolist(), v2=np.flatnonzero(~in_v1).tolist(), k=k,
@@ -104,9 +88,7 @@ def verify_partition(T, v1, v2, k, exact_threshold=EXACT_THRESHOLD):
         raise ValueError("sides overlap")
     if len(s1) + len(s2) != T.n:
         raise ValueError("sides do not partition the vertex set")
-    in_v1 = np.zeros(T.n, dtype=bool)
-    in_v1[s1] = True
-    return _sweep_split(T, in_v1, k, 0, exact_threshold)[0]
+    return _sweep_split(T, vertex_mask(T.n, s1), k, 0, exact_threshold)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -134,16 +116,17 @@ def _screen_score(T, in_v1, k):
 
 
 def _pair_flow(T, in_v1, which, pair, k):
-    """Cut size of one witness pair under the current split, capped at k;
-    a pair that left its graph no longer constrains anything."""
-    G, ids = _split_graph(T, in_v1, which)
+    """Cut size of one witness pair in graph ``which`` of the current split,
+    capped at k; a pair that left its graph, or that an arc of the graph
+    joins, no longer constrains anything."""
     x, y = pair
-    if x not in ids or y not in ids:
+    within = (in_v1, ~in_v1, None)[which]
+    if within is not None and not (within[x] and within[y]):
         return k
-    x, y = ids.index(x), ids.index(y)
-    if G.adj[x, y]:
+    # the crossing digraph keeps only the arcs between the sides
+    if T.adj[x, y] and (which < 2 or in_v1[x] != in_v1[y]):
         return k
-    net = VertexFlow(G)
+    net = VertexFlow(T if which < 2 else _crossing_graph(T, in_v1), within)
     return k if _short_paths_reach(net, x, y, k) else maximum_flow(net, x, y, k)[0]
 
 

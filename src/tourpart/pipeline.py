@@ -31,9 +31,8 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .connectivity import VertexFlow
+from .connectivity import disjoint_routes
 from .core import (
-    Digraph,
     bfs_parity_path,
     bfs_shortest_path,
     counts_in,
@@ -202,9 +201,9 @@ class PipelineState:
                              frozenset(self.exc_out), frozenset(self.exc_in),
                              self.coloring, self.k)
 
-    def record(self, stage, passed=True, backed=None, info=None):
-        backed = self.params.strict if backed is None else backed
-        self.audits.append(StageAudit(stage, passed, backed, info or {}))
+    def record(self, stage, info=None):
+        """A passed stage, theorem-backed when the params are strict."""
+        self.audits.append(StageAudit(stage, True, self.params.strict, info or {}))
 
     def require(self, stage, cond, reason, kind="infeasible"):
         if not cond:
@@ -558,13 +557,8 @@ def _build_bundles(state):
             for v in p[1:-1]:
                 allowed[v] = False
         if len(paths) < want:
-            # greedy peeling is not exhaustive; a maximum flow finds the most
-            # nontrivial routes, so the arc b->a is left out of its network
-            allowed = _bundle_allowed(state, i, used)
-            allowed[b] = allowed[a] = True
-            sub = T.adj & allowed[:, None] & allowed[None, :]
-            sub[b, a] = False
-            _, routes, _ = VertexFlow(Digraph._derived(sub)).paths_and_cut(b, a)
+            # greedy peeling is not exhaustive; a maximum flow finds the most routes
+            routes = disjoint_routes(T, b, a, _bundle_allowed(state, i, used))
             state.require(stage, len(routes) >= want,
                           f"index {i}: only {len(routes)} disjoint connector routes "
                           f"available, bundle needs {want}", kind="budget")

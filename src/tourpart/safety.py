@@ -4,16 +4,17 @@ A colored vertex is safe when no deletion of at most k-1 other vertices can
 cut it off from the bulk of the tournament in any of four senses: along
 monochromatic paths forwards or backwards, and along color-alternating
 paths forwards or backwards.  Each sense is one rule, "v reaches its
-targets inside its group of the graph", on the tournament or on the graph
-of color-changing edges, read forwards or through the row-major transpose.
-The exact check reduces to a vertex-capacity flow against a super-target
-(``connectivity.safe_flow``); a scan cuts that network once per sense, as a
-``TargetFlow`` handle every vertex of the group shares.  For k = 1 safety
-is plain reachability, and a whole-coloring scan runs as six BFS sweeps
-backwards from the targets over the tournament's cached packed rows; an
-alternating sweep reads each row ANDed with the packed set of the other
-color, since every group lies inside the colored vertices, so no n x n
-matrix of color-changing edges is built.
+targets inside its group of the graph", on one of four graphs: the
+tournament T, its reverse, the crossing digraph X of the coloring (ALPHA
+against the rest, so under the mask of colored vertices X keeps exactly
+the color-changing arcs) and its reverse.  X is T's packed rows masked by
+the packed opposite side.  The exact check reduces to a vertex-capacity
+flow against a super-target (``connectivity.safe_flow``); a scan builds
+that network once per sense, as a ``TargetFlow`` handle on the sense's
+graph under its group mask, which every vertex of the group shares.  For
+k = 1 safety is plain reachability, and a whole-coloring scan runs as six
+BFS sweeps backwards from the targets, along the in-rows of each sense's
+graph.  Neither path builds an n x n temporary.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .connectivity import TargetFlow
-from .core import _check_ids, pack_rows, reachable_mask, vertex_mask
+from .core import _check_ids, _crossing_graph, reachable_mask, vertex_mask
 
 ALPHA = 0
 BETA = 1
@@ -67,11 +68,6 @@ class Coloring:
     def colored_count(self):
         return int((self.labels != UNCOLORED).sum())
 
-    def copy(self):
-        c = Coloring(self.n)
-        c.labels = self.labels.copy()
-        return c
-
 
 @dataclass
 class SafetyContext:
@@ -106,11 +102,10 @@ class SafetyReport:
 def _senses(ctx):
     """The four predicates as (column, group, targets): a vertex v of
     ``group`` is safe in the sense of table column ``column`` when no k-1
-    vertices other than v cut every path v -> targets inside graph[group].
-    The graph of columns 0 and 1 is the tournament, read forwards and
-    backwards, and their senses come once per color; that of columns 2 and
-    3 keeps the color-changing edges, and their group is every colored
-    vertex."""
+    vertices other than v cut every path v -> targets inside
+    ``_sense_graphs(ctx)[column]`` under the mask ``group``.  The senses of
+    columns 0 and 1 come once per color; the group of columns 2 and 3 is
+    every colored vertex."""
     lab = ctx.coloring.labels
     resv, exc_out, exc_in = ctx.masks()
     senses = []
@@ -120,14 +115,19 @@ def _senses(ctx):
     return senses
 
 
+def _sense_graphs(ctx):
+    """The graph of each table column: T, its reverse, the crossing digraph
+    X of the coloring (ALPHA against the rest) and its reverse."""
+    T = ctx.T
+    X = _crossing_graph(T, ctx.coloring.labels == ALPHA)
+    return T, T.reverse(), X, X.reverse()
+
+
 def _target_flows(ctx):
     """Per sense, (column, group, its ``TargetFlow``), one flow network for
-    the group.  A handle reads the transpose of the sense's graph, and a
-    backward column's graph is the transpose of the forward one."""
-    T, lab = ctx.T, ctx.coloring.labels
-    changes = lab[:, None] != lab[None, :]
-    reverses = (T.radj, T.adj, T.radj & changes, T.adj & changes)
-    return [(column, group, TargetFlow(reverses[column], targets, group))
+    the group."""
+    graphs = _sense_graphs(ctx)
+    return [(column, group, TargetFlow(graphs[column], targets, group))
             for column, group, targets in _senses(ctx)]
 
 
@@ -163,18 +163,12 @@ def safety_scan(ctx, vertices=None):
         for v in ids:
             table[v] = _flow_row(flows, int(v), ctx.k)
         return table
-    # row c: the vertices of the color opposite to c, packed
-    opposite = pack_rows(np.stack([lab == BETA, lab == ALPHA]))
+    graphs = _sense_graphs(ctx)
     for column, group, targets in _senses(ctx):
         if group.any():
-            # sweep backwards from the targets: the reverse of a forward
-            # sense's graph is the transpose
-            rows = T.rpacked if column % 2 == 0 else T.packed
-            if column >= 2:
-                alt = opposite[lab]
-                alt &= rows
-                rows = alt
-            table[group, column] = reachable_mask(rows, np.flatnonzero(targets), group)[group]
+            # sweep backwards from the targets, along the in-rows
+            back = reachable_mask(graphs[column].rpacked, np.flatnonzero(targets), group)
+            table[group, column] = back[group]
     return table
 
 

@@ -12,12 +12,13 @@ and that fact is asserted on every path returned.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .connectivity import is_strongly_k_connected
-from .core import Digraph, Verdict, _check_ids, bfs_shortest_path, is_backwards_transitive
+from .core import Digraph, Verdict, _check_ids, bfs_shortest_path, is_backwards_transitive, is_path
 from .hamilton import hamiltonian_path
 
 
@@ -179,7 +180,10 @@ class SpanningLinkage:
         return self.status == Verdict.FOUND
 
 
-def spanning_linkage(T, pairs, seed=0, ham_budget=300_000):
+HAM_BUDGET = 300_000
+
+
+def spanning_linkage(T, pairs, seed=0):
     """Internally disjoint x_i -> y_i paths whose vertex sets cover V(T).
 
     Pairs are processed last to first: carve a shortest path for the final
@@ -225,7 +229,7 @@ def spanning_linkage(T, pairs, seed=0, ham_budget=300_000):
     ids = sorted(np.flatnonzero(alive).tolist())
     sub, index_map = T.subtournament(ids)
     back = {g: i for i, g in enumerate(index_map)}
-    res = hamiltonian_path(sub, back[x], back[y], budget=ham_budget, seed=seed)
+    res = hamiltonian_path(sub, back[x], back[y], budget=HAM_BUDGET, seed=seed)
     if res.status == Verdict.UNKNOWN:
         return SpanningLinkage(Verdict.UNKNOWN, None, backed, "pair 0: Hamiltonian budget exhausted")
     if res.status == Verdict.INFEASIBLE:
@@ -241,8 +245,6 @@ def spanning_linkage(T, pairs, seed=0, ham_budget=300_000):
 
 def check_spanning_linkage(T, pairs, paths):
     """Exact cover and disjointness scan for a spanning linkage."""
-    from .core import is_path
-
     terminals = {v for p in pairs for v in p}
     covered = []
     for i, path in enumerate(paths):
@@ -251,8 +253,6 @@ def check_spanning_linkage(T, pairs, paths):
         assert set(path) & terminals == {x, y}, "path meets a foreign terminal"
         covered.extend(path)
     assert set(covered) == set(range(T.n)), "paths do not cover the tournament"
-    from collections import Counter
-
     counts = Counter(covered)
     for v, c in counts.items():
         if c > 1:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import importlib
 import itertools
@@ -15,6 +16,7 @@ from oracles import (
 )
 from tourpart import (
     LinkageRequest,
+    bipartite_subdigraph,
     find_disjoint_paths,
     is_k_linked,
     is_strongly_k_connected,
@@ -22,9 +24,11 @@ from tourpart import (
     safe_flow,
     vertex_connectivity,
 )
-from tourpart.core import Digraph
+from tourpart.connectivity import VertexFlow, sweep
+from tourpart.core import Digraph, Tournament, _crossing_graph
 from tourpart.generators import random_tournament, transitive_tournament
 from tourpart.safety import UNCOLORED
+from test_golden import _planted
 
 
 def test_examples(c3, t4, paley7):
@@ -99,14 +103,78 @@ def test_monotone_in_k(rand):
 
 
 def test_works_on_bipartite_digraphs(rand):
-    from tourpart import bipartite_subdigraph
-
     T = rand(12, 3)
     D, _ = bipartite_subdigraph(T, range(6), range(6, 12))
     kappa = vertex_connectivity(D)
     assert is_strongly_k_connected(D, kappa) if kappa else True
     assert not is_strongly_k_connected(D, kappa + 1)
     assert brute_vertex_connectivity(D) == kappa
+
+
+def _outside_middles(n, seed):
+    """A tournament on 2n vertices and the mask of its first n: inside, two
+    vertices cut X from Y (every X-Y arc runs Y -> X), and each of the n
+    outside vertices is beaten by X and beats Y, so every X-Y pair has n
+    2-paths through vertices outside the mask."""
+    rng = np.random.default_rng(seed)
+    adj = random_tournament(2 * n, seed).adj.copy()
+    part = np.concatenate([rng.permutation(np.repeat([0, 1, 2], [n // 2, n - 2 - n // 2, 2])),
+                           np.full(n, 3)])
+    for a, b in ((1, 0), (0, 3), (3, 1)):
+        adj[np.ix_(part == a, part == b)] = True
+        adj[np.ix_(part == b, part == a)] = False
+    return Tournament(adj), part != 3
+
+
+def _masked_and_copied(count):
+    """(host graph, vertex mask, copy of the restricted graph, its id map):
+    random tournaments, half of them with a planted weak spot, under random
+    masks, crossing digraphs of random splits read under a mask of the
+    vertices on either side, and weak spots with middles outside the mask."""
+    rng = np.random.default_rng(15)
+    cases = []
+    for n in (30, 34, 38):
+        T, mask = _outside_middles(n, n)
+        cases.append((T, mask, *T.subtournament(np.flatnonzero(mask))))
+    for s in range(count):
+        n = int(rng.integers(8, 41))
+        T = _planted(n, 1 + s % 4, 1500 + s) if s % 2 else random_tournament(n, 1500 + s)
+        mask = rng.random(n) < rng.uniform(0.4, 0.95)
+        mask[rng.choice(n, 2, replace=False)] = True
+        cases.append((T, mask, *T.subtournament(np.flatnonzero(mask))))
+        in_a = rng.random(n) < 0.5
+        sides = np.flatnonzero(mask & in_a), np.flatnonzero(mask & ~in_a)
+        if len(sides[0]) and len(sides[1]):
+            cases.append((_crossing_graph(T, in_a), mask, *bipartite_subdigraph(T, *sides)))
+    return cases
+
+
+def test_masked_sweeps_and_flows_match_the_copied_subgraph():
+    # the copy path the flow layer used to take is the reference: a masked
+    # sweep or flow in host ids is the copy's, mapped through its id map
+    failing = flows = 0
+    rng = np.random.default_rng(16)
+    for G, mask, sub, ids in _masked_and_copied(60):
+        kappa = sweep(sub).level
+        for k in {1, 2, kappa, kappa + 1}:
+            for ceiling, stop in ((None, 0), (k, k), (None, k)):
+                want = sweep(sub, ceiling, stop)
+                if want.pair is not None:  # a stopping pair always has its cut
+                    want = dataclasses.replace(want, pair=tuple(ids[v] for v in want.pair),
+                                               cut=frozenset(ids[v] for v in want.cut))
+                    failing += 1
+                assert sweep(G, ceiling, stop, within=mask) == want, (k, ceiling, stop)
+        host, copy = VertexFlow(G, mask), VertexFlow(sub)
+        pairs = [(x, y) for x, y in itertools.permutations(range(sub.n), 2) if not sub.adj[x, y]]
+        for i in rng.permutation(len(pairs))[:12]:
+            x, y = pairs[i]
+            for cap in (None, 1, 2, 3):
+                value, paths, cut = copy.paths_and_cut(x, y, cap)
+                want = (value, [[ids[v] for v in p] for p in paths],
+                        None if cut is None else frozenset(ids[v] for v in cut))
+                assert host.paths_and_cut(ids[x], ids[y], cap) == want
+                flows += 1
+    assert failing >= 20 and flows >= 5000
 
 
 def test_min_separator_examples(c3, t4):

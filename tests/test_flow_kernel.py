@@ -31,7 +31,8 @@ CAPS = (None, 1, 2, 3)
 def _cold(net, x, y, cap):
     """Augment from the empty flow state: no arcs, no predecessors, no
     carriers."""
-    return _augmented(net, x, y, cap, [0] * net.n, [-1] * net.n, 0)
+    n = len(net.out)
+    return _augmented(net, x, y, cap, [0] * n, [-1] * n, 0)
 
 
 def _tournaments(count):

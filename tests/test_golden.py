@@ -415,13 +415,13 @@ def test_certify_matches_the_uncapped_sweep_on_planted_graphs():
 
 
 def _count_sweeps(monkeypatch):
-    """A list of the graphs swept, through the connectivity and the
-    partition bindings of ``sweep``."""
+    """A list of the restricted graphs swept, as (graph, vertex mask),
+    through the connectivity and the partition bindings of ``sweep``."""
     seen = []
 
-    def counting(G, *args):
-        seen.append(G)
-        return sweep(G, *args)
+    def counting(G, ceiling=None, stop=0, within=None):
+        seen.append((G, within))
+        return sweep(G, ceiling, stop, within)
 
     for module in ("connectivity", "partition"):
         monkeypatch.setattr(importlib.import_module(f"tourpart.{module}"), "sweep", counting)
@@ -437,7 +437,8 @@ def test_verify_certifies_each_graph_once(monkeypatch):
         seen.clear()
         res = verify_partition(T, found.v1, found.v2, 2, exact_threshold=threshold)
         assert res.verified and res.connectivity_exact == (threshold > 0)
-        assert len(seen) == 3 and len({id(G) for G in seen}) == 3
+        restricted = {(id(G), None if within is None else within.tobytes()) for G, within in seen}
+        assert len(seen) == 3 and len(restricted) == 3
 
 
 def test_search_certifies_a_successful_split_once(monkeypatch):

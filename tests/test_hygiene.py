@@ -1,4 +1,5 @@
-"""Static checks on the source tree: no module imports a name it never uses."""
+"""Static checks on the source tree: no module imports a name it never uses,
+no function imports inside its body, and only ``core`` copies subgraphs."""
 
 import ast
 from pathlib import Path
@@ -28,3 +29,32 @@ def test_no_unused_imports():
     assert len(files) > 20
     unused = {str(p.relative_to(ROOT)): names for p in files if (names := _unused_imports(p))}
     assert unused == {}
+
+
+def _source_modules():
+    return sorted((ROOT / "src/tourpart").glob("*.py"))
+
+
+def test_only_core_cuts_submatrices():
+    # restricted graphs reach the flow layer as a host graph plus a vertex
+    # mask; copying and relabelling a subgraph is core's business alone
+    offenders = []
+    for path in _source_modules():
+        if path.name == "core.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.ImportFrom)
+                     else [getattr(node, "id", None), getattr(node, "attr", None)])
+            if "_principal_submatrix" in names or "_derived" in names:
+                offenders.append((path.name, node.lineno))
+    assert offenders == []
+
+
+def test_no_function_imports_in_its_body():
+    offenders = []
+    for path in _source_modules():
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                offenders += [(path.name, node.name, inner.lineno) for inner in ast.walk(node)
+                              if isinstance(inner, (ast.Import, ast.ImportFrom))]
+    assert offenders == []
