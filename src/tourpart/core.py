@@ -1,38 +1,37 @@
 """Tournaments, digraphs, directed paths and their basic structure queries.
 
-A tournament on n vertices is stored as a dense boolean orientation matrix
-``adj`` with ``adj[u, v]`` true iff the edge u->v is present.  Vertices are
-the integers 0..n-1 throughout; every named vertex set is a plain Python
-set over that id space.  Graphs are immutable after construction so they
-can be shared freely between concurrent workers.
+A graph on n vertices is its adjacency packed 64 vertices per ``uint64``
+word, twice: bit v % 64 of word v // 64 of row u of ``packed`` is the arc
+u->v, and ``rpacked`` holds the transpose the same way, so its row v is the
+in-neighbourhood of v.  The two are the whole graph and its one
+representation; ``pack_rows`` is the one packer and ``unpack_rows`` its
+inverse.  A checked constructor packs a bool matrix; a tournament's
+``rpacked`` is the complement of ``packed`` off the diagonal, taken on
+words.  ``reverse`` swaps the two, and a subgraph unpacks only the rows of
+its vertices.  Vertices are the integers 0..n-1 throughout; every named
+vertex set is a plain Python set over that id space.  Graphs are immutable
+after construction so they can be shared freely between concurrent workers.
 
-Each graph also keeps its transpose ``radj`` as a second row-major matrix,
-built once on first use: row v of ``radj`` is the in-neighbourhood of v.
-Rows of numpy's strided transpose view are slow to read, so every reader of
-in-neighbourhoods (backward BFS sweeps, in-degrees, the mirror halves of
-the dominating and safety rules) reads ``radj`` instead.
-
-Both matrices also come packed, 64 vertices per ``uint64`` word, as
-``packed`` and ``rpacked``: built once on first use by ``pack_rows``, the
-one packer, and swapped by ``reverse`` like the transposes.  The packed rows
-are the one bitset input of every hot loop: reachability sweeps OR them,
-neighbour counts inside a vertex set are popcounts of rows ANDed with the
-packed set (``counts_in`` over ``packed_set``), grant waves AND one row with
-a free set, and the flow kernel reads them as Python ints.
-
-A graph may also be built from its packed rows alone, ``adj`` and ``radj``
-then being unpacked only if something reads them.  The crossing digraph of
-a split of all of T is one: T's packed rows masked by the packed opposite
-side, with no n x n bool temporary.
+The packed rows are the one bitset input of every loop: reachability
+sweeps and path searches OR them, neighbour counts inside a vertex set are
+popcounts of rows ANDed with the packed set (``counts_in`` over
+``packed_set``), grant waves AND one row with a free set, and the flow
+kernel reads them as Python ints.  ``adj`` unpacks the bool matrix on each
+read for callers outside the library.  The crossing digraph of a split of
+all of T is T's packed rows masked by the packed opposite side, with no
+n x n bool temporary.
 
 The search layer at the end of this module has one routine per job.  One
 BFS body serves both path searches: ``bfs_shortest_path`` runs it with one
-state per vertex and ``bfs_parity_path`` with two, (v, depth % 2), and both
-break ties toward the lowest-id parent.  ``reachable_mask`` is the one
-reachability sweep, over packed rows only: a bool matrix would be read as
-words, so it is refused.  The exact searches (Hamiltonian paths, linkages,
-the flow kernel) read packed rows as Python-int bitsets from ``row_bits``
-and reach with ``bit_reach``.
+state per vertex and ``bfs_parity_path`` with two, (v, depth % 2).  Each
+level is one packed row, the OR of the previous level's rows ANDed with
+the states of its parity not yet seen, so every state of a level was first
+seen on that level.  Parents are found only on the walk back from y: the
+parent of w is the lowest-id vertex of the previous level with an arc to
+w.  ``reachable_mask`` is the one reachability sweep.  It and the path
+searches refuse a bool matrix, which would be read as words.  The exact
+searches (Hamiltonian paths, linkages, the flow kernel) read packed rows
+as Python-int bitsets from ``row_bits`` and reach with ``bit_reach``.
 """
 
 from __future__ import annotations
@@ -55,73 +54,35 @@ class Digraph:
     """A loopless digraph on vertices 0..n-1 with at most one copy of each arc."""
 
     def __init__(self, adj):
-        adj = np.asarray(adj, dtype=bool)
-        if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
-            raise ValueError("adjacency matrix must be square")
-        if adj.shape[0] and adj.diagonal().any():
-            raise ValueError("self-loops are not allowed")
-        self._wrap(adj.copy())
+        adj = _square_loopless(adj)
+        self._hold(pack_rows(adj), pack_rows(adj.T))
 
-    def _wrap(self, adj, radj=None, packed=None, rpacked=None):
-        self._adj = _frozen(adj)
-        self._radj = _frozen(radj)
-        self._packed = _frozen(packed)
-        self._rpacked = _frozen(rpacked)
-        self.n = (adj if adj is not None else packed).shape[0]
+    def _hold(self, packed, rpacked):
+        self.n = packed.shape[0]
+        self.packed = _frozen(packed)
+        self.rpacked = _frozen(rpacked)
 
     @classmethod
-    def _derived(cls, adj, radj=None, packed=None, rpacked=None):
-        """Wrap ``adj`` read-only without copying or validating it; ``radj``,
-        when given, must be its transpose in row-major order, and
-        ``packed`` and ``rpacked`` the two as ``pack_rows`` made them.
-        ``adj`` may be None when ``packed`` and ``rpacked`` are both given:
-        the graph then holds packed rows alone and unpacks its bool
-        matrices on first use.
-
-        For fresh matrices cut out of a graph that already passed the
-        checks of ``cls``, such as a principal submatrix of a tournament."""
+    def _derived(cls, packed, rpacked):
+        """Wrap the packed rows of a graph and of its transpose read-only,
+        without copying or validating them: for rows cut out of, or masked
+        from, a graph that already passed the checks of ``cls``."""
         graph = cls.__new__(cls)
-        graph._wrap(adj, radj, packed, rpacked)
+        graph._hold(packed, rpacked)
         return graph
 
     @property
     def adj(self):
-        """The orientation matrix, read-only and C-contiguous: ``adj[u, v]``
-        is the arc u->v.  A graph built from packed rows alone unpacks it on
-        first use and keeps it."""
-        if self._adj is None:
-            self._adj = _frozen(unpack_rows(self._packed, self.n))
-        return self._adj
-
-    @property
-    def radj(self):
-        """The transpose of ``adj``, read-only and C-contiguous, built on
-        first use and kept: row v holds the in-neighbourhood of v."""
-        if self._radj is None:
-            self._radj = _frozen(self._transpose() if self._adj is not None
-                                 else unpack_rows(self._rpacked, self.n))
-        return self._radj
-
-    @property
-    def packed(self):
-        """``pack_rows(adj)``, read-only, built on first use and kept."""
-        if self._packed is None:
-            self._packed = _frozen(pack_rows(self.adj))
-        return self._packed
-
-    @property
-    def rpacked(self):
-        """``pack_rows(radj)``, read-only, built on first use and kept: row v
-        holds the in-neighbourhood of v."""
-        if self._rpacked is None:
-            self._rpacked = _frozen(pack_rows(self.radj))
-        return self._rpacked
-
-    def _transpose(self):
-        return np.ascontiguousarray(self.adj.T)
+        """The orientation matrix, ``adj[u, v]`` the arc u->v: read-only,
+        C-contiguous and unpacked from ``packed`` on every read."""
+        return _frozen(unpack_rows(self.packed, self.n))
 
     def has_edge(self, u, v):
-        return bool(self.adj[u, v])
+        u, v = int(u), int(v)
+        # a word index alone would read a padding bit, or wrap a negative id
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            raise IndexError(f"arc {u}->{v} outside 0..{self.n - 1}")
+        return bool(int(self.packed[u, v >> 6]) >> (v & 63) & 1)
 
     def out_degrees(self):
         return np.bitwise_count(self.packed).sum(axis=1, dtype=np.intp)
@@ -130,19 +91,19 @@ class Digraph:
         return np.bitwise_count(self.rpacked).sum(axis=1, dtype=np.intp)
 
     def out_neighbors(self, v):
-        return np.flatnonzero(self.adj[v])
+        return np.flatnonzero(unpack_rows(self.packed[v], self.n))
 
     def reverse(self):
-        """The graph with every arc flipped (an involution); nothing is unpacked."""
-        radj = self.radj if self._adj is not None else self._radj
-        return type(self)._derived(radj, self._adj, self._rpacked, self._packed)
+        """The graph with every arc flipped (an involution): the two packed
+        matrices swapped, nothing copied."""
+        return type(self)._derived(self.rpacked, self.packed)
 
     def edges(self):
-        us, vs = np.nonzero(self.adj)
+        us, vs = np.nonzero(unpack_rows(self.packed, self.n))
         return list(zip(us.tolist(), vs.tolist()))
 
     def edge_count(self):
-        return int(self.adj.sum())
+        return int(np.bitwise_count(self.packed).sum())
 
     def __len__(self):
         return self.n
@@ -155,26 +116,20 @@ class Tournament(Digraph):
     """A complete oriented graph: exactly one direction per vertex pair."""
 
     def __init__(self, adj):
-        super().__init__(adj)
-        n = self.n
+        adj = _square_loopless(adj)
+        n = adj.shape[0]
         if n > 1:
-            both = self.adj ^ self.adj.T
+            both = adj ^ adj.T
             both[np.diag_indices(n)] = True
             if not both.all():
                 raise ValueError("not a tournament: some pair is unoriented or doubly oriented")
-
-    def _transpose(self):
-        # a tournament's transpose is its complement off the diagonal, which
-        # numpy builds row-major far faster than it copies a strided view
-        radj = ~self.adj
-        np.fill_diagonal(radj, False)
-        return radj
+        self._hold(*_tournament_rows(adj))
 
     def out_degree(self, v):
-        return int(self.adj[v].sum())
+        return int(np.bitwise_count(self.packed[v]).sum())
 
     def in_degree(self, v):
-        return int(self.radj[v].sum())
+        return int(np.bitwise_count(self.rpacked[v]).sum())
 
     def subtournament(self, vertices):
         """Restriction to ``vertices``; returns (sub, index_map) with
@@ -184,15 +139,41 @@ class Tournament(Digraph):
             raise ValueError("subtournament needs at least one vertex")
         if ids[0] < 0 or ids[-1] >= self.n:
             raise ValueError("vertex id out of range")
-        return Tournament._derived(_principal_submatrix(self.radj, ids)), ids
+        return Tournament._derived(*_tournament_rows(_cut(self.rpacked, ids))), ids
 
 
-def _principal_submatrix(radj, ids):
-    """A row-major copy of ``adj[ids][:, ids]``, cut from the transpose
-    ``radj`` of ``adj``.  numpy lays a gather along the second axis out
-    column-major, so the submatrix of the transpose, read transposed, is
-    already row-major: one copy, not two."""
-    return np.ascontiguousarray(radj[ids][:, ids].T)
+def _square_loopless(adj):
+    adj = np.asarray(adj, dtype=bool)
+    if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
+        raise ValueError("adjacency matrix must be square")
+    if adj.shape[0] and adj.diagonal().any():
+        raise ValueError("self-loops are not allowed")
+    return adj
+
+
+_BIT = np.uint64(1) << np.arange(64, dtype=np.uint64)  # bit i of a packed word
+
+
+def _tournament_rows(adj):
+    """``packed`` and ``rpacked`` of the tournament ``adj``: its transpose is
+    its complement off the diagonal, taken on the packed words."""
+    n = adj.shape[0]
+    packed = pack_rows(adj)
+    rpacked = ~packed
+    if n % 64:
+        rpacked[:, -1] &= _BIT[n % 64] - np.uint64(1)
+    v = np.arange(n)
+    rpacked[v, v >> 6] ^= _BIT[v & 63]
+    return packed, rpacked
+
+
+def _cut(rows, ids):
+    """Row-major ``m[ids][:, ids].T``, m the bool matrix of the packed rows
+    ``rows``, unpacking only the rows of ``ids`` (an |ids| x n temporary,
+    not n x n).  numpy lays a gather along the second axis out
+    column-major, so the gather read transposed is already row-major; cut
+    from ``rpacked``, it is the subgraph's own matrix."""
+    return unpack_rows(rows[ids], rows.shape[0])[:, ids].T
 
 
 def _check_ids(G, ids):
@@ -203,19 +184,20 @@ def _check_ids(G, ids):
 
 
 def _frozen(m):
-    """``m`` made read-only in place (None passes through)."""
-    if m is not None:
-        m.setflags(write=False)
+    """``m`` made read-only in place."""
+    m.setflags(write=False)
     return m
 
 
 def pack_rows(m):
     """The rows of the boolean matrix ``m`` packed 64 columns per word: a
     C-contiguous ``uint64`` matrix whose word v // 64 of row u holds
-    ``m[u, v]`` at bit v % 64.  Bits past the last column are zero."""
+    ``m[u, v]`` at bit v % 64.  Bits past the last column are zero.  A
+    strided ``m``, such as a transpose, is copied row-major first:
+    ``np.packbits`` reads it several times slower than the copy costs."""
     rows, cols = m.shape
     words = np.zeros((rows, (cols + 63) // 64 * 8), dtype=np.uint8)
-    words[:, :(cols + 7) // 8] = np.packbits(m, axis=1, bitorder="little")
+    words[:, :(cols + 7) // 8] = np.packbits(np.ascontiguousarray(m), axis=1, bitorder="little")
     return words.view("<u8")
 
 
@@ -255,20 +237,23 @@ def vertex_mask(n, vertices):
     return mask
 
 
-def tournament_from_edges(n, edges):
+def _edge_matrix(n, edges):
     adj = np.zeros((n, n), dtype=bool)
     for u, v in edges:
-        adj[u, v] = True
-    return Tournament(adj)
-
-
-def digraph_from_edges(n, edges):
-    adj = np.zeros((n, n), dtype=bool)
-    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge {u}->{v}: vertex out of range 0..{n - 1}")
         if u == v:
             raise ValueError(f"self-loop {u}->{v}")
         adj[u, v] = True
-    return Digraph(adj)
+    return adj
+
+
+def tournament_from_edges(n, edges):
+    return Tournament(_edge_matrix(n, edges))
+
+
+def digraph_from_edges(n, edges):
+    return Digraph(_edge_matrix(n, edges))
 
 
 def reverse(T):
@@ -283,8 +268,8 @@ def bipartite_subdigraph(T, side_a, side_b):
     """Digraph keeping only the T-edges that cross between ``side_a`` and
     ``side_b``.  Vertices are relabelled to 0..m-1 over sorted(A | B); the
     second return value maps new ids back to T ids.  When A | B covers all
-    of T the map is the identity and the digraph holds packed rows alone:
-    T's packed rows, each masked by the packed side opposite its vertex."""
+    of T the map is the identity and the digraph is T's packed rows, each
+    masked by the packed side opposite its vertex."""
     A = set(int(v) for v in side_a)
     B = set(int(v) for v in side_b)
     if not A or not B:
@@ -297,16 +282,16 @@ def bipartite_subdigraph(T, side_a, side_b):
     in_a = vertex_mask(T.n, A)[ids]
     if len(ids) == T.n:
         return _crossing_graph(T, in_a), ids
-    sub = _principal_submatrix(T.radj, ids)
-    sub &= in_a[:, None] != in_a[None, :]
-    return Digraph._derived(sub), ids
+    crossing = in_a[:, None] != in_a[None, :]
+    packed, rpacked = (pack_rows(_cut(rows, ids) & crossing) for rows in (T.rpacked, T.packed))
+    return Digraph._derived(packed, rpacked), ids
 
 
 def _crossing_graph(T, in_a):
     """The crossing digraph of the split of all of T with side mask ``in_a``:
     T's packed rows, each masked by the packed side its vertex is not on."""
     side = pack_rows(np.stack([in_a, ~in_a]))[in_a.astype(np.intp)]
-    return Digraph._derived(None, packed=T.packed & side, rpacked=T.rpacked & side)
+    return Digraph._derived(T.packed & side, T.rpacked & side)
 
 
 def is_path(G, vertices):
@@ -361,8 +346,7 @@ def reachable_mask(rows, sources, allowed=None):
     ``sources`` is a vertex id or an index array; sources outside ``allowed``
     are ignored.  Reachability includes the sources themselves.
     """
-    if rows.dtype != np.uint64:
-        raise TypeError(f"reachable_mask sweeps packed uint64 rows, not {rows.dtype}")
+    _check_packed(rows, "reachable_mask")
     n = rows.shape[0]
     seen = np.zeros(n, dtype=bool)
     seen[sources] = True
@@ -403,84 +387,93 @@ def bit_reach(out, start, within):
     return seen
 
 
-def _open_mask(adj, x, y, allowed):
+def _check_packed(rows, who):
+    # a bool matrix read as words would give a wrong answer silently
+    if rows.dtype != np.uint64:
+        raise TypeError(f"{who} reads packed uint64 rows, not {rows.dtype}")
+
+
+def _open_mask(rows, x, y, allowed):
     """The vertices a path search from x to y may use: ``allowed`` (all when
     None) plus both endpoints, as a fresh mask."""
+    _check_packed(rows, "a path search")
     if x == y:
         raise ValueError("endpoints must differ")
-    ok = np.ones(adj.shape[0], dtype=bool) if allowed is None else allowed.copy()
+    ok = np.ones(rows.shape[0], dtype=bool) if allowed is None else allowed.copy()
     ok[x] = ok[y] = True
     return ok
 
 
-def _bfs_walk(adj, x, y, ok, layers, want=0, min_length=1, max_length=None):
+def _bfs_walk(rows, x, y, ok, layers, want=0, min_length=1, max_length=None):
     """Walk from x to the state (y, ``want``) along BFS parents, or None.
 
     The states are the vertices of ``ok`` in ``layers`` copies: with one,
     a walk is a shortest path; with two, the state (v, q) is reached by
     walks of length parity q, so a walk can repeat a vertex at opposite
-    parities.  Each new state takes the lowest-id parent on the previous
-    level.  y is not entered before depth ``min_length``, and no walk is
-    longer than ``max_length``.
+    parities.  Level d is one packed row: the OR of level d - 1's rows,
+    ANDed with the states of parity d % layers not yet seen.  On the walk
+    back from y, each state takes the lowest-id vertex of the previous level
+    with an arc to it.  y is not entered before depth ``min_length``, and no
+    walk is longer than ``max_length``.
     """
-    n = adj.shape[0]
-    seen = np.zeros((layers, n), dtype=bool)
-    parent = np.full((layers, n), -1, dtype=np.intp)
-    seen[0, x] = True
-    frontier = np.array([x])
-    depth = 0
-    while not seen[want, y]:
+    n = rows.shape[0]
+    free = np.tile(ok, (layers, 1))
+    free[0, x] = False
+    free = pack_rows(free)
+    word, shift = y >> 6, y & 63
+    levels, reached = [np.array([x])], False
+    while not reached:
+        depth = len(levels) - 1
         if max_length is not None and depth >= max_length:
             return None
         q = (depth + 1) % layers
-        rows = adj[frontier]
-        reach = rows.any(axis=0) & ok & ~seen[q]
+        unseen = free[q]
+        level = np.bitwise_or.reduce(rows[levels[-1]], axis=0)
+        level &= unseen
         if depth + 1 < min_length:
-            reach[y] = False
-        new = np.flatnonzero(reach)
-        if new.size == 0:
+            level[word] &= ~_BIT[shift]
+        unseen ^= level
+        ids = unpack_rows(level, n).nonzero()[0]
+        if ids.size == 0:
             return None
-        # the frontier is id-sorted, so argmax picks the lowest-id parent
-        parent[q, new] = frontier[rows[:, new].argmax(axis=0)]
-        seen[q, new] = True
-        depth += 1
-        frontier = new
+        levels.append(ids)
+        reached = q == want and int(level[word]) >> shift & 1
     walk = [y]
-    q = want
-    while walk[-1] != x or q:
-        walk.append(int(parent[q, walk[-1]]))
-        q = (q - 1) % layers
+    for level in reversed(levels[:-1]):
+        w = walk[-1]
+        walk.append(int(level[(rows[level, w >> 6] & _BIT[w & 63]).argmax()]))
     walk.reverse()
     return walk
 
 
-def bfs_shortest_path(adj, x, y, allowed=None, min_length=1):
+def bfs_shortest_path(rows, x, y, allowed=None, min_length=1):
     """Lexicographically smallest BFS-shortest x->y path, or None.
 
-    Ties between candidate parents are broken toward the lowest vertex id,
-    which keeps every caller deterministic.  ``allowed`` restricts the
-    vertices the path may use; x and y are always permitted.  With
-    ``min_length=2`` the direct edge x->y is not taken (paths must have a
-    nonempty interior).
+    ``rows`` are the graph's packed rows (its ``packed``); any other dtype
+    raises TypeError.  Ties between candidate parents are broken toward the
+    lowest vertex id, which keeps every caller deterministic.  ``allowed``
+    restricts the vertices the path may use; x and y are always permitted.
+    With ``min_length=2`` the direct edge x->y is not taken (paths must have
+    a nonempty interior).
     """
-    return _bfs_walk(adj, x, y, _open_mask(adj, x, y, allowed), 1, min_length=min_length)
+    return _bfs_walk(rows, x, y, _open_mask(rows, x, y, allowed), 1, min_length=min_length)
 
 
 PARITY_RETRIES = 8
 
 
-def bfs_parity_path(adj, x, y, parity, allowed=None, max_length=None):
+def bfs_parity_path(rows, x, y, parity, allowed=None, max_length=None):
     """Short simple x->y path whose edge count has the requested parity.
 
-    BFS on the parity-doubled graph with deterministic lowest-id parents.
-    A shortest parity walk can revisit a vertex at opposite parities; such
-    vertices are banned and the search retried, at most ``PARITY_RETRIES``
-    times, so a None result does not prove absence.  Callers audit what
-    they build from this.
+    BFS over the packed rows ``rows`` on the parity-doubled graph with
+    deterministic lowest-id parents.  A shortest parity walk can revisit a
+    vertex at opposite parities; such vertices are banned and the search
+    retried, at most ``PARITY_RETRIES`` times, so a None result does not
+    prove absence.  Callers audit what they build from this.
     """
-    ok = _open_mask(adj, x, y, allowed)
+    ok = _open_mask(rows, x, y, allowed)
     for _ in range(PARITY_RETRIES):
-        walk = _bfs_walk(adj, x, y, ok, 2, parity % 2, max_length=max_length)
+        walk = _bfs_walk(rows, x, y, ok, 2, parity % 2, max_length=max_length)
         if walk is None or len(set(walk)) == len(walk):
             return walk
         ok[min(v for v in walk if walk.count(v) > 1)] = False

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Digraph, Tournament
+from .core import Digraph, Tournament, unpack_rows
 
 
 class FormatError(ValueError):
@@ -27,7 +27,7 @@ class FormatError(ValueError):
 
 
 def write_edge_list(G, fh):
-    us, vs = np.nonzero(G.adj)
+    us, vs = np.nonzero(unpack_rows(G.packed, G.n))
     fh.write(f"{G.n} {len(us)}\n")
     for u, v in zip(us.tolist(), vs.tolist()):
         fh.write(f"{u} {v}\n")
@@ -35,7 +35,7 @@ def write_edge_list(G, fh):
 
 def _pair_bits(T):
     iu, jv = np.triu_indices(T.n, 1)
-    return T.adj[iu, jv]
+    return unpack_rows(T.packed, T.n)[iu, jv]
 
 
 def write_compact(T, fh):
@@ -155,7 +155,7 @@ def to_dot(G, name="G"):
     lines = [f"digraph {name} {{"]
     for v in range(G.n):
         lines.append(f"  {v};")
-    us, vs = np.nonzero(G.adj)
+    us, vs = np.nonzero(unpack_rows(G.packed, G.n))
     for u, v in zip(us.tolist(), vs.tolist()):
         lines.append(f"  {u} -> {v};")
     lines.append("}")

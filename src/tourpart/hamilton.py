@@ -171,7 +171,7 @@ def hamiltonian_path(T, x, y, budget=200_000, seed=0):
         return PathSearch(Verdict.INFEASIBLE)
 
     rng = random.Random(seed)
-    base = bfs_shortest_path(T.adj, x, y)
+    base = bfs_shortest_path(T.packed, x, y)
     left = budget
     for attempt in range(RESTARTS):
         if base is not None:

@@ -40,6 +40,7 @@ from .core import (
     is_path,
     packed_set,
     row_bits,
+    unpack_rows,
     vertex_mask,
 )
 from .domination import core_set, in_dominating_structure, out_dominating_structure
@@ -463,11 +464,11 @@ def _collect_short_connectors(state):
             allowed = col.uncolored_mask() & ~used
             parity = _CLASS_PARITY.get(state.klass(i))
             if parity is None:
-                p = bfs_shortest_path(T.adj, b, a, allowed)
+                p = bfs_shortest_path(T.packed, b, a, allowed)
                 if p is not None and len(p) - 1 > L:
                     p = None
             else:
-                p = bfs_parity_path(T.adj, b, a, parity, allowed, max_length=L)
+                p = bfs_parity_path(T.packed, b, a, parity, allowed, max_length=L)
             if p is not None:
                 found[i] = p
                 for v in p[1:-1]:
@@ -498,7 +499,7 @@ def find_connector_paths(state):
         for i in state.long_idx:
             b, a = state.tips(i)
             while True:
-                p = bfs_shortest_path(T.adj, b, a, col.uncolored_mask(), min_length=2)
+                p = bfs_shortest_path(T.packed, b, a, col.uncolored_mask(), min_length=2)
                 if p is None or len(p) - 1 >= L:
                     break
                 col.assign(p[1:-1], ALPHA)
@@ -508,7 +509,7 @@ def find_connector_paths(state):
         extend_coloring_safely(state, swept)
     for i in state.long_idx:
         b, a = state.tips(i)
-        p = bfs_shortest_path(T.adj, b, a, col.uncolored_mask(), min_length=2)
+        p = bfs_shortest_path(T.packed, b, a, col.uncolored_mask(), min_length=2)
         state.require(stage, p is None or len(p) - 1 >= L,
                       f"index {i}: a short connector route survived the sweep")
     state.snapshot("shorts")
@@ -550,7 +551,7 @@ def _build_bundles(state):
         paths = []
         allowed = _bundle_allowed(state, i, used)
         for _ in range(want):
-            p = bfs_shortest_path(T.adj, b, a, allowed, min_length=2)
+            p = bfs_shortest_path(T.packed, b, a, allowed, min_length=2)
             if p is None:
                 break
             paths.append(p)
@@ -574,7 +575,6 @@ def _shortcut_bundles(state):
     At the fixpoint the interiors are backwards-transitive and neighbours
     propagate along each path with offset three."""
     T, col = state.T, state.coloring
-    adj = T.adj
     avail = col.uncolored_mask() & ~_bundle_interior_mask(state)
 
     def free(vs):
@@ -590,7 +590,7 @@ def _shortcut_bundles(state):
                 q = p
                 # forward chord inside the path: the first chord tail, cut to
                 # its farthest head
-                chords = np.triu(adj[np.ix_(q, q)], 2)
+                chords = np.triu(unpack_rows(T.packed[q], T.n)[:, q], 2)
                 tails = np.flatnonzero(chords.any(axis=1))
                 if tails.size:
                     s = int(tails[0])
@@ -619,13 +619,13 @@ def _bypass_spans(T, path, outside):
     and the last position t with w -> path[t] (len(path) and -1 when there is
     none); t - s >= 3 makes path[s] -> w -> path[t] a shortcut.  The last
     position of ``w -> path`` is the first of ``path -> w`` read on the
-    transpose along the reversed path."""
+    transpose along the reversed path.  Only the path's rows are unpacked."""
 
-    def first(a, p):
-        hits = a[np.ix_(p, outside)]
+    def first(rows, p):
+        hits = unpack_rows(rows[p], T.n)[:, outside]
         return np.where(hits.any(axis=0), hits.argmax(axis=0), len(p))
 
-    return first(T.adj, path), len(path) - 1 - first(T.radj, path[::-1])
+    return first(T.packed, path), len(path) - 1 - first(T.rpacked, path[::-1])
 
 
 def _bundle_interior_mask(state):
@@ -721,7 +721,6 @@ def _splice_long_connectors(state):
     spliced at fixed segment boundaries."""
     stage = "connector_splice"
     T, k, col = state.T, state.k, state.coloring
-    adj = T.adj
     # the splice points: the first vertex of segments 3 and 5 from the front,
     # the last of segment 7 from the back; the shortest layout names them
     # for every length
@@ -740,14 +739,14 @@ def _splice_long_connectors(state):
                           f"splice needs 5", kind="budget")
             five = clean[:5]
             ends = [paths[j][q7] for j in five]
-            deg = adj[np.ix_(ends, ends)].sum(axis=1)
+            deg = unpack_rows(T.packed[ends], T.n)[:, ends].sum(axis=1)
             big = [j for j, d in zip(five, deg) if d >= 2]
             state.require(stage, len(big) >= 2, f"index {i}: endpoint tournament degenerate")
             s1, s2 = big[:2]
-            if not adj[paths[s1][q3], paths[s2][q3]]:
+            if not T.has_edge(paths[s1][q3], paths[s2][q3]):
                 s1, s2 = s2, s1
             s3 = next((j for j in five
-                       if j not in (s1, s2) and adj[paths[s2][q7], paths[j][q7]]), None)
+                       if j not in (s1, s2) and T.has_edge(paths[s2][q7], paths[j][q7])), None)
             state.require(stage, s3 is not None, f"index {i}: no third splice partner")
             p1, p2, p3 = paths[s1], paths[s2], paths[s3]
             path = p1[:q3 + 1] + p2[q3:q7 + 1] + p3[q7:]
@@ -762,7 +761,7 @@ def _splice_long_connectors(state):
                 path = paths[fits[0]]
                 state.splices[i] = (fits[0],)
             else:
-                if not adj[paths[s1][q5], paths[s2][q5]]:
+                if not T.has_edge(paths[s1][q5], paths[s2][q5]):
                     s1, s2 = s2, s1
                 p1, p2 = paths[s1], paths[s2]
                 path = p1[:q5 + 1] + p2[q5:]

@@ -41,7 +41,7 @@ def shortest_path_avoiding(T, x, y, forbidden=()):
     allowed = np.ones(T.n, dtype=bool)
     for u in blocked:
         allowed[u] = False
-    path = bfs_shortest_path(T.adj, x, y, allowed)
+    path = bfs_shortest_path(T.packed, x, y, allowed)
     if path is not None:
         assert is_backwards_transitive(T, path), "shortest path has a forward chord"
     return path
@@ -79,7 +79,8 @@ def remove_nonseparating_path(T, x, y, avoid=(), k=1, keep=(), assume_hypothesis
         backed = is_strongly_k_connected(T, level)
     else:
         backed = bool(assume_hypothesis)
-    survivors = [v for v in range(T.n) if v not in set(path) - keep]
+    removed = set(path) - keep
+    survivors = [v for v in range(T.n) if v not in removed]
     remainder, index_map = T.subtournament(survivors)
     ok = is_strongly_k_connected(remainder, k)
     if backed:
@@ -138,7 +139,7 @@ def nonseparating_subdivision(T, spec, k):
         allowed = alive.copy()
         for b in branch_set - {x, y}:
             allowed[b] = False
-        path = bfs_shortest_path(T.adj, x, y, allowed)
+        path = bfs_shortest_path(T.packed, x, y, allowed)
         if path is None:
             raise NoPath(f"no path for pattern edge {hu}->{hv} ({x}->{y})")
         assert is_backwards_transitive(T, path)
@@ -213,7 +214,7 @@ def spanning_linkage(T, pairs, seed=0):
         allowed = alive.copy()
         for v in earlier - shared:
             allowed[v] = False
-        path = bfs_shortest_path(T.adj, x, y, allowed)
+        path = bfs_shortest_path(T.packed, x, y, allowed)
         if path is None:
             if alive.all():
                 return SpanningLinkage(Verdict.INFEASIBLE, None, backed,

@@ -8,11 +8,13 @@ from tourpart import (
     Digraph,
     Tournament,
     bipartite_subdigraph,
+    digraph_from_edges,
     hamiltonian_path,
     is_backwards_transitive,
     is_path,
     reverse,
     subtournament,
+    tournament_from_edges,
     transitive_order,
 )
 from tourpart.connectivity import certify
@@ -37,6 +39,12 @@ def test_tournament_validation():
     bad2[0, 1] = bad2[1, 0] = True
     with pytest.raises(ValueError):
         Tournament(bad2)
+    # an id outside 0..n-1 is named, not wrapped to another vertex or left
+    # to an IndexError
+    with pytest.raises(ValueError, match="2->-3"):
+        tournament_from_edges(3, [(0, 1), (1, 2), (2, -3)])
+    with pytest.raises(ValueError, match="0->3"):
+        digraph_from_edges(3, [(0, 3)])
 
 
 def test_degree_sum_is_pair_count(rand):
@@ -48,6 +56,10 @@ def test_degree_sum_is_pair_count(rand):
 def test_reverse_c3(c3):
     r = reverse(c3)
     assert r.has_edge(1, 0) and r.has_edge(2, 1) and r.has_edge(0, 2)
+    # an id outside 0..n-1 names no arc: not a padding bit, not a wrapped id
+    for u, v in ((0, 3), (3, 0), (-1, 0), (0, -1)):
+        with pytest.raises(IndexError, match="outside"):
+            r.has_edge(u, v)
 
 
 def test_reverse_transitive_swaps_source_and_sink():
@@ -127,16 +139,17 @@ def test_every_graph_keeps_its_transpose_row_major(rand):
     full, _ = bipartite_subdigraph(T, np.flatnonzero(side), np.flatnonzero(~side))
     part, _ = bipartite_subdigraph(T, range(5), range(20, 27))
     for G in (T, D, sub, full, part, T.reverse(), sub.reverse()):
-        assert G.adj.flags.c_contiguous and G.radj.flags.c_contiguous
-        assert not G.radj.flags.writeable
-        assert (G.radj == G.adj.T).all()
-        assert G.radj is G.radj  # built once
+        # the packed rows and their transpose are the whole graph
+        assert set(vars(G)) == {"n", "packed", "rpacked"}
+        assert G.adj.flags.c_contiguous and G.rpacked.flags.c_contiguous
+        assert not G.adj.flags.writeable and not G.rpacked.flags.writeable
+        assert (G.rpacked == pack_rows(G.adj.T)).all()
         assert (G.in_degrees() == G.adj.sum(axis=0)).all()
         assert (G.out_degrees() == G.adj.sum(axis=1)).all()
-    # reversal swaps the two matrices, so a double reversal shares T's
+    # reversal swaps the two packed matrices, so a double reversal shares T's
     R = T.reverse()
-    assert R.adj is T.radj and R.radj is T.adj
-    assert R.reverse().adj is T.adj and R.reverse().radj is T.radj
+    assert R.packed is T.rpacked and R.rpacked is T.packed
+    assert R.reverse().packed is T.packed and R.reverse().rpacked is T.rpacked
 
 
 def test_every_graph_keeps_its_rows_packed(rand):
@@ -144,7 +157,7 @@ def test_every_graph_keeps_its_rows_packed(rand):
     sub, _ = subtournament(T, range(0, 70, 2))
     part, _ = bipartite_subdigraph(T, range(5), range(20, 27))
     for G in (T, sub, part, T.reverse()):
-        for packed, m in ((G.packed, G.adj), (G.rpacked, G.radj)):
+        for packed, m in ((G.packed, G.adj), (G.rpacked, G.adj.T)):
             assert packed.dtype == np.uint64 and packed.flags.c_contiguous
             assert not packed.flags.writeable
             assert (packed == pack_rows(m)).all()
@@ -155,12 +168,11 @@ def test_every_graph_keeps_its_rows_packed(rand):
 
 
 def test_crossing_graphs_match_the_masked_host(rand):
-    # the full-cover branch holds packed rows alone and unpacks them on
-    # first use; the other branch cuts a bool submatrix
+    # the full-cover branch masks T's packed rows; the other branch packs a
+    # bool submatrix cut from the rows of its vertices
     T = rand(150, 6)
     side = np.random.default_rng(6).random(150) < 0.4
     full, _ = bipartite_subdigraph(T, np.flatnonzero(side), np.flatnonzero(~side))
-    assert full._adj is None and full._radj is None
     ids = list(range(3, 140, 2))
     part, part_ids = bipartite_subdigraph(T, ids[:20], ids[20:])
     for G, ids in ((full, range(150)), (part, part_ids)):
@@ -168,7 +180,8 @@ def test_crossing_graphs_match_the_masked_host(rand):
         host = T.adj[np.ix_(ids, ids)]
         in_a = side[ids] if G is full else np.arange(len(ids)) < 20
         want = host & (in_a[:, None] != in_a[None, :])
-        for got, m in ((G.packed, want), (G.rpacked, want.T), (G.adj, want), (G.radj, want.T)):
+        assert set(vars(G)) == {"n", "packed", "rpacked"}
+        for got, m in ((G.packed, want), (G.rpacked, want.T), (G.adj, want)):
             assert got.flags.c_contiguous and not got.flags.writeable
             assert (got == (pack_rows(m) if got.dtype == np.uint64 else m)).all()
 
@@ -178,7 +191,7 @@ def test_a_packed_only_graph_is_swept_without_unpacking(rand):
     side = np.arange(200) % 3 == 0
     G, _ = bipartite_subdigraph(T, np.flatnonzero(side), np.flatnonzero(~side))
     assert certify(G, 2).ok == certify(Digraph(T.adj & (side[:, None] != side[None, :])), 2).ok
-    assert G._adj is None and G._radj is None
+    assert set(vars(G)) == {"n", "packed", "rpacked"}
 
 
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
@@ -186,7 +199,7 @@ def test_degrees_are_the_row_sums(n):
     T = random_tournament(n, n)
     adj = T.adj & (np.arange(n) % 4 != 1)[None, :]
     D = Digraph(adj)
-    packed_only = Digraph._derived(None, packed=pack_rows(adj), rpacked=pack_rows(adj.T))
+    packed_only = Digraph._derived(pack_rows(adj), pack_rows(adj.T))
     for G, m in ((T, T.adj), (T.reverse(), T.adj.T), (D, adj), (packed_only, adj)):
         for got, want in ((G.out_degrees(), m.sum(axis=1)), (G.in_degrees(), m.sum(axis=0))):
             assert got.dtype == np.intp and (got == want).all()
@@ -233,7 +246,7 @@ def test_bfs_shortest_paths_are_backwards_transitive(rand):
         x, y = rng.integers(0, 30, 2)
         if x == y:
             continue
-        p = bfs_shortest_path(T.adj, int(x), int(y))
+        p = bfs_shortest_path(T.packed, int(x), int(y))
         if p is not None:
             assert is_backwards_transitive(T, p)
 
@@ -275,6 +288,14 @@ def test_reachable_mask_refuses_a_bool_matrix():
         reachable_mask(adj.view(np.uint8), 0)
 
 
+def test_path_searches_refuse_a_bool_matrix():
+    adj = random_tournament(70, 3).adj
+    with pytest.raises(TypeError, match="uint64"):
+        bfs_shortest_path(adj, 0, 1)
+    with pytest.raises(TypeError, match="uint64"):
+        bfs_parity_path(adj, 0, 1, 0)
+
+
 def test_transitive_order(t4, c3):
     assert transitive_order(t4, range(4)) == [0, 1, 2, 3]
     assert transitive_order(c3, range(3)) is None
@@ -289,9 +310,9 @@ def test_transitive_order_rejects_ids_outside_the_graph(bad):
 
 
 def test_parity_bfs(c3):
-    even = bfs_parity_path(c3.adj, 0, 2, 0)
+    even = bfs_parity_path(c3.packed, 0, 2, 0)
     assert even == [0, 1, 2]
-    odd = bfs_parity_path(c3.adj, 0, 1, 1)
+    odd = bfs_parity_path(c3.packed, 0, 1, 1)
     assert odd == [0, 1]
 
 
@@ -315,12 +336,12 @@ def test_bfs_paths_are_pinned():
     # keeps another parent moves the digest
     digest = hashlib.sha256()
     for adj, mask in _search_graphs():
-        n = adj.shape[0]
+        n, rows = adj.shape[0], pack_rows(adj)
         pairs = [(x, y) for x in range(n) for y in range(n) if x != y][::3]
         for allowed in (None, mask):
             for x, y in pairs:
-                answer = [bfs_shortest_path(adj, x, y, allowed, m) for m in (1, 2)]
-                answer += [bfs_parity_path(adj, x, y, parity, allowed, max_length=L)
+                answer = [bfs_shortest_path(rows, x, y, allowed, m) for m in (1, 2)]
+                answer += [bfs_parity_path(rows, x, y, parity, allowed, max_length=L)
                            for parity in (0, 1) for L in (None, 3, 4)]
                 digest.update(repr(answer).encode())
     assert digest.hexdigest() == BFS_DIGEST

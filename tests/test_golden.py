@@ -152,7 +152,7 @@ def test_dominating_structures_are_pinned():
         T = random_tournament(n, 7000 + j)
         alive = rng.random(n) < rng.uniform(0.5, 1.0)
         v = int(rng.choice(np.flatnonzero(alive)))
-        for build, nbrs in ((out_dominating_structure, T.radj), (in_dominating_structure, T.adj)):
+        for build, nbrs in ((out_dominating_structure, T.adj.T), (in_dominating_structure, T.adj)):
             degree = int((nbrs[v] & alive).sum())
             c = min(degree.bit_length(), int(rng.integers(2, 8)))
             rows.append([n, c, _structure_row(build(T, v, c, alive))])

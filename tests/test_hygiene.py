@@ -1,5 +1,6 @@
 """Static checks on the source tree: no module imports a name it never uses,
-no function imports inside its body, and only ``core`` copies subgraphs."""
+no function imports inside its body, only ``core`` copies subgraphs, and no
+module reads a graph as a bool matrix."""
 
 import ast
 from pathlib import Path
@@ -45,8 +46,18 @@ def test_only_core_cuts_submatrices():
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             names = ([alias.name for alias in node.names] if isinstance(node, ast.ImportFrom)
                      else [getattr(node, "id", None), getattr(node, "attr", None)])
-            if "_principal_submatrix" in names or "_derived" in names:
+            if "_cut" in names or "_derived" in names:
                 offenders.append((path.name, node.lineno))
+    assert offenders == []
+
+
+def test_no_module_reads_a_bool_matrix():
+    # packed rows are the graph; ``adj`` unpacks n x n on every read and is
+    # kept for callers outside the library only
+    offenders = [(path.name, node.lineno, node.attr) for path in _source_modules()
+                 for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                 if isinstance(node, ast.Attribute)
+                 and node.attr in ("adj", "radj", "_adj", "_radj")]
     assert offenders == []
 
 

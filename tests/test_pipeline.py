@@ -1,5 +1,6 @@
 import hashlib
 import sys
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -408,3 +409,21 @@ def test_bundle_shortfall_is_reported():
     with pytest.raises(PipelineError) as err:
         _build_bundles(state)
     assert "bundle" in str(err.value) or "disjoint" in str(err.value)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_a_pipeline_run_keeps_the_graph_packed(seed):
+    # seed 1 takes the reversal branch, seed 2 does not; neither the run nor
+    # its verification gives T a bool matrix or makes an n x n temporary
+    n = 1500
+    T = random_tournament(n, 5000 + seed)
+    tracemalloc.start()
+    try:
+        state = run_pipeline(T, 1, PipelineParams.relaxed(1), seed=seed)
+        res = verify_partition(T, *state.partition_sets(), 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert state.flipped == (seed == 1) and res.verified
+    assert set(vars(T)) == {"n", "packed", "rpacked"}
+    assert peak < n * n
