@@ -35,6 +35,16 @@ alone reach ``best``; only the pairs it leaves short take a flow.  A
 settled pair has a flow of at least ``best``, so it neither lowers
 ``best`` nor stops the sweep, and every answer is the one the flows give.
 
+The vertices already swept are witnesses as well.  At rank r every pair
+with one end among the first r swept vertices has a cut of at least
+``best``, since ``best`` only falls.  A set F with |F| < ``best`` that
+separates x from y therefore holds every swept w, or x->w->y would survive
+in G - F, and one interior vertex of each internally disjoint x->y path
+that avoids the swept vertices.  So the 2-path counts are taken through
+unswept middles, and a pair is settled when r plus its count, or r plus the
+short paths the screen finds around the swept vertices, reaches ``best``.
+In a masked sweep the ranks are those of ``within``.
+
 A flow that stops short of its cap is maximum, and the kernel then reports
 the residual cut: the vertices whose in-copy is reachable from x in the
 residual network and whose out-copy is not.  The vertices reachable in the
@@ -154,15 +164,20 @@ def _short_paths(net, x, y, cap):
     return flow, pred, carries
 
 
-def _short_paths_reach(net, x, y, need):
+def _short_paths_reach(net, x, y, need, spare=0):
     """Whether the warm start of ``maximum_flow(net, x, y, need)`` reaches
-    ``need`` paths: the same 2-paths and greedy 3-paths, counted only."""
-    out, into_y = net.out, net.inn[y]
-    mids = out[x] & into_y
-    value = mids.bit_count()
+    ``need`` paths: the same 2-paths and greedy 3-paths, counted only.
+
+    ``spare`` is a bitset of vertices other than x and y that every x-y
+    cut below ``need`` contains; each counts once, and the paths are
+    counted around them."""
+    out, into_y = net.out, net.inn[y] & ~spare
+    firsts = out[x] & ~spare
+    mids = firsts & into_y
+    value = spare.bit_count() + mids.bit_count()
     # the a and b candidates are disjoint, as in the warm start
     into_y &= ~mids
-    firsts = out[x] & ~mids
+    firsts &= ~mids
     while value < need and firsts:
         a = firsts & -firsts
         firsts ^= a
@@ -293,12 +308,6 @@ class VertexFlow:
         return value, _flow_paths(flow, x, y), cut
 
 
-def _strongly_connected(G, within):
-    """Whether G[within] is strong: its lowest vertex reaches all of it both ways."""
-    first = int(within.argmax())
-    return all(reachable_mask(rows, first, within)[within].all() for rows in (G.packed, G.rpacked))
-
-
 @dataclass(frozen=True)
 class Certificate:
     """The answer of ``sweep``: ``ok`` says whether G is strongly
@@ -315,51 +324,69 @@ class Certificate:
     level: int = 0
 
 
+def _middle_counts(outs, ins, rank, rest):
+    """The 2-path counts u->w->v and v->w->u through the w of the packed set
+    ``rest``, u the vertex at ``rank`` of the rows ``outs`` and ``ins``, for
+    every v at a later rank."""
+    return (counts_in(ins[rank + 1:], outs[rank] & rest),
+            counts_in(outs[rank + 1:], ins[rank] & rest))
+
+
 def sweep(G, ceiling=None, stop=0, within=None):
     """min(kappa(G[within]), ceiling) as ``level`` by Even's sweep (no cap
-    when ``ceiling`` is None; all of G when ``within`` is None), stopping
-    at the first pair whose flow falls below ``stop``; see the module
-    docstring.  The vertices of ``within`` are swept in ascending id, and
-    pairs and cuts are G's ids."""
+    when ``ceiling`` is None; all of G when ``within`` is None, and
+    otherwise a bool mask of length n), stopping at the first pair whose
+    flow falls below ``stop``; see the module docstring.  The vertices of
+    ``within`` are swept in ascending id, and pairs and cuts are G's ids."""
     if stop < 0 or (ceiling is not None and ceiling < 0):
         raise ValueError("k must be nonnegative")
-    if within is None:
-        within = np.ones(G.n, dtype=bool)
-    ids, mask = np.flatnonzero(within), packed_set(within)
+    if within is not None and not (isinstance(within, np.ndarray) and within.dtype == bool
+                                   and within.shape == (G.n,)):
+        raise ValueError(f"within must be a bool mask of length {G.n}")
+    # the reach and the handle read None as all of G, with no mask to apply
+    inside = np.ones(G.n, dtype=bool) if within is None else within
+    ids, mask = np.flatnonzero(inside), packed_set(inside)
+    # the rows of the vertices of ``within`` in the order they are swept
+    outs, ins = G.packed[ids], G.rpacked[ids]
     n = len(ids)
     best = 0
     if n > 1:
-        best = min(n - 1, int(counts_in(G.packed, mask)[within].min()),
-                   int(counts_in(G.rpacked, mask)[within].min()),
+        best = min(n - 1, int(counts_in(outs, mask).min()), int(counts_in(ins, mask).min()),
                    n if ceiling is None else ceiling)
-    # the degree screen alone may settle the answer; search only past it
-    if best >= max(stop, 1) and not _strongly_connected(G, within):
+    # the degree screen alone may settle the answer; search only past it,
+    # where G[within] is strong when its lowest vertex reaches all of it
+    # both ways
+    if best >= max(stop, 1) and not all(reachable_mask(rows, int(ids[0]), within)[inside].all()
+                                        for rows in (G.packed, G.rpacked)):
         best = 0
     if best < stop:
         return Certificate(False, level=best)
     if best > 1:  # a strong graph has a path between every pair
         net = VertexFlow(G, within)
         out = net.out
-        outs, ins = G.packed & mask, G.rpacked & mask
-        rank = 0
+        order = ids.tolist()
+        # the vertices at ranks below ``rank``, as an int and (``rest``, the
+        # rest of ``within``) as a packed set
+        swept, rest, rank = 0, mask.copy(), 0
         while rank < best:
-            u = int(ids[rank])
-            # 2-path counts u->w->v and v->w->u for every v > u; a pair
-            # (u, v) or (v, u) with v < u was visited by the sweep at v
-            out2 = counts_in(G.rpacked[u + 1:], outs[u])
-            in2 = counts_in(G.packed[u + 1:], ins[u])
+            u = order[rank]
+            # a pair (u, v) or (v, u) with v at a lower rank was visited
+            # there, and every cut below best holds the swept vertices
+            out2, in2 = _middle_counts(outs, ins, rank, rest)
             # best only falls, so this is a superset of the pairs to visit
-            for i in np.flatnonzero((np.minimum(out2, in2) < best) & within[u + 1:]).tolist():
-                v = u + 1 + i
+            for i in np.flatnonzero(np.minimum(out2, in2) < best - rank).tolist():
+                v = order[rank + 1 + i]
                 for x, y, mids in ((u, v, out2[i]), (v, u, in2[i])):
-                    # a pair with >= best common middles or short paths
-                    # cannot lower best, and an arc settles its pair
-                    if (mids < best and not out[x] >> y & 1
-                            and not _short_paths_reach(net, x, y, best)):
+                    # a pair whose swept vertices and middles or short paths
+                    # reach best cannot lower it, and an arc settles its pair
+                    if (mids + rank < best and not out[x] >> y & 1
+                            and not _short_paths_reach(net, x, y, best, swept)):
                         # capped at best, the flow's value is the new best
                         best, _, cut = maximum_flow(net, x, y, best)
                         if best < stop:
                             return Certificate(False, (x, y), best, cut, best)
+            swept |= 1 << u
+            rest[u >> 6] ^= np.uint64(1 << (u & 63))
             rank += 1
     return Certificate(n > stop, level=best)
 

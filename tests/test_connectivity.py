@@ -24,9 +24,11 @@ from tourpart import (
     safe_flow,
     vertex_connectivity,
 )
+from tourpart import connectivity
 from tourpart.connectivity import VertexFlow, sweep
 from tourpart.core import Digraph, Tournament, _crossing_graph
 from tourpart.generators import random_tournament, transitive_tournament
+from tourpart.partition import search_partition
 from tourpart.safety import UNCOLORED
 from test_golden import _planted
 
@@ -44,7 +46,6 @@ def test_examples(c3, t4, paley7):
 def _record_pairs(monkeypatch):
     """The (x, y) of every short-path screen and every flow the sweep
     makes, as ("screen" | "flow", x, y)."""
-    connectivity = importlib.import_module("tourpart.connectivity")
     calls = []
 
     def recording(name, fn):
@@ -175,6 +176,77 @@ def test_masked_sweeps_and_flows_match_the_copied_subgraph():
                 assert host.paths_and_cut(ids[x], ids[y], cap) == want
                 flows += 1
     assert failing >= 20 and flows >= 5000
+
+
+@pytest.mark.parametrize("within", [
+    np.zeros(9, dtype=bool),        # too short
+    np.ones(11, dtype=bool),        # too long
+    [True] * 10,                    # not an array
+    np.ones(10, dtype=np.intp),     # not bool
+    np.ones((10, 1), dtype=bool),   # not one row
+])
+def test_sweep_rejects_a_bad_vertex_mask(within):
+    with pytest.raises(ValueError, match="bool mask of length 10"):
+        sweep(random_tournament(10, 1), within=within)
+
+
+def _differential_cases(count):
+    """(graph, vertex mask or None) at n = 8..60: random tournaments and
+    planted weak spots, alternately, and the crossing digraph of a random
+    split of each, every graph whole and under a random mask."""
+    rng = np.random.default_rng(18)
+    cases = []
+    for s in range(count):
+        n = int(rng.integers(8, 61))
+        T = _planted(n, 1 + s % 4, 1800 + s) if s % 2 else random_tournament(n, 1800 + s)
+        in_a = rng.random(n) < 0.5
+        mask = rng.random(n) < rng.uniform(0.4, 0.95)
+        for G in (T, _crossing_graph(T, in_a)):
+            cases += [(G, None), (G, mask)]
+    return cases
+
+
+def test_screens_change_no_certificate(monkeypatch):
+    # with both screens off, every non-arc pair the sweep visits takes a
+    # flow; a screen settles only pairs whose flow would reach best, so the
+    # flows that lower best, the stopping pair, its value and its cut agree
+    runs = []
+    for G, mask in _differential_cases(32):
+        kappa = sweep(G, within=mask).level
+        for k in sorted({1, 2, kappa, kappa + 1}):
+            runs += [(G, ceiling, stop, mask) for ceiling, stop in ((None, 0), (k, k), (None, k))]
+    screened = [sweep(*run) for run in runs]
+    monkeypatch.setattr(connectivity, "_short_paths_reach", lambda *args: False)
+    monkeypatch.setattr(connectivity, "_middle_counts", lambda outs, ins, rank, rest:
+                        (np.zeros(len(outs) - rank - 1, dtype=np.intp),) * 2)
+    assert [sweep(*run) for run in runs] == screened
+    assert sum(cert.pair is not None for cert in screened) >= 30
+
+
+def test_swept_vertices_settle_most_pairs(monkeypatch):
+    # every cut below best holds the vertices already swept: kappa of
+    # random_tournament(200, 1) screened 12,879 pairs without them
+    calls = _record_pairs(monkeypatch)
+    assert vertex_connectivity(random_tournament(200, 1)) == 81
+    assert [c for c in calls if c[0] == "flow"] == []
+    assert len(calls) <= 7500
+
+
+def test_criterion_nine_searches_take_few_flows(monkeypatch):
+    # the verifier sweeps of nine criterion-9 searches took 467 flows
+    # before the swept vertices counted toward every cut
+    flows = []
+    flow = connectivity.maximum_flow
+
+    def counting(*args):
+        flows.append(args[1:3])
+        return flow(*args)
+
+    for module in (connectivity, importlib.import_module("tourpart.partition")):
+        monkeypatch.setattr(module, "maximum_flow", counting)
+    for i in range(9):
+        search_partition(random_tournament(40, 31415 + i), 2, seed=i)
+    assert len(flows) <= 190
 
 
 def test_min_separator_examples(c3, t4):

@@ -7,6 +7,7 @@ case (reversed flow arcs, reversed split arcs) is reached too.
 
 import hashlib
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -143,6 +144,36 @@ def test_short_path_screen_settles_only_pairs_that_reach_the_cap():
                 assert not reach or cut >= cap, (adj.tolist(), x, y, cap)
                 settled += reach
     assert settled >= 2000
+
+
+def _cut_sizes(adj):
+    """The brute-force minimum cut of every ordered pair, inf for an arc."""
+    G = Digraph(adj)
+    return {(x, y): math.inf if adj[x, y] else len(brute_min_cut(G, x, y))
+            for x, y in itertools.permutations(range(adj.shape[0]), 2)}
+
+
+def test_short_path_screen_counts_spare_witnesses_soundly():
+    # a w that no cut below the cap separates from y, nor x from w, lies
+    # in every x-y cut below the cap, or x->w->y would survive it; such w
+    # count once each, and the short paths are counted around them
+    rng = np.random.default_rng(17)
+    settled = by_spares = 0
+    for adj in _tournaments(40) + _crossing_digraphs(30):
+        cuts = _cut_sizes(adj)
+        net = VertexFlow(Digraph(adj))
+        for x, y in _pairs(adj):
+            for cap in (1, 2, 3, 4):
+                witnesses = [w for w in range(adj.shape[0]) if w not in (x, y)
+                             and cuts[x, w] >= cap and cuts[w, y] >= cap]
+                # every witness, then two random halves of them
+                for keep in (1, 0.5, 0.5):
+                    spare = sum(1 << w for w in witnesses if rng.random() < keep)
+                    if _short_paths_reach(net, x, y, cap, spare):
+                        assert cuts[x, y] >= cap, (adj.tolist(), x, y, cap, spare)
+                        settled += 1
+                        by_spares += not _short_paths_reach(net, x, y, cap)
+    assert settled >= 5000 and by_spares >= 250
 
 
 def _sparse_digraphs(count):
