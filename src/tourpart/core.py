@@ -7,8 +7,11 @@ in-neighbourhood of v.  The two are the whole graph and its one
 representation; ``pack_rows`` is the one packer and ``unpack_rows`` its
 inverse.  A checked constructor packs a bool matrix; a tournament's
 ``rpacked`` is the complement of ``packed`` off the diagonal, taken on
-words.  ``reverse`` swaps the two, and a subgraph unpacks only the rows of
-its vertices.  Vertices are the integers 0..n-1 throughout; every named
+words.  A tournament has a second constructor, from its pair bits (one
+bit per pair i < j, row-major, set when i->j), which are a tournament by
+construction and so are not checked; ``pair_bits`` reads them back.
+``reverse`` swaps the two, and a subgraph unpacks only the rows of its
+vertices.  Vertices are the integers 0..n-1 throughout; every named
 vertex set is a plain Python set over that id space.  Graphs are immutable
 after construction so they can be shared freely between concurrent workers.
 
@@ -117,12 +120,8 @@ class Tournament(Digraph):
 
     def __init__(self, adj):
         adj = _square_loopless(adj)
-        n = adj.shape[0]
-        if n > 1:
-            both = adj ^ adj.T
-            both[np.diag_indices(n)] = True
-            if not both.all():
-                raise ValueError("not a tournament: some pair is unoriented or doubly oriented")
+        if np.count_nonzero(adj == adj.T) != adj.shape[0]:  # only the diagonal agrees
+            raise ValueError("not a tournament: some pair is unoriented or doubly oriented")
         self._hold(*_tournament_rows(adj))
 
     def out_degree(self, v):
@@ -250,6 +249,31 @@ def _edge_matrix(n, edges):
 
 def tournament_from_edges(n, edges):
     return Tournament(_edge_matrix(n, edges))
+
+
+def tournament_from_pair_bits(n, bits):
+    """The tournament on n vertices whose pair i < j runs i->j exactly when
+    its bit is set, the n(n-1)/2 pairs in row-major order.  Such bits are
+    always a tournament, so nothing is validated: row slices fill the upper
+    triangle, and its transposed complement the lower one, 64 rows at a time."""
+    bits = np.asarray(bits, dtype=bool)
+    if bits.shape != (n * (n - 1) // 2,):
+        raise ValueError(f"expected {n * (n - 1) // 2} pair bits, got {bits.size}")
+    adj = np.zeros((n, n), dtype=bool)
+    for i, row in zip(range(n), np.split(bits, np.cumsum(np.arange(n - 1, 0, -1)))):
+        adj[i, i + 1:] = row
+    for lo in range(0, n, 64):
+        lower = ~adj[:lo + 64, lo:lo + 64].T
+        lower[:, lo:] = np.tril(lower[:, lo:], -1)
+        adj[lo:lo + 64, :lo + 64] |= lower
+    return Tournament._derived(*_tournament_rows(adj))
+
+
+def pair_bits(T):
+    """The row-major pair bits of the tournament T, read off ``T.packed``:
+    the inverse of ``tournament_from_pair_bits``."""
+    rows = (unpack_rows(T.packed[i], T.n)[i + 1:] for i in range(T.n))
+    return np.concatenate([np.zeros(0, dtype=bool), *rows])
 
 
 def digraph_from_edges(n, edges):

@@ -4,9 +4,12 @@ Edge-list format: a header line ``<n> <edge_count>`` followed by one
 ``<u> <v>`` line per directed edge u->v.  The tournament loader rejects
 files that are not complete orientations.
 
-Compact format: a single line ``<n> <pair_count> <bitstring>`` where the
-bit for the pair (i, j), i < j, taken in lexicographic order, is 1 iff the
-edge runs i->j.  Round-trips are bit-exact.
+Compact format: a single line ``<n> <pair_count> <bitstring>`` holding a
+tournament's pair bits (``core.pair_bits``): the bit for the pair (i, j),
+i < j, taken in row-major order, is 1 iff the edge runs i->j.  The reader
+hands them to ``core.tournament_from_pair_bits``, so round-trips are
+bit-exact and the file of ``random_tournament(n, seed)`` holds exactly the
+bits it drew.
 
 DOT output is provided for eyeballing only; there is no DOT reader.
 """
@@ -15,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Digraph, Tournament, unpack_rows
+from .core import Digraph, Tournament, pair_bits, tournament_from_pair_bits, unpack_rows
 
 
 class FormatError(ValueError):
@@ -33,27 +36,9 @@ def write_edge_list(G, fh):
         fh.write(f"{u} {v}\n")
 
 
-def _pair_bits(T):
-    iu, jv = np.triu_indices(T.n, 1)
-    return unpack_rows(T.packed, T.n)[iu, jv]
-
-
 def write_compact(T, fh):
-    bits = _pair_bits(T)
-    s = "".join("1" if b else "0" for b in bits.tolist())
-    fh.write(f"{T.n} {len(s)} {s}\n")
-
-
-def tournament_from_bits(n, bitstring):
-    expected = n * (n - 1) // 2
-    if len(bitstring) != expected:
-        raise FormatError(f"expected {expected} orientation bits, got {len(bitstring)}")
-    adj = np.zeros((n, n), dtype=bool)
-    iu, jv = np.triu_indices(n, 1)
-    vals = np.frombuffer(bitstring.encode(), dtype=np.uint8) == ord("1")
-    adj[iu, jv] = vals
-    adj[jv, iu] = ~vals
-    return Tournament(adj)
+    bits = pair_bits(T)
+    fh.write(f"{T.n} {bits.size} {(bits.view(np.uint8) + ord('0')).tobytes().decode()}\n")
 
 
 def _parse_edge_lines(lines, start_line, n, m):
@@ -116,9 +101,10 @@ def read_tournament(fh):
             raise FormatError("orientation bits must be 0/1", first)
         if m != len(head[2]):
             raise FormatError(f"header announced {m} bits, got {len(head[2])}", first)
+        bits = np.frombuffer(head[2].encode(), dtype=np.uint8) == ord("1")
         try:
-            return tournament_from_bits(n, head[2])
-        except FormatError as exc:
+            return tournament_from_pair_bits(n, bits)
+        except ValueError as exc:
             raise FormatError(str(exc), first) from None
     if len(head) != 2:
         raise FormatError(f"bad header {lines[0]!r}", first)

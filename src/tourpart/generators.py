@@ -1,15 +1,20 @@
 """Tournament instance generators for tests and experiments.
 
-Random generation uses numpy's PCG64 stream, which is stable across
-platforms, so compact-format fixtures written from a (n, seed) pair are
-reproducible byte for byte.
+Each generator computes the pair bits of its tournament (one bit per pair
+i < j, row-major, set when i->j) and hands them to the one builder,
+``core.tournament_from_pair_bits``.  Random generation uses numpy's PCG64
+stream, which is stable across platforms, and draws the pair bits in one
+call, so the compact file of ``random_tournament(n, seed)`` holds exactly
+the drawn bits and reproduces byte for byte.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .core import Tournament
+from .core import tournament_from_pair_bits
 
 
 def random_tournament(n, seed):
@@ -17,33 +22,19 @@ def random_tournament(n, seed):
     if n < 1:
         raise ValueError("n must be at least 1")
     rng = np.random.default_rng(seed)
-    adj = np.zeros((n, n), dtype=bool)
-    iu, jv = np.triu_indices(n, 1)
-    bits = rng.integers(0, 2, size=iu.size, dtype=np.uint8).astype(bool)
-    adj[iu, jv] = bits
-    adj[jv, iu] = ~bits
-    return Tournament(adj)
+    bits = rng.integers(0, 2, size=n * (n - 1) // 2, dtype=np.uint8)
+    return tournament_from_pair_bits(n, bits.view(bool))
 
 
 def transitive_tournament(n):
     """i -> j exactly when i < j; source 0, sink n-1."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    adj = np.zeros((n, n), dtype=bool)
-    iu, jv = np.triu_indices(n, 1)
-    adj[iu, jv] = True
-    return Tournament(adj)
+    return tournament_from_pair_bits(n, np.ones(n * (n - 1) // 2, dtype=bool))
 
 
 def _is_prime(q):
-    if q < 2:
-        return False
-    d = 2
-    while d * d <= q:
-        if q % d == 0:
-            return False
-        d += 1
-    return True
+    return q >= 2 and all(q % d for d in range(2, math.isqrt(q) + 1))
 
 
 def paley_tournament(q):
@@ -52,10 +43,7 @@ def paley_tournament(q):
     of +-d a residue for every d != 0."""
     if not _is_prime(q) or q % 4 != 3:
         raise ValueError("q must be a prime congruent to 3 mod 4")
-    residues = {(x * x) % q for x in range(1, q)}
-    adj = np.zeros((q, q), dtype=bool)
-    for i in range(q):
-        for j in range(q):
-            if i != j and (j - i) % q in residues:
-                adj[i, j] = True
-    return Tournament(adj)
+    residue = np.zeros(q, dtype=bool)
+    residue[np.arange(1, q) ** 2 % q] = True
+    # the pair (i, j), i < j, has difference j - i in 1..q-1-i
+    return tournament_from_pair_bits(q, np.concatenate([residue[1:q - i] for i in range(q - 1)]))

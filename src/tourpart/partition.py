@@ -22,7 +22,7 @@ import numpy as np
 
 from .connectivity import VertexFlow, _short_paths_reach, maximum_flow, sweep
 from .core import _check_ids, _crossing_graph, counts_in, packed_set, reachable_mask, vertex_mask
-from .pipeline import PipelineError, PipelineParams, pipeline_feasible, run_pipeline
+from .pipeline import PipelineError, PipelineParams, run_pipeline
 
 
 @dataclass
@@ -231,14 +231,12 @@ def partition(T, k, mode="auto", params=None, seed=0, search_budget=400):
         return run_pipe()
     if mode == "search":
         return search_partition(T, k, seed, budget=search_budget)
-    ok, _reason = pipeline_feasible(T, k, params)
-    if ok:
-        try:
-            res = run_pipe()
-            if res.verified:
-                return res
-        except PipelineError:
-            pass
+    try:  # an infeasible instance raises PipelineError("feasibility", ...)
+        res = run_pipe()
+        if res.verified:
+            return res
+    except PipelineError:
+        pass
     return search_partition(T, k, seed, budget=search_budget)
 
 

@@ -24,6 +24,41 @@ def all_tournaments(n):
         yield Tournament(adj)
 
 
+def triu_tournament(n, bits):
+    """The tournament with the row-major pair bits ``bits``, scattered
+    through ``np.triu_indices`` and checked by ``Tournament(adj)``."""
+    adj = np.zeros((n, n), dtype=bool)
+    iu, jv = np.triu_indices(n, 1)
+    adj[iu, jv] = bits
+    adj[jv, iu] = ~np.asarray(bits, dtype=bool)
+    return Tournament(adj)
+
+
+def triu_random_tournament(n, seed):
+    """``random_tournament(n, seed)`` built the ``triu_indices`` way: one
+    draw of the n(n-1)/2 pair bits from PCG64."""
+    rng = np.random.default_rng(seed)
+    return triu_tournament(n, rng.integers(0, 2, size=n * (n - 1) // 2, dtype=np.uint8) == 1)
+
+
+def residue_tournament(q):
+    """The Paley tournament from its definition, pair by pair: i -> j iff
+    j - i is a nonzero square mod q."""
+    squares = {x * x % q for x in range(1, q)}
+    adj = np.zeros((q, q), dtype=bool)
+    for i in range(q):
+        for j in range(q):
+            adj[i, j] = i != j and (j - i) % q in squares
+    return Tournament(adj)
+
+
+def triu_compact_text(T):
+    """The compact-format line of T, one pair bit at a time."""
+    iu, jv = np.triu_indices(T.n, 1)
+    s = "".join("1" if b else "0" for b in T.adj[iu, jv].tolist())
+    return f"{T.n} {len(s)} {s}\n"
+
+
 def closure(adj):
     """Boolean reachability closure (including self-reachability)."""
     n = adj.shape[0]

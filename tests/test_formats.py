@@ -1,7 +1,9 @@
 import io
 
+import numpy as np
 import pytest
 
+from oracles import triu_compact_text
 from tourpart.formats import (
     FormatError,
     read_digraph,
@@ -36,6 +38,22 @@ def test_compact_roundtrip_bit_exact():
     write_compact(random_tournament(23, 1), buf1)
     write_compact(_roundtrip(random_tournament(23, 1), write_compact), buf2)
     assert buf1.getvalue() == buf2.getvalue()
+
+
+def test_compact_text_is_the_drawn_pair_bits():
+    # the writer reads the pair bits off the packed rows; its line is the
+    # one a per-pair join writes, and the reader gives the same rows back
+    for T in (random_tournament(1, 0), random_tournament(65, 4), random_tournament(130, 9),
+              paley_tournament(31)):
+        buf = io.StringIO()
+        write_compact(T, buf)
+        assert buf.getvalue() == triu_compact_text(T)
+        back = read_tournament(io.StringIO(buf.getvalue()))
+        assert (back.packed == T.packed).all() and (back.rpacked == T.rpacked).all()
+    drawn = np.random.default_rng(5).integers(0, 2, size=20 * 19 // 2, dtype=np.uint8)
+    buf = io.StringIO()
+    write_compact(random_tournament(20, 5), buf)
+    assert buf.getvalue().split()[2] == "".join(map(str, drawn.tolist()))
 
 
 def test_loader_validates_completeness():

@@ -1,7 +1,13 @@
+import io
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from tourpart import vertex_connectivity
+from oracles import residue_tournament, triu_random_tournament, triu_tournament
+from tourpart import Tournament, vertex_connectivity
+from tourpart.core import pair_bits, tournament_from_pair_bits
+from tourpart.formats import read_tournament
 from tourpart.generators import paley_tournament, random_tournament, transitive_tournament
 
 
@@ -61,7 +67,54 @@ def test_transitive_properties():
     assert T.out_degree(0) == 7 and T.in_degree(0) == 0
 
 
+def _same_rows(a, b):
+    return (a.n == b.n and a.packed.tobytes() == b.packed.tobytes()
+            and a.rpacked.tobytes() == b.rpacked.tobytes())
+
+
 def test_generators_emit_valid_tournaments():
-    # Tournament.__init__ scans the completeness invariant
-    for T in (random_tournament(33, 5), transitive_tournament(9), paley_tournament(19)):
-        assert T.n > 0
+    # the pair-bit builder skips validation, so every output must pass the
+    # checked constructor and give the same packed rows
+    compact = read_tournament(io.StringIO("4 6 101100\n"))
+    for T in (random_tournament(33, 5), transitive_tournament(9), paley_tournament(19),
+              random_tournament(130, 2), compact):
+        assert _same_rows(Tournament(T.adj), T)
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 129, 300])
+def test_random_matches_the_triu_construction(n):
+    for seed in range(3):
+        assert _same_rows(random_tournament(n, seed), triu_random_tournament(n, seed))
+
+
+def test_transitive_matches_the_triu_construction():
+    for n in range(1, 131):
+        assert _same_rows(transitive_tournament(n), triu_tournament(n, np.ones(n * (n - 1) // 2, bool)))
+
+
+def test_paley_matches_the_residue_definition():
+    for q in (3, 7, 11, 19, 23, 31, 43, 47, 59, 67, 71, 79, 83, 103, 107, 127, 131, 139):
+        assert _same_rows(paley_tournament(q), residue_tournament(q))
+
+
+def test_pair_bits_invert_the_builder():
+    rng = np.random.default_rng(3)
+    for n in (0, 1, 2, 5, 64, 65, 200):
+        bits = rng.random(n * (n - 1) // 2) < 0.5
+        T = tournament_from_pair_bits(n, bits)
+        assert (pair_bits(T) == bits).all()
+        assert _same_rows(T, triu_tournament(n, bits))
+    with pytest.raises(ValueError):
+        tournament_from_pair_bits(4, np.ones(5, bool))
+
+
+def test_random_generation_allocates_no_n_by_n_index_arrays():
+    # int64 triu_indices took about 10.8 n^2 bytes; one bool matrix is n^2
+    n = 1500
+    tracemalloc.start()
+    try:
+        random_tournament(n, 5001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * n * n

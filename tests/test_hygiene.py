@@ -1,6 +1,7 @@
 """Static checks on the source tree: no module imports a name it never uses,
-no function imports inside its body, only ``core`` copies subgraphs, and no
-module reads a graph as a bool matrix."""
+no function imports inside its body, only ``core`` copies subgraphs, no
+module scatters through ``triu_indices``, and no module reads a graph as a
+bool matrix."""
 
 import ast
 from pathlib import Path
@@ -48,6 +49,16 @@ def test_only_core_cuts_submatrices():
                      else [getattr(node, "id", None), getattr(node, "attr", None)])
             if "_cut" in names or "_derived" in names:
                 offenders.append((path.name, node.lineno))
+    assert offenders == []
+
+
+def test_no_module_scatters_through_triu_indices():
+    # a tournament is built from its pair bits by row slices in core; int64
+    # n x n index arrays took about 10.8 n^2 bytes per generated graph
+    offenders = [(path.name, node.lineno) for path in _source_modules()
+                 for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                 if "triu_indices" in (getattr(node, "id", None), getattr(node, "attr", None))
+                 or isinstance(node, ast.alias) and node.name == "triu_indices"]
     assert offenders == []
 
 

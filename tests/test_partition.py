@@ -120,7 +120,6 @@ def test_auto_mode_falls_back_when_the_pipeline_split_fails(monkeypatch, rand):
     def rejected_split(T, k, params, seed):
         return SimpleNamespace(partition_sets=lambda: ([0], list(range(1, T.n))), audits=[])
 
-    monkeypatch.setattr(partition_module, "pipeline_feasible", lambda *args: (True, "ok"))
     monkeypatch.setattr(partition_module, "run_pipeline", rejected_split)
     T = rand(40, 7)
     assert not partition(T, 2, mode="pipeline", seed=1).verified
