@@ -50,10 +50,11 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-def _load_tournament(path):
+def _load(path, read):
+    """``read(fh)`` on the file ``path``; open and parse errors name the path."""
     try:
         with open(path) as fh:
-            return read_tournament(fh)
+            return read(fh)
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror}") from None
     except FormatError as exc:
@@ -108,7 +109,7 @@ def cmd_gen(args):
 
 
 def cmd_analyze(args):
-    T = _load_tournament(args.path)
+    T = _load(args.path, read_tournament)
     if args.linked is not None and T.n > 10:
         raise InputError("exhaustive linkedness checking is limited to n <= 10")
     din, dout = T.in_degrees(), T.out_degrees()
@@ -129,7 +130,7 @@ def cmd_analyze(args):
 
 
 def cmd_carve(args):
-    T = _load_tournament(args.path)
+    T = _load(args.path, read_tournament)
     avoid = _parse_ids(args.avoid)
     keep = {"both": (args.x, args.y), "none": (), "start": (args.x,), "end": (args.y,)}[args.keep]
     try:
@@ -153,7 +154,7 @@ def cmd_carve(args):
 
 
 def cmd_link(args):
-    T = _load_tournament(args.path)
+    T = _load(args.path, read_tournament)
     pairs = _parse_pairs(args.pairs)
     if args.spanning:
         if args.seed is None:
@@ -175,14 +176,9 @@ def cmd_link(args):
 
 
 def cmd_subdivide(args):
-    T = _load_tournament(args.path)
-    try:
-        with open(args.pattern) as fh:
-            H = read_digraph(fh, max_n=T.n)  # branch vertices are distinct in T
-    except OSError as exc:
-        raise InputError(f"{args.pattern}: {exc.strerror}") from None
-    except FormatError as exc:
-        raise InputError(f"{args.pattern}: {exc}") from None
+    T = _load(args.path, read_tournament)
+    # branch vertices are distinct in T, so H has at most T.n vertices
+    H = _load(args.pattern, lambda fh: read_digraph(fh, max_n=T.n))
     mapping = _parse_pairs(args.map, sep=":")
     branches = [-1] * H.n
     for h, v in mapping:
@@ -215,12 +211,7 @@ def _params_from_file(path, k):
     parsers = {f.name: int for f in dataclasses.fields(PipelineParams)}
     parsers["budget"] = lambda val: None if val.lower() == "none" else int(val)
     parsers["strict"] = _parse_flag
-    values = _read_key_values(path, parsers)
-    if "k" in values and values["k"] != k:
-        raise InputError(f"params file pins k={values['k']} but --k is {k}")
-    base = PipelineParams.relaxed(k)
-    values.pop("k", None)
-    return dataclasses.replace(base, **values)
+    return dataclasses.replace(PipelineParams.relaxed(k), **_read_key_values(path, parsers))
 
 
 def _no_split(T, k, reason):
@@ -239,7 +230,7 @@ def _no_split(T, k, reason):
 
 
 def cmd_partition(args):
-    T = _load_tournament(args.path)
+    T = _load(args.path, read_tournament)
     params = None
     if args.params_file:
         params = _params_from_file(args.params_file, args.k)
@@ -331,25 +322,25 @@ def _read_key_values(path, parsers):
     """The ``key=value`` lines of a file (blank lines and ``#`` comments
     skipped), each value converted by the parser of its key; every error
     names the file and line."""
-    values = {}
-    try:
-        with open(path) as fh:
-            for lineno, raw in enumerate(fh, 1):
-                text = raw.strip()
-                if not text or text.startswith("#"):
-                    continue
-                key, eq, val = (t.strip() for t in text.partition("="))
-                if not eq:
-                    raise InputError(f"{path}:{lineno}: expected key=value")
-                if key not in parsers:
-                    raise InputError(f"{path}:{lineno}: unknown key {key!r}")
-                try:
-                    values[key] = parsers[key](val)
-                except ValueError:
-                    raise InputError(f"{path}:{lineno}: bad value {val!r} for {key}") from None
-    except OSError as exc:
-        raise InputError(f"{path}: {exc.strerror}") from None
-    return values
+
+    def read(fh):
+        values = {}
+        for lineno, raw in enumerate(fh, 1):
+            text = raw.strip()
+            if not text or text.startswith("#"):
+                continue
+            key, eq, val = (t.strip() for t in text.partition("="))
+            if not eq:
+                raise InputError(f"{path}:{lineno}: expected key=value")
+            if key not in parsers:
+                raise InputError(f"{path}:{lineno}: unknown key {key!r}")
+            try:
+                values[key] = parsers[key](val)
+            except ValueError:
+                raise InputError(f"{path}:{lineno}: bad value {val!r} for {key}") from None
+        return values
+
+    return _load(path, read)
 
 
 def _read_experiment_config(path):

@@ -470,7 +470,7 @@ def _bfs_walk(rows, x, y, ok, layers, want=0, min_length=1, max_length=None):
     return walk
 
 
-def bfs_shortest_path(rows, x, y, allowed=None, min_length=1):
+def bfs_shortest_path(rows, x, y, allowed=None, min_length=1, max_length=None):
     """Lexicographically smallest BFS-shortest x->y path, or None.
 
     ``rows`` are the graph's packed rows (its ``packed``); any other dtype
@@ -478,9 +478,11 @@ def bfs_shortest_path(rows, x, y, allowed=None, min_length=1):
     lowest vertex id, which keeps every caller deterministic.  ``allowed``
     restricts the vertices the path may use; x and y are always permitted.
     With ``min_length=2`` the direct edge x->y is not taken (paths must have
-    a nonempty interior).
+    a nonempty interior).  The search stops at depth ``max_length``: a
+    shortest path longer than that is reported as None.
     """
-    return _bfs_walk(rows, x, y, _open_mask(rows, x, y, allowed), 1, min_length=min_length)
+    return _bfs_walk(rows, x, y, _open_mask(rows, x, y, allowed), 1,
+                     min_length=min_length, max_length=max_length)
 
 
 PARITY_RETRIES = 8

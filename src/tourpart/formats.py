@@ -97,11 +97,12 @@ def read_tournament(fh):
     head = lines[0].split()
     if len(head) == 3:
         n, m = _header_counts(lines[0], first)
-        if set(head[2]) - {"0", "1"}:
+        # digit values; anything below "0" wraps around to above 1
+        bits = np.frombuffer(head[2].encode(), dtype=np.uint8) - ord("0")
+        if (bits > 1).any():
             raise FormatError("orientation bits must be 0/1", first)
         if m != len(head[2]):
             raise FormatError(f"header announced {m} bits, got {len(head[2])}", first)
-        bits = np.frombuffer(head[2].encode(), dtype=np.uint8) == ord("1")
         try:
             return tournament_from_pair_bits(n, bits)
         except ValueError as exc:

@@ -122,9 +122,8 @@ def _dfs(out, inn, x, y, n, budget, rng):
             return None
         nodes[0] -= 1
         if R == ybit:
-            if out[e] >> y & 1:
-                return acc + [y]
-            return None
+            # feasible(e, R) has seen the arc e -> y
+            return acc + [y]
         # fewest onward moves first; seeded jitter breaks ties across restarts
         cands = sorted(_bits(out[e] & R & ~ybit),
                        key=lambda v: ((out[v] & R).bit_count(), rng.random()))

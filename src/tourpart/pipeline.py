@@ -67,15 +67,14 @@ class PipelineParams:
 
     ``budget=None`` leaves the coloring budget to the per-vertex starvation
     checks.  ``strict=True`` marks the full-strength constants; only such
-    runs may claim a-priori guarantees.
+    runs may claim a-priori guarantees.  The run's k is the one given to
+    ``run_pipeline``; what the construction fixes as a function of it,
+    ``short_cap`` and ``growth``, is not settable.
     """
 
-    k: int
     per_class: int      # connector structures per class (k for the guarantee)
     chain_cap: int      # dominating-chain length cap c
     bundle_size: int    # long connector bundle width
-    short_cap: int      # length cap for short connector paths (10k+10)
-    growth: int         # safe-extension growth factor (9k^2)
     budget: int | None  # coloring budget cap
     strict: bool = False
 
@@ -83,12 +82,9 @@ class PipelineParams:
     def guaranteed(k):
         lg = math.log2(2 * k)
         return PipelineParams(
-            k=k,
             per_class=k,
             chain_cap=math.ceil(math.log2(120 * k * k)) + 2,
             bundle_size=int(10 ** 5 * k ** 4 * lg),
-            short_cap=10 * k + 10,
-            growth=9 * k * k,
             budget=int(5 * 10 ** 8 * k ** 6 * lg),
             strict=True,
         )
@@ -111,6 +107,16 @@ class PipelineParams:
     def fingerprint(self):
         text = ";".join(f"{k}={v}" for k, v in sorted(self.as_dict().items()))
         return hashlib.sha256(text.encode()).hexdigest()[:12]
+
+
+def short_cap(k):
+    """10k+10: the most edges of a short connector, the fewest of a bundle path."""
+    return 10 * k + 10
+
+
+def growth(k):
+    """9k^2: the most vertices a safe extension colors per group vertex."""
+    return 9 * k * k
 
 
 @dataclass
@@ -355,7 +361,7 @@ def extend_coloring_safely(state, group, protected=frozenset()):
     exc_out_mask = vertex_mask(n, state.exc_out)
     exc_mask = exc_out_mask | vertex_mask(n, state.exc_in)
     colored_or_protected = int((col.colored_mask() | nmask).sum())
-    cost = state.params.growth * len(Z) + colored_or_protected
+    cost = growth(k) * len(Z) + colored_or_protected
     if state.budget_cap is not None:
         state.require(stage, cost <= state.budget_cap,
                       f"coloring budget exceeded: growth*|Z| + |C u N| = {cost} "
@@ -374,7 +380,7 @@ def extend_coloring_safely(state, group, protected=frozenset()):
                               f"{side}-neighbours, needs {2 * k}", kind="budget")
                 picks += wave.grant(cand)
         grown.update(picks)
-    state.require(stage, len(set(Z) | grown) <= state.params.growth * len(Z),
+    state.require(stage, len(set(Z) | grown) <= growth(k) * len(Z),
                   "extension grew beyond its cap")
     return grown
 
@@ -451,7 +457,7 @@ def bootstrap_safety(state):
 def _collect_short_connectors(state):
     """Greedy maximal system of short disjoint connector paths with the
     parity each class needs; multi-pass until no index improves."""
-    T, col, L = state.T, state.coloring, state.params.short_cap
+    T, col, L = state.T, state.coloring, short_cap(state.k)
     used = np.zeros(T.n, dtype=bool)
     found = {}
     progress = True
@@ -463,12 +469,8 @@ def _collect_short_connectors(state):
             b, a = state.tips(i)
             allowed = col.uncolored_mask() & ~used
             parity = _CLASS_PARITY.get(state.klass(i))
-            if parity is None:
-                p = bfs_shortest_path(T.packed, b, a, allowed)
-                if p is not None and len(p) - 1 > L:
-                    p = None
-            else:
-                p = bfs_parity_path(T.packed, b, a, parity, allowed, max_length=L)
+            p = (bfs_shortest_path(T.packed, b, a, allowed, max_length=L) if parity is None
+                 else bfs_parity_path(T.packed, b, a, parity, allowed, max_length=L))
             if p is not None:
                 found[i] = p
                 for v in p[1:-1]:
@@ -481,7 +483,12 @@ def find_connector_paths(state):
     """Build all 6r connector paths (stage 3) and color the bundle scaffolding."""
     stage = "connectors"
     T, col = state.T, state.coloring
-    L = state.params.short_cap
+
+    def short_route(i):
+        # a nontrivial b_i -> a_i route shorter than the cap, or None
+        b, a = state.tips(i)
+        return bfs_shortest_path(T.packed, b, a, col.uncolored_mask(),
+                                 min_length=2, max_length=short_cap(state.k) - 1)
 
     shorts = _collect_short_connectors(state)
     state.short_idx = sorted(shorts)
@@ -497,20 +504,14 @@ def find_connector_paths(state):
     while True:
         swept = []
         for i in state.long_idx:
-            b, a = state.tips(i)
-            while True:
-                p = bfs_shortest_path(T.packed, b, a, col.uncolored_mask(), min_length=2)
-                if p is None or len(p) - 1 >= L:
-                    break
+            while (p := short_route(i)) is not None:
                 col.assign(p[1:-1], ALPHA)
                 swept.extend(p[1:-1])
         if not swept:
             break
         extend_coloring_safely(state, swept)
     for i in state.long_idx:
-        b, a = state.tips(i)
-        p = bfs_shortest_path(T.packed, b, a, col.uncolored_mask(), min_length=2)
-        state.require(stage, p is None or len(p) - 1 >= L,
+        state.require(stage, short_route(i) is None,
                       f"index {i}: a short connector route survived the sweep")
     state.snapshot("shorts")
     state.require(stage, all_colored_safe(state.ctx()),
@@ -639,7 +640,7 @@ def _segment_positions(length, k):
     6-9 at fixed offsets from the back; segment 5, the middle, takes the
     rest.  This is the one source of the layout: the hubs, the splice
     points, the bundle coloring and the bulk pool all read it."""
-    assert length >= 10 * k + 10
+    assert length >= short_cap(k)
     return {
         1: range(1, k + 1),
         2: range(k + 1, 2 * k + 1),
@@ -656,7 +657,7 @@ def _segment_positions(length, k):
 def _audit_bundles(state):
     stage = "connector_bundles"
     T, col = state.T, state.coloring
-    L = state.params.short_cap
+    L = short_cap(state.k)
     outside = np.flatnonzero(col.uncolored_mask() & ~_bundle_interior_mask(state))
     seen_interiors = set()
     for i, paths in state.bundles.items():
@@ -724,7 +725,7 @@ def _splice_long_connectors(state):
     # the splice points: the first vertex of segments 3 and 5 from the front,
     # the last of segment 7 from the back; the shortest layout names them
     # for every length
-    shortest = 10 * k + 10
+    shortest = short_cap(k)
     segs = _segment_positions(shortest, k)
     q3, q5, q7 = segs[3][0], segs[5][0], segs[7][-1] - shortest - 1
     for i in state.long_idx:
@@ -990,7 +991,7 @@ def pipeline_feasible(T, k, params):
                        f"{slack_needed}")
     # the bootstrap colors up to growth * |Z| distinct vertices, |Z| being the
     # anchor grants plus the non-anchor chain vertices
-    load = 12 * r * c + 48 * k * r + params.growth * (48 * k * r + 12 * r * (c - 1))
+    load = 12 * r * c + 48 * k * r + growth(k) * (48 * k * r + 12 * r * (c - 1))
     if n < load + 12 * r:
         return False, (f"{n} vertices cannot absorb the bootstrap coloring load "
                        f"(about {load} colored vertices)")

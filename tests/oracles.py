@@ -137,6 +137,13 @@ def brute_hamiltonian_path(T, x, y):
     return None
 
 
+def is_hamiltonian_path(adj, path, x, y):
+    """True iff ``path`` runs from x to y through every vertex of ``adj``
+    once, along its arcs."""
+    return (sorted(path) == list(range(len(adj))) and path[0] == x and path[-1] == y
+            and all(adj[u, v] for u, v in zip(path, path[1:])))
+
+
 def all_simple_paths(adj, x, y, banned=frozenset(), max_len=None):
     """Every simple x->y path avoiding ``banned`` interiors."""
     n = adj.shape[0]

@@ -206,6 +206,15 @@ def test_subdivide_bounds_the_pattern_before_allocating(tmp_path, capsys):
     assert peak < 2_000_000
 
 
+def test_subdivide_missing_pattern_file_names_its_path(tmp_path, capsys):
+    r = tmp_path / "r20.txt"
+    run_cli("gen", "--kind", "random", "--n", "20", "--seed", "9", "--out", str(r))
+    missing = tmp_path / "no_such_pattern.txt"
+    code, _ = run_cli("subdivide", str(r), "--pattern", str(missing), "--map", "0:1")
+    assert code == 3
+    assert f"error: {missing}: No such file or directory" in capsys.readouterr().err
+
+
 def test_partition_search_and_negative(tmp_path):
     r = tmp_path / "r40.txt"
     run_cli("gen", "--kind", "random", "--n", "40", "--seed", "3", "--out", str(r))
@@ -349,6 +358,19 @@ def test_experiment_bad_value_names_its_line(tmp_path, capsys):
     code, _ = run_cli("experiment", str(cfg))
     assert code == 3
     assert f"{cfg}:2: bad value 'abc' for budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["k", "short_cap", "growth"])
+def test_params_file_rejects_what_follows_from_k(tmp_path, capsys, key):
+    # the run's k is --k; 10k+10 and 9k^2 follow from it
+    r = tmp_path / "r40.txt"
+    run_cli("gen", "--kind", "random", "--n", "40", "--seed", "3", "--out", str(r))
+    params = tmp_path / "params.txt"
+    params.write_text(f"per_class=1\n{key}=30\n")
+    code, _ = run_cli("partition", str(r), "--k", "1", "--seed", "0",
+                      "--mode", "pipeline", "--params-file", str(params))
+    assert code == 3
+    assert f"{params}:2: unknown key '{key}'" in capsys.readouterr().err
 
 
 def test_params_file_rejects_a_flag_that_is_not_boolean(tmp_path, capsys):

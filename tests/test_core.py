@@ -1,9 +1,10 @@
 import hashlib
+import random
 
 import numpy as np
 import pytest
 
-from oracles import all_tournaments, brute_hamiltonian_path, reach_by_hand
+from oracles import all_tournaments, brute_hamiltonian_path, is_hamiltonian_path, reach_by_hand
 from tourpart import (
     Digraph,
     Tournament,
@@ -17,6 +18,7 @@ from tourpart import (
     tournament_from_edges,
     transitive_order,
 )
+from tourpart import hamilton
 from tourpart.connectivity import certify
 from tourpart.core import (
     bfs_parity_path,
@@ -397,6 +399,76 @@ def test_hamiltonian_heuristic_above_threshold(rand):
 def test_hamiltonian_unreachable_proof_above_threshold():
     T = transitive_tournament(30)
     assert hamiltonian_path(T, 5, 0).status == "infeasible"
+
+
+def _near_transitive(n, flips, seed):
+    """The transitive tournament on n vertices with ``flips`` random arcs
+    reversed: few Hamiltonian paths, so the insertions stall."""
+    rng = np.random.default_rng(seed)
+    adj = transitive_tournament(n).adj.copy()
+    for _ in range(flips):
+        u, v = rng.choice(n, 2, replace=False)
+        adj[u, v], adj[v, u] = adj[v, u], adj[u, v]
+    return Tournament(adj)
+
+
+def _counted_dfs(monkeypatch):
+    """Wrap ``hamilton._dfs``; each call appends (its budget, the budget it left)."""
+    calls, dfs = [], hamilton._dfs
+
+    def counting(*args):
+        got, left = dfs(*args)
+        calls.append((args[5], left))
+        return got, left
+
+    monkeypatch.setattr(hamilton, "_dfs", counting)
+    return calls
+
+
+def test_hamiltonian_pair_insertion():
+    # neither 1 nor 2 fits alone between 0 and 3; the pair 1 -> 2 does
+    T = tournament_from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 1), (2, 0), (0, 3)])
+    path = [0, 3]
+    assert hamilton._try_insertions(row_bits(T.packed), path, {1, 2}, random.Random(0))
+    assert path == [0, 1, 2, 3]
+
+
+def test_hamiltonian_backtracking_finishes_what_insertions_leave(monkeypatch):
+    T = _near_transitive(18, 16, 0)
+    calls = _counted_dfs(monkeypatch)
+    res = hamiltonian_path(T, 9, 0, budget=2000)
+    assert res.status == "found" and is_hamiltonian_path(T.adj, res.path, 9, 0)
+    assert len(calls) == 1 and calls[0][1] > 0
+
+
+def test_hamiltonian_budget_runs_out_in_slices(monkeypatch):
+    # no path exists (the exact DP says so), and the backtracking spends the
+    # whole budget over its restarts without deciding that
+    T = _near_transitive(16, 2, 27)
+    assert hamilton._dp_exact(T, 8, 0).status == "infeasible"
+    calls = _counted_dfs(monkeypatch)
+    res = hamiltonian_path(T, 8, 0, budget=2000)
+    assert res.status == "unknown"
+    assert len(calls) == hamilton.RESTARTS and calls[-1][1] == 0
+    assert sum(budget - left for budget, left in calls) == 2000
+
+
+def test_hamiltonian_backtracking_root_check(monkeypatch):
+    # the root's pruning rules a path out, so no restart spends budget; only
+    # the reach proofs and the exact DP answer infeasible
+    T = _near_transitive(16, 2, 27)
+    assert hamilton._dp_exact(T, 15, 0).status == "infeasible"
+    calls = _counted_dfs(monkeypatch)
+    assert hamiltonian_path(T, 15, 0, budget=2000).status == "unknown"
+    assert len(calls) == hamilton.RESTARTS and all(b == left for b, left in calls)
+
+
+def test_hamiltonian_proof_that_a_vertex_cannot_reach_y(monkeypatch):
+    # x = 0 reaches everything in a transitive tournament, but only 0..4
+    # reach y = 5
+    calls = _counted_dfs(monkeypatch)
+    assert hamiltonian_path(transitive_tournament(20), 0, 5).status == "infeasible"
+    assert calls == []
 
 
 def test_hamiltonian_rejects_equal_endpoints(t4):

@@ -85,6 +85,14 @@ def test_compact_header_mismatch():
         read_tournament(io.StringIO("3 4 0110\n"))
 
 
+@pytest.mark.parametrize("bits", ["01/", "012", "0a1", "0\u00e91", "0\x001"])
+def test_compact_bits_other_than_0_and_1_name_their_line(bits):
+    # "/" sits just below "0" and "2" just above "1"; the accented letter is
+    # two bytes and the NUL is zero
+    with pytest.raises(FormatError, match="^line 2: orientation bits must be 0/1$"):
+        read_tournament(io.StringIO(f"\n3 3 {bits}\n"))
+
+
 def test_header_counts_checked_before_allocating(monkeypatch):
     import tourpart.formats as formats
 

@@ -1,7 +1,7 @@
 """Static checks on the source tree: no module imports a name it never uses,
 no function imports inside its body, only ``core`` copies subgraphs, no
-module scatters through ``triu_indices``, and no module reads a graph as a
-bool matrix."""
+module scatters through ``triu_indices``, no module reads a graph as a
+bool matrix, and every pipeline parameter is read."""
 
 import ast
 from pathlib import Path
@@ -80,3 +80,22 @@ def test_no_function_imports_in_its_body():
                 offenders += [(path.name, node.name, inner.lineno) for inner in ast.walk(node)
                               if isinstance(inner, (ast.Import, ast.ImportFrom))]
     assert offenders == []
+
+
+def test_every_pipeline_param_is_read():
+    # a settable value that no stage reads changes nothing but the params
+    # fingerprint; a read is ``params.<field>`` or ``<x>.params.<field>``
+    # outside the class body
+    fields, read = [], set()
+    for path in _source_modules():
+        tree = ast.parse(path.read_text(), str(path))
+        inside = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name == "PipelineParams":
+                fields += [item.target.id for item in node.body if isinstance(item, ast.AnnAssign)]
+                inside |= {id(inner) for inner in ast.walk(node)}
+        read |= {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and id(node) not in inside
+                 and "params" in (getattr(node.value, "id", None),
+                                  getattr(node.value, "attr", None))}
+    assert fields and [name for name in fields if name not in read] == []

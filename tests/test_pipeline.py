@@ -1,4 +1,5 @@
 import hashlib
+import json
 import sys
 import tracemalloc
 from types import SimpleNamespace
@@ -11,6 +12,7 @@ from tourpart.core import reachable_mask
 from tourpart.generators import random_tournament, transitive_tournament
 from tourpart.pipeline import (
     ALT_AA,
+    ALT_AB,
     PipelineError,
     PipelineParams,
     PipelineState,
@@ -25,13 +27,17 @@ from tourpart.pipeline import (
     build_dominating_family,
     color_reserved,
     extend_coloring_safely,
+    find_connector_paths,
+    growth,
     pipeline_feasible,
     run_pipeline,
     select_extremal_sets,
+    short_cap,
 )
 from tourpart.safety import ALPHA, BETA, UNCOLORED, all_colored_safe
 
 STARVED_DIGEST = "32f0d952f133a2f8"
+BURN_DIGEST = "ae04ccf269d5704b"
 
 
 def test_select_extremal_on_transitive():
@@ -189,13 +195,15 @@ def test_strict_gate_reports_infeasible():
 
 
 def test_guaranteed_params_arithmetic():
+    # 10k+10 and 9k^2 follow from the run's k and are not params
     p = PipelineParams.guaranteed(1)
+    assert list(p.as_dict()) == ["per_class", "chain_cap", "bundle_size", "budget", "strict"]
     assert p.chain_cap == 9  # ceil(log2(120)) + 2
-    assert p.short_cap == 20
-    assert p.growth == 9
+    assert short_cap(1) == 20
+    assert growth(1) == 9
     assert p.budget == 500_000_000
     p2 = PipelineParams.guaranteed(2)
-    assert p2.chain_cap == 11 and p2.growth == 36
+    assert p2.chain_cap == 11 and short_cap(2) == 30 and growth(2) == 36
 
 
 def test_full_run_small_instance():
@@ -238,16 +246,28 @@ def test_every_bfs_sweep_reads_a_row_major_matrix(monkeypatch):
 # the long-connector bundle machinery, exercised on a planted instance
 
 
-def _planted_instance(num_paths, length, early=250, late=250, k=1):
+def _planted_instance(num_paths, length, early=250, late=250, k=1, short=None):
     """Tournament holding ``num_paths`` disjoint b->a paths of the given
     length (one length for all, or a list of one per path): consecutive
     path edges run forward, every other pair points from
     the later vertex (in a fixed global order) back to the earlier one, so
-    the planted paths are the only b->a routes and are already
-    backwards-transitive.  Fillers before the paths supply out-neighbour
-    grabs, fillers after them supply in-neighbour grabs; neither side can
-    shortcut a path."""
+    the planted paths are already backwards-transitive.  Fillers before the
+    paths supply out-neighbour grabs, fillers after them supply in-neighbour
+    grabs; neither side can shortcut a path.
+
+    With ``short`` edges given, one more b->a path of that length is
+    planted last, and the path vertices are ordered by their distance from
+    b, the short path's vertex last at each distance.  An arc then climbs at
+    most one distance step, except the short path's last arc into a, and no
+    arc enters the short path from its own distance.  A b->a walk that
+    avoids the short path's last arc is as long as the planted paths at
+    least; one that takes it climbs the short path whole (``short`` edges)
+    or enters it from further away (``short + 2`` edges or more).  So the
+    walks within ``short + 2`` edges that are shorter than the planted
+    paths all have the parity of ``short``."""
     lengths = [length] * num_paths if isinstance(length, int) else length
+    if short is not None:
+        lengths = lengths + [short]
     paths = []
     nxt = 1
     for length in lengths:
@@ -257,7 +277,11 @@ def _planted_instance(num_paths, length, early=250, late=250, k=1):
     a = nxt
     early_ids = list(range(a + 1, a + 1 + early))
     late_ids = list(range(a + 1 + early, a + 1 + early + late))
-    order = early_ids + [0] + [v for inner in paths for v in inner] + [a] + late_ids
+    middle = [v for inner in paths for v in inner]
+    if short is not None:
+        step = {v: (d, j) for j, inner in enumerate(paths) for d, v in enumerate(inner)}
+        middle.sort(key=step.get)
+    order = early_ids + [0] + middle + [a] + late_ids
     n = len(order)
     pos = {v: i for i, v in enumerate(order)}
     adj = np.zeros((n, n), dtype=bool)
@@ -275,8 +299,8 @@ def _planted_instance(num_paths, length, early=250, late=250, k=1):
     return Tournament(adj), 0, a, full_paths
 
 
-def _bundle_state(T, b, a, index, k=1, bundle_size=3):
-    params = PipelineParams.relaxed(k, bundle_size=bundle_size)
+def _bundle_state(T, b, a, index, k=1, bundle_size=3, params=None):
+    params = params or PipelineParams.relaxed(k, bundle_size=bundle_size)
     state = PipelineState(T, k, params)
     r = params.per_class
     state.in_structs = [SimpleNamespace(tip=b) for _ in range(6 * r)]
@@ -399,6 +423,41 @@ def test_splice_takes_the_second_untouched_path_when_only_it_fits(monkeypatch):
     assert (len(paths[s1]) - 1) % 2 == 1 and (len(paths[s2]) - 1) % 2 == 0
     assert state.splices[0] == (s2,) and state.connectors[0] == paths[s2]
     _audit_connectors(state)
+
+
+def test_the_connector_stage_burns_a_short_route_of_the_wrong_parity(monkeypatch):
+    # one index of class ALT_AB (odd connectors); its only route within the
+    # short cap has 18 edges, so no short connector exists, the burn loop
+    # colors that route, and the bundle stages run from inside the stage on
+    # the 22-edge planted paths (even: a two-way splice makes them odd)
+    monkeypatch.setattr(PipelineState, "total", property(lambda self: 1))
+    monkeypatch.setattr(PipelineState, "klass", lambda self, i: ALT_AB)
+    T, b, a, planted = _planted_instance(13, 22, early=600, late=250, short=18)
+    state = _bundle_state(T, b, a, index=0, bundle_size=6)
+    state.coloring.assign([b], ALPHA)
+    state.coloring.assign([a], BETA)
+    find_connector_paths(state)
+    assert state.short_idx == [] and state.long_idx == [0]
+    assert all(state.coloring.of(v) == ALPHA for v in planted[-1][1:-1])
+    assert len(state.splices[0]) == 2 and len(state.connectors[0]) - 1 == 23
+    rows = [state.coloring.labels.tolist(), state.connectors, state.bundles]
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16] == BURN_DIGEST
+
+
+def test_bundle_paths_are_audited_against_the_layout_of_the_runs_k():
+    # params hold no k: a k = 2 run lays bundles out from 10k+10 = 30 edges
+    # whatever k its params were built for, so 21-edge paths stop at the
+    # bundle audit, before the segment layout is cut
+    T, b, a, _ = _planted_instance(6, 21, early=550, late=230)
+    params = PipelineParams.relaxed(1, bundle_size=6)
+    state = _bundle_state(T, b, a, index=2, k=2, params=params)
+    state.coloring.assign([b, a], ALPHA)
+    with pytest.raises(PipelineError) as err:
+        for stage in (_build_bundles, _shortcut_bundles, _audit_bundles, _place_hubs,
+                      _color_bundles):
+            stage(state)
+    assert err.value.stage == "connector_bundles"
+    assert "bundle path of length 21 below 30" in err.value.reason
 
 
 def test_bundle_shortfall_is_reported():
