@@ -30,10 +30,23 @@ both directions, are two popcounts of the packed rows.  Flows start from
 those 2-paths, add greedy 3-paths x->a->b->y through unused vertices, and
 stop as soon as the value reaches the cap (Even & Tarjan, "Network flow and
 testing graph connectivity", 1975).  The same greedy, counting paths
-without building any flow state, settles every pair whose short paths
-alone reach ``best``; only the pairs it leaves short take a flow.  A
-settled pair has a flow of at least ``best``, so it neither lowers
-``best`` nor stops the sweep, and every answer is the one the flows give.
+without building any flow state, screens each pair; when it falls short,
+one more greedy round counts 4-paths x->a->m->c->y, where a is a first step
+that found no 3-path and m and c are vertices no counted path uses.  In a
+crossing digraph T[A, B], which is bipartite, a pair on one side has only
+paths of even length, and this round is what settles it.  Any set of
+internally disjoint x->y paths bounds the flow from below, so a pair whose
+short paths reach ``best`` is settled and only the pairs the screen leaves
+short take a flow.  A settled pair has a flow of at least ``best``, so it
+neither lowers ``best`` nor stops the sweep, and every answer is the one
+the flows give.
+
+Strong connectivity needs no separate test past the degree screen.  When G
+is not strong, the lowest vertex fails to reach some vertex v or to be
+reached from it, and that pair has no 2-path, no arc and no short path, so
+at ``best`` >= 2 the sweep flows it at rank 0, unless an earlier pair
+stopped the sweep, and the flow is 0.  Only a degree screen of 1, where no
+pair is swept, takes two reach sweeps from the lowest vertex.
 
 The vertices already swept are witnesses as well.  At rank r every pair
 with one end among the first r swept vertices has a cut of at least
@@ -165,8 +178,10 @@ def _short_paths(net, x, y, cap):
 
 
 def _short_paths_reach(net, x, y, need, spare=0):
-    """Whether the warm start of ``maximum_flow(net, x, y, need)`` reaches
-    ``need`` paths: the same 2-paths and greedy 3-paths, counted only.
+    """Whether ``need`` internally disjoint x->y paths are found without a
+    flow: the 2-paths and greedy 3-paths of the warm start of
+    ``maximum_flow(net, x, y, need)``, counted only, then, when those fall
+    short, greedy 4-paths (``_four_paths_reach``).
 
     ``spare`` is a bitset of vertices other than x and y that every x-y
     cut below ``need`` contains; each counts once, and the paths are
@@ -185,7 +200,51 @@ def _short_paths_reach(net, x, y, need, spare=0):
         if b:
             into_y ^= b & -b
             value += 1
-    return value >= need
+    if value >= need:
+        return True
+    used = spare | mids | 1 << x | 1 << y
+    return _four_paths_reach(out, out[x] & ~used, net.inn[y] & ~used, used, need - value)
+
+
+def _four_paths_reach(out, starts, ends, used, short):
+    """Whether ``short`` more paths x->a->m->c->y are found after the 3-path
+    round of ``_short_paths_reach`` took every first step it could.
+
+    ``starts`` and ``ends`` are that round's candidates for a and for the
+    last step, and ``used`` holds x, y, the spares and the 2-path middles.
+    The round is replayed to learn which first steps it took, so its own
+    loop does no bookkeeping.  A first step it left idle reaches no free
+    last step in one arc, so it is never a middle; each takes, lowest ids
+    first, a middle m that no counted path uses and a free last step c
+    after it."""
+    idle, free_ends, rest = 0, ends, starts
+    while rest:
+        a = rest & -rest
+        rest ^= a
+        b = out[a.bit_length() - 1] & free_ends
+        if b:
+            free_ends ^= b & -b
+        else:
+            idle |= a
+    # the taken first steps are the starts that were not left idle
+    used |= (starts ^ idle) | (ends ^ free_ends)
+    while idle:
+        a = idle & -idle
+        idle ^= a
+        ms = out[a.bit_length() - 1] & ~used
+        while ms:
+            m = ms & -ms
+            ms ^= m
+            c = out[m.bit_length() - 1] & free_ends
+            if c:
+                c &= -c
+                free_ends ^= c
+                used |= a | m | c
+                short -= 1
+                if not short:
+                    return True
+                break
+    return False
 
 
 def _augmented(net, x, y, cap, flow, pred, carries):
@@ -314,8 +373,11 @@ class Certificate:
     ``stop``-connected and ``level`` is min(kappa(G), ceiling), or an upper
     bound on it when the sweep stopped early.  When a swept pair fails,
     ``pair`` is that pair, ``value`` its flow value (below ``stop``) and
-    ``cut`` the residual cut of ``value`` vertices separating it; a graph
-    failing the size, degree or strong-connectivity screen carries no pair."""
+    ``cut`` the residual cut of ``value`` vertices separating it.  A graph
+    failing the size or degree screen carries no pair, nor does one whose
+    degree screen gives 1 and that fails the strong-connectivity check; a
+    graph that is not strong past a degree screen of 2 fails at a swept
+    pair with no path, or at an earlier one below ``stop``."""
 
     ok: bool
     pair: tuple | None = None
@@ -353,15 +415,15 @@ def sweep(G, ceiling=None, stop=0, within=None):
     if n > 1:
         best = min(n - 1, int(counts_in(outs, mask).min()), int(counts_in(ins, mask).min()),
                    n if ceiling is None else ceiling)
-    # the degree screen alone may settle the answer; search only past it,
-    # where G[within] is strong when its lowest vertex reaches all of it
-    # both ways
-    if best >= max(stop, 1) and not all(reachable_mask(rows, int(ids[0]), within)[inside].all()
-                                        for rows in (G.packed, G.rpacked)):
+    # at best >= 2 the rank loop meets a pair with no path in a graph that
+    # is not strong, so only best == 1 needs the reach check: G[within] is
+    # strong when its lowest vertex reaches all of it both ways
+    if best == 1 and stop <= 1 and not all(reachable_mask(rows, int(ids[0]), within)[inside].all()
+                                           for rows in (G.packed, G.rpacked)):
         best = 0
     if best < stop:
         return Certificate(False, level=best)
-    if best > 1:  # a strong graph has a path between every pair
+    if best > 1:  # the screens above decide a best of 0 or 1
         net = VertexFlow(G, within)
         out = net.out
         order = ids.tolist()

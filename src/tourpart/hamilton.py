@@ -102,44 +102,46 @@ def _try_insertions(out, path, remaining, rng):
     return not remaining
 
 
+def _feasible(out, inn, y, e, R):
+    """The pruning test of a path from e through every vertex of the set R,
+    ending at y in R: each vertex of R has an arc in from e or from R, each
+    but y an arc out into R, and e reaches all of R inside R.  A failure
+    proves that no such path exists."""
+    ebit = 1 << e
+    for v in _bits(R):
+        rest = R ^ 1 << v
+        if not inn[v] & (rest | ebit) or v != y and not out[v] & rest:
+            return False
+    return bit_reach(out, e, R) & R == R
+
+
 def _dfs(out, inn, x, y, n, budget, rng):
-    """Backtracking search with bitmask reachability pruning."""
+    """Backtracking search with bitmask reachability pruning, from a root
+    that passes ``_feasible``."""
     full = (1 << n) - 1
     ybit = 1 << y
     nodes = [budget]
-
-    def feasible(e, R):
-        # every unvisited vertex must be enterable and leavable
-        ebit = 1 << e
-        for v in _bits(R):
-            rest = R ^ 1 << v
-            if not inn[v] & (rest | ebit) or v != y and not out[v] & rest:
-                return False
-        return bit_reach(out, e, R) & R == R
 
     def rec(e, R, acc):
         if nodes[0] <= 0:
             return None
         nodes[0] -= 1
         if R == ybit:
-            # feasible(e, R) has seen the arc e -> y
+            # _feasible(..., e, R) has seen the arc e -> y
             return acc + [y]
         # fewest onward moves first; seeded jitter breaks ties across restarts
         cands = sorted(_bits(out[e] & R & ~ybit),
                        key=lambda v: ((out[v] & R).bit_count(), rng.random()))
         for v in cands:
             R2 = R & ~(1 << v)
-            if not feasible(v, R2):
+            if not _feasible(out, inn, y, v, R2):
                 continue
             got = rec(v, R2, acc + [v])
             if got is not None:
                 return got
         return None
 
-    R0 = full & ~(1 << x)
-    if not feasible(x, R0):
-        return None, nodes[0]
-    return rec(x, R0, [x]), nodes[0]
+    return rec(x, full & ~(1 << x), [x]), nodes[0]
 
 
 EXACT_THRESHOLD = 14
@@ -167,6 +169,9 @@ def hamiltonian_path(T, x, y, budget=200_000, seed=0):
     if bit_reach(out, x, full) != full:
         return PathSearch(Verdict.INFEASIBLE)
     if bit_reach(inn, y, full) != full:
+        return PathSearch(Verdict.INFEASIBLE)
+    # and the backtracking's pruning test at its root
+    if not _feasible(out, inn, y, x, full & ~(1 << x)):
         return PathSearch(Verdict.INFEASIBLE)
 
     rng = random.Random(seed)

@@ -24,7 +24,7 @@ from tourpart import (
     safe_flow,
     vertex_connectivity,
 )
-from tourpart import connectivity
+from tourpart import connectivity, core
 from tourpart.connectivity import VertexFlow, sweep
 from tourpart.core import Digraph, Tournament, _crossing_graph
 from tourpart.generators import random_tournament, transitive_tournament
@@ -223,10 +223,81 @@ def test_screens_change_no_certificate(monkeypatch):
     assert sum(cert.pair is not None for cert in screened) >= 30
 
 
+def _one_way_joins(count):
+    """Digraphs that are not strong but have minimum semi-degree at least
+    2: two tournaments of minimum semi-degree 2 with every arc between them
+    (or, in every other graph, a random half of those arcs) running from
+    the first to the second, under a random relabelling."""
+    rng = np.random.default_rng(19)
+    graphs, seed = [], 1900
+    while len(graphs) < count:
+        blocks = []
+        while len(blocks) < 2:
+            T = random_tournament(int(rng.integers(5, 8)), seed)
+            seed += 1
+            if min(T.out_degrees().min(), T.in_degrees().min()) >= 2:
+                blocks.append(T.adj)
+        a, b = blocks
+        n = len(a) + len(b)
+        adj = np.zeros((n, n), dtype=bool)
+        adj[:len(a), :len(a)], adj[len(a):, len(a):] = a, b
+        adj[:len(a), len(a):] = rng.random((len(a), len(b))) < (0.5 if len(graphs) % 2 else 1)
+        order = rng.permutation(n)
+        graphs.append(adj[np.ix_(order, order)])
+    return graphs
+
+
+def test_strong_check_at_degree_one_only_matches_brute_force():
+    # past a degree screen of 2 the rank loop meets a pair with no path in
+    # a graph that is not strong, so only a screen of 1 takes the reach
+    # check; each graph also runs masked inside a host whose three extra
+    # vertices have arcs both ways to every vertex, so the host is strong
+    rng = np.random.default_rng(20)
+    joins = _one_way_joins(16)
+    sparse = []
+    for s in range(24):
+        n = 8 + s % 5
+        adj = np.random.default_rng(2000 + s).random((n, n)) < 0.25 + 0.02 * s
+        np.fill_diagonal(adj, False)
+        sparse.append(adj)
+    named = 0
+    for adj in joins + sparse:
+        n = len(adj)
+        G = Digraph(adj)
+        ids = np.sort(rng.choice(n + 3, n, replace=False))
+        host = np.ones((n + 3, n + 3), dtype=bool)
+        host[np.ix_(ids, ids)] = adj
+        np.fill_diagonal(host, False)
+        within = np.isin(np.arange(n + 3), ids)
+        kappa = brute_vertex_connectivity(G)
+        for H, mask, labels in ((G, None, range(n)), (Digraph(host), within, ids.tolist())):
+            to_G = {v: i for i, v in enumerate(labels)}
+            assert sweep(H, within=mask).level == kappa
+            for stop in (0, 1, 2, 3):
+                for ceiling in (None, stop):
+                    cert = sweep(H, ceiling, stop, mask)
+                    assert cert.ok == brute_strong_k(G, stop), (adj.tolist(), stop, mask)
+                    if cert.pair is None:
+                        continue
+                    x, y = (to_G[v] for v in cert.pair)
+                    assert len(brute_min_cut(G, x, y)) == cert.value == len(cert.cut)
+                    named += stop >= 1 and kappa == 0
+    # a ceiling of 1 caps the degree screen at 1, where the reach check
+    # fails a join with no pair; every other run of a join at stop 1 or 2
+    # names one, whole and masked
+    assert named >= len(joins) * 3 * 2
+
+
 def test_swept_vertices_settle_most_pairs(monkeypatch):
     # every cut below best holds the vertices already swept: kappa of
-    # random_tournament(200, 1) screened 12,879 pairs without them
+    # random_tournament(200, 1) screened 12,879 pairs without them; the
+    # 2- and 3-paths settle every pair, so the 4-path round never runs
     calls = _record_pairs(monkeypatch)
+
+    def no_round(*args):
+        raise AssertionError("the 2- and 3-paths should have settled the pair")
+
+    monkeypatch.setattr(connectivity, "_four_paths_reach", no_round)
     assert vertex_connectivity(random_tournament(200, 1)) == 81
     assert [c for c in calls if c[0] == "flow"] == []
     assert len(calls) <= 7500
@@ -234,19 +305,26 @@ def test_swept_vertices_settle_most_pairs(monkeypatch):
 
 def test_criterion_nine_searches_take_few_flows(monkeypatch):
     # the verifier sweeps of nine criterion-9 searches took 467 flows
-    # before the swept vertices counted toward every cut
-    flows = []
-    flow = connectivity.maximum_flow
+    # before the swept vertices counted toward every cut and 184 before the
+    # 4-path round settled the same-side pairs of each crossing digraph;
+    # the reach sweeps were 108 before the sweep kept them for a degree
+    # screen of 1, and the 54 left are the repair screen's
+    counts = {"maximum_flow": 0, "reachable_mask": 0}
 
-    def counting(*args):
-        flows.append(args[1:3])
-        return flow(*args)
+    def counting(fn):
+        def wrapped(*args):
+            counts[fn.__name__] += 1
+            return fn(*args)
+        return wrapped
 
-    for module in (connectivity, importlib.import_module("tourpart.partition")):
-        monkeypatch.setattr(module, "maximum_flow", counting)
+    partition = importlib.import_module("tourpart.partition")
+    for fn, modules in ((connectivity.maximum_flow, (connectivity, partition)),
+                        (core.reachable_mask, (core, connectivity, partition))):
+        for module in modules:
+            monkeypatch.setattr(module, fn.__name__, counting(fn))
     for i in range(9):
-        search_partition(random_tournament(40, 31415 + i), 2, seed=i)
-    assert len(flows) <= 190
+        assert search_partition(random_tournament(40, 31415 + i), 2, seed=i).verified
+    assert counts == {"maximum_flow": 0, "reachable_mask": 54}
 
 
 def test_min_separator_examples(c3, t4):

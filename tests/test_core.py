@@ -454,13 +454,14 @@ def test_hamiltonian_budget_runs_out_in_slices(monkeypatch):
 
 
 def test_hamiltonian_backtracking_root_check(monkeypatch):
-    # the root's pruning rules a path out, so no restart spends budget; only
-    # the reach proofs and the exact DP answer infeasible
+    # the reach proofs pass, but the backtracking's pruning test at the
+    # root rules a path out, as the exact DP confirms; it runs once, before
+    # any restart, where 24 restarts once answered "unknown"
     T = _near_transitive(16, 2, 27)
     assert hamilton._dp_exact(T, 15, 0).status == "infeasible"
     calls = _counted_dfs(monkeypatch)
-    assert hamiltonian_path(T, 15, 0, budget=2000).status == "unknown"
-    assert len(calls) == hamilton.RESTARTS and all(b == left for b, left in calls)
+    assert hamiltonian_path(T, 15, 0, budget=2000).status == "infeasible"
+    assert calls == []
 
 
 def test_hamiltonian_proof_that_a_vertex_cannot_reach_y(monkeypatch):

@@ -130,20 +130,25 @@ def test_warm_start_settles_direct_targets_without_augmenting(monkeypatch):
 
 def test_short_path_screen_settles_only_pairs_that_reach_the_cap():
     # a pair the screen settles has a minimum cut of at least the cap, and
-    # the screen settles exactly when the warm start reaches the cap
-    settled = 0
-    cases = [(adj, _pairs(adj)) for adj in _tournaments(40) + _crossing_digraphs(30)]
-    cases += [(net, [(0, net.shape[0] - 1)]) for net in _safety_networks(100)]
-    for adj, pairs in cases:
+    # the screen settles every pair whose warm start reaches the cap; its
+    # 4-path round settles more, such as same-side pairs of a crossing
+    # digraph, which have no 3-path
+    settled = crossing_gain = 0
+    cases = [(False, adj, _pairs(adj)) for adj in _tournaments(40)]
+    cases += [(True, adj, _pairs(adj)) for adj in _crossing_digraphs(30)]
+    cases += [(False, net, [(0, net.shape[0] - 1)]) for net in _safety_networks(100)]
+    for crossing, adj, pairs in cases:
         net = VertexFlow(Digraph(adj))
         for x, y in pairs:
             cut = len(brute_min_cut(Digraph(adj), x, y))
             for cap in (1, 2, 3, 4):
                 reach = _short_paths_reach(net, x, y, cap)
-                assert reach == (_short_paths(net, x, y, cap)[0][x].bit_count() == cap)
+                warm = _short_paths(net, x, y, cap)[0][x].bit_count() == cap
+                assert reach or not warm, (adj.tolist(), x, y, cap)
                 assert not reach or cut >= cap, (adj.tolist(), x, y, cap)
                 settled += reach
-    assert settled >= 2000
+                crossing_gain += crossing and reach and not warm
+    assert settled >= 2000 and crossing_gain > 0
 
 
 def _cut_sizes(adj):
@@ -173,7 +178,9 @@ def test_short_path_screen_counts_spare_witnesses_soundly():
                         assert cuts[x, y] >= cap, (adj.tolist(), x, y, cap, spare)
                         settled += 1
                         by_spares += not _short_paths_reach(net, x, y, cap)
-    assert settled >= 5000 and by_spares >= 250
+    # most pairs that once needed their spares (308 here before the 4-path
+    # round) are now settled by 4-paths alone
+    assert settled >= 5000 and by_spares >= 47
 
 
 def _sparse_digraphs(count):
