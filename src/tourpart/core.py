@@ -208,9 +208,13 @@ def unpack_rows(packed, n):
 
 def row_bits(m):
     """Row u of the boolean matrix ``m``, or of the packed rows ``m`` that
-    ``pack_rows`` made, as the int whose bit v is ``m[u, v]``: one
+    ``pack_rows`` made, as the int whose bit v is ``m[u, v]``.  Rows of one
+    word (at most 64 columns) are that word's value; wider rows take one
     ``int.from_bytes`` per packed row."""
-    data = (m if m.dtype == np.uint64 else pack_rows(m)).tobytes()
+    packed = m if m.dtype == np.uint64 else pack_rows(m)
+    if packed.shape[1] == 1:
+        return packed[:, 0].tolist()
+    data = packed.tobytes()
     width = len(data) // m.shape[0] if m.shape[0] else 0
     if width == 0:
         return [0] * m.shape[0]

@@ -7,9 +7,12 @@ graphs.  No subgraph is copied: T[V1] and T[V2] are T swept under the side
 masks, and T[V1, V2] is T's packed rows masked by the opposite side, so
 witness pairs and cuts come back in T's ids.  ``search_partition`` hunts
 for a partition by seeded random balanced splits plus local repair moves
-and only ever returns splits that the same three sweeps certified; on a
-rejected split they stop at the first pair below k, which steers the
-repair.
+and only ever returns splits that the same three sweeps certified.  A
+fresh split is swept first, and screened only after the sweeps reject it:
+a positive screen steers degree and reach repairs, and a split that
+passes the screen is repaired around the first pair the sweeps found
+below k.  The first rejection of a search also certifies T at k once,
+since T[V1, V2] spans T: when T fails, no split can verify.
 ``partition`` wires the constructive pipeline and the search together
 behind one entry point.
 """
@@ -20,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .connectivity import VertexFlow, _short_paths_reach, maximum_flow, sweep
+from .connectivity import VertexFlow, _short_paths_reach, certify, maximum_flow, sweep
 from .core import _check_ids, _crossing_graph, counts_in, packed_set, reachable_mask, vertex_mask
 from .pipeline import PipelineError, PipelineParams, run_pipeline
 
@@ -49,10 +52,11 @@ def _sweep_split(T, in_v1, k, stop, exact_threshold):
     """Sweep T[V1], T[V2] and T[V1, V2] in order: exact kappa up to
     ``exact_threshold`` vertices, otherwise min(kappa, k).
 
-    Returns ``(result, None)``, or ``(None, witness)`` when a graph's sweep
-    stops at a pair whose flow falls below ``stop``: the witness is
+    Returns ``(result, None)``; ``(None, witness)`` when a graph's sweep
+    stops at a pair whose flow falls below ``stop``, the witness being
     (which, pair, value, cut), ``which`` 0, 1 or 2 for the three graphs in
-    that order.
+    that order; or ``(None, None)`` when a graph fails the sweep's size,
+    degree or reach screen, which names no pair.
     """
     levels = []
     for which, within in enumerate((in_v1, ~in_v1, None)):
@@ -60,8 +64,7 @@ def _sweep_split(T, in_v1, k, stop, exact_threshold):
         exact = (T.n if within is None else int(within.sum())) <= exact_threshold
         cert = sweep(G, None if exact else k, stop, within)
         if not cert.ok:
-            assert cert.pair is not None, "the screens passed a graph below the stop level"
-            return None, (which, cert.pair, cert.value, cert.cut)
+            return None, None if cert.pair is None else (which, cert.pair, cert.value, cert.cut)
         levels.append((cert.level, exact))
     return PartitionResult(
         v1=np.flatnonzero(in_v1).tolist(), v2=np.flatnonzero(~in_v1).tolist(), k=k,
@@ -133,10 +136,12 @@ def _pair_flow(T, in_v1, which, pair, k):
 def search_partition(T, k, seed, budget=400):
     """Randomized balanced split plus greedy single-vertex repair moves.
 
-    Moves are scored by degree/reachability screens while those fail, then
-    by the minimum-cut slack of the failing witness pair.  Dead ends
-    trigger a restart; any returned partition is verifier-certified, and a
-    None result means the budget ran out, never that no partition exists.
+    A fresh split is certified first.  Once the sweeps reject it, moves are
+    scored by degree/reachability screens while those fail, then by the
+    minimum-cut slack of the failing witness pair.  Dead ends trigger a
+    restart; any returned partition is verifier-certified.  None means the
+    budget ran out, or that T itself is not strongly k-connected (checked
+    once, at the first rejection), which proves that no partition exists.
     """
     n = T.n
     if n < 2 * k + 2:
@@ -146,15 +151,32 @@ def search_partition(T, k, seed, budget=400):
         raise ValueError(f"search budget {budget} is negative")
     rng = np.random.default_rng(seed)
     checks = 0
+    t_certified = False
     while checks < budget:
         perm = rng.permutation(n)
         in_v1 = np.zeros(n, dtype=bool)
         in_v1[perm[:n // 2]] = True
-        score = _screen_score(T, in_v1, k)
+        score = None  # a fresh split is swept before it is screened
         for _ in range(3 * n):
             checks += 1
             if checks > budget:
                 break
+            if not score:
+                # one sweep per graph certifies the split, and a rejected split
+                # stops at the pair that steers the repair
+                res, viol = _sweep_split(T, in_v1, k, k, EXACT_THRESHOLD)
+                if res is not None:
+                    res.mode = "search"
+                    res.seed = seed
+                    res.params_fingerprint = f"search-{budget}"
+                    return res
+                # T[V1, V2] spans T, so no split verifies when T fails
+                if not t_certified and not certify(T, k).ok:
+                    return None
+                t_certified = True
+                if score is None:
+                    score = _screen_score(T, in_v1, k)
+                assert viol is not None or score > 0, "a split passed the screen with no witness"
             if score > 0:
                 pool = sorted(set(map(int, rng.integers(0, n, size=12))))
                 best = None
@@ -170,14 +192,6 @@ def search_partition(T, k, seed, budget=400):
                 score = best[0]
                 in_v1[best[1]] = ~in_v1[best[1]]
                 continue
-            # one sweep per graph certifies the split, and a rejected split
-            # stops at the pair that steers the repair
-            res, viol = _sweep_split(T, in_v1, k, k, EXACT_THRESHOLD)
-            if res is not None:
-                res.mode = "search"
-                res.seed = seed
-                res.params_fingerprint = f"search-{budget}"
-                return res
             which, pair, value, cut = viol
             pool = sorted(cut | set(map(int, rng.integers(0, n, size=8))))
             best = None

@@ -308,8 +308,9 @@ def test_criterion_nine_searches_take_few_flows(monkeypatch):
     # before the swept vertices counted toward every cut and 184 before the
     # 4-path round settled the same-side pairs of each crossing digraph;
     # the reach sweeps were 108 before the sweep kept them for a degree
-    # screen of 1, and the 54 left are the repair screen's
-    counts = {"maximum_flow": 0, "reachable_mask": 0}
+    # screen of 1, and 54 while the repair screen ran on every fresh split;
+    # each split now certifies at its first three sweeps, so none is screened
+    counts = {"maximum_flow": 0, "reachable_mask": 0, "sweep": 0, "_screen_score": 0}
 
     def counting(fn):
         def wrapped(*args):
@@ -319,12 +320,14 @@ def test_criterion_nine_searches_take_few_flows(monkeypatch):
 
     partition = importlib.import_module("tourpart.partition")
     for fn, modules in ((connectivity.maximum_flow, (connectivity, partition)),
-                        (core.reachable_mask, (core, connectivity, partition))):
+                        (core.reachable_mask, (core, connectivity, partition)),
+                        (partition.sweep, (partition,)),
+                        (partition._screen_score, (partition,))):
         for module in modules:
             monkeypatch.setattr(module, fn.__name__, counting(fn))
     for i in range(9):
         assert search_partition(random_tournament(40, 31415 + i), 2, seed=i).verified
-    assert counts == {"maximum_flow": 0, "reachable_mask": 54}
+    assert counts == {"maximum_flow": 0, "reachable_mask": 0, "sweep": 27, "_screen_score": 0}
 
 
 def test_min_separator_examples(c3, t4):

@@ -221,7 +221,8 @@ def test_counts_in_match_a_plain_sum(shape):
 
 
 @pytest.mark.parametrize("shape", [(0, 0), (1, 1), (8, 8), (9, 9), (64, 64), (65, 65),
-                                   (2, 70_000)])
+                                   (2, 70_000), (2, 2), (5, 40), (5, 63), (3, 128),
+                                   (0, 40), (0, 65)])
 def test_row_bits_match_the_matrix(shape):
     m = np.random.default_rng(shape[1]).random(shape) < 0.5
     rows = row_bits(m)
@@ -232,6 +233,9 @@ def test_row_bits_match_the_matrix(shape):
     packed = pack_rows(m)
     assert packed.shape == (shape[0], (shape[1] + 63) // 64)
     assert row_bits(packed) == rows
+    # one-word rows are read as words, wider ones by bytes: both are ints
+    assert rows == [int.from_bytes(row.tobytes(), "little") for row in packed]
+    assert all(type(row) is int for row in rows)
 
 
 def test_backwards_transitive(c3):

@@ -83,22 +83,35 @@ def test_search_repairs_are_pinned(monkeypatch):
     # splits that pass the degree and reachability screens but fail a flow,
     # so the search repairs around witness cuts (and gives up when f < 4);
     # a rejected split sweeps each graph at most once and stops at its
-    # witness (1,349 flows; 1,466 before the swept vertices counted toward
-    # every cut, and sweeping every graph in full cost 25,615)
+    # witness (1,274 flows; 1,466 before the swept vertices counted toward
+    # every cut, and sweeping every graph in full cost 25,615).  A fresh
+    # split is swept before it is screened: that took 199 -> 363 sweeps and
+    # 4,646 -> 4,645 screens, the one saved on a split that certified at once
     flows = []
+    calls = {"sweep": 0, "_screen_score": 0}
     flow = importlib.import_module("tourpart.connectivity").maximum_flow
+    partition = importlib.import_module("tourpart.partition")
 
     def counting(*args):
         flows.append(args[1:3])
         return flow(*args)
 
+    def tallying(fn):
+        def wrapped(*args):
+            calls[fn.__name__] += 1
+            return fn(*args)
+        return wrapped
+
     for module in ("connectivity", "partition"):
         monkeypatch.setattr(importlib.import_module(f"tourpart.{module}"), "maximum_flow",
                             counting)
+    for fn in (partition.sweep, partition._screen_score):
+        monkeypatch.setattr(partition, fn.__name__, tallying(fn))
     results = [search_partition(_planted(40, f, seed), 2, seed=seed, budget=150)
                for f in (2, 4, 5) for seed in range(3)]
     assert _digest(results) == REPAIR_DIGEST
     assert len(flows) <= 1400
+    assert calls == {"sweep": 363, "_screen_score": 4645}
 
 
 def test_pipeline_verdicts_are_pinned():

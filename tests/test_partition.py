@@ -6,9 +6,13 @@ import numpy as np
 import pytest
 
 from oracles import brute_strong_k
+from test_golden import _planted
 from tourpart import bipartite_subdigraph, subtournament
 from tourpart.generators import random_tournament, transitive_tournament
 from tourpart.partition import (
+    EXACT_THRESHOLD,
+    _screen_score,
+    _sweep_split,
     format_partition,
     partition,
     search_partition,
@@ -83,11 +87,50 @@ def test_search_k2(rand):
     assert got >= 5
 
 
-def test_search_negative_control():
-    # transitive tournaments admit no strongly connected side at all
+def test_search_negative_control(monkeypatch):
+    # transitive tournaments admit no strongly connected side at all; T is
+    # not strong either, so the first rejected split ends the search
+    partition_module = importlib.import_module("tourpart.partition")
+    screens = []
+    monkeypatch.setattr(partition_module, "_screen_score", lambda *args: screens.append(args) or 1)
     for seed in range(3):
         res = search_partition(transitive_tournament(40), 1, seed=seed, budget=120)
         assert res is None
+    assert screens == []
+
+
+def test_a_split_below_the_degree_screen_names_no_witness():
+    # V1 is vertex 0 and ten of its out-neighbours, so 0 has in-degree 0 in
+    # T[V1]: the sweep stops at its degree screen, before any pair
+    T = random_tournament(40, 1)
+    in_v1 = np.zeros(T.n, dtype=bool)
+    in_v1[0] = True
+    in_v1[T.out_neighbors(0)[:10]] = True
+    assert _sweep_split(T, in_v1, 2, 2, EXACT_THRESHOLD) == (None, None)
+
+
+def test_every_rejection_without_a_witness_screens_positive(monkeypatch):
+    # the search asserts this on every swept split; T's own certificate is
+    # forced to pass here, so that the transitive searches sweep and screen
+    # until their budget runs out instead of stopping at the first rejection
+    partition_module = importlib.import_module("tourpart.partition")
+    sweep_split = partition_module._sweep_split
+    bare = []
+
+    def recording(T, in_v1, k, stop, exact_threshold):
+        res, viol = sweep_split(T, in_v1, k, stop, exact_threshold)
+        if res is None and viol is None:
+            bare.append((T, in_v1.copy(), k))
+        return res, viol
+
+    monkeypatch.setattr(partition_module, "_sweep_split", recording)
+    monkeypatch.setattr(partition_module, "certify", lambda T, k: SimpleNamespace(ok=True))
+    searches = ([(_planted(40, 2, seed), 2, seed, 60) for seed in range(3)]
+                + [(transitive_tournament(24), 1, seed, 40) for seed in range(3)])
+    for T, k, seed, budget in searches:
+        search_partition(T, k, seed=seed, budget=budget)
+        assert bare and bare[-1][0] is T
+    assert all(_screen_score(*args) > 0 for args in bare)
 
 
 def test_search_size_precondition():
