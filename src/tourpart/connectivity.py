@@ -418,8 +418,9 @@ def sweep(G, ceiling=None, stop=0, within=None):
     # at best >= 2 the rank loop meets a pair with no path in a graph that
     # is not strong, so only best == 1 needs the reach check: G[within] is
     # strong when its lowest vertex reaches all of it both ways
-    if best == 1 and stop <= 1 and not all(reachable_mask(rows, int(ids[0]), within)[inside].all()
-                                           for rows in (G.packed, G.rpacked)):
+    if best == 1 and stop <= 1 and not all(
+            reachable_mask(H.packed, int(ids[0]), within, back=H.rpacked)[inside].all()
+            for H in (G, G.reverse())):
         best = 0
     if best < stop:
         return Certificate(False, level=best)
@@ -505,7 +506,8 @@ def _assert_menger(G, x, y, cert, value):
         assert not inner & interiors, "paths share an interior vertex"
         interiors |= inner
     allowed = ~vertex_mask(G.n, cert.separator)
-    assert not reachable_mask(G.packed, x, allowed)[y], "claimed separator does not cut"
+    assert not reachable_mask(G.packed, x, allowed, back=G.rpacked)[y], \
+        "claimed separator does not cut"
 
 
 # ---------------------------------------------------------------------------

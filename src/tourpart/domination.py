@@ -21,7 +21,10 @@ its size is a popcount, and the degrees inside it, which every step ranks,
 are popcounts of the host's packed rows (``packed`` or ``rpacked``) ANDed
 with it, so no step cuts a submatrix out of the host or packs anything.
 ``check_structure`` tests domination on packed rows too: the packed
-outside set, less the OR of the cover's packed rows, must be empty.
+outside set, less the OR of the cover's packed rows, must be empty.  A
+build packs its alive set once and hands it, with the anchor's degree, to
+the same audit; an anchor of too low a degree raises ``AnchorDegreeError``,
+which carries the degree.
 """
 
 from __future__ import annotations
@@ -32,6 +35,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import _check_ids, counts_in, packed_set, transitive_order, unpack_rows, vertex_mask
+
+
+class AnchorDegreeError(ValueError):
+    """The anchor of a structure has fewer than 2^(c-1) neighbours to
+    descend through; ``degree`` is how many it has."""
+
+    def __init__(self, message, degree):
+        super().__init__(message)
+        self.degree = degree
 
 
 @dataclass(frozen=True)
@@ -139,7 +151,8 @@ def _halving_structure(T, v, c, alive, mode):
     mode "in" is the same construction on the reversed tournament, whose
     in-neighbourhoods are the rows of ``packed``.  Vertex ids stay T's, and
     since T[alive] keeps their order every lowest-id tie-break agrees with
-    a run on a relabelled copy of T[alive].
+    a run on a relabelled copy of T[alive].  ``alive`` is packed once, and
+    each pool's size is counted once, into ``shrink_trace``.
     """
     _check_ids(T, (v,))
     if c < 2:
@@ -148,18 +161,20 @@ def _halving_structure(T, v, c, alive, mode):
     if not alive[v]:
         raise ValueError(f"vertex {v} is not alive")
     rows = T.rpacked if mode == "out" else T.packed
-    pool = rows[v] & packed_set(alive)  # common neighbourhood of the chain, minus waiting
+    live = packed_set(alive)
+    pool = rows[v] & live  # common neighbourhood of the chain, minus waiting
     degree = _pool_size(pool)
     if degree < 2 ** (c - 1):
         side = "in" if mode == "out" else "out"
-        raise ValueError(f"{side}-degree {degree} of vertex {v} is below 2^(c-1) = {2 ** (c - 1)}")
+        raise AnchorDegreeError(
+            f"{side}-degree {degree} of vertex {v} is below 2^(c-1) = {2 ** (c - 1)}", degree)
 
     chain = [v]
     waiting = None
-    trace = [degree]
+    trace = [degree]  # the pool's size after each step
 
     while True:
-        size = _pool_size(pool)
+        size = trace[-1]
         assert size * (1 << (len(chain) - 1)) <= degree, "halving invariant broken"
         if size << (c - 2) <= degree:
             if waiting is None:
@@ -173,7 +188,7 @@ def _halving_structure(T, v, c, alive, mode):
                 mode=mode, anchor=v, order=tuple(order), tip=tip,
                 exceptions=frozenset(_pool_ids(pool, T.n).tolist()),
                 cap=c, shrink_trace=tuple(trace))
-            check_structure(T, struct, alive)
+            _check_structure(T, struct, live, degree)
             return struct
 
         assert size >= 2
@@ -196,13 +211,21 @@ def _halving_structure(T, v, c, alive, mode):
 def check_structure(T, s, alive=None):
     """Full invariant scan of ``s`` as a structure of T[alive] (default:
     all of T); raises AssertionError on any violation."""
+    alive = np.ones(T.n, dtype=bool) if alive is None else alive
+    live = packed_set(alive)
+    nbrs = T.rpacked if s.mode == "out" else T.packed  # d^-(anchor) or d^+(anchor)
+    _check_structure(T, s, live, int(counts_in(nbrs[s.anchor], live)))
+
+
+def _check_structure(T, s, live, degree):
+    """``check_structure`` on the packed alive set ``live``, with ``degree``
+    the anchor's in-degree (mode "out") or out-degree (mode "in") in it."""
     A = s.members
     assert 2 <= len(A) <= s.cap
     assert s.anchor in A and s.tip in A
     assert not A & s.exceptions
-    alive = np.ones(T.n, dtype=bool) if alive is None else alive
-    taken = vertex_mask(T.n, A | s.exceptions)
-    assert not (taken & ~alive).any(), "structure uses a vertex outside T[alive]"
+    taken = packed_set(vertex_mask(T.n, A | s.exceptions))
+    assert not (taken & ~live).any(), "structure uses a vertex outside T[alive]"
     order = transitive_order(T, A)
     assert order is not None, "chain is not transitive"
     assert tuple(order) == s.order
@@ -210,13 +233,10 @@ def check_structure(T, s, alive=None):
         assert s.order[0] == s.tip and s.order[-1] == s.anchor
     else:
         assert s.order[0] == s.anchor and s.order[-1] == s.tip
-    nbrs = T.rpacked if s.mode == "out" else T.packed  # d^-(anchor) or d^+(anchor)
-    degree = int(counts_in(nbrs[s.anchor], packed_set(alive)))
     assert len(s.exceptions) << (s.cap - 2) <= degree, "exception set too large"
     rows = T.packed if s.mode == "out" else T.rpacked
     covered = np.bitwise_or.reduce(rows[sorted(s.cover)], axis=0)
-    outside = packed_set(alive & ~taken)
-    assert not (outside & ~covered).any(), "domination fails outside the exception set"
+    assert not (live & ~taken & ~covered).any(), "domination fails outside the exception set"
     for i, size in enumerate(s.shrink_trace):
         assert size * (1 << i) <= degree, "recorded pool sizes violate halving"
 

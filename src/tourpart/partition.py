@@ -107,14 +107,14 @@ def _screen_score(T, in_v1, k):
             score += 10 * (k + 1 - ids.size)
             continue
         side = packed_set(mask)
-        for rows in (T.packed, T.rpacked):
-            score += int(np.maximum(0, k - counts_in(rows[ids], side)).sum())
-            seen = reachable_mask(rows, int(ids[0]), mask)
+        for H in (T, T.reverse()):
+            score += int(np.maximum(0, k - counts_in(H.packed[ids], side)).sum())
+            seen = reachable_mask(H.packed, int(ids[0]), mask, back=H.rpacked)
             score += int((mask & ~seen).sum())
     cross = _crossing_graph(T, in_v1)
-    for rows, degrees in ((cross.packed, cross.out_degrees()), (cross.rpacked, cross.in_degrees())):
-        score += int(np.maximum(0, k - degrees).sum())
-        score += int((~reachable_mask(rows, 0)).sum())
+    for H in (cross, cross.reverse()):
+        score += int(np.maximum(0, k - H.out_degrees()).sum())
+        score += int((~reachable_mask(H.packed, 0, back=H.rpacked)).sum())
     return score
 
 

@@ -43,7 +43,12 @@ from .core import (
     unpack_rows,
     vertex_mask,
 )
-from .domination import core_set, in_dominating_structure, out_dominating_structure
+from .domination import (
+    AnchorDegreeError,
+    core_set,
+    in_dominating_structure,
+    out_dominating_structure,
+)
 from .safety import ALPHA, BETA, Coloring, SafetyContext, all_colored_safe
 
 MONO_A, MONO_B, ALT_AA, ALT_BB, ALT_AB, ALT_BA = range(6)
@@ -128,25 +133,26 @@ class StageAudit:
 
 
 def select_extremal_sets(T, k, count=None):
-    """The ``count`` (default 6k) lowest in-degree vertices, then the same
-    number of lowest out-degree vertices among the rest, plus the restricted
-    degree minima outside each set.  Ties go to the lowest id."""
+    """The ``count`` (default 6k) lowest in-degree vertices of the tournament
+    T, then the same number of lowest out-degree vertices among the rest,
+    plus the restricted degree minima outside each set.  Ties go to the
+    lowest id (stable sorts of the ascending ids)."""
     count = 6 * k if count is None else count
     n = T.n
     if n < 2 * count:
         raise ValueError(f"need at least {2 * count} vertices, have {n}")
-    ids = np.arange(n)
     din = T.in_degrees()
-    order = np.lexsort((ids, din))
-    low_in = order[:count].tolist()
-    rest = np.array(sorted(set(range(n)) - set(low_in)))
-    dout = T.out_degrees()
-    order2 = np.lexsort((rest, dout[rest]))
-    low_out = rest[order2[:count]].tolist()
+    dout = n - 1 - din  # every other vertex is an in- or an out-neighbour
+    low_in = np.argsort(din, kind="stable")[:count]
+    rest = np.ones(n, dtype=bool)
+    rest[low_in] = False
+    ids = np.flatnonzero(rest)
+    low_out = ids[np.argsort(dout[ids], kind="stable")[:count]]
     dhat_in = int(din[rest].min())
-    rest2 = np.array(sorted(set(range(n)) - set(low_out)))
-    dhat_out = int(dout[rest2].min())
-    return low_in, low_out, dhat_in, dhat_out
+    rest = np.ones(n, dtype=bool)
+    rest[low_out] = False
+    dhat_out = int(dout[rest].min())
+    return low_in.tolist(), low_out.tolist(), dhat_in, dhat_out
 
 
 class PipelineState:
@@ -212,10 +218,14 @@ class PipelineState:
         """A passed stage, theorem-backed when the params are strict."""
         self.audits.append(StageAudit(stage, True, self.params.strict, info or {}))
 
+    def fail(self, stage, reason, kind="infeasible"):
+        """Record ``stage`` as failed for ``reason`` and raise PipelineError."""
+        self.audits.append(StageAudit(stage, False, False, {"reason": reason}))
+        raise PipelineError(stage, reason, kind)
+
     def require(self, stage, cond, reason, kind="infeasible"):
         if not cond:
-            self.audits.append(StageAudit(stage, False, False, {"reason": reason}))
-            raise PipelineError(stage, reason, kind)
+            self.fail(stage, reason, kind)
 
     def snapshot(self, name):
         self.snapshots[name] = self.coloring.colored_mask().copy()
@@ -242,14 +252,12 @@ def build_dominating_family(state):
 
     def build_one(anchor, mode, index):
         protect = (anchors - {anchor}) | used
-        alive = ~vertex_mask(T.n, protect)
-        rows = T.rpacked if mode == "out" else T.packed
-        deg = int(counts_in(rows[anchor], packed_set(alive)))
-        state.require(stage, deg >= 2 ** (c - 1),
-                      f"structure {index} ({mode}): degree {deg} below 2^(c-1)={2 ** (c - 1)} "
-                      f"after removing {len(protect)} protected vertices")
         build = out_dominating_structure if mode == "out" else in_dominating_structure
-        return build(T, anchor, c, alive)
+        try:
+            return build(T, anchor, c, ~vertex_mask(T.n, protect))
+        except AnchorDegreeError as exc:
+            state.fail(stage, f"structure {index} ({mode}): degree {exc.degree} below "
+                       f"2^(c-1)={2 ** (c - 1)} after removing {len(protect)} protected vertices")
 
     for i, x in enumerate(state.low_in):
         s = build_one(x, "out", i)
@@ -375,9 +383,9 @@ def extend_coloring_safely(state, group, protected=frozenset()):
         with _GrantWave(col, col.uncolored_mask() & ~nmask & ~banned, k) as wave:
             for z, row in zip(served, row_bits(rows[served])):
                 cand = row & wave.free
-                state.require(stage, cand.bit_count() >= 2 * k,
-                              f"vertex {z} is starving: {cand.bit_count()} fresh "
-                              f"{side}-neighbours, needs {2 * k}", kind="budget")
+                if cand.bit_count() < 2 * k:
+                    state.fail(stage, f"vertex {z} is starving: {cand.bit_count()} fresh "
+                               f"{side}-neighbours, needs {2 * k}", kind="budget")
                 picks += wave.grant(cand)
         grown.update(picks)
     state.require(stage, len(set(Z) | grown) <= growth(k) * len(Z),
@@ -433,9 +441,9 @@ def bootstrap_safety(state):
         for v, *rows in zip(anchors, row_bits(T.rpacked[anchors]), row_bits(T.packed[anchors])):
             for row, side in zip(rows, ("in", "out")):
                 cand = row & wave.free
-                state.require(stage, cand.bit_count() >= 2 * k,
-                              f"anchor {v}: only {cand.bit_count()} uncolored "
-                              f"{side}-neighbours", kind="budget")
+                if cand.bit_count() < 2 * k:
+                    state.fail(stage, f"anchor {v}: only {cand.bit_count()} uncolored "
+                               f"{side}-neighbours", kind="budget")
                 fresh += wave.grant(cand)
     group = set(fresh) | (state.reserved - state.anchors())
     extend_coloring_safely(state, group)

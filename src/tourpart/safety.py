@@ -14,7 +14,9 @@ that network once per sense, as a ``TargetFlow`` handle on the sense's
 graph under its group mask, which every vertex of the group shares.  For
 k = 1 safety is plain reachability, and a whole-coloring scan runs as six
 BFS sweeps backwards from the targets, along the in-rows of each sense's
-graph.  Neither path builds an n x n temporary.
+graph.  The targets are most of their group, so a sweep settles the few
+non-target group vertices bottom-up, each one's out-row ANDed with the
+packed reached set.  Neither path builds an n x n temporary.
 """
 
 from __future__ import annotations
@@ -151,7 +153,8 @@ def safety_scan(ctx, vertices=None):
     """Safety reports for many vertices at once.
 
     For k = 1 each predicate is a single reachability sweep, so the whole
-    coloring is scanned with six BFS passes over packed rows; for larger k
+    coloring is scanned with six BFS passes over packed rows, which settle
+    the non-target group vertices bottom-up; for larger k
     this falls back to per-vertex flow checks.  Returns an (n, 4) boolean
     table whose rows are meaningful for colored vertices only.
     """
@@ -167,8 +170,9 @@ def safety_scan(ctx, vertices=None):
     for column, group, targets in _senses(ctx):
         if group.any():
             # sweep backwards from the targets, along the in-rows
-            back = reachable_mask(graphs[column].rpacked, np.flatnonzero(targets), group)
-            table[group, column] = back[group]
+            G = graphs[column]
+            reached = reachable_mask(G.rpacked, np.flatnonzero(targets), group, back=G.packed)
+            table[group, column] = reached[group]
     return table
 
 

@@ -313,9 +313,9 @@ def test_criterion_nine_searches_take_few_flows(monkeypatch):
     counts = {"maximum_flow": 0, "reachable_mask": 0, "sweep": 0, "_screen_score": 0}
 
     def counting(fn):
-        def wrapped(*args):
+        def wrapped(*args, **kwargs):
             counts[fn.__name__] += 1
-            return fn(*args)
+            return fn(*args, **kwargs)
         return wrapped
 
     partition = importlib.import_module("tourpart.partition")

@@ -270,19 +270,39 @@ def test_reachable_mask_matches_a_search_by_hand(sources):
         assert set(np.flatnonzero(got).tolist()) == reach_by_hand(adj, sources, ok)
 
 
-@pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
+def _counting(rows, gathered):
+    """``rows`` as packed rows that log how many rows each ``[]`` gathers."""
+
+    class Counting(np.ndarray):
+        def __getitem__(self, key):
+            got = np.asarray(super().__getitem__(key))
+            gathered.append(len(got))
+            return got
+
+    return rows.view(Counting)
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 200, 1500])
 def test_packed_reach_matches_the_bool_sweep(n):
-    # sparse rows, so a sweep takes several levels; word boundaries at 64
+    # sparse rows take several levels; word boundaries at 64.  A source set
+    # of most of ``allowed`` leaves fewer vertices unreached than its first
+    # frontier holds, so that level runs bottom-up along the transposed rows
     rng = np.random.default_rng(n)
-    adj = rng.random((n, n)) < 2.5 / n
-    np.fill_diagonal(adj, False)
-    allowed = rng.random(n) < 0.7
-    packed = pack_rows(adj)
-    for sources in (0, n - 1, rng.choice(n, min(n, 3), replace=False)):
+    for density in (2.5 / n, 0.5):
+        adj = rng.random((n, n)) < density
+        np.fill_diagonal(adj, False)
+        allowed = rng.random(n) < 0.7
+        packed, gathered = pack_rows(adj), []
+        back = _counting(pack_rows(adj.T), gathered)
         for ok in (None, allowed):
-            want = reach_by_hand(adj, sources, np.ones(n, dtype=bool) if ok is None else ok)
-            got = reachable_mask(packed, sources, ok)
-            assert set(np.flatnonzero(got).tolist()) == want
+            ids = np.flatnonzero(np.ones(n, dtype=bool) if ok is None else ok)
+            most = rng.permutation(ids)[:max(1, 9 * len(ids) // 10)] if len(ids) else 0
+            for sources in (0, n - 1, rng.choice(n, min(n, 3), replace=False), most):
+                want = reach_by_hand(adj, sources, np.ones(n, dtype=bool) if ok is None else ok)
+                for rows in (None, back):
+                    got = reachable_mask(packed, sources, ok, back=rows)
+                    assert set(np.flatnonzero(got).tolist()) == want
+        assert n == 1 or sum(gathered) > 0  # at n = 1 no vertex is ever left to reach
 
 
 def test_reachable_mask_refuses_a_bool_matrix():
@@ -292,6 +312,8 @@ def test_reachable_mask_refuses_a_bool_matrix():
         reachable_mask(adj, 0)
     with pytest.raises(TypeError, match="uint64"):
         reachable_mask(adj.view(np.uint8), 0)
+    with pytest.raises(TypeError, match="uint64"):
+        reachable_mask(pack_rows(adj), 0, back=adj)
 
 
 def test_path_searches_refuse_a_bool_matrix():

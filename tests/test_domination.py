@@ -14,7 +14,7 @@ from tourpart import (
 )
 from tourpart import domination
 from tourpart.core import tournament_from_edges
-from tourpart.domination import check_structure
+from tourpart.domination import AnchorDegreeError, check_structure
 from tourpart.generators import random_tournament, transitive_tournament
 
 
@@ -121,8 +121,9 @@ def test_structure_waiting_slot_branch():
 
 
 def test_structure_precondition_errors(t4):
-    with pytest.raises(ValueError):
+    with pytest.raises(AnchorDegreeError, match="in-degree 3 of vertex 3") as err:
         out_dominating_structure(t4, 3, 4)  # needs in-degree >= 8
+    assert err.value.degree == t4.in_degree(3) == 3
     with pytest.raises(ValueError):
         out_dominating_structure(t4, 3, 1)
 
@@ -132,7 +133,7 @@ def test_structure_precondition_errors(t4):
 def test_structure_rejects_ids_outside_the_graph_before_any_work(monkeypatch, build, v):
     # -1 once ran the whole construction on vertex 39; 40 raised IndexError
     calls = []
-    monkeypatch.setattr(domination, "check_structure", lambda *args: calls.append(args))
+    monkeypatch.setattr(domination, "_check_structure", lambda *args: calls.append(args))
     with pytest.raises(ValueError, match=f"vertex {v} out of range"):
         build(random_tournament(40, 1), v, 3)
     assert calls == []

@@ -6,12 +6,22 @@ import pytest
 from oracles import brute_safe
 from tourpart import connectivity
 from tourpart.generators import random_tournament
+from tourpart.pipeline import (
+    PipelineParams,
+    PipelineState,
+    bootstrap_safety,
+    build_dominating_family,
+    color_reserved,
+    run_pipeline,
+)
 from tourpart.safety import (
     ALPHA,
     BETA,
     UNCOLORED,
     Coloring,
     SafetyContext,
+    _flow_row,
+    _target_flows,
     all_colored_safe,
     is_safe,
     safety_scan,
@@ -121,6 +131,33 @@ def test_batch_scan_matches_per_vertex_flows(rand):
             rep = is_safe(ctx, v)
             assert list(table[v]) == [rep.forwards, rep.backwards,
                                       rep.alt_forwards, rep.alt_backwards]
+
+
+def test_reach_scan_matches_the_flow_table_on_pipeline_states():
+    # at n = 1500 the k = 1 sweeps start from most of each group and settle
+    # the reserved and exception vertices left over bottom-up; every colored
+    # vertex's row must match its per-vertex flows, which decide a vertex
+    # outside the targets by flow rather than by reach
+    by_flow = 0
+
+    def check(ctx):
+        nonlocal by_flow
+        table, flows = safety_scan(ctx), _target_flows(ctx)
+        for v in np.flatnonzero(ctx.coloring.colored_mask()).tolist():
+            assert table[v].tolist() == _flow_row(flows, v, 1), v
+            by_flow += sum(bool(group[v] and not sense.hit[v]) for _, group, sense in flows)
+        return table
+
+    T = random_tournament(1500, 5000)
+    state = PipelineState(T, 1, PipelineParams.relaxed(1))
+    build_dominating_family(state)
+    color_reserved(state)
+    assert not check(state.ctx()).any()  # the reserved vertices alone: no group has targets
+    bootstrap_safety(state)
+    check(state.ctx())
+    final = run_pipeline(T, 1, PipelineParams.relaxed(1)).ctx()
+    assert check(final)[final.coloring.colored_mask()].all()
+    assert by_flow > 500
 
 
 def test_scan_against_deletion_oracle_k2(rand):
