@@ -419,7 +419,7 @@ def sweep(G, ceiling=None, stop=0, within=None):
     # is not strong, so only best == 1 needs the reach check: G[within] is
     # strong when its lowest vertex reaches all of it both ways
     if best == 1 and stop <= 1 and not all(
-            reachable_mask(H.packed, int(ids[0]), within, back=H.rpacked)[inside].all()
+            reachable_mask(H, int(ids[0]), within)[inside].all()
             for H in (G, G.reverse())):
         best = 0
     if best < stop:
@@ -506,7 +506,7 @@ def _assert_menger(G, x, y, cert, value):
         assert not inner & interiors, "paths share an interior vertex"
         interiors |= inner
     allowed = ~vertex_mask(G.n, cert.separator)
-    assert not reachable_mask(G.packed, x, allowed, back=G.rpacked)[y], \
+    assert not reachable_mask(G, x, allowed)[y], \
         "claimed separator does not cut"
 
 

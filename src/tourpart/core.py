@@ -31,11 +31,11 @@ level is one packed row, the OR of the previous level's rows ANDed with
 the states of its parity not yet seen, so every state of a level was first
 seen on that level.  Parents are found only on the walk back from y: the
 parent of w is the lowest-id vertex of the previous level with an arc to
-w.  ``reachable_mask`` is the one reachability sweep; it picks the cheaper
-direction on each level, top-down over the frontier's rows, or bottom-up
-over the transposed rows of the few allowed vertices still unreached when
-they are fewer than the frontier.  It and the path searches refuse a bool
-matrix, which would be read as words.  The exact
+w.  ``reachable_mask`` is the one reachability sweep; it takes the graph and
+picks the cheaper direction on each level, top-down over the frontier's
+``packed`` rows, or bottom-up over the ``rpacked`` rows of the few allowed
+vertices still unreached when they are fewer than the frontier.  It and
+the path searches refuse a bool matrix, which would be read as words.  The exact
 searches (Hamiltonian paths, linkages, the flow kernel) read packed rows
 as Python-int bitsets from ``row_bits`` and reach with ``bit_reach``.
 """
@@ -368,25 +368,25 @@ def transitive_order(T, vertices):
 # ---------------------------------------------------------------------------
 # the search layer (shared by the surgery, linkage and partition layers)
 
-def reachable_mask(rows, sources, allowed=None, *, back=None):
-    """Boolean mask of vertices reachable from ``sources`` inside ``allowed``.
+def reachable_mask(G, sources, allowed=None):
+    """Boolean mask of vertices reachable from ``sources`` in the graph ``G``
+    inside ``allowed``; pass ``G.reverse()`` to sweep backwards.
 
-    ``rows`` are a graph's packed rows, as ``pack_rows`` made them (its
-    ``packed``, or ``rpacked`` to sweep backwards), and ``back`` the same
-    graph's transposed rows (``rpacked``, or ``packed``); any other dtype
-    raises TypeError.  Each level picks the cheaper direction: top-down it
-    ORs the frontier's rows and unpacks them; bottom-up, when fewer allowed
-    vertices are left unreached than the frontier holds (and ``back`` is
-    given), each of them ANDs its ``back`` row with the packed reached set,
-    and a hit reaches it.  Testing against everything reached, not only the
-    frontier, is exact for reachability, so the mask is the same either way.
-    The sweep ends once no allowed vertex is left unreached.
-    ``sources`` is a vertex id or an index array; sources outside ``allowed``
-    are ignored.  Reachability includes the sources themselves.
+    The sweep reads ``G.packed`` and ``G.rpacked``; rows of any other dtype
+    than ``uint64`` raise TypeError.  Each level picks the cheaper
+    direction: top-down it ORs the frontier's ``packed`` rows and unpacks
+    them; bottom-up, when fewer allowed vertices are left unreached than the
+    frontier holds, each of them ANDs its ``rpacked`` row with the packed
+    reached set, and a hit reaches it.  Testing against everything reached,
+    not only the frontier, is exact for reachability, so the mask is the
+    same either way.  The sweep ends once no allowed vertex is left
+    unreached.  ``sources`` is a vertex id or an index array; sources
+    outside ``allowed`` are ignored.  Reachability includes the sources
+    themselves.
     """
+    rows, back = G.packed, G.rpacked
     _check_packed(rows, "reachable_mask")
-    if back is not None:
-        _check_packed(back, "reachable_mask")
+    _check_packed(back, "reachable_mask")
     n = rows.shape[0]
     seen = np.zeros(n, dtype=bool)
     seen[sources] = True
@@ -398,7 +398,7 @@ def reachable_mask(rows, sources, allowed=None, *, back=None):
         ids = np.flatnonzero(left)
         if ids.size == 0:
             break
-        if back is not None and ids.size < frontier.size:
+        if ids.size < frontier.size:
             hit = ids[(back[ids] & packed_set(seen)).any(axis=1)]
         else:
             hit = np.flatnonzero(unpack_rows(np.bitwise_or.reduce(rows[frontier], axis=0), n) & left)

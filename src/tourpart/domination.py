@@ -22,9 +22,9 @@ are popcounts of the host's packed rows (``packed`` or ``rpacked``) ANDed
 with it, so no step cuts a submatrix out of the host or packs anything.
 ``check_structure`` tests domination on packed rows too: the packed
 outside set, less the OR of the cover's packed rows, must be empty.  A
-build packs its alive set once and hands it, with the anchor's degree, to
-the same audit; an anchor of too low a degree raises ``AnchorDegreeError``,
-which carries the degree.
+build packs its alive set once and hands it to the same audit, which
+recounts the anchor's degree; an anchor of too low a degree raises
+``AnchorDegreeError``, which carries the degree.
 """
 
 from __future__ import annotations
@@ -188,7 +188,7 @@ def _halving_structure(T, v, c, alive, mode):
                 mode=mode, anchor=v, order=tuple(order), tip=tip,
                 exceptions=frozenset(_pool_ids(pool, T.n).tolist()),
                 cap=c, shrink_trace=tuple(trace))
-            _check_structure(T, struct, live, degree)
+            _check_structure(T, struct, live)
             return struct
 
         assert size >= 2
@@ -212,14 +212,15 @@ def check_structure(T, s, alive=None):
     """Full invariant scan of ``s`` as a structure of T[alive] (default:
     all of T); raises AssertionError on any violation."""
     alive = np.ones(T.n, dtype=bool) if alive is None else alive
-    live = packed_set(alive)
+    _check_structure(T, s, packed_set(alive))
+
+
+def _check_structure(T, s, live):
+    """``check_structure`` on the packed alive set ``live``.  The audit
+    counts the anchor's degree in T[alive] itself, one row popcount, so a
+    miscount in the builder does not pass it."""
     nbrs = T.rpacked if s.mode == "out" else T.packed  # d^-(anchor) or d^+(anchor)
-    _check_structure(T, s, live, int(counts_in(nbrs[s.anchor], live)))
-
-
-def _check_structure(T, s, live, degree):
-    """``check_structure`` on the packed alive set ``live``, with ``degree``
-    the anchor's in-degree (mode "out") or out-degree (mode "in") in it."""
+    degree = int(counts_in(nbrs[s.anchor], live))
     A = s.members
     assert 2 <= len(A) <= s.cap
     assert s.anchor in A and s.tip in A

@@ -109,12 +109,12 @@ def _screen_score(T, in_v1, k):
         side = packed_set(mask)
         for H in (T, T.reverse()):
             score += int(np.maximum(0, k - counts_in(H.packed[ids], side)).sum())
-            seen = reachable_mask(H.packed, int(ids[0]), mask, back=H.rpacked)
+            seen = reachable_mask(H, int(ids[0]), mask)
             score += int((mask & ~seen).sum())
     cross = _crossing_graph(T, in_v1)
     for H in (cross, cross.reverse()):
         score += int(np.maximum(0, k - H.out_degrees()).sum())
-        score += int((~reachable_mask(H.packed, 0, back=H.rpacked)).sum())
+        score += int((~reachable_mask(H, 0)).sum())
     return score
 
 

@@ -256,8 +256,10 @@ def build_dominating_family(state):
         try:
             return build(T, anchor, c, ~vertex_mask(T.n, protect))
         except AnchorDegreeError as exc:
-            state.fail(stage, f"structure {index} ({mode}): degree {exc.degree} below "
-                       f"2^(c-1)={2 ** (c - 1)} after removing {len(protect)} protected vertices")
+            degree = exc.degree
+        # outside the handler, so the PipelineError carries no builder error
+        state.fail(stage, f"structure {index} ({mode}): degree {degree} below "
+                   f"2^(c-1)={2 ** (c - 1)} after removing {len(protect)} protected vertices")
 
     for i, x in enumerate(state.low_in):
         s = build_one(x, "out", i)

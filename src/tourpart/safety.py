@@ -170,8 +170,7 @@ def safety_scan(ctx, vertices=None):
     for column, group, targets in _senses(ctx):
         if group.any():
             # sweep backwards from the targets, along the in-rows
-            G = graphs[column]
-            reached = reachable_mask(G.rpacked, np.flatnonzero(targets), group, back=G.packed)
+            reached = reachable_mask(graphs[column].reverse(), np.flatnonzero(targets), group)
             table[group, column] = reached[group]
     return table
 

@@ -266,7 +266,7 @@ def test_reachable_mask_matches_a_search_by_hand(sources):
     allowed = rng.random(16) < 0.7
     allowed[[4, 11]], allowed[0] = True, False
     for ok in (np.ones(16, dtype=bool), allowed):
-        got = reachable_mask(pack_rows(adj), sources, None if ok.all() else ok)
+        got = reachable_mask(Digraph(adj), sources, None if ok.all() else ok)
         assert set(np.flatnonzero(got).tolist()) == reach_by_hand(adj, sources, ok)
 
 
@@ -292,28 +292,25 @@ def test_packed_reach_matches_the_bool_sweep(n):
         adj = rng.random((n, n)) < density
         np.fill_diagonal(adj, False)
         allowed = rng.random(n) < 0.7
-        packed, gathered = pack_rows(adj), []
-        back = _counting(pack_rows(adj.T), gathered)
+        gathered = []
+        G = Digraph._derived(pack_rows(adj), _counting(pack_rows(adj.T), gathered))
         for ok in (None, allowed):
             ids = np.flatnonzero(np.ones(n, dtype=bool) if ok is None else ok)
             most = rng.permutation(ids)[:max(1, 9 * len(ids) // 10)] if len(ids) else 0
             for sources in (0, n - 1, rng.choice(n, min(n, 3), replace=False), most):
                 want = reach_by_hand(adj, sources, np.ones(n, dtype=bool) if ok is None else ok)
-                for rows in (None, back):
-                    got = reachable_mask(packed, sources, ok, back=rows)
-                    assert set(np.flatnonzero(got).tolist()) == want
+                got = reachable_mask(G, sources, ok)
+                assert set(np.flatnonzero(got).tolist()) == want
         assert n == 1 or sum(gathered) > 0  # at n = 1 no vertex is ever left to reach
 
 
 def test_reachable_mask_refuses_a_bool_matrix():
     # a bool matrix read as words would give a wrong mask without an error
-    adj = random_tournament(70, 3).adj
-    with pytest.raises(TypeError, match="uint64"):
-        reachable_mask(adj, 0)
-    with pytest.raises(TypeError, match="uint64"):
-        reachable_mask(adj.view(np.uint8), 0)
-    with pytest.raises(TypeError, match="uint64"):
-        reachable_mask(pack_rows(adj), 0, back=adj)
+    T = random_tournament(70, 3)
+    adj = T.adj
+    for packed, rpacked in ((adj, T.rpacked), (adj.view(np.uint8), T.rpacked), (T.packed, adj)):
+        with pytest.raises(TypeError, match="uint64"):
+            reachable_mask(Digraph._derived(packed, rpacked), 0)
 
 
 def test_path_searches_refuse_a_bool_matrix():

@@ -406,7 +406,7 @@ def test_certify_agrees_with_the_definition_and_its_cuts_separate():
             assert x not in cert.cut and y not in cert.cut
             allowed = np.ones(G.n, dtype=bool)
             allowed[list(cert.cut)] = False
-            assert not reachable_mask(G.packed, x, allowed)[y]
+            assert not reachable_mask(G, x, allowed)[y]
             witnessed += 1
     assert witnessed >= 50
 

@@ -72,19 +72,6 @@ def test_no_module_reads_a_bool_matrix():
     assert offenders == []
 
 
-def test_every_reach_sweep_passes_the_transposed_rows():
-    # without ``back`` a sweep runs top-down on every level, even when a
-    # handful of vertices is left unreached after a level of hundreds
-    calls = [(path.name, node.lineno, [kw.arg for kw in node.keywords])
-             for path in _source_modules()
-             for node in ast.walk(ast.parse(path.read_text(), str(path)))
-             if isinstance(node, ast.Call)
-             and "reachable_mask" in (getattr(node.func, "id", None),
-                                      getattr(node.func, "attr", None))]
-    assert len(calls) >= 5
-    assert [call for call in calls if "back" not in call[2]] == []
-
-
 def test_no_function_imports_in_its_body():
     offenders = []
     for path in _source_modules():

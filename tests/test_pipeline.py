@@ -207,6 +207,7 @@ def test_starving_anchor_and_low_anchor_degree_diagnostics():
     assert str(err.value) == ("[dominating_family] structure 0 (out): degree 679 below "
                               "2^(c-1)=2048 after removing 11 protected vertices")
     assert state.audits[-1].info == {"reason": err.value.reason}
+    assert err.value.__context__ is None  # no builder traceback chained onto it
 
 
 def test_bootstrap_makes_everything_safe():
@@ -263,10 +264,10 @@ def test_every_bfs_sweep_reads_a_row_major_matrix(monkeypatch):
     # the rows and the transposed rows it settles bottom-up levels with
     seen = []
 
-    def recording(rows, *args, back=None, **kwargs):
-        seen.append(all(m is not None and m.flags.c_contiguous and m.dtype == np.uint64
-                        for m in (rows, back)))
-        return reachable_mask(rows, *args, back=back, **kwargs)
+    def recording(G, *args, **kwargs):
+        seen.append(all(m.flags.c_contiguous and m.dtype == np.uint64
+                        for m in (G.packed, G.rpacked)))
+        return reachable_mask(G, *args, **kwargs)
 
     for name, module in list(sys.modules.items()):
         if name.startswith("tourpart") and vars(module).get("reachable_mask") is reachable_mask:
