@@ -390,6 +390,33 @@ def test_sweeps_are_pinned():
     assert h.hexdigest()[:16] == SWEEP_DIGEST
 
 
+SWEEP_CALLS_DIGEST = "ae1f46f45498a612"
+
+
+def test_sweep_work_is_pinned(monkeypatch):
+    # the ordered screens and flows of the sweeps of test_sweeps_are_pinned:
+    # a change to how pairs are filtered may not screen or flow another
+    # pair, nor the same pairs in another order
+    connectivity = importlib.import_module("tourpart.connectivity")
+    calls = []
+
+    def logging(kind, fn):
+        def logged(net, x, y, *args):
+            calls.append((kind, x, y))
+            return fn(net, x, y, *args)
+        return logged
+
+    monkeypatch.setattr(connectivity, "_short_paths_reach",
+                        logging("screen", connectivity._short_paths_reach))
+    monkeypatch.setattr(connectivity, "maximum_flow", logging("flow", connectivity.maximum_flow))
+    for G in _sweep_graphs():
+        kappa = sweep(G).level
+        for k in sorted({1, 2, kappa, kappa + 1}):
+            for ceiling, stop in ((None, 0), (k, k), (None, k)):
+                sweep(G, ceiling, stop)
+    assert hashlib.sha256(repr(calls).encode()).hexdigest()[:16] == SWEEP_CALLS_DIGEST
+
+
 def test_certify_agrees_with_the_definition_and_its_cuts_separate():
     witnessed = 0
     for G in _small_graphs():
