@@ -25,21 +25,19 @@ a ``stop`` level it returns at the first pair whose flow falls below
 Most swept pairs need no flow at all.  Paths x->w->y through distinct
 middles w are internally disjoint, so a pair with at least ``best`` common
 middles (the 2-path count, the popcount of out(x) & in(y)) cannot lower
-``best`` and is settled on the spot; the counts at u to every later v, in
-both directions, are two popcounts of the packed rows.  Flows start from
-those 2-paths, add greedy 3-paths x->a->b->y through unused vertices, and
-stop as soon as the value reaches the cap (Even & Tarjan, "Network flow and
-testing graph connectivity", 1975).  The same greedy, counting paths
-without building any flow state, screens each pair; when it falls short,
-one more greedy round counts 4-paths x->a->m->c->y, where a is a first step
-that found no 3-path and m and c are vertices no counted path uses.  In a
-crossing digraph T[A, B], which is bipartite, a pair on one side has only
-paths of even length, and this round is what settles it.  Any set of
-internally disjoint x->y paths bounds the flow from below, so a pair whose
-short paths reach ``best`` is settled and only the pairs the screen leaves
-short take a flow.  A settled pair has a flow of at least ``best``, so it
-neither lowers ``best`` nor stops the sweep, and every answer is the one
-the flows give.
+``best`` and is settled on the spot.  Flows start from those 2-paths, add
+greedy 3-paths x->a->b->y through unused vertices, and stop as soon as the
+value reaches the cap (Even & Tarjan, "Network flow and testing graph
+connectivity", 1975).  The same greedy, counting paths without building any
+flow state, screens each pair; when it falls short, one more greedy round
+counts 4-paths x->a->m->c->y, where a is a first step that found no 3-path
+and m and c are vertices no counted path uses.  In a crossing digraph
+T[A, B], which is bipartite, a pair on one side has only paths of even
+length, and this round is what settles it.  Any set of internally disjoint
+x->y paths bounds the flow from below, so a pair whose short paths reach
+``best`` is settled and only the pairs the screen leaves short take a flow.
+A settled pair has a flow of at least ``best``, so it neither lowers
+``best`` nor stops the sweep, and every answer is the one the flows give.
 
 Strong connectivity needs no separate test past the degree screen.  When G
 is not strong, the lowest vertex fails to reach some vertex v or to be
@@ -53,10 +51,17 @@ with one end among the first r swept vertices has a cut of at least
 ``best``, since ``best`` only falls.  A set F with |F| < ``best`` that
 separates x from y therefore holds every swept w, or x->w->y would survive
 in G - F, and one interior vertex of each internally disjoint x->y path
-that avoids the swept vertices.  So the 2-path counts are taken through
-unswept middles, and a pair is settled when r plus its count, or r plus the
-short paths the screen finds around the swept vertices, reaches ``best``.
-In a masked sweep the ranks are those of ``within``.
+that avoids the swept vertices.  So a pair is settled when r plus its
+middles outside the swept vertices, or r plus the short paths the screen
+finds around them, reaches ``best``; a swept middle leaves the count but
+counts once as a swept vertex, so this settles all the plain count does.
+The middle counts are numpy popcounts, one batch per chunk of ranks, on a
+temporary of at most one n x W count of G's packed words, or 2^15 words (a
+small graph takes one batch).  A batch lists the pairs below the ``best``
+it began with, which only falls; each is tested on Python ints against the
+current ``best``, in rank order, so the pairs screened and flowed, and
+their order, are those of a count per rank.  In a masked sweep the ranks
+are those of ``within``.
 
 A flow that stops short of its cap is maximum, and the kernel then reports
 the residual cut: the vertices whose in-copy is reachable from x in the
@@ -356,9 +361,9 @@ class VertexFlow:
     G[within], in G's ids."""
 
     def __init__(self, G, within=None):
-        mask = ~np.uint64(0) if within is None else packed_set(within)
-        self.out = row_bits(G.packed & mask)
-        self.inn = row_bits(G.rpacked & mask)
+        mask = None if within is None else packed_set(within)
+        self.out = row_bits(G.packed if mask is None else G.packed & mask)
+        self.inn = row_bits(G.rpacked if mask is None else G.rpacked & mask)
 
     def paths_and_cut(self, x, y, cap=None):
         """(value, paths, cut) of a flow capped at ``cap``; the cut is None
@@ -386,12 +391,11 @@ class Certificate:
     level: int = 0
 
 
-def _middle_counts(outs, ins, rank, rest):
-    """The 2-path counts u->w->v and v->w->u through the w of the packed set
-    ``rest``, u the vertex at ``rank`` of the rows ``outs`` and ``ins``, for
-    every v at a later rank."""
-    return (counts_in(ins[rank + 1:], outs[rank] & rest),
-            counts_in(outs[rank + 1:], ins[rank] & rest))
+def _middle_counts(outs, ins, lo, rests):
+    """The 2-path counts u->w->v and v->w->u through the w of ``rests[i]``,
+    u at rank lo + i and v at every rank past lo, as two 2-d arrays."""
+    return [np.bitwise_count((firsts[lo:lo + len(rests)] & rests)[:, None] & lasts[lo + 1:])
+            .sum(axis=-1, dtype=np.intp) for firsts, lasts in ((outs, ins), (ins, outs))]
 
 
 def sweep(G, ceiling=None, stop=0, within=None):
@@ -402,55 +406,57 @@ def sweep(G, ceiling=None, stop=0, within=None):
     ``within`` are swept in ascending id, and pairs and cuts are G's ids."""
     if stop < 0 or (ceiling is not None and ceiling < 0):
         raise ValueError("k must be nonnegative")
-    if within is not None and not (isinstance(within, np.ndarray) and within.dtype == bool
-                                   and within.shape == (G.n,)):
+    # the vertices of ``within`` in sweep order, their rows, degrees and bitset
+    if within is None:
+        order, outs, ins, full = range(G.n), G.packed, G.rpacked, (1 << G.n) - 1
+        degrees = G.out_degrees(), G.in_degrees()
+    elif isinstance(within, np.ndarray) and within.dtype == bool and within.shape == (G.n,):
+        ids, mask = np.flatnonzero(within), packed_set(within)
+        order, outs, ins = ids.tolist(), G.packed[ids], G.rpacked[ids]
+        full = int.from_bytes(mask.tobytes(), "little")
+        degrees = counts_in(outs, mask), counts_in(ins, mask)
+    else:
         raise ValueError(f"within must be a bool mask of length {G.n}")
-    # the reach and the handle read None as all of G, with no mask to apply
-    inside = np.ones(G.n, dtype=bool) if within is None else within
-    ids, mask = np.flatnonzero(inside), packed_set(inside)
-    # the rows of the vertices of ``within`` in the order they are swept
-    outs, ins = G.packed[ids], G.rpacked[ids]
-    n = len(ids)
-    best = 0
-    if n > 1:
-        best = min(n - 1, int(counts_in(outs, mask).min()), int(counts_in(ins, mask).min()),
-                   n if ceiling is None else ceiling)
-    # at best >= 2 the rank loop meets a pair with no path in a graph that
-    # is not strong, so only best == 1 needs the reach check: G[within] is
-    # strong when its lowest vertex reaches all of it both ways
+    n = len(order)
+    best = min(n - 1, int(degrees[0].min()), int(degrees[1].min()),
+               n if ceiling is None else ceiling) if n > 1 else 0
+    # only a degree screen of 1 takes the reach check (module docstring)
     if best == 1 and stop <= 1 and not all(
-            reachable_mask(H, int(ids[0]), within)[inside].all()
+            np.count_nonzero(reachable_mask(H, order[0], within)) == n
             for H in (G, G.reverse())):
         best = 0
     if best < stop:
         return Certificate(False, level=best)
     if best > 1:  # the screens above decide a best of 0 or 1
         net = VertexFlow(G, within)
-        out = net.out
-        order = ids.tolist()
-        # the vertices at ranks below ``rank``, as an int and (``rest``, the
-        # rest of ``within``) as a packed set
-        swept, rest, rank = 0, mask.copy(), 0
-        while rank < best:
-            u = order[rank]
-            # a pair (u, v) or (v, u) with v at a lower rank was visited
-            # there, and every cut below best holds the swept vertices
-            out2, in2 = _middle_counts(outs, ins, rank, rest)
-            # best only falls, so this is a superset of the pairs to visit
-            for i in np.flatnonzero(np.minimum(out2, in2) < best - rank).tolist():
-                v = order[rank + 1 + i]
-                for x, y, mids in ((u, v, out2[i]), (v, u, in2[i])):
+        out, width, lo = net.out, G.packed.shape[1], 0
+        while lo < best:
+            # one batch for ranks lo..hi-1: at most one n x width count, or 2^15 words
+            later = n - lo - 1
+            hi = min(best, lo + max(1, max(G.n * width, 1 << 15) // (later * width)))
+            rests = b"".join((full >> u << u).to_bytes(8 * width, "little") for u in order[lo:hi])
+            fwd, back = _middle_counts(outs, ins, lo,
+                                       np.frombuffer(rests, np.uint64).reshape(-1, width))
+            # best only falls, so these are a superset of the pairs to visit
+            found = np.flatnonzero(np.minimum(fwd, back) < best - np.arange(lo, hi)[:, None])
+            for f, u_v, v_u in zip(found.tolist(), fwd.ravel()[found].tolist(),
+                                   back.ravel()[found].tolist()):
+                rank, j = lo + f // later, lo + 1 + f % later
+                if rank >= best:
+                    break
+                if j <= rank:  # v was visited at its own rank, or is u
+                    continue
+                u, v = order[rank], order[j]
+                for x, y, mids in ((u, v, u_v), (v, u, v_u)):
                     # a pair whose swept vertices and middles or short paths
                     # reach best cannot lower it, and an arc settles its pair
                     if (mids + rank < best and not out[x] >> y & 1
-                            and not _short_paths_reach(net, x, y, best, swept)):
+                            and not _short_paths_reach(net, x, y, best, full & (1 << u) - 1)):
                         # capped at best, the flow's value is the new best
                         best, _, cut = maximum_flow(net, x, y, best)
                         if best < stop:
                             return Certificate(False, (x, y), best, cut, best)
-            swept |= 1 << u
-            rest[u >> 6] ^= np.uint64(1 << (u & 63))
-            rank += 1
+            lo = hi
     return Certificate(n > stop, level=best)
 
 

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import importlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -217,8 +218,8 @@ def test_screens_change_no_certificate(monkeypatch):
             runs += [(G, ceiling, stop, mask) for ceiling, stop in ((None, 0), (k, k), (None, k))]
     screened = [sweep(*run) for run in runs]
     monkeypatch.setattr(connectivity, "_short_paths_reach", lambda *args: False)
-    monkeypatch.setattr(connectivity, "_middle_counts", lambda outs, ins, rank, rest:
-                        (np.zeros(len(outs) - rank - 1, dtype=np.intp),) * 2)
+    monkeypatch.setattr(connectivity, "_middle_counts", lambda outs, ins, lo, rests:
+                        (np.zeros((len(rests), len(outs) - lo - 1), dtype=np.intp),) * 2)
     assert [sweep(*run) for run in runs] == screened
     assert sum(cert.pair is not None for cert in screened) >= 30
 
@@ -301,6 +302,45 @@ def test_swept_vertices_settle_most_pairs(monkeypatch):
     assert vertex_connectivity(random_tournament(200, 1)) == 81
     assert [c for c in calls if c[0] == "flow"] == []
     assert len(calls) <= 7500
+
+
+def test_middles_are_counted_once_per_chunk_of_ranks(monkeypatch):
+    # a small graph takes the middle counts of all its ranks in one batch,
+    # not one numpy count per rank; a wider one splits them into chunks of
+    # at most one n x W count each, or 2^15 words
+    chunks = []
+    counts = connectivity._middle_counts
+
+    def recording(outs, ins, lo, rests):
+        chunks.append((lo, len(rests), len(outs) - lo - 1, outs.shape[1]))
+        return counts(outs, ins, lo, rests)
+
+    monkeypatch.setattr(connectivity, "_middle_counts", recording)
+    kappa = vertex_connectivity(random_tournament(40, 1))
+    assert kappa > 1 and len(chunks) == 1
+    assert chunks[0][0] == 0 and chunks[0][1] >= kappa
+    chunks.clear()
+    assert vertex_connectivity(random_tournament(200, 1)) == 81
+    rows = [r for _, r, _, _ in chunks]
+    assert len(chunks) > 1 and sum(rows) >= 81
+    assert [lo for lo, *_ in chunks] == list(itertools.accumulate([0] + rows[:-1]))
+    assert all(r * later * width <= max(200 * width, 2 ** 15) for _, r, later, width in chunks)
+
+
+def test_a_chunk_of_ranks_adds_at_most_one_count_to_the_peak():
+    # half of random_tournament(1500, 3), 24 words a row: with a count per
+    # rank the sweep peaked at 1,566,370 bytes under tracemalloc (numpy
+    # 2.4); a chunk of ranks may add one n x W count of uint64 words
+    T = random_tournament(1500, 3)
+    half = np.random.default_rng(0).random(1500) < 0.5
+    sweep(T, 2, 2, half)
+    tracemalloc.start()
+    try:
+        assert sweep(T, 2, 2, half).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1_566_370 + 1500 * T.packed.shape[1] * 8
 
 
 def test_criterion_nine_searches_take_few_flows(monkeypatch):
