@@ -110,7 +110,6 @@ from .core import (
     _bits,
     _check_ids,
     bit_reach,
-    counts_in,
     is_path,
     packed_set,
     reachable_mask,
@@ -406,20 +405,20 @@ def sweep(G, ceiling=None, stop=0, within=None):
     ``within`` are swept in ascending id, and pairs and cuts are G's ids."""
     if stop < 0 or (ceiling is not None and ceiling < 0):
         raise ValueError("k must be nonnegative")
-    # the vertices of ``within`` in sweep order, their rows, degrees and bitset
+    # the vertices of ``within`` in sweep order, their rows inside it, its bitset
     if within is None:
         order, outs, ins, full = range(G.n), G.packed, G.rpacked, (1 << G.n) - 1
-        degrees = G.out_degrees(), G.in_degrees()
     elif isinstance(within, np.ndarray) and within.dtype == bool and within.shape == (G.n,):
         ids, mask = np.flatnonzero(within), packed_set(within)
-        order, outs, ins = ids.tolist(), G.packed[ids], G.rpacked[ids]
+        order, outs, ins = ids.tolist(), G.packed[ids] & mask, G.rpacked[ids] & mask
         full = int.from_bytes(mask.tobytes(), "little")
-        degrees = counts_in(outs, mask), counts_in(ins, mask)
     else:
         raise ValueError(f"within must be a bool mask of length {G.n}")
     n = len(order)
-    best = min(n - 1, int(degrees[0].min()), int(degrees[1].min()),
-               n if ceiling is None else ceiling) if n > 1 else 0
+    best = 0
+    if n > 1:  # the minimum semi-degree, capped
+        best = min(n - 1, n if ceiling is None else ceiling,
+                   *(int(np.bitwise_count(rows).sum(axis=1).min()) for rows in (outs, ins)))
     # only a degree screen of 1 takes the reach check (module docstring)
     if best == 1 and stop <= 1 and not all(
             np.count_nonzero(reachable_mask(H, order[0], within)) == n
@@ -451,7 +450,7 @@ def sweep(G, ceiling=None, stop=0, within=None):
                     # a pair whose swept vertices and middles or short paths
                     # reach best cannot lower it, and an arc settles its pair
                     if (mids + rank < best and not out[x] >> y & 1
-                            and not _short_paths_reach(net, x, y, best, full & (1 << u) - 1)):
+                            and not _short_paths_reach(net, x, y, best, full & ((1 << u) - 1))):
                         # capped at best, the flow's value is the new best
                         best, _, cut = maximum_flow(net, x, y, best)
                         if best < stop:
