@@ -215,6 +215,37 @@ def test_flows_are_pinned():
     assert digest.hexdigest() == FLOW_DIGEST
 
 
+SCREEN_DIGEST = "4f6c987d7406118a49303153d6a7860e285078063d59357125aebc9078ac218b"
+
+
+def test_screens_are_pinned():
+    # the screen's answer on every non-arc pair at caps 1 to 6, with no
+    # spare and with every other witness spare (w with cuts x-w and w-y of
+    # at least the cap); the sweep digests cover only the sweep's screens,
+    # not those of safety networks
+    graphs = (_tournaments(40) + [random_tournament(n, n).adj for n in (16, 24, 32)]
+              + _crossing_digraphs(30))
+    for n in (16, 24, 32):
+        side = np.random.default_rng(n).permutation(n)
+        graphs.append(bipartite_subdigraph(random_tournament(n, 500 + n),
+                                           side[: n // 2], side[n // 2:])[0].adj)
+    cases = [(adj, _pairs(adj)) for adj in graphs]
+    cases += [(net, [(0, net.shape[0] - 1)]) for net in _safety_networks(100)]
+    digest = hashlib.sha256()
+    for adj, pairs in cases:
+        n = adj.shape[0]
+        net = VertexFlow(Digraph(adj))
+        cuts = [[math.inf if x == y or adj[x, y] else maximum_flow(net, x, y)[0]
+                 for y in range(n)] for x in range(n)]
+        for x, y in pairs:
+            for cap in range(1, 7):
+                witnesses = [w for w in range(n) if w not in (x, y)
+                             and cuts[x][w] >= cap and cuts[w][y] >= cap]
+                for spare in (0, sum(1 << w for w in witnesses[::2])):
+                    digest.update(b"1" if _short_paths_reach(net, x, y, cap, spare) else b"0")
+    assert digest.hexdigest() == SCREEN_DIGEST
+
+
 def _min_local_connectivity(adj):
     nx = pytest.importorskip("networkx")
     from networkx.algorithms.connectivity import (
