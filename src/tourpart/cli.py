@@ -234,6 +234,10 @@ def cmd_partition(args):
     params = None
     if args.params_file:
         params = _params_from_file(args.params_file, args.k)
+    # delta0(T) < 2k needs no search; pipeline mode and a bad budget report first
+    d0 = min(T.out_degrees().min(), T.in_degrees().min())
+    if args.mode != "pipeline" and args.budget >= 0 and d0 < 2 * args.k:
+        return _no_split(T, args.k, "")
     try:
         res = partition(T, args.k, mode=args.mode, params=params, seed=args.seed,
                         search_budget=args.budget)

@@ -29,15 +29,14 @@ middles (the 2-path count, the popcount of out(x) & in(y)) cannot lower
 greedy 3-paths x->a->b->y through unused vertices, and stop as soon as the
 value reaches the cap (Even & Tarjan, "Network flow and testing graph
 connectivity", 1975).  The same greedy, counting paths without building any
-flow state, screens each pair; when it falls short, one more greedy round
-counts 4-paths x->a->m->c->y, where a is a first step that found no 3-path
-and m and c are vertices no counted path uses.  In a crossing digraph
-T[A, B], which is bipartite, a pair on one side has only paths of even
-length, and this round is what settles it.  Any set of internally disjoint
-x->y paths bounds the flow from below, so a pair whose short paths reach
-``best`` is settled and only the pairs the screen leaves short take a flow.
-A settled pair has a flow of at least ``best``, so it neither lowers
-``best`` nor stops the sweep, and every answer is the one the flows give.
+flow state, screens each pair in one pass; when it falls short, one more
+greedy round counts 4-paths x->a->m->c->y from the first steps a that found
+no 3-path, through vertices m no counted path uses, to the last steps c the
+3-paths left free.  In a crossing digraph T[A, B], which is bipartite, a
+pair on one side has only paths of even length, and this round settles it.
+Any set of internally disjoint x->y paths bounds the flow from below, so a
+pair whose short paths reach ``best`` is settled without a flow, and every
+answer is the one the flows give.
 
 Strong connectivity needs no separate test past the degree screen.  When G
 is not strong, the lowest vertex fails to reach some vertex v or to be
@@ -55,43 +54,41 @@ that avoids the swept vertices.  So a pair is settled when r plus its
 middles outside the swept vertices, or r plus the short paths the screen
 finds around them, reaches ``best``; a swept middle leaves the count but
 counts once as a swept vertex, so this settles all the plain count does.
-The middle counts are numpy popcounts, one batch per chunk of ranks, on a
-temporary of at most one n x W count of G's packed words, or 2^15 words (a
-small graph takes one batch).  A batch lists the pairs below the ``best``
-it began with, which only falls; each is tested on Python ints against the
-current ``best``, in rank order, so the pairs screened and flowed, and
-their order, are those of a count per rank.  In a masked sweep the ranks
-are those of ``within``.
+The middle counts are numpy popcounts, one batch per chunk of ranks, on at
+most one n x W count of G's packed words, or 2^15 words.  A batch lists the
+pairs with v past u's rank below the ``best`` it began with (it only falls);
+each is tested on Python ints against the current ``best``, in rank order,
+so the pairs screened and flowed, and their order, are those of a count
+per rank.  The flow handle is built for the first pair past its count.  In
+a masked sweep the ranks are those of ``within``.
 
 A flow that stops short of its cap is maximum, and the kernel then reports
 the residual cut: the vertices whose in-copy is reachable from x in the
-residual network and whose out-copy is not.  The vertices reachable in the
-residual network are the same for every maximum flow (they form the source
-side of the minimum cut that lies closest to x), so the cut does not
-depend on the order in which paths were found, nor on the cap.  Every cap
-stays at or above ``stop`` until the sweep stops, and the pairs that one
-cap rule settles and another flows have at least ``stop`` middles, so the
-stopping pair, its value and its cut do not depend on ``ceiling``.
+residual network and whose out-copy is not, the same for every maximum
+flow (the source side of the minimum cut closest to x), so the cut depends
+neither on the order of the paths nor on the cap.  Every cap stays at or
+above ``stop`` until the sweep stops, and the pairs that one cap rule
+settles and another flows have at least ``stop`` middles, so the stopping
+pair, its value and its cut do not depend on ``ceiling``.
 
 The kernel works on Python-int bitsets, since the networks it certifies are
 small (tens of vertices) and numpy's per-call overhead would outweigh the
-arithmetic.  A restricted graph G[within] reaches it in one form, the host
-G plus a bool vertex mask: a ``VertexFlow(G, within)`` handle holds each
+arithmetic.  A restricted graph G[within] reaches it as the host G plus a
+vertex mask: a ``VertexFlow(G, packed_set(within))`` handle holds each
 packed out-row of G, ANDed with the packed mask, as an int (bit v of
 ``out[u]`` is the arc u->v), and each packed in-row likewise (bit u of
-``inn[v]``).  Ids stay G's: every tie breaks toward the lowest id, and a
-copy of G[within] would keep their order, so each answer is the copy's,
-with no id map.  The split network is never built.  The flow state is the
-successor list ``flow`` (bit v of ``flow[u]`` is one unit on u->v; every
-vertex but x has at most one), the predecessor list ``pred`` of the
-vertices that pass a unit, and the bitset ``carries`` of those vertices,
-whose arcs v_in -> v_out are used.  The residual search keeps only its
-out-copy frontiers, level by level.  The parent of an in-copy is the
-lowest-index tail in its frontier with an arc to it, or the vertex itself
-over its reversed split arc when no arc reached it, and the parent of an
-out-copy follows from the flow, so the augmenting paths, and hence every
-flow, path decomposition and cut, are those of a level-synchronous BFS with
-lowest-index parents, whatever the representation.
+``inn[v]``).  Ids stay G's: every tie breaks toward the lowest id, as in a
+copy of G[within], so each answer is the copy's, with no id map.  The split
+network is never built: the flow state is the successor list ``flow`` (bit
+v of ``flow[u]`` is one unit on u->v; every vertex but x has at most one),
+the predecessor list ``pred`` of the vertices that pass a unit, and the
+bitset ``carries`` of those vertices, whose arcs v_in -> v_out are used.
+The residual search keeps only its out-copy frontiers, level by level; the
+parent of an in-copy is the lowest-index tail in its frontier with an arc
+to it, or the vertex itself over its reversed split arc when no arc reached
+it, and the parent of an out-copy follows from the flow, so every
+augmenting path, flow, path decomposition and cut is that of a
+level-synchronous BFS with lowest-index parents.
 
 A safety network, ``TargetFlow(G, targets, within)``, is the handle plus
 one sink, vertex n, fed by the targets in ``within``; its source is the
@@ -183,55 +180,45 @@ def _short_paths(net, x, y, cap):
 
 def _short_paths_reach(net, x, y, need, spare=0):
     """Whether ``need`` internally disjoint x->y paths are found without a
-    flow: the 2-paths and greedy 3-paths of the warm start of
-    ``maximum_flow(net, x, y, need)``, counted only, then, when those fall
-    short, greedy 4-paths (``_four_paths_reach``).
+    flow (arc x->y absent): the 2-paths and greedy 3-paths of the warm start
+    of ``maximum_flow(net, x, y, need)``, counted only, then, when those
+    fall short, greedy 4-paths (``_four_paths_reach``).
 
     ``spare`` is a bitset of vertices other than x and y that every x-y
     cut below ``need`` contains; each counts once, and the paths are
     counted around them."""
-    out, into_y = net.out, net.inn[y] & ~spare
-    firsts = out[x] & ~spare
-    mids = firsts & into_y
-    value = spare.bit_count() + mids.bit_count()
-    # the a and b candidates are disjoint, as in the warm start
-    into_y &= ~mids
-    firsts &= ~mids
-    while value < need and firsts:
-        a = firsts & -firsts
-        firsts ^= a
-        b = out[a.bit_length() - 1] & into_y
-        if b:
-            into_y ^= b & -b
-            value += 1
-    if value >= need:
+    out = net.out
+    rest, free_ends = out[x] & ~spare, net.inn[y] & ~spare
+    mids = rest & free_ends
+    short = need - spare.bit_count() - mids.bit_count()
+    if short <= 0:
         return True
-    used = spare | mids | 1 << x | 1 << y
-    return _four_paths_reach(out, out[x] & ~used, net.inn[y] & ~used, used, need - value)
-
-
-def _four_paths_reach(out, starts, ends, used, short):
-    """Whether ``short`` more paths x->a->m->c->y are found after the 3-path
-    round of ``_short_paths_reach`` took every first step it could.
-
-    ``starts`` and ``ends`` are that round's candidates for a and for the
-    last step, and ``used`` holds x, y, the spares and the 2-path middles.
-    The round is replayed to learn which first steps it took, so its own
-    loop does no bookkeeping.  A first step it left idle reaches no free
-    last step in one arc, so it is never a middle; each takes, lowest ids
-    first, a middle m that no counted path uses and a free last step c
-    after it."""
-    idle, free_ends, rest = 0, ends, starts
+    # the a and b candidates are disjoint, as in the warm start
+    rest, free_ends, idle = rest ^ mids, free_ends ^ mids, 0
     while rest:
         a = rest & -rest
         rest ^= a
         b = out[a.bit_length() - 1] & free_ends
         if b:
             free_ends ^= b & -b
+            short -= 1
+            if not short:
+                return True
         else:
             idle |= a
-    # the taken first steps are the starts that were not left idle
-    used |= (starts ^ idle) | (ends ^ free_ends)
+    # x's out-neighbours not idle and y's in-neighbours not free are taken
+    used = spare | (out[x] ^ idle) | (net.inn[y] ^ free_ends) | 1 << x | 1 << y
+    return _four_paths_reach(out, idle, free_ends, used, short)
+
+
+def _four_paths_reach(out, idle, free_ends, used, short):
+    """Whether ``short`` more paths x->a->m->c->y are found after the 3-path
+    round of ``_short_paths_reach``: a runs over ``idle``, the first steps
+    that round left without a path, c over ``free_ends``, the last steps it
+    left free, and m over the vertices outside ``used`` (x, y, the spares,
+    the 2-path middles and the steps taken).  An idle a reaches no free c
+    in one arc, so it is never a middle; each takes, lowest ids first, a
+    middle m that no counted path uses and a free c after it."""
     while idle:
         a = idle & -idle
         idle ^= a
@@ -355,12 +342,11 @@ class VertexFlow:
     """Per-graph handle on the flow kernel; queries differ only in (x, y).
 
     ``out[u]`` and ``inn[v]`` are the rows of the digraph G's ``packed`` and
-    ``rpacked`` as ints, ANDed with the vertex mask ``within`` when one is
+    ``rpacked`` as ints, ANDed with ``mask = packed_set(within)`` when one is
     given: the out-neighbourhood of u and the in-neighbourhood of v inside
     G[within], in G's ids."""
 
-    def __init__(self, G, within=None):
-        mask = None if within is None else packed_set(within)
+    def __init__(self, G, mask=None):
         self.out = row_bits(G.packed if mask is None else G.packed & mask)
         self.inn = row_bits(G.rpacked if mask is None else G.rpacked & mask)
 
@@ -407,7 +393,7 @@ def sweep(G, ceiling=None, stop=0, within=None):
         raise ValueError("k must be nonnegative")
     # the vertices of ``within`` in sweep order, their rows inside it, its bitset
     if within is None:
-        order, outs, ins, full = range(G.n), G.packed, G.rpacked, (1 << G.n) - 1
+        order, outs, ins, mask, full = range(G.n), G.packed, G.rpacked, None, (1 << G.n) - 1
     elif isinstance(within, np.ndarray) and within.dtype == bool and within.shape == (G.n,):
         ids, mask = np.flatnonzero(within), packed_set(within)
         order, outs, ins = ids.tolist(), G.packed[ids] & mask, G.rpacked[ids] & mask
@@ -427,34 +413,42 @@ def sweep(G, ceiling=None, stop=0, within=None):
     if best < stop:
         return Certificate(False, level=best)
     if best > 1:  # the screens above decide a best of 0 or 1
-        net = VertexFlow(G, within)
-        out, width, lo = net.out, G.packed.shape[1], 0
+        net, width, lo = None, G.packed.shape[1], 0
         while lo < best:
             # one batch for ranks lo..hi-1: at most one n x width count, or 2^15 words
             later = n - lo - 1
             hi = min(best, lo + max(1, max(G.n * width, 1 << 15) // (later * width)))
-            rests = b"".join((full >> u << u).to_bytes(8 * width, "little") for u in order[lo:hi])
+            # the swept vertices of each rank, and the rest of ``within``
+            spares = [full & ((1 << u) - 1) for u in order[lo:hi]]
+            rests = b"".join((full ^ spare).to_bytes(8 * width, "little") for spare in spares)
             fwd, back = _middle_counts(outs, ins, lo,
                                        np.frombuffer(rests, np.uint64).reshape(-1, width))
-            # best only falls, so these are a superset of the pairs to visit
-            found = np.flatnonzero(np.minimum(fwd, back) < best - np.arange(lo, hi)[:, None])
-            for f, u_v, v_u in zip(found.tolist(), fwd.ravel()[found].tolist(),
-                                   back.ravel()[found].tolist()):
-                rank, j = lo + f // later, lo + 1 + f % later
+            # best only falls, so these are a superset of the pairs to visit; a v
+            # at or below the rank was visited at its own rank, or is u
+            listed = np.minimum(fwd, back) < best - np.arange(lo, hi)[:, None]
+            for i in range(1, hi - lo):
+                listed[i, :i] = False
+            rows, cols = np.nonzero(listed)
+            for i, j, u_v, v_u in zip(rows.tolist(), (cols + lo + 1).tolist(),
+                                      fwd[listed].tolist(), back[listed].tolist()):
+                rank = lo + i
                 if rank >= best:
                     break
-                if j <= rank:  # v was visited at its own rank, or is u
-                    continue
-                u, v = order[rank], order[j]
-                for x, y, mids in ((u, v, u_v), (v, u, v_u)):
-                    # a pair whose swept vertices and middles or short paths
-                    # reach best cannot lower it, and an arc settles its pair
-                    if (mids + rank < best and not out[x] >> y & 1
-                            and not _short_paths_reach(net, x, y, best, full & ((1 << u) - 1))):
-                        # capped at best, the flow's value is the new best
-                        best, _, cut = maximum_flow(net, x, y, best)
-                        if best < stop:
-                            return Certificate(False, (x, y), best, cut, best)
+                u, v, spare = order[rank], order[j], spares[i]
+                net = net or VertexFlow(G, mask)  # the first listed pair passes a count
+                # a pair whose swept vertices and middles or short paths reach
+                # best cannot lower it, and an arc settles its pair
+                if (u_v + rank < best and not net.out[u] >> v & 1
+                        and not _short_paths_reach(net, u, v, best, spare)):
+                    # capped at best, the flow's value is the new best
+                    best, _, cut = maximum_flow(net, u, v, best)
+                    if best < stop:
+                        return Certificate(False, (u, v), best, cut, best)
+                if (v_u + rank < best and not net.out[v] >> u & 1
+                        and not _short_paths_reach(net, v, u, best, spare)):
+                    best, _, cut = maximum_flow(net, v, u, best)
+                    if best < stop:
+                        return Certificate(False, (v, u), best, cut, best)
             lo = hi
     return Certificate(n > stop, level=best)
 
@@ -538,9 +532,10 @@ def safe_flow(G, v, targets, k, direction="forward", restrict=None):
 
 class TargetFlow:
     """``safe_flow`` forwards in G[within], with targets and restriction as
-    masks.  The network is ``VertexFlow(G, within)`` plus one sink, vertex
-    n, fed by every target in ``within``; it does not depend on the source
-    v, so one handle serves every v in ``within``, built on first need."""
+    masks.  The network is ``VertexFlow(G, packed_set(within))`` plus one
+    sink, vertex n, fed by every target in ``within``; it does not depend on
+    the source v, so one handle serves every v in ``within``, built on first
+    need."""
 
     def __init__(self, G, targets, within):
         self.G, self.within = G, within
@@ -554,7 +549,7 @@ class TargetFlow:
             return False
         sink = self.G.n
         if self.net is None:
-            self.net = net = VertexFlow(self.G, self.within)
+            self.net = net = VertexFlow(self.G, packed_set(self.within))
             feed = 0
             for t in np.flatnonzero(self.hit).tolist():
                 net.out[t] |= 1 << sink
@@ -637,7 +632,7 @@ def disjoint_routes(T, x, y, allowed):
     """A maximum family of internally disjoint x->y paths of T, each with
     its interior in the vertex mask ``allowed``; the arc x->y is left out,
     so every path has an interior."""
-    net = VertexFlow(T, allowed | vertex_mask(T.n, (x, y)))
+    net = VertexFlow(T, packed_set(allowed | vertex_mask(T.n, (x, y))))
     net.out[x] &= ~(1 << y)
     net.inn[y] &= ~(1 << x)
     return net.paths_and_cut(x, y)[1]

@@ -95,8 +95,12 @@ def read_tournament(fh):
     """Load a tournament from either on-disk format (auto-detected)."""
     lines, first = _load_lines(fh)
     head = lines[0].split()
+    if len(head) not in (2, 3):
+        raise FormatError(f"bad header {lines[0]!r}", first)
+    n, m = _header_counts(lines[0], first)
+    if n < 1:
+        raise FormatError("n must be at least 1", first)
     if len(head) == 3:
-        n, m = _header_counts(lines[0], first)
         # digit values; anything below "0" wraps around to above 1
         bits = np.frombuffer(head[2].encode(), dtype=np.uint8) - ord("0")
         if (bits > 1).any():
@@ -107,9 +111,6 @@ def read_tournament(fh):
             return tournament_from_pair_bits(n, bits)
         except ValueError as exc:
             raise FormatError(str(exc), first) from None
-    if len(head) != 2:
-        raise FormatError(f"bad header {lines[0]!r}", first)
-    n, m = _header_counts(lines[0], first)
     # checked before _parse_edge_lines allocates the n x n matrix
     if m != n * (n - 1) // 2:
         raise FormatError(f"{m} edges cannot be a complete orientation of {n} vertices", first)

@@ -129,7 +129,7 @@ def _pair_flow(T, in_v1, which, pair, k):
     # the crossing digraph keeps only the arcs between the sides
     if T.has_edge(x, y) and (which < 2 or in_v1[x] != in_v1[y]):
         return k
-    net = VertexFlow(T if which < 2 else _crossing_graph(T, in_v1), within)
+    net = VertexFlow(_crossing_graph(T, in_v1)) if which == 2 else VertexFlow(T, packed_set(within))
     return k if _short_paths_reach(net, x, y, k) else maximum_flow(net, x, y, k)[0]
 
 

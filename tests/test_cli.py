@@ -1,4 +1,5 @@
 import csv
+import importlib
 import io
 import os
 import subprocess
@@ -91,6 +92,15 @@ def test_analyze_negative_header_exit(tmp_path):
     bad.write_text("-3 3\n")
     code, _ = run_cli("analyze", str(bad))
     assert code == 3
+
+
+def test_analyze_rejects_a_tournament_without_vertices(tmp_path, capsys):
+    # numpy used to fail on the empty degree arrays after "n: 0" was printed
+    empty = tmp_path / "empty.txt"
+    empty.write_text("0 0\n")
+    code, out = run_cli("analyze", str(empty))
+    assert code == 3 and out == ""
+    assert capsys.readouterr().err == f"error: {empty}: line 1: n must be at least 1\n"
 
 
 def test_analyze_linked_size_limit_comes_before_any_output(tmp_path, monkeypatch):
@@ -272,6 +282,23 @@ def test_partition_infeasible_names_its_proof(tmp_path, capsys):
                       "--mode", "search", "--budget", "20")
     assert code == 1
     assert capsys.readouterr().err.startswith("infeasible: T is not strongly 1-connected")
+
+
+def test_partition_degree_proof_comes_before_any_search(tmp_path, capsys, monkeypatch):
+    # delta0 <= (n - 1) / 2 < 2k whenever n < 2k + 2, so k = 99 is no input
+    # error; at k = 2, delta0 = 3 < 4 ends the run before any search
+    r = tmp_path / "r12.txt"
+    run_cli("gen", "--kind", "random", "--n", "12", "--seed", "1", "--out", str(r))
+    partition_module = importlib.import_module("tourpart.partition")
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("the degree proof should have ended the run")
+
+    monkeypatch.setattr(partition_module, "search_partition", no_search)
+    for k, mode in ((99, "auto"), (99, "search"), (2, "auto"), (2, "search")):
+        code, out = run_cli("partition", str(r), "--k", str(k), "--seed", "0", "--mode", mode)
+        assert code == 1 and out == ""
+        assert capsys.readouterr().err.startswith(f"infeasible: delta0(T) = 3 < {2 * k}")
 
 
 def test_partition_strict_mode_diagnoses_infeasibility(tmp_path, capsys):

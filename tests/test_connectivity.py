@@ -166,7 +166,7 @@ def test_masked_sweeps_and_flows_match_the_copied_subgraph():
                                                cut=frozenset(ids[v] for v in want.cut))
                     failing += 1
                 assert sweep(G, ceiling, stop, within=mask) == want, (k, ceiling, stop)
-        host, copy = VertexFlow(G, mask), VertexFlow(sub)
+        host, copy = VertexFlow(G, core.packed_set(mask)), VertexFlow(sub)
         pairs = [(x, y) for x, y in itertools.permutations(range(sub.n), 2) if not sub.adj[x, y]]
         for i in rng.permutation(len(pairs))[:12]:
             x, y = pairs[i]
@@ -341,6 +341,22 @@ def test_a_chunk_of_ranks_adds_at_most_one_count_to_the_peak():
     finally:
         tracemalloc.stop()
     assert peak <= 1_566_370 + 1500 * T.packed.shape[1] * 8
+
+
+def test_the_flow_handle_is_built_only_for_a_pair_past_its_count(monkeypatch):
+    # the middle counts settle every pair of the half-masked n = 1500 sweep,
+    # whose handle took most of its time when the sweep built it up front
+    builds = []
+    init = VertexFlow.__init__
+    monkeypatch.setattr(VertexFlow, "__init__",
+                        lambda self, *args: builds.append(args) or init(self, *args))
+    T = random_tournament(1500, 3)
+    half = np.random.default_rng(0).random(1500) < 0.5
+    assert sweep(T, 2, 2, half).ok and builds == []
+    # a sweep that screens a pair builds one handle, on the sweep's packed mask
+    T, half = random_tournament(400, 3), half[:400]
+    assert sweep(T, 40, 40, half).ok
+    assert len(builds) == 1 and np.array_equal(builds[0][1], core.packed_set(half))
 
 
 def test_criterion_nine_searches_take_few_flows(monkeypatch):

@@ -80,6 +80,12 @@ def test_digraph_reader_allows_sparse():
     assert set(D.edges()) == {(0, 1), (2, 3)}
 
 
+@pytest.mark.parametrize("text", ["0 0\n", "0 0 0\n"])
+def test_a_tournament_needs_a_vertex_in_either_format(text):
+    with pytest.raises(FormatError, match="^line 1: n must be at least 1$"):
+        read_tournament(io.StringIO(text))
+
+
 def test_compact_header_mismatch():
     with pytest.raises(FormatError):
         read_tournament(io.StringIO("3 4 0110\n"))
