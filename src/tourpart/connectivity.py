@@ -418,33 +418,33 @@ def sweep(G, ceiling=None, stop=0, within=None):
             # one batch for ranks lo..hi-1: at most one n x width count, or 2^15 words
             later = n - lo - 1
             hi = min(best, lo + max(1, max(G.n * width, 1 << 15) // (later * width)))
-            # the swept vertices of each rank, and the rest of ``within``
-            spares = [full & ((1 << u) - 1) for u in order[lo:hi]]
+            spares = [full & ((1 << u) - 1) for u in order[lo:hi]]  # swept before each rank
             rests = b"".join((full ^ spare).to_bytes(8 * width, "little") for spare in spares)
             fwd, back = _middle_counts(outs, ins, lo,
                                        np.frombuffer(rests, np.uint64).reshape(-1, width))
-            # best only falls, so these are a superset of the pairs to visit; a v
-            # at or below the rank was visited at its own rank, or is u
-            listed = np.minimum(fwd, back) < best - np.arange(lo, hi)[:, None]
-            for i in range(1, hi - lo):
+            # best only falls, so this lists a superset of the pairs to visit
+            listed = np.minimum(fwd, back) < np.arange(best - lo, best - hi, -1)[:, None]
+            for i in range(1, hi - lo):  # a v at or below the rank was visited, or is u
                 listed[i, :i] = False
-            rows, cols = np.nonzero(listed)
-            for i, j, u_v, v_u in zip(rows.tolist(), (cols + lo + 1).tolist(),
+            rows, cols = listed.nonzero()
+            if net is None and rows.size:  # the first pair listed passes a count
+                net = VertexFlow(G, mask)
+                out = net.out
+            for i, j, u_v, v_u in zip(rows.tolist(), (cols + (lo + 1)).tolist(),
                                       fwd[listed].tolist(), back[listed].tolist()):
                 rank = lo + i
                 if rank >= best:
                     break
                 u, v, spare = order[rank], order[j], spares[i]
-                net = net or VertexFlow(G, mask)  # the first listed pair passes a count
                 # a pair whose swept vertices and middles or short paths reach
                 # best cannot lower it, and an arc settles its pair
-                if (u_v + rank < best and not net.out[u] >> v & 1
+                if (u_v + rank < best and not out[u] >> v & 1
                         and not _short_paths_reach(net, u, v, best, spare)):
                     # capped at best, the flow's value is the new best
                     best, _, cut = maximum_flow(net, u, v, best)
                     if best < stop:
                         return Certificate(False, (u, v), best, cut, best)
-                if (v_u + rank < best and not net.out[v] >> u & 1
+                if (v_u + rank < best and not out[v] >> u & 1
                         and not _short_paths_reach(net, v, u, best, spare)):
                     best, _, cut = maximum_flow(net, v, u, best)
                     if best < stop:
