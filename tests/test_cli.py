@@ -299,6 +299,9 @@ def test_partition_degree_proof_comes_before_any_search(tmp_path, capsys, monkey
         code, out = run_cli("partition", str(r), "--k", str(k), "--seed", "0", "--mode", mode)
         assert code == 1 and out == ""
         assert capsys.readouterr().err.startswith(f"infeasible: delta0(T) = 3 < {2 * k}")
+    # a bad budget is still an input error
+    code, out = run_cli("partition", str(r), "--k", "2", "--seed", "0", "--budget", "-5")
+    assert code == 3 and "budget -5 is negative" in capsys.readouterr().err
 
 
 def test_partition_strict_mode_diagnoses_infeasibility(tmp_path, capsys):
