@@ -1,7 +1,11 @@
+import contextlib
 import csv
+import hashlib
 import importlib
 import io
+import json
 import os
+import re
 import subprocess
 import sys
 
@@ -9,13 +13,13 @@ import pytest
 
 from tourpart import cli
 from tourpart.cli import main
+from tourpart.formats import write_edge_list
 from tourpart.generators import random_tournament
 from tourpart.partition import verify_partition
+from test_golden import _planted
 
 def run_cli(*argv):
     """Invoke the CLI in-process, capturing stdout and the exit code."""
-    import contextlib
-
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(list(argv))
@@ -225,6 +229,16 @@ def test_subdivide_missing_pattern_file_names_its_path(tmp_path, capsys):
     assert f"error: {missing}: No such file or directory" in capsys.readouterr().err
 
 
+def _two_rotational(tmp_path):
+    """Two 5-vertex rotational tournaments, every edge from the first to the
+    second: delta0 = 2 = 2k at k = 1, but T is not strongly connected."""
+    edges = [(b + i, b + (i + d) % 5) for b in (0, 5) for i in range(5) for d in (1, 2)]
+    edges += [(u, v) for u in range(5) for v in range(5, 10)]
+    two = tmp_path / "two.txt"
+    two.write_text(f"10 {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    return two
+
+
 def test_partition_search_and_negative(tmp_path):
     r = tmp_path / "r40.txt"
     run_cli("gen", "--kind", "random", "--n", "40", "--seed", "3", "--out", str(r))
@@ -272,12 +286,7 @@ def test_partition_infeasible_names_its_proof(tmp_path, capsys):
                       "--mode", "search", "--budget", "20")
     assert code == 1
     assert capsys.readouterr().err.startswith("infeasible: delta0(T) = 0 < 2")
-    # two 5-vertex rotational tournaments, every edge from the first to the
-    # second: delta0 = 2 = 2k, but T is not strongly connected
-    edges = [(b + i, b + (i + d) % 5) for b in (0, 5) for i in range(5) for d in (1, 2)]
-    edges += [(u, v) for u in range(5) for v in range(5, 10)]
-    two = tmp_path / "two.txt"
-    two.write_text(f"10 {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    two = _two_rotational(tmp_path)
     code, _ = run_cli("partition", str(two), "--k", "1", "--seed", "0",
                       "--mode", "search", "--budget", "20")
     assert code == 1
@@ -424,3 +433,82 @@ def test_import_loads_no_scipy():
     code = "import sys, tourpart; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0 and proc.stdout.strip() == "[]"
+
+
+# (argv, exit code, stdout, stderr) of every partition call in this file, of
+# the budget-0 and degree-proof cases, of --linked and of an experiment grid,
+# with the temporary directory as <tmp> and the wall-time column as <s>
+CLI_VERDICT_DIGEST = "77dae0e8cd465c05"
+
+
+def _verdict_corpus(tmp_path):
+    def gen(name, *argv):
+        path = tmp_path / name
+        run_cli("gen", *argv, "--out", str(path))
+        return str(path)
+
+    r40 = gen("r40.txt", "--kind", "random", "--n", "40", "--seed", "3")
+    r12 = gen("r12.txt", "--kind", "random", "--n", "12", "--seed", "1")
+    t40 = gen("t40.txt", "--kind", "transitive", "--n", "40")
+    p7 = gen("p7.txt", "--kind", "paley", "--q", "7")
+    c3 = gen("c3.txt", "--kind", "paley", "--q", "3")
+    two = str(_two_rotational(tmp_path))
+    planted = tmp_path / "planted.txt"
+    with planted.open("w") as fh:
+        write_edge_list(_planted(40, 1, 3), fh)
+    files = {}
+    for name, text in (("good", "per_class=1\nbundle_size=4\nbudget=none\n"),
+                       ("bad", "no_such_knob=3\n"), ("k", "per_class=1\nk=30\n"),
+                       ("short_cap", "per_class=1\nshort_cap=30\n"),
+                       ("growth", "per_class=1\ngrowth=30\n"),
+                       ("strict", "# relaxed\nstrict=maybe\n"),
+                       ("exp", "kind=random\nn=30\nk=1\nmode=search\nseeds=3\n")):
+        files[name] = tmp_path / f"{name}.cfg"
+        files[name].write_text(text)
+    seed0 = ("--seed", "0")
+    calls = [
+        (r40, "--k", "2", *seed0, "--mode", "search", "--out", str(tmp_path / "part.txt")),
+        (t40, "--k", "1", *seed0, "--mode", "search", "--budget", "120"),
+        *[(r12, "--k", "1", *seed0, "--mode", mode, "--budget", "-5")
+          for mode in ("auto", "search", "pipeline")],
+        (r40, "--mode", "search", "--k", "3", *seed0, "--budget", "1"),
+        (r40, "--mode", "auto", "--k", "3", *seed0, "--budget", "1"),
+        (t40, "--k", "1", *seed0, "--mode", "search", "--budget", "20"),
+        (two, "--k", "1", *seed0, "--mode", "search", "--budget", "20"),
+        *[(r12, "--k", k, *seed0, "--mode", mode)
+          for k in ("99", "2") for mode in ("auto", "search")],
+        (r12, "--k", "2", *seed0, "--budget", "-5"),
+        (r40, "--k", "1", *seed0, "--mode", "pipeline"),
+        (t40, "--k", "1", *seed0, "--mode", "pipeline"),
+        (r40, "--k", "3", *seed0, "--mode", "pipeline"),
+        (r40, "--k", "1", *seed0, "--mode", "pipeline", "--params-file", str(files["good"])),
+        (r40, "--k", "1", *seed0, "--params-file", str(files["bad"])),
+        *[(r40, "--k", "1", *seed0, "--mode", "pipeline", "--params-file", str(files[key]))
+          for key in ("k", "short_cap", "growth", "strict")],
+        *[(two, "--k", "1", *seed0, "--mode", mode, "--budget", "0")
+          for mode in ("search", "auto", "pipeline")],
+        (str(planted), "--k", "2", *seed0, "--mode", "search"),
+    ]
+    return ([("partition", *argv) for argv in calls]
+            + [("analyze", p7, "--linked", "1"), ("analyze", c3, "--linked", "2"),
+               ("experiment", str(files["exp"]))])
+
+
+def _run_with_stderr(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_cli_verdicts_are_pinned(tmp_path):
+    tmp = str(tmp_path)
+    rows = []
+    for argv in _verdict_corpus(tmp_path):
+        code, out, err = _run_with_stderr(argv)
+        if argv[0] == "experiment":
+            out = re.sub(r"^((?:[^,\n]*,){8})[0-9.]+,", r"\1<s>,", out, flags=re.M)
+        rows.append([[a.replace(tmp, "<tmp>") for a in argv], code,
+                     out.replace(tmp, "<tmp>"), err.replace(tmp, "<tmp>")])
+    assert [row[1] for row in rows[-3:]] == [0, 0, 0]
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16] == CLI_VERDICT_DIGEST
