@@ -38,6 +38,7 @@ for n in (20, 40, 80):
 
 # Linkedness is stronger than connectivity: every way of prescribing k
 # disjoint source/target pairs must be routable simultaneously.  Exhaustive
-# checking is exponential, so keep n small.
-print("Paley-7 is 1-linked:", is_k_linked(p7, 1))
-print("3-cycle is 2-linked:", is_k_linked(c3, 2), "(too few vertices)")
+# checking is exponential, so keep n small.  The verdict is found (every
+# tuple linked), infeasible (some tuple not) or unknown (budget exhausted).
+print("Paley-7 1-linked:", is_k_linked(p7, 1))
+print("3-cycle 2-linked:", is_k_linked(c3, 2), "(too few vertices)")

@@ -4,11 +4,13 @@ The goal: split the vertices into V1, V2 so that both induced tournaments
 and the crossing bipartite digraph are strongly k-connected.  The search
 tries seeded balanced splits, repairs cheap screen violations (degrees,
 reachability) and minimum-cut witnesses by single-vertex moves, and only
-returns results the exact verifier certifies.
+returns splits the exact verifier certifies.  Every run ends in a verdict:
+found, infeasible (with its proof) or unknown (the budget ran out).
 """
 
 import time
 
+from tourpart import Verdict
 from tourpart.generators import random_tournament, transitive_tournament
 from tourpart.partition import format_partition, search_partition
 
@@ -16,7 +18,7 @@ T = random_tournament(40, seed=3)
 t0 = time.perf_counter()
 res = search_partition(T, k=2, seed=0)
 dt = time.perf_counter() - t0
-print(f"n=40, k=2: verified={res.verified} in {dt:.2f}s")
+print(f"n=40, k=2: {res.verdict} in {dt:.2f}s")
 print("per-graph connectivity (V1, V2, cross):", res.connectivity)
 print()
 print(format_partition(res))
@@ -25,11 +27,11 @@ print(format_partition(res))
 hits = 0
 for seed in range(10):
     r = search_partition(random_tournament(40, 100 + seed), 2, seed=seed)
-    hits += r is not None
+    hits += r.verdict == Verdict.FOUND
 print(f"10 fresh instances at k=2: {hits}/10 partitioned")
 
-# Negative control: a transitive tournament has no strongly connected
-# induced subtournament at all, so the search must come back empty handed
-# rather than certify nonsense.
+# Negative control: a transitive tournament is not strongly connected, so
+# the search must prove that no split exists rather than certify nonsense.
 r = search_partition(transitive_tournament(40), 1, seed=0, budget=150)
-print("transitive n=40:", "none found" if r is None else "BUG")
+assert r.verdict == Verdict.INFEASIBLE and not r.v1, r
+print(f"transitive n=40: {r.verdict}: {r.reason}")

@@ -5,7 +5,7 @@ Exit codes are a scripting contract:
   1  infeasible, with the proof named on stderr (or a verifier rejection
      of a carve or subdivision remainder)
   2  verdict unknown: a search or pipeline budget ran out, including
-     `partition` runs that found no verified split and have no proof
+     `partition` runs whose library verdict is unknown (no split, no proof)
   3  input error (bad arguments, unparsable files)
   141  standard output closed by its reader (128 + SIGPIPE, no message)
 
@@ -24,11 +24,11 @@ import sys
 import time
 
 from . import __version__
-from .connectivity import LinkageRequest, certify, find_disjoint_paths, is_k_linked, vertex_connectivity
+from .connectivity import LinkageRequest, find_disjoint_paths, is_k_linked, vertex_connectivity
 from .core import Verdict
 from .formats import FormatError, read_digraph, read_tournament, to_dot, write_compact, write_edge_list
 from .generators import paley_tournament, random_tournament, transitive_tournament
-from .partition import format_partition, partition
+from .partition import format_partition, no_split, partition
 from .pipeline import PipelineError, PipelineParams
 from .surgery import NoPath, SubdivisionSpec, nonseparating_subdivision, remove_nonseparating_path, spanning_linkage
 
@@ -122,9 +122,9 @@ def cmd_analyze(args):
         print(f"strongly {k}-connected: True")
     if args.linked is not None:
         verdict = is_k_linked(T, args.linked)
-        label = {True: "true", False: "false", None: "unknown (budget)"}[verdict]
+        label = {Verdict.FOUND: "true", Verdict.INFEASIBLE: "false"}.get(verdict, "unknown (budget)")
         print(f"{args.linked}-linked: {label}")
-        if verdict is None:
+        if verdict == Verdict.UNKNOWN:
             return EXIT_UNKNOWN
     return EXIT_OK
 
@@ -214,47 +214,27 @@ def _params_from_file(path, k):
     return dataclasses.replace(PipelineParams.relaxed(k), **_read_key_values(path, parsers))
 
 
-def _no_split(T, k, reason):
-    """Exit 1 naming the proof when one of two cheap necessary conditions for
-    a strongly k-connected split fails; otherwise exit 2 with ``reason``."""
-    d0 = int(min(T.out_degrees().min(), T.in_degrees().min()))
-    if d0 < 2 * k:
-        return _unresolved(Verdict.INFEASIBLE,
-                           f"delta0(T) = {d0} < {2 * k}, but every vertex needs {k} out- and "
-                           f"{k} in-neighbours in its own side and {k} of each across")
-    if not certify(T, k).ok:
-        return _unresolved(Verdict.INFEASIBLE,
-                           f"T is not strongly {k}-connected, so neither is T[V1, V2], "
-                           f"which spans T")
-    return _unresolved(Verdict.UNKNOWN, reason)
-
-
 def cmd_partition(args):
     T = _load(args.path, read_tournament)
     params = None
     if args.params_file:
         params = _params_from_file(args.params_file, args.k)
-    # delta0(T) < 2k needs no search; pipeline mode and a bad budget report first
-    d0 = min(T.out_degrees().min(), T.in_degrees().min())
-    if args.mode != "pipeline" and args.budget >= 0 and d0 < 2 * args.k:
-        return _no_split(T, args.k, "")
     try:
         res = partition(T, args.k, mode=args.mode, params=params, seed=args.seed,
                         search_budget=args.budget)
     except PipelineError as exc:
         # a stage that cannot run proves nothing about T's splits
         print(f"pipeline stopped ({exc.kind}): {exc}", file=sys.stderr)
-        return _no_split(T, args.k, "the pipeline produced no split")
+        res = no_split(T, args.k, "the pipeline produced no split")
     except ValueError as exc:
         raise InputError(str(exc)) from None
-    if res is None:
-        return _no_split(T, args.k, f"no partition found within budget {args.budget}")
-    text = format_partition(res)
-    _write_text(args.out, text)
-    if args.out != "-":
-        sys.stdout.write(text)
+    if res.v1:
+        text = format_partition(res)
+        _write_text(args.out, text)
+        if args.out != "-":
+            sys.stdout.write(text)
     if not res.verified:
-        return _no_split(T, args.k, "the split found failed verification")
+        return _unresolved(res.verdict, res.reason)
     return EXIT_OK
 
 
@@ -369,18 +349,13 @@ def _one_trial(kind, n, k, mode, seed, budget):
     t0 = time.perf_counter()
     try:
         res = partition(T, k, mode=mode, seed=seed, search_budget=budget)
+        found = res.verified
     except PipelineError:
-        res = None
+        found = False
     wall = time.perf_counter() - t0
-    if res is not None and res.verified:
-        kappas = tuple(str(c) for c in res.connectivity)
-        fp = res.params_fingerprint
-        success = 1
-    else:
-        kappas = ("", "", "")
-        fp = f"search-{budget}" if mode == "search" else "-"
-        success = 0
-    return [label, n, k, mode, success, *kappas, f"{wall:.3f}", seed, fp]
+    kappas = [str(c) for c in res.connectivity] if found else ["", "", ""]
+    fp = res.params_fingerprint if found else f"search-{budget}" if mode == "search" else "-"
+    return [label, n, k, mode, int(found), *kappas, f"{wall:.3f}", seed, fp]
 
 
 def cmd_experiment(args):

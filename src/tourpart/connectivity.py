@@ -752,22 +752,22 @@ def _check_linkage(T, req, paths):
 def is_k_linked(T, k, budget=500_000):
     """Exhaustive linkedness check for small tournaments.
 
-    Returns True/False, or None when some endpoint tuple exhausted the
-    search budget (never treated as success by callers).
+    Returns the verdict found when every endpoint tuple links, infeasible
+    when one cannot (or n < 2k), unknown when one exhausted the budget.
     """
     if k < 1:
         raise ValueError("k must be positive")
     n = T.n
     if n < 2 * k:
-        return False
-    hit_unknown = False
+        return Verdict.INFEASIBLE
+    verdict = Verdict.FOUND
     for combo in itertools.permutations(range(n), 2 * k):
         pairs = [(combo[2 * i], combo[2 * i + 1]) for i in range(k)]
         if any(pairs[i] >= pairs[i + 1] for i in range(k - 1)):
             continue  # unordered between pairs: keep one representative
         res = find_disjoint_paths(T, LinkageRequest(pairs, "full"), budget=budget)
         if res.status == Verdict.INFEASIBLE:
-            return False
+            return Verdict.INFEASIBLE
         if res.status == Verdict.UNKNOWN:
-            hit_unknown = True
-    return None if hit_unknown else True
+            verdict = Verdict.UNKNOWN
+    return verdict

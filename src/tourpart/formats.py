@@ -72,7 +72,7 @@ def _parse_edge_lines(lines, start_line, n, m):
 
 
 def _header_counts(line, lineno):
-    """The nonnegative ``n`` and count that open every format."""
+    """The positive ``n`` and nonnegative count that open every format."""
     head = line.split()
     try:
         n, m = int(head[0]), int(head[1])
@@ -80,6 +80,8 @@ def _header_counts(line, lineno):
         raise FormatError(f"bad header {line!r}", lineno) from None
     if n < 0 or m < 0:
         raise FormatError(f"negative count in header {line!r}", lineno)
+    if n < 1:
+        raise FormatError("n must be at least 1", lineno)
     return n, m
 
 
@@ -98,8 +100,6 @@ def read_tournament(fh):
     if len(head) not in (2, 3):
         raise FormatError(f"bad header {lines[0]!r}", first)
     n, m = _header_counts(lines[0], first)
-    if n < 1:
-        raise FormatError("n must be at least 1", first)
     if len(head) == 3:
         # digit values; anything below "0" wraps around to above 1
         bits = np.frombuffer(head[2].encode(), dtype=np.uint8) - ord("0")

@@ -6,25 +6,24 @@ strongly k-connected, with one connectivity sweep of each of the three
 graphs.  No subgraph is copied: T[V1] and T[V2] are T swept under the side
 masks, and T[V1, V2] is T's packed rows masked by the opposite side, so
 witness pairs and cuts come back in T's ids.  ``search_partition`` hunts
-for a partition by seeded random balanced splits plus local repair moves
-and only ever returns splits that the same three sweeps certified.  A
-fresh split is swept first, and screened only after the sweeps reject it:
-a positive screen steers degree and reach repairs, and a split that
-passes the screen is repaired around the first pair the sweeps found
-below k.  The first rejection of a search also certifies T at k once,
-since T[V1, V2] spans T: when T fails, no split can verify.
-``partition`` wires the constructive pipeline and the search together
-behind one entry point.
+for a partition by seeded random splits and repair moves, and returns only
+splits that the same three sweeps certified.  ``partition`` wires the
+constructive pipeline and the search together behind one entry point.
+
+Each returns a ``PartitionResult`` with a verdict: found (a verified
+split), infeasible (``reason`` names the proof) or unknown.  Two proofs
+rule out every split: delta0(T) < 2k, and T not strongly k-connected, as
+T[V1, V2] spans T.  A split that fails verification proves nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .connectivity import VertexFlow, _short_paths_reach, certify, maximum_flow, sweep
-from .core import _check_ids, _crossing_graph, counts_in, packed_set, reachable_mask, vertex_mask
+from .core import Verdict, _check_ids, _crossing_graph, counts_in, packed_set, reachable_mask, vertex_mask
 from .pipeline import PipelineError, PipelineParams, run_pipeline
 
 
@@ -33,13 +32,18 @@ class PartitionResult:
     v1: list
     v2: list
     k: int
-    verified: bool
+    verdict: Verdict
     connectivity: tuple         # (T[V1], T[V2], T[V1,V2])
     connectivity_exact: bool    # exact kappa values vs verified floor only
     mode: str = "given"
     seed: int | None = None
     params_fingerprint: str = "-"
     audits: list = field(default_factory=list)
+    reason: str = ""            # the proof when infeasible, the cause when unknown
+
+    @property
+    def verified(self):
+        return self.verdict == Verdict.FOUND
 
     def __bool__(self):
         return self.verified
@@ -66,11 +70,12 @@ def _sweep_split(T, in_v1, k, stop, exact_threshold):
         if not cert.ok:
             return None, None if cert.pair is None else (which, cert.pair, cert.value, cert.cut)
         levels.append((cert.level, exact))
+    found = all(level >= k for level, _ in levels)
     return PartitionResult(
-        v1=np.flatnonzero(in_v1).tolist(), v2=np.flatnonzero(~in_v1).tolist(), k=k,
-        verified=all(level >= k for level, _ in levels),
-        connectivity=tuple(level for level, _ in levels),
-        connectivity_exact=all(exact for _, exact in levels)), None
+        np.flatnonzero(in_v1).tolist(), np.flatnonzero(~in_v1).tolist(), k,
+        Verdict.FOUND if found else Verdict.UNKNOWN, tuple(level for level, _ in levels),
+        all(exact for _, exact in levels),
+        reason="" if found else "the split found failed verification"), None
 
 
 def verify_partition(T, v1, v2, k, exact_threshold=EXACT_THRESHOLD):
@@ -92,6 +97,30 @@ def verify_partition(T, v1, v2, k, exact_threshold=EXACT_THRESHOLD):
     if len(s1) + len(s2) != T.n:
         raise ValueError("sides do not partition the vertex set")
     return _sweep_split(T, vertex_mask(T.n, s1), k, 0, exact_threshold)[0]
+
+
+def _degree_proof(T, k):
+    """Why delta0(T) < 2k rules out every split, or "" when it does not."""
+    d0 = int(min(T.out_degrees().min(), T.in_degrees().min()))
+    return (f"delta0(T) = {d0} < {2 * k}, but every vertex needs {k} out- and {k} in-neighbours "
+            f"in its own side and {k} of each across") if d0 < 2 * k else ""
+
+
+def _certify_proof(T, k):
+    """Why T itself rules out every split, or "" when it does not."""
+    return "" if certify(T, k).ok else (
+        f"T is not strongly {k}-connected, so neither is T[V1, V2], which spans T")
+
+
+def _unsplit(k, proof, reason, **run):
+    """No split: infeasible naming ``proof`` if there is one, else unknown."""
+    return PartitionResult([], [], k, Verdict.INFEASIBLE if proof else Verdict.UNKNOWN,
+                           (), False, reason=proof or reason, **run)
+
+
+def no_split(T, k, reason):
+    """The verdict after a run without a split: infeasible with a proof, else ``reason``."""
+    return _unsplit(k, _degree_proof(T, k) or _certify_proof(T, k), reason)
 
 
 # ---------------------------------------------------------------------------
@@ -139,9 +168,9 @@ def search_partition(T, k, seed, budget=400):
     A fresh split is certified first.  Once the sweeps reject it, moves are
     scored by degree/reachability screens while those fail, then by the
     minimum-cut slack of the failing witness pair.  Dead ends trigger a
-    restart; any returned partition is verifier-certified.  None means the
-    budget ran out, or that T itself is not strongly k-connected (checked
-    once, at the first rejection), which proves that no partition exists.
+    restart.  The verdict is found with a verifier-certified split, or,
+    with empty sides, infeasible when T is not strongly k-connected
+    (certified once, at the first rejection) and unknown otherwise.
     """
     n = T.n
     if n < 2 * k + 2:
@@ -150,8 +179,9 @@ def search_partition(T, k, seed, budget=400):
     if budget < 0:
         raise ValueError(f"search budget {budget} is negative")
     rng = np.random.default_rng(seed)
+    run = {"mode": "search", "seed": seed, "params_fingerprint": f"search-{budget}"}
     checks = 0
-    t_certified = False
+    proof = None  # T's own certificate, taken at the first rejection
     while checks < budget:
         perm = rng.permutation(n)
         in_v1 = np.zeros(n, dtype=bool)
@@ -166,14 +196,9 @@ def search_partition(T, k, seed, budget=400):
                 # stops at the pair that steers the repair
                 res, viol = _sweep_split(T, in_v1, k, k, EXACT_THRESHOLD)
                 if res is not None:
-                    res.mode = "search"
-                    res.seed = seed
-                    res.params_fingerprint = f"search-{budget}"
-                    return res
-                # T[V1, V2] spans T, so no split verifies when T fails
-                if not t_certified and not certify(T, k).ok:
-                    return None
-                t_certified = True
+                    return replace(res, **run)
+                if proof is None and (proof := _certify_proof(T, k)):
+                    return _unsplit(k, proof, "", **run)
                 if score is None:
                     score = _screen_score(T, in_v1, k)
                 assert viol is not None or score > 0, "a split passed the screen with no witness"
@@ -205,7 +230,9 @@ def search_partition(T, k, seed, budget=400):
             if best is None or best[0] <= value:
                 break
             in_v1[best[1]] = ~in_v1[best[1]]
-    return None
+    if proof is None:  # budget 0 swept no split
+        proof = _certify_proof(T, k)
+    return _unsplit(k, proof, f"no partition found within budget {budget}", **run)
 
 
 # ---------------------------------------------------------------------------
@@ -213,15 +240,14 @@ def search_partition(T, k, seed, budget=400):
 
 
 def partition(T, k, mode="auto", params=None, seed=0, search_budget=400):
-    """Produce a verified partition.
+    """Produce a verified partition, or the verdict that there is none.
 
-    mode "pipeline": run the constructive coloring pipeline (guaranteed
-    constants by default; raises PipelineError with a stage diagnostic on
-    failure).
-    mode "search": randomized certified search; returns None when nothing
-    was found within budget.  mode "auto": the pipeline when its
-    preconditions hold for the active params and its split verifies, the
-    search otherwise.
+    mode "pipeline": the constructive coloring pipeline (guaranteed constants
+    by default).  A stage failure raises PipelineError with a diagnostic; a
+    split that fails verification gets the verdict of ``no_split``.  mode
+    "search": ``search_partition``.  mode "auto": the pipeline when its
+    preconditions hold and its split verifies, the search otherwise.  Both
+    answer delta0(T) < 2k with its proof before running either.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -229,28 +255,27 @@ def partition(T, k, mode="auto", params=None, seed=0, search_budget=400):
         raise ValueError(f"unknown mode {mode!r}")
     if search_budget < 0:
         raise ValueError(f"search budget {search_budget} is negative")
+    if mode != "pipeline" and (proof := _degree_proof(T, k)):
+        return _unsplit(k, proof, "", mode=mode, seed=seed)
     params = params if params is not None else PipelineParams.guaranteed(k)
 
     def run_pipe():
         state = run_pipeline(T, k, params, seed)
-        v1, v2 = state.partition_sets()
-        res = verify_partition(T, v1, v2, k)
-        res.mode = "pipeline"
-        res.seed = seed
-        res.params_fingerprint = params.fingerprint()
-        res.audits = state.audits
-        return res
+        return replace(verify_partition(T, *state.partition_sets(), k), mode="pipeline",
+                       seed=seed, params_fingerprint=params.fingerprint(), audits=state.audits)
 
     if mode == "pipeline":
-        return run_pipe()
-    if mode == "search":
-        return search_partition(T, k, seed, budget=search_budget)
-    try:  # an infeasible instance raises PipelineError("feasibility", ...)
         res = run_pipe()
-        if res.verified:
-            return res
-    except PipelineError:
-        pass
+        if not res.verified and (proof := _degree_proof(T, k) or _certify_proof(T, k)):
+            res.verdict, res.reason = Verdict.INFEASIBLE, proof
+        return res
+    if mode == "auto":
+        try:  # an infeasible instance raises PipelineError("feasibility", ...)
+            res = run_pipe()
+            if res.verified:
+                return res
+        except PipelineError:
+            pass
     return search_partition(T, k, seed, budget=search_budget)
 
 

@@ -13,10 +13,12 @@ import pytest
 
 from tourpart import cli
 from tourpart.cli import main
-from tourpart.formats import write_edge_list
+from tourpart.core import Verdict
+from tourpart.formats import read_tournament, write_edge_list
 from tourpart.generators import random_tournament
-from tourpart.partition import verify_partition
-from test_golden import _planted
+from tourpart.partition import partition, verify_partition
+from tourpart.pipeline import PipelineParams
+from test_golden import _count_sweeps, _planted
 
 def run_cli(*argv):
     """Invoke the CLI in-process, capturing stdout and the exit code."""
@@ -220,6 +222,17 @@ def test_subdivide_bounds_the_pattern_before_allocating(tmp_path, capsys):
     assert peak < 2_000_000
 
 
+def test_subdivide_rejects_an_empty_pattern(tmp_path, capsys):
+    # an empty map used to pass as complete for a pattern without vertices
+    r = tmp_path / "r20.txt"
+    run_cli("gen", "--kind", "random", "--n", "20", "--seed", "9", "--out", str(r))
+    empty = tmp_path / "empty.txt"
+    empty.write_text("0 0\n")
+    code, out = run_cli("subdivide", str(r), "--pattern", str(empty), "--map", "", "--k", "1")
+    assert code == 3 and out == ""
+    assert capsys.readouterr().err == f"error: {empty}: line 1: n must be at least 1\n"
+
+
 def test_subdivide_missing_pattern_file_names_its_path(tmp_path, capsys):
     r = tmp_path / "r20.txt"
     run_cli("gen", "--kind", "random", "--n", "20", "--seed", "9", "--out", str(r))
@@ -311,6 +324,26 @@ def test_partition_degree_proof_comes_before_any_search(tmp_path, capsys, monkey
     # a bad budget is still an input error
     code, out = run_cli("partition", str(r), "--k", "2", "--seed", "0", "--budget", "-5")
     assert code == 3 and "budget -5 is negative" in capsys.readouterr().err
+
+
+def test_partition_certifies_t_at_most_once(tmp_path, monkeypatch):
+    # the first graph of a rejected split, then T itself, whose certificate
+    # is the proof; the proof used to certify T a second time
+    seen = _count_sweeps(monkeypatch)
+    planted = tmp_path / "planted.txt"
+    with planted.open("w") as fh:
+        write_edge_list(_planted(40, 1, 3), fh)
+    code, _ = run_cli("partition", str(planted), "--k", "2", "--seed", "0", "--mode", "search")
+    assert code == 1
+    assert [within is None for _, within in seen] == [False, True]
+    # with no split checked, T is certified once in every mode
+    two = _two_rotational(tmp_path)
+    for mode in ("search", "auto", "pipeline"):
+        seen.clear()
+        code, _ = run_cli("partition", str(two), "--k", "1", "--seed", "0", "--mode", mode,
+                          "--budget", "0")
+        assert code == 1
+        assert [(G.n, within) for G, within in seen] == [(10, None)]
 
 
 def test_partition_strict_mode_diagnoses_infeasibility(tmp_path, capsys):
@@ -512,3 +545,24 @@ def test_cli_verdicts_are_pinned(tmp_path):
                      out.replace(tmp, "<tmp>"), err.replace(tmp, "<tmp>")])
     assert [row[1] for row in rows[-3:]] == [0, 0, 0]
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16] == CLI_VERDICT_DIGEST
+
+
+def test_library_verdicts_are_the_cli_exit_codes(tmp_path):
+    # auto mode returns a verified pipeline split in-process
+    res = partition(random_tournament(1500, 5001), 1, mode="auto",
+                    params=PipelineParams.relaxed(1), seed=1)
+    assert res.mode == "pipeline" and res.verdict == Verdict.FOUND
+    checked = 0
+    for argv in _verdict_corpus(tmp_path):
+        args = cli.build_parser().parse_args(list(argv)) if argv[0] == "partition" else None
+        if args is None or args.mode == "pipeline":
+            continue
+        code, _, _ = _run_with_stderr(argv)
+        if code == cli.EXIT_INPUT:
+            continue
+        with open(args.path) as fh:
+            T = read_tournament(fh)
+        res = partition(T, args.k, mode=args.mode, seed=args.seed, search_budget=args.budget)
+        assert cli.EXIT_CODE[res.verdict] == code, argv
+        checked += 1
+    assert checked == 13

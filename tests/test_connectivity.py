@@ -27,7 +27,7 @@ from tourpart import (
 )
 from tourpart import connectivity, core
 from tourpart.connectivity import VertexFlow, sweep
-from tourpart.core import Digraph, Tournament, _crossing_graph
+from tourpart.core import Digraph, Tournament, Verdict, _crossing_graph
 from tourpart.generators import random_tournament, transitive_tournament
 from tourpart.partition import search_partition
 from tourpart.safety import UNCOLORED
@@ -609,10 +609,10 @@ def test_identical_pair_bundles_via_flow(paley7):
 
 
 def test_is_k_linked_examples(c3, t4, paley7):
-    assert is_k_linked(c3, 2) is False  # |T| >= 2k clause
-    assert is_k_linked(c3, 1) is True
-    assert is_k_linked(t4, 1) is False
-    assert is_k_linked(paley7, 1) is True
+    assert is_k_linked(c3, 2) == Verdict.INFEASIBLE  # |T| >= 2k clause
+    assert is_k_linked(c3, 1) == Verdict.FOUND
+    assert is_k_linked(t4, 1) == Verdict.INFEASIBLE
+    assert is_k_linked(paley7, 1) == Verdict.FOUND
 
 
 def test_linkedness_equivalence_with_repeated_endpoint_requests(rand):
@@ -621,8 +621,7 @@ def test_linkedness_equivalence_with_repeated_endpoint_requests(rand):
     rng = np.random.default_rng(1)
     for seed in range(6):
         T = rand(6, seed)
-        linked = is_k_linked(T, 2)
-        if linked:
+        if is_k_linked(T, 2) == Verdict.FOUND:
             for _ in range(10):
                 xs = rng.integers(0, 6, 4).tolist()
                 pairs = [(xs[0], xs[1]), (xs[2], xs[3])]
@@ -649,4 +648,4 @@ def test_high_connectivity_linkedness_one_way(rand):
     for seed in range(5):
         T = rand(10, seed)
         if vertex_connectivity(T) >= 452:
-            assert is_k_linked(T, 1) is True
+            assert is_k_linked(T, 1) == Verdict.FOUND

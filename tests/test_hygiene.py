@@ -1,7 +1,8 @@
 """Static checks on the source tree: no module imports a name it never uses,
 no function imports inside its body, only ``core`` copies subgraphs, no
 module scatters through ``triu_indices``, no module reads a graph as a
-bool matrix, and every pipeline parameter is read."""
+bool matrix, every pipeline parameter is read, and the CLI certifies
+nothing itself."""
 
 import ast
 from pathlib import Path
@@ -99,3 +100,12 @@ def test_every_pipeline_param_is_read():
                  and "params" in (getattr(node.value, "id", None),
                                   getattr(node.value, "attr", None))}
     assert fields and [name for name in fields if name not in read] == []
+
+
+def test_cli_proves_nothing_itself():
+    # a partition run's proofs come from the library's verdict; the CLI
+    # only prints it
+    tree = ast.parse((ROOT / "src/tourpart/cli.py").read_text())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert imported.isdisjoint({"certify", "sweep"})

@@ -18,6 +18,7 @@ from tourpart.partition import (
     search_partition,
     verify_partition,
 )
+from tourpart.core import Verdict
 from tourpart.pipeline import PipelineError, PipelineParams, run_pipeline
 
 
@@ -95,7 +96,8 @@ def test_search_negative_control(monkeypatch):
     monkeypatch.setattr(partition_module, "_screen_score", lambda *args: screens.append(args) or 1)
     for seed in range(3):
         res = search_partition(transitive_tournament(40), 1, seed=seed, budget=120)
-        assert res is None
+        assert res.verdict == Verdict.INFEASIBLE and res.v1 == res.v2 == []
+        assert res.reason.startswith("T is not strongly 1-connected")
     assert screens == []
 
 
@@ -138,7 +140,9 @@ def test_search_size_precondition():
         search_partition(transitive_tournament(5), 2, seed=0)
     with pytest.raises(ValueError, match="negative"):
         search_partition(random_tournament(12, 1), 1, seed=0, budget=-5)
-    assert search_partition(random_tournament(12, 1), 1, seed=0, budget=0) is None
+    # no split was checked, so T's own certificate decides: it passes here
+    res = search_partition(random_tournament(12, 1), 1, seed=0, budget=0)
+    assert res.verdict == Verdict.UNKNOWN and res.reason == "no partition found within budget 0"
 
 
 def test_partition_entry_modes(rand):
