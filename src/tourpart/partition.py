@@ -168,9 +168,9 @@ def search_partition(T, k, seed, budget=400):
     A fresh split is certified first.  Once the sweeps reject it, moves are
     scored by degree/reachability screens while those fail, then by the
     minimum-cut slack of the failing witness pair.  Dead ends trigger a
-    restart.  The verdict is found with a verifier-certified split, or,
-    with empty sides, infeasible when T is not strongly k-connected
-    (certified once, at the first rejection) and unknown otherwise.
+    restart.  The verdict is found with a certified split or, with empty
+    sides, infeasible when T is not strongly k-connected (certified once,
+    at the first rejection or, at budget 0, at the end), else unknown.
     """
     n = T.n
     if n < 2 * k + 2:

@@ -86,11 +86,6 @@ def test_a_tournament_needs_a_vertex_in_either_format(text):
         read_tournament(io.StringIO(text))
 
 
-def test_a_digraph_needs_a_vertex():
-    with pytest.raises(FormatError, match="^line 1: n must be at least 1$"):
-        read_digraph(io.StringIO("0 0\n"))
-
-
 def test_compact_header_mismatch():
     with pytest.raises(FormatError):
         read_tournament(io.StringIO("3 4 0110\n"))

@@ -8,6 +8,7 @@ import pytest
 from oracles import brute_strong_k
 from test_golden import _planted
 from tourpart import bipartite_subdigraph, subtournament
+from tourpart.core import Verdict
 from tourpart.generators import random_tournament, transitive_tournament
 from tourpart.partition import (
     EXACT_THRESHOLD,
@@ -18,7 +19,6 @@ from tourpart.partition import (
     search_partition,
     verify_partition,
 )
-from tourpart.core import Verdict
 from tourpart.pipeline import PipelineError, PipelineParams, run_pipeline
 
 
