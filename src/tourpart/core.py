@@ -55,6 +55,9 @@ class Verdict(StrEnum):
     INFEASIBLE = "infeasible"
     UNKNOWN = "unknown"
 
+    def __bool__(self):
+        raise TypeError("a Verdict has no truth value; compare it with a member")
+
 
 class Digraph:
     """A loopless digraph on vertices 0..n-1 with at most one copy of each arc."""

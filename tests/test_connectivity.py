@@ -615,6 +615,18 @@ def test_is_k_linked_examples(c3, t4, paley7):
     assert is_k_linked(paley7, 1) == Verdict.FOUND
 
 
+def test_a_verdict_has_no_truth_value(c3):
+    # every verdict is a non-empty string, so a truth test would hold for
+    # infeasible and unknown too; it raises, and comparing still works
+    for verdict in Verdict:
+        with pytest.raises(TypeError, match="compare it with a member"):
+            bool(verdict)
+    with pytest.raises(TypeError):
+        if is_k_linked(c3, 2):
+            pass
+    assert is_k_linked(c3, 2) == "infeasible" and f"{Verdict.UNKNOWN}" == "unknown"
+
+
 def test_linkedness_equivalence_with_repeated_endpoint_requests(rand):
     # linked tournaments satisfy every internally-disjoint request, even with
     # shared endpoints; non-linked ones fail some fully disjoint tuple

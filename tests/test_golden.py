@@ -10,10 +10,11 @@ import hashlib
 import importlib
 import itertools
 import json
+from dataclasses import replace
 
 import numpy as np
 
-from oracles import all_tournaments, brute_strong_k
+from oracles import all_tournaments, brute_strong_k, reach_by_hand
 from tourpart.connectivity import certify, sweep, vertex_connectivity
 from tourpart.core import Tournament, bipartite_subdigraph, reachable_mask
 from tourpart.domination import in_dominating_structure, out_dominating_structure
@@ -25,6 +26,7 @@ from tourpart.pipeline import (
     _audit_bundles,
     _build_bundles,
     _color_bundles,
+    _normalize,
     _place_hubs,
     _shortcut_bundles,
     build_dominating_family,
@@ -37,7 +39,7 @@ pipeline_module = importlib.import_module("tourpart.pipeline")
 
 
 SEARCH_DIGEST = "d356b400ca5aa1aa"
-PIPELINE_DIGEST = "e7c7468ac305132c"
+PIPELINE_DIGEST = "ad6b9700c68789b2"
 SPLIT_DIGEST = "980bc7bc62d361d7"
 REPAIR_DIGEST = "26f3927b3f490fb6"
 FAMILY_DIGEST = "f0ad5af5eb075d74"
@@ -48,7 +50,7 @@ OTHER_CLASSES_DIGEST = "5c59e80646d1ae5e"
 SAFETY_DIGEST = "38dc838f183b05f2"
 # recorded while the pipeline and the k = 1 scan still read bool rows
 REACH_SAFETY_DIGEST = "4505c49d523c7569"
-COLORING_DIGEST = "c09069e12c2feda0"
+COLORING_DIGEST = "584ef32f50d3bd6b"
 
 
 def _digest(results):
@@ -116,18 +118,34 @@ def test_search_repairs_are_pinned(monkeypatch):
     assert calls == {"sweep": 363, "_screen_score": 4645}
 
 
+def _strong_by_hand(adj, ok):
+    """Whether the digraph ``adj`` restricted to ``ok`` is strongly connected:
+    one vertex of ``ok`` reaches all of it along the arcs and against them."""
+    v, want = int(np.flatnonzero(ok)[0]), set(np.flatnonzero(ok).tolist())
+    return reach_by_hand(adj, v, ok) == want == reach_by_hand(adj.T, v, ok)
+
+
 def test_pipeline_verdicts_are_pinned():
+    # relaxed runs keep T's own family (the digest moved when they stopped
+    # normalizing), so each split is also checked by hand: T[V1], T[V2] and
+    # the crossing digraph are strongly connected
     results = []
     for i in range(1, 6):
         T = random_tournament(1500, 5000 + i)
         state = run_pipeline(T, 1, PipelineParams.relaxed(1), seed=i)
         results.append(verify_partition(T, *state.partition_sets(), 1))
+        side, adj = state.coloring.labels == ALPHA, T.adj
+        cross = adj & (side[:, None] != side[None, :])
+        assert _strong_by_hand(adj, side) and _strong_by_hand(adj, ~side)
+        assert _strong_by_hand(cross, np.ones(T.n, dtype=bool))
     assert _digest(results) == PIPELINE_DIGEST
 
 
 def test_dominating_families_are_pinned(monkeypatch):
-    # every family the pipeline builds on the benchmark's five instances, the
-    # reversed one too when a run takes the reversal branch
+    # every family a strict run builds on the benchmark's five instances, the
+    # reversed one too when the normalization takes the reversal branch;
+    # strict params never pass the feasibility gate at this n, so the
+    # normalization runs on a strict-flagged state directly
     built = []
 
     def recording(state):
@@ -136,10 +154,13 @@ def test_dominating_families_are_pinned(monkeypatch):
 
     build = pipeline_module.build_dominating_family
     monkeypatch.setattr(pipeline_module, "build_dominating_family", recording)
+    strict = replace(PipelineParams.relaxed(1), strict=True)
     rows = []
     for i in range(1, 6):
         built.clear()
-        final = run_pipeline(random_tournament(1500, 5000 + i), 1, PipelineParams.relaxed(1))
+        state = PipelineState(random_tournament(1500, 5000 + i), 1, strict)
+        pipeline_module.build_dominating_family(state)
+        final = _normalize(state)
         rows.append([[state.flipped, state is final,
                       [[s.mode, s.anchor, list(s.order), s.tip, sorted(s.exceptions),
                         list(s.shrink_trace)]
@@ -176,8 +197,9 @@ def test_dominating_structures_are_pinned():
 
 
 def test_pipeline_makes_no_tournament_copies(monkeypatch):
-    # the dominating family reads masks of the host tournament and the
-    # reversal branch wraps its transpose without re-validating it
+    # the dominating family reads masks of the host tournament, and the
+    # strict normalization's reversal wraps its transpose without
+    # re-validating it
     calls = []
 
     def counting(name, fn):
@@ -190,8 +212,11 @@ def test_pipeline_makes_no_tournament_copies(monkeypatch):
         monkeypatch.setattr(Tournament, name, counting(name, getattr(Tournament, name)))
     T = random_tournament(1500, 5001)
     calls.clear()
-    state = run_pipeline(T, 1, PipelineParams.relaxed(1))
-    assert state.flipped  # the run took the reversal branch
+    assert not run_pipeline(T, 1, PipelineParams.relaxed(1)).flipped
+    state = PipelineState(T, 1, replace(PipelineParams.relaxed(1), strict=True))
+    build_dominating_family(state)
+    flipped = _normalize(state)
+    assert flipped.flipped and flipped.T.packed is T.rpacked  # the reversal branch
     assert calls == []
 
 
