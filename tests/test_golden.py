@@ -33,7 +33,7 @@ from tourpart.pipeline import (
     run_pipeline,
 )
 from tourpart.safety import ALPHA, BETA, UNCOLORED, Coloring, SafetyContext, is_safe, safety_scan
-from test_pipeline import _bundle_state, _planted_instance
+from test_pipeline import _bundle_state, _planted_instance, _strict_state
 
 pipeline_module = importlib.import_module("tourpart.pipeline")
 
@@ -213,9 +213,7 @@ def test_pipeline_makes_no_tournament_copies(monkeypatch):
     T = random_tournament(1500, 5001)
     calls.clear()
     assert not run_pipeline(T, 1, PipelineParams.relaxed(1)).flipped
-    state = PipelineState(T, 1, replace(PipelineParams.relaxed(1), strict=True))
-    build_dominating_family(state)
-    flipped = _normalize(state)
+    flipped = _normalize(_strict_state(T))
     assert flipped.flipped and flipped.T.packed is T.rpacked  # the reversal branch
     assert calls == []
 

@@ -519,8 +519,7 @@ def test_a_pipeline_run_keeps_the_graph_packed(seed):
     try:
         state = run_pipeline(T, 1, PipelineParams.relaxed(1), seed=seed)
         res = verify_partition(T, *state.partition_sets(), 1)
-        strict = _strict_state(T)
-        normalized = _normalize(strict)
+        normalized = _normalize(_strict_state(T))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -587,5 +586,5 @@ def test_relaxed_runs_build_one_family_and_verify(monkeypatch):
         if info["exc_out"] > info["exc_in"]:
             skipped.append(i)
         assert info.get("reversal") == ("skipped (relaxed)" if i in skipped else None)
-    assert builds == [1] * 12 and sum(builds[1:6]) == 5
+    assert builds == [1] * 12
     assert skipped == [1, 4, 5, 6, 10, 11]
