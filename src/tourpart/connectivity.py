@@ -42,8 +42,10 @@ Strong connectivity needs no separate test past the degree screen.  When G
 is not strong, the lowest vertex fails to reach some vertex v or to be
 reached from it, and that pair has no 2-path, no arc and no short path, so
 at ``best`` >= 2 the sweep flows it at rank 0, unless an earlier pair
-stopped the sweep, and the flow is 0.  Only a degree screen of 1, where no
-pair is swept, takes two reach sweeps from the lowest vertex.
+stopped the sweep, and the flow is 0.  At a ``best`` of 1, where no pair
+is swept, two reach sweeps from the lowest vertex decide; at ``stop`` <= 1
+they alone decide a cap min(n - 1, ``ceiling``) of 1, as a strong graph on
+n >= 2 vertices has semi-degree >= 1, so ``certify(G, 1)`` gathers no rows.
 
 The vertices already swept are witnesses as well.  At rank r every pair
 with one end among the first r swept vertices has a cut of at least
@@ -391,21 +393,22 @@ def sweep(G, ceiling=None, stop=0, within=None):
     ``within`` are swept in ascending id, and pairs and cuts are G's ids."""
     if stop < 0 or (ceiling is not None and ceiling < 0):
         raise ValueError("k must be nonnegative")
-    # the vertices of ``within`` in sweep order, their rows inside it, its bitset
     if within is None:
-        order, outs, ins, mask, full = range(G.n), G.packed, G.rpacked, None, (1 << G.n) - 1
+        order, mask = range(G.n), None
     elif isinstance(within, np.ndarray) and within.dtype == bool and within.shape == (G.n,):
         ids, mask = np.flatnonzero(within), packed_set(within)
-        order, outs, ins = ids.tolist(), G.packed[ids] & mask, G.rpacked[ids] & mask
-        full = int.from_bytes(mask.tobytes(), "little")
+        order = ids.tolist()
     else:
         raise ValueError(f"within must be a bool mask of length {G.n}")
     n = len(order)
-    best = 0
-    if n > 1:  # the minimum semi-degree, capped
-        best = min(n - 1, n if ceiling is None else ceiling,
-                   *(int(np.bitwise_count(rows).sum(axis=1).min()) for rows in (outs, ins)))
-    # only a degree screen of 1 takes the reach check (module docstring)
+    best = max(0, min(n - 1, n if ceiling is None else ceiling))  # the cap
+    if best > 1 or (best == 1 and stop > 1):
+        # the rows of ``within`` in sweep order and its bitset; the degree screen
+        outs, ins = (G.packed, G.rpacked) if mask is None else (G.packed[ids] & mask,
+                                                                G.rpacked[ids] & mask)
+        full = (1 << G.n) - 1 if mask is None else int.from_bytes(mask.tobytes(), "little")
+        best = min(best, *(int(np.bitwise_count(rows).sum(axis=1).min()) for rows in (outs, ins)))
+    # the reach check alone decides a best of 1 (module docstring)
     if best == 1 and stop <= 1 and not all(
             np.count_nonzero(reachable_mask(H, order[0], within)) == n
             for H in (G, G.reverse())):

@@ -14,7 +14,7 @@ The pipeline colors every vertex alpha or beta through five stages:
 5. color the rest alpha.
 
 Every stage finishes with explicit exit audits (structure invariants,
-counting caps, full safety scans).  A stage that cannot meet its
+counting caps, incremental safety audits).  A stage that cannot meet its
 obligations raises ``PipelineError`` with a precise diagnostic; no silent
 failures, and nothing is reported as a success unless the final partition
 verifies.  Parameter values carry a ``strict`` flag: the full-strength
@@ -165,6 +165,7 @@ class PipelineState:
         self.params = params
         self.flipped = flipped
         self.coloring = Coloring(T.n)
+        self.audited = np.zeros(T.n, dtype=bool)  # colored at the last passed safety audit
         self.audits = []
         self.low_in = []        # anchors of the out-structures (min in-degree)
         self.low_out = []       # anchors of the in-structures (min out-degree)
@@ -227,6 +228,13 @@ class PipelineState:
     def require(self, stage, cond, reason, kind="infeasible"):
         if not cond:
             self.fail(stage, reason, kind)
+
+    def require_safe(self, stage, reason):
+        """Require every colored vertex safe; safety only grows with the
+        coloring, so only those colored since the last passed audit are checked."""
+        new = self.coloring.colored_mask() & ~self.audited
+        self.require(stage, not new.any() or all_colored_safe(self.ctx(), np.flatnonzero(new)), reason)
+        self.audited |= new
 
     def snapshot(self, name):
         self.snapshots[name] = self.coloring.colored_mask().copy()
@@ -457,8 +465,7 @@ def bootstrap_safety(state):
     if state.params.strict:
         info["within_strict_cap"] = colored <= 1500 * k ** 4
         state.require(stage, info["within_strict_cap"], "bootstrap exceeded its strict cap")
-    state.require(stage, all_colored_safe(state.ctx()),
-                  "bootstrap exit audit: some colored vertex is unsafe")
+    state.require_safe(stage, "bootstrap exit audit: some colored vertex is unsafe")
     state.record(stage, info=info)
 
 
@@ -526,8 +533,7 @@ def find_connector_paths(state):
         state.require(stage, short_route(i) is None,
                       f"index {i}: a short connector route survived the sweep")
     state.snapshot("shorts")
-    state.require(stage, all_colored_safe(state.ctx()),
-                  "short-connector audit: some colored vertex is unsafe")
+    state.require_safe(stage, "short-connector audit: some colored vertex is unsafe")
     state.record("connectors_short", info={
         "short": len(state.short_idx), "long": len(state.long_idx),
         "colored": col.colored_count()})
@@ -811,8 +817,7 @@ def _color_bundles(state):
     group = state.hub_alpha | state.hub_beta | mids
     extend_coloring_safely(state, group, protected=frozenset(on_bundles - group))
     state.snapshot("hubs")
-    state.require("connector_hubs", all_colored_safe(state.ctx()),
-                  "hub audit: some colored vertex is unsafe")
+    state.require_safe("connector_hubs", "hub audit: some colored vertex is unsafe")
 
     _splice_long_connectors(state)
     for i in state.long_idx:
@@ -906,8 +911,7 @@ def _audit_connectors(state):
             want = _MONO_COLOR[cls]
             state.require(stage, all(col.of(v) == want for v in p),
                           f"connector {i} is not monochromatic")
-    state.require(stage, all_colored_safe(state.ctx()),
-                  "connector exit audit: some colored vertex is unsafe")
+    state.require_safe(stage, "connector exit audit: some colored vertex is unsafe")
     # bulk neighbour property: anything uncolored that sees the bulk pool
     # must see k colored neighbours of each color
     if state.bulk:
@@ -972,8 +976,7 @@ def finalize_coloring(state):
     col.assign(rest, ALPHA)
     state.snapshot("final")
     state.require(stage, col.colored_count() == T.n, "some vertex is still uncolored")
-    state.require(stage, all_colored_safe(state.ctx()),
-                  "final audit: some vertex is unsafe")
+    state.require_safe(stage, "final audit: some vertex is unsafe")
     state.record(stage, info={
         "grabbed_in": len(state.grabbed_in), "grabbed_out": len(state.grabbed_out),
         "alpha": int((col.labels == ALPHA).sum()),

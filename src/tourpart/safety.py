@@ -17,6 +17,11 @@ BFS sweeps backwards from the targets, along the in-rows of each sense's
 graph.  The targets are most of their group, so a sweep settles the few
 non-target group vertices bottom-up, each one's out-row ANDed with the
 packed reached set.  Neither path builds an n x n temporary.
+
+Safety never degrades as the coloring grows: colors never change and, with
+fixed reserved and exception sets, each sense's group, targets and
+color-changing arcs among colored vertices only grow.  So a pipeline audit
+checks only the vertices colored since the last audit passed.
 """
 
 from __future__ import annotations
@@ -149,35 +154,49 @@ def is_safe(ctx, v):
     return SafetyReport(*_flow_row(_target_flows(ctx), v, ctx.k))
 
 
+def _requested(ctx, vertices):
+    """The mask of ``vertices`` (default: every colored vertex); an uncolored one raises."""
+    colored = ctx.coloring.labels != UNCOLORED
+    want = colored if vertices is None else vertex_mask(ctx.T.n, vertices)
+    for v in np.flatnonzero(want & ~colored)[:1].tolist():
+        raise ValueError(f"vertex {v} is uncolored")
+    return want
+
+
+def _reach_senses(ctx, want):
+    """(column, group, reached) of each k = 1 sense whose group meets ``want``."""
+    graphs = _sense_graphs(ctx)
+    for column, group, targets in _senses(ctx):
+        if (group & want).any():
+            yield column, group, reachable_mask(graphs[column].reverse(),
+                                                np.flatnonzero(targets), group)
+
+
 def safety_scan(ctx, vertices=None):
-    """Safety reports for many vertices at once.
+    """Safety reports for many vertices at once (default: every colored one).
 
     For k = 1 each predicate is a single reachability sweep, so the whole
     coloring is scanned with six BFS passes over packed rows, which settle
     the non-target group vertices bottom-up; for larger k
     this falls back to per-vertex flow checks.  Returns an (n, 4) boolean
-    table whose rows are meaningful for colored vertices only.
+    table whose rows are meaningful for the requested vertices only.
     """
-    T, lab = ctx.T, ctx.coloring.labels
-    table = np.zeros((T.n, 4), dtype=bool)
+    want = _requested(ctx, vertices)
+    table = np.zeros((ctx.T.n, 4), dtype=bool)
     if ctx.k > 1:
-        ids = vertices if vertices is not None else np.flatnonzero(lab != UNCOLORED)
         flows = _target_flows(ctx)
-        for v in ids:
-            table[v] = _flow_row(flows, int(v), ctx.k)
+        for v in np.flatnonzero(want).tolist():
+            table[v] = _flow_row(flows, v, ctx.k)
         return table
-    graphs = _sense_graphs(ctx)
-    for column, group, targets in _senses(ctx):
-        if group.any():
-            # sweep backwards from the targets, along the in-rows
-            reached = reachable_mask(graphs[column].reverse(), np.flatnonzero(targets), group)
-            table[group, column] = reached[group]
+    for column, group, reached in _reach_senses(ctx, want):
+        table[group, column] = reached[group]
     return table
 
 
 def all_colored_safe(ctx, vertices=None):
-    """True iff every requested (default: every colored) vertex is safe."""
-    lab = ctx.coloring.labels
-    table = safety_scan(ctx, vertices)
-    sel = lab != UNCOLORED if vertices is None else vertex_mask(ctx.T.n, vertices)
-    return bool(table[sel].all())
+    """True iff every requested (default: every colored) vertex is safe; at
+    k = 1 by its senses' sweeps, up to the first that misses one, with no table."""
+    want = _requested(ctx, vertices)
+    if ctx.k > 1:
+        return bool(safety_scan(ctx, vertices)[want].all())
+    return all(reached[group & want].all() for _, group, reached in _reach_senses(ctx, want))

@@ -14,6 +14,7 @@ from oracles import (
     brute_safe,
     brute_strong_k,
     brute_vertex_connectivity,
+    reach_by_hand,
 )
 from tourpart import (
     LinkageRequest,
@@ -26,7 +27,7 @@ from tourpart import (
     vertex_connectivity,
 )
 from tourpart import connectivity, core
-from tourpart.connectivity import VertexFlow, sweep
+from tourpart.connectivity import Certificate, VertexFlow, sweep
 from tourpart.core import Digraph, Tournament, Verdict, _crossing_graph
 from tourpart.generators import random_tournament, transitive_tournament
 from tourpart.partition import search_partition
@@ -287,6 +288,64 @@ def test_strong_check_at_degree_one_only_matches_brute_force():
     # fails a join with no pair; every other run of a join at stop 1 or 2
     # names one, whole and masked
     assert named >= len(joins) * 3 * 2
+
+
+def test_level_one_sweeps_match_the_oracles():
+    # a cap min(n - 1, ceiling) of 1 at stop <= 1 is decided by the two
+    # reach sweeps alone, with no degree screen; at stop 2 the screen gives
+    # the level, and past a screen of 2 the sweep's pairs and cuts are
+    # minimum ones.  Small tournaments, transitive ones and sparse digraphs
+    # with vertices of in- or out-degree 0, and joins that are not strong
+    # past a degree screen of 2, whole and masked
+    rng = np.random.default_rng(22)
+    graphs = _one_way_joins(6)
+    for s in range(60):
+        n = 1 + s % 8
+        if s % 3 == 0:
+            adj = random_tournament(n, 2200 + s).adj
+        elif s % 3 == 1:
+            adj = rng.random((n, n)) < rng.uniform(0.1, 0.5)
+            np.fill_diagonal(adj, False)
+        else:
+            T = transitive_tournament(n) if s % 6 == 2 else random_tournament(n, s)
+            adj = T.adj.copy()
+            adj[:, int(rng.integers(n))] = False  # a vertex of in-degree 0
+        graphs.append(adj)
+    seen = {"reach": 0, "screen": 0, "pair": 0, "deg0": 0}
+    for adj in graphs:
+        n = len(adj)
+        G = Digraph(adj)
+        for mask in (None, rng.random(n) < 0.75):
+            keep = np.arange(n) if mask is None else np.flatnonzero(mask)
+            m, sub_adj = len(keep), adj[np.ix_(keep, keep)]
+            everyone = np.ones(m, dtype=bool)
+            strong = m > 0 and all(len(reach_by_hand(a, 0, everyone)) == m
+                                   for a in (sub_adj, sub_adj.T))
+            mindeg = int(min(sub_adj.sum(0).min(), sub_adj.sum(1).min())) if m > 1 else 0
+            seen["deg0"] += m > 1 and mindeg == 0
+            for ceiling in (None, 0, 1, 2):
+                cap = max(0, min(m - 1, m if ceiling is None else ceiling))
+                screen = min(cap, mindeg)
+                for stop in (0, 1, 2):
+                    cert = sweep(G, ceiling, stop, mask)
+                    if m and (ceiling is None or ceiling >= stop):
+                        assert cert.ok == brute_strong_k(Digraph(sub_adj), stop)
+                    if screen < stop:
+                        assert cert == Certificate(False, level=screen)
+                        seen["screen"] += screen == 1
+                    elif screen <= 1:
+                        level = screen if strong else 0
+                        assert cert == Certificate(level >= stop and m > stop, level=level)
+                        seen["reach"] += screen == 1
+                    elif cert.ok:
+                        kappa = brute_vertex_connectivity(Digraph(sub_adj))
+                        assert cert == Certificate(True, level=min(cap, kappa))
+                    else:
+                        x, y = (int(np.searchsorted(keep, v)) for v in cert.pair)
+                        cut = brute_min_cut(Digraph(sub_adj), x, y)
+                        assert cert.value == cert.level == len(cert.cut) == len(cut) < stop
+                        seen["pair"] += 1
+    assert min(seen.values()) >= 10, seen
 
 
 def test_swept_vertices_settle_most_pairs(monkeypatch):

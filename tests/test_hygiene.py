@@ -1,8 +1,8 @@
 """Static checks on the source tree: no module imports a name it never uses,
 no function imports inside its body, only ``core`` copies subgraphs, no
 module scatters through ``triu_indices``, no module reads a graph as a
-bool matrix, every pipeline parameter is read, and the CLI certifies
-nothing itself."""
+bool matrix, every pipeline parameter is read, the CLI certifies
+nothing itself, and the pipeline audits safety only incrementally."""
 
 import ast
 from pathlib import Path
@@ -109,3 +109,17 @@ def test_cli_proves_nothing_itself():
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                 for alias in node.names}
     assert imported.isdisjoint({"certify", "sweep"})
+
+
+def test_pipeline_audits_safety_only_through_its_helper():
+    # ``PipelineState.require_safe`` checks only the vertices colored since
+    # the last passed audit; a direct call would scan the whole coloring again
+    tree = ast.parse((ROOT / "src/tourpart/pipeline.py").read_text())
+
+    def calls(node):
+        return sorted(inner.lineno for inner in ast.walk(node) if isinstance(inner, ast.Call)
+                      and getattr(inner.func, "id", None) == "all_colored_safe")
+
+    helper, = (node for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and node.name == "require_safe")
+    assert calls(helper) and calls(tree) == calls(helper)

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from tourpart import Tournament, is_path, verify_partition
+from tourpart import Tournament, is_path, pipeline, verify_partition
 from tourpart.core import reachable_mask
 from tourpart.generators import random_tournament, transitive_tournament
 from tourpart.pipeline import (
@@ -36,7 +36,7 @@ from tourpart.pipeline import (
     select_extremal_sets,
     short_cap,
 )
-from tourpart.safety import ALPHA, BETA, UNCOLORED, all_colored_safe
+from tourpart.safety import ALPHA, BETA, UNCOLORED, all_colored_safe, safety_scan
 
 STARVED_DIGEST = "32f0d952f133a2f8"
 BURN_DIGEST = "ae04ccf269d5704b"
@@ -240,6 +240,35 @@ def test_guaranteed_params_arithmetic():
     assert p.budget == 500_000_000
     p2 = PipelineParams.guaranteed(2)
     assert p2.chain_cap == 11 and short_cap(2) == 30 and growth(2) == 36
+
+
+def test_exit_audits_check_each_colored_vertex_once(monkeypatch):
+    # safety only grows with the coloring, so each exit audit checks only
+    # the vertices colored since the last one passed; on the five pipeline
+    # instances of the benchmark every such audit answers as a whole scan of
+    # the same state does, and the audits of a run request each vertex once
+    requests = []
+
+    def audit(ctx, vertices):
+        requests.append(list(vertices))
+        answer = all_colored_safe(ctx, vertices)
+        assert answer == safety_scan(ctx)[ctx.coloring.colored_mask()].all()
+        return answer
+
+    audits = []
+    require_safe = PipelineState.require_safe
+    monkeypatch.setattr(pipeline, "all_colored_safe", audit)
+    monkeypatch.setattr(PipelineState, "require_safe",
+                        lambda state, *args: audits.append(args) or require_safe(state, *args))
+    for i in range(1, 6):
+        requests.clear()
+        audits.clear()
+        state = run_pipeline(random_tournament(1500, 5000 + i), 1, PipelineParams.relaxed(1), i)
+        assert sorted(v for vs in requests for v in vs) == list(range(1500))
+        # no instance has a long connector, so the connector exit audit finds
+        # nothing colored since the short-connector audit and makes no call
+        assert not state.long_idx and all(requests)
+        assert len(audits) == 4 and len(requests) == 3, (i, [a[0] for a in audits])
 
 
 def test_full_run_small_instance():

@@ -58,6 +58,18 @@ def test_uncolored_vertex_rejected(c3):
     ctx = _context(c3, [ALPHA, UNCOLORED, BETA])
     with pytest.raises(ValueError):
         is_safe(ctx, 1)
+    # every k rejects a request for an uncolored vertex alike; k = 1 used to
+    # read one as unsafe (an all-False row, or False)
+    T = random_tournament(12, 1)
+    labels = np.random.default_rng(1).integers(0, 2, 12)
+    labels[[10, 11]] = UNCOLORED
+    for k in (1, 2):
+        ctx = _context(T, labels, {0}, {1}, {2}, k)
+        for request in (lambda: is_safe(ctx, 11), lambda: safety_scan(ctx, [3, 11]),
+                        lambda: all_colored_safe(ctx, [11, 3])):
+            with pytest.raises(ValueError, match="vertex 11 is uncolored"):
+                request()
+        assert not safety_scan(ctx)[10:].any() and all_colored_safe(ctx) in (True, False)
 
 
 def test_colored_outside_reserved_and_exceptions_is_safe(rand):
@@ -97,24 +109,29 @@ def test_forwards_safe_neighbour_rule(rand):
 
 
 def test_safety_never_degrades_as_coloring_grows(rand):
-    for seed in range(6):
+    # the incremental pipeline audit rests on this: with colors fixed once
+    # given and the pools fixed, a vertex safe in a sense stays safe in it
+    # as vertices of either color are added, at every k
+    kept = gained = 0
+    for seed in range(8):
         T = rand(12, seed)
         rng = np.random.default_rng(seed)
+        order = rng.permutation(12)
+        pools = ({int(order[0])}, {int(order[1]), int(order[5])}, {int(order[2]), int(order[8])})
         labels = np.full(12, UNCOLORED, dtype=np.int8)
-        colored = rng.choice(12, 7, replace=False)
-        labels[colored[:4]] = ALPHA
-        labels[colored[4:]] = BETA
-        ctx = _context(T, labels.copy(), {int(colored[0])}, (), (), 2)
-        before = {int(v): is_safe(ctx, int(v)) for v in colored}
-        labels2 = labels.copy()
-        extra = [v for v in range(12) if labels[v] == UNCOLORED][:3]
-        labels2[extra] = ALPHA
-        ctx2 = _context(T, labels2, {int(colored[0])}, (), (), 2)
-        for v, rep in before.items():
-            after = is_safe(ctx2, v)
-            for name in ("forwards", "backwards", "alt_forwards", "alt_backwards"):
-                assert not (getattr(rep, name) and not getattr(after, name)), \
-                    f"safety of {v} degraded in {name}"
+        for k in (1, 2):
+            before, prev = None, 0
+            for grown in (5, 7, 9, 12):
+                labels[order[prev:grown]] = rng.integers(0, 2, grown - prev)
+                table = safety_scan(_context(T, labels, *pools, k))
+                if before is not None:
+                    old = order[:prev]
+                    assert not (before[old] & ~table[old]).any(), (seed, k, grown)
+                    kept += int(before[old].sum())
+                    gained += int((table[old] & ~before[old]).sum())
+                before, prev = table, grown
+            labels[:] = UNCOLORED
+    assert kept > 300 and gained > 20
 
 
 def test_batch_scan_matches_per_vertex_flows(rand):
@@ -188,11 +205,31 @@ def test_flow_scan_cuts_one_network_per_sense(monkeypatch):
     assert table.any() and 0 < len(builds) <= 6
 
 
-def test_all_colored_safe_helper(rand):
-    T = rand(10, 4)
-    labels = np.zeros(10, dtype=np.int8)
-    ctx = _context(T, labels, (), (), (), 1)
-    assert all_colored_safe(ctx) == bool(safety_scan(ctx)[ctx.coloring.colored_mask()].all())
+def test_all_colored_safe_helper():
+    # random k = 1 and k = 2 contexts with reserved and exception pools,
+    # safe and unsafe: the helper answers as the table does, on the whole
+    # coloring and on random subsets of it
+    rng = np.random.default_rng(8)
+    answers = {1: set(), 2: set()}
+    for seed in range(24):
+        n = int(rng.integers(8, 16))
+        T = random_tournament(n, 800 + seed)
+        labels = rng.integers(0, 2, n)
+        labels[rng.random(n) < 0.3] = UNCOLORED
+        colored = np.flatnonzero(labels != UNCOLORED)
+        pools = [rng.choice(n, 2, replace=False).tolist() for _ in range(3)]
+        for k in (1, 2):
+            ctx = _context(T, labels, *pools, k)
+            table = safety_scan(ctx)
+            answers[k].add(all_colored_safe(ctx))
+            assert all_colored_safe(ctx) == table[colored].all()
+            for _ in range(4):
+                vs = rng.choice(colored, int(rng.integers(1, colored.size + 1)), replace=False)
+                sub = safety_scan(ctx, vs.tolist())
+                assert (sub[vs] == table[vs]).all()
+                answers[k].add(all_colored_safe(ctx, vs.tolist()))
+                assert all_colored_safe(ctx, vs.tolist()) == sub[vs].all()
+    assert answers == {1: {True, False}, 2: {True, False}}
 
 
 def test_reach_scan_builds_no_square_temporaries():
