@@ -108,6 +108,7 @@ from .core import (
     Verdict,
     _bits,
     _check_ids,
+    _popcounts,
     bit_reach,
     is_path,
     packed_set,
@@ -380,9 +381,9 @@ class Certificate:
 
 def _middle_counts(outs, ins, lo, rests):
     """The 2-path counts u->w->v and v->w->u through the w of ``rests[i]``,
-    u at rank lo + i and v at every rank past lo, as two 2-d arrays."""
-    return [np.bitwise_count((firsts[lo:lo + len(rests)] & rests)[:, None] & lasts[lo + 1:])
-            .sum(axis=-1, dtype=np.intp) for firsts, lasts in ((outs, ins), (ins, outs))]
+    u at rank lo + i and v at every rank past lo, as two 2-d int32 arrays."""
+    return [_popcounts((firsts[lo:lo + len(rests)] & rests)[:, None] & lasts[lo + 1:])
+            for firsts, lasts in ((outs, ins), (ins, outs))]
 
 
 def sweep(G, ceiling=None, stop=0, within=None):

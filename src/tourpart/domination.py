@@ -14,16 +14,21 @@ one routine run on the host's packed rows ``packed`` or on those of its
 transpose, ``rpacked``: the out-structures descend through rows of
 ``rpacked`` (in-neighbourhoods) and the in-structures through rows of
 ``packed``, and the out-dominating sets run the in-dominating greedy on
-``rpacked``.  Every shrinking pool is one
-packed row over the host's vertices, as ``pack_rows`` lays it out: a step
-ANDs it with the packed row of the vertex it takes and clears single bits,
-its size is a popcount, and the degrees inside it, which every step ranks,
-are popcounts of the host's packed rows (``packed`` or ``rpacked``) ANDed
-with it, so no step cuts a submatrix out of the host or packs anything.
-``check_structure`` tests domination on packed rows too: the packed
-outside set, less the OR of the cover's packed rows, must be empty.  A
-build packs its alive set once and hands it to the same audit, which
-recounts the anchor's degree; an anchor of too low a degree raises
+``rpacked``.  Every shrinking pool is one packed row over the host's
+vertices, as ``pack_rows`` lays it out, together with its ids: a step ANDs
+it with the packed row of the vertex it takes and unpacks the ids once (a
+waiting vertex loses its bit and its id), and they serve the next step's
+count and the exception set.  The degrees inside a pool, which every step
+ranks, are popcounts of the host's packed rows (``packed`` or ``rpacked``)
+ANDed with it, gathered in blocks of at most ``_CHUNK`` words and summed
+into int32, exact for any n below 2^31.  The taken vertex's degree is the
+next pool's size, so no pool is counted twice and no step cuts a submatrix
+out of the host or builds a |pool| x W temporary.  A build packs its alive
+set once and hands it to ``check_structure``'s audit, which runs on
+Python-int bitsets: it recounts the anchor's degree from T, reads the
+chain's transitivity off the members' rows (at most c ``row_bits`` ints),
+and requires the alive set, less the taken vertices and the OR of the
+cover's rows, to be empty.  An anchor of too low a degree raises
 ``AnchorDegreeError``, which carries the degree.
 """
 
@@ -34,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _check_ids, counts_in, packed_set, transitive_order, unpack_rows, vertex_mask
+from .core import _check_ids, _popcounts, counts_in, packed_set, row_bits, unpack_rows, vertex_mask
 
 
 class AnchorDegreeError(ValueError):
@@ -84,13 +89,7 @@ def greedy_out_dominating_set(T):
     return _greedy_dominating(T.rpacked, np.ones(T.n, dtype=bool))
 
 
-def _pool_ids(pool, n):
-    """The vertices of the packed row ``pool`` over 0..n-1, ascending."""
-    return np.flatnonzero(unpack_rows(pool, n))
-
-
-def _pool_size(pool):
-    return int(np.bitwise_count(pool).sum())
+_CHUNK = 1 << 15  # words per block of a degree count, the bound of a sweep's batch
 
 
 def _drop(pool, x):
@@ -98,11 +97,23 @@ def _drop(pool, x):
     pool[x >> 6] &= ~np.uint64(1 << (x & 63))
 
 
-def _pool_degrees(packed, pool):
-    """The vertices of the packed row ``pool`` in ascending order, and for
-    each the number of pool vertices its row of ``packed`` holds."""
-    ids = _pool_ids(pool, packed.shape[0])
-    return ids, counts_in(packed[ids], pool)
+def _pool_ids(pool, n):
+    """The vertices of the packed row ``pool`` over 0..n-1, ascending."""
+    return unpack_rows(pool, n).nonzero()[0]
+
+
+def _pool_degrees(packed, pool, ids):
+    """How many vertices of the packed row ``pool`` each vertex of ``ids``
+    (the pool's own) holds in its row of ``packed``, as int32.  The rows are
+    gathered, ANDed and popcounted in blocks of at most ``_CHUNK`` words."""
+    step = max(1, _CHUNK // packed.shape[1])
+    degrees = np.empty(len(ids), dtype=np.int32)
+    for lo in range(0, len(ids), step):
+        block = packed[ids[lo:lo + step]]
+        block &= pool
+        degrees[lo:lo + step] = _popcounts(block)
+        del block  # freed before the next gather, so one block is held at a time
+    return degrees
 
 
 def _greedy_dominating(packed, alive):
@@ -110,14 +121,15 @@ def _greedy_dominating(packed, alive):
     the out-dominating set when they are the transpose's.  Each step takes
     the lowest-id vertex of minimum out-degree inside the shrinking common
     out-neighbourhood."""
-    n = int(alive.sum())
+    ids = np.flatnonzero(alive)
+    n = len(ids)
     pool = packed_set(alive)
     chosen = []
-    while pool.any():
-        ids, deg = _pool_degrees(packed, pool)
-        x = int(ids[deg.argmin()])
+    while len(ids):
+        x = int(ids[_pool_degrees(packed, pool, ids).argmin()])
         chosen.append(x)
         pool &= packed[x]
+        ids = _pool_ids(pool, alive.size)
     S = sorted(chosen)
     assert len(S) <= max(1, math.ceil(math.log2(n))) if n > 1 else True
     in_s = vertex_mask(alive.size, S)
@@ -163,7 +175,8 @@ def _halving_structure(T, v, c, alive, mode):
     rows = T.rpacked if mode == "out" else T.packed
     live = packed_set(alive)
     pool = rows[v] & live  # common neighbourhood of the chain, minus waiting
-    degree = _pool_size(pool)
+    ids = _pool_ids(pool, T.n)
+    degree = len(ids)
     if degree < 2 ** (c - 1):
         side = "in" if mode == "out" else "out"
         raise AnchorDegreeError(
@@ -175,35 +188,35 @@ def _halving_structure(T, v, c, alive, mode):
 
     while True:
         size = trace[-1]
-        assert size * (1 << (len(chain) - 1)) <= degree, "halving invariant broken"
+        assert size == len(ids) and size * (1 << (len(chain) - 1)) <= degree, \
+            "halving invariant broken"
         if size << (c - 2) <= degree:
             if waiting is None:
                 assert size > 0
-                tip = int(_pool_ids(pool, T.n)[0])
-                _drop(pool, tip)
+                tip, ids = int(ids[0]), ids[1:]
             else:
                 tip = waiting
             order = [tip] + chain[::-1] if mode == "out" else chain + [tip]
             struct = DominatingStructure(
                 mode=mode, anchor=v, order=tuple(order), tip=tip,
-                exceptions=frozenset(_pool_ids(pool, T.n).tolist()),
-                cap=c, shrink_trace=tuple(trace))
+                exceptions=frozenset(ids.tolist()), cap=c, shrink_trace=tuple(trace))
             _check_structure(T, struct, live)
             return struct
 
         assert size >= 2
-        ids, indeg = _pool_degrees(rows, pool)
-        x = int(ids[indeg.argmin()])
-        if indeg.min() > 0 or waiting is not None:
-            nxt = x
-        else:
-            waiting = x
-            _drop(pool, x)
-            ids, indeg = _pool_degrees(rows, pool)
-            nxt = int(ids[indeg.argmin()])
+        indeg = _pool_degrees(rows, pool, ids)
+        j = int(indeg.argmin())
+        if indeg[j] == 0 and waiting is None:
+            waiting = int(ids[j])
+            _drop(pool, waiting)
+            ids = np.delete(ids, j)
+            indeg = _pool_degrees(rows, pool, ids)
+            j = int(indeg.argmin())
+        nxt = int(ids[j])
         chain.append(nxt)
         pool &= rows[nxt]  # a row holds no loop, so nxt leaves the pool
-        trace.append(_pool_size(pool))
+        ids = _pool_ids(pool, T.n)
+        trace.append(int(indeg[j]))  # nxt's degree in the pool is the new pool's size
         if len(chain) >= c:
             raise AssertionError("construction failed to exit within the chain cap")
 
@@ -217,27 +230,38 @@ def check_structure(T, s, alive=None):
 
 def _check_structure(T, s, live):
     """``check_structure`` on the packed alive set ``live``.  The audit
-    counts the anchor's degree in T[alive] itself, one row popcount, so a
-    miscount in the builder does not pass it."""
+    counts the anchor's degree in T[alive] itself, from its row of T, so a
+    miscount in the builder does not pass it.  It runs on Python-int
+    bitsets: the alive set, the anchor's row, the taken vertices and the
+    members' rows, at most c of them (``row_bits``).  T[A] is transitive
+    when its degrees are 0..|A|-1, and they order it."""
     nbrs = T.rpacked if s.mode == "out" else T.packed  # d^-(anchor) or d^+(anchor)
-    degree = int(counts_in(nbrs[s.anchor], live))
+    alive = int.from_bytes(live.tobytes(), "little")
+    degree = (int.from_bytes(nbrs[s.anchor].tobytes(), "little") & alive).bit_count()
     A = s.members
     assert 2 <= len(A) <= s.cap
     assert s.anchor in A and s.tip in A
     assert not A & s.exceptions
-    taken = packed_set(vertex_mask(T.n, A | s.exceptions))
-    assert not (taken & ~live).any(), "structure uses a vertex outside T[alive]"
-    order = transitive_order(T, A)
-    assert order is not None, "chain is not transitive"
+    taken = sum(1 << v for v in A | s.exceptions)  # disjoint, so the sum is the union
+    assert not taken & ~alive, "structure uses a vertex outside T[alive]"
+    rows = T.packed if s.mode == "out" else T.rpacked  # the cover's out- or in-rows
+    ids = sorted(A)
+    bits = row_bits(rows[ids])
+    inside = sum(1 << v for v in ids)
+    degs = [(row & inside).bit_count() for row in bits]  # in T[A]
+    assert sorted(degs) == list(range(len(ids))), "chain is not transitive"
+    order = [v for _, v in sorted(zip(degs, ids), reverse=s.mode == "out")]
     assert tuple(order) == s.order
     if s.mode == "out":
         assert s.order[0] == s.tip and s.order[-1] == s.anchor
     else:
         assert s.order[0] == s.anchor and s.order[-1] == s.tip
     assert len(s.exceptions) << (s.cap - 2) <= degree, "exception set too large"
-    rows = T.packed if s.mode == "out" else T.rpacked
-    covered = np.bitwise_or.reduce(rows[sorted(s.cover)], axis=0)
-    assert not (live & ~taken & ~covered).any(), "domination fails outside the exception set"
+    covered = 0
+    for v, row in zip(ids, bits):
+        if v != s.tip:
+            covered |= row
+    assert not alive & ~taken & ~covered, "domination fails outside the exception set"
     for i, size in enumerate(s.shrink_trace):
         assert size * (1 << i) <= degree, "recorded pool sizes violate halving"
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .connectivity import TargetFlow
-from .core import _check_ids, _crossing_graph, reachable_mask, vertex_mask
+from .core import _check_ids, _crossing_graph, _id_array, reachable_mask, vertex_mask
 
 ALPHA = 0
 BETA = 1
@@ -48,13 +48,13 @@ class Coloring:
     def assign(self, vertices, color):
         if color not in (ALPHA, BETA):
             raise ValueError("color must be ALPHA or BETA")
-        ids = np.asarray(sorted({int(v) for v in vertices}), dtype=np.int64)
+        ids = np.sort(_id_array(vertices))  # a repeated id is harmless; only a clash is deduped
         if ids.size == 0:
             return
         _check_ids(self, (int(ids[0]), int(ids[-1])))
-        if (self.labels[ids] != UNCOLORED).any():
-            clash = ids[self.labels[ids] != UNCOLORED]
-            raise ValueError(f"vertices already colored: {clash.tolist()[:5]}")
+        clash = self.labels[ids] != UNCOLORED
+        if clash.any():
+            raise ValueError(f"vertices already colored: {np.unique(ids[clash]).tolist()[:5]}")
         self.labels[ids] = color
 
     def of(self, v):

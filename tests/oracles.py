@@ -243,3 +243,10 @@ def brute_safe(T, v, coloring_labels, reserved, exc_out, exc_in, k, variant):
             if not ok:
                 return False
     return True
+
+
+def pool_degrees_by_hand(adj, pool):
+    """For each vertex u of the bool mask ``pool``, ascending, how many
+    vertices of the pool the bool row ``adj[u]`` holds, one vertex at a time."""
+    members = np.flatnonzero(pool).tolist()
+    return [sum(1 for w in members if adj[u, w]) for u in members]

@@ -28,6 +28,7 @@ from tourpart.core import (
     packed_set,
     reachable_mask,
     row_bits,
+    vertex_mask,
 )
 from tourpart.generators import random_tournament, transitive_tournament
 
@@ -218,6 +219,24 @@ def test_counts_in_match_a_plain_sum(shape):
     assert ((1 - got) == 1 - (m & within).sum(axis=1)).all()
     full = counts_in(pack_rows(m.T), packed_set(np.ones(shape[0], dtype=bool)))
     assert (full == m.sum(axis=0)).all()
+
+
+def test_vertex_mask_reads_every_kind_of_id_collection_alike():
+    # integer arrays index the mask directly; other iterables go element by
+    # element; both read a negative id from the end, as numpy indexing does
+    ids = [5, 0, 63, 64, 5, 99, -1]
+    want = np.zeros(100, dtype=bool)
+    want[[0, 5, 63, 64, 99]] = True
+    kinds = [list, tuple, set, frozenset, iter, lambda vs: (v for v in vs),
+             np.array, lambda vs: np.array(vs, dtype=np.int32)]
+    for kind in kinds:
+        assert np.array_equal(vertex_mask(100, kind(ids)), want)
+    nonneg = [v for v in ids if v >= 0]
+    for kind in (lambda vs: np.array(vs, dtype=np.uint16), lambda vs: np.array(vs, dtype=np.uint64)):
+        assert np.array_equal(vertex_mask(100, kind(nonneg)), want)
+    assert np.array_equal(vertex_mask(100, range(0, 100, 7)), np.arange(100) % 7 == 0)
+    for empty in ([], set(), range(0), np.array([], dtype=np.intp), np.array([], dtype=float)):
+        assert not vertex_mask(100, empty).any()
 
 
 @pytest.mark.parametrize("shape", [(0, 0), (1, 1), (8, 8), (9, 9), (64, 64), (65, 65),

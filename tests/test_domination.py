@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,10 +13,12 @@ from tourpart import (
     out_dominating_structure,
     transitive_order,
 )
+from oracles import pool_degrees_by_hand
 from tourpart import domination
-from tourpart.core import tournament_from_edges
+from tourpart.core import counts_in, pack_rows, packed_set, tournament_from_edges
 from tourpart.domination import AnchorDegreeError, check_structure
 from tourpart.generators import random_tournament, transitive_tournament
+from tourpart.pipeline import PipelineParams, PipelineState, build_dominating_family
 
 
 def test_greedy_sets_on_transitive():
@@ -152,6 +155,68 @@ def test_check_structure_misses_no_undominated_vertex(mode):
         assert not rows[sorted(s.cover), e].any()
         with pytest.raises(AssertionError, match="domination fails"):
             check_structure(T, dataclasses.replace(s, exceptions=s.exceptions - {e}))
+
+
+@pytest.mark.parametrize("width", [1, 2, 24, 70])
+def test_pool_degrees_match_a_plain_count(monkeypatch, width):
+    # blocks of one row, of three rows and of the whole pool: a step's rows
+    # split across blocks count as they do in one
+    rng = np.random.default_rng(width)
+    n = 64 * width - int(rng.integers(0, min(40, 64 * width - 2)))
+    adj = rng.random((n, n)) < 0.5
+    pool = rng.random(n) < min(0.9, 150 / n)
+    ids = np.flatnonzero(pool)
+    adj[ids[0]] = True  # a row holding the whole pool, and one holding none of it
+    adj[ids[-1]] = False
+    want = pool_degrees_by_hand(adj, pool)
+    assert want[0] == len(ids) and want[-1] == 0
+    for chunk in (1, width, 3 * width + 1, 1 << 15):
+        monkeypatch.setattr(domination, "_CHUNK", chunk)
+        got = domination._pool_degrees(pack_rows(adj), packed_set(pool), ids)
+        assert got.dtype == np.int32 and got.tolist() == want
+
+
+def test_pool_degrees_are_exact_past_two_bytes():
+    # the widest row the pipeline gate admits at k = 3 (n = 70,920) holds more
+    # bits than an int16 or a uint16 counts
+    full = np.full((1, 1109), ~np.uint64(0))
+    assert domination._pool_degrees(full, full[0], np.zeros(1, dtype=np.intp)).tolist() == [70_976]
+
+
+def _family(n, seed):
+    state = PipelineState(random_tournament(n, seed), 1, PipelineParams.relaxed(1))
+    build_dominating_family(state)
+    return [(s.order, s.tip, s.exceptions, s.shrink_trace)
+            for s in state.out_structs + state.in_structs]
+
+
+def test_a_multi_chunk_family_matches_the_plain_kernel(monkeypatch):
+    # at n = 3000 (47 words a row) each first step counts in two or three blocks
+    family = _family(3000, 5001)
+    assert all(trace[0] * 47 > domination._CHUNK for *_, trace in family)
+    monkeypatch.setattr(domination, "_pool_degrees",
+                        lambda packed, pool, ids: counts_in(packed[ids], pool))
+    assert _family(3000, 5001) == family
+
+
+def test_a_first_step_adds_at_most_one_block_to_the_peak():
+    # the plain kernel's gather and AND took two |pool| x W word arrays,
+    # 2 x 2,000 x 63 x 8 bytes for this first step; a block adds at most
+    # _CHUNK words, their byte popcounts and numpy's cast buffer for the
+    # int32 sum beside the degrees (numpy 2.4: 339,004 bytes in all)
+    T = random_tournament(4000, 3)
+    pool = T.rpacked[0].copy()
+    ids = domination._pool_ids(pool, T.n)
+    domination._pool_degrees(T.rpacked, pool, ids)
+    tracemalloc.start()
+    try:
+        degrees = domination._pool_degrees(T.rpacked, pool, ids)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ids) * T.rpacked.shape[1] > 3 * domination._CHUNK
+    assert peak <= 9 * domination._CHUNK + 4 * np.getbufsize() + ids.nbytes
+    assert degrees.tolist() == counts_in(T.rpacked[ids], pool).tolist()
 
 
 def test_core_set_examples():

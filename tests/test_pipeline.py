@@ -106,8 +106,8 @@ def test_dominating_family_invariants():
 def test_dominating_family_checks_each_structure_once(monkeypatch):
     # check_structure's audit certifies each chain while it is built; the
     # family audit takes its transitivity and domination from there.  Each
-    # build packs its alive set once, and its audit packs the chain and
-    # exception vertices once
+    # build packs its alive set once, and its audit reads the chain's rows
+    # once, as Python ints, so nothing calls transitive_order's gathers
     calls = []
 
     def counting(name, fn):
@@ -117,15 +117,15 @@ def test_dominating_family_checks_each_structure_once(monkeypatch):
         return wrapped
 
     domination = sys.modules["tourpart.domination"]
-    for name in ("_check_structure", "packed_set"):
+    for name in ("_check_structure", "packed_set", "row_bits"):
         monkeypatch.setattr(domination, name, counting(name, getattr(domination, name)))
     for name, module in list(sys.modules.items()):
         if name.startswith("tourpart") and hasattr(module, "transitive_order"):
             monkeypatch.setattr(module, "transitive_order",
                                 counting("order", module.transitive_order))
     build_dominating_family(_relaxed_state(1500, 0))
-    assert calls.count("_check_structure") == 12 and calls.count("order") == 12
-    assert calls.count("packed_set") == 24
+    assert calls.count("_check_structure") == calls.count("row_bits") == 12
+    assert calls.count("order") == 0 and calls.count("packed_set") == 12
 
 
 def test_reserved_coloring_class_table():

@@ -47,6 +47,28 @@ def test_coloring_rejects_ids_outside_the_graph(bad):
     assert col.colored_count() == 0
 
 
+@pytest.mark.parametrize("kind", [list, set, tuple, iter, np.array,
+                                  lambda vs: np.array(vs, dtype=np.uint32)])
+def test_coloring_assign_errors_are_pinned(kind):
+    # the same ids and errors whatever iterable of ids comes in, duplicates
+    # and order ignored; a failed assign colors nothing
+    col = Coloring(6)
+    col.assign(kind([4, 1, 4, 1]), ALPHA)
+    col.assign(kind([]), BETA)
+    assert col.labels.tolist() == [-1, ALPHA, -1, -1, ALPHA, -1]
+    with pytest.raises(ValueError, match=r"^vertices already colored: \[1, 4\]$"):
+        col.assign(kind([5, 4, 1, 0, 4, 1]), BETA)
+    with pytest.raises(ValueError, match=r"^vertex 7 out of range 0..5$"):
+        col.assign(kind([7, 6, 0]), BETA)
+    with pytest.raises(ValueError, match=r"^color must be ALPHA or BETA$"):
+        col.assign(kind([0]), 2)
+    assert col.labels.tolist() == [-1, ALPHA, -1, -1, ALPHA, -1]
+    with pytest.raises(ValueError, match=r"^vertex -2 out of range 0..5$"):
+        col.assign(np.array([9, -1, -2]), ALPHA)
+    col.assign(kind([5, 0, 5]), BETA)
+    assert col.labels.tolist() == [BETA, ALPHA, -1, -1, ALPHA, BETA]
+
+
 def _context(T, labels, reserved=(), exc_out=(), exc_in=(), k=1):
     col = Coloring(T.n)
     col.labels = np.asarray(labels, dtype=np.int8)
