@@ -837,16 +837,14 @@ def _color_bundles(state):
                     col.assign([p[pos] for pos in segs[s] if not col.is_colored(p[pos])],
                                color)
             else:
-                front = [pos for s in (1, 2, 3, 4) for pos in segs[s]]
-                back = [pos for s in (6, 7, 8, 9) for pos in segs[s]]
-                for pos in front:
-                    v = p[pos]
-                    if not col.is_colored(v):
-                        col.assign([v], cb if pos % 2 == 0 else 1 - cb)
-                for pos in back:
-                    v = p[pos]
-                    if not col.is_colored(v):
-                        col.assign([v], ca if (length - pos) % 2 == 0 else 1 - ca)
+                # colors alternate from b through the front and from a through the back
+                for segments, tip, end in (((1, 2, 3, 4), cb, 0), ((6, 7, 8, 9), ca, length)):
+                    fresh = ([], [])  # uncolored, at an even and at an odd distance from the tip
+                    for pos in (pos for s in segments for pos in segs[s]):
+                        if not col.is_colored(p[pos]):
+                            fresh[(pos - end) % 2].append(p[pos])
+                    col.assign(fresh[0], tip)
+                    col.assign(fresh[1], 1 - tip)
     col.assign([v for v in sorted(state.bulk) if not col.is_colored(v)], ALPHA)
 
 
@@ -870,15 +868,15 @@ def _color_alternating_interior(state, path):
     length = len(path) - 1
     if (cb == col.of(path[-1])) != (length % 2 == 0):
         raise AssertionError("path parity inconsistent with endpoint colors")
+    fresh = ([], [])  # the uncolored interior at even and at odd positions
     for pos in range(1, length):
         v = path[pos]
         if not col.is_colored(v):
-            col.assign([v], cb if pos % 2 == 0 else 1 - cb)
-        else:
-            want = cb if pos % 2 == 0 else 1 - cb
-            if col.of(v) != want:
-                raise PipelineError("connector_splice",
-                                    f"alternating interior clashes at vertex {v}")
+            fresh[pos % 2].append(v)
+        elif col.of(v) != (cb if pos % 2 == 0 else 1 - cb):
+            raise PipelineError("connector_splice", f"alternating interior clashes at vertex {v}")
+    col.assign(fresh[0], cb)
+    col.assign(fresh[1], 1 - cb)
 
 
 def _audit_connectors(state):
@@ -964,11 +962,9 @@ def finalize_coloring(state):
                     state.require(stage, bool(row & bulk),
                                   f"exception vertex {v}: no fresh {side}-neighbours and no "
                                   f"bulk {side}-neighbour", kind="budget")
-                # v is banned from the grants, so the coloring is current for
-                # it; coloring it now takes it out of the free set too
+                # v is banned from the grants, so the coloring is current for it
                 if not col.is_colored(v):
-                    col.assign([v], ALPHA)
-                    wave.free &= ~(1 << v)
+                    wave.alpha.append(v)
         state.require(stage, len(grabbed) <= 2 * k * len(pool),
                       f"{side}-grab bookkeeping cap violated")
 

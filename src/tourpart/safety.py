@@ -8,15 +8,26 @@ targets inside its group of the graph", on one of four graphs: the
 tournament T, its reverse, the crossing digraph X of the coloring (ALPHA
 against the rest, so under the mask of colored vertices X keeps exactly
 the color-changing arcs) and its reverse.  X is T's packed rows masked by
-the packed opposite side.  The exact check reduces to a vertex-capacity
-flow against a super-target (``connectivity.safe_flow``); a scan builds
-that network once per sense, as a ``TargetFlow`` handle on the sense's
-graph under its group mask, which every vertex of the group shares.  For
-k = 1 safety is plain reachability, and a whole-coloring scan runs as six
-BFS sweeps backwards from the targets, along the in-rows of each sense's
-graph.  The targets are most of their group, so a sweep settles the few
-non-target group vertices bottom-up, each one's out-row ANDed with the
-packed reached set.  Neither path builds an n x n temporary.
+the packed opposite side.
+
+Most vertices are settled by counting, with no graph built (Menger's fan
+argument): a target is its own path, and a vertex with arcs into k
+distinct targets has k internally disjoint paths to them, of which k-1
+deletions cut at most k-1.  One batched popcount per sense reads each
+requested vertex's row of the sense's graph (T's rows, or for X those rows
+ANDed with the targets of the opposite color) against the packed targets.
+It is the 2-path count that ``TargetFlow.safe`` itself takes first (Even
+and Tarjan, SIAM J. Comput. 1975), so the answers are the same.  Only a
+vertex with fewer than k such arcs goes on to the exact check.  That
+reduces to a vertex-capacity flow against a super-target
+(``connectivity.safe_flow``): a scan builds that network once per sense,
+as a ``TargetFlow`` handle on the sense's graph under its group mask,
+which every vertex of the group shares.  For k = 1 safety is plain
+reachability, and the check is one BFS sweep per sense backwards from the
+targets, along the in-rows of the sense's graph.  The targets are most of
+their group, so a sweep settles the few non-target group vertices
+bottom-up, each one's out-row ANDed with the packed reached set.  Neither
+path builds an n x n temporary.
 
 Safety never degrades as the coloring grows: colors never change and, with
 fixed reserved and exception sets, each sense's group, targets and
@@ -31,7 +42,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .connectivity import TargetFlow
-from .core import _check_ids, _crossing_graph, _id_array, reachable_mask, vertex_mask
+from .core import (
+    _check_ids,
+    _crossing_graph,
+    _id_array,
+    counts_in,
+    pack_rows,
+    packed_set,
+    reachable_mask,
+    vertex_mask,
+)
 
 ALPHA = 0
 BETA = 1
@@ -163,40 +183,57 @@ def _requested(ctx, vertices):
     return want
 
 
-def _reach_senses(ctx, want):
-    """(column, group, reached) of each k = 1 sense whose group meets ``want``."""
-    graphs = _sense_graphs(ctx)
+def _screened(ctx, want):
+    """(column, ask, left, safe) of each sense whose group meets ``want``:
+    every vertex of the mask ``ask``, the requested vertices of the group,
+    is safe in that sense but for the ids ``left`` that the count screen
+    (module docstring) leaves, whose answers are the bool array ``safe``.
+    The sense graphs are built only once a sense leaves a vertex."""
+    T, k = ctx.T, ctx.k
+    alpha = ctx.coloring.labels == ALPHA
+    graphs = None
     for column, group, targets in _senses(ctx):
-        if (group & want).any():
-            yield column, group, reachable_mask(graphs[column].reverse(),
-                                                np.flatnonzero(targets), group)
+        ask = group & want
+        if not ask.any():
+            continue
+        ids = np.flatnonzero(ask & ~targets)
+        rows = (T.packed, T.rpacked)[column % 2][ids]
+        if column < 2:
+            hits = packed_set(targets)
+        else:  # X's row of v is T's row masked by the side v is not on
+            sides = pack_rows(np.stack([targets & alpha, targets & ~alpha]))
+            hits = sides[alpha[ids].astype(np.intp)]
+        left = ids[counts_in(rows, hits) < k]
+        if left.size == 0:
+            yield column, ask, left, np.ones(0, dtype=bool)
+            continue
+        graphs = graphs or _sense_graphs(ctx)
+        if k == 1:
+            reached = reachable_mask(graphs[column].reverse(), np.flatnonzero(targets), group)
+            yield column, ask, left, reached[left]
+        else:
+            sense = TargetFlow(graphs[column], targets, group)
+            yield column, ask, left, np.array([sense.safe(v, k) for v in left.tolist()], dtype=bool)
 
 
 def safety_scan(ctx, vertices=None):
     """Safety reports for many vertices at once (default: every colored one).
 
-    For k = 1 each predicate is a single reachability sweep, so the whole
-    coloring is scanned with six BFS passes over packed rows, which settle
-    the non-target group vertices bottom-up; for larger k
-    this falls back to per-vertex flow checks.  Returns an (n, 4) boolean
-    table whose rows are meaningful for the requested vertices only.
+    The count screen settles most requested vertices of each sense in one
+    batched popcount; the few it leaves go to one reach sweep per sense at
+    k = 1 and to the sense's shared flow network at larger k.  Returns an
+    (n, 4) boolean table whose rows are meaningful for the requested
+    vertices only.
     """
-    want = _requested(ctx, vertices)
     table = np.zeros((ctx.T.n, 4), dtype=bool)
-    if ctx.k > 1:
-        flows = _target_flows(ctx)
-        for v in np.flatnonzero(want).tolist():
-            table[v] = _flow_row(flows, v, ctx.k)
-        return table
-    for column, group, reached in _reach_senses(ctx, want):
-        table[group, column] = reached[group]
+    for column, ask, left, safe in _screened(ctx, _requested(ctx, vertices)):
+        table[ask, column] = True
+        table[left, column] = safe
     return table
 
 
 def all_colored_safe(ctx, vertices=None):
-    """True iff every requested (default: every colored) vertex is safe; at
-    k = 1 by its senses' sweeps, up to the first that misses one, with no table."""
-    want = _requested(ctx, vertices)
-    if ctx.k > 1:
-        return bool(safety_scan(ctx, vertices)[want].all())
-    return all(reached[group & want].all() for _, group, reached in _reach_senses(ctx, want))
+    """True iff every requested (default: every colored) vertex is safe: the
+    senses are settled one by one, up to the first that leaves an unsafe
+    vertex, with no table."""
+    return all(safe.all() for *_, safe in _screened(ctx, _requested(ctx, vertices)))

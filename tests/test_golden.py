@@ -256,8 +256,9 @@ def test_other_long_connector_classes_are_pinned():
 
 
 def test_flow_safety_tables_are_pinned():
-    # k >= 2 takes the per-vertex flow branch of the scan; random partial
-    # colorings with reserved vertices and both exception pools
+    # k >= 2: the scan's count screen, then the sense's flow for each vertex
+    # it leaves; random partial colorings with reserved vertices and both
+    # exception pools
     rows = []
     for seed in range(24):
         rng = np.random.default_rng(seed)
@@ -291,9 +292,9 @@ def _layered(n, seed):
 
 
 def test_reach_safety_tables_are_pinned():
-    # k = 1 takes the sweep branch of the scan: partial colorings from sparse
-    # to nearly full, with reserved vertices and both exception pools, up to
-    # the pipeline's n
+    # k = 1: the scan's count screen, then a reach sweep for each sense that
+    # leaves a vertex; partial colorings from sparse to nearly full, with
+    # reserved vertices and both exception pools, up to the pipeline's n
     h = hashlib.sha256()
     for seed in range(24):
         rng = np.random.default_rng(seed)

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from tourpart import Tournament, is_path, pipeline, verify_partition
+from tourpart import Tournament, connectivity, is_path, pipeline, safety, verify_partition
 from tourpart.core import reachable_mask
 from tourpart.generators import random_tournament, transitive_tournament
 from tourpart.pipeline import (
@@ -40,6 +40,7 @@ from tourpart.safety import ALPHA, BETA, UNCOLORED, all_colored_safe, safety_sca
 
 STARVED_DIGEST = "32f0d952f133a2f8"
 BURN_DIGEST = "ae04ccf269d5704b"
+K2_DIGEST = "7fe1cb0d3723c7f1"  # the coloring of the k = 2 run at n = 16,500
 
 
 def test_select_extremal_on_transitive():
@@ -271,6 +272,37 @@ def test_exit_audits_check_each_colored_vertex_once(monkeypatch):
         assert len(audits) == 4 and len(requests) == 3, (i, [a[0] for a in audits])
 
 
+def test_bench_runs_settle_every_audit_by_counting(monkeypatch):
+    # every vertex an exit audit of the five bench instances requests is a
+    # target or has an arc into one, so no audit builds a flow handle or
+    # makes a reach sweep
+    handles, sweeps = [], []
+    init, sweep = connectivity.VertexFlow.__init__, safety.reachable_mask
+    monkeypatch.setattr(connectivity.VertexFlow, "__init__",
+                        lambda self, *args: handles.append(args) or init(self, *args))
+    monkeypatch.setattr(safety, "reachable_mask", lambda *args: sweeps.append(args) or sweep(*args))
+    for i in range(1, 6):
+        state = run_pipeline(random_tournament(1500, 5000 + i), 1, PipelineParams.relaxed(1), i)
+        assert all(a.passed for a in state.audits)
+    assert not handles and not sweeps
+
+
+def test_the_papers_k2_case_verifies_without_a_flow_handle(monkeypatch):
+    # the relaxed k = 2 pipeline at n = 16,500: the coloring recorded before
+    # the count screen, a split that verifies at level 2 on every graph, and
+    # no flow handle built by the pipeline's audits
+    handles = []
+    init = connectivity.VertexFlow.__init__
+    monkeypatch.setattr(connectivity.VertexFlow, "__init__",
+                        lambda self, *args: handles.append(args) or init(self, *args))
+    T = random_tournament(16500, 5001)
+    state = run_pipeline(T, 2, PipelineParams.relaxed(2))
+    assert hashlib.sha256(state.coloring.labels.tobytes()).hexdigest()[:16] == K2_DIGEST
+    assert not handles
+    res = verify_partition(T, *state.partition_sets(), 2)
+    assert res.verified and tuple(res.connectivity) == (2, 2, 2)
+
+
 def test_full_run_small_instance():
     T = random_tournament(1500, 11)
     params = PipelineParams.relaxed(1, chain_cap=6)
@@ -306,7 +338,18 @@ def test_every_bfs_sweep_reads_a_row_major_matrix(monkeypatch):
     T = random_tournament(1500, 5000)
     state = run_pipeline(T, 1, PipelineParams.relaxed(1))
     assert verify_partition(T, *state.partition_sets(), 1).verified
-    assert len(seen) > 20 and all(seen)
+    # the count screen settles every exit audit, so only the verifier's six
+    # sweeps remain: two per graph of the split
+    assert len(seen) == 6 and all(seen)
+    # an audit sweeps when a requested vertex has no arc into its targets:
+    # here v's same-color out-neighbours leave the forwards targets, and v too
+    ctx, v = state.ctx(), 0
+    lab = ctx.coloring.labels
+    outs = T.out_neighbors(v)
+    ctx = replace(ctx, reserved=frozenset({v}),
+                  in_exceptions=frozenset(outs[lab[outs] == lab[v]].tolist()))
+    all_colored_safe(ctx, [v])
+    assert len(seen) == 7 and all(seen)
 
 
 # ---------------------------------------------------------------------------

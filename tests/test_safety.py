@@ -5,6 +5,7 @@ import pytest
 
 from oracles import brute_safe
 from tourpart import connectivity
+from tourpart import safety as safety_module
 from tourpart.generators import random_tournament
 from tourpart.pipeline import (
     PipelineParams,
@@ -173,10 +174,10 @@ def test_batch_scan_matches_per_vertex_flows(rand):
 
 
 def test_reach_scan_matches_the_flow_table_on_pipeline_states():
-    # at n = 1500 the k = 1 sweeps start from most of each group and settle
-    # the reserved and exception vertices left over bottom-up; every colored
-    # vertex's row must match its per-vertex flows, which decide a vertex
-    # outside the targets by flow rather than by reach
+    # at n = 1500 the k = 1 scan settles the reserved and exception vertices
+    # by their arcs into the targets, or by a sweep when they have none;
+    # every colored vertex's row must match its per-vertex flows, which
+    # decide a vertex outside the targets by flow rather than by reach
     by_flow = 0
 
     def check(ctx):
@@ -214,17 +215,21 @@ def test_scan_against_deletion_oracle_k2(rand):
 
 def test_flow_scan_cuts_one_network_per_sense(monkeypatch):
     # the network of a sense depends on its group and targets, not on the
-    # vertex; the per-vertex answers stay pinned by the deletion oracle above
-    builds = []
-    init = connectivity.VertexFlow.__init__
+    # vertex; the per-vertex answers stay pinned by the deletion oracle above.
+    # At k = 2 the count screen settles every vertex of this context, so k is
+    # raised to 10, past the ~7 arcs a vertex has into its targets
+    builds, flows = [], []
+    init, safe = connectivity.VertexFlow.__init__, connectivity.TargetFlow.safe
     monkeypatch.setattr(connectivity.VertexFlow, "__init__",
                         lambda self, *args: builds.append(args) or init(self, *args))
+    monkeypatch.setattr(connectivity.TargetFlow, "safe",
+                        lambda self, v, k: flows.append(v) or safe(self, v, k))
     n = 60
     rng = np.random.default_rng(4)
     labels = rng.integers(0, 2, n).astype(np.int8)
-    ctx = _context(random_tournament(n, 4), labels, range(10), range(10, 20), range(20, 30), 2)
+    ctx = _context(random_tournament(n, 4), labels, range(10), range(10, 20), range(20, 30), 10)
     table = safety_scan(ctx)
-    assert table.any() and 0 < len(builds) <= 6
+    assert table.any() and 0 < len(builds) <= 6 < len(flows)
 
 
 def test_all_colored_safe_helper():
@@ -272,3 +277,67 @@ def test_reach_scan_builds_no_square_temporaries():
         tracemalloc.stop()
     assert (table == first).all()
     assert peak < 1.5e6, peak
+
+
+def _arc_counts(ctx, v, column):
+    """v's arcs, in the sense of table column ``column``, into its targets,
+    into its group, into every vertex on the other side of X (the uncolored
+    ones included) and into the targets regardless of color, one bool row
+    at a time; the last two are meant for the crossing senses only."""
+    T, lab = ctx.T, ctx.coloring.labels
+    row = (T.adj if column % 2 == 0 else T.adj.T)[v]
+    pools = [np.isin(np.arange(T.n), list(p)) for p in
+             (ctx.reserved, ctx.in_exceptions if column % 2 == 0 else ctx.out_exceptions)]
+    group = lab == lab[v] if column < 2 else lab != UNCOLORED
+    targets = group & ~pools[0] & ~pools[1]
+    side = lab != lab[v] if column >= 2 else np.ones(T.n, dtype=bool)
+    return [int((row & m).sum()) for m in (targets & side, group & side, side, targets)]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_count_screen_matches_the_deletion_oracle_and_flows(k, monkeypatch):
+    # the screen settles a vertex with k arcs into its targets and sends every
+    # other to a reach sweep (k = 1) or its sense's flow (k >= 2).  On random
+    # contexts with reserved and exception pools the table matches the
+    # deletion oracle at small n and per-vertex flows at n = 40.  The draws
+    # hold vertices with exactly k arcs into their targets, and unsafe ones
+    # that a screen counting the wrong set would pass: k - 1 arcs into the
+    # targets, k into the group, and in the crossing senses k into the
+    # other side with its uncolored vertices, or k into targets of either color
+    fallback = []
+    sweep, safe = safety_module.reachable_mask, connectivity.TargetFlow.safe
+    monkeypatch.setattr(safety_module, "reachable_mask",
+                        lambda *args: fallback.append(args) or sweep(*args))
+    monkeypatch.setattr(connectivity.TargetFlow, "safe",
+                        lambda self, v, k: fallback.append(v) or safe(self, v, k))
+    rng = np.random.default_rng(30 + k)
+    seen = dict.fromkeys(("exactly k", "k - 1", "group", "other side", "either color"), 0)
+    fell_back = 0
+    for draw in range(12):
+        n = int(rng.integers(9, 13)) if draw < 8 else 40
+        T = random_tournament(n, 7000 + 20 * k + draw)
+        labels = rng.integers(0, 2, n)
+        labels[rng.random(n) < 0.2] = UNCOLORED
+        pools = [rng.choice(n, int(rng.integers(1, n // 3 + 1)), replace=False).tolist()
+                 for _ in range(3)]
+        ctx = _context(T, labels, *pools, k)
+        calls = len(fallback)
+        table = safety_scan(ctx)
+        fell_back += len(fallback) > calls
+        flows = _target_flows(ctx)
+        for v in np.flatnonzero(labels != UNCOLORED).tolist():
+            if n < 40:
+                want = [brute_safe(T, v, labels, *pools, k, tag) for tag in ("f", "b", "af", "ab")]
+            else:
+                want = _flow_row(flows, v, k)
+            assert table[v].tolist() == want, (draw, v)
+            assert all_colored_safe(ctx, [v]) == all(want)
+            for column in range(4):
+                into, group, side, either = _arc_counts(ctx, v, column)
+                seen["exactly k"] += into == k
+                if not want[column]:
+                    seen["k - 1"] += into == k - 1
+                    seen["group"] += group >= k
+                    seen["other side"] += column >= 2 and side >= k
+                    seen["either color"] += column >= 2 and either >= k
+    assert min(seen.values()) > 0 and fell_back, seen
