@@ -64,6 +64,14 @@ so the pairs screened and flowed, and their order, are those of a count
 per rank.  The flow handle is built for the first pair past its count.  In
 a masked sweep the ranks are those of ``within``.
 
+A batch costs about 40 numpy calls, 70-90 us, however few pairs it counts,
+and an int count well under a microsecond a pair.  So a host of one-word
+rows (G.n <= 64) builds its handle first and takes the degree screen from
+its int rows; when the best x n pairs of G.n-bit rows hold at most
+``_INT_BITS`` bits, each rank counts its middles on those ints against the
+current ``best`` and lists the batch's pairs in the batch's order.  Wider
+hosts and larger sweeps keep the batch.
+
 A flow that stops short of its cap is maximum, and the kernel then reports
 the residual cut: the vertices whose in-copy is reachable from x in the
 residual network and whose out-copy is not, the same for every maximum
@@ -386,6 +394,13 @@ def _middle_counts(outs, ins, lo, rests):
             for firsts, lasts in ((outs, ins), (ins, outs))]
 
 
+# The most bits (best x n pairs of G.n-bit rows) a sweep counts on ints; an
+# int count costs a quarter more past one 30-bit digit.  On random
+# tournaments at n = 30-64 the int counts took 0.62-0.99 of the batch's time
+# per sweep up to 10,000 bits, 0.87-1.06 at 10,800-12,800, 1.04+ from 14,400.
+_INT_BITS = 10_000
+
+
 def sweep(G, ceiling=None, stop=0, within=None):
     """min(kappa(G[within]), ceiling) as ``level`` by Even's sweep (no cap
     when ``ceiling`` is None; all of G when ``within`` is None, and
@@ -395,7 +410,7 @@ def sweep(G, ceiling=None, stop=0, within=None):
     if stop < 0 or (ceiling is not None and ceiling < 0):
         raise ValueError("k must be nonnegative")
     if within is None:
-        order, mask = range(G.n), None
+        order, ids, mask = range(G.n), None, None
     elif isinstance(within, np.ndarray) and within.dtype == bool and within.shape == (G.n,):
         ids, mask = np.flatnonzero(within), packed_set(within)
         order = ids.tolist()
@@ -403,12 +418,19 @@ def sweep(G, ceiling=None, stop=0, within=None):
         raise ValueError(f"within must be a bool mask of length {G.n}")
     n = len(order)
     best = max(0, min(n - 1, n if ceiling is None else ceiling))  # the cap
+    net = packed_rows = None
     if best > 1 or (best == 1 and stop > 1):
-        # the rows of ``within`` in sweep order and its bitset; the degree screen
-        outs, ins = (G.packed, G.rpacked) if mask is None else (G.packed[ids] & mask,
-                                                                G.rpacked[ids] & mask)
+        # the bitset of ``within``; the degree screen, on the handle's ints
+        # when the rows are one word, else on the packed rows of ``within``
         full = (1 << G.n) - 1 if mask is None else int.from_bytes(mask.tobytes(), "little")
-        best = min(best, *(int(np.bitwise_count(rows).sum(axis=1).min()) for rows in (outs, ins)))
+        if G.packed.shape[1] == 1:
+            net = VertexFlow(G, mask)
+            best = min(best, *(min(rows[u].bit_count() for u in order)
+                               for rows in (net.out, net.inn)))
+        else:
+            packed_rows = _sweep_rows(G, ids, mask)
+            best = min(best, *(int(np.bitwise_count(rows).sum(axis=1).min())
+                               for rows in packed_rows))
     # the reach check alone decides a best of 1 (module docstring)
     if best == 1 and stop <= 1 and not all(
             np.count_nonzero(reachable_mask(H, order[0], within)) == n
@@ -416,13 +438,35 @@ def sweep(G, ceiling=None, stop=0, within=None):
         best = 0
     if best < stop:
         return Certificate(False, level=best)
-    if best > 1:  # the screens above decide a best of 0 or 1
-        net, width, lo = None, G.packed.shape[1], 0
+
+    # Both generators yield, in rank order and against the current best, the
+    # ordered pairs (x, y) and the swept vertices before the rank that no
+    # count settles: the middles outside those vertices plus the rank fall
+    # below best, and no arc x->y joins them.
+    def int_pairs():
+        out, inn = net.out, net.inn
+        for rank, u in enumerate(order):
+            if rank >= best:
+                return
+            spare = full & ((1 << u) - 1)
+            firsts, lasts, need = out[u] & ~spare, inn[u] & ~spare, best - rank
+            for v in order[rank + 1:]:
+                if (firsts & inn[v]).bit_count() < need and not out[u] >> v & 1:
+                    yield u, v, spare
+                    need = best - rank
+                if (lasts & out[v]).bit_count() < need and not out[v] >> u & 1:
+                    yield v, u, spare
+                    need = best - rank
+
+    def batched_pairs():
+        nonlocal net
+        outs, ins = packed_rows or _sweep_rows(G, ids, mask)
+        width, lo = G.packed.shape[1], 0
         while lo < best:
             # one batch for ranks lo..hi-1: at most one n x width count, or 2^15 words
             later = n - lo - 1
             hi = min(best, lo + max(1, max(G.n * width, 1 << 15) // (later * width)))
-            spares = [full & ((1 << u) - 1) for u in order[lo:hi]]  # swept before each rank
+            spares = [full & ((1 << u) - 1) for u in order[lo:hi]]
             rests = b"".join((full ^ spare).to_bytes(8 * width, "little") for spare in spares)
             fwd, back = _middle_counts(outs, ins, lo,
                                        np.frombuffer(rests, np.uint64).reshape(-1, width))
@@ -431,30 +475,37 @@ def sweep(G, ceiling=None, stop=0, within=None):
             for i in range(1, hi - lo):  # a v at or below the rank was visited, or is u
                 listed[i, :i] = False
             rows, cols = listed.nonzero()
-            if net is None and rows.size:  # the first pair listed passes a count
-                net = VertexFlow(G, mask)
+            if rows.size:
+                if net is None:  # the first pair listed passes a count
+                    net = VertexFlow(G, mask)
                 out = net.out
             for i, j, u_v, v_u in zip(rows.tolist(), (cols + (lo + 1)).tolist(),
                                       fwd[listed].tolist(), back[listed].tolist()):
                 rank = lo + i
                 if rank >= best:
-                    break
+                    return
                 u, v, spare = order[rank], order[j], spares[i]
-                # a pair whose swept vertices and middles or short paths reach
-                # best cannot lower it, and an arc settles its pair
-                if (u_v + rank < best and not out[u] >> v & 1
-                        and not _short_paths_reach(net, u, v, best, spare)):
-                    # capped at best, the flow's value is the new best
-                    best, _, cut = maximum_flow(net, u, v, best)
-                    if best < stop:
-                        return Certificate(False, (u, v), best, cut, best)
-                if (v_u + rank < best and not out[v] >> u & 1
-                        and not _short_paths_reach(net, v, u, best, spare)):
-                    best, _, cut = maximum_flow(net, v, u, best)
-                    if best < stop:
-                        return Certificate(False, (v, u), best, cut, best)
+                if u_v + rank < best and not out[u] >> v & 1:
+                    yield u, v, spare
+                if v_u + rank < best and not out[v] >> u & 1:
+                    yield v, u, spare
             lo = hi
+
+    if best > 1:  # the screens above decide a best of 0 or 1
+        few = net is not None and best * n * G.n <= _INT_BITS
+        for x, y, spare in int_pairs() if few else batched_pairs():
+            # a pair whose short paths reach best cannot lower it; capped
+            # at best, the flow's value is the new best
+            if not _short_paths_reach(net, x, y, best, spare):
+                best, _, cut = maximum_flow(net, x, y, best)
+                if best < stop:
+                    return Certificate(False, (x, y), best, cut, best)
     return Certificate(n > stop, level=best)
+
+
+def _sweep_rows(G, ids, mask):
+    """The packed out- and in-rows of ``within`` in sweep order, masked."""
+    return (G.packed, G.rpacked) if mask is None else (G.packed[ids] & mask, G.rpacked[ids] & mask)
 
 
 def certify(G, k):
@@ -622,9 +673,6 @@ class LinkageRequest:
 class LinkageResult:
     status: Verdict
     paths: list | None = None
-
-    def __bool__(self):
-        return self.status == Verdict.FOUND
 
 
 def _uniform_bundle(req):

@@ -24,9 +24,6 @@ class PathSearch:
     status: Verdict
     path: list | None = None
 
-    def __bool__(self):
-        return self.status == Verdict.FOUND
-
 
 def _dp_exact(G, x, y):
     n = G.n

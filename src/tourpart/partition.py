@@ -45,9 +45,6 @@ class PartitionResult:
     def verified(self):
         return self.verdict == Verdict.FOUND
 
-    def __bool__(self):
-        return self.verified
-
 
 EXACT_THRESHOLD = 150
 

@@ -177,9 +177,6 @@ class SpanningLinkage:
     theorem_backed: bool
     detail: str = ""
 
-    def __bool__(self):
-        return self.status == Verdict.FOUND
-
 
 HAM_BUDGET = 300_000
 

@@ -30,8 +30,10 @@ from tourpart import connectivity, core
 from tourpart.connectivity import Certificate, VertexFlow, sweep
 from tourpart.core import Digraph, Tournament, Verdict, _crossing_graph
 from tourpart.generators import random_tournament, transitive_tournament
-from tourpart.partition import search_partition
+from tourpart.hamilton import PathSearch
+from tourpart.partition import PartitionResult, search_partition
 from tourpart.safety import UNCOLORED
+from tourpart.surgery import SpanningLinkage
 from test_golden import _planted
 
 
@@ -218,11 +220,81 @@ def test_screens_change_no_certificate(monkeypatch):
         for k in sorted({1, 2, kappa, kappa + 1}):
             runs += [(G, ceiling, stop, mask) for ceiling, stop in ((None, 0), (k, k), (None, k))]
     screened = [sweep(*run) for run in runs]
+    # every sweep takes the numpy batch, whose middle counts are zeroed here
+    monkeypatch.setattr(connectivity, "_INT_BITS", 0)
     monkeypatch.setattr(connectivity, "_short_paths_reach", lambda *args: False)
     monkeypatch.setattr(connectivity, "_middle_counts", lambda outs, ins, lo, rests:
                         (np.zeros((len(rests), len(outs) - lo - 1), dtype=np.intp),) * 2)
     assert [sweep(*run) for run in runs] == screened
     assert sum(cert.pair is not None for cert in screened) >= 30
+
+
+def _count_path_cases():
+    """(graph, vertex mask or None): random tournaments and planted weak
+    spots at n = 6..64, alternately, each whole and by its two sides of a
+    random split, and the crossing digraph of that split; and the two
+    sides of one host past one packed word."""
+    rng = np.random.default_rng(31)
+    cases = []
+    for s, n in enumerate((6, 7, 9, 11, 13, 16, 20, 24, 28, 33, 37, 42, 46, 50, 55, 60, 64)):
+        T = random_tournament(n, 3100 + s) if s % 2 else _planted(n, 1 + s % 4, 3100 + s)
+        in_a = rng.permutation(n) < n // 2
+        cases += [(T, None), (T, in_a), (T, ~in_a), (_crossing_graph(T, in_a), None)]
+    T, in_a = random_tournament(90, 3190), rng.permutation(90) < 45
+    return cases + [(T, in_a), (T, ~in_a)]
+
+
+def test_int_counts_and_the_numpy_batch_visit_the_same_pairs(monkeypatch):
+    # a sweep counts its middles on the handle's ints or in the numpy
+    # batch; either way it returns the same certificate after the same
+    # ordered screens and flows
+    runs = []
+    for G, mask in _count_path_cases():
+        kappa = sweep(G, within=mask).level
+        for k in sorted({1, 2, kappa, kappa + 1}):
+            runs += [(G, ceiling, stop, mask) for ceiling, stop in ((None, 0), (k, k), (None, k))]
+    calls = _record_pairs(monkeypatch)
+    widths = []  # the row width of each batch
+    counts = connectivity._middle_counts
+    monkeypatch.setattr(connectivity, "_middle_counts",
+                        lambda outs, *args: widths.append(outs.shape[1]) or counts(outs, *args))
+    answers, batched = {}, {}
+    for bits in (0, 10 ** 9):
+        monkeypatch.setattr(connectivity, "_INT_BITS", bits)
+        calls.clear()
+        widths.clear()
+        answers[bits] = [sweep(*run) for run in runs], list(calls)
+        batched[bits] = sorted(set(widths)), len(widths)
+    assert answers[0] == answers[10 ** 9]
+    # at a bound of 0 every sweep batches, at a huge one only the host
+    # past one word does
+    assert batched[0][0] == [1, 2] and batched[10 ** 9][0] == [2]
+    assert batched[0][1] > 100
+    assert sum(cert.pair is not None for cert in answers[0][0]) >= 20
+    assert sum(kind == "flow" for kind, *_ in answers[0][1]) >= 50
+
+
+def test_the_bench_shapes_keep_their_count_path(monkeypatch):
+    # the three sweeps of each of the search bench's nine splits count
+    # their middles on ints, and surgery's hypothesis certifies, at
+    # 16,000 to 28,800 bits or on two-word rows, take the numpy batch
+    batches = []
+    counts = connectivity._middle_counts
+    monkeypatch.setattr(connectivity, "_middle_counts",
+                        lambda *args: batches.append(len(args[0])) or counts(*args))
+    for i in range(9):
+        assert search_partition(random_tournament(40, 31415 + i), 2, seed=i).verified
+    assert batches == []
+    for s in range(3):
+        for n, seed, k in ((60, s, 8), (40, 1000 + s, 10), (80, 2000 + s, 16)):
+            batches.clear()
+            assert connectivity.certify(random_tournament(n, seed), k).ok and batches, (n, seed)
+
+
+def test_no_result_type_has_a_truth_value():
+    # a result holds a verdict, and a verdict has no truth value
+    results = (connectivity.LinkageResult, PathSearch, PartitionResult, SpanningLinkage)
+    assert not [cls for cls in results if "__bool__" in vars(cls)]
 
 
 def _one_way_joins(count):
@@ -375,6 +447,7 @@ def test_middles_are_counted_once_per_chunk_of_ranks(monkeypatch):
         return counts(outs, ins, lo, rests)
 
     monkeypatch.setattr(connectivity, "_middle_counts", recording)
+    monkeypatch.setattr(connectivity, "_INT_BITS", 0)  # no sweep counts on ints
     kappa = vertex_connectivity(random_tournament(40, 1))
     assert kappa > 1 and len(chunks) == 1
     assert chunks[0][0] == 0 and chunks[0][1] >= kappa
