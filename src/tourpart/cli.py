@@ -6,7 +6,7 @@ Exit codes are a scripting contract:
      of a carve or subdivision remainder)
   2  verdict unknown: a search or pipeline budget ran out, including
      `partition` runs whose library verdict is unknown (no split, no proof)
-  3  input error (bad arguments, unparsable files)
+  3  input error (bad arguments, unparsable or unwritable files)
   141  standard output closed by its reader (128 + SIGPIPE, no message)
 
 Every randomized command takes an explicit --seed; there is no ambient
@@ -68,11 +68,15 @@ def _unresolved(verdict, reason):
 
 
 def _write_text(path, text):
+    """``text`` on stdout for ``-``, else in the file ``path``, whose errors name it."""
     if path == "-":
         sys.stdout.write(text)
         return
-    with open(path, "w") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"{path}: {exc.strerror}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -87,10 +91,7 @@ def cmd_gen(args):
     elif args.kind == "paley":
         if args.q is None:
             raise InputError("paley generation needs --q")
-        try:
-            T = paley_tournament(args.q)
-        except ValueError as exc:
-            raise InputError(str(exc)) from None
+        T = paley_tournament(args.q)
         name = f"paley-{args.q}"
     else:
         if args.n is None:
@@ -133,13 +134,7 @@ def cmd_carve(args):
     T = _load(args.path, read_tournament)
     avoid = _parse_ids(args.avoid)
     keep = {"both": (args.x, args.y), "none": (), "start": (args.x,), "end": (args.y,)}[args.keep]
-    try:
-        res = remove_nonseparating_path(T, args.x, args.y, avoid, args.k, keep)
-    except NoPath as exc:
-        print(f"no path: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    res = remove_nonseparating_path(T, args.x, args.y, avoid, args.k, keep)
     print("path: " + " ".join(map(str, res.path)))
     print(f"status: {'theorem-backed' if res.theorem_backed else 'best-effort'} "
           f"(hypothesis: strongly {res.level}-connected)")
@@ -189,16 +184,7 @@ def cmd_subdivide(args):
         branches[h] = v
     if -1 in branches:
         raise InputError("every pattern vertex needs a branch image")
-    spec = SubdivisionSpec(H, branches)
-    try:
-        spec.validate(T.n)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
-    try:
-        sub = nonseparating_subdivision(T, spec, args.k)
-    except NoPath as exc:
-        print(f"no path: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+    sub = nonseparating_subdivision(T, SubdivisionSpec(H, branches), args.k)
     for (hu, hv), p in sorted(sub.edge_paths.items()):
         print(f"{hu}->{hv}: " + " ".join(map(str, p)))
     print(f"status: {'theorem-backed' if sub.theorem_backed else 'best-effort'} "
@@ -226,8 +212,6 @@ def cmd_partition(args):
         # a stage that cannot run proves nothing about T's splits
         print(f"pipeline stopped ({exc.kind}): {exc}", file=sys.stderr)
         res = no_split(T, args.k, "the pipeline produced no split")
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
     if res.v1:
         text = format_partition(res)
         _write_text(args.out, text)
@@ -454,6 +438,9 @@ def main(argv=None):
         # the library raises ValueError for arguments it cannot accept
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except NoPath as exc:
+        print(f"no path: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
     except BrokenPipeError:
         # the reader stopped early (`tourpart analyze T | head -1`): end
         # quietly, with stdout on /dev/null so the exit flush cannot fail

@@ -118,8 +118,8 @@ from .core import (
     _check_ids,
     _popcounts,
     bit_reach,
-    is_path,
     packed_set,
+    path_family_fault,
     reachable_mask,
     row_bits,
     vertex_mask,
@@ -553,12 +553,8 @@ def _assert_menger(G, x, y, cert, value):
     assert len(cert.separator) == len(cert.paths) == value, \
         f"Menger equality violated for {(x, y)}: cut {len(cert.separator)}, paths {len(cert.paths)}"
     assert x not in cert.separator and y not in cert.separator
-    interiors = set()
-    for p in cert.paths:
-        assert is_path(G, p) and p[0] == x and p[-1] == y
-        inner = set(p[1:-1])
-        assert not inner & interiors, "paths share an interior vertex"
-        interiors |= inner
+    fault = path_family_fault(G, [(x, y)] * value, cert.paths)
+    assert not fault, fault
     allowed = ~vertex_mask(G.n, cert.separator)
     assert not reachable_mask(G, x, allowed)[y], \
         "claimed separator does not cut"
@@ -777,17 +773,10 @@ def find_disjoint_paths(T, req, budget=500_000):
 
 
 def _check_linkage(T, req, paths):
-    assert len(paths) == len(req.pairs)
     terminals = {u for p in req.pairs for u in p}
-    seen_interiors = set()
+    fault = path_family_fault(T, req.pairs, paths, terminals | set(req.forbidden))
+    assert not fault, fault
     for i, p in enumerate(paths):
-        x, y = req.pairs[i]
-        assert is_path(T, p) and p[0] == x and p[-1] == y
-        inner = set(p[1:-1])
-        assert not inner & set(req.forbidden)
-        assert not inner & terminals
-        assert not inner & seen_interiors
-        seen_interiors |= inner
         parity = req.pair_parity(i)
         if parity is not None:
             assert (len(p) - 1) % 2 == parity

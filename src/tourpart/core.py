@@ -31,13 +31,17 @@ level is one packed row, the OR of the previous level's rows ANDed with
 the states of its parity not yet seen, so every state of a level was first
 seen on that level.  Parents are found only on the walk back from y: the
 parent of w is the lowest-id vertex of the previous level with an arc to
-w.  ``reachable_mask`` is the one reachability sweep; it takes the graph and
-picks the cheaper direction on each level, top-down over the frontier's
-``packed`` rows, or bottom-up over the ``rpacked`` rows of the few allowed
-vertices still unreached when they are fewer than the frontier.  It and
-the path searches refuse a bool matrix, which would be read as words.  The exact
-searches (Hamiltonian paths, linkages, the flow kernel) read packed rows
-as Python-int bitsets from ``row_bits`` and reach with ``bit_reach``.
+w.  ``reachable_mask`` is the one reachability sweep; like the path
+searches it takes the graph, and it picks the cheaper direction on each
+level, top-down over the frontier's ``packed`` rows, or bottom-up over the
+``rpacked`` rows of the few allowed vertices still unreached when they are
+fewer than the frontier.  The exact searches (Hamiltonian paths, linkages,
+the flow kernel) read packed rows as Python-int bitsets from ``row_bits``
+and reach with ``bit_reach``.
+
+Every family of internally disjoint paths the library returns or audits
+is checked by one routine, ``path_family_fault``; no module but this one
+calls ``is_path``.
 """
 
 from __future__ import annotations
@@ -354,6 +358,26 @@ def is_path(G, vertices):
     return all(G.has_edge(u, v) for u, v in zip(vertices, vertices[1:]))
 
 
+def path_family_fault(G, pairs, paths, avoid=()):
+    """"" when ``paths[i]`` is a simple ``pairs[i][0]`` -> ``pairs[i][1]``
+    path of G for every i and the interiors are pairwise disjoint and miss
+    the set ``avoid``; otherwise the first fault found, in words."""
+    if len(paths) != len(pairs):
+        return f"{len(paths)} paths for {len(pairs)} pairs"
+    owner = {}
+    for i, ((x, y), p) in enumerate(zip(pairs, paths)):
+        if not is_path(G, p):
+            return f"path {i} is not a simple path of the graph"
+        if p[0] != x or p[-1] != y:
+            return f"path {i} runs {p[0]}->{p[-1]}, not {x}->{y}"
+        for v in p[1:-1]:
+            if v in avoid:
+                return f"path {i} has the avoided vertex {v} inside"
+            if (j := owner.setdefault(v, i)) != i:
+                return f"paths {j} and {i} share the interior vertex {v}"
+    return ""
+
+
 def is_backwards_transitive(T, path):
     """True iff every long-range pair on the path (positions >= 2 apart) is
     joined by an edge running from the later vertex back to the earlier one."""
@@ -392,21 +416,18 @@ def reachable_mask(G, sources, allowed=None):
     """Boolean mask of vertices reachable from ``sources`` in the graph ``G``
     inside ``allowed``; pass ``G.reverse()`` to sweep backwards.
 
-    The sweep reads ``G.packed`` and ``G.rpacked``; rows of any other dtype
-    than ``uint64`` raise TypeError.  Each level picks the cheaper
-    direction: top-down it ORs the frontier's ``packed`` rows and unpacks
-    them; bottom-up, when fewer allowed vertices are left unreached than the
-    frontier holds, each of them ANDs its ``rpacked`` row with the packed
-    reached set, and a hit reaches it.  Testing against everything reached,
-    not only the frontier, is exact for reachability, so the mask is the
-    same either way.  The sweep ends once no allowed vertex is left
+    The sweep reads ``G.packed`` and ``G.rpacked``.  Each level picks the
+    cheaper direction: top-down it ORs the frontier's ``packed`` rows and
+    unpacks them; bottom-up, when fewer allowed vertices are left unreached
+    than the frontier holds, each of them ANDs its ``rpacked`` row with the
+    packed reached set, and a hit reaches it.  Testing against everything
+    reached, not only the frontier, is exact for reachability, so the mask
+    is the same either way.  The sweep ends once no allowed vertex is left
     unreached.  ``sources`` is a vertex id or an index array; sources
     outside ``allowed`` are ignored.  Reachability includes the sources
     themselves.
     """
     rows, back = G.packed, G.rpacked
-    _check_packed(rows, "reachable_mask")
-    _check_packed(back, "reachable_mask")
     n = rows.shape[0]
     seen = np.zeros(n, dtype=bool)
     seen[sources] = True
@@ -452,19 +473,12 @@ def bit_reach(out, start, within):
     return seen
 
 
-def _check_packed(rows, who):
-    # a bool matrix read as words would give a wrong answer silently
-    if rows.dtype != np.uint64:
-        raise TypeError(f"{who} reads packed uint64 rows, not {rows.dtype}")
-
-
-def _open_mask(rows, x, y, allowed):
+def _open_mask(G, x, y, allowed):
     """The vertices a path search from x to y may use: ``allowed`` (all when
     None) plus both endpoints, as a fresh mask."""
-    _check_packed(rows, "a path search")
     if x == y:
         raise ValueError("endpoints must differ")
-    ok = np.ones(rows.shape[0], dtype=bool) if allowed is None else allowed.copy()
+    ok = np.ones(G.n, dtype=bool) if allowed is None else allowed.copy()
     ok[x] = ok[y] = True
     return ok
 
@@ -511,36 +525,37 @@ def _bfs_walk(rows, x, y, ok, layers, want=0, min_length=1, max_length=None):
     return walk
 
 
-def bfs_shortest_path(rows, x, y, allowed=None, min_length=1, max_length=None):
-    """Lexicographically smallest BFS-shortest x->y path, or None.
+def bfs_shortest_path(G, x, y, allowed=None, min_length=1, max_length=None):
+    """Lexicographically smallest BFS-shortest x->y path in the graph G, or
+    None.
 
-    ``rows`` are the graph's packed rows (its ``packed``); any other dtype
-    raises TypeError.  Ties between candidate parents are broken toward the
-    lowest vertex id, which keeps every caller deterministic.  ``allowed``
-    restricts the vertices the path may use; x and y are always permitted.
-    With ``min_length=2`` the direct edge x->y is not taken (paths must have
+    Ties between candidate parents are broken toward the lowest vertex id,
+    which keeps every caller deterministic.  ``allowed`` restricts the
+    vertices the path may use; x and y are always permitted.  With
+    ``min_length=2`` the direct edge x->y is not taken (paths must have
     a nonempty interior).  The search stops at depth ``max_length``: a
     shortest path longer than that is reported as None.
     """
-    return _bfs_walk(rows, x, y, _open_mask(rows, x, y, allowed), 1,
+    return _bfs_walk(G.packed, x, y, _open_mask(G, x, y, allowed), 1,
                      min_length=min_length, max_length=max_length)
 
 
 PARITY_RETRIES = 8
 
 
-def bfs_parity_path(rows, x, y, parity, allowed=None, max_length=None):
-    """Short simple x->y path whose edge count has the requested parity.
+def bfs_parity_path(G, x, y, parity, allowed=None, max_length=None):
+    """Short simple x->y path in the graph G whose edge count has the
+    requested parity.
 
-    BFS over the packed rows ``rows`` on the parity-doubled graph with
+    BFS over G's packed rows on the parity-doubled graph with
     deterministic lowest-id parents.  A shortest parity walk can revisit a
     vertex at opposite parities; such vertices are banned and the search
     retried, at most ``PARITY_RETRIES`` times, so a None result does not
     prove absence.  Callers audit what they build from this.
     """
-    ok = _open_mask(rows, x, y, allowed)
+    ok = _open_mask(G, x, y, allowed)
     for _ in range(PARITY_RETRIES):
-        walk = _bfs_walk(rows, x, y, ok, 2, parity % 2, max_length=max_length)
+        walk = _bfs_walk(G.packed, x, y, ok, 2, parity % 2, max_length=max_length)
         if walk is None or len(set(walk)) == len(walk):
             return walk
         ok[min(v for v in walk if walk.count(v) > 1)] = False

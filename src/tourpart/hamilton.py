@@ -161,18 +161,16 @@ def hamiltonian_path(T, x, y, budget=200_000, seed=0):
 
     out, inn = row_bits(T.packed), row_bits(T.rpacked)
     full = (1 << n) - 1
-    # exact nonexistence proofs: every vertex must be reachable from x and
-    # must reach y
-    if bit_reach(out, x, full) != full:
-        return PathSearch(Verdict.INFEASIBLE)
+    # exact nonexistence proofs: every vertex must reach y, and the
+    # backtracking's pruning test at its root, whose last line is that x
+    # reaches every vertex
     if bit_reach(inn, y, full) != full:
         return PathSearch(Verdict.INFEASIBLE)
-    # and the backtracking's pruning test at its root
     if not _feasible(out, inn, y, x, full & ~(1 << x)):
         return PathSearch(Verdict.INFEASIBLE)
 
     rng = random.Random(seed)
-    base = bfs_shortest_path(T.packed, x, y)
+    base = bfs_shortest_path(T, x, y)
     left = budget
     for attempt in range(RESTARTS):
         if base is not None:

@@ -129,9 +129,6 @@ def _screen_score(T, in_v1, k):
     score = 0
     for mask in (in_v1, ~in_v1):
         ids = np.flatnonzero(mask)
-        if ids.size <= k:
-            score += 10 * (k + 1 - ids.size)
-            continue
         side = packed_set(mask)
         for H in (T, T.reverse()):
             score += int(np.maximum(0, k - counts_in(H.packed[ids], side)).sum())

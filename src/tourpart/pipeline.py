@@ -38,8 +38,8 @@ from .core import (
     bfs_shortest_path,
     counts_in,
     is_backwards_transitive,
-    is_path,
     packed_set,
+    path_family_fault,
     row_bits,
     unpack_rows,
     vertex_mask,
@@ -178,7 +178,6 @@ class PipelineState:
         self.reserved_beta = set()
         self.exc_out = set()         # union of out-structure exception pools
         self.exc_in = set()
-        self.budget_cap = None
         self.snapshots = {}
         self.connectors = {}
         self.short_idx = []
@@ -347,12 +346,11 @@ def color_reserved(state):
     k = state.k
     slack = min(state.dhat_in - 5 * k * len(state.exc_out),
                 state.dhat_out - 5 * k * (len(state.exc_out) + len(state.exc_in)))
-    state.budget_cap = state.params.budget
     if state.params.strict:
         state.require("budget", slack >= state.params.budget,
                       f"degree slack {slack} cannot honor the strict budget "
                       f"{state.params.budget}")
-    state.record("budget", info={"budget_cap": state.budget_cap, "degree_slack": slack})
+    state.record("budget", info={"budget_cap": state.params.budget, "degree_slack": slack})
 
 
 # ---------------------------------------------------------------------------
@@ -382,12 +380,12 @@ def extend_coloring_safely(state, group, protected=frozenset()):
     exc_mask = exc_out_mask | vertex_mask(n, state.exc_in)
     colored_or_protected = int((col.colored_mask() | nmask).sum())
     cost = growth(k) * len(Z) + colored_or_protected
-    if state.budget_cap is not None:
-        state.require(stage, cost <= state.budget_cap,
+    cap = state.params.budget
+    if cap is not None:
+        state.require(stage, cost <= cap,
                       f"coloring budget exceeded: growth*|Z| + |C u N| = {cost} "
-                      f"> {state.budget_cap}", kind="budget")
-    state.record(stage, info={"group": len(Z), "cost": cost,
-                              "cap": state.budget_cap})
+                      f"> {cap}", kind="budget")
+    state.record(stage, info={"group": len(Z), "cost": cost, "cap": cap})
     # the in-wave serves Z, the out-wave serves Z and the in-wave
     grown, picks = set(), []
     for rows, side, banned in ((T.rpacked, "in", exc_out_mask), (T.packed, "out", exc_mask)):
@@ -488,8 +486,8 @@ def _collect_short_connectors(state):
             b, a = state.tips(i)
             allowed = col.uncolored_mask() & ~used
             parity = _CLASS_PARITY.get(state.klass(i))
-            p = (bfs_shortest_path(T.packed, b, a, allowed, max_length=L) if parity is None
-                 else bfs_parity_path(T.packed, b, a, parity, allowed, max_length=L))
+            p = (bfs_shortest_path(T, b, a, allowed, max_length=L) if parity is None
+                 else bfs_parity_path(T, b, a, parity, allowed, max_length=L))
             if p is not None:
                 found[i] = p
                 for v in p[1:-1]:
@@ -506,7 +504,7 @@ def find_connector_paths(state):
     def short_route(i):
         # a nontrivial b_i -> a_i route shorter than the cap, or None
         b, a = state.tips(i)
-        return bfs_shortest_path(T.packed, b, a, col.uncolored_mask(),
+        return bfs_shortest_path(T, b, a, col.uncolored_mask(),
                                  min_length=2, max_length=short_cap(state.k) - 1)
 
     shorts = _collect_short_connectors(state)
@@ -570,7 +568,7 @@ def _build_bundles(state):
         paths = []
         allowed = _bundle_allowed(state, i, used)
         for _ in range(want):
-            p = bfs_shortest_path(T.packed, b, a, allowed, min_length=2)
+            p = bfs_shortest_path(T, b, a, allowed, min_length=2)
             if p is None:
                 break
             paths.append(p)
@@ -677,20 +675,16 @@ def _audit_bundles(state):
     T, col = state.T, state.coloring
     L = short_cap(state.k)
     outside = np.flatnonzero(col.uncolored_mask() & ~_bundle_interior_mask(state))
-    seen_interiors = set()
+    # one family over all bundles, its paths numbered in index order
+    fault = path_family_fault(T, [state.tips(i) for i, paths in state.bundles.items() for _ in paths],
+                              [p for paths in state.bundles.values() for p in paths])
+    state.require(stage, not fault, f"bundle {fault}")
     for i, paths in state.bundles.items():
-        b, a = state.tips(i)
         for p in paths:
-            state.require(stage, is_path(T, p) and p[0] == b and p[-1] == a,
-                          f"index {i}: malformed bundle path")
             state.require(stage, len(p) - 1 >= L,
                           f"index {i}: bundle path of length {len(p) - 1} below {L}")
-            inner = set(p[1:-1])
-            state.require(stage, not (inner & seen_interiors),
-                          f"index {i}: bundle interiors overlap")
-            state.require(stage, not any(col.is_colored(v) for v in inner),
+            state.require(stage, not any(col.is_colored(v) for v in p[1:-1]),
                           f"index {i}: bundle interior touches a colored vertex")
-            seen_interiors |= inner
             state.require(stage, is_backwards_transitive(T, p),
                           f"index {i}: interior not backwards-transitive after shortcuts")
             first_in, last_out = _bypass_spans(T, p, outside)
@@ -787,8 +781,8 @@ def _splice_long_connectors(state):
                 state.splices[i] = (s1, s2)
             state.require(stage, (len(path) - 1) % 2 == parity,
                           f"index {i}: spliced path has the wrong parity")
-        state.require(stage, is_path(T, path) and path[0] == b and path[-1] == a,
-                      f"index {i}: splice did not produce a valid connector")
+        fault = path_family_fault(T, [(b, a)], [path])
+        state.require(stage, not fault, f"index {i}: splice did not produce a valid connector: {fault}")
         state.connectors[i] = path
 
 
@@ -883,20 +877,17 @@ def _audit_connectors(state):
     stage = "connectors"
     T, col = state.T, state.coloring
     c1 = state.snapshots["bootstrap"]
-    seen = set()
     for i in range(state.total):
         state.require(stage, i in state.connectors, f"no connector path for index {i}")
+    # the tips are structure members, so interiors that miss the reserved
+    # set miss every other connector's ends too
+    fault = path_family_fault(T, [state.tips(i) for i in range(state.total)],
+                              [state.connectors[i] for i in range(state.total)], state.reserved)
+    state.require(stage, not fault, f"connector {fault}")
+    for i in range(state.total):
         p = state.connectors[i]
-        b, a = state.tips(i)
-        state.require(stage, is_path(T, p) and p[0] == b and p[-1] == a,
-                      f"connector {i} malformed")
-        inner = set(p[1:-1])
-        state.require(stage, not (inner & state.reserved),
-                      f"connector {i} meets the reserved set")
-        state.require(stage, not any(c1[v] for v in inner),
+        state.require(stage, not any(c1[v] for v in p[1:-1]),
                       f"connector {i} meets the bootstrap coloring")
-        state.require(stage, not (inner & seen), f"connector {i} overlaps another")
-        seen |= inner | {b, a}
         cls = state.klass(i)
         parity = _CLASS_PARITY.get(cls)
         if parity is not None:

@@ -12,13 +12,13 @@ and that fact is asserted on every path returned.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .connectivity import is_strongly_k_connected
-from .core import Digraph, Verdict, _check_ids, bfs_shortest_path, is_backwards_transitive, is_path
+from .core import (Digraph, Verdict, _check_ids, bfs_shortest_path, is_backwards_transitive,
+                   path_family_fault, vertex_mask)
 from .hamilton import hamiltonian_path
 
 
@@ -38,10 +38,7 @@ def shortest_path_avoiding(T, x, y, forbidden=()):
     _check_ids(T, [x, y, *sorted(blocked)])
     if x in blocked or y in blocked:
         raise ValueError("endpoints may not be forbidden")
-    allowed = np.ones(T.n, dtype=bool)
-    for u in blocked:
-        allowed[u] = False
-    path = bfs_shortest_path(T.packed, x, y, allowed)
+    path = bfs_shortest_path(T, x, y, ~vertex_mask(T.n, blocked))
     if path is not None:
         assert is_backwards_transitive(T, path), "shortest path has a forward chord"
     return path
@@ -136,13 +133,9 @@ def nonseparating_subdivision(T, spec, k):
     edge_paths = {}
     for hu, hv in edges:
         x, y = spec.branches[hu], spec.branches[hv]
-        allowed = alive.copy()
-        for b in branch_set - {x, y}:
-            allowed[b] = False
-        path = bfs_shortest_path(T.packed, x, y, allowed)
+        path = bfs_shortest_path(T, x, y, alive & ~vertex_mask(T.n, branch_set - {x, y}))
         if path is None:
             raise NoPath(f"no path for pattern edge {hu}->{hv} ({x}->{y})")
-        assert is_backwards_transitive(T, path)
         edge_paths[(hu, hv)] = path
         for v in path[1:-1]:
             alive[v] = False
@@ -157,17 +150,16 @@ def nonseparating_subdivision(T, spec, k):
 
 
 def check_subdivision(T, spec, sub):
-    """Invariant scan: endpoint placement, interior disjointness,
+    """Invariant scan: one path per pattern edge, endpoint placement,
+    interior disjointness away from the branch vertices,
     backwards-transitivity."""
-    branch_set = set(spec.branches)
-    seen_interiors = set()
-    for (hu, hv), path in sub.edge_paths.items():
-        assert path[0] == spec.branches[hu] and path[-1] == spec.branches[hv]
-        inner = set(path[1:-1])
-        assert not inner & branch_set, "interior touches a branch vertex"
-        assert not inner & seen_interiors, "interiors overlap"
-        seen_interiors |= inner
-        assert is_backwards_transitive(T, path)
+    edges = sorted(spec.pattern.edges())
+    assert sorted(sub.edge_paths) == edges, "paths do not match the pattern edges"
+    paths = [sub.edge_paths[e] for e in edges]
+    fault = path_family_fault(T, [(spec.branches[hu], spec.branches[hv]) for hu, hv in edges],
+                              paths, set(spec.branches))
+    assert not fault, fault
+    assert all(is_backwards_transitive(T, path) for path in paths)
 
 
 @dataclass
@@ -208,10 +200,7 @@ def spanning_linkage(T, pairs, seed=0):
         x, y = pairs[idx]
         earlier = {v for p in pairs[:idx] for v in p}
         shared = earlier & {x, y}
-        allowed = alive.copy()
-        for v in earlier - shared:
-            allowed[v] = False
-        path = bfs_shortest_path(T.packed, x, y, allowed)
+        path = bfs_shortest_path(T, x, y, alive & ~vertex_mask(T.n, earlier - shared))
         if path is None:
             if alive.all():
                 return SpanningLinkage(Verdict.INFEASIBLE, None, backed,
@@ -242,16 +231,8 @@ def spanning_linkage(T, pairs, seed=0):
 
 
 def check_spanning_linkage(T, pairs, paths):
-    """Exact cover and disjointness scan for a spanning linkage."""
-    terminals = {v for p in pairs for v in p}
-    covered = []
-    for i, path in enumerate(paths):
-        x, y = pairs[i]
-        assert is_path(T, path) and path[0] == x and path[-1] == y
-        assert set(path) & terminals == {x, y}, "path meets a foreign terminal"
-        covered.extend(path)
-    assert set(covered) == set(range(T.n)), "paths do not cover the tournament"
-    counts = Counter(covered)
-    for v, c in counts.items():
-        if c > 1:
-            assert v in terminals, "non-terminal vertex on two paths"
+    """Exact cover and disjointness scan for a spanning linkage: interiors
+    miss every terminal, so only terminals may lie on two paths."""
+    fault = path_family_fault(T, pairs, paths, {v for p in pairs for v in p})
+    assert not fault, fault
+    assert set().union(*paths) == set(range(T.n)), "paths do not cover the tournament"

@@ -135,6 +135,25 @@ def test_analyze_into_closed_pipe_ends_quietly(tmp_path):
     assert proc.returncode == 141
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "--kind", "transitive", "--n", "4"],
+    ["carve", "{t}", "0", "3"],
+    ["partition", "{r}", "--k", "1", "--seed", "0", "--mode", "search"],
+    ["experiment", "{cfg}"],
+])
+def test_out_in_a_missing_directory_is_an_input_error(tmp_path, capsys, argv):
+    files = {"t": tmp_path / "t4.txt", "r": tmp_path / "r40.txt", "cfg": tmp_path / "exp.cfg"}
+    run_cli("gen", "--kind", "transitive", "--n", "4", "--out", str(files["t"]))
+    run_cli("gen", "--kind", "random", "--n", "40", "--seed", "3", "--out", str(files["r"]))
+    files["cfg"].write_text("kind=random\nn=\nk=\nseeds=0\n")
+    capsys.readouterr()
+    out = tmp_path / "missing" / "out.txt"
+    code, _ = run_cli(*(arg.format(**files) for arg in argv), "--out", str(out))
+    err = capsys.readouterr().err
+    assert code == 3 and "Traceback" not in err
+    assert err.splitlines() == [f"error: {out}: No such file or directory"]
+
+
 def test_carve_trivial_and_blocked(tmp_path):
     t = tmp_path / "t4.txt"
     run_cli("gen", "--kind", "transitive", "--n", "4", "--out", str(t))

@@ -26,6 +26,7 @@ from tourpart.core import (
     counts_in,
     pack_rows,
     packed_set,
+    path_family_fault,
     reachable_mask,
     row_bits,
     vertex_mask,
@@ -271,7 +272,7 @@ def test_bfs_shortest_paths_are_backwards_transitive(rand):
         x, y = rng.integers(0, 30, 2)
         if x == y:
             continue
-        p = bfs_shortest_path(T.packed, int(x), int(y))
+        p = bfs_shortest_path(T, int(x), int(y))
         if p is not None:
             assert is_backwards_transitive(T, p)
 
@@ -323,21 +324,20 @@ def test_packed_reach_matches_the_bool_sweep(n):
         assert n == 1 or sum(gathered) > 0  # at n = 1 no vertex is ever left to reach
 
 
-def test_reachable_mask_refuses_a_bool_matrix():
-    # a bool matrix read as words would give a wrong mask without an error
-    T = random_tournament(70, 3)
-    adj = T.adj
-    for packed, rpacked in ((adj, T.rpacked), (adj.view(np.uint8), T.rpacked), (T.packed, adj)):
-        with pytest.raises(TypeError, match="uint64"):
-            reachable_mask(Digraph._derived(packed, rpacked), 0)
-
-
-def test_path_searches_refuse_a_bool_matrix():
-    adj = random_tournament(70, 3).adj
-    with pytest.raises(TypeError, match="uint64"):
-        bfs_shortest_path(adj, 0, 1)
-    with pytest.raises(TypeError, match="uint64"):
-        bfs_parity_path(adj, 0, 1, 0)
+def test_path_family_fault_names_each_fault(t4):
+    pairs = [(0, 3), (0, 3)]
+    assert path_family_fault(t4, pairs, [[0, 1, 3], [0, 2, 3]]) == ""
+    assert path_family_fault(t4, pairs, [[0, 1, 3], [0, 2, 3]], avoid={0, 3}) == ""
+    faults = {
+        "1 paths for 2 pairs": ([[0, 1, 3]], ()),
+        "path 1 is not a simple path": ([[0, 1, 3], [0, 2, 1, 3]], ()),  # 2->1 is no arc
+        "path 0 runs 0->2, not 0->3": ([[0, 1, 2], [0, 3]], ()),
+        "path 0 is not a simple path": ([[0, 1, 1, 3], [0, 3]], ()),
+        "paths 0 and 1 share the interior vertex 1": ([[0, 1, 3], [0, 1, 2, 3]], ()),
+        "path 1 has the avoided vertex 2 inside": ([[0, 1, 3], [0, 2, 3]], {2}),
+    }
+    for reason, (paths, avoid) in faults.items():
+        assert path_family_fault(t4, pairs, paths, avoid).startswith(reason)
 
 
 def test_transitive_order(t4, c3):
@@ -354,9 +354,9 @@ def test_transitive_order_rejects_ids_outside_the_graph(bad):
 
 
 def test_parity_bfs(c3):
-    even = bfs_parity_path(c3.packed, 0, 2, 0)
+    even = bfs_parity_path(c3, 0, 2, 0)
     assert even == [0, 1, 2]
-    odd = bfs_parity_path(c3.packed, 0, 1, 1)
+    odd = bfs_parity_path(c3, 0, 1, 1)
     assert odd == [0, 1]
 
 
@@ -380,12 +380,12 @@ def test_bfs_paths_are_pinned():
     # keeps another parent moves the digest
     digest = hashlib.sha256()
     for adj, mask in _search_graphs():
-        n, rows = adj.shape[0], pack_rows(adj)
+        n, G = adj.shape[0], Digraph(adj)
         pairs = [(x, y) for x in range(n) for y in range(n) if x != y][::3]
         for allowed in (None, mask):
             for x, y in pairs:
-                answer = [bfs_shortest_path(rows, x, y, allowed, m) for m in (1, 2)]
-                answer += [bfs_parity_path(rows, x, y, parity, allowed, max_length=L)
+                answer = [bfs_shortest_path(G, x, y, allowed, m) for m in (1, 2)]
+                answer += [bfs_parity_path(G, x, y, parity, allowed, max_length=L)
                            for parity in (0, 1) for L in (None, 3, 4)]
                 digest.update(repr(answer).encode())
     assert digest.hexdigest() == BFS_DIGEST

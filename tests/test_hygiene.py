@@ -1,8 +1,9 @@
 """Static checks on the source tree: no module imports a name it never uses,
-no function imports inside its body, only ``core`` copies subgraphs, no
-module scatters through ``triu_indices``, no module reads a graph as a
-bool matrix, every pipeline parameter is read, the CLI certifies
-nothing itself, and the pipeline audits safety only incrementally."""
+no function imports inside its body, only ``core`` copies subgraphs and
+calls ``is_path``, no module scatters through ``triu_indices``, no module
+reads a graph as a bool matrix, every pipeline parameter is read, the CLI
+certifies nothing itself, and the pipeline audits safety only
+incrementally."""
 
 import ast
 from pathlib import Path
@@ -50,6 +51,16 @@ def test_only_core_cuts_submatrices():
                      else [getattr(node, "id", None), getattr(node, "attr", None)])
             if "_cut" in names or "_derived" in names:
                 offenders.append((path.name, node.lineno))
+    assert offenders == []
+
+
+def test_only_core_calls_is_path():
+    # every path family is checked by ``core.path_family_fault``; a module
+    # that calls ``is_path`` itself is writing that check again
+    offenders = [(path.name, node.lineno) for path in _source_modules() if path.name != "core.py"
+                 for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                 if isinstance(node, ast.Call)
+                 and "is_path" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
     assert offenders == []
 
 

@@ -514,9 +514,10 @@ def test_bundle_stage_end_to_end_mono_class():
     assert all(state.coloring.of(v) == ALPHA for v in path)
 
 
-def test_splice_takes_the_second_untouched_path_when_only_it_fits(monkeypatch):
-    # one long index of class ALT_AA (even connectors) and no other index,
-    # so the connector audit sees exactly this connector
+def _one_spliced_connector(monkeypatch):
+    """A state with one long index of class ALT_AA (even connectors) and no
+    other index, built through the splice, so the connector audit sees
+    exactly this connector."""
     monkeypatch.setattr(PipelineState, "total", property(lambda self: 1))
     monkeypatch.setattr(PipelineState, "klass", lambda self, i: ALT_AA)
     T, b, a, planted = _planted_instance(6, [21, 21, 21, 22, 22, 22], early=550, late=230)
@@ -527,12 +528,44 @@ def test_splice_takes_the_second_untouched_path_when_only_it_fits(monkeypatch):
     _audit_bundles(state)
     _place_hubs(state)
     _color_bundles(state)
+    return state
+
+
+def test_splice_takes_the_second_untouched_path_when_only_it_fits(monkeypatch):
+    state = _one_spliced_connector(monkeypatch)
     paths = state.bundles[0]
     hubs = state.hub_alpha_idx | state.hub_beta_idx
     s1, s2 = [j for j in range(6) if (0, j) not in hubs][:2]
     assert (len(paths[s1]) - 1) % 2 == 1 and (len(paths[s2]) - 1) % 2 == 0
     assert state.splices[0] == (s2,) and state.connectors[0] == paths[s2]
     _audit_connectors(state)
+
+
+def test_the_connector_audit_names_a_reserved_or_bootstrap_interior(monkeypatch):
+    state = _one_spliced_connector(monkeypatch)
+    v = state.connectors[0][1]
+    state.reserved = {v}
+    with pytest.raises(PipelineError, match=f"connector path 0 has the avoided vertex {v} inside"):
+        _audit_connectors(state)
+    state.reserved = set()
+    state.snapshots["bootstrap"][v] = True
+    with pytest.raises(PipelineError, match="connector 0 meets the bootstrap coloring"):
+        _audit_connectors(state)
+
+
+def test_the_bundle_audit_names_shared_and_colored_interiors():
+    T, b, a, planted = _planted_instance(2, 25, early=5, late=5)
+    state = _bundle_state(T, b, a, 0)
+    state.bundles = {0: [list(planted[0])], 1: [list(planted[1])]}
+    _audit_bundles(state)
+    state.bundles[1].append(list(planted[0]))  # index 1 reuses a path of index 0
+    with pytest.raises(PipelineError, match=f"bundle paths 0 and 2 share the interior vertex "
+                                            f"{planted[0][1]}"):
+        _audit_bundles(state)
+    del state.bundles[1][1]
+    state.coloring.assign([planted[1][5]], BETA)
+    with pytest.raises(PipelineError, match="index 1: bundle interior touches a colored vertex"):
+        _audit_bundles(state)
 
 
 def test_the_connector_stage_burns_a_short_route_of_the_wrong_parity(monkeypatch):

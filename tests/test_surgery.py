@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from tourpart import (
     spanning_linkage,
 )
 from tourpart.generators import transitive_tournament
-from tourpart.surgery import check_spanning_linkage
+from tourpart.surgery import check_spanning_linkage, check_subdivision
 
 
 def test_shortest_path_examples(c3, t4):
@@ -165,6 +167,23 @@ def test_spanning_shared_terminals(rand):
             check_spanning_linkage(T, pairs, res.paths)
             return
     pytest.skip("no qualifying instance in the sample")
+
+
+def test_family_scans_reject_a_missing_cover_or_a_shared_interior():
+    T = transitive_tournament(5)
+    pairs = [(0, 4), (1, 4)]
+    check_spanning_linkage(T, pairs, [[0, 2, 3, 4], [1, 4]])
+    with pytest.raises(AssertionError, match="do not cover"):
+        check_spanning_linkage(T, pairs, [[0, 3, 4], [1, 4]])
+    with pytest.raises(AssertionError, match="share the interior vertex 2"):
+        check_spanning_linkage(T, pairs, [[0, 2, 3, 4], [1, 2, 4]])
+    spec = SubdivisionSpec(digraph_from_edges(3, [(0, 1), (0, 2)]), [0, 4, 3])
+    check_subdivision(T, spec, SimpleNamespace(edge_paths={(0, 1): [0, 4], (0, 2): [0, 3]}))
+    with pytest.raises(AssertionError, match="pattern edges"):
+        check_subdivision(T, spec, SimpleNamespace(edge_paths={(0, 1): [0, 4]}))
+    with pytest.raises(AssertionError, match="share the interior vertex 1"):
+        check_subdivision(T, spec, SimpleNamespace(edge_paths={(0, 1): [0, 1, 4],
+                                                               (0, 2): [0, 1, 3]}))
 
 
 def test_spanning_infeasible_on_transitive():
