@@ -1,18 +1,12 @@
-"""Tournament connectivity, surgery and partition toolkit."""
+"""Tournament connectivity, surgery and partition toolkit.
 
-from .core import (
-    Digraph,
-    Tournament,
-    Verdict,
-    bipartite_subdigraph,
-    is_backwards_transitive,
-    is_path,
-    reverse,
-    subtournament,
-    transitive_order,
-    tournament_from_edges,
-    digraph_from_edges,
-)
+The package exports what the README, the demos, the CLI and the bench
+harness use, and the result types those entry points return.  Everything
+else stays in its module; the brute-force oracles and test-only builders
+live in ``tests/oracles.py``.
+"""
+
+from .core import Digraph, Tournament, Verdict, digraph_from_edges
 from .generators import paley_tournament, random_tournament, transitive_tournament
 from .hamilton import hamiltonian_path
 from .connectivity import (
@@ -25,7 +19,6 @@ from .connectivity import (
     is_k_linked,
     is_strongly_k_connected,
     min_separator,
-    safe_flow,
     vertex_connectivity,
 )
 from .domination import (
@@ -45,20 +38,17 @@ from .surgery import (
     SpanningLinkage,
     nonseparating_subdivision,
     remove_nonseparating_path,
-    shortest_path_avoiding,
     spanning_linkage,
 )
-from .safety import ALPHA, BETA, UNCOLORED, Coloring, SafetyContext, is_safe, safety_scan
+from .safety import safety_scan
 from .pipeline import (
     PipelineError,
     PipelineParams,
-    extend_coloring_safely,
     bootstrap_safety,
     build_dominating_family,
     find_connector_paths,
     finalize_coloring,
     run_pipeline,
-    select_extremal_sets,
 )
 from .partition import (
     PartitionResult,

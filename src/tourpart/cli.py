@@ -7,6 +7,8 @@ Exit codes are a scripting contract:
   2  verdict unknown: a search or pipeline budget ran out, including
      `partition` runs whose library verdict is unknown (no split, no proof)
   3  input error (bad arguments, unparsable or unwritable files)
+  4  internal error: any other exception, named on one stderr line
+     (``internal error: <Type>: <message>``) with no traceback
   141  standard output closed by its reader (128 + SIGPIPE, no message)
 
 Every randomized command takes an explicit --seed; there is no ambient
@@ -36,6 +38,7 @@ EXIT_OK = 0
 EXIT_INFEASIBLE = 1
 EXIT_UNKNOWN = 2
 EXIT_INPUT = 3
+EXIT_INTERNAL = 4
 EXIT_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a reader that left
 EXIT_CODE = {Verdict.FOUND: EXIT_OK, Verdict.INFEASIBLE: EXIT_INFEASIBLE,
              Verdict.UNKNOWN: EXIT_UNKNOWN}
@@ -446,6 +449,12 @@ def main(argv=None):
         # quietly, with stdout on /dev/null so the exit flush cannot fail
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_PIPE
+    except Exception as exc:
+        # a failed library audit is a fault of the program, not a proof
+        # about the input: it must not read as exit 1, "infeasible"
+        message = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

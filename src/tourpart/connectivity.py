@@ -533,9 +533,6 @@ class SeparatorCertificate:
     separator: frozenset
     paths: list
 
-    def size(self):
-        return len(self.separator)
-
 
 def min_separator(G, x, y):
     _check_ids(G, (x, y))
@@ -564,29 +561,13 @@ def _assert_menger(G, x, y, cert, value):
 # safety flow: can at most k-1 deletions cut v off from a target set?
 
 
-def safe_flow(G, v, targets, k, direction="forward", restrict=None):
-    """True iff no set F (|F| <= k-1, v not in F) destroys every directed
-    path from v to targets\\F (forward) or from targets\\F to v (backward)
-    inside G[restrict].  F may intersect the target set."""
-    if direction not in ("forward", "backward"):
-        raise ValueError("direction must be forward or backward")
-    targets = list(targets)
-    restrict = None if restrict is None else list(restrict)
-    _check_ids(G, [v, *targets, *(restrict or ())])
-    within = np.ones(G.n, dtype=bool) if restrict is None else vertex_mask(G.n, restrict)
-    if not within[v]:
-        raise ValueError("v must belong to the restriction set")
-    # a backward check runs forwards on the reverse
-    graph = G if direction == "forward" else G.reverse()
-    return TargetFlow(graph, vertex_mask(G.n, targets), within).safe(v, k)
-
-
 class TargetFlow:
-    """``safe_flow`` forwards in G[within], with targets and restriction as
-    masks.  The network is ``VertexFlow(G, packed_set(within))`` plus one
-    sink, vertex n, fed by every target in ``within``; it does not depend on
-    the source v, so one handle serves every v in ``within``, built on first
-    need."""
+    """``safe(v, k)``: whether no set F (|F| <= k-1, v not in F) cuts every
+    path from v to the targets outside F in G[within], the targets and
+    ``within`` being masks; F may hold targets.  The network is
+    ``VertexFlow(G, packed_set(within))`` plus one sink, vertex n, fed by
+    every target in ``within``; it does not depend on the source v, so one
+    handle serves every v in ``within``, built on first need."""
 
     def __init__(self, G, targets, within):
         self.G, self.within = G, within
@@ -619,8 +600,6 @@ class TargetFlow:
 class LinkageRequest:
     """k terminal pairs plus the side conditions a linkage must satisfy.
 
-    parity: per-pair edge-count parity (None, 0 even, 1 odd).
-    max_length: per-pair cap on edge count.
     Repeated pairs are allowed with internally-disjoint semantics and ask
     for that many distinct paths between the same terminals.
     """
@@ -628,8 +607,6 @@ class LinkageRequest:
     pairs: list
     disjointness: str = "internal"  # internal | full
     forbidden: frozenset = field(default_factory=frozenset)
-    parity: tuple | None = None
-    max_length: tuple | None = None
 
     def validate(self, n):
         if not self.pairs:
@@ -650,30 +627,12 @@ class LinkageRequest:
                 raise ValueError(f"forbidden vertex {v} out of range 0..{n - 1}")
         if set(ends) & set(self.forbidden):
             raise ValueError("terminals may not be forbidden")
-        for name in ("parity", "max_length"):
-            val = getattr(self, name)
-            if val is not None and len(val) != len(self.pairs):
-                raise ValueError(f"{name} must list one entry per pair")
-        for p in self.parity or ():
-            if p is not None and p not in (0, 1):
-                raise ValueError(f"parity entry {p} is not None, 0 or 1")
-
-    def pair_parity(self, i):
-        return None if self.parity is None else self.parity[i]
-
-    def pair_cap(self, i):
-        return None if self.max_length is None else self.max_length[i]
 
 
 @dataclass
 class LinkageResult:
     status: Verdict
     paths: list | None = None
-
-
-def _uniform_bundle(req):
-    return (len(set(req.pairs)) == 1 and req.disjointness == "internal"
-            and req.parity is None and req.max_length is None)
 
 
 def disjoint_routes(T, x, y, allowed):
@@ -700,14 +659,15 @@ def _bundle_by_flow(T, req):
 def find_disjoint_paths(T, req, budget=500_000):
     """Exact linkage solver.
 
-    Identical-pair requests without side conditions reduce to max-flow and
-    are solved exactly that way.  Everything else runs a backtracking search
-    over simple paths on int bitsets, trying out-neighbours in ascending id
-    order and pruning by reachability; exhausting ``budget`` is
-    reported as "unknown", exhausting the search space as "infeasible".
+    Requests that repeat one pair under internal disjointness reduce to
+    max-flow and are solved exactly that way.  Everything else runs a
+    backtracking search over simple paths on int bitsets, trying
+    out-neighbours in ascending id order and pruning by reachability;
+    exhausting ``budget`` is reported as "unknown", exhausting the search
+    space as "infeasible".
     """
     req.validate(T.n)
-    if _uniform_bundle(req):
+    if len(set(req.pairs)) == 1 and req.disjointness == "internal":
         return _bundle_by_flow(T, req)
 
     out = row_bits(T.packed)
@@ -725,18 +685,12 @@ def find_disjoint_paths(T, req, budget=500_000):
         if i == len(req.pairs):
             return True
         x, y = req.pairs[i]
-        parity = req.pair_parity(i)
-        cap = req.pair_cap(i)
 
         def extend(v, visited, acc):
             counter[0] -= 1
             if counter[0] <= 0:
                 raise BudgetExceeded
-            if cap is not None and len(acc) - 1 > cap:
-                return False
-            length = len(acc)
-            if (out[v] >> y & 1 and (cap is None or length <= cap)
-                    and (parity is None or length % 2 == parity)):
+            if out[v] >> y & 1:
                 cand = acc + [y]
                 # interiors are disjoint, so only a bare edge of a repeated
                 # terminal pair can come up twice; it is taken once
@@ -748,8 +702,6 @@ def find_disjoint_paths(T, req, budget=500_000):
                     if feasible_rest(i + 1, marked) and dfs_pair(i + 1, marked):
                         return True
                     paths.pop()
-            if cap is not None and length >= cap:
-                return False
             free = base & ~used & ~visited
             for w in _bits(out[v] & free):
                 if not bit_reach(out, w, free | 1 << y) >> y & 1:
@@ -776,13 +728,6 @@ def _check_linkage(T, req, paths):
     terminals = {u for p in req.pairs for u in p}
     fault = path_family_fault(T, req.pairs, paths, terminals | set(req.forbidden))
     assert not fault, fault
-    for i, p in enumerate(paths):
-        parity = req.pair_parity(i)
-        if parity is not None:
-            assert (len(p) - 1) % 2 == parity
-        cap = req.pair_cap(i)
-        if cap is not None:
-            assert len(p) - 1 <= cap
     if req.disjointness == "full":
         allv = [v for p in paths for v in p]
         assert len(set(allv)) == len(allv)
@@ -790,11 +735,12 @@ def _check_linkage(T, req, paths):
         assert len(set(map(tuple, paths))) == len(paths), "paths must be distinct"
 
 
-def is_k_linked(T, k, budget=500_000):
+def is_k_linked(T, k):
     """Exhaustive linkedness check for small tournaments.
 
     Returns the verdict found when every endpoint tuple links, infeasible
-    when one cannot (or n < 2k), unknown when one exhausted the budget.
+    when one cannot (or n < 2k), unknown when one exhausted the budget of
+    ``find_disjoint_paths``.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -806,7 +752,7 @@ def is_k_linked(T, k, budget=500_000):
         pairs = [(combo[2 * i], combo[2 * i + 1]) for i in range(k)]
         if any(pairs[i] >= pairs[i + 1] for i in range(k - 1)):
             continue  # unordered between pairs: keep one representative
-        res = find_disjoint_paths(T, LinkageRequest(pairs, "full"), budget=budget)
+        res = find_disjoint_paths(T, LinkageRequest(pairs, "full"))
         if res.status == Verdict.INFEASIBLE:
             return Verdict.INFEASIBLE
         if res.status == Verdict.UNKNOWN:

@@ -118,12 +118,6 @@ class Digraph:
     def edge_count(self):
         return int(np.bitwise_count(self.packed).sum())
 
-    def __len__(self):
-        return self.n
-
-    def __repr__(self):
-        return f"{type(self).__name__}(n={self.n}, m={self.edge_count()})"
-
 
 class Tournament(Digraph):
     """A complete oriented graph: exactly one direction per vertex pair."""
@@ -267,7 +261,8 @@ def vertex_mask(n, vertices):
     return mask
 
 
-def _edge_matrix(n, edges):
+def digraph_from_edges(n, edges):
+    """The digraph on n vertices with the arcs ``edges``, (u, v) for u->v."""
     adj = np.zeros((n, n), dtype=bool)
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
@@ -275,11 +270,7 @@ def _edge_matrix(n, edges):
         if u == v:
             raise ValueError(f"self-loop {u}->{v}")
         adj[u, v] = True
-    return adj
-
-
-def tournament_from_edges(n, edges):
-    return Tournament(_edge_matrix(n, edges))
+    return Digraph(adj)
 
 
 def tournament_from_pair_bits(n, bits):
@@ -305,41 +296,6 @@ def pair_bits(T):
     the inverse of ``tournament_from_pair_bits``."""
     rows = (unpack_rows(T.packed[i], T.n)[i + 1:] for i in range(T.n))
     return np.concatenate([np.zeros(0, dtype=bool), *rows])
-
-
-def digraph_from_edges(n, edges):
-    return Digraph(_edge_matrix(n, edges))
-
-
-def reverse(T):
-    return T.reverse()
-
-
-def subtournament(T, vertices):
-    return T.subtournament(vertices)
-
-
-def bipartite_subdigraph(T, side_a, side_b):
-    """Digraph keeping only the T-edges that cross between ``side_a`` and
-    ``side_b``.  Vertices are relabelled to 0..m-1 over sorted(A | B); the
-    second return value maps new ids back to T ids.  When A | B covers all
-    of T the map is the identity and the digraph is T's packed rows, each
-    masked by the packed side opposite its vertex."""
-    A = set(int(v) for v in side_a)
-    B = set(int(v) for v in side_b)
-    if not A or not B:
-        raise ValueError("both sides must be nonempty")
-    if A & B:
-        raise ValueError("sides overlap")
-    ids = sorted(A | B)
-    if ids[0] < 0 or ids[-1] >= T.n:
-        raise ValueError("vertex id out of range")
-    in_a = vertex_mask(T.n, A)[ids]
-    if len(ids) == T.n:
-        return _crossing_graph(T, in_a), ids
-    crossing = in_a[:, None] != in_a[None, :]
-    packed, rpacked = (pack_rows(_cut(rows, ids) & crossing) for rows in (T.rpacked, T.packed))
-    return Digraph._derived(packed, rpacked), ids
 
 
 def _crossing_graph(T, in_a):
@@ -389,24 +345,6 @@ def is_backwards_transitive(T, path):
             if not T.has_edge(path[i], path[j]):
                 return False
     return True
-
-
-def transitive_order(T, vertices):
-    """Source-to-sink order of T[vertices] when transitive, else None.
-
-    A tournament is transitive exactly when its out-degree sequence is a
-    permutation of 0..m-1; the order is then unique.
-    """
-    ids = sorted(set(int(v) for v in vertices))
-    if not ids:
-        raise ValueError("empty vertex set")
-    _check_ids(T, (ids[0], ids[-1]))
-    degs = counts_in(T.packed[ids], packed_set(vertex_mask(T.n, ids)))
-    m = len(ids)
-    if sorted(degs.tolist()) != list(range(m)):
-        return None
-    order = [ids[i] for i in np.argsort(-degs, kind="stable")]
-    return order
 
 
 # ---------------------------------------------------------------------------

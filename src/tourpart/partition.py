@@ -49,9 +49,9 @@ class PartitionResult:
 EXACT_THRESHOLD = 150
 
 
-def _sweep_split(T, in_v1, k, stop, exact_threshold):
+def _sweep_split(T, in_v1, k, stop):
     """Sweep T[V1], T[V2] and T[V1, V2] in order: exact kappa up to
-    ``exact_threshold`` vertices, otherwise min(kappa, k).
+    ``EXACT_THRESHOLD`` vertices, otherwise min(kappa, k).
 
     Returns ``(result, None)``; ``(None, witness)`` when a graph's sweep
     stops at a pair whose flow falls below ``stop``, the witness being
@@ -62,7 +62,7 @@ def _sweep_split(T, in_v1, k, stop, exact_threshold):
     levels = []
     for which, within in enumerate((in_v1, ~in_v1, None)):
         G = T if which < 2 else _crossing_graph(T, in_v1)
-        exact = (T.n if within is None else int(within.sum())) <= exact_threshold
+        exact = (T.n if within is None else int(within.sum())) <= EXACT_THRESHOLD
         cert = sweep(G, None if exact else k, stop, within)
         if not cert.ok:
             return None, None if cert.pair is None else (which, cert.pair, cert.value, cert.cut)
@@ -75,11 +75,11 @@ def _sweep_split(T, in_v1, k, stop, exact_threshold):
         reason="" if found else "the split found failed verification"), None
 
 
-def verify_partition(T, v1, v2, k, exact_threshold=EXACT_THRESHOLD):
+def verify_partition(T, v1, v2, k):
     """Certify a partition: each side induces a strongly k-connected
     tournament and the crossing digraph is strongly k-connected too.
 
-    Reports per-graph connectivity: exact below ``exact_threshold``
+    Reports per-graph connectivity: exact up to ``EXACT_THRESHOLD``
     vertices, otherwise the largest level at most k that verifies.
     """
     if k < 0:
@@ -93,7 +93,7 @@ def verify_partition(T, v1, v2, k, exact_threshold=EXACT_THRESHOLD):
         raise ValueError("sides overlap")
     if len(s1) + len(s2) != T.n:
         raise ValueError("sides do not partition the vertex set")
-    return _sweep_split(T, vertex_mask(T.n, s1), k, 0, exact_threshold)[0]
+    return _sweep_split(T, vertex_mask(T.n, s1), k, 0)[0]
 
 
 def _degree_proof(T, k):
@@ -188,7 +188,7 @@ def search_partition(T, k, seed, budget=400):
             if not score:
                 # one sweep per graph certifies the split, and a rejected split
                 # stops at the pair that steers the repair
-                res, viol = _sweep_split(T, in_v1, k, k, EXACT_THRESHOLD)
+                res, viol = _sweep_split(T, in_v1, k, k)
                 if res is not None:
                     return replace(res, **run)
                 if proof is None and (proof := _certify_proof(T, k)):

@@ -96,16 +96,10 @@ class PipelineParams:
         )
 
     @staticmethod
-    def relaxed(k, per_class=None, chain_cap=None, bundle_size=8, budget=None):
-        base = PipelineParams.guaranteed(k)
-        return replace(
-            base,
-            per_class=per_class if per_class is not None else k,
-            chain_cap=chain_cap if chain_cap is not None else base.chain_cap,
-            bundle_size=bundle_size,
-            budget=budget,
-            strict=False,
-        )
+    def relaxed(k):
+        """The guaranteed constants with bundles of 8, no coloring budget and
+        no a-priori guarantee; ``dataclasses.replace`` sets any field."""
+        return replace(PipelineParams.guaranteed(k), bundle_size=8, budget=None, strict=False)
 
     def as_dict(self):
         return asdict(self)

@@ -19,15 +19,14 @@ ANDed with the targets of the opposite color) against the packed targets.
 It is the 2-path count that ``TargetFlow.safe`` itself takes first (Even
 and Tarjan, SIAM J. Comput. 1975), so the answers are the same.  Only a
 vertex with fewer than k such arcs goes on to the exact check.  That
-reduces to a vertex-capacity flow against a super-target
-(``connectivity.safe_flow``): a scan builds that network once per sense,
-as a ``TargetFlow`` handle on the sense's graph under its group mask,
-which every vertex of the group shares.  For k = 1 safety is plain
-reachability, and the check is one BFS sweep per sense backwards from the
-targets, along the in-rows of the sense's graph.  The targets are most of
-their group, so a sweep settles the few non-target group vertices
-bottom-up, each one's out-row ANDed with the packed reached set.  Neither
-path builds an n x n temporary.
+reduces to a vertex-capacity flow against a super-target: a scan builds
+that network once per sense, as a ``connectivity.TargetFlow`` handle on
+the sense's graph under its group mask, which every vertex of the group
+shares.  For k = 1 safety is plain reachability, and the check is one BFS
+sweep per sense backwards from the targets, along the in-rows of the
+sense's graph.  The targets are most of their group, so a sweep settles
+the few non-target group vertices bottom-up, each one's out-row ANDed with
+the packed reached set.  Neither path builds an n x n temporary.
 
 Safety never degrades as the coloring grows: colors never change and, with
 fixed reserved and exception sets, each sense's group, targets and
@@ -114,18 +113,6 @@ class SafetyContext:
                 vertex_mask(n, self.in_exceptions))
 
 
-@dataclass
-class SafetyReport:
-    forwards: bool
-    backwards: bool
-    alt_forwards: bool
-    alt_backwards: bool
-
-    @property
-    def safe(self):
-        return self.forwards and self.backwards and self.alt_forwards and self.alt_backwards
-
-
 def _senses(ctx):
     """The four predicates as (column, group, targets): a vertex v of
     ``group`` is safe in the sense of table column ``column`` when no k-1
@@ -148,30 +135,6 @@ def _sense_graphs(ctx):
     T = ctx.T
     X = _crossing_graph(T, ctx.coloring.labels == ALPHA)
     return T, T.reverse(), X, X.reverse()
-
-
-def _target_flows(ctx):
-    """Per sense, (column, group, its ``TargetFlow``), one flow network for
-    the group."""
-    graphs = _sense_graphs(ctx)
-    return [(column, group, TargetFlow(graphs[column], targets, group))
-            for column, group, targets in _senses(ctx)]
-
-
-def _flow_row(flows, v, k):
-    """The four predicates of one vertex by flows, in table column order."""
-    row = [None] * 4
-    for column, group, sense in flows:
-        if group[v]:
-            row[column] = sense.safe(v, k)
-    if None in row:
-        raise ValueError(f"vertex {v} is uncolored")
-    return row
-
-
-def is_safe(ctx, v):
-    """Evaluate all four safety predicates for one colored vertex."""
-    return SafetyReport(*_flow_row(_target_flows(ctx), v, ctx.k))
 
 
 def _requested(ctx, vertices):

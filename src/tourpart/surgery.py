@@ -54,13 +54,13 @@ class CarveResult:
     level: int
 
 
-def remove_nonseparating_path(T, x, y, avoid=(), k=1, keep=(), assume_hypothesis=None):
+def remove_nonseparating_path(T, x, y, avoid=(), k=1, keep=()):
     """Delete a shortest x->y path (minus ``keep``) without destroying
     strong k-connectivity.
 
     The guarantee holds whenever T is strongly (k + |avoid| + 4)-connected;
-    that hypothesis is measured unless ``assume_hypothesis`` pins it, and
-    the remainder's strong k-connectivity is verified either way.
+    that hypothesis is measured, and the remainder's strong k-connectivity
+    is verified either way.
     """
     avoid = sorted({int(u) for u in avoid})
     keep = {int(u) for u in keep}
@@ -72,10 +72,7 @@ def remove_nonseparating_path(T, x, y, avoid=(), k=1, keep=(), assume_hypothesis
     if path is None:
         raise NoPath(f"no {x}->{y} path avoiding {avoid}")
     level = k + len(avoid) + 4
-    if assume_hypothesis is None:
-        backed = is_strongly_k_connected(T, level)
-    else:
-        backed = bool(assume_hypothesis)
+    backed = is_strongly_k_connected(T, level)
     removed = set(path) - keep
     survivors = [v for v in range(T.n) if v not in removed]
     remainder, index_map = T.subtournament(survivors)

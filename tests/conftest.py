@@ -1,12 +1,12 @@
 import pytest
 
-from tourpart import tournament_from_edges
+from tourpart.core import Tournament, digraph_from_edges
 from tourpart.generators import paley_tournament, random_tournament, transitive_tournament
 
 
 @pytest.fixture
 def c3():
-    return tournament_from_edges(3, [(0, 1), (1, 2), (2, 0)])
+    return Tournament(digraph_from_edges(3, [(0, 1), (1, 2), (2, 0)]).adj)
 
 
 @pytest.fixture

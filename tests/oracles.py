@@ -1,14 +1,19 @@
 """Independent brute-force oracles the fast implementations are tested against.
 
-Everything here enumerates: deletion sets, permutations, simple paths.  None
-of it shares code with the flow/greedy implementations under test.
+Everything down to the last section enumerates: deletion sets, permutations,
+simple paths.  None of it shares code with the flow/greedy implementations
+under test.  The last section holds the helpers only tests call: second
+builders of graphs the library builds one way, and per-vertex safety flows
+that skip the scan's count screen.
 """
 
 import itertools
 
 import numpy as np
 
-from tourpart.core import Tournament
+from tourpart.connectivity import TargetFlow
+from tourpart.core import Digraph, Tournament
+from tourpart.safety import _sense_graphs, _senses
 
 
 def all_tournaments(n):
@@ -144,15 +149,13 @@ def is_hamiltonian_path(adj, path, x, y):
             and all(adj[u, v] for u, v in zip(path, path[1:])))
 
 
-def all_simple_paths(adj, x, y, banned=frozenset(), max_len=None):
+def all_simple_paths(adj, x, y, banned=frozenset()):
     """Every simple x->y path avoiding ``banned`` interiors."""
     n = adj.shape[0]
     out = [np.flatnonzero(adj[v]).tolist() for v in range(n)]
     results = []
 
     def rec(v, acc):
-        if max_len is not None and len(acc) - 1 > max_len:
-            return
         for w in out[v]:
             if w == y:
                 results.append(acc + [y])
@@ -163,19 +166,11 @@ def all_simple_paths(adj, x, y, banned=frozenset(), max_len=None):
     return results
 
 
-def brute_linkage(T, pairs, forbidden=frozenset(), parity=None, max_length=None):
+def brute_linkage(T, pairs, forbidden=frozenset()):
     """Exhaustive internally-disjoint linkage search (tiny n only)."""
     terminals = {u for p in pairs for u in p}
     banned = set(forbidden) | terminals
-    per_pair = []
-    for i, (x, y) in enumerate(pairs):
-        cap = None if max_length is None else max_length[i]
-        cands = all_simple_paths(T.adj, x, y, banned, cap)
-        if parity is not None and parity[i] is not None:
-            cands = [p for p in cands if (len(p) - 1) % 2 == parity[i]]
-        if max_length is not None and max_length[i] is not None:
-            cands = [p for p in cands if len(p) - 1 <= max_length[i]]
-        per_pair.append(cands)
+    per_pair = [all_simple_paths(T.adj, x, y, banned) for x, y in pairs]
     for combo in itertools.product(*per_pair):
         ok = True
         seen = set()
@@ -250,3 +245,85 @@ def pool_degrees_by_hand(adj, pool):
     vertices of the pool the bool row ``adj[u]`` holds, one vertex at a time."""
     members = np.flatnonzero(pool).tolist()
     return [sum(1 for w in members if adj[u, w]) for u in members]
+
+
+# ---------------------------------------------------------------------------
+# test-side helpers: second builders and per-vertex flows
+
+
+def _checked_ids(G, vertices):
+    """``vertices`` as sorted distinct ints; ValueError for an id of no vertex."""
+    ids = sorted({int(v) for v in vertices})
+    for v in ids[:1] + ids[-1:]:
+        if not 0 <= v < G.n:
+            raise ValueError(f"vertex {v} out of range 0..{G.n - 1}")
+    return ids
+
+
+def bipartite_subdigraph(T, side_a, side_b):
+    """The T-arcs between the disjoint nonempty sets A and B, relabelled to
+    0..m-1 over sorted(A | B), with the map of new ids back to T ids.  Built
+    from ``T.adj`` by the checked constructor: a second builder of the graph
+    ``core._crossing_graph`` masks from T's packed rows."""
+    A, B = {int(v) for v in side_a}, {int(v) for v in side_b}
+    if not A or not B:
+        raise ValueError("both sides must be nonempty")
+    if A & B:
+        raise ValueError("sides overlap")
+    ids = _checked_ids(T, A | B)
+    in_a = np.isin(ids, list(A))
+    return Digraph(T.adj[np.ix_(ids, ids)] & (in_a[:, None] != in_a[None, :])), ids
+
+
+def transitive_order(T, vertices):
+    """Source-to-sink order of T[vertices] when it is transitive, else None:
+    a tournament is transitive exactly when its out-degrees are 0..m-1, and
+    the order is then unique."""
+    ids = _checked_ids(T, vertices)
+    if not ids:
+        raise ValueError("empty vertex set")
+    degs = T.adj[np.ix_(ids, ids)].sum(axis=1)
+    if sorted(degs.tolist()) != list(range(len(ids))):
+        return None
+    return [ids[i] for i in np.argsort(-degs, kind="stable")]
+
+
+def safe_flow(G, v, targets, k, direction="forward", restrict=None):
+    """True iff no set F (|F| <= k-1, v not in F) destroys every directed
+    path from v to targets\\F (forward) or from targets\\F to v (backward)
+    inside G[restrict], by one ``TargetFlow``.  F may intersect the target
+    set."""
+    if direction not in ("forward", "backward"):
+        raise ValueError("direction must be forward or backward")
+    targets = list(targets)
+    restrict = None if restrict is None else list(restrict)
+    _checked_ids(G, [v, *targets, *(restrict or ())])
+    within = np.ones(G.n, dtype=bool) if restrict is None else np.isin(np.arange(G.n), restrict)
+    if not within[v]:
+        raise ValueError("v must belong to the restriction set")
+    # a backward check runs forwards on the reverse
+    graph = G if direction == "forward" else G.reverse()
+    return TargetFlow(graph, np.isin(np.arange(G.n), targets), within).safe(v, k)
+
+
+SENSES = ("forwards", "backwards", "alt_forwards", "alt_backwards")  # safety_scan's columns
+
+
+def target_flows(ctx):
+    """Per safety sense, (column, group, its ``TargetFlow``): one flow
+    network for the group, shared by every vertex of it."""
+    graphs = _sense_graphs(ctx)
+    return [(column, group, TargetFlow(graphs[column], targets, group))
+            for column, group, targets in _senses(ctx)]
+
+
+def flow_row(flows, v, k):
+    """The four safety predicates of the colored vertex v in ``SENSES``
+    order, each by its sense's flow, with no count screen."""
+    row = [None] * 4
+    for column, group, sense in flows:
+        if group[v]:
+            row[column] = sense.safe(v, k)
+    if None in row:
+        raise ValueError(f"vertex {v} is uncolored")
+    return row

@@ -15,7 +15,6 @@ from tourpart import (
     Verdict,
     core_set,
     digraph_from_edges,
-    is_backwards_transitive,
     is_strongly_k_connected,
     min_separator,
     nonseparating_subdivision,
@@ -23,10 +22,11 @@ from tourpart import (
     remove_nonseparating_path,
     spanning_linkage,
 )
+from tourpart.core import is_backwards_transitive
 from tourpart.generators import random_tournament, transitive_tournament
 from tourpart.partition import search_partition, verify_partition
 from tourpart.pipeline import PipelineError, PipelineParams, run_pipeline
-from tourpart.safety import UNCOLORED, Coloring, SafetyContext, is_safe
+from tourpart.safety import UNCOLORED, Coloring, SafetyContext, safety_scan
 
 
 def _report(name, ok, detail=""):
@@ -118,8 +118,8 @@ def test_criterion_5_path_deletion():
         x, y = (int(v) for v in rng.choice(60, 2, replace=False))
         avoid = [v for v in rng.choice(60, 6, replace=False)
                  if v not in (x, y)][:d]
-        res = remove_nonseparating_path(T, x, y, avoid, k, keep=(),
-                                        assume_hypothesis=True)
+        res = remove_nonseparating_path(T, x, y, avoid, k, keep=())
+        assert res.theorem_backed, f"hypothesis not measured as held at seed {seed}"
         assert res.remainder_ok, f"remainder lost {k}-connectivity at seed {seed}"
         assert is_backwards_transitive(T, res.path)
         done += 1
@@ -176,7 +176,7 @@ def test_criterion_7_subdivision():
 
 
 def test_criterion_8_safety_oracle():
-    """is_safe vs deletion enumeration, 50 random colored instances."""
+    """safety_scan vs deletion enumeration, 50 random colored instances."""
     rng = np.random.default_rng(123)
     disagreements = 0
     comparisons = 0
@@ -193,12 +193,11 @@ def test_criterion_8_safety_oracle():
         col.labels = labels.copy()
         ctx = SafetyContext(T, frozenset(reserved), frozenset(exc_out),
                             frozenset(exc_in), col, k)
+        table = safety_scan(ctx)
         for v in range(n):
             if labels[v] == UNCOLORED:
                 continue
-            rep = is_safe(ctx, v)
-            for got, tag in ((rep.forwards, "f"), (rep.backwards, "b"),
-                             (rep.alt_forwards, "af"), (rep.alt_backwards, "ab")):
+            for got, tag in zip(table[v].tolist(), ("f", "b", "af", "ab")):
                 want = brute_safe(T, v, labels, reserved, exc_out, exc_in, k, tag)
                 comparisons += 1
                 if got != want:

@@ -202,6 +202,81 @@ def test_foreign_vertex_id_is_an_input_error(tmp_path, capsys, argv):
     assert "Traceback" not in err and err.count("\n") == 1 and "out of range" in err
 
 
+@pytest.mark.parametrize("argv, reason", [
+    (("--kind", "random", "--seed", "1"), "random generation needs --n and --seed"),
+    (("--kind", "paley"), "paley generation needs --q"),
+    (("--kind", "transitive"), "transitive generation needs --n"),
+])
+def test_gen_without_its_size_or_seed_is_an_input_error(tmp_path, capsys, argv, reason):
+    out = tmp_path / "x.txt"
+    code, _ = run_cli("gen", *argv, "--out", str(out))
+    assert code == 3 and capsys.readouterr().err == f"error: {reason}\n"
+    assert not out.exists()
+
+
+def test_gen_dot_writes_a_digraph(tmp_path):
+    code, out = run_cli("gen", "--kind", "paley", "--q", "7", "--format", "dot")
+    lines = out.splitlines()
+    assert code == 0 and lines[0] == "digraph paley_7 {" and lines[-1] == "}"
+    assert sum("->" in line for line in lines) == 21
+
+
+@pytest.mark.parametrize("pairs, reason", [
+    ("0-1", "bad pair '0-1' (expected x:y)"),
+    ("0:1:2", "bad pair '0:1:2' (expected x:y)"),
+    ("0:a", "bad pair '0:a'"),
+    (" , ,", "no pairs given"),
+    ("", "request has no pairs"),
+])
+def test_malformed_link_pairs_are_input_errors(tmp_path, capsys, pairs, reason):
+    t = tmp_path / "t4.txt"
+    run_cli("gen", "--kind", "transitive", "--n", "4", "--out", str(t))
+    code, out = run_cli("link", str(t), "--pairs", pairs)
+    assert code == 3 and out == "" and capsys.readouterr().err == f"error: {reason}\n"
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (("carve",), "the following arguments are required: x, y"),
+    (("carve", "0", "3", "--avoid", "1;2"), "bad id list '1;2'"),
+    (("link", "--pairs", "0:3", "--spanning"), "--spanning uses randomized search and needs --seed"),
+])
+def test_bad_arguments_are_input_errors(tmp_path, capsys, argv, reason):
+    t = tmp_path / "t4.txt"
+    run_cli("gen", "--kind", "transitive", "--n", "4", "--out", str(t))
+    code, out = run_cli(argv[0], str(t), *argv[1:])
+    assert code == 3 and out == "" and capsys.readouterr().err == f"error: {reason}\n"
+
+
+@pytest.mark.parametrize("mapping, reason", [
+    ("0:10,3:20,2:30", "pattern vertex 3 out of range"),
+    ("0:10,-1:20,2:30", "pattern vertex -1 out of range"),
+    ("0:10,0:20,2:30", "pattern vertex 0 mapped twice"),
+    ("0:10,2:30", "every pattern vertex needs a branch image"),
+])
+def test_bad_subdivide_maps_are_input_errors(tmp_path, capsys, mapping, reason):
+    r = tmp_path / "r12.txt"
+    run_cli("gen", "--kind", "random", "--n", "12", "--seed", "1", "--out", str(r))
+    tri = tmp_path / "tri.txt"
+    tri.write_text("3 3\n0 1\n1 2\n2 0\n")
+    code, out = run_cli("subdivide", str(r), "--pattern", str(tri), "--map", mapping)
+    assert code == 3 and out == "" and capsys.readouterr().err == f"error: {reason}\n"
+
+
+def test_an_internal_error_exits_4_on_one_line(tmp_path, capsys, monkeypatch):
+    # a failed library audit is a fault of the program: it must not exit 1,
+    # the code of a proof of infeasibility, nor print a traceback
+    def audit_fails(*args, **kwargs):
+        raise AssertionError("paths do not cover\nthe tournament")
+
+    monkeypatch.setattr(cli, "spanning_linkage", audit_fails)
+    t = tmp_path / "t4.txt"
+    run_cli("gen", "--kind", "transitive", "--n", "4", "--out", str(t))
+    code, out = run_cli("link", str(t), "--pairs", "0:3", "--spanning", "--seed", "0")
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_INTERNAL == 4 and out == "" and "Traceback" not in err
+    assert err == "internal error: AssertionError: paths do not cover the tournament\n"
+
+
 def test_link_two_pairs_coverage(tmp_path):
     r = tmp_path / "r40.txt"
     run_cli("gen", "--kind", "random", "--n", "40", "--seed", "13", "--out", str(r))

@@ -8,22 +8,24 @@ import numpy as np
 import pytest
 
 from oracles import (
+    bipartite_subdigraph,
     brute_fully_disjoint,
     brute_linkage,
     brute_min_cut,
     brute_safe,
     brute_strong_k,
     brute_vertex_connectivity,
+    flow_row,
     reach_by_hand,
+    safe_flow,
+    target_flows,
 )
 from tourpart import (
     LinkageRequest,
-    bipartite_subdigraph,
     find_disjoint_paths,
     is_k_linked,
     is_strongly_k_connected,
     min_separator,
-    safe_flow,
     vertex_connectivity,
 )
 from tourpart import connectivity, core
@@ -32,7 +34,7 @@ from tourpart.core import Digraph, Tournament, Verdict, _crossing_graph
 from tourpart.generators import random_tournament, transitive_tournament
 from tourpart.hamilton import PathSearch
 from tourpart.partition import PartitionResult, search_partition
-from tourpart.safety import UNCOLORED
+from tourpart.safety import UNCOLORED, Coloring, SafetyContext
 from tourpart.surgery import SpanningLinkage
 from test_golden import _planted
 
@@ -613,8 +615,6 @@ def _random_context(n, seed):
 
 
 def test_safe_flow_agrees_with_deletion_enumeration():
-    from tourpart.safety import Coloring, SafetyContext, is_safe
-
     checked = 0
     for seed in range(25):
         T, labels, reserved, exc_out, exc_in = _random_context(10 + seed % 3, seed)
@@ -624,10 +624,9 @@ def test_safe_flow_agrees_with_deletion_enumeration():
             ctx = SafetyContext(T, frozenset(reserved), frozenset(exc_out),
                                 frozenset(exc_in), col, k)
             vs = [v for v in range(T.n) if labels[v] != UNCOLORED][:3]
+            flows = target_flows(ctx)
             for v in vs:
-                rep = is_safe(ctx, v)
-                for got, tag in ((rep.forwards, "f"), (rep.backwards, "b"),
-                                 (rep.alt_forwards, "af"), (rep.alt_backwards, "ab")):
+                for got, tag in zip(flow_row(flows, v, k), ("f", "b", "af", "ab")):
                     want = brute_safe(T, v, labels, reserved, exc_out, exc_in, k, tag)
                     assert got == want, (seed, k, v, tag)
                     checked += 1
@@ -641,9 +640,7 @@ def test_safe_flow_agrees_with_deletion_enumeration():
 def test_linkage_examples(t4, c3):
     assert find_disjoint_paths(t4, LinkageRequest([(0, 3)])).paths == [[0, 3]]
     assert find_disjoint_paths(t4, LinkageRequest([(3, 0)])).status == "infeasible"
-    res = find_disjoint_paths(c3, LinkageRequest([(0, 2)], parity=(0,)))
-    assert res.paths == [[0, 1, 2]]
-    assert find_disjoint_paths(c3, LinkageRequest([(0, 2)], parity=(1,))).status == "infeasible"
+    assert find_disjoint_paths(c3, LinkageRequest([(0, 2)])).paths == [[0, 1, 2]]
 
 
 def test_linkage_request_validation(t4):
@@ -653,8 +650,6 @@ def test_linkage_request_validation(t4):
         LinkageRequest([(0, 1), (1, 2)], disjointness="full").validate(4)
     with pytest.raises(ValueError):
         LinkageRequest([(0, 1)], forbidden=frozenset({1})).validate(4)
-    with pytest.raises(ValueError):
-        LinkageRequest([(0, 1)], parity=(0, 1)).validate(4)
     for bad in (-1, 4):
         # -1 would wrap to vertex 3, and 4 names no vertex
         with pytest.raises(ValueError, match="forbidden vertex"):
@@ -663,33 +658,24 @@ def test_linkage_request_validation(t4):
     for bad in (-1, 25):
         with pytest.raises(ValueError, match="forbidden vertex"):
             find_disjoint_paths(T, LinkageRequest([(0, 1), (2, 3)], "full", frozenset({bad})))
-    # any parity but 0 and 1 asks for no path, and must not prove one absent
-    T = random_tournament(10, 1)
-    for bad in (-1, 2, 3):
-        with pytest.raises(ValueError, match="parity entry"):
-            find_disjoint_paths(T, LinkageRequest([(0, 1), (2, 3)], "full", parity=(bad, None)))
 
 
 def _linkage_requests(n):
     """Requests on n >= 7 vertices covering both disjointness rules, the
-    forbidden set, per-pair parity and length caps."""
+    forbidden set and repeated terminals."""
     full2, full3 = [(0, 1), (2, 3)], [(1, 0), (3, 2), (4, 5)]
     return [
         LinkageRequest(full2, "full"),
         LinkageRequest(full3, "full"),
         LinkageRequest([(n - 1, 0), (1, n - 2)], "full", frozenset({2, 3})),
         LinkageRequest([(0, 1), (0, 2)]),
-        LinkageRequest([(0, 1), (0, 1), (0, 1)], parity=(None, 0, 1)),
         LinkageRequest([(0, 6), (6, 0)], forbidden=frozenset({1, 5})),
-        LinkageRequest(full2, "full", parity=(0, 1)),
-        LinkageRequest(full2, parity=(1, 1), max_length=(3, 4)),
-        LinkageRequest(full3, "full", max_length=(2, 2, 3)),
-        LinkageRequest([(0, n - 1), (1, n - 2)], max_length=(2, 3)),
     ]
 
 
-# recorded with the numpy-mask search the bitset search replaced
-LINKAGE_DIGEST = "1873c173966d72de8dd62117eab9cbafebdf46751c4e09568b7f27c16f291473"
+# recorded over these five requests with the search that still took per-pair
+# parity and length caps, before those options were deleted
+LINKAGE_DIGEST = "2e4665f5265961c38deb7044f4ea7ed9d8785d7c3926be174cad10a784f82e8a"
 
 
 def test_linkages_are_pinned():

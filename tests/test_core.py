@@ -4,26 +4,26 @@ import random
 import numpy as np
 import pytest
 
-from oracles import all_tournaments, brute_hamiltonian_path, is_hamiltonian_path, reach_by_hand
-from tourpart import (
-    Digraph,
-    Tournament,
+from oracles import (
+    all_tournaments,
     bipartite_subdigraph,
-    digraph_from_edges,
-    hamiltonian_path,
-    is_backwards_transitive,
-    is_path,
-    reverse,
-    subtournament,
-    tournament_from_edges,
+    brute_hamiltonian_path,
+    is_hamiltonian_path,
+    reach_by_hand,
     transitive_order,
 )
 from tourpart import hamilton
 from tourpart.connectivity import certify
 from tourpart.core import (
+    Digraph,
+    Tournament,
+    _crossing_graph,
     bfs_parity_path,
     bfs_shortest_path,
     counts_in,
+    digraph_from_edges,
+    is_backwards_transitive,
+    is_path,
     pack_rows,
     packed_set,
     path_family_fault,
@@ -32,6 +32,7 @@ from tourpart.core import (
     vertex_mask,
 )
 from tourpart.generators import random_tournament, transitive_tournament
+from tourpart.hamilton import hamiltonian_path
 
 
 def test_tournament_validation():
@@ -46,7 +47,7 @@ def test_tournament_validation():
     # an id outside 0..n-1 is named, not wrapped to another vertex or left
     # to an IndexError
     with pytest.raises(ValueError, match="2->-3"):
-        tournament_from_edges(3, [(0, 1), (1, 2), (2, -3)])
+        digraph_from_edges(3, [(0, 1), (1, 2), (2, -3)])
     with pytest.raises(ValueError, match="0->3"):
         digraph_from_edges(3, [(0, 3)])
 
@@ -58,7 +59,7 @@ def test_degree_sum_is_pair_count(rand):
 
 
 def test_reverse_c3(c3):
-    r = reverse(c3)
+    r = c3.reverse()
     assert r.has_edge(1, 0) and r.has_edge(2, 1) and r.has_edge(0, 2)
     # an id outside 0..n-1 names no arc: not a padding bit, not a wrapped id
     for u, v in ((0, 3), (3, 0), (-1, 0), (0, -1)):
@@ -68,30 +69,30 @@ def test_reverse_c3(c3):
 
 def test_reverse_transitive_swaps_source_and_sink():
     T = transitive_tournament(6)
-    r = reverse(T)
+    r = T.reverse()
     assert transitive_order(r, range(6)) == [5, 4, 3, 2, 1, 0]
 
 
 def test_reverse_is_involution(rand):
     for seed in range(100):
         T = rand(20, seed)
-        assert (reverse(reverse(T)).adj == T.adj).all()
-        assert (reverse(T).out_degrees() == T.in_degrees()).all()
+        assert (T.reverse().reverse().adj == T.adj).all()
+        assert (T.reverse().out_degrees() == T.in_degrees()).all()
 
 
 def test_subtournament_examples(c3, paley7):
-    sub, ids = subtournament(c3, [0, 1])
+    sub, ids = c3.subtournament([0, 1])
     assert ids == [0, 1] and sub.has_edge(0, 1)
-    sub, ids = subtournament(c3, range(3))
+    sub, ids = c3.subtournament(range(3))
     assert (sub.adj == c3.adj).all()
-    sub, ids = subtournament(paley7, [1, 2, 4])
+    sub, ids = paley7.subtournament([1, 2, 4])
     assert sub.n == 3
     for a, u in enumerate(ids):
         for b, v in enumerate(ids):
             if a != b:
                 assert sub.has_edge(a, b) == paley7.has_edge(u, v)
     with pytest.raises(ValueError):
-        subtournament(c3, [])
+        c3.subtournament([])
 
 
 def test_bipartite_subdigraph_examples(c3, rand):
@@ -114,35 +115,33 @@ def test_bipartite_subdigraph_examples(c3, rand):
 
 
 def test_derived_graphs_are_read_only_and_pass_the_checked_constructors(rand):
-    # subtournament, reverse and bipartite_subdigraph skip the constructor
+    # subtournament, reverse and the crossing digraph skip the constructor
     # checks; what they return must still pass them
     rng = np.random.default_rng(11)
     for seed in range(30):
         n = int(rng.integers(2, 40))
         T = rand(n, seed)
         ids = sorted(rng.choice(n, int(rng.integers(1, n + 1)), replace=False).tolist())
-        sub, sub_ids = subtournament(T, ids)
+        sub, sub_ids = T.subtournament(ids)
         side = rng.permutation(n) < max(1, n // 3)
-        cross, cross_ids = bipartite_subdigraph(T, np.flatnonzero(side), np.flatnonzero(~side))
-        for G, checked in ((sub, Tournament), (reverse(T), Tournament), (cross, Digraph)):
+        cross = _crossing_graph(T, side)
+        for G, checked in ((sub, Tournament), (T.reverse(), Tournament), (cross, Digraph)):
             assert type(G) is checked and not G.adj.flags.writeable
             with pytest.raises(ValueError):
                 G.adj[0, 0] = True
             assert (checked(G.adj).adj == G.adj).all()
         assert sub_ids == ids and (sub.adj == T.adj[np.ix_(ids, ids)]).all()
-        assert (reverse(T).adj == T.adj.T).all()
+        assert (T.reverse().adj == T.adj.T).all()
         crossing = side[:, None] != side[None, :]
-        assert cross_ids == list(range(n)) and (cross.adj == (T.adj & crossing)).all()
+        assert (cross.adj == (T.adj & crossing)).all()
 
 
 def test_every_graph_keeps_its_transpose_row_major(rand):
     T = rand(30, 4)
     D = Digraph(T.adj & (np.arange(30) % 3 == 0)[:, None])
-    sub, _ = subtournament(T, range(0, 30, 2))
-    side = np.arange(30) < 11
-    full, _ = bipartite_subdigraph(T, np.flatnonzero(side), np.flatnonzero(~side))
-    part, _ = bipartite_subdigraph(T, range(5), range(20, 27))
-    for G in (T, D, sub, full, part, T.reverse(), sub.reverse()):
+    sub, _ = T.subtournament(range(0, 30, 2))
+    cross = _crossing_graph(T, np.arange(30) < 11)
+    for G in (T, D, sub, cross, T.reverse(), sub.reverse()):
         # the packed rows and their transpose are the whole graph
         assert set(vars(G)) == {"n", "packed", "rpacked"}
         assert G.adj.flags.c_contiguous and G.rpacked.flags.c_contiguous
@@ -158,9 +157,9 @@ def test_every_graph_keeps_its_transpose_row_major(rand):
 
 def test_every_graph_keeps_its_rows_packed(rand):
     T = rand(70, 4)
-    sub, _ = subtournament(T, range(0, 70, 2))
-    part, _ = bipartite_subdigraph(T, range(5), range(20, 27))
-    for G in (T, sub, part, T.reverse()):
+    sub, _ = T.subtournament(range(0, 70, 2))
+    cross = _crossing_graph(T, np.arange(70) % 4 == 1)
+    for G in (T, sub, cross, T.reverse()):
         for packed, m in ((G.packed, G.adj), (G.rpacked, G.adj.T)):
             assert packed.dtype == np.uint64 and packed.flags.c_contiguous
             assert not packed.flags.writeable
@@ -172,28 +171,24 @@ def test_every_graph_keeps_its_rows_packed(rand):
 
 
 def test_crossing_graphs_match_the_masked_host(rand):
-    # the full-cover branch masks T's packed rows; the other branch packs a
-    # bool submatrix cut from the rows of its vertices
+    # the library's one builder masks T's packed rows; the oracle masks the
+    # bool matrix and packs it by the checked constructor
     T = rand(150, 6)
     side = np.random.default_rng(6).random(150) < 0.4
-    full, _ = bipartite_subdigraph(T, np.flatnonzero(side), np.flatnonzero(~side))
-    ids = list(range(3, 140, 2))
-    part, part_ids = bipartite_subdigraph(T, ids[:20], ids[20:])
-    for G, ids in ((full, range(150)), (part, part_ids)):
-        ids = list(ids)
-        host = T.adj[np.ix_(ids, ids)]
-        in_a = side[ids] if G is full else np.arange(len(ids)) < 20
-        want = host & (in_a[:, None] != in_a[None, :])
-        assert set(vars(G)) == {"n", "packed", "rpacked"}
-        for got, m in ((G.packed, want), (G.rpacked, want.T), (G.adj, want)):
-            assert got.flags.c_contiguous and not got.flags.writeable
-            assert (got == (pack_rows(m) if got.dtype == np.uint64 else m)).all()
+    G = _crossing_graph(T, side)
+    want = T.adj & (side[:, None] != side[None, :])
+    assert set(vars(G)) == {"n", "packed", "rpacked"}
+    for got, m in ((G.packed, want), (G.rpacked, want.T), (G.adj, want)):
+        assert got.flags.c_contiguous and not got.flags.writeable
+        assert (got == (pack_rows(m) if got.dtype == np.uint64 else m)).all()
+    D, ids = bipartite_subdigraph(T, np.flatnonzero(side), np.flatnonzero(~side))
+    assert ids == list(range(150)) and (D.packed == G.packed).all()
 
 
 def test_a_packed_only_graph_is_swept_without_unpacking(rand):
     T = rand(200, 2)
     side = np.arange(200) % 3 == 0
-    G, _ = bipartite_subdigraph(T, np.flatnonzero(side), np.flatnonzero(~side))
+    G = _crossing_graph(T, side)
     assert certify(G, 2).ok == certify(Digraph(T.adj & (side[:, None] != side[None, :])), 2).ok
     assert set(vars(G)) == {"n", "packed", "rpacked"}
 
@@ -469,7 +464,7 @@ def _counted_dfs(monkeypatch):
 
 def test_hamiltonian_pair_insertion():
     # neither 1 nor 2 fits alone between 0 and 3; the pair 1 -> 2 does
-    T = tournament_from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 1), (2, 0), (0, 3)])
+    T = Tournament(digraph_from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 1), (2, 0), (0, 3)]).adj)
     path = [0, 3]
     assert hamilton._try_insertions(row_bits(T.packed), path, {1, 2}, random.Random(0))
     assert path == [0, 1, 2, 3]

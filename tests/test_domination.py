@@ -11,11 +11,10 @@ from tourpart import (
     greedy_out_dominating_set,
     in_dominating_structure,
     out_dominating_structure,
-    transitive_order,
 )
-from oracles import pool_degrees_by_hand
+from oracles import pool_degrees_by_hand, transitive_order
 from tourpart import domination
-from tourpart.core import counts_in, pack_rows, packed_set, tournament_from_edges
+from tourpart.core import Tournament, counts_in, digraph_from_edges, pack_rows, packed_set
 from tourpart.domination import AnchorDegreeError, check_structure
 from tourpart.generators import random_tournament, transitive_tournament
 from tourpart.pipeline import PipelineParams, PipelineState, build_dominating_family
@@ -117,7 +116,7 @@ def test_structure_waiting_slot_branch():
     for a in range(8):
         for b in range(a + 1, 8):
             edges.append((a, b))  # transitive inside the pool: 0 beats all
-    T = tournament_from_edges(n, edges)
+    T = Tournament(digraph_from_edges(n, edges).adj)
     s = out_dominating_structure(T, v, 3)
     check_structure(T, s)
     assert s.tip == 0  # the waiting vertex becomes the chain source

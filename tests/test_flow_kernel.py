@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import brute_min_cut, path_exists
+from oracles import bipartite_subdigraph, brute_min_cut, path_exists
 from tourpart import connectivity
 from tourpart.connectivity import (
     VertexFlow,
@@ -23,7 +23,7 @@ from tourpart.connectivity import (
     maximum_flow,
     vertex_connectivity,
 )
-from tourpart.core import Digraph, bipartite_subdigraph
+from tourpart.core import Digraph
 from tourpart.generators import random_tournament
 
 CAPS = (None, 1, 2, 3)

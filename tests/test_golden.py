@@ -14,9 +14,17 @@ from dataclasses import replace
 
 import numpy as np
 
-from oracles import all_tournaments, brute_strong_k, reach_by_hand
+from oracles import (
+    SENSES,
+    all_tournaments,
+    bipartite_subdigraph,
+    brute_strong_k,
+    flow_row,
+    reach_by_hand,
+    target_flows,
+)
 from tourpart.connectivity import certify, sweep, vertex_connectivity
-from tourpart.core import Tournament, bipartite_subdigraph, reachable_mask
+from tourpart.core import Tournament, reachable_mask
 from tourpart.domination import in_dominating_structure, out_dominating_structure
 from tourpart.generators import random_tournament, transitive_tournament
 from tourpart.partition import search_partition, verify_partition
@@ -32,7 +40,7 @@ from tourpart.pipeline import (
     build_dominating_family,
     run_pipeline,
 )
-from tourpart.safety import ALPHA, BETA, UNCOLORED, Coloring, SafetyContext, is_safe, safety_scan
+from tourpart.safety import ALPHA, BETA, UNCOLORED, Coloring, SafetyContext, safety_scan
 from test_pipeline import _bundle_state, _planted_instance, _strict_state
 
 pipeline_module = importlib.import_module("tourpart.pipeline")
@@ -272,7 +280,8 @@ def test_flow_safety_tables_are_pinned():
         for k in (2, 3):
             ctx = SafetyContext(T, resv, exc_out, exc_in, col, k)
             colored = np.flatnonzero(col.labels != UNCOLORED)
-            reports = [vars(is_safe(ctx, int(v))) for v in colored[::3]]
+            flows = target_flows(ctx)
+            reports = [dict(zip(SENSES, flow_row(flows, int(v), k))) for v in colored[::3]]
             rows.append([safety_scan(ctx).tolist(), reports])
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16] == SAFETY_DIGEST
 
@@ -326,9 +335,10 @@ def test_pipeline_colorings_are_pinned(monkeypatch):
     assert h.hexdigest()[:16] == COLORING_DIGEST
 
 
-def test_random_splits_are_pinned():
+def test_random_splits_are_pinned(monkeypatch):
     # mostly failing splits: exact kappa below the threshold, and above it
     # the level sweep stepping down from k
+    partition = importlib.import_module("tourpart.partition")
     results = []
     for i in range(12):
         T = random_tournament(30, 700 + i)
@@ -337,7 +347,9 @@ def test_random_splits_are_pinned():
         v1, v2 = np.flatnonzero(in_v1), np.flatnonzero(~in_v1)
         for k in (1, 2, 4):
             results.append(verify_partition(T, v1, v2, k))
-            results.append(verify_partition(T, v1, v2, k, exact_threshold=0))
+            with monkeypatch.context() as patch:
+                patch.setattr(partition, "EXACT_THRESHOLD", 0)
+                results.append(verify_partition(T, v1, v2, k))
     assert _digest(results) == SPLIT_DIGEST
 
 
@@ -502,7 +514,9 @@ def test_verify_certifies_each_graph_once(monkeypatch):
     assert found.verified
     for threshold in (150, 0):  # exact kappa, then one sweep capped at k
         seen.clear()
-        res = verify_partition(T, found.v1, found.v2, 2, exact_threshold=threshold)
+        monkeypatch.setattr(importlib.import_module("tourpart.partition"), "EXACT_THRESHOLD",
+                            threshold)
+        res = verify_partition(T, found.v1, found.v2, 2)
         assert res.verified and res.connectivity_exact == (threshold > 0)
         restricted = {(id(G), None if within is None else within.tobytes()) for G, within in seen}
         assert len(seen) == 3 and len(restricted) == 3

@@ -2,10 +2,11 @@
 no function imports inside its body, only ``core`` copies subgraphs and
 calls ``is_path``, no module scatters through ``triu_indices``, no module
 reads a graph as a bool matrix, every pipeline parameter is read, the CLI
-certifies nothing itself, and the pipeline audits safety only
-incrementally."""
+certifies nothing itself, the pipeline audits safety only incrementally,
+and the package exports only what its users use."""
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -134,3 +135,71 @@ def test_pipeline_audits_safety_only_through_its_helper():
     helper, = (node for node in ast.walk(tree)
                if isinstance(node, ast.FunctionDef) and node.name == "require_safe")
     assert calls(helper) and calls(tree) == calls(helper)
+
+
+def _surface_names():
+    """Every name the CLI, a demo or ``bench/`` reads or imports, or binds
+    as a string (the bench tracer patches its entry points by name), and
+    every word of the README's code spans and code blocks."""
+    names = set()
+    for path in [ROOT / "src/tourpart/cli.py", *sorted((ROOT / "demos").glob("*.py")),
+                 *sorted((ROOT / "bench").glob("*.py"))]:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.add(node.value)
+    readme = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"```.*?```", readme, re.S)
+    spans = re.findall(r"`([^`]+)`", re.sub(r"```.*?```", "", readme, flags=re.S))
+    return names | set(re.findall(r"\w+", " ".join(blocks + spans)))
+
+
+def _returns():
+    """Per function or method name in ``src``, the names its ``return``
+    statements call: a callee, the class of a classmethod call, or the
+    callee assigned to a returned local."""
+    returns = {}
+    for path in _source_modules():
+        for func in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            assigned = {target.id: node.value for node in ast.walk(func)
+                        if isinstance(node, ast.Assign) for target in node.targets
+                        if isinstance(target, ast.Name)}
+            values = [node.value for node in ast.walk(func) if isinstance(node, ast.Return)]
+            called = returns.setdefault(func.name, set())
+            while values:
+                value = values.pop()
+                if isinstance(value, ast.Tuple):
+                    values += value.elts
+                elif isinstance(value, ast.Name) and value.id in assigned:
+                    values.append(assigned.pop(value.id))
+                elif isinstance(value, ast.Call):
+                    callee = value.func
+                    called.add(getattr(callee, "id", None) or getattr(callee, "attr", None))
+                    if isinstance(callee, ast.Attribute) and isinstance(callee.value, ast.Name):
+                        called.add(callee.value.id)
+    return returns
+
+
+def test_every_export_is_used_or_returned():
+    # the package exports what the README, the demos, the CLI and the bench
+    # use, and the result types those return; test-only helpers live in
+    # tests/oracles.py, so the surface cannot grow back through the tests
+    tree = ast.parse((ROOT / "src/tourpart/__init__.py").read_text())
+    exported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    used, returns = _surface_names(), _returns()
+    reached, todo = set(), [name for name in exported if name in used]
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo += returns.get(name, ())
+    assert len(exported) > 30
+    assert [name for name in exported if name not in reached] == []

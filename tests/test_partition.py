@@ -1,17 +1,16 @@
 import importlib
 import tracemalloc
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from oracles import brute_strong_k
+from oracles import bipartite_subdigraph, brute_strong_k
 from test_golden import _planted
-from tourpart import bipartite_subdigraph, subtournament
 from tourpart.core import Verdict
 from tourpart.generators import random_tournament, transitive_tournament
 from tourpart.partition import (
-    EXACT_THRESHOLD,
     _screen_score,
     _sweep_split,
     format_partition,
@@ -56,8 +55,8 @@ def test_verify_agrees_with_brute_force(rand):
         v2 = sorted(set(range(9)) - set(v1))
         for k in (1, 2):
             res = verify_partition(T, v1, v2, k)
-            t1, _ = subtournament(T, v1)
-            t2, _ = subtournament(T, v2)
+            t1, _ = T.subtournament(v1)
+            t2, _ = T.subtournament(v2)
             cross, _ = bipartite_subdigraph(T, v1, v2)
             want = all(brute_strong_k(g, k) for g in (t1, t2, cross))
             assert res.verified == want
@@ -67,7 +66,7 @@ def test_verify_reports_exact_connectivity(rand):
     T = rand(24, 3)
     res = verify_partition(T, range(12), range(12, 24), 1)
     assert res.connectivity_exact
-    t1, _ = subtournament(T, range(12))
+    t1, _ = T.subtournament(range(12))
     from tourpart import vertex_connectivity
 
     assert res.connectivity[0] == vertex_connectivity(t1)
@@ -108,7 +107,7 @@ def test_a_split_below_the_degree_screen_names_no_witness():
     in_v1 = np.zeros(T.n, dtype=bool)
     in_v1[0] = True
     in_v1[T.out_neighbors(0)[:10]] = True
-    assert _sweep_split(T, in_v1, 2, 2, EXACT_THRESHOLD) == (None, None)
+    assert _sweep_split(T, in_v1, 2, 2) == (None, None)
 
 
 def test_every_rejection_without_a_witness_screens_positive(monkeypatch):
@@ -119,8 +118,8 @@ def test_every_rejection_without_a_witness_screens_positive(monkeypatch):
     sweep_split = partition_module._sweep_split
     bare = []
 
-    def recording(T, in_v1, k, stop, exact_threshold):
-        res, viol = sweep_split(T, in_v1, k, stop, exact_threshold)
+    def recording(T, in_v1, k, stop):
+        res, viol = sweep_split(T, in_v1, k, stop)
         if res is None and viol is None:
             bare.append((T, in_v1.copy(), k))
         return res, viol
@@ -177,7 +176,7 @@ def test_auto_mode_falls_back_when_the_pipeline_split_fails(monkeypatch, rand):
 
 def test_pipeline_mode_end_to_end():
     T = random_tournament(1500, 3)
-    params = PipelineParams.relaxed(1, chain_cap=6)
+    params = replace(PipelineParams.relaxed(1), chain_cap=6)
     res = partition(T, 1, mode="pipeline", params=params, seed=0)
     assert res.verified and res.mode == "pipeline"
     assert res.audits and all(a.passed for a in res.audits)
@@ -202,7 +201,7 @@ def test_verifying_a_large_split_allocates_no_n_by_n_temporary():
 def test_finished_pipeline_state_witnesses_partition():
     # the verifier must agree with what a finished run's audits promised
     T = random_tournament(1500, 4)
-    params = PipelineParams.relaxed(1, chain_cap=6)
+    params = replace(PipelineParams.relaxed(1), chain_cap=6)
     state = run_pipeline(T, 1, params, seed=0)
     assert all(a.passed for a in state.audits)
     v1, v2 = state.partition_sets()

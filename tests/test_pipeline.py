@@ -8,8 +8,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from tourpart import Tournament, connectivity, is_path, pipeline, safety, verify_partition
-from tourpart.core import reachable_mask
+from tourpart import Tournament, connectivity, pipeline, safety, verify_partition
+from tourpart.core import is_path, reachable_mask
 from tourpart.generators import random_tournament, transitive_tournament
 from tourpart.pipeline import (
     ALT_AA,
@@ -87,7 +87,7 @@ def test_select_extremal_requires_enough_vertices():
 
 def _relaxed_state(n, seed, k=1, **kw):
     T = random_tournament(n, seed)
-    params = PipelineParams.relaxed(k, **kw)
+    params = replace(PipelineParams.relaxed(k), **kw)
     return PipelineState(T, k, params)
 
 
@@ -108,7 +108,7 @@ def test_dominating_family_checks_each_structure_once(monkeypatch):
     # check_structure's audit certifies each chain while it is built; the
     # family audit takes its transitivity and domination from there.  Each
     # build packs its alive set once, and its audit reads the chain's rows
-    # once, as Python ints, so nothing calls transitive_order's gathers
+    # once, as Python ints
     calls = []
 
     def counting(name, fn):
@@ -120,13 +120,9 @@ def test_dominating_family_checks_each_structure_once(monkeypatch):
     domination = sys.modules["tourpart.domination"]
     for name in ("_check_structure", "packed_set", "row_bits"):
         monkeypatch.setattr(domination, name, counting(name, getattr(domination, name)))
-    for name, module in list(sys.modules.items()):
-        if name.startswith("tourpart") and hasattr(module, "transitive_order"):
-            monkeypatch.setattr(module, "transitive_order",
-                                counting("order", module.transitive_order))
     build_dominating_family(_relaxed_state(1500, 0))
     assert calls.count("_check_structure") == calls.count("row_bits") == 12
-    assert calls.count("order") == 0 and calls.count("packed_set") == 12
+    assert calls.count("packed_set") == 12
 
 
 def test_reserved_coloring_class_table():
@@ -305,7 +301,7 @@ def test_the_papers_k2_case_verifies_without_a_flow_handle(monkeypatch):
 
 def test_full_run_small_instance():
     T = random_tournament(1500, 11)
-    params = PipelineParams.relaxed(1, chain_cap=6)
+    params = replace(PipelineParams.relaxed(1), chain_cap=6)
     state = run_pipeline(T, 1, params, seed=0)
     col = state.coloring
     assert col.colored_count() == T.n
@@ -410,7 +406,7 @@ def _planted_instance(num_paths, length, early=250, late=250, k=1, short=None):
 
 
 def _bundle_state(T, b, a, index, k=1, bundle_size=3, params=None):
-    params = params or PipelineParams.relaxed(k, bundle_size=bundle_size)
+    params = params or replace(PipelineParams.relaxed(k), bundle_size=bundle_size)
     state = PipelineState(T, k, params)
     r = params.per_class
     state.in_structs = [SimpleNamespace(tip=b) for _ in range(6 * r)]
@@ -592,7 +588,7 @@ def test_bundle_paths_are_audited_against_the_layout_of_the_runs_k():
     # whatever k its params were built for, so 21-edge paths stop at the
     # bundle audit, before the segment layout is cut
     T, b, a, _ = _planted_instance(6, 21, early=550, late=230)
-    params = PipelineParams.relaxed(1, bundle_size=6)
+    params = replace(PipelineParams.relaxed(1), bundle_size=6)
     state = _bundle_state(T, b, a, index=2, k=2, params=params)
     state.coloring.assign([b, a], ALPHA)
     with pytest.raises(PipelineError) as err:

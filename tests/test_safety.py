@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import brute_safe
+from oracles import brute_safe, flow_row, target_flows
 from tourpart import connectivity
 from tourpart import safety as safety_module
 from tourpart.generators import random_tournament
@@ -21,10 +21,7 @@ from tourpart.safety import (
     UNCOLORED,
     Coloring,
     SafetyContext,
-    _flow_row,
-    _target_flows,
     all_colored_safe,
-    is_safe,
     safety_scan,
 )
 
@@ -80,7 +77,7 @@ def _context(T, labels, reserved=(), exc_out=(), exc_in=(), k=1):
 def test_uncolored_vertex_rejected(c3):
     ctx = _context(c3, [ALPHA, UNCOLORED, BETA])
     with pytest.raises(ValueError):
-        is_safe(ctx, 1)
+        safety_scan(ctx, [1])
     # every k rejects a request for an uncolored vertex alike; k = 1 used to
     # read one as unsafe (an all-False row, or False)
     T = random_tournament(12, 1)
@@ -88,7 +85,7 @@ def test_uncolored_vertex_rejected(c3):
     labels[[10, 11]] = UNCOLORED
     for k in (1, 2):
         ctx = _context(T, labels, {0}, {1}, {2}, k)
-        for request in (lambda: is_safe(ctx, 11), lambda: safety_scan(ctx, [3, 11]),
+        for request in (lambda: safety_scan(ctx, [3, 11]),
                         lambda: all_colored_safe(ctx, [11, 3])):
             with pytest.raises(ValueError, match="vertex 11 is uncolored"):
                 request()
@@ -105,9 +102,8 @@ def test_colored_outside_reserved_and_exceptions_is_safe(rand):
         exc_out = {2}
         exc_in = {3}
         for k in (1, 2):
-            ctx = _context(T, labels, reserved, exc_out, exc_in, k)
-            for v in range(4, 14):
-                assert is_safe(ctx, v).safe
+            table = safety_scan(_context(T, labels, reserved, exc_out, exc_in, k))
+            assert table[4:].all()
 
 
 def test_forwards_safe_neighbour_rule(rand):
@@ -120,13 +116,13 @@ def test_forwards_safe_neighbour_rule(rand):
         reserved = {0}
         exc_in = {1, 2}
         k = 2
-        ctx = _context(T, labels, reserved, (), exc_in, k)
+        forwards = safety_scan(_context(T, labels, reserved, (), exc_in, k))[:, 0]
         for v in range(3, 12):
             nbrs = [int(u) for u in T.out_neighbors(v)
                     if labels[u] == labels[v] and u not in reserved | exc_in]
-            safe_nbrs = [u for u in nbrs if is_safe(ctx, u).forwards]
+            safe_nbrs = [u for u in nbrs if forwards[u]]
             if len(safe_nbrs) >= k:
-                assert is_safe(ctx, v).forwards
+                assert forwards[v]
                 hits += 1
     assert hits > 10
 
@@ -164,13 +160,11 @@ def test_batch_scan_matches_per_vertex_flows(rand):
         labels = rng.integers(0, 2, 13).astype(np.int8)
         labels[rng.random(13) < 0.25] = UNCOLORED
         ctx = _context(T, labels, {4, 5}, {6}, {7}, 1)
-        table = safety_scan(ctx)
+        table, flows = safety_scan(ctx), target_flows(ctx)
         for v in range(13):
             if labels[v] == UNCOLORED:
                 continue
-            rep = is_safe(ctx, v)
-            assert list(table[v]) == [rep.forwards, rep.backwards,
-                                      rep.alt_forwards, rep.alt_backwards]
+            assert table[v].tolist() == flow_row(flows, v, 1)
 
 
 def test_reach_scan_matches_the_flow_table_on_pipeline_states():
@@ -182,9 +176,9 @@ def test_reach_scan_matches_the_flow_table_on_pipeline_states():
 
     def check(ctx):
         nonlocal by_flow
-        table, flows = safety_scan(ctx), _target_flows(ctx)
+        table, flows = safety_scan(ctx), target_flows(ctx)
         for v in np.flatnonzero(ctx.coloring.colored_mask()).tolist():
-            assert table[v].tolist() == _flow_row(flows, v, 1), v
+            assert table[v].tolist() == flow_row(flows, v, 1), v
             by_flow += sum(bool(group[v] and not sense.hit[v]) for _, group, sense in flows)
         return table
 
@@ -324,12 +318,12 @@ def test_count_screen_matches_the_deletion_oracle_and_flows(k, monkeypatch):
         calls = len(fallback)
         table = safety_scan(ctx)
         fell_back += len(fallback) > calls
-        flows = _target_flows(ctx)
+        flows = target_flows(ctx)
         for v in np.flatnonzero(labels != UNCOLORED).tolist():
             if n < 40:
                 want = [brute_safe(T, v, labels, *pools, k, tag) for tag in ("f", "b", "af", "ab")]
             else:
-                want = _flow_row(flows, v, k)
+                want = flow_row(flows, v, k)
             assert table[v].tolist() == want, (draw, v)
             assert all_colored_safe(ctx, [v]) == all(want)
             for column in range(4):

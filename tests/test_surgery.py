@@ -7,15 +7,14 @@ from tourpart import (
     NoPath,
     SubdivisionSpec,
     digraph_from_edges,
-    is_backwards_transitive,
     is_strongly_k_connected,
     nonseparating_subdivision,
     remove_nonseparating_path,
-    shortest_path_avoiding,
     spanning_linkage,
 )
+from tourpart.core import Tournament, is_backwards_transitive
 from tourpart.generators import transitive_tournament
-from tourpart.surgery import check_spanning_linkage, check_subdivision
+from tourpart.surgery import check_spanning_linkage, check_subdivision, shortest_path_avoiding
 
 
 def test_shortest_path_examples(c3, t4):
@@ -187,9 +186,11 @@ def test_family_scans_reject_a_missing_cover_or_a_shared_interior():
 
 
 def test_spanning_infeasible_on_transitive():
+    # at k = 1 the close runs on all of T, where no path runs 3 -> 0
     T = transitive_tournament(10)
     res = spanning_linkage(T, [(3, 0)])
-    assert res.status == "infeasible"
+    assert (res.status, res.paths) == ("infeasible", None)
+    assert res.detail == "pair 0: no spanning path exists"
 
 
 def test_spanning_validation(t4):
@@ -200,3 +201,37 @@ def test_spanning_validation(t4):
     for pairs in ([(0, 4)], [(-1, 2)], [(0, 1), (2, 9)]):
         with pytest.raises(ValueError, match="out of range"):
             spanning_linkage(t4, pairs)
+
+
+def _transitive_with_flips(n, flips):
+    """The transitive tournament on n vertices (i -> j for i < j) with the
+    arc of each pair in ``flips`` reversed."""
+    adj = transitive_tournament(n).adj.copy()
+    for u, v in flips:
+        adj[u, v], adj[v, u] = False, True
+    return Tournament(adj)
+
+
+def test_spanning_carve_without_a_path_in_the_untouched_t_is_infeasible(t4):
+    # the first carve runs on all of T, so a missing path is a proof
+    res = spanning_linkage(t4, [(0, 1), (3, 2)])
+    assert (res.status, res.paths) == ("infeasible", None)
+    assert res.detail == "pair 1: no admissible 3->2 path exists"
+
+
+def test_spanning_carve_dead_end_is_unknown():
+    # pair 2's shortest path 4 -> 3 -> 6 takes vertex 3, which every path
+    # 5 -> 2 needs (5's other out-neighbour is 6); T itself has 5 -> 3 -> 2
+    T = _transitive_with_flips(7, [(3, 5), (2, 3), (3, 4), (4, 6)])
+    assert shortest_path_avoiding(T, 5, 2, {0, 1}) == [5, 3, 2]
+    res = spanning_linkage(T, [(0, 1), (5, 2), (4, 6)])
+    assert (res.status, res.paths) == ("unknown", None)
+    assert res.detail == "pair 1: carve order dead-ended"
+
+
+def test_spanning_close_after_a_carve_is_unknown(t4):
+    # carving 1 -> 2 leaves {0, 3}, where 3 -> 0 has no Hamiltonian path;
+    # the close ran on a carved remainder, so its failure proves nothing of T
+    res = spanning_linkage(t4, [(3, 0), (1, 2)])
+    assert (res.status, res.paths) == ("unknown", None)
+    assert res.detail == "pair 0: no Hamiltonian close for this carve order"
