@@ -56,13 +56,38 @@ that avoids the swept vertices.  So a pair is settled when r plus its
 middles outside the swept vertices, or r plus the short paths the screen
 finds around them, reaches ``best``; a swept middle leaves the count but
 counts once as a swept vertex, so this settles all the plain count does.
+Hall's condition (P. Hall, "On representatives of subsets", 1935)
+settles most of the pairs left, from counts the sweep already takes.  At
+rank r, with u its vertex, let B be out(u) minus the swept vertices, s0 =
+``best`` - r when the rank's first pair is tested, and "later" the
+vertices past u.  A later vertex a outside B is good, in G1, when it has at
+least s0 in-neighbours in B; that is a's own forward middle count, so G1 is
+the later vertices outside B whose count the rank does not list.  A pair
+(u, v) with no arc u->v, c < s middles and need s = ``best`` - r <= s0 is
+settled when c + |in(v) & G1| >= s.  Its paths are the c 2-paths
+u->w->v and, for each good a->v in turn, u->b->a->v through a b in B that
+is neither a middle nor taken: a has s0 >= s in-neighbours in B, at most c
+are middles and fewer than s - c are taken.  A listed v has fewer than s0
+middles, so it is never in G1 (and, with no arc u->v, never in B), and no
+path repeats a vertex, 2-cycles or not.  When a pair of the rank fails
+that, G2 is the listed vertices w with at least s0 in-neighbours in G1, and
+the pair is settled when c + |in(v) & G2| >= s, by paths u->b->a->w->v:
+each w takes an unused a of its s0 in G1, and each a an unused b; B, G1
+and the listed vertices are disjoint, so again no path repeats a vertex.
+A backward pair (v, u) is the mirror image, on out- and in-rows swapped.
+Only a pair that fails both counts reaches the screen or a flow, and the
+flow of a settled pair, capped at ``best``, could only have returned
+``best``, so every answer is unchanged.
+
 The middle counts are numpy popcounts, one batch per chunk of ranks, on at
 most one n x W count of G's packed words, or 2^15 words.  A batch lists the
 pairs with v past u's rank below the ``best`` it began with (it only falls);
-each is tested on Python ints against the current ``best``, in rank order,
+rank by rank, each is tested on Python ints against the current ``best``,
 so the pairs screened and flowed, and their order, are those of a count
-per rank.  The flow handle is built for the first pair past its count.  In
-a masked sweep the ranks are those of ``within``.
+per rank.  A Hall count reads the rows of a rank's listed vertices as ints
+only when its G1 is not empty, and the flow handle is built for the first
+pair past every count.  In a masked sweep the ranks are those of
+``within``.
 
 A batch costs about 40 numpy calls, 70-90 us, however few pairs it counts,
 and an int count well under a microsecond a pair.  So a host of one-word
@@ -70,7 +95,8 @@ rows (G.n <= 64) builds its handle first and takes the degree screen from
 its int rows; when the best x n pairs of G.n-bit rows hold at most
 ``_INT_BITS`` bits, each rank counts its middles on those ints against the
 current ``best`` and lists the batch's pairs in the batch's order.  Wider
-hosts and larger sweeps keep the batch.
+hosts and larger sweeps keep the batch.  Both take the Hall counts the same
+way.
 
 A flow that stops short of its cap is maximum, and the kernel then reports
 the residual cut: the vertices whose in-copy is reachable from x in the
@@ -108,6 +134,7 @@ vertex checked.  ``disjoint_routes`` drops the arc x->y from a handle.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -441,8 +468,28 @@ def sweep(G, ceiling=None, stop=0, within=None):
 
     # Both generators yield, in rank order and against the current best, the
     # ordered pairs (x, y) and the swept vertices before the rank that no
-    # count settles: the middles outside those vertices plus the rank fall
-    # below best, and no arc x->y joins them.
+    # count settles: no arc x->y joins them, and neither their middles nor
+    # a Hall count (module docstring), plus the rank, reach best.
+    def hall_pairs(rank, u, spare, low, listed, ends):
+        # ``listed``: (v, c, d) in rank order for the pairs (u, v) (d 0)
+        # and (v, u) (d 1) of rank ``rank`` that no arc joins and whose
+        # middle count c falls below the need; ``low[d]`` is B and those
+        # v, and ``ends[d][v]`` v's in-row forward, its out-row backward
+        need, later = best - rank, full ^ spare ^ 1 << u
+        goods = [later & ~low[0], later & ~low[1]]  # G1
+        ones = [(ends[d][v] & goods[d]).bit_count() if goods[d] else 0 for v, _, d in listed]
+        seconds = None
+        for (v, c, d), h in zip(listed, ones):
+            if c + h >= best - rank:
+                continue
+            if seconds is None:  # G2: the listed vertices with need ends in G1
+                seconds = [0, 0]
+                for (w, _, e), g in zip(listed, ones):
+                    if g >= need:
+                        seconds[e] |= 1 << w
+            if not (seconds[d] and c + (ends[d][v] & seconds[d]).bit_count() >= best - rank):
+                yield (v, u, spare) if d else (u, v, spare)
+
     def int_pairs():
         out, inn = net.out, net.inn
         for rank, u in enumerate(order):
@@ -450,18 +497,25 @@ def sweep(G, ceiling=None, stop=0, within=None):
                 return
             spare = full & ((1 << u) - 1)
             firsts, lasts, need = out[u] & ~spare, inn[u] & ~spare, best - rank
+            listed, low = [], [firsts, lasts]
             for v in order[rank + 1:]:
-                if (firsts & inn[v]).bit_count() < need and not out[u] >> v & 1:
-                    yield u, v, spare
-                    need = best - rank
-                if (lasts & out[v]).bit_count() < need and not out[v] >> u & 1:
-                    yield v, u, spare
-                    need = best - rank
+                if (c := (firsts & inn[v]).bit_count()) < need and not firsts >> v & 1:
+                    listed.append((v, c, 0))
+                    low[0] |= 1 << v
+                if (c := (lasts & out[v]).bit_count()) < need and not lasts >> v & 1:
+                    listed.append((v, c, 1))
+                    low[1] |= 1 << v
+            if listed:
+                yield from hall_pairs(rank, u, spare, low, listed, (inn, out))
 
     def batched_pairs():
         nonlocal net
         outs, ins = packed_rows or _sweep_rows(G, ids, mask)
         width, lo = G.packed.shape[1], 0
+        # the rows a Hall count reads: the handle's, or G's read on demand
+        ends = (net.inn, net.out) if net is not None else (_IntRows(G.rpacked, full),
+                                                           _IntRows(G.packed, full))
+
         while lo < best:
             # one batch for ranks lo..hi-1: at most one n x width count, or 2^15 words
             later = n - lo - 1
@@ -471,24 +525,31 @@ def sweep(G, ceiling=None, stop=0, within=None):
             fwd, back = _middle_counts(outs, ins, lo,
                                        np.frombuffer(rests, np.uint64).reshape(-1, width))
             # best only falls, so this lists a superset of the pairs to visit
-            listed = np.minimum(fwd, back) < np.arange(best - lo, best - hi, -1)[:, None]
+            below = np.minimum(fwd, back) < np.arange(best - lo, best - hi, -1)[:, None]
             for i in range(1, hi - lo):  # a v at or below the rank was visited, or is u
-                listed[i, :i] = False
-            rows, cols = listed.nonzero()
-            if rows.size:
-                if net is None:  # the first pair listed passes a count
-                    net = VertexFlow(G, mask)
-                out = net.out
-            for i, j, u_v, v_u in zip(rows.tolist(), (cols + (lo + 1)).tolist(),
-                                      fwd[listed].tolist(), back[listed].tolist()):
+                below[i, :i] = False
+            rows, cols = below.nonzero()
+            pairs = zip(rows.tolist(), (cols + (lo + 1)).tolist(),
+                        fwd[below].tolist(), back[below].tolist())
+            for i, group in itertools.groupby(pairs, key=operator.itemgetter(0)):
                 rank = lo + i
                 if rank >= best:
                     return
-                u, v, spare = order[rank], order[j], spares[i]
-                if u_v + rank < best and not out[u] >> v & 1:
-                    yield u, v, spare
-                if v_u + rank < best and not out[v] >> u & 1:
-                    yield v, u, spare
+                u, spare, need = order[rank], spares[i], best - rank
+                firsts, lasts = ends[1][u] & ~spare, ends[0][u] & ~spare  # B both ways
+                listed, low = [], [firsts, lasts]
+                for _, j, u_v, v_u in group:
+                    v = order[j]
+                    if u_v < need and not firsts >> v & 1:
+                        listed.append((v, u_v, 0))
+                        low[0] |= 1 << v
+                    if v_u < need and not lasts >> v & 1:
+                        listed.append((v, v_u, 1))
+                        low[1] |= 1 << v
+                for pair in hall_pairs(rank, u, spare, low, listed, ends):
+                    if net is None:  # the first pair past every count
+                        net = VertexFlow(G, mask)
+                    yield pair
             lo = hi
 
     if best > 1:  # the screens above decide a best of 0 or 1
@@ -501,6 +562,19 @@ def sweep(G, ceiling=None, stop=0, within=None):
                 if best < stop:
                     return Certificate(False, (x, y), best, cut, best)
     return Certificate(n > stop, level=best)
+
+
+class _IntRows(dict):
+    """Packed rows read as ints on demand, each once: ``rows[k]`` is the int
+    whose bit v is bit v of packed row k, ANDed with the int ``mask``."""
+
+    def __init__(self, rows, mask):
+        self.words, self.size, self.mask = memoryview(rows).cast("B"), 8 * rows.shape[1], mask
+
+    def __missing__(self, k):
+        words = self.words[k * self.size:(k + 1) * self.size]
+        self[k] = row = int.from_bytes(words, "little") & self.mask
+        return row
 
 
 def _sweep_rows(G, ids, mask):

@@ -103,9 +103,6 @@ class Digraph:
     def in_degrees(self):
         return np.bitwise_count(self.rpacked).sum(axis=1, dtype=np.intp)
 
-    def out_neighbors(self, v):
-        return np.flatnonzero(unpack_rows(self.packed[v], self.n))
-
     def reverse(self):
         """The graph with every arc flipped (an involution): the two packed
         matrices swapped, nothing copied."""
@@ -114,9 +111,6 @@ class Digraph:
     def edges(self):
         us, vs = np.nonzero(unpack_rows(self.packed, self.n))
         return list(zip(us.tolist(), vs.tolist()))
-
-    def edge_count(self):
-        return int(np.bitwise_count(self.packed).sum())
 
 
 class Tournament(Digraph):
@@ -127,12 +121,6 @@ class Tournament(Digraph):
         if np.count_nonzero(adj == adj.T) != adj.shape[0]:  # only the diagonal agrees
             raise ValueError("not a tournament: some pair is unoriented or doubly oriented")
         self._hold(*_tournament_rows(adj))
-
-    def out_degree(self, v):
-        return int(np.bitwise_count(self.packed[v]).sum())
-
-    def in_degree(self, v):
-        return int(np.bitwise_count(self.rpacked[v]).sum())
 
     def subtournament(self, vertices):
         """Restriction to ``vertices``; returns (sub, index_map) with

@@ -24,11 +24,11 @@ ANDed with it, gathered in blocks of at most ``_CHUNK`` words and summed
 into int32, exact for any n below 2^31.  The taken vertex's degree is the
 next pool's size, so no pool is counted twice and no step cuts a submatrix
 out of the host or builds a |pool| x W temporary.  A build packs its alive
-set once and hands it to ``check_structure``'s audit, which runs on
-Python-int bitsets: it recounts the anchor's degree from T, reads the
-chain's transitivity off the members' rows (at most c ``row_bits`` ints),
-and requires the alive set, less the taken vertices and the OR of the
-cover's rows, to be empty.  An anchor of too low a degree raises
+set once and hands it to the structure audit, ``_check_structure``, which
+runs on Python-int bitsets: it recounts the anchor's degree from T, reads
+the chain's transitivity off the members' rows (at most c ``row_bits``
+ints), and requires the alive set, less the taken vertices and the OR of
+the cover's rows, to be empty.  An anchor of too low a degree raises
 ``AnchorDegreeError``, which carries the degree.
 """
 
@@ -221,15 +221,9 @@ def _halving_structure(T, v, c, alive, mode):
             raise AssertionError("construction failed to exit within the chain cap")
 
 
-def check_structure(T, s, alive=None):
-    """Full invariant scan of ``s`` as a structure of T[alive] (default:
-    all of T); raises AssertionError on any violation."""
-    alive = np.ones(T.n, dtype=bool) if alive is None else alive
-    _check_structure(T, s, packed_set(alive))
-
-
 def _check_structure(T, s, live):
-    """``check_structure`` on the packed alive set ``live``.  The audit
+    """Full invariant scan of ``s`` as a structure of T[alive], ``live``
+    the packed alive set; raises AssertionError on any violation.  The audit
     counts the anchor's degree in T[alive] itself, from its row of T, so a
     miscount in the builder does not pass it.  It runs on Python-int
     bitsets: the alive set, the anchor's row, the taken vertices and the

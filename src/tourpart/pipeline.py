@@ -281,14 +281,15 @@ def build_dominating_family(state):
 def _audit_family(state):
     """Exit audit of the dominating family against the host-wide bounds.
 
-    The per-structure invariants live in ``check_structure``, which every
-    build runs on T[alive]: the chain has at most c vertices, is transitive
-    in T, and its cover dominates alive & ~(members | exceptions).  There
-    ``alive`` excludes every other anchor and every member of an earlier
-    structure, so the chains are disjoint, and every member of the family
-    is reserved, so the set this audit would test, ~reserved & ~exceptions,
-    lies inside that checked set.  What is left here is each exception pool
-    against delta-hat, the 20k record and its strict gate."""
+    The per-structure invariants live in ``domination._check_structure``,
+    which every build runs on T[alive]: the chain has at most c vertices, is
+    transitive in T, and its cover dominates alive & ~(members |
+    exceptions).  There ``alive`` excludes every other anchor and every
+    member of an earlier structure, so the chains are disjoint, and every
+    member of the family is reserved, so the set this audit would test,
+    ~reserved & ~exceptions, lies inside that checked set.  What is left
+    here is each exception pool against delta-hat, the 20k record and its
+    strict gate."""
     c, stage = state.params.chain_cap, "dominating_family"
     for structs, dhat, mode in ((state.out_structs, state.dhat_in, "out"),
                                 (state.in_structs, state.dhat_out, "in")):

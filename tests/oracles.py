@@ -3,8 +3,8 @@
 Everything down to the last section enumerates: deletion sets, permutations,
 simple paths.  None of it shares code with the flow/greedy implementations
 under test.  The last section holds the helpers only tests call: second
-builders of graphs the library builds one way, and per-vertex safety flows
-that skip the scan's count screen.
+builders of graphs the library builds one way, per-vertex safety flows
+that skip the scan's count screen, and the structure audit on a bool mask.
 """
 
 import itertools
@@ -12,7 +12,8 @@ import itertools
 import numpy as np
 
 from tourpart.connectivity import TargetFlow
-from tourpart.core import Digraph, Tournament
+from tourpart.core import Digraph, Tournament, packed_set
+from tourpart.domination import _check_structure
 from tourpart.safety import _sense_graphs, _senses
 
 
@@ -248,7 +249,14 @@ def pool_degrees_by_hand(adj, pool):
 
 
 # ---------------------------------------------------------------------------
-# test-side helpers: second builders and per-vertex flows
+# test-side helpers: the structure audit, second builders and per-vertex flows
+
+
+def check_structure(T, s, alive=None):
+    """The library's full invariant scan of the dominating structure ``s``
+    as a structure of T[alive] (default: all of T), on the bool mask
+    ``alive``; raises AssertionError on any violation."""
+    _check_structure(T, s, packed_set(np.ones(T.n, dtype=bool) if alive is None else alive))
 
 
 def _checked_ids(G, vertices):

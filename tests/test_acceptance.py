@@ -79,10 +79,10 @@ def test_criterion_3_dominating_structures():
         seed = int(rng.integers(0, 10 ** 9))
         T = random_tournament(n, seed)
         v = int(rng.integers(0, n))
-        if T.in_degree(v) < 2 ** (c - 1):
+        if T.in_degrees()[v] < 2 ** (c - 1):
             continue
         s = out_dominating_structure(T, v, c)  # full invariant scan inside
-        d = T.in_degree(v)
+        d = T.in_degrees()[v]
         for i, size in enumerate(s.shrink_trace):
             assert size * 2 ** i <= d, "halving loop invariant violated"
         done += 1

@@ -20,6 +20,11 @@ from tourpart.partition import partition, verify_partition
 from tourpart.pipeline import PipelineParams
 from test_golden import _count_sweeps, _planted
 
+# A subprocess imports the tourpart this suite imported, however the suite
+# was started: PYTHONPATH names that package's source directory.
+SUBPROCESS_ENV = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+
+
 def run_cli(*argv):
     """Invoke the CLI in-process, capturing stdout and the exit code."""
     out = io.StringIO()
@@ -128,7 +133,8 @@ def test_analyze_into_closed_pipe_ends_quietly(tmp_path):
     os.close(read_end)  # the reader is gone before the first write, as after `| head -1`
     try:
         proc = subprocess.run([sys.executable, "-m", "tourpart.cli", "analyze", str(p)],
-                              stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120)
+                              stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+                              env=SUBPROCESS_ENV)
     finally:
         os.close(write_end)
     assert proc.stderr == ""
@@ -552,13 +558,14 @@ def test_params_file_rejects_a_flag_that_is_not_boolean(tmp_path, capsys):
 
 def test_console_entry_point():
     proc = subprocess.run([sys.executable, "-m", "tourpart.cli", "--version"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=SUBPROCESS_ENV)
     assert proc.returncode == 0 and "tourpart" in proc.stdout
 
 
 def test_import_loads_no_scipy():
     code = "import sys, tourpart; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=SUBPROCESS_ENV)
     assert proc.returncode == 0 and proc.stdout.strip() == "[]"
 
 

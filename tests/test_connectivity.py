@@ -437,6 +437,61 @@ def test_swept_vertices_settle_most_pairs(monkeypatch):
     assert len(calls) <= 7500
 
 
+def _hall_cases(count):
+    """(graph, vertex mask or None) at n = 8..40: a random tournament whole
+    and under a random mask, the crossing digraph of a random split of it,
+    and a random digraph with 2-cycles."""
+    rng = np.random.default_rng(38)
+    cases = []
+    for s in range(count):
+        n = int(rng.integers(8, 41))
+        T = random_tournament(n, 3800 + s)
+        adj = rng.random((n, n)) < rng.uniform(0.55, 0.85)
+        np.fill_diagonal(adj, False)
+        cases += [(T, None), (T, rng.random(n) < 0.75),
+                  (_crossing_graph(T, rng.random(n) < 0.5), None), (Digraph(adj), None)]
+    return cases
+
+
+def test_pairs_the_counts_settle_have_their_paths(monkeypatch):
+    # every pair at a rank below the final level that no arc joins and that
+    # reached neither a screen nor a flow has level - rank internally
+    # disjoint paths in G minus the vertices swept before its rank: its
+    # middles there, or failing those, by networkx.  The pairs whose
+    # middles fall short were settled by a Hall count (module docstring)
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.connectivity import (
+        build_auxiliary_node_connectivity,
+        local_node_connectivity,
+    )
+
+    calls = _record_pairs(monkeypatch)
+    by_hall = 0
+    for G, mask in _hall_cases(16):
+        calls.clear()
+        level = sweep(G, within=mask).level
+        visited = {(x, y) for _, x, y in calls}
+        order = list(range(G.n)) if mask is None else np.flatnonzero(mask).tolist()
+        adj = G.adj
+        for rank, u in enumerate(order[:level]):
+            rest = order[rank:]  # G minus the swept vertices
+            H = nx.DiGraph()
+            H.add_nodes_from(rest)
+            H.add_edges_from((a, b) for a in rest for b in rest if adj[a, b])
+            aux = build_auxiliary_node_connectivity(H)
+            for v in order[rank + 1:]:
+                for x, y in ((u, v), (v, u)):
+                    if adj[x, y] or (x, y) in visited:
+                        continue
+                    need = level - rank
+                    if np.count_nonzero(adj[x, rest] & adj[rest, y]) >= need:
+                        continue
+                    by_hall += 1
+                    assert local_node_connectivity(H, x, y, auxiliary=aux, cutoff=need) >= need, \
+                        (G.adj.tolist(), mask, x, y, rank)
+    assert by_hall >= 500
+
+
 def test_middles_are_counted_once_per_chunk_of_ranks(monkeypatch):
     # a small graph takes the middle counts of all its ranks in one batch,
     # not one numpy count per rank; a wider one splits them into chunks of
@@ -487,9 +542,12 @@ def test_the_flow_handle_is_built_only_for_a_pair_past_its_count(monkeypatch):
     T = random_tournament(1500, 3)
     half = np.random.default_rng(0).random(1500) < 0.5
     assert sweep(T, 2, 2, half).ok and builds == []
-    # a sweep that screens a pair builds one handle, on the sweep's packed mask
+    # so do the Hall counts at level 40 of a half-masked n = 400 sweep; at
+    # level 50 a sweep that screens a pair builds one handle, on the
+    # sweep's packed mask
     T, half = random_tournament(400, 3), half[:400]
-    assert sweep(T, 40, 40, half).ok
+    assert sweep(T, 40, 40, half).ok and builds == []
+    assert sweep(T, 50, 50, half).ok
     assert len(builds) == 1 and np.array_equal(builds[0][1], core.packed_set(half))
 
 
@@ -499,8 +557,10 @@ def test_criterion_nine_searches_take_few_flows(monkeypatch):
     # 4-path round settled the same-side pairs of each crossing digraph;
     # the reach sweeps were 108 before the sweep kept them for a degree
     # screen of 1, and 54 while the repair screen ran on every fresh split;
-    # each split now certifies at its first three sweeps, so none is screened
-    counts = {"maximum_flow": 0, "reachable_mask": 0, "sweep": 0, "_screen_score": 0}
+    # each split now certifies at its first three sweeps, so none is screened.
+    # The Hall counts leave 220 pairs to the short-path screen (1,282 before)
+    counts = {"maximum_flow": 0, "reachable_mask": 0, "sweep": 0, "_screen_score": 0,
+              "_short_paths_reach": 0}
 
     def counting(fn):
         def wrapped(*args, **kwargs):
@@ -510,6 +570,7 @@ def test_criterion_nine_searches_take_few_flows(monkeypatch):
 
     partition = importlib.import_module("tourpart.partition")
     for fn, modules in ((connectivity.maximum_flow, (connectivity, partition)),
+                        (connectivity._short_paths_reach, (connectivity, partition)),
                         (core.reachable_mask, (core, connectivity, partition)),
                         (partition.sweep, (partition,)),
                         (partition._screen_score, (partition,))):
@@ -517,7 +578,8 @@ def test_criterion_nine_searches_take_few_flows(monkeypatch):
             monkeypatch.setattr(module, fn.__name__, counting(fn))
     for i in range(9):
         assert search_partition(random_tournament(40, 31415 + i), 2, seed=i).verified
-    assert counts == {"maximum_flow": 0, "reachable_mask": 0, "sweep": 27, "_screen_score": 0}
+    assert counts == {"maximum_flow": 0, "reachable_mask": 0, "sweep": 27, "_screen_score": 0,
+                      "_short_paths_reach": 220}
 
 
 def test_min_separator_examples(c3, t4):

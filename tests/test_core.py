@@ -103,7 +103,7 @@ def test_bipartite_subdigraph_examples(c3, rand):
         T = rand(10, seed)
         A, B = set(range(4)), set(range(4, 10))
         D, ids = bipartite_subdigraph(T, A, B)
-        assert D.edge_count() == len(A) * len(B)
+        assert len(D.edges()) == len(A) * len(B)
         # brute-force edge listing
         expected = {(u, v) for u in range(10) for v in range(10)
                     if T.has_edge(u, v) and ((u in A) != (v in A))}

@@ -12,10 +12,10 @@ from tourpart import (
     in_dominating_structure,
     out_dominating_structure,
 )
-from oracles import pool_degrees_by_hand, transitive_order
+from oracles import check_structure, pool_degrees_by_hand, transitive_order
 from tourpart import domination
 from tourpart.core import Tournament, counts_in, digraph_from_edges, pack_rows, packed_set
-from tourpart.domination import AnchorDegreeError, check_structure
+from tourpart.domination import AnchorDegreeError
 from tourpart.generators import random_tournament, transitive_tournament
 from tourpart.pipeline import PipelineParams, PipelineState, build_dominating_family
 
@@ -57,7 +57,7 @@ def test_structure_hand_trace_on_transitive(t4):
     assert s.anchor == 3 and s.tip == 0
     assert s.order == (0, 3)
     assert s.exceptions == frozenset({1, 2})
-    assert len(s.exceptions) <= t4.in_degree(3)
+    assert len(s.exceptions) <= t4.in_degrees()[3]
 
 
 def test_structure_mirror_on_transitive(t4):
@@ -70,7 +70,7 @@ def test_structure_chain_is_valid_transitive_order(rand):
     for seed in range(20):
         T = rand(64, seed)
         v = seed % 64
-        if T.in_degree(v) >= 2 ** 3:
+        if T.in_degrees()[v] >= 2 ** 3:
             s = out_dominating_structure(T, v, 4)
             order = transitive_order(T, s.members)
             assert order == list(s.order)
@@ -86,11 +86,11 @@ def test_structure_invariants_random_sweep():
         seed = int(rng.integers(0, 10 ** 6))
         T = random_tournament(n, seed)
         v = int(rng.integers(0, n))
-        if T.in_degree(v) < 2 ** (c - 1):
+        if T.in_degrees()[v] < 2 ** (c - 1):
             continue
-        s = out_dominating_structure(T, v, c)  # check_structure runs inside
+        s = out_dominating_structure(T, v, c)  # the structure audit runs inside
         # halving trace is exposed for instrumentation checks
-        d = T.in_degree(v)
+        d = T.in_degrees()[v]
         for i, size in enumerate(s.shrink_trace):
             assert size * 2 ** i <= d
         done += 1
@@ -99,7 +99,7 @@ def test_structure_invariants_random_sweep():
 def test_structure_duality(rand):
     T = rand(80, 3)
     for v in (0, 17, 42):
-        if T.out_degree(v) >= 8:
+        if T.out_degrees()[v] >= 8:
             a = in_dominating_structure(T, v, 4)
             b = out_dominating_structure(T.reverse(), v, 4)
             assert a.members == b.members and a.exceptions == b.exceptions
@@ -125,7 +125,7 @@ def test_structure_waiting_slot_branch():
 def test_structure_precondition_errors(t4):
     with pytest.raises(AnchorDegreeError, match="in-degree 3 of vertex 3") as err:
         out_dominating_structure(t4, 3, 4)  # needs in-degree >= 8
-    assert err.value.degree == t4.in_degree(3) == 3
+    assert err.value.degree == t4.in_degrees()[3] == 3
     with pytest.raises(ValueError):
         out_dominating_structure(t4, 3, 1)
 

@@ -64,7 +64,7 @@ def test_transitive_properties():
     T = transitive_tournament(8)
     assert vertex_connectivity(T) == 0
     assert T.has_edge(2, 5) and not T.has_edge(5, 2)
-    assert T.out_degree(0) == 7 and T.in_degree(0) == 0
+    assert T.out_degrees()[0] == 7 and T.in_degrees()[0] == 0
 
 
 def _same_rows(a, b):

@@ -428,7 +428,7 @@ def test_sweeps_are_pinned():
     assert h.hexdigest()[:16] == SWEEP_DIGEST
 
 
-SWEEP_CALLS_DIGEST = "ae1f46f45498a612"
+SWEEP_CALLS_DIGEST = "da68f954111cf6a6"
 
 
 def test_sweep_work_is_pinned(monkeypatch):

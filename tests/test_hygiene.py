@@ -3,7 +3,8 @@ no function imports inside its body, only ``core`` copies subgraphs and
 calls ``is_path``, no module scatters through ``triu_indices``, no module
 reads a graph as a bool matrix, every pipeline parameter is read, the CLI
 certifies nothing itself, the pipeline audits safety only incrementally,
-and the package exports only what its users use."""
+and the package exports only what its users use, with no public method
+that only tests call."""
 
 import ast
 import re
@@ -203,3 +204,20 @@ def test_every_export_is_used_or_returned():
             todo += returns.get(name, ())
     assert len(exported) > 30
     assert [name for name in exported if name not in reached] == []
+
+
+def test_every_public_method_is_used():
+    # a public method of a package class is read by the package itself or
+    # by the README, a demo, the CLI or the bench; a method only tests call
+    # belongs in tests/oracles.py
+    read = _surface_names()
+    methods = []
+    for path in _source_modules():
+        tree = ast.parse(path.read_text(), str(path))
+        read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        methods += [(path.name, cls.name, func.name) for cls in ast.walk(tree)
+                    if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+                    for func in cls.body
+                    if isinstance(func, ast.FunctionDef) and not func.name.startswith("_")]
+    assert len(methods) > 30
+    assert [m for m in methods if m[2] not in read] == []

@@ -106,7 +106,7 @@ def test_a_split_below_the_degree_screen_names_no_witness():
     T = random_tournament(40, 1)
     in_v1 = np.zeros(T.n, dtype=bool)
     in_v1[0] = True
-    in_v1[T.out_neighbors(0)[:10]] = True
+    in_v1[np.flatnonzero(T.adj[0])[:10]] = True
     assert _sweep_split(T, in_v1, 2, 2) == (None, None)
 
 

@@ -105,7 +105,7 @@ def test_dominating_family_invariants():
 
 
 def test_dominating_family_checks_each_structure_once(monkeypatch):
-    # check_structure's audit certifies each chain while it is built; the
+    # the structure audit certifies each chain while it is built; the
     # family audit takes its transitivity and domination from there.  Each
     # build packs its alive set once, and its audit reads the chain's rows
     # once, as Python ints
@@ -341,7 +341,7 @@ def test_every_bfs_sweep_reads_a_row_major_matrix(monkeypatch):
     # here v's same-color out-neighbours leave the forwards targets, and v too
     ctx, v = state.ctx(), 0
     lab = ctx.coloring.labels
-    outs = T.out_neighbors(v)
+    outs = np.flatnonzero(T.adj[v])
     ctx = replace(ctx, reserved=frozenset({v}),
                   in_exceptions=frozenset(outs[lab[outs] == lab[v]].tolist()))
     all_colored_safe(ctx, [v])

@@ -118,7 +118,7 @@ def test_forwards_safe_neighbour_rule(rand):
         k = 2
         forwards = safety_scan(_context(T, labels, reserved, (), exc_in, k))[:, 0]
         for v in range(3, 12):
-            nbrs = [int(u) for u in T.out_neighbors(v)
+            nbrs = [int(u) for u in np.flatnonzero(T.adj[v])
                     if labels[u] == labels[v] and u not in reserved | exc_in]
             safe_nbrs = [u for u in nbrs if forwards[u]]
             if len(safe_nbrs) >= k:
