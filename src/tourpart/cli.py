@@ -30,7 +30,7 @@ from .connectivity import LinkageRequest, find_disjoint_paths, is_k_linked, vert
 from .core import Verdict
 from .formats import FormatError, read_digraph, read_tournament, to_dot, write_compact, write_edge_list
 from .generators import paley_tournament, random_tournament, transitive_tournament
-from .partition import format_partition, no_split, partition
+from .partition import SEARCH_BUDGET, format_partition, no_split, partition
 from .pipeline import PipelineError, PipelineParams
 from .surgery import NoPath, SubdivisionSpec, nonseparating_subdivision, remove_nonseparating_path, spanning_linkage
 
@@ -317,7 +317,7 @@ def _read_key_values(path, parsers):
 def _read_experiment_config(path):
     kind = _one_of("random", "transitive", "paley")
     cfg = {"kind": ["random"], "n": [], "k": [], "mode": "search",
-           "seeds": [], "budget": 400}
+           "seeds": [], "budget": SEARCH_BUDGET}
     cfg.update(_read_key_values(path, {
         "kind": lambda val: [kind(t.strip()) for t in val.split(",") if t.strip()],
         "n": _parse_int_list, "k": _parse_int_list, "seeds": _parse_seeds,
@@ -419,7 +419,7 @@ def build_parser():
     q.add_argument("--mode", choices=("auto", "pipeline", "search"), default="auto")
     q.add_argument("--seed", type=int, required=True)
     q.add_argument("--params-file", default=None)
-    q.add_argument("--budget", type=int, default=400)
+    q.add_argument("--budget", type=int, default=SEARCH_BUDGET)
     q.add_argument("--out", default="-")
     q.set_defaults(func=cmd_partition)
 

@@ -95,8 +95,9 @@ rows (G.n <= 64) builds its handle first and takes the degree screen from
 its int rows; when the best x n pairs of G.n-bit rows hold at most
 ``_INT_BITS`` bits, each rank counts its middles on those ints against the
 current ``best`` and lists the batch's pairs in the batch's order.  Wider
-hosts and larger sweeps keep the batch.  Both take the Hall counts the same
-way.
+hosts and larger sweeps keep the batch.  Either lister hands each rank's
+listed pairs to one loop that runs the Hall counts, the screen and the
+flow.
 
 A flow that stops short of its cap is maximum, and the kernel then reports
 the residual cut: the vertices whose in-copy is reachable from x in the
@@ -135,7 +136,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -400,8 +401,8 @@ class Certificate:
     """The answer of ``sweep``: ``ok`` says whether G is strongly
     ``stop``-connected and ``level`` is min(kappa(G), ceiling), or an upper
     bound on it when the sweep stopped early.  When a swept pair fails,
-    ``pair`` is that pair, ``value`` its flow value (below ``stop``) and
-    ``cut`` the residual cut of ``value`` vertices separating it.  A graph
+    ``pair`` is that pair, ``level`` its flow value (below ``stop``) and
+    ``cut`` the residual cut of ``level`` vertices separating it.  A graph
     failing the size or degree screen carries no pair, nor does one whose
     degree screen gives 1 and that fails the strong-connectivity check; a
     graph that is not strong past a degree screen of 2 fails at a swept
@@ -409,7 +410,6 @@ class Certificate:
 
     ok: bool
     pair: tuple | None = None
-    value: int | None = None
     cut: frozenset | None = None
     level: int = 0
 
@@ -465,32 +465,18 @@ def sweep(G, ceiling=None, stop=0, within=None):
         best = 0
     if best < stop:
         return Certificate(False, level=best)
+    if best < 2:  # the screens above decide a best of 0 or 1
+        return Certificate(n > stop, level=best)
+    # the rows a Hall count reads: the handle's, or G's read on demand
+    ends = (net.inn, net.out) if net is not None else (_IntRows(G.rpacked, full),
+                                                       _IntRows(G.packed, full))
 
-    # Both generators yield, in rank order and against the current best, the
-    # ordered pairs (x, y) and the swept vertices before the rank that no
-    # count settles: no arc x->y joins them, and neither their middles nor
-    # a Hall count (module docstring), plus the rank, reach best.
-    def hall_pairs(rank, u, spare, low, listed, ends):
-        # ``listed``: (v, c, d) in rank order for the pairs (u, v) (d 0)
-        # and (v, u) (d 1) of rank ``rank`` that no arc joins and whose
-        # middle count c falls below the need; ``low[d]`` is B and those
-        # v, and ``ends[d][v]`` v's in-row forward, its out-row backward
-        need, later = best - rank, full ^ spare ^ 1 << u
-        goods = [later & ~low[0], later & ~low[1]]  # G1
-        ones = [(ends[d][v] & goods[d]).bit_count() if goods[d] else 0 for v, _, d in listed]
-        seconds = None
-        for (v, c, d), h in zip(listed, ones):
-            if c + h >= best - rank:
-                continue
-            if seconds is None:  # G2: the listed vertices with need ends in G1
-                seconds = [0, 0]
-                for (w, _, e), g in zip(listed, ones):
-                    if g >= need:
-                        seconds[e] |= 1 << w
-            if not (seconds[d] and c + (ends[d][v] & seconds[d]).bit_count() >= best - rank):
-                yield (v, u, spare) if d else (u, v, spare)
-
-    def int_pairs():
+    # Each lister yields, in rank order and against the current best, the rank
+    # with its vertex u, the swept vertices ``spare`` before it, the pairs
+    # ``listed`` as (v, c, d), in rank order, for (u, v) (d 0) and (v, u) (d 1)
+    # that no arc joins and whose middle count c falls below the need, and
+    # ``low[d]``, B and those v (module docstring).
+    def int_ranks():
         out, inn = net.out, net.inn
         for rank, u in enumerate(order):
             if rank >= best:
@@ -506,16 +492,11 @@ def sweep(G, ceiling=None, stop=0, within=None):
                     listed.append((v, c, 1))
                     low[1] |= 1 << v
             if listed:
-                yield from hall_pairs(rank, u, spare, low, listed, (inn, out))
+                yield rank, u, spare, low, listed
 
-    def batched_pairs():
-        nonlocal net
+    def batched_ranks():
         outs, ins = packed_rows or _sweep_rows(G, ids, mask)
         width, lo = G.packed.shape[1], 0
-        # the rows a Hall count reads: the handle's, or G's read on demand
-        ends = (net.inn, net.out) if net is not None else (_IntRows(G.rpacked, full),
-                                                           _IntRows(G.packed, full))
-
         while lo < best:
             # one batch for ranks lo..hi-1: at most one n x width count, or 2^15 words
             later = n - lo - 1
@@ -546,21 +527,37 @@ def sweep(G, ceiling=None, stop=0, within=None):
                     if v_u < need and not lasts >> v & 1:
                         listed.append((v, v_u, 1))
                         low[1] |= 1 << v
-                for pair in hall_pairs(rank, u, spare, low, listed, ends):
-                    if net is None:  # the first pair past every count
-                        net = VertexFlow(G, mask)
-                    yield pair
+                yield rank, u, spare, low, listed
             lo = hi
 
-    if best > 1:  # the screens above decide a best of 0 or 1
-        few = net is not None and best * n * G.n <= _INT_BITS
-        for x, y, spare in int_pairs() if few else batched_pairs():
+    few = net is not None and best * n * G.n <= _INT_BITS
+    for rank, u, spare, low, listed in int_ranks() if few else batched_ranks():
+        # ``ends[d][v]`` is v's in-row forward, its out-row backward; G1 is
+        # the later vertices outside low[d], G2 (built at the first pair
+        # G1 leaves) the listed vertices with s0 ends in G1
+        s0, later = best - rank, full ^ spare ^ 1 << u
+        goods = [later & ~low[0], later & ~low[1]]
+        ones = [(ends[d][v] & goods[d]).bit_count() if goods[d] else 0 for v, _, d in listed]
+        seconds = None
+        for (v, c, d), h in zip(listed, ones):
+            if c + h >= best - rank:
+                continue
+            if seconds is None:
+                seconds = [0, 0]
+                for (w, _, e), g in zip(listed, ones):
+                    if g >= s0:
+                        seconds[e] |= 1 << w
+            if seconds[d] and c + (ends[d][v] & seconds[d]).bit_count() >= best - rank:
+                continue
+            if net is None:  # the first pair past every count
+                net = VertexFlow(G, mask)
+            x, y = (v, u) if d else (u, v)
             # a pair whose short paths reach best cannot lower it; capped
             # at best, the flow's value is the new best
             if not _short_paths_reach(net, x, y, best, spare):
                 best, _, cut = maximum_flow(net, x, y, best)
                 if best < stop:
-                    return Certificate(False, (x, y), best, cut, best)
+                    return Certificate(False, (x, y), cut, best)
     return Certificate(n > stop, level=best)
 
 
@@ -672,7 +669,7 @@ class TargetFlow:
 
 @dataclass
 class LinkageRequest:
-    """k terminal pairs plus the side conditions a linkage must satisfy.
+    """k terminal pairs plus the disjointness rule a linkage must satisfy.
 
     Repeated pairs are allowed with internally-disjoint semantics and ask
     for that many distinct paths between the same terminals.
@@ -680,7 +677,6 @@ class LinkageRequest:
 
     pairs: list
     disjointness: str = "internal"  # internal | full
-    forbidden: frozenset = field(default_factory=frozenset)
 
     def validate(self, n):
         if not self.pairs:
@@ -693,14 +689,8 @@ class LinkageRequest:
             if x == y:
                 raise ValueError("terminal pair with equal endpoints")
         ends = [u for p in self.pairs for u in p]
-        if self.disjointness == "full":
-            if len(set(ends)) != len(ends):
-                raise ValueError("full disjointness needs 2k distinct terminals")
-        for v in self.forbidden:
-            if not 0 <= v < n:
-                raise ValueError(f"forbidden vertex {v} out of range 0..{n - 1}")
-        if set(ends) & set(self.forbidden):
-            raise ValueError("terminals may not be forbidden")
+        if self.disjointness == "full" and len(set(ends)) != len(ends):
+            raise ValueError("full disjointness needs 2k distinct terminals")
 
 
 @dataclass
@@ -722,7 +712,7 @@ def disjoint_routes(T, x, y, allowed):
 def _bundle_by_flow(T, req):
     x, y = req.pairs[0]
     want = len(req.pairs)
-    paths = disjoint_routes(T, x, y, ~vertex_mask(T.n, req.forbidden))
+    paths = disjoint_routes(T, x, y, np.ones(T.n, dtype=bool))
     # the direct edge is one more internally disjoint path, taken once
     chosen = ([[x, y]] if T.has_edge(x, y) else []) + sorted(paths, key=len)
     if len(chosen) < want:
@@ -745,9 +735,9 @@ def find_disjoint_paths(T, req, budget=500_000):
         return _bundle_by_flow(T, req)
 
     out = row_bits(T.packed)
-    base = (1 << T.n) - 1  # vertices usable as interiors
-    for u in (*req.forbidden, *(u for p in req.pairs for u in p)):
-        base &= ~(1 << u)
+    base = (1 << T.n) - 1  # vertices usable as interiors: all but the terminals
+    for x, y in req.pairs:
+        base &= ~(1 << x | 1 << y)
     counter = [budget]
     paths: list = []
 
@@ -800,7 +790,7 @@ def find_disjoint_paths(T, req, budget=500_000):
 
 def _check_linkage(T, req, paths):
     terminals = {u for p in req.pairs for u in p}
-    fault = path_family_fault(T, req.pairs, paths, terminals | set(req.forbidden))
+    fault = path_family_fault(T, req.pairs, paths, terminals)
     assert not fault, fault
     if req.disjointness == "full":
         allv = [v for p in paths for v in p]

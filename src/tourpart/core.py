@@ -32,12 +32,10 @@ the states of its parity not yet seen, so every state of a level was first
 seen on that level.  Parents are found only on the walk back from y: the
 parent of w is the lowest-id vertex of the previous level with an arc to
 w.  ``reachable_mask`` is the one reachability sweep; like the path
-searches it takes the graph, and it picks the cheaper direction on each
-level, top-down over the frontier's ``packed`` rows, or bottom-up over the
-``rpacked`` rows of the few allowed vertices still unreached when they are
-fewer than the frontier.  The exact searches (Hamiltonian paths, linkages,
-the flow kernel) read packed rows as Python-int bitsets from ``row_bits``
-and reach with ``bit_reach``.
+searches it takes the graph, and each level ORs the frontier's ``packed``
+rows.  The exact searches (Hamiltonian paths, linkages, the flow kernel)
+read packed rows as Python-int bitsets from ``row_bits`` and reach with
+``bit_reach``.
 
 Every family of internally disjoint paths the library returns or audits
 is checked by one routine, ``path_family_fault``; no module but this one
@@ -342,18 +340,12 @@ def reachable_mask(G, sources, allowed=None):
     """Boolean mask of vertices reachable from ``sources`` in the graph ``G``
     inside ``allowed``; pass ``G.reverse()`` to sweep backwards.
 
-    The sweep reads ``G.packed`` and ``G.rpacked``.  Each level picks the
-    cheaper direction: top-down it ORs the frontier's ``packed`` rows and
-    unpacks them; bottom-up, when fewer allowed vertices are left unreached
-    than the frontier holds, each of them ANDs its ``rpacked`` row with the
-    packed reached set, and a hit reaches it.  Testing against everything
-    reached, not only the frontier, is exact for reachability, so the mask
-    is the same either way.  The sweep ends once no allowed vertex is left
-    unreached.  ``sources`` is a vertex id or an index array; sources
-    outside ``allowed`` are ignored.  Reachability includes the sources
-    themselves.
+    Each level ORs the frontier's ``packed`` rows and unpacks them; the
+    sweep ends once no allowed vertex is left unreached.  ``sources`` is a
+    vertex id or an index array; sources outside ``allowed`` are ignored.
+    Reachability includes the sources themselves.
     """
-    rows, back = G.packed, G.rpacked
+    rows = G.packed
     n = rows.shape[0]
     seen = np.zeros(n, dtype=bool)
     seen[sources] = True
@@ -361,17 +353,11 @@ def reachable_mask(G, sources, allowed=None):
     seen &= left
     left ^= seen  # allowed and not yet reached
     frontier = np.flatnonzero(seen)
-    while frontier.size:
-        ids = np.flatnonzero(left)
-        if ids.size == 0:
-            break
-        if ids.size < frontier.size:
-            hit = ids[(back[ids] & packed_set(seen)).any(axis=1)]
-        else:
-            hit = np.flatnonzero(unpack_rows(np.bitwise_or.reduce(rows[frontier], axis=0), n) & left)
-        seen[hit] = True
-        left[hit] = False
-        frontier = hit
+    while frontier.size and left.any():
+        heads = np.bitwise_or.reduce(rows[frontier], axis=0)
+        frontier = np.flatnonzero(unpack_rows(heads, n) & left)
+        seen[frontier] = True
+        left[frontier] = False
     return seen
 
 

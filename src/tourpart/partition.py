@@ -47,6 +47,8 @@ class PartitionResult:
 
 
 EXACT_THRESHOLD = 150
+# the search's default budget of split checks, for the library and the CLI
+SEARCH_BUDGET = 400
 
 
 def _sweep_split(T, in_v1, k, stop):
@@ -65,7 +67,7 @@ def _sweep_split(T, in_v1, k, stop):
         exact = (T.n if within is None else int(within.sum())) <= EXACT_THRESHOLD
         cert = sweep(G, None if exact else k, stop, within)
         if not cert.ok:
-            return None, None if cert.pair is None else (which, cert.pair, cert.value, cert.cut)
+            return None, None if cert.pair is None else (which, cert.pair, cert.level, cert.cut)
         levels.append((cert.level, exact))
     found = all(level >= k for level, _ in levels)
     return PartitionResult(
@@ -156,7 +158,7 @@ def _pair_flow(T, in_v1, which, pair, k):
     return k if _short_paths_reach(net, x, y, k) else maximum_flow(net, x, y, k)[0]
 
 
-def search_partition(T, k, seed, budget=400):
+def search_partition(T, k, seed, budget=SEARCH_BUDGET):
     """Randomized balanced split plus greedy single-vertex repair moves.
 
     A fresh split is certified first.  Once the sweeps reject it, moves are
@@ -233,7 +235,7 @@ def search_partition(T, k, seed, budget=400):
 # the entry point tying pipeline and search together
 
 
-def partition(T, k, mode="auto", params=None, seed=0, search_budget=400):
+def partition(T, k, mode="auto", params=None, seed=0, search_budget=SEARCH_BUDGET):
     """Produce a verified partition, or the verdict that there is none.
 
     mode "pipeline": the constructive coloring pipeline (guaranteed constants

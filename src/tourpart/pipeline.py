@@ -72,13 +72,13 @@ class PipelineParams:
     """Tuning constants for one pipeline run.
 
     ``budget=None`` leaves the coloring budget to the per-vertex starvation
-    checks.  ``strict=True`` marks the full-strength constants; only such
-    runs may claim a-priori guarantees.  The run's k is the one given to
-    ``run_pipeline``; what the construction fixes as a function of it,
+    checks; strict runs need a budget.  ``strict=True`` marks the
+    full-strength constants; only such runs may claim a-priori guarantees.
+    The run's k is the one given to ``run_pipeline``; what the construction
+    fixes as a function of it, the k connector structures per class,
     ``short_cap`` and ``growth``, is not settable.
     """
 
-    per_class: int      # connector structures per class (k for the guarantee)
     chain_cap: int      # dominating-chain length cap c
     bundle_size: int    # long connector bundle width
     budget: int | None  # coloring budget cap
@@ -88,7 +88,6 @@ class PipelineParams:
     def guaranteed(k):
         lg = math.log2(2 * k)
         return PipelineParams(
-            per_class=k,
             chain_cap=math.ceil(math.log2(120 * k * k)) + 2,
             bundle_size=int(10 ** 5 * k ** 4 * lg),
             budget=int(5 * 10 ** 8 * k ** 6 * lg),
@@ -127,12 +126,12 @@ class StageAudit:
     info: dict = field(default_factory=dict)
 
 
-def select_extremal_sets(T, k, count=None):
-    """The ``count`` (default 6k) lowest in-degree vertices of the tournament
-    T, then the same number of lowest out-degree vertices among the rest,
-    plus the restricted degree minima outside each set.  Ties go to the
-    lowest id (stable sorts of the ascending ids)."""
-    count = 6 * k if count is None else count
+def select_extremal_sets(T, k):
+    """The 6k lowest in-degree vertices of the tournament T, then the 6k
+    lowest out-degree vertices among the rest, plus the restricted degree
+    minima outside each set.  Ties go to the lowest id (stable sorts of the
+    ascending ids)."""
+    count = 6 * k
     n = T.n
     if n < 2 * count:
         raise ValueError(f"need at least {2 * count} vertices, have {n}")
@@ -187,15 +186,11 @@ class PipelineState:
         self.grabbed_out = []
 
     @property
-    def r(self):
-        return self.params.per_class
-
-    @property
     def total(self):
-        return 6 * self.r
+        return 6 * self.k
 
     def klass(self, i):
-        return i // self.r
+        return i // self.k
 
     def tips(self, i):
         """(b_i, a_i): start and end of the i-th connector path."""
@@ -248,7 +243,7 @@ def build_dominating_family(state):
     c = params.chain_cap
     stage = "dominating_family"
     state.low_in, state.low_out, state.dhat_in, state.dhat_out = \
-        select_extremal_sets(T, state.k, state.total)
+        select_extremal_sets(T, state.k)
     anchors = state.anchors()
     used = set()
 
@@ -313,7 +308,6 @@ def _audit_family(state):
 def color_reserved(state):
     """Split the structure vertices between the colors according to the
     six-class connector layout and color them."""
-    r = state.r
     d1 = set()
     for i in range(state.total):
         cls = state.klass(i)
@@ -597,9 +591,8 @@ def _shortcut_bundles(state):
     changed = True
     while changed:
         changed = False
-        for i, paths in state.bundles.items():
-            for idx, p in enumerate(paths):
-                q = p
+        for paths in state.bundles.values():
+            for idx, q in enumerate(paths):
                 # forward chord inside the path: the first chord tail, cut to
                 # its farthest head
                 chords = np.triu(unpack_rows(T.packed[q], T.n)[:, q], 2)
@@ -971,25 +964,24 @@ def finalize_coloring(state):
 
 def pipeline_feasible(T, k, params):
     """Cheap precheck of the stage preconditions with the given params."""
-    r = params.per_class
     c = params.chain_cap
     n = T.n
-    if n < 12 * r:
-        return False, f"need at least {12 * r} vertices, have {n}"
+    if n < 12 * k:
+        return False, f"need at least {12 * k} vertices, have {n}"
     d0 = int(min(T.in_degrees().min(), T.out_degrees().min()))
     if params.strict:
         need = 2 * params.budget
         if d0 < need:
             return False, (f"pipeline with guaranteed constants requires delta0(T) >= {need}; "
                            f"instance has {d0}")
-    slack_needed = 2 ** (c - 1) + 12 * r * c
+    slack_needed = 2 ** (c - 1) + 12 * k * c
     if d0 < slack_needed:
         return False, (f"minimum degree {d0} below the dominating-family requirement "
                        f"{slack_needed}")
     # the bootstrap colors up to growth * |Z| distinct vertices, |Z| being the
     # anchor grants plus the non-anchor chain vertices
-    load = 12 * r * c + 48 * k * r + growth(k) * (48 * k * r + 12 * r * (c - 1))
-    if n < load + 12 * r:
+    load = 12 * k * c + 48 * k * k + growth(k) * (48 * k * k + 12 * k * (c - 1))
+    if n < load + 12 * k:
         return False, (f"{n} vertices cannot absorb the bootstrap coloring load "
                        f"(about {load} colored vertices)")
     return True, "ok"
@@ -1011,8 +1003,11 @@ def run_pipeline(T, k, params=None, seed=0):
     """Run all stages; returns the finished state (raises PipelineError).
 
     Only strict params normalize the exception pools (``_normalize``); the verifier
-    certifies relaxed runs.  The stages are deterministic; ``seed`` is accepted for uniform calls."""
+    certifies relaxed runs.  Strict params without a budget raise ValueError.
+    The stages are deterministic; ``seed`` is accepted for uniform calls."""
     params = params if params is not None else PipelineParams.guaranteed(k)
+    if params.strict and params.budget is None:
+        raise ValueError("strict pipeline params need a budget")
     ok, reason = pipeline_feasible(T, k, params)
     if not ok:
         raise PipelineError("feasibility", reason)

@@ -24,9 +24,7 @@ that network once per sense, as a ``connectivity.TargetFlow`` handle on
 the sense's graph under its group mask, which every vertex of the group
 shares.  For k = 1 safety is plain reachability, and the check is one BFS
 sweep per sense backwards from the targets, along the in-rows of the
-sense's graph.  The targets are most of their group, so a sweep settles
-the few non-target group vertices bottom-up, each one's out-row ANDed with
-the packed reached set.  Neither path builds an n x n temporary.
+sense's graph.  Neither path builds an n x n temporary.
 
 Safety never degrades as the coloring grows: colors never change and, with
 fixed reserved and exception sets, each sense's group, targets and

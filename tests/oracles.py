@@ -167,11 +167,10 @@ def all_simple_paths(adj, x, y, banned=frozenset()):
     return results
 
 
-def brute_linkage(T, pairs, forbidden=frozenset()):
+def brute_linkage(T, pairs):
     """Exhaustive internally-disjoint linkage search (tiny n only)."""
     terminals = {u for p in pairs for u in p}
-    banned = set(forbidden) | terminals
-    per_pair = [all_simple_paths(T.adj, x, y, banned) for x, y in pairs]
+    per_pair = [all_simple_paths(T.adj, x, y, terminals) for x, y in pairs]
     for combo in itertools.product(*per_pair):
         ok = True
         seen = set()

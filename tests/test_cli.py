@@ -480,7 +480,7 @@ def test_partition_params_file(tmp_path, capsys):
     r = tmp_path / "r40.txt"
     run_cli("gen", "--kind", "random", "--n", "40", "--seed", "3", "--out", str(r))
     good = tmp_path / "params.txt"
-    good.write_text("per_class=1\nbundle_size=4\nbudget=none\n")
+    good.write_text("# relaxed\nbundle_size=4\nbudget=none\n")
     code, _ = run_cli("partition", str(r), "--k", "1", "--seed", "0",
                       "--mode", "pipeline", "--params-file", str(good))
     assert code == 2  # n=40 cannot absorb the coloring load; precise diagnostic
@@ -532,13 +532,14 @@ def test_experiment_bad_value_names_its_line(tmp_path, capsys):
     assert f"{cfg}:2: bad value 'abc' for budget" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key", ["k", "short_cap", "growth"])
+@pytest.mark.parametrize("key", ["k", "short_cap", "growth", "per_class"])
 def test_params_file_rejects_what_follows_from_k(tmp_path, capsys, key):
-    # the run's k is --k; 10k+10 and 9k^2 follow from it
+    # the run's k is --k; 10k+10, 9k^2 and the k structures per class
+    # follow from it
     r = tmp_path / "r40.txt"
     run_cli("gen", "--kind", "random", "--n", "40", "--seed", "3", "--out", str(r))
     params = tmp_path / "params.txt"
-    params.write_text(f"per_class=1\n{key}=30\n")
+    params.write_text(f"# relaxed\n{key}=30\n")
     code, _ = run_cli("partition", str(r), "--k", "1", "--seed", "0",
                       "--mode", "pipeline", "--params-file", str(params))
     assert code == 3
@@ -554,6 +555,19 @@ def test_params_file_rejects_a_flag_that_is_not_boolean(tmp_path, capsys):
                       "--mode", "pipeline", "--params-file", str(params))
     assert code == 3
     assert f"{params}:2: bad value 'maybe' for strict" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["pipeline", "auto"])
+def test_params_file_strict_without_a_budget_is_an_input_error(tmp_path, capsys, mode):
+    # the file starts from the relaxed params, whose budget is none
+    r = tmp_path / "r40.txt"
+    run_cli("gen", "--kind", "random", "--n", "40", "--seed", "3", "--out", str(r))
+    params = tmp_path / "params.txt"
+    params.write_text("strict=true\n")
+    code, out = run_cli("partition", str(r), "--k", "1", "--seed", "0",
+                        "--mode", mode, "--params-file", str(params))
+    assert (code, out) == (3, "")
+    assert capsys.readouterr().err == "error: strict pipeline params need a budget\n"
 
 
 def test_console_entry_point():
@@ -591,10 +605,10 @@ def _verdict_corpus(tmp_path):
     with planted.open("w") as fh:
         write_edge_list(_planted(40, 1, 3), fh)
     files = {}
-    for name, text in (("good", "per_class=1\nbundle_size=4\nbudget=none\n"),
-                       ("bad", "no_such_knob=3\n"), ("k", "per_class=1\nk=30\n"),
-                       ("short_cap", "per_class=1\nshort_cap=30\n"),
-                       ("growth", "per_class=1\ngrowth=30\n"),
+    for name, text in (("good", "# relaxed\nbundle_size=4\nbudget=none\n"),
+                       ("bad", "no_such_knob=3\n"), ("k", "# relaxed\nk=30\n"),
+                       ("short_cap", "# relaxed\nshort_cap=30\n"),
+                       ("growth", "# relaxed\ngrowth=30\n"),
                        ("strict", "# relaxed\nstrict=maybe\n"),
                        ("exp", "kind=random\nn=30\nk=1\nmode=search\nseeds=3\n")):
         files[name] = tmp_path / f"{name}.cfg"

@@ -356,7 +356,7 @@ def test_strong_check_at_degree_one_only_matches_brute_force():
                     if cert.pair is None:
                         continue
                     x, y = (to_G[v] for v in cert.pair)
-                    assert len(brute_min_cut(G, x, y)) == cert.value == len(cert.cut)
+                    assert len(brute_min_cut(G, x, y)) == cert.level == len(cert.cut)
                     named += stop >= 1 and kappa == 0
     # a ceiling of 1 caps the degree screen at 1, where the reach check
     # fails a join with no pair; every other run of a join at stop 1 or 2
@@ -417,7 +417,7 @@ def test_level_one_sweeps_match_the_oracles():
                     else:
                         x, y = (int(np.searchsorted(keep, v)) for v in cert.pair)
                         cut = brute_min_cut(Digraph(sub_adj), x, y)
-                        assert cert.value == cert.level == len(cert.cut) == len(cut) < stop
+                        assert cert.level == len(cert.cut) == len(cut) < stop
                         seen["pair"] += 1
     assert min(seen.values()) >= 10, seen
 
@@ -710,34 +710,34 @@ def test_linkage_request_validation(t4):
         LinkageRequest([(0, 0)]).validate(4)
     with pytest.raises(ValueError):
         LinkageRequest([(0, 1), (1, 2)], disjointness="full").validate(4)
-    with pytest.raises(ValueError):
-        LinkageRequest([(0, 1)], forbidden=frozenset({1})).validate(4)
+    with pytest.raises(ValueError, match="no pairs"):
+        LinkageRequest([]).validate(4)
     for bad in (-1, 4):
         # -1 would wrap to vertex 3, and 4 names no vertex
-        with pytest.raises(ValueError, match="forbidden vertex"):
-            LinkageRequest([(0, 1)], forbidden=frozenset({bad})).validate(4)
+        with pytest.raises(ValueError, match="terminal out of range"):
+            LinkageRequest([(0, bad)]).validate(4)
     T = random_tournament(20, 1)
     for bad in (-1, 25):
-        with pytest.raises(ValueError, match="forbidden vertex"):
-            find_disjoint_paths(T, LinkageRequest([(0, 1), (2, 3)], "full", frozenset({bad})))
+        with pytest.raises(ValueError, match="terminal out of range"):
+            find_disjoint_paths(T, LinkageRequest([(0, 1), (2, bad)], "full"))
 
 
 def _linkage_requests(n):
-    """Requests on n >= 7 vertices covering both disjointness rules, the
-    forbidden set and repeated terminals."""
+    """Requests on n >= 7 vertices covering both disjointness rules and
+    repeated terminals."""
     full2, full3 = [(0, 1), (2, 3)], [(1, 0), (3, 2), (4, 5)]
     return [
         LinkageRequest(full2, "full"),
         LinkageRequest(full3, "full"),
-        LinkageRequest([(n - 1, 0), (1, n - 2)], "full", frozenset({2, 3})),
+        LinkageRequest([(n - 1, 0), (1, n - 2)], "full"),
         LinkageRequest([(0, 1), (0, 2)]),
-        LinkageRequest([(0, 6), (6, 0)], forbidden=frozenset({1, 5})),
+        LinkageRequest([(0, 6), (6, 0)]),
     ]
 
 
-# recorded over these five requests with the search that still took per-pair
-# parity and length caps, before those options were deleted
-LINKAGE_DIGEST = "2e4665f5265961c38deb7044f4ea7ed9d8785d7c3926be174cad10a784f82e8a"
+# recorded over these five requests with the search that still took a
+# forbidden vertex set, before that option was deleted
+LINKAGE_DIGEST = "84d522e0f29e412ed3c0df9b3c1e13025b4922671f8ed742f2ce1cb4601e39a7"
 
 
 def test_linkages_are_pinned():

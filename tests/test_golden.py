@@ -390,12 +390,18 @@ def _small_graphs():
             yield bipartite_subdigraph(T, np.flatnonzero(side), np.flatnonzero(~side))[0]
 
 
+def _failed_value(cert):
+    """The flow value of a certificate's failing pair, which is its level;
+    None when it names no pair."""
+    return None if cert.pair is None else cert.level
+
+
 def _assert_sweeps_agree(G, k, kappa, cert):
     """The uncapped sweep stops at certify's pair, value and cut, and the
     sweep capped at k reads min(kappa, k)."""
     stopped = sweep(G, None, k)
-    assert (stopped.ok, stopped.pair, stopped.value, stopped.cut) == \
-        (cert.ok, cert.pair, cert.value, cert.cut), (G.adj.tolist(), k)
+    assert (stopped.ok, stopped.pair, _failed_value(stopped), stopped.cut) == \
+        (cert.ok, cert.pair, _failed_value(cert), cert.cut), (G.adj.tolist(), k)
     assert sweep(G, k).level == min(kappa, k)
 
 
@@ -423,7 +429,8 @@ def test_sweeps_are_pinned():
         for k in sorted({1, 2, kappa, kappa + 1}):
             for ceiling, stop in ((None, 0), (k, k), (None, k)):
                 c = sweep(G, ceiling, stop)
-                answer = (c.ok, c.level, c.pair, c.value, None if c.cut is None else sorted(c.cut))
+                answer = (c.ok, c.level, c.pair, _failed_value(c),
+                          None if c.cut is None else sorted(c.cut))
                 h.update(repr(answer).encode())
     assert h.hexdigest()[:16] == SWEEP_DIGEST
 
@@ -467,7 +474,7 @@ def test_certify_agrees_with_the_definition_and_its_cuts_separate():
                 continue
             x, y = cert.pair
             assert not cert.ok and not G.adj[x, y]
-            assert len(cert.cut) == cert.value < k
+            assert len(cert.cut) == cert.level < k
             assert x not in cert.cut and y not in cert.cut
             allowed = np.ones(G.n, dtype=bool)
             allowed[list(cert.cut)] = False

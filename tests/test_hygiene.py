@@ -3,8 +3,10 @@ no function imports inside its body, only ``core`` copies subgraphs and
 calls ``is_path``, no module scatters through ``triu_indices``, no module
 reads a graph as a bool matrix, every pipeline parameter is read, the CLI
 certifies nothing itself, the pipeline audits safety only incrementally,
-and the package exports only what its users use, with no public method
-that only tests call."""
+the package exports only what its users use, with no public method that
+only tests call, no function assigns a local it never reads, and every
+default of the public surface is overridden by some caller outside the
+tests or has its reason on record."""
 
 import ast
 import re
@@ -221,3 +223,103 @@ def test_every_public_method_is_used():
                     if isinstance(func, ast.FunctionDef) and not func.name.startswith("_")]
     assert len(methods) > 30
     assert [m for m in methods if m[2] not in read] == []
+
+
+def _own_nodes(func):
+    """The nodes of ``func``'s body outside its nested scopes."""
+    scopes = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef,
+              ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    todo = list(ast.iter_child_nodes(func))
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, scopes):
+            todo += ast.iter_child_nodes(node)
+
+
+def test_no_function_assigns_a_local_it_never_reads():
+    # assignments, loop targets and unpacked names count; ``_`` names and
+    # names a nested function reads do not
+    offenders = []
+    for path in _source_modules():
+        for func in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            shared = {name for node in _own_nodes(func)
+                      if isinstance(node, (ast.Global, ast.Nonlocal)) for name in node.names}
+            read = {node.id for node in ast.walk(func)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            offenders += sorted({(path.name, node.lineno, node.id) for node in _own_nodes(func)
+                                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+                                 and not node.id.startswith("_")
+                                 and node.id not in read | shared})
+    assert offenders == []
+
+
+# Defaults of the public surface that no caller outside the tests overrides,
+# each with the reason it stays (the census in CHANGES.md)
+UNSET_DEFAULTS = {
+    ("find_disjoint_paths", "budget"): "the exact search's work budget, behind its unknown "
+                                       "verdict; exact searches that can run for minutes take one",
+    ("safety_scan", "vertices"): "shares _requested with all_colored_safe, whose vertices the "
+                                 "pipeline audit sets; a table of every colored vertex is its "
+                                 "default",
+}
+
+
+def _defaulted_surface():
+    """Per exported function or dataclass: whether it is a dataclass, its
+    parameters or fields in order, and those with a default."""
+    tree = ast.parse((ROOT / "src/tourpart/__init__.py").read_text())
+    exported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    surface = {}
+    for path in _source_modules():
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, ast.FunctionDef) and node.name in exported:
+                names = [a.arg for a in node.args.posonlyargs + node.args.args]
+                defaulted = names[len(names) - len(node.args.defaults):] + [
+                    a.arg for a, d in zip(node.args.kwonlyargs, node.args.kw_defaults)
+                    if d is not None]
+                surface[node.name] = (False, names, defaulted)
+            elif (isinstance(node, ast.ClassDef) and node.name in exported
+                  and any("dataclass" in ast.unparse(d) for d in node.decorator_list)):
+                fields = [item for item in node.body if isinstance(item, ast.AnnAssign)]
+                surface[node.name] = (True, [f.target.id for f in fields],
+                                      [f.target.id for f in fields if f.value is not None])
+    return surface
+
+
+def test_every_default_of_the_surface_is_overridden_outside_the_tests():
+    # a call in src, the CLI, a demo, bench/ or the README's code sets a
+    # parameter by position or keyword, also through a local alias of the
+    # function; ``replace`` sets dataclass fields by keyword
+    surface = _defaulted_surface()
+    paths = [*_source_modules(), *sorted((ROOT / "demos").glob("*.py")),
+             *sorted((ROOT / "bench").glob("*.py"))]
+    trees = [ast.parse(path.read_text(), str(path)) for path in paths]
+    trees += [ast.parse(block) for block in
+              re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)]
+    nodes = [node for tree in trees for node in ast.walk(tree)]
+    aliases = {}
+    for node in nodes:
+        if isinstance(node, ast.Assign) and isinstance(node.value, (ast.Name, ast.IfExp)):
+            named = {n.id for n in ast.walk(node.value) if isinstance(n, ast.Name)} & set(surface)
+            for target in node.targets:
+                if isinstance(target, ast.Name) and named:
+                    aliases.setdefault(target.id, set()).update(named)
+    overridden = set()
+    for call in (node for node in nodes if isinstance(node, ast.Call)):
+        callee = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+        keywords = {k.arg for k in call.keywords if k.arg}
+        if callee == "replace":
+            overridden |= {(name, arg) for name, (dataclass, names, _) in surface.items()
+                           if dataclass for arg in keywords & set(names)}
+            continue
+        for name in {callee} & set(surface) | aliases.get(callee, set()):
+            overridden |= {(name, arg) for arg in surface[name][1][:len(call.args)]}
+            overridden |= {(name, arg) for arg in keywords}
+    unset = {(name, arg) for name, (_, _, defaulted) in surface.items()
+             for arg in defaulted if (name, arg) not in overridden}
+    assert len(surface) > 25
+    assert unset == set(UNSET_DEFAULTS)

@@ -174,6 +174,26 @@ def test_auto_mode_falls_back_when_the_pipeline_split_fails(monkeypatch, rand):
     assert res.v1 == search_partition(T, 2, seed=1).v1
 
 
+def test_a_rejected_pipeline_split_takes_a_proof_of_t(monkeypatch):
+    # no real run hands back such a split: at k = 1 a T that is not strong
+    # fails the connector stage, and delta0 < 2k fails the feasibility gate
+    partition_module = importlib.import_module("tourpart.partition")
+
+    def halves(T, k, params, seed):
+        half = T.n // 2
+        return SimpleNamespace(partition_sets=lambda: (list(range(half)), list(range(half, T.n))),
+                               audits=[])
+
+    monkeypatch.setattr(partition_module, "run_pipeline", halves)
+    for T, k, verdict, reason in (
+            (transitive_tournament(12), 1, "infeasible", "delta0(T) = 0 < 2"),
+            (_planted(40, 1, 3), 2, "infeasible", "T is not strongly 2-connected"),
+            (random_tournament(40, 3), 3, "unknown", "the split found failed verification")):
+        res = partition(T, k, mode="pipeline", seed=0)
+        assert (res.verdict, res.mode) == (verdict, "pipeline")
+        assert res.reason.startswith(reason)
+
+
 def test_pipeline_mode_end_to_end():
     T = random_tournament(1500, 3)
     params = replace(PipelineParams.relaxed(1), chain_cap=6)

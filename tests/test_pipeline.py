@@ -130,10 +130,9 @@ def test_reserved_coloring_class_table():
     build_dominating_family(state)
     color_reserved(state)
     col = state.coloring
-    r = state.r
     want_b_tip = [ALPHA, BETA, ALPHA, BETA, ALPHA, BETA]
     want_a_tip = [ALPHA, BETA, ALPHA, BETA, BETA, ALPHA]
-    for i in range(6 * r):
+    for i in range(6 * state.k):
         cls = state.klass(i)
         b, a = state.tips(i)
         assert col.of(b) == want_b_tip[cls], f"class {cls} start tip"
@@ -227,10 +226,17 @@ def test_strict_gate_reports_infeasible():
     assert not ok and "delta0" in reason
 
 
+def test_strict_params_without_a_budget_are_rejected():
+    # a strict run gates on 2 * budget and on the degree slack against it
+    params = replace(PipelineParams.relaxed(1), strict=True)
+    with pytest.raises(ValueError, match="strict pipeline params need a budget"):
+        run_pipeline(random_tournament(60, 0), 1, params)
+
+
 def test_guaranteed_params_arithmetic():
     # 10k+10 and 9k^2 follow from the run's k and are not params
     p = PipelineParams.guaranteed(1)
-    assert list(p.as_dict()) == ["per_class", "chain_cap", "bundle_size", "budget", "strict"]
+    assert list(p.as_dict()) == ["chain_cap", "bundle_size", "budget", "strict"]
     assert p.chain_cap == 9  # ceil(log2(120)) + 2
     assert short_cap(1) == 20
     assert growth(1) == 9
@@ -320,7 +326,7 @@ def test_full_run_small_instance():
 def test_every_bfs_sweep_reads_a_row_major_matrix(monkeypatch):
     # rows of a strided view such as ``adj.T`` are several times slower to
     # sweep; wrap every binding of reachable_mask and record what it reads,
-    # the rows and the transposed rows it settles bottom-up levels with
+    # the rows and the transposed rows of the graph it sweeps
     seen = []
 
     def recording(G, *args, **kwargs):
@@ -408,9 +414,8 @@ def _planted_instance(num_paths, length, early=250, late=250, k=1, short=None):
 def _bundle_state(T, b, a, index, k=1, bundle_size=3, params=None):
     params = params or replace(PipelineParams.relaxed(k), bundle_size=bundle_size)
     state = PipelineState(T, k, params)
-    r = params.per_class
-    state.in_structs = [SimpleNamespace(tip=b) for _ in range(6 * r)]
-    state.out_structs = [SimpleNamespace(tip=a) for _ in range(6 * r)]
+    state.in_structs = [SimpleNamespace(tip=b) for _ in range(6 * k)]
+    state.out_structs = [SimpleNamespace(tip=a) for _ in range(6 * k)]
     state.long_idx = [index]
     state.snapshots["bootstrap"] = np.zeros(T.n, dtype=bool)
     return state

@@ -13,7 +13,7 @@ from tourpart import (
     spanning_linkage,
 )
 from tourpart.core import Tournament, is_backwards_transitive
-from tourpart.generators import transitive_tournament
+from tourpart.generators import random_tournament, transitive_tournament
 from tourpart.surgery import check_spanning_linkage, check_subdivision, shortest_path_avoiding
 
 
@@ -235,3 +235,20 @@ def test_spanning_close_after_a_carve_is_unknown(t4):
     res = spanning_linkage(t4, [(3, 0), (1, 2)])
     assert (res.status, res.paths) == ("unknown", None)
     assert res.detail == "pair 0: no Hamiltonian close for this carve order"
+
+
+def test_spanning_close_without_a_proof_is_unknown():
+    # y's one in-neighbour is w, whose one in-neighbour is x, so every x -> y
+    # path is x, w, y; T is strong and has more vertices than the exact DP
+    # takes, so no exact argument rules the close out and the search gives up
+    n, (x, w, y) = 16, (0, 1, 2)
+    adj = np.zeros((n, n), dtype=bool)
+    adj[3:, 3:] = random_tournament(n - 3, 5).adj
+    adj[[x, w, y], [w, y, x]] = True
+    adj[[w, y], 3:] = True
+    adj[3:, x] = True
+    T = Tournament(adj)
+    assert is_strongly_k_connected(T, 1)
+    res = spanning_linkage(T, [(x, y)])
+    assert (res.status, res.paths) == ("unknown", None)
+    assert res.detail == "pair 0: Hamiltonian budget exhausted"
