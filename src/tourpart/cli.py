@@ -139,15 +139,21 @@ def cmd_carve(args):
     keep = {"both": (args.x, args.y), "none": (), "start": (args.x,), "end": (args.y,)}[args.keep]
     res = remove_nonseparating_path(T, args.x, args.y, avoid, args.k, keep)
     print("path: " + " ".join(map(str, res.path)))
-    print(f"status: {'theorem-backed' if res.theorem_backed else 'best-effort'} "
-          f"(hypothesis: strongly {res.level}-connected)")
-    print(f"remainder strongly {args.k}-connected: {str(res.remainder_ok).lower()}")
+    code = _report_remainder(res, args.k)
     if args.out:
         buf = io.StringIO()
         write_edge_list(res.remainder, buf)
         _write_text(args.out, buf.getvalue())
         print(f"remainder written to {args.out} "
               f"(ids remapped; original ids: {' '.join(map(str, res.index_map))})")
+    return code
+
+
+def _report_remainder(res, k):
+    """Print a carve's or a subdivision's status and remainder lines; the exit code."""
+    print(f"status: {'theorem-backed' if res.theorem_backed else 'best-effort'} "
+          f"(hypothesis: strongly {res.level}-connected)")
+    print(f"remainder strongly {k}-connected: {str(res.remainder_ok).lower()}")
     return EXIT_OK if res.remainder_ok else EXIT_INFEASIBLE
 
 
@@ -190,10 +196,7 @@ def cmd_subdivide(args):
     sub = nonseparating_subdivision(T, SubdivisionSpec(H, branches), args.k)
     for (hu, hv), p in sorted(sub.edge_paths.items()):
         print(f"{hu}->{hv}: " + " ".join(map(str, p)))
-    print(f"status: {'theorem-backed' if sub.theorem_backed else 'best-effort'} "
-          f"(hypothesis: strongly {sub.level}-connected)")
-    print(f"remainder strongly {args.k}-connected: {str(sub.remainder_ok).lower()}")
-    return EXIT_OK if sub.remainder_ok else EXIT_INFEASIBLE
+    return _report_remainder(sub, args.k)
 
 
 def _params_from_file(path, k):

@@ -107,8 +107,7 @@ class Digraph:
         return type(self)._derived(self.rpacked, self.packed)
 
     def edges(self):
-        us, vs = np.nonzero(unpack_rows(self.packed, self.n))
-        return list(zip(us.tolist(), vs.tolist()))
+        return list(_arcs(self))
 
 
 class Tournament(Digraph):
@@ -194,6 +193,13 @@ def unpack_rows(packed, n):
     """The inverse of ``pack_rows`` for n columns: the boolean rows, or the
     one boolean row when ``packed`` is a single packed row."""
     return np.unpackbits(packed.view(np.uint8), axis=-1, count=n, bitorder="little").view(bool)
+
+
+def _arcs(G):
+    """The arcs (u, v) of the graph G in row-major order, streamed: a writer
+    holds no tuple per arc, as the list of ``Digraph.edges`` does."""
+    us, vs = np.nonzero(unpack_rows(G.packed, G.n))
+    return zip(us.tolist(), vs.tolist())
 
 
 def row_bits(m):

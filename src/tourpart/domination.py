@@ -9,17 +9,18 @@ break ties toward the lowest vertex id so runs are reproducible.
 
 The chain structures and the core sets are built on the host tournament
 restricted by a boolean ``alive`` mask, the subtournament T[alive], without
-copying it: they come back in the host's vertex ids.  Each mirror pair is
-one routine run on the host's packed rows ``packed`` or on those of its
-transpose, ``rpacked``: the out-structures descend through rows of
-``rpacked`` (in-neighbourhoods) and the in-structures through rows of
-``packed``, and the out-dominating sets run the in-dominating greedy on
-``rpacked``.  Every shrinking pool is one packed row over the host's
-vertices, as ``pack_rows`` lays it out, together with its ids: a step ANDs
-it with the packed row of the vertex it takes and unpacks the ids once (a
-waiting vertex loses its bit and its id), and they serve the next step's
-count and the exception set.  The degrees inside a pool, which every step
-ranks, are popcounts of the host's packed rows (``packed`` or ``rpacked``)
+copying it: they come back in the host's vertex ids.  An in-structure is
+the mirrored out-structure: the out-structure of ``T.reverse()`` (T's two
+packed matrices swapped) with its chain read backwards.  It is built and
+checked in that frame, so the construction and its audit are written once,
+for out-structures.  The out-structures descend through rows of
+``rpacked`` (in-neighbourhoods), and the out-dominating sets run the
+in-dominating greedy on ``rpacked``.  Every shrinking pool is one packed
+row over the host's vertices, as ``pack_rows`` lays it out, together with
+its ids: a step ANDs it with the packed row of the vertex it takes and
+unpacks the ids once (a waiting vertex loses its bit and its id), and they
+serve the next step's count and the exception set.  The degrees inside a
+pool, which every step ranks, are popcounts of the host's packed rows
 ANDed with it, gathered in blocks of at most ``_CHUNK`` words and summed
 into int32, exact for any n below 2^31.  The taken vertex's degree is the
 next pool's size, so no pool is counted twice and no step cuts a submatrix
@@ -35,7 +36,7 @@ the cover's rows, to be empty.  An anchor of too low a degree raises
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -43,11 +44,12 @@ from .core import _check_ids, _popcounts, counts_in, packed_set, row_bits, unpac
 
 
 class AnchorDegreeError(ValueError):
-    """The anchor of a structure has fewer than 2^(c-1) neighbours to
-    descend through; ``degree`` is how many it has."""
+    """The anchor v of a structure has fewer than 2^(c-1) neighbours to
+    descend through, on ``side`` "in" for an out-structure and "out" for an
+    in-structure; ``degree`` is how many it has."""
 
-    def __init__(self, message, degree):
-        super().__init__(message)
+    def __init__(self, side, v, degree, c):
+        super().__init__(f"{side}-degree {degree} of vertex {v} is below 2^(c-1) = {2 ** (c - 1)}")
         self.degree = degree
 
 
@@ -58,7 +60,9 @@ class DominatingStructure:
 
     mode "out": chain runs source ``tip`` -> ... -> sink ``anchor`` and
     A \\ {tip} out-dominates V \\ (A | exceptions).  mode "in" is the mirror
-    image: source ``anchor``, sink ``tip``, in-domination.
+    image: source ``anchor``, sink ``tip``, in-domination.  An in-structure of
+    T is the out-structure of ``T.reverse()`` with ``order`` reversed, and it
+    is checked in that frame.
     """
 
     mode: str
@@ -146,25 +150,11 @@ def out_dominating_structure(T, v, c, alive=None):
     Follows the halving construction: keep intersecting in-neighbourhoods
     of chain vertices, always descending to a low in-degree vertex of the
     current exception pool, with a one-vertex waiting slot for the case
-    where the pool has a dominant source.
-    """
-    return _halving_structure(T, v, c, alive, "out")
-
-
-def in_dominating_structure(T, v, c, alive=None):
-    """Mirror structure: chain with source ``v`` whose tail in-dominates."""
-    return _halving_structure(T, v, c, alive, "in")
-
-
-def _halving_structure(T, v, c, alive, mode):
-    """The halving construction on T[alive], read off the host's packed rows.
-
-    Mode "out" descends through in-neighbourhoods, the rows of ``rpacked``;
-    mode "in" is the same construction on the reversed tournament, whose
-    in-neighbourhoods are the rows of ``packed``.  Vertex ids stay T's, and
-    since T[alive] keeps their order every lowest-id tie-break agrees with
-    a run on a relabelled copy of T[alive].  ``alive`` is packed once, and
-    each pool's size is counted once, into ``shrink_trace``.
+    where the pool has a dominant source.  The in-neighbourhoods are the
+    rows of ``rpacked``, read off the host.  Vertex ids stay T's, and since
+    T[alive] keeps their order every lowest-id tie-break agrees with a run
+    on a relabelled copy of T[alive].  ``alive`` is packed once, and each
+    pool's size is counted once, into ``shrink_trace``.
     """
     _check_ids(T, (v,))
     if c < 2:
@@ -172,15 +162,13 @@ def _halving_structure(T, v, c, alive, mode):
     alive = np.ones(T.n, dtype=bool) if alive is None else alive
     if not alive[v]:
         raise ValueError(f"vertex {v} is not alive")
-    rows = T.rpacked if mode == "out" else T.packed
+    rows = T.rpacked
     live = packed_set(alive)
-    pool = rows[v] & live  # common neighbourhood of the chain, minus waiting
+    pool = rows[v] & live  # common in-neighbourhood of the chain, minus waiting
     ids = _pool_ids(pool, T.n)
     degree = len(ids)
     if degree < 2 ** (c - 1):
-        side = "in" if mode == "out" else "out"
-        raise AnchorDegreeError(
-            f"{side}-degree {degree} of vertex {v} is below 2^(c-1) = {2 ** (c - 1)}", degree)
+        raise AnchorDegreeError("in", v, degree, c)
 
     chain = [v]
     waiting = None
@@ -196,9 +184,8 @@ def _halving_structure(T, v, c, alive, mode):
                 tip, ids = int(ids[0]), ids[1:]
             else:
                 tip = waiting
-            order = [tip] + chain[::-1] if mode == "out" else chain + [tip]
             struct = DominatingStructure(
-                mode=mode, anchor=v, order=tuple(order), tip=tip,
+                mode="out", anchor=v, order=(tip, *chain[::-1]), tip=tip,
                 exceptions=frozenset(ids.tolist()), cap=c, shrink_trace=tuple(trace))
             _check_structure(T, struct, live)
             return struct
@@ -221,35 +208,44 @@ def _halving_structure(T, v, c, alive, mode):
             raise AssertionError("construction failed to exit within the chain cap")
 
 
+def in_dominating_structure(T, v, c, alive=None):
+    """Mirror structure: chain with source ``v`` whose tail in-dominates,
+    the out-structure of ``T.reverse()`` read backwards."""
+    try:
+        s = out_dominating_structure(T.reverse(), v, c, alive)
+    except AnchorDegreeError as exc:  # the reversal's in-degree is T's out-degree
+        raise AnchorDegreeError("out", v, exc.degree, c) from None
+    return replace(s, mode="in", order=s.order[::-1])
+
+
 def _check_structure(T, s, live):
     """Full invariant scan of ``s`` as a structure of T[alive], ``live``
-    the packed alive set; raises AssertionError on any violation.  The audit
-    counts the anchor's degree in T[alive] itself, from its row of T, so a
-    miscount in the builder does not pass it.  It runs on Python-int
-    bitsets: the alive set, the anchor's row, the taken vertices and the
-    members' rows, at most c of them (``row_bits``).  T[A] is transitive
-    when its degrees are 0..|A|-1, and they order it."""
-    nbrs = T.rpacked if s.mode == "out" else T.packed  # d^-(anchor) or d^+(anchor)
+    the packed alive set; raises AssertionError on any violation.  An
+    in-structure is checked as the out-structure it mirrors, in
+    ``T.reverse()``.  The audit counts the anchor's in-degree in T[alive]
+    itself, from its row of T, so a miscount in the builder does not pass
+    it.  It runs on Python-int bitsets: the alive set, the anchor's row,
+    the taken vertices and the members' rows, at most c of them
+    (``row_bits``).  T[A] is transitive when its degrees are 0..|A|-1, and
+    they order it."""
+    if s.mode == "in":
+        T, s = T.reverse(), replace(s, mode="out", order=s.order[::-1])
     alive = int.from_bytes(live.tobytes(), "little")
-    degree = (int.from_bytes(nbrs[s.anchor].tobytes(), "little") & alive).bit_count()
+    degree = (int.from_bytes(T.rpacked[s.anchor].tobytes(), "little") & alive).bit_count()
     A = s.members
     assert 2 <= len(A) <= s.cap
     assert s.anchor in A and s.tip in A
     assert not A & s.exceptions
     taken = sum(1 << v for v in A | s.exceptions)  # disjoint, so the sum is the union
     assert not taken & ~alive, "structure uses a vertex outside T[alive]"
-    rows = T.packed if s.mode == "out" else T.rpacked  # the cover's out- or in-rows
     ids = sorted(A)
-    bits = row_bits(rows[ids])
+    bits = row_bits(T.packed[ids])  # the members' out-rows
     inside = sum(1 << v for v in ids)
     degs = [(row & inside).bit_count() for row in bits]  # in T[A]
     assert sorted(degs) == list(range(len(ids))), "chain is not transitive"
-    order = [v for _, v in sorted(zip(degs, ids), reverse=s.mode == "out")]
+    order = [v for _, v in sorted(zip(degs, ids), reverse=True)]
     assert tuple(order) == s.order
-    if s.mode == "out":
-        assert s.order[0] == s.tip and s.order[-1] == s.anchor
-    else:
-        assert s.order[0] == s.anchor and s.order[-1] == s.tip
+    assert s.order[0] == s.tip and s.order[-1] == s.anchor
     assert len(s.exceptions) << (s.cap - 2) <= degree, "exception set too large"
     covered = 0
     for v, row in zip(ids, bits):

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Digraph, Tournament, pair_bits, tournament_from_pair_bits, unpack_rows
+from .core import Digraph, Tournament, _arcs, pair_bits, tournament_from_pair_bits
 
 
 class FormatError(ValueError):
@@ -30,9 +30,8 @@ class FormatError(ValueError):
 
 
 def write_edge_list(G, fh):
-    us, vs = np.nonzero(unpack_rows(G.packed, G.n))
-    fh.write(f"{G.n} {len(us)}\n")
-    for u, v in zip(us.tolist(), vs.tolist()):
+    fh.write(f"{G.n} {int(G.out_degrees().sum())}\n")
+    for u, v in _arcs(G):
         fh.write(f"{u} {v}\n")
 
 
@@ -143,8 +142,7 @@ def to_dot(G, name="G"):
     lines = [f"digraph {name} {{"]
     for v in range(G.n):
         lines.append(f"  {v};")
-    us, vs = np.nonzero(unpack_rows(G.packed, G.n))
-    for u, v in zip(us.tolist(), vs.tolist()):
+    for u, v in _arcs(G):
         lines.append(f"  {u} -> {v};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -143,9 +143,10 @@ def _dfs(out, inn, x, y, n, budget, rng):
 
 EXACT_THRESHOLD = 14
 RESTARTS = 24
+HAM_BUDGET = 300_000  # search nodes over all restarts, past which the verdict is "unknown"
 
 
-def hamiltonian_path(T, x, y, budget=200_000, seed=0):
+def hamiltonian_path(T, x, y, budget=HAM_BUDGET, seed=0):
     """Hamiltonian path from x to y, exact up to ``EXACT_THRESHOLD`` vertices.
 
     Above the threshold the insertion heuristic runs under seeded restarts

@@ -53,8 +53,15 @@ from .domination import (
 from .safety import ALPHA, BETA, Coloring, SafetyContext, all_colored_safe
 
 MONO_A, MONO_B, ALT_AA, ALT_BB, ALT_AB, ALT_BA = range(6)
-_CLASS_PARITY = {ALT_AA: 0, ALT_BB: 0, ALT_AB: 1, ALT_BA: 1}
-_MONO_COLOR = {MONO_A: ALPHA, MONO_B: BETA}
+# The paper's six connector classes of k connectors each, connector i in
+# class i // k, by the colors of the tips (b_i, a_i) it joins: in MONO_A and
+# MONO_B the two chains and the connector take one color; in the ALT classes
+# the connector alternates, so its length has the parity of b_i != a_i, and
+# each chain body takes the color its tip does not.
+_TIPS = {MONO_A: (ALPHA, ALPHA), MONO_B: (BETA, BETA), ALT_AA: (ALPHA, ALPHA),
+         ALT_BB: (BETA, BETA), ALT_AB: (ALPHA, BETA), ALT_BA: (BETA, ALPHA)}
+_MONO_COLOR = {cls: _TIPS[cls][0] for cls in (MONO_A, MONO_B)}
+_CLASS_PARITY = {cls: int(b != a) for cls, (b, a) in _TIPS.items() if cls not in _MONO_COLOR}
 
 
 class PipelineError(Exception):
@@ -167,8 +174,6 @@ class PipelineState:
         self.out_structs = []
         self.in_structs = []
         self.reserved = set()        # all structure vertices
-        self.reserved_alpha = set()
-        self.reserved_beta = set()
         self.exc_out = set()         # union of out-structure exception pools
         self.exc_in = set()
         self.snapshots = {}
@@ -182,8 +187,6 @@ class PipelineState:
         self.hub_beta = set()
         self.hub_alpha_idx = set()
         self.hub_beta_idx = set()
-        self.grabbed_in = []
-        self.grabbed_out = []
 
     @property
     def total(self):
@@ -258,14 +261,12 @@ def build_dominating_family(state):
         state.fail(stage, f"structure {index} ({mode}): degree {degree} below "
                    f"2^(c-1)={2 ** (c - 1)} after removing {len(protect)} protected vertices")
 
-    for i, x in enumerate(state.low_in):
-        s = build_one(x, "out", i)
-        state.out_structs.append(s)
-        used |= s.members
-    for i, y in enumerate(state.low_out):
-        s = build_one(y, "in", i)
-        state.in_structs.append(s)
-        used |= s.members
+    for low, mode, structs in ((state.low_in, "out", state.out_structs),
+                               (state.low_out, "in", state.in_structs)):
+        for i, x in enumerate(low):
+            s = build_one(x, mode, i)
+            structs.append(s)
+            used |= s.members
 
     state.reserved = set().union(*(s.members for s in state.out_structs + state.in_structs))
     state.exc_out = set().union(*(s.exceptions for s in state.out_structs))
@@ -306,28 +307,17 @@ def _audit_family(state):
 
 
 def color_reserved(state):
-    """Split the structure vertices between the colors according to the
-    six-class connector layout and color them."""
-    d1 = set()
+    """Color the structure vertices by the six-class connector layout: each
+    tip takes its color in ``_TIPS``, and each chain body its tip's color in
+    a monochromatic class and the other color in an alternating one."""
+    picks = {ALPHA: [], BETA: []}
     for i in range(state.total):
         cls = state.klass(i)
-        A = state.out_structs[i]
-        B = state.in_structs[i]
-        if cls == MONO_A:
-            d1 |= A.members | B.members
-        if cls in (ALT_BB, ALT_AB):
-            d1 |= A.members - {A.tip}
-        if cls in (ALT_BB, ALT_BA):
-            d1 |= B.members - {B.tip}
-        if cls in (ALT_AA, ALT_BA):
-            d1.add(A.tip)
-        if cls in (ALT_AA, ALT_AB):
-            d1.add(B.tip)
-    d2 = state.reserved - d1
-    state.reserved_alpha = d1
-    state.reserved_beta = d2
-    state.coloring.assign(d1, ALPHA)
-    state.coloring.assign(d2, BETA)
+        for s, tip in zip((state.in_structs[i], state.out_structs[i]), _TIPS[cls]):
+            picks[tip].append(s.tip)
+            picks[tip if cls in _MONO_COLOR else 1 - tip] += s.cover
+    for color, vertices in picks.items():
+        state.coloring.assign(vertices, color)
     # derive the active coloring budget; the a-priori inequality is a
     # sufficient condition, so it gates only runs that claim the guarantee,
     # while relaxed runs rely on the per-vertex starvation checks and record
@@ -928,15 +918,16 @@ def finalize_coloring(state):
     bulk = row_bits(vertex_mask(T.n, state.bulk)[None])[0]
 
     # out-exceptions grab in-neighbours, in-exceptions grab out-neighbours
-    for rows, side, pool, banned, grabbed in (
-            (T.rpacked, "in", state.exc_out, exc_out_mask, state.grabbed_in),
-            (T.packed, "out", state.exc_in, exc_mask, state.grabbed_out)):
+    grabbed = {}
+    for rows, side, pool, banned in ((T.rpacked, "in", state.exc_out, exc_out_mask),
+                                     (T.packed, "out", state.exc_in, exc_mask)):
         todo = [v for v in sorted(pool) if not c4[v]]
+        picks = []
         with _GrantWave(col, col.uncolored_mask() & ~banned, k) as wave:
             for v, row in zip(todo, row_bits(rows[todo])):
                 cand = row & wave.free
                 if cand.bit_count() >= 2 * k:
-                    grabbed += wave.grant(cand)
+                    picks += wave.grant(cand)
                 else:
                     state.require(stage, bool(row & bulk),
                                   f"exception vertex {v}: no fresh {side}-neighbours and no "
@@ -944,8 +935,9 @@ def finalize_coloring(state):
                 # v is banned from the grants, so the coloring is current for it
                 if not col.is_colored(v):
                     wave.alpha.append(v)
-        state.require(stage, len(grabbed) <= 2 * k * len(pool),
+        state.require(stage, len(picks) <= 2 * k * len(pool),
                       f"{side}-grab bookkeeping cap violated")
+        grabbed[f"grabbed_{side}"] = len(picks)
 
     rest = np.flatnonzero(col.uncolored_mask())
     col.assign(rest, ALPHA)
@@ -953,7 +945,7 @@ def finalize_coloring(state):
     state.require(stage, col.colored_count() == T.n, "some vertex is still uncolored")
     state.require_safe(stage, "final audit: some vertex is unsafe")
     state.record(stage, info={
-        "grabbed_in": len(state.grabbed_in), "grabbed_out": len(state.grabbed_out),
+        **grabbed,
         "alpha": int((col.labels == ALPHA).sum()),
         "beta": int((col.labels == BETA).sum())})
 

@@ -74,12 +74,18 @@ def remove_nonseparating_path(T, x, y, avoid=(), k=1, keep=()):
     level = k + len(avoid) + 4
     backed = is_strongly_k_connected(T, level)
     removed = set(path) - keep
-    survivors = [v for v in range(T.n) if v not in removed]
+    remainder, index_map, ok = _remainder(T, [v for v in range(T.n) if v not in removed], k, backed)
+    return CarveResult(path, remainder, index_map, backed, ok, level)
+
+
+def _remainder(T, survivors, k, backed):
+    """T[survivors], its map of new ids to T's, and whether it is strongly
+    k-connected, which is asserted when the hypothesis held (``backed``)."""
     remainder, index_map = T.subtournament(survivors)
     ok = is_strongly_k_connected(remainder, k)
     if backed:
         assert ok, "guaranteed remainder failed its connectivity check"
-    return CarveResult(path, remainder, index_map, backed, ok, level)
+    return remainder, index_map, ok
 
 
 @dataclass
@@ -137,10 +143,7 @@ def nonseparating_subdivision(T, spec, k):
         for v in path[1:-1]:
             alive[v] = False
     survivors = [v for v in range(T.n) if alive[v] and v not in branch_set]
-    remainder, index_map = T.subtournament(survivors)
-    ok = is_strongly_k_connected(remainder, k)
-    if backed:
-        assert ok, "guaranteed remainder failed its connectivity check"
+    remainder, index_map, ok = _remainder(T, survivors, k, backed)
     sub = Subdivision(list(spec.branches), edge_paths, remainder, index_map, backed, ok, level)
     check_subdivision(T, spec, sub)
     return sub
@@ -165,9 +168,6 @@ class SpanningLinkage:
     paths: list | None
     theorem_backed: bool
     detail: str = ""
-
-
-HAM_BUDGET = 300_000
 
 
 def spanning_linkage(T, pairs, seed=0):
@@ -213,7 +213,7 @@ def spanning_linkage(T, pairs, seed=0):
     ids = sorted(np.flatnonzero(alive).tolist())
     sub, index_map = T.subtournament(ids)
     back = {g: i for i, g in enumerate(index_map)}
-    res = hamiltonian_path(sub, back[x], back[y], budget=HAM_BUDGET, seed=seed)
+    res = hamiltonian_path(sub, back[x], back[y], seed=seed)
     if res.status == Verdict.UNKNOWN:
         return SpanningLinkage(Verdict.UNKNOWN, None, backed, "pair 0: Hamiltonian budget exhausted")
     if res.status == Verdict.INFEASIBLE:

@@ -305,6 +305,16 @@ def test_subdivide_triangle_and_bad_map(tmp_path):
     assert code == 3  # non-injective placement
 
 
+def test_subdivide_edge_without_a_path_exits_1(tmp_path, capsys):
+    t = tmp_path / "t8.txt"
+    run_cli("gen", "--kind", "transitive", "--n", "8", "--out", str(t))
+    arc = tmp_path / "arc.txt"
+    arc.write_text("2 1\n0 1\n")
+    code, out = run_cli("subdivide", str(t), "--pattern", str(arc), "--map", "0:5,1:2")
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == "no path: no path for pattern edge 0->1 (5->2)\n"
+
+
 def test_subdivide_bounds_the_pattern_before_allocating(tmp_path, capsys):
     import tracemalloc
 

@@ -126,6 +126,9 @@ def test_structure_precondition_errors(t4):
     with pytest.raises(AnchorDegreeError, match="in-degree 3 of vertex 3") as err:
         out_dominating_structure(t4, 3, 4)  # needs in-degree >= 8
     assert err.value.degree == t4.in_degrees()[3] == 3
+    with pytest.raises(AnchorDegreeError, match="out-degree 0 of vertex 3") as err:
+        in_dominating_structure(t4, 3, 2)  # the sink has no out-neighbour
+    assert err.value.degree == 0
     with pytest.raises(ValueError):
         out_dominating_structure(t4, 3, 1)
 

@@ -261,6 +261,8 @@ def test_no_function_assigns_a_local_it_never_reads():
 UNSET_DEFAULTS = {
     ("find_disjoint_paths", "budget"): "the exact search's work budget, behind its unknown "
                                        "verdict; exact searches that can run for minutes take one",
+    ("hamiltonian_path", "budget"): "the exact search's work budget, behind its unknown "
+                                    "verdict; exact searches that can run for minutes take one",
     ("safety_scan", "vertices"): "shares _requested with all_colored_safe, whose vertices the "
                                  "pipeline audit sets; a table of every colored vertex is its "
                                  "default",

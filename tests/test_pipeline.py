@@ -137,8 +137,7 @@ def test_reserved_coloring_class_table():
         b, a = state.tips(i)
         assert col.of(b) == want_b_tip[cls], f"class {cls} start tip"
         assert col.of(a) == want_a_tip[cls], f"class {cls} end tip"
-    assert state.reserved_alpha | state.reserved_beta == state.reserved
-    assert not state.reserved_alpha & state.reserved_beta
+    assert set(np.flatnonzero(col.colored_mask()).tolist()) == state.reserved
 
 
 def test_extension_of_empty_group_is_empty():

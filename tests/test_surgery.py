@@ -49,6 +49,12 @@ def test_carve_no_path_is_an_error(c3):
         remove_nonseparating_path(c3, 0, 2, avoid=(1,))
 
 
+@pytest.mark.parametrize("avoid", [(0,), (1, 3)])
+def test_carve_rejects_an_avoided_endpoint(t4, avoid):
+    with pytest.raises(ValueError, match="endpoints may not be avoided"):
+        remove_nonseparating_path(t4, 0, 3, avoid=avoid)
+
+
 def test_carve_short_path_guarantee(rand):
     # a path of length <= 2 with endpoints kept removes at most one vertex
     for seed in range(5):
@@ -116,6 +122,14 @@ def test_subdivision_validation(rand):
         SubdivisionSpec(H, [3]).validate(T.n)
     with pytest.raises(ValueError):
         SubdivisionSpec(H, [3, 99]).validate(T.n)
+
+
+def test_subdivision_edge_without_a_path_is_an_error():
+    # the pattern arc 0 -> 1 maps backwards onto 5 -> 2: no path in T
+    T = transitive_tournament(8)
+    spec = SubdivisionSpec(digraph_from_edges(2, [(0, 1)]), [5, 2])
+    with pytest.raises(NoPath, match=r"pattern edge 0->1 \(5->2\)"):
+        nonseparating_subdivision(T, spec, 1)
 
 
 def test_spanning_single_pair_transitive(t4):
@@ -194,6 +208,8 @@ def test_spanning_infeasible_on_transitive():
 
 
 def test_spanning_validation(t4):
+    with pytest.raises(ValueError, match="at least one pair required"):
+        spanning_linkage(t4, [])
     with pytest.raises(ValueError):
         spanning_linkage(t4, [(0, 0)])
     with pytest.raises(ValueError):
