@@ -11,6 +11,12 @@ Exit codes are a scripting contract:
      (``internal error: <Type>: <message>``) with no traceback
   141  standard output closed by its reader (128 + SIGPIPE, no message)
 
+``carve`` and ``subdivide`` report their remainder as a bool, "remainder
+strongly k-connected: true/false", and exit 1 exactly when it is false,
+with no verdict.  The remainder is certified by one exact sweep with no
+budget, so the check has no "unknown": a false one is a proof.  The bench's
+``Cli._check_carve`` pins this mapping.
+
 Every randomized command takes an explicit --seed; there is no ambient
 entropy anywhere, so runs and experiment tables reproduce exactly.
 """

@@ -36,7 +36,9 @@ no 3-path, through vertices m no counted path uses, to the last steps c the
 pair on one side has only paths of even length, and this round settles it.
 Any set of internally disjoint x->y paths bounds the flow from below, so a
 pair whose short paths reach ``best`` is settled without a flow, and every
-answer is the one the flows give.
+answer is the one the flows give.  ``_pair_value`` is the one home of this
+count-before-flow rule: the sweep, ``TargetFlow.safe`` and the partition
+search's repair moves all ask it for a pair's capped value.
 
 Strong connectivity needs no separate test past the degree screen.  When G
 is not strong, the lowest vertex fails to reach some vertex v or to be
@@ -275,6 +277,16 @@ def _four_paths_reach(out, idle, free_ends, used, short):
                     return True
                 break
     return False
+
+
+def _pair_value(net, x, y, cap, spare=0):
+    """``(value, cut)`` of ``maximum_flow(net, x, y, cap)``, or, with no flow,
+    ``(cap, None)``, what that flow would return, when the short paths of
+    ``_short_paths_reach`` (around ``spare``) reach ``cap``."""
+    if _short_paths_reach(net, x, y, cap, spare):
+        return cap, None
+    value, _, cut = maximum_flow(net, x, y, cap)
+    return value, cut
 
 
 def _augmented(net, x, y, cap, flow, pred, carries):
@@ -552,12 +564,10 @@ def sweep(G, ceiling=None, stop=0, within=None):
             if net is None:  # the first pair past every count
                 net = VertexFlow(G, mask)
             x, y = (v, u) if d else (u, v)
-            # a pair whose short paths reach best cannot lower it; capped
-            # at best, the flow's value is the new best
-            if not _short_paths_reach(net, x, y, best, spare):
-                best, _, cut = maximum_flow(net, x, y, best)
-                if best < stop:
-                    return Certificate(False, (x, y), cut, best)
+            # capped at best, the pair's value is the new best
+            best, cut = _pair_value(net, x, y, best, spare)
+            if best < stop:
+                return Certificate(False, (x, y), cut, best)
     return Certificate(n > stop, level=best)
 
 
@@ -659,8 +669,7 @@ class TargetFlow:
                 feed |= 1 << t
             net.out.append(0)
             net.inn.append(feed)
-        return (_short_paths_reach(self.net, v, sink, k)
-                or maximum_flow(self.net, v, sink, k)[0] >= k)
+        return _pair_value(self.net, v, sink, k)[0] >= k
 
 
 # ---------------------------------------------------------------------------

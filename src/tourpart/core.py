@@ -107,7 +107,7 @@ class Digraph:
         return type(self)._derived(self.rpacked, self.packed)
 
     def edges(self):
-        return list(_arcs(self))
+        return [(u, v) for u, heads in _arc_rows(self) for v in heads]
 
 
 class Tournament(Digraph):
@@ -195,11 +195,12 @@ def unpack_rows(packed, n):
     return np.unpackbits(packed.view(np.uint8), axis=-1, count=n, bitorder="little").view(bool)
 
 
-def _arcs(G):
-    """The arcs (u, v) of the graph G in row-major order, streamed: a writer
-    holds no tuple per arc, as the list of ``Digraph.edges`` does."""
-    us, vs = np.nonzero(unpack_rows(G.packed, G.n))
-    return zip(us.tolist(), vs.tolist())
+def _arc_rows(G):
+    """Each vertex u of the graph G with the heads v of its arcs u->v,
+    ascending, read one packed row at a time: a writer holds one row of
+    heads, not a tuple per arc."""
+    for u, row in enumerate(G.packed):
+        yield u, unpack_rows(row, G.n).nonzero()[0].tolist()
 
 
 def row_bits(m):

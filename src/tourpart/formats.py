@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Digraph, Tournament, _arcs, pair_bits, tournament_from_pair_bits
+from .core import Digraph, Tournament, _arc_rows, pair_bits, tournament_from_pair_bits
 
 
 class FormatError(ValueError):
@@ -31,8 +31,8 @@ class FormatError(ValueError):
 
 def write_edge_list(G, fh):
     fh.write(f"{G.n} {int(G.out_degrees().sum())}\n")
-    for u, v in _arcs(G):
-        fh.write(f"{u} {v}\n")
+    for u, heads in _arc_rows(G):
+        fh.write("".join([f"{u} {v}\n" for v in heads]))
 
 
 def write_compact(T, fh):
@@ -142,7 +142,7 @@ def to_dot(G, name="G"):
     lines = [f"digraph {name} {{"]
     for v in range(G.n):
         lines.append(f"  {v};")
-    for u, v in _arcs(G):
-        lines.append(f"  {u} -> {v};")
+    for u, heads in _arc_rows(G):
+        lines += [f"  {u} -> {v};" for v in heads]
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -58,44 +58,33 @@ def _dp_exact(G, x, y):
     return PathSearch(Verdict.FOUND, path)
 
 
+def _spot(out, path, first, last):
+    """Insert ``first``, or the arc first->last, at the first i with arcs
+    path[i]->first and last->path[i + 1]; whether there was such an i."""
+    tail = out[last]
+    for i in range(len(path) - 1):
+        if out[path[i]] >> first & 1 and tail >> path[i + 1] & 1:
+            path.insert(i + 1, first)
+            if last != first:
+                path.insert(i + 2, last)
+            return True
+    return False
+
+
 def _try_insertions(out, path, remaining, rng):
-    """Grow a fixed-endpoint path by single and pair insertions."""
-    progress = True
-    while remaining and progress:
-        progress = False
+    """Grow a fixed-endpoint path by single insertions in shuffled order, and
+    by the first pair u->w in id order when a round places no single vertex."""
+    while remaining:
         pool = sorted(remaining)
         rng.shuffle(pool)
-        for u in pool:
-            spot = None
-            for i in range(len(path) - 1):
-                if out[path[i]] >> u & 1 and out[u] >> path[i + 1] & 1:
-                    spot = i
-                    break
-            if spot is not None:
-                path.insert(spot + 1, u)
-                remaining.discard(u)
-                progress = True
-        if progress or not remaining:
-            continue
-        # pair insertion: place u->w between consecutive path vertices
-        pool = sorted(remaining)
-        for u in pool:
-            done = False
-            for w in pool:
-                if w == u or not out[u] >> w & 1:
-                    continue
-                for i in range(len(path) - 1):
-                    if out[path[i]] >> u & 1 and out[w] >> path[i + 1] & 1:
-                        path[i + 1:i + 1] = [u, w]
-                        remaining.discard(u)
-                        remaining.discard(w)
-                        progress = True
-                        done = True
-                        break
-                if done:
-                    break
-            if done:
+        placed = [u for u in pool if _spot(out, path, u, u)]
+        if not placed:
+            pool.sort()
+            placed = next(([u, w] for u in pool for w in pool
+                           if w != u and out[u] >> w & 1 and _spot(out, path, u, w)), None)
+            if placed is None:
                 break
+        remaining.difference_update(placed)
     return not remaining
 
 
@@ -174,11 +163,10 @@ def hamiltonian_path(T, x, y, budget=HAM_BUDGET, seed=0):
     base = bfs_shortest_path(T, x, y)
     left = budget
     for attempt in range(RESTARTS):
-        if base is not None:
-            path = list(base)
-            remaining = set(range(n)) - set(path)
-            if _try_insertions(out, path, remaining, rng):
-                return PathSearch(Verdict.FOUND, path)
+        path = list(base)  # every vertex reaches y (proved above), x too
+        remaining = set(range(n)) - set(path)
+        if _try_insertions(out, path, remaining, rng):
+            return PathSearch(Verdict.FOUND, path)
         slice_budget = max(1, left // max(1, RESTARTS - attempt))
         got, slice_left = _dfs(out, inn, x, y, n, slice_budget, rng)
         left -= slice_budget - slice_left

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .connectivity import VertexFlow, _short_paths_reach, certify, maximum_flow, sweep
+from .connectivity import VertexFlow, _pair_value, certify, sweep
 from .core import Verdict, _check_ids, _crossing_graph, counts_in, packed_set, reachable_mask, vertex_mask
 from .pipeline import PipelineError, PipelineParams, run_pipeline
 
@@ -155,7 +155,7 @@ def _pair_flow(T, in_v1, which, pair, k):
     if T.has_edge(x, y) and (which < 2 or in_v1[x] != in_v1[y]):
         return k
     net = VertexFlow(_crossing_graph(T, in_v1)) if which == 2 else VertexFlow(T, packed_set(within))
-    return k if _short_paths_reach(net, x, y, k) else maximum_flow(net, x, y, k)[0]
+    return _pair_value(net, x, y, k)[0]
 
 
 def search_partition(T, k, seed, budget=SEARCH_BUDGET):
@@ -198,33 +198,28 @@ def search_partition(T, k, seed, budget=SEARCH_BUDGET):
                 if score is None:
                     score = _screen_score(T, in_v1, k)
                 assert viol is not None or score > 0, "a split passed the screen with no witness"
+            # one move loop: the lowest-rated flip, if it beats the bar.  While
+            # the split fails the screen a flip's rate is its screen score;
+            # after that it is minus the witness pair's slack when the flip
+            # passes the screen, and a flip that fails it rates above the bar
             if score > 0:
-                pool = sorted(set(map(int, rng.integers(0, n, size=12))))
-                best = None
-                for v in pool:
-                    in_v1[v] = ~in_v1[v]
-                    if k < int(in_v1.sum()) < n - k:
-                        cand = _screen_score(T, in_v1, k)
-                        if best is None or cand < best[0]:
-                            best = (cand, v)
-                    in_v1[v] = ~in_v1[v]
-                if best is None or best[0] >= score:
-                    break
-                score = best[0]
-                in_v1[best[1]] = ~in_v1[best[1]]
-                continue
-            which, pair, value, cut = viol
-            pool = sorted(cut | set(map(int, rng.integers(0, n, size=8))))
+                pool, bar = sorted(set(map(int, rng.integers(0, n, size=12)))), score
+            else:
+                which, pair, value, cut = viol
+                pool, bar = sorted(cut | set(map(int, rng.integers(0, n, size=8)))), -value
             best = None
             for v in pool:
                 in_v1[v] = ~in_v1[v]
-                if k < int(in_v1.sum()) < n - k and _screen_score(T, in_v1, k) == 0:
-                    slack = _pair_flow(T, in_v1, which, pair, k)
-                    if best is None or slack > best[0]:
-                        best = (slack, v)
+                if k < int(in_v1.sum()) < n - k:
+                    rate = _screen_score(T, in_v1, k)
+                    if not (rate or score):
+                        rate = -_pair_flow(T, in_v1, which, pair, k)
+                    if best is None or rate < best[0]:
+                        best = (rate, v)
                 in_v1[v] = ~in_v1[v]
-            if best is None or best[0] <= value:
+            if best is None or best[0] >= bar:
                 break
+            score = max(best[0], 0)  # a slack move passed the screen
             in_v1[best[1]] = ~in_v1[best[1]]
     if proof is None:  # budget 0 swept no split
         proof = _certify_proof(T, k)

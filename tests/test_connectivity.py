@@ -569,8 +569,8 @@ def test_criterion_nine_searches_take_few_flows(monkeypatch):
         return wrapped
 
     partition = importlib.import_module("tourpart.partition")
-    for fn, modules in ((connectivity.maximum_flow, (connectivity, partition)),
-                        (connectivity._short_paths_reach, (connectivity, partition)),
+    for fn, modules in ((connectivity.maximum_flow, (connectivity,)),
+                        (connectivity._short_paths_reach, (connectivity,)),
                         (core.reachable_mask, (core, connectivity, partition)),
                         (partition.sweep, (partition,)),
                         (partition._screen_score, (partition,))):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import triu_compact_text
+from tourpart.core import digraph_from_edges
 from tourpart.formats import (
     FormatError,
     read_digraph,
@@ -27,6 +28,23 @@ def test_edge_list_roundtrip():
         T = random_tournament(17, seed)
         back = _roundtrip(T, write_edge_list)
         assert (back.adj == T.adj).all()
+
+
+def test_arc_listers_match_a_matrix_reference():
+    # the writer, the DOT output and ``edges`` read the packed rows one at a
+    # time; their text is that of the arcs listed off the bool matrix, on
+    # rows of one, two and three words and on a digraph with empty rows
+    graphs = [random_tournament(n, n) for n in (1, 5, 64, 65, 130)]
+    graphs.append(digraph_from_edges(70, [(69, 0), (3, 65), (3, 2), (64, 3)]))
+    for G in graphs:
+        arcs = [tuple(a) for a in np.argwhere(G.adj).tolist()]
+        buf = io.StringIO()
+        write_edge_list(G, buf)
+        assert buf.getvalue() == f"{G.n} {len(arcs)}\n" + "".join(f"{u} {v}\n" for u, v in arcs)
+        assert to_dot(G, "g") == "\n".join(
+            ["digraph g {"] + [f"  {v};" for v in range(G.n)]
+            + [f"  {u} -> {v};" for u, v in arcs] + ["}"]) + "\n"
+        assert G.edges() == arcs
 
 
 def test_compact_roundtrip_bit_exact():

@@ -101,8 +101,9 @@ def test_search_repairs_are_pinned(monkeypatch):
     # 4,646 -> 4,645 screens, the one saved on a split that certified at once
     flows = []
     calls = {"sweep": 0, "_screen_score": 0}
-    flow = importlib.import_module("tourpart.connectivity").maximum_flow
+    connectivity = importlib.import_module("tourpart.connectivity")
     partition = importlib.import_module("tourpart.partition")
+    flow = connectivity.maximum_flow
 
     def counting(*args):
         flows.append(args[1:3])
@@ -114,9 +115,7 @@ def test_search_repairs_are_pinned(monkeypatch):
             return fn(*args)
         return wrapped
 
-    for module in ("connectivity", "partition"):
-        monkeypatch.setattr(importlib.import_module(f"tourpart.{module}"), "maximum_flow",
-                            counting)
+    monkeypatch.setattr(connectivity, "maximum_flow", counting)
     for fn in (partition.sweep, partition._screen_score):
         monkeypatch.setattr(partition, fn.__name__, tallying(fn))
     results = [search_partition(_planted(40, f, seed), 2, seed=seed, budget=150)

@@ -68,6 +68,19 @@ def test_only_core_calls_is_path():
     assert offenders == []
 
 
+def test_only_connectivity_names_the_flow_and_the_short_path_count():
+    # ``connectivity._pair_value`` is the one home of "count short paths,
+    # flow only when they fall short"; a module that names either half is
+    # writing that rule again
+    kernel = {"maximum_flow", "_short_paths_reach"}
+    offenders = [(path.name, node.lineno) for path in _source_modules()
+                 if path.name != "connectivity.py"
+                 for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                 if {getattr(node, "id", None), getattr(node, "attr", None),
+                     getattr(node, "name", None)} & kernel]
+    assert offenders == []
+
+
 def test_no_module_scatters_through_triu_indices():
     # a tournament is built from its pair bits by row slices in core; int64
     # n x n index arrays took about 10.8 n^2 bytes per generated graph

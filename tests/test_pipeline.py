@@ -232,6 +232,76 @@ def test_strict_params_without_a_budget_are_rejected():
         run_pipeline(random_tournament(60, 0), 1, params)
 
 
+# The strict-only clauses at k = 1.  The family of random_tournament(1500,
+# 5002) needs no reversal; its degree slack is 539 and the bootstrap's safe
+# extension costs 1,232.  No state at n <= 3,000 has a slack that covers
+# that cost (at best 677 against 1,212), so no strict run gets past the
+# bootstrap there, and the bootstrap and connector caps run on a state whose
+# strict flag and budget are set after ``color_reserved``.
+
+
+def test_strict_budget_must_fit_the_degree_slack():
+    state = _relaxed_state(1500, 5002, strict=True, budget=539)
+    build_dominating_family(state)
+    color_reserved(state)
+    assert state.audits[-1].info == {"budget_cap": 539, "degree_slack": 539}
+    state = _relaxed_state(1500, 5002, strict=True, budget=540)
+    build_dominating_family(state)
+    with pytest.raises(PipelineError) as err:
+        color_reserved(state)
+    assert str(err.value) == "[budget] degree slack 539 cannot honor the strict budget 540"
+
+
+def test_the_coloring_budget_caps_the_safe_extension():
+    for budget in (1232, 539):
+        state = _relaxed_state(1500, 5002, strict=budget == 539, budget=budget)
+        build_dominating_family(state)
+        color_reserved(state)
+        if budget == 1232:
+            bootstrap_safety(state)
+            continue
+        with pytest.raises(PipelineError) as err:
+            bootstrap_safety(state)
+        assert str(err.value) == ("[safe_extension] coloring budget exceeded: "
+                                  "growth*|Z| + |C u N| = 1232 > 539")
+        assert err.value.kind == "budget"
+
+
+def _strict_after_reserving(extra=0):
+    """The state of random_tournament(2000, 5002) past ``color_reserved``
+    under strict flags, with ``extra`` more uncolored vertices colored
+    alpha."""
+    state = _relaxed_state(2000, 5002)
+    build_dominating_family(state)
+    color_reserved(state)
+    state.params = replace(state.params, strict=True, budget=10 ** 6)
+    state.coloring.assign(np.flatnonzero(state.coloring.uncolored_mask())[:extra], ALPHA)
+    return state
+
+
+def test_the_strict_bootstrap_caps_its_coloring():
+    # 1500 k^4 = 1,500 colored vertices: the bootstrap colors 1,128, and 1,528
+    # on 400 vertices colored before it
+    state = _strict_after_reserving()
+    bootstrap_safety(state)
+    assert state.audits[-1].info == {"colored": 1128, "group": 124, "within_strict_cap": True}
+    with pytest.raises(PipelineError, match=r"^\[bootstrap\] bootstrap exceeded its strict cap$"):
+        bootstrap_safety(_strict_after_reserving(400))
+
+
+def test_the_strict_connectors_cap_the_coloring_outside_the_bulk(monkeypatch):
+    # the cap 3 * 10^7 k^6 log2(2k) exceeds n at every testable size, so its
+    # log factor is stubbed to 0 for the rejection
+    state = _strict_after_reserving()
+    bootstrap_safety(state)
+    find_connector_paths(state)
+    info = state.audits[-1].info
+    assert info["within_strict_cap"] and info["outside_bulk"] == 1164
+    monkeypatch.setattr(pipeline, "math", SimpleNamespace(log2=lambda x: 0.0))
+    with pytest.raises(PipelineError, match="colored-outside-bulk cap violated"):
+        _audit_connectors(state)
+
+
 def test_guaranteed_params_arithmetic():
     # 10k+10 and 9k^2 follow from the run's k and are not params
     p = PipelineParams.guaranteed(1)
