@@ -11,7 +11,6 @@ from .generators import paley_tournament, random_tournament, transitive_tourname
 from .hamilton import hamiltonian_path
 from .connectivity import (
     Certificate,
-    LinkageRequest,
     LinkageResult,
     SeparatorCertificate,
     certify,

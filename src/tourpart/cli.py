@@ -32,7 +32,7 @@ import sys
 import time
 
 from . import __version__
-from .connectivity import LinkageRequest, find_disjoint_paths, is_k_linked, vertex_connectivity
+from .connectivity import find_disjoint_paths, is_k_linked, vertex_connectivity
 from .core import Verdict
 from .formats import FormatError, read_digraph, read_tournament, to_dot, write_compact, write_edge_list
 from .generators import paley_tournament, random_tournament, transitive_tournament
@@ -172,7 +172,7 @@ def cmd_link(args):
         res = spanning_linkage(T, pairs, seed=args.seed)
         reason = res.detail
     else:
-        res = find_disjoint_paths(T, LinkageRequest(pairs))
+        res = find_disjoint_paths(T, pairs)
         reason = ("search budget exhausted" if res.status == Verdict.UNKNOWN
                   else "no internally disjoint paths for these pairs")
     if res.status != Verdict.FOUND:

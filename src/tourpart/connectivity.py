@@ -677,32 +677,6 @@ class TargetFlow:
 
 
 @dataclass
-class LinkageRequest:
-    """k terminal pairs plus the disjointness rule a linkage must satisfy.
-
-    Repeated pairs are allowed with internally-disjoint semantics and ask
-    for that many distinct paths between the same terminals.
-    """
-
-    pairs: list
-    disjointness: str = "internal"  # internal | full
-
-    def validate(self, n):
-        if not self.pairs:
-            raise ValueError("request has no pairs")
-        if self.disjointness not in ("internal", "full"):
-            raise ValueError("disjointness must be internal or full")
-        for x, y in self.pairs:
-            if not (0 <= x < n and 0 <= y < n):
-                raise ValueError("terminal out of range")
-            if x == y:
-                raise ValueError("terminal pair with equal endpoints")
-        ends = [u for p in self.pairs for u in p]
-        if self.disjointness == "full" and len(set(ends)) != len(ends):
-            raise ValueError("full disjointness needs 2k distinct terminals")
-
-
-@dataclass
 class LinkageResult:
     status: Verdict
     paths: list | None = None
@@ -718,46 +692,50 @@ def disjoint_routes(T, x, y, allowed):
     return net.paths_and_cut(x, y)[1]
 
 
-def _bundle_by_flow(T, req):
-    x, y = req.pairs[0]
-    want = len(req.pairs)
-    paths = disjoint_routes(T, x, y, np.ones(T.n, dtype=bool))
-    # the direct edge is one more internally disjoint path, taken once
-    chosen = ([[x, y]] if T.has_edge(x, y) else []) + sorted(paths, key=len)
-    if len(chosen) < want:
-        return LinkageResult(Verdict.INFEASIBLE)
-    return LinkageResult(Verdict.FOUND, chosen[:want])
+def find_disjoint_paths(T, pairs, budget=500_000):
+    """Exact linkage solver: for each terminal pair (x, y) of ``pairs`` an
+    x->y path, the interiors pairwise disjoint and clear of every terminal,
+    so 2k distinct terminals get vertex-disjoint paths.
 
-
-def find_disjoint_paths(T, req, budget=500_000):
-    """Exact linkage solver.
-
-    Requests that repeat one pair under internal disjointness reduce to
-    max-flow and are solved exactly that way.  Everything else runs a
-    backtracking search over simple paths on int bitsets, trying
-    out-neighbours in ascending id order and pruning by reachability;
-    exhausting ``budget`` is reported as "unknown", exhausting the search
-    space as "infeasible".
+    A request that repeats one pair asks for that many distinct paths
+    between the same terminals; it reduces to max-flow and is solved
+    exactly that way.  Everything else runs a backtracking search over
+    simple paths on int bitsets, trying out-neighbours in ascending id
+    order and pruning by reachability; exhausting ``budget`` is reported as
+    "unknown", exhausting the search space as "infeasible".
     """
-    req.validate(T.n)
-    if len(set(req.pairs)) == 1 and req.disjointness == "internal":
-        return _bundle_by_flow(T, req)
+    if not pairs:
+        raise ValueError("request has no pairs")
+    for x, y in pairs:
+        _check_ids(T, (x, y))
+        if x == y:
+            raise ValueError("terminal pair with equal endpoints")
+    if len(set(pairs)) == 1:
+        x, y = pairs[0]
+        routes = disjoint_routes(T, x, y, np.ones(T.n, dtype=bool))
+        # the direct edge is one more internally disjoint path, taken once
+        chosen = ([[x, y]] if T.has_edge(x, y) else []) + sorted(routes, key=len)
+        if len(chosen) < len(pairs):
+            return LinkageResult(Verdict.INFEASIBLE)
+        chosen = chosen[:len(pairs)]
+        _check_linkage(T, pairs, chosen)
+        return LinkageResult(Verdict.FOUND, chosen)
 
     out = row_bits(T.packed)
     base = (1 << T.n) - 1  # vertices usable as interiors: all but the terminals
-    for x, y in req.pairs:
+    for x, y in pairs:
         base &= ~(1 << x | 1 << y)
     counter = [budget]
     paths: list = []
 
     def feasible_rest(i, used):
         # ``used``: the interiors of the paths before pair i
-        return all(bit_reach(out, x, base & ~used | 1 << y) >> y & 1 for x, y in req.pairs[i:])
+        return all(bit_reach(out, x, base & ~used | 1 << y) >> y & 1 for x, y in pairs[i:])
 
     def dfs_pair(i, used):
-        if i == len(req.pairs):
+        if i == len(pairs):
             return True
-        x, y = req.pairs[i]
+        x, y = pairs[i]
 
         def extend(v, visited, acc):
             counter[0] -= 1
@@ -790,22 +768,17 @@ def find_disjoint_paths(T, req, budget=500_000):
             return LinkageResult(Verdict.INFEASIBLE)
         if dfs_pair(0, 0):
             result = [list(p) for p in paths]
-            _check_linkage(T, req, result)
+            _check_linkage(T, pairs, result)
             return LinkageResult(Verdict.FOUND, result)
         return LinkageResult(Verdict.INFEASIBLE)
     except BudgetExceeded:
         return LinkageResult(Verdict.UNKNOWN)
 
 
-def _check_linkage(T, req, paths):
-    terminals = {u for p in req.pairs for u in p}
-    fault = path_family_fault(T, req.pairs, paths, terminals)
+def _check_linkage(T, pairs, paths):
+    fault = path_family_fault(T, pairs, paths, {u for p in pairs for u in p})
     assert not fault, fault
-    if req.disjointness == "full":
-        allv = [v for p in paths for v in p]
-        assert len(set(allv)) == len(allv)
-    else:
-        assert len(set(map(tuple, paths))) == len(paths), "paths must be distinct"
+    assert len(set(map(tuple, paths))) == len(paths), "paths must be distinct"
 
 
 def is_k_linked(T, k):
@@ -825,7 +798,7 @@ def is_k_linked(T, k):
         pairs = [(combo[2 * i], combo[2 * i + 1]) for i in range(k)]
         if any(pairs[i] >= pairs[i + 1] for i in range(k - 1)):
             continue  # unordered between pairs: keep one representative
-        res = find_disjoint_paths(T, LinkageRequest(pairs, "full"))
+        res = find_disjoint_paths(T, pairs)
         if res.status == Verdict.INFEASIBLE:
             return Verdict.INFEASIBLE
         if res.status == Verdict.UNKNOWN:

@@ -285,8 +285,6 @@ def core_set(T, k, alive=None):
         taken = []
         remaining = alive.copy()
         for _ in range(k):
-            if not remaining.any():
-                break
             chosen = _greedy_dominating(packed, remaining)
             taken.append(chosen)
             remaining[list(chosen)] = False

@@ -140,7 +140,9 @@ def hamiltonian_path(T, x, y, budget=HAM_BUDGET, seed=0):
 
     Above the threshold the insertion heuristic runs under seeded restarts
     with the backtracking search as fallback; exhausting ``budget`` yields
-    status "unknown", never a claim of nonexistence.
+    status "unknown", never a claim of nonexistence.  A backtracking slice
+    that runs out of branches within its budget has searched every path,
+    and proves that none exists.
     """
     _check_ids(T, (x, y))
     if x == y:
@@ -169,9 +171,13 @@ def hamiltonian_path(T, x, y, budget=HAM_BUDGET, seed=0):
             return PathSearch(Verdict.FOUND, path)
         slice_budget = max(1, left // max(1, RESTARTS - attempt))
         got, slice_left = _dfs(out, inn, x, y, n, slice_budget, rng)
-        left -= slice_budget - slice_left
         if got is not None:
             return PathSearch(Verdict.FOUND, got)
+        if slice_left:
+            # the pruning is exact, so a slice that ran out of branches
+            # before budget searched every path: none exists
+            return PathSearch(Verdict.INFEASIBLE)
+        left -= slice_budget
         if left <= 0:
             break
     return PathSearch(Verdict.UNKNOWN)

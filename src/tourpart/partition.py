@@ -127,19 +127,19 @@ def no_split(T, k, reason):
 
 
 def _screen_score(T, in_v1, k):
-    """Cheap badness score: degree deficits plus unreachable vertices."""
-    score = 0
-    for mask in (in_v1, ~in_v1):
-        ids = np.flatnonzero(mask)
-        side = packed_set(mask)
-        for H in (T, T.reverse()):
-            score += int(np.maximum(0, k - counts_in(H.packed[ids], side)).sum())
-            seen = reachable_mask(H, int(ids[0]), mask)
-            score += int((mask & ~seen).sum())
-    cross = _crossing_graph(T, in_v1)
-    for H in (cross, cross.reverse()):
-        score += int(np.maximum(0, k - H.out_degrees()).sum())
-        score += int((~reachable_mask(H, 0)).sum())
+    """Cheap badness score: degree deficits plus unreachable vertices.
+
+    Every vertex, on either side, needs k out- and k in-neighbours in V1
+    and in V2: in its own side for its T[Vi], across for T[V1, V2]."""
+    side = packed_set(in_v1)
+    out1, in1 = counts_in(T.packed, side), counts_in(T.rpacked, side)
+    degrees = np.stack([out1, in1, T.out_degrees() - out1, T.in_degrees() - in1])
+    score = int(np.maximum(0, k - degrees).sum())
+    everyone = np.ones(T.n, dtype=bool)
+    for G, mask in ((T, in_v1), (T, ~in_v1), (_crossing_graph(T, in_v1), everyone)):
+        start = int(np.argmax(mask))
+        for H in (G, G.reverse()):
+            score += int((mask & ~reachable_mask(H, start, mask)).sum())
     return score
 
 
@@ -151,11 +151,10 @@ def _pair_flow(T, in_v1, which, pair, k):
     within = (in_v1, ~in_v1, None)[which]
     if within is not None and not (within[x] and within[y]):
         return k
-    # the crossing digraph keeps only the arcs between the sides
-    if T.has_edge(x, y) and (which < 2 or in_v1[x] != in_v1[y]):
+    G = T if within is not None else _crossing_graph(T, in_v1)
+    if G.has_edge(x, y):
         return k
-    net = VertexFlow(_crossing_graph(T, in_v1)) if which == 2 else VertexFlow(T, packed_set(within))
-    return _pair_value(net, x, y, k)[0]
+    return _pair_value(VertexFlow(G, None if within is None else packed_set(within)), x, y, k)[0]
 
 
 def search_partition(T, k, seed, budget=SEARCH_BUDGET):

@@ -151,7 +151,7 @@ def nonseparating_subdivision(T, spec, k):
 
 def check_subdivision(T, spec, sub):
     """Invariant scan: one path per pattern edge, endpoint placement,
-    interior disjointness away from the branch vertices,
+    disjoint interiors away from the branch vertices,
     backwards-transitivity."""
     edges = sorted(spec.pattern.edges())
     assert sorted(sub.edge_paths) == edges, "paths do not match the pattern edges"
@@ -228,7 +228,7 @@ def spanning_linkage(T, pairs, seed=0):
 
 
 def check_spanning_linkage(T, pairs, paths):
-    """Exact cover and disjointness scan for a spanning linkage: interiors
+    """Exact cover and disjoint-interior scan for a spanning linkage: interiors
     miss every terminal, so only terminals may lie on two paths."""
     fault = path_family_fault(T, pairs, paths, {v for p in pairs for v in p})
     assert not fault, fault

@@ -144,7 +144,7 @@ def test_criterion_6_spanning_linkage():
         pairs = [(picks[0], picks[1]), (picks[2], picks[3])]
         res = spanning_linkage(T, pairs, seed=seed)
         if res.status == "found":
-            found += 1  # cover/disjointness/endpoints scanned inside
+            found += 1  # cover, disjoint interiors and endpoints scanned inside
         elif res.status == "unknown":
             unknown += 1
         trials += 1

@@ -21,7 +21,6 @@ from oracles import (
     target_flows,
 )
 from tourpart import (
-    LinkageRequest,
     find_disjoint_paths,
     is_k_linked,
     is_strongly_k_connected,
@@ -31,7 +30,7 @@ from tourpart import (
 from tourpart import connectivity, core
 from tourpart.connectivity import Certificate, VertexFlow, sweep
 from tourpart.core import Digraph, Tournament, Verdict, _crossing_graph
-from tourpart.generators import random_tournament, transitive_tournament
+from tourpart.generators import paley_tournament, random_tournament, transitive_tournament
 from tourpart.hamilton import PathSearch
 from tourpart.partition import PartitionResult, search_partition
 from tourpart.safety import UNCOLORED, Coloring, SafetyContext
@@ -700,38 +699,34 @@ def test_safe_flow_agrees_with_deletion_enumeration():
 
 
 def test_linkage_examples(t4, c3):
-    assert find_disjoint_paths(t4, LinkageRequest([(0, 3)])).paths == [[0, 3]]
-    assert find_disjoint_paths(t4, LinkageRequest([(3, 0)])).status == "infeasible"
-    assert find_disjoint_paths(c3, LinkageRequest([(0, 2)])).paths == [[0, 1, 2]]
+    assert find_disjoint_paths(t4, [(0, 3)]).paths == [[0, 3]]
+    assert find_disjoint_paths(t4, [(3, 0)]).status == "infeasible"
+    assert find_disjoint_paths(c3, [(0, 2)]).paths == [[0, 1, 2]]
 
 
 def test_linkage_request_validation(t4):
-    with pytest.raises(ValueError):
-        LinkageRequest([(0, 0)]).validate(4)
-    with pytest.raises(ValueError):
-        LinkageRequest([(0, 1), (1, 2)], disjointness="full").validate(4)
+    with pytest.raises(ValueError, match="equal endpoints"):
+        find_disjoint_paths(t4, [(0, 0)])
     with pytest.raises(ValueError, match="no pairs"):
-        LinkageRequest([]).validate(4)
+        find_disjoint_paths(t4, [])
     for bad in (-1, 4):
         # -1 would wrap to vertex 3, and 4 names no vertex
-        with pytest.raises(ValueError, match="terminal out of range"):
-            LinkageRequest([(0, bad)]).validate(4)
+        with pytest.raises(ValueError, match="out of range"):
+            find_disjoint_paths(t4, [(0, bad)])
     T = random_tournament(20, 1)
     for bad in (-1, 25):
-        with pytest.raises(ValueError, match="terminal out of range"):
-            find_disjoint_paths(T, LinkageRequest([(0, 1), (2, bad)], "full"))
+        with pytest.raises(ValueError, match="out of range"):
+            find_disjoint_paths(T, [(0, 1), (2, bad)])
 
 
 def _linkage_requests(n):
-    """Requests on n >= 7 vertices covering both disjointness rules and
-    repeated terminals."""
-    full2, full3 = [(0, 1), (2, 3)], [(1, 0), (3, 2), (4, 5)]
+    """Requests on n >= 7 vertices: distinct terminals, and repeated ones."""
     return [
-        LinkageRequest(full2, "full"),
-        LinkageRequest(full3, "full"),
-        LinkageRequest([(n - 1, 0), (1, n - 2)], "full"),
-        LinkageRequest([(0, 1), (0, 2)]),
-        LinkageRequest([(0, 6), (6, 0)]),
+        [(0, 1), (2, 3)],
+        [(1, 0), (3, 2), (4, 5)],
+        [(n - 1, 0), (1, n - 2)],
+        [(0, 1), (0, 2)],
+        [(0, 6), (6, 0)],
     ]
 
 
@@ -751,9 +746,9 @@ def test_linkages_are_pinned():
         graphs.append(Digraph(adj))
     digest = hashlib.sha256()
     for G in graphs:
-        for req in _linkage_requests(G.n):
+        for pairs in _linkage_requests(G.n):
             for budget in (3, 50, 500_000):
-                res = find_disjoint_paths(G, req, budget=budget)
+                res = find_disjoint_paths(G, pairs, budget=budget)
                 digest.update(repr((str(res.status), res.paths)).encode())
     assert digest.hexdigest() == LINKAGE_DIGEST
 
@@ -761,7 +756,7 @@ def test_linkages_are_pinned():
 def test_linkage_budget_exhaustion_is_distinct(rand):
     T = rand(14, 0)
     pairs = [(0, 1), (2, 3), (4, 5)]
-    res = find_disjoint_paths(T, LinkageRequest(pairs, "full"), budget=3)
+    res = find_disjoint_paths(T, pairs, budget=3)
     assert res.status == "unknown"
 
 
@@ -769,22 +764,22 @@ def test_linkage_agrees_with_exhaustive_enumeration(rand):
     for seed in range(12):
         T = rand(6, seed)
         for pairs in [[(0, 1), (2, 3)], [(1, 0), (3, 2)], [(0, 5), (1, 4)]]:
-            got = find_disjoint_paths(T, LinkageRequest(pairs, "full"))
+            got = find_disjoint_paths(T, pairs)
             want = brute_fully_disjoint(T, pairs)
             assert (got.status == "found") == (want is not None), (seed, pairs)
-        got = find_disjoint_paths(T, LinkageRequest([(0, 1), (0, 2)]))
+        got = find_disjoint_paths(T, [(0, 1), (0, 2)])
         want = brute_linkage(T, [(0, 1), (0, 2)])
         assert (got.status == "found") == (want is not None)
 
 
 def test_identical_pair_bundles_via_flow(paley7):
-    res = find_disjoint_paths(paley7, LinkageRequest([(0, 3)] * 3))
+    res = find_disjoint_paths(paley7, [(0, 3)] * 3)
     assert res.status == "found"
     inner = [frozenset(p[1:-1]) for p in res.paths]
     assert len(set(map(tuple, res.paths))) == 3
     for a, b in itertools.combinations(inner, 2):
         assert not a & b
-    res = find_disjoint_paths(paley7, LinkageRequest([(0, 3)] * 5))
+    res = find_disjoint_paths(paley7, [(0, 3)] * 5)
     assert res.status == "infeasible"  # only 3 internally disjoint routes exist
 
 
@@ -793,6 +788,18 @@ def test_is_k_linked_examples(c3, t4, paley7):
     assert is_k_linked(c3, 1) == Verdict.FOUND
     assert is_k_linked(t4, 1) == Verdict.INFEASIBLE
     assert is_k_linked(paley7, 1) == Verdict.FOUND
+
+
+def test_paley11_is_2_linked(monkeypatch):
+    # every one of its two-pair tuples links, each linkage checked as it is
+    # found; a tuple is asked once, in one order of its two pairs
+    calls = []
+    check = connectivity._check_linkage
+    monkeypatch.setattr(connectivity, "_check_linkage",
+                        lambda T, pairs, paths: calls.append(pairs) or check(T, pairs, paths))
+    assert is_k_linked(paley_tournament(11), 2) == Verdict.FOUND
+    assert len(calls) == 11 * 10 * 9 * 8 // 2 == 3960
+    assert all(pairs[0] < pairs[1] for pairs in calls)
 
 
 def test_a_verdict_has_no_truth_value(c3):
@@ -821,7 +828,7 @@ def test_linkedness_equivalence_with_repeated_endpoint_requests(rand):
                     continue
                 if len(set(pairs)) < 2:
                     continue
-                res = find_disjoint_paths(T, LinkageRequest(pairs))
+                res = find_disjoint_paths(T, pairs)
                 assert res.status == "found", (seed, pairs)
         else:
             found_bad = False

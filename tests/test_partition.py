@@ -11,6 +11,7 @@ from test_golden import _planted
 from tourpart.core import Verdict
 from tourpart.generators import random_tournament, transitive_tournament
 from tourpart.partition import (
+    _pair_flow,
     _screen_score,
     _sweep_split,
     format_partition,
@@ -132,6 +133,20 @@ def test_every_rejection_without_a_witness_screens_positive(monkeypatch):
         search_partition(T, k, seed=seed, budget=budget)
         assert bare and bare[-1][0] is T
     assert all(_screen_score(*args) > 0 for args in bare)
+
+
+def test_a_crossing_arc_settles_its_pair_only_once_it_crosses():
+    # x -> y is an arc of T, but while both sit in V1 the crossing digraph
+    # lacks it and their crossing flow stays below k; once y moves to V2 the
+    # arc joins them in the crossing digraph, and the pair constrains nothing
+    T, k = random_tournament(12, 1), 4
+    x = 0
+    y = int(np.flatnonzero(T.adj[x])[0])
+    in_v1 = np.arange(T.n) < T.n // 2
+    in_v1[[x, y]] = True
+    assert _pair_flow(T, in_v1, 2, (x, y), k) < k
+    in_v1[y] = False
+    assert _pair_flow(T, in_v1, 2, (x, y), k) == k
 
 
 def test_search_size_precondition():

@@ -12,8 +12,10 @@ from tourpart import (
     remove_nonseparating_path,
     spanning_linkage,
 )
-from tourpart.core import Tournament, is_backwards_transitive
+from tourpart import surgery
+from tourpart.core import Tournament, Verdict, is_backwards_transitive
 from tourpart.generators import random_tournament, transitive_tournament
+from tourpart.hamilton import PathSearch
 from tourpart.surgery import check_spanning_linkage, check_subdivision, shortest_path_avoiding
 
 
@@ -253,10 +255,11 @@ def test_spanning_close_after_a_carve_is_unknown(t4):
     assert res.detail == "pair 0: no Hamiltonian close for this carve order"
 
 
-def test_spanning_close_without_a_proof_is_unknown():
+def test_spanning_close_whose_search_runs_out_of_branches_is_infeasible():
     # y's one in-neighbour is w, whose one in-neighbour is x, so every x -> y
     # path is x, w, y; T is strong and has more vertices than the exact DP
-    # takes, so no exact argument rules the close out and the search gives up
+    # takes, and the backtracking's exact pruning runs out of branches long
+    # before its budget, which proves that no spanning path exists
     n, (x, w, y) = 16, (0, 1, 2)
     adj = np.zeros((n, n), dtype=bool)
     adj[3:, 3:] = random_tournament(n - 3, 5).adj
@@ -266,5 +269,14 @@ def test_spanning_close_without_a_proof_is_unknown():
     T = Tournament(adj)
     assert is_strongly_k_connected(T, 1)
     res = spanning_linkage(T, [(x, y)])
+    assert (res.status, res.paths) == ("infeasible", None)
+    assert res.detail == "pair 0: no spanning path exists"
+
+
+def test_spanning_close_whose_budget_runs_out_is_unknown(monkeypatch):
+    # a close that spends its budget without an answer proves nothing
+    monkeypatch.setattr(surgery, "hamiltonian_path",
+                        lambda *args, **kwargs: PathSearch(Verdict.UNKNOWN))
+    res = spanning_linkage(random_tournament(20, 1), [(0, 1)])
     assert (res.status, res.paths) == ("unknown", None)
     assert res.detail == "pair 0: Hamiltonian budget exhausted"
