@@ -9,6 +9,7 @@ audit, and the final coloring is handed to the exact verifier.
 """
 
 import time
+from dataclasses import asdict
 
 from tourpart.generators import random_tournament
 from tourpart.partition import verify_partition
@@ -23,7 +24,7 @@ except PipelineError as exc:
     print("guaranteed constants:", exc)
 
 params = PipelineParams.relaxed(1)
-print("\nrelaxed parameters:", params.as_dict())
+print("\nrelaxed parameters:", asdict(params))
 t0 = time.perf_counter()
 state = run_pipeline(T, 1, params, seed=0)
 dt = time.perf_counter() - t0

@@ -81,15 +81,15 @@ Only a pair that fails both counts reaches the screen or a flow, and the
 flow of a settled pair, capped at ``best``, could only have returned
 ``best``, so every answer is unchanged.
 
-The middle counts are numpy popcounts, one batch per chunk of ranks, on at
-most one n x W count of G's packed words, or 2^15 words.  A batch lists the
-pairs with v past u's rank below the ``best`` it began with (it only falls);
-rank by rank, each is tested on Python ints against the current ``best``,
-so the pairs screened and flowed, and their order, are those of a count
-per rank.  A Hall count reads the rows of a rank's listed vertices as ints
-only when its G1 is not empty, and the flow handle is built for the first
-pair past every count.  In a masked sweep the ranks are those of
-``within``.
+The middle counts are ``core.counts_in``, one batch per chunk of ranks, on
+at most one n x W count of G's packed words, or ``_CHUNK`` words.  A batch
+lists the pairs with v past u's rank below the ``best`` it began with (it
+only falls); rank by rank, each is tested on Python ints against the
+current ``best``, so the pairs screened and flowed, and their order, are
+those of a count per rank.  A Hall count reads the rows of a rank's listed
+vertices as ints (core's ``_IntRows``, each row once) only when its G1 is
+not empty, and the flow handle is built for the first pair past every
+count.  In a masked sweep the ranks are those of ``within``.
 
 A batch costs about 40 numpy calls, 70-90 us, however few pairs it counts,
 and an int count well under a microsecond a pair.  So a host of one-word
@@ -144,10 +144,13 @@ import numpy as np
 
 from .core import (
     Verdict,
+    _CHUNK,
+    _IntRows,
     _bits,
     _check_ids,
-    _popcounts,
     bit_reach,
+    counts_in,
+    pack_ints,
     packed_set,
     path_family_fault,
     reachable_mask,
@@ -429,7 +432,7 @@ class Certificate:
 def _middle_counts(outs, ins, lo, rests):
     """The 2-path counts u->w->v and v->w->u through the w of ``rests[i]``,
     u at rank lo + i and v at every rank past lo, as two 2-d int32 arrays."""
-    return [_popcounts((firsts[lo:lo + len(rests)] & rests)[:, None] & lasts[lo + 1:])
+    return [counts_in(lasts[lo + 1:], (firsts[lo:lo + len(rests)] & rests)[:, None])
             for firsts, lasts in ((outs, ins), (ins, outs))]
 
 
@@ -461,15 +464,14 @@ def sweep(G, ceiling=None, stop=0, within=None):
     if best > 1 or (best == 1 and stop > 1):
         # the bitset of ``within``; the degree screen, on the handle's ints
         # when the rows are one word, else on the packed rows of ``within``
-        full = (1 << G.n) - 1 if mask is None else int.from_bytes(mask.tobytes(), "little")
-        if G.packed.shape[1] == 1:
+        full = (1 << G.n) - 1 if mask is None else row_bits(mask)
+        if G.n <= 64:
             net = VertexFlow(G, mask)
             best = min(best, *(min(rows[u].bit_count() for u in order)
                                for rows in (net.out, net.inn)))
         else:
             packed_rows = _sweep_rows(G, ids, mask)
-            best = min(best, *(int(np.bitwise_count(rows).sum(axis=1).min())
-                               for rows in packed_rows))
+            best = min(best, *(int(counts_in(rows).min()) for rows in packed_rows))
     # the reach check alone decides a best of 1 (module docstring)
     if best == 1 and stop <= 1 and not all(
             np.count_nonzero(reachable_mask(H, order[0], within)) == n
@@ -510,13 +512,11 @@ def sweep(G, ceiling=None, stop=0, within=None):
         outs, ins = packed_rows or _sweep_rows(G, ids, mask)
         width, lo = G.packed.shape[1], 0
         while lo < best:
-            # one batch for ranks lo..hi-1: at most one n x width count, or 2^15 words
+            # one batch for ranks lo..hi-1: at most one n x width count, or _CHUNK words
             later = n - lo - 1
-            hi = min(best, lo + max(1, max(G.n * width, 1 << 15) // (later * width)))
+            hi = min(best, lo + max(1, max(G.n * width, _CHUNK) // (later * width)))
             spares = [full & ((1 << u) - 1) for u in order[lo:hi]]
-            rests = b"".join((full ^ spare).to_bytes(8 * width, "little") for spare in spares)
-            fwd, back = _middle_counts(outs, ins, lo,
-                                       np.frombuffer(rests, np.uint64).reshape(-1, width))
+            fwd, back = _middle_counts(outs, ins, lo, pack_ints([full ^ s for s in spares], G.n))
             # best only falls, so this lists a superset of the pairs to visit
             below = np.minimum(fwd, back) < np.arange(best - lo, best - hi, -1)[:, None]
             for i in range(1, hi - lo):  # a v at or below the rank was visited, or is u
@@ -569,19 +569,6 @@ def sweep(G, ceiling=None, stop=0, within=None):
             if best < stop:
                 return Certificate(False, (x, y), cut, best)
     return Certificate(n > stop, level=best)
-
-
-class _IntRows(dict):
-    """Packed rows read as ints on demand, each once: ``rows[k]`` is the int
-    whose bit v is bit v of packed row k, ANDed with the int ``mask``."""
-
-    def __init__(self, rows, mask):
-        self.words, self.size, self.mask = memoryview(rows).cast("B"), 8 * rows.shape[1], mask
-
-    def __missing__(self, k):
-        words = self.words[k * self.size:(k + 1) * self.size]
-        self[k] = row = int.from_bytes(words, "little") & self.mask
-        return row
 
 
 def _sweep_rows(G, ids, mask):

@@ -11,18 +11,21 @@ words.  A tournament has a second constructor, from its pair bits (one
 bit per pair i < j, row-major, set when i->j), which are a tournament by
 construction and so are not checked; ``pair_bits`` reads them back.
 ``reverse`` swaps the two, and a subgraph unpacks only the rows of its
-vertices.  Vertices are the integers 0..n-1 throughout; every named
-vertex set is a plain Python set over that id space.  Graphs are immutable
-after construction so they can be shared freely between concurrent workers.
+vertices.  Graphs are immutable after construction so they can be shared
+freely between concurrent workers.
 
-The packed rows are the one bitset input of every loop: reachability
-sweeps and path searches OR them, neighbour counts inside a vertex set are
-popcounts of rows ANDed with the packed set (``counts_in`` over
-``packed_set``), grant waves AND one row with a free set, and the flow
-kernel reads them as Python ints.  ``adj`` unpacks the bool matrix on each
-read for callers outside the library.  The crossing digraph of a split of
-all of T is T's packed rows masked by the packed opposite side, with no
-n x n bool temporary.
+Vertices are the integers 0..n-1.  Results name vertex sets as Python sets
+and lists, graph routines take restrictions (``alive``, ``within``,
+``allowed``) as bool masks of length n, the numpy counts take packed sets
+(``packed_set``), and the exact searches, the flow kernel, the Hall counts
+and the grant waves take ints, bit v for vertex v (``row_bits``).  The
+packed rows are the one bitset input of every loop, and only this module
+reads a packed word: ``counts_in`` is the one row count, ``row_bits`` the
+one int-row reader (``_IntRows`` reads on demand, ``pack_ints`` packs ints
+back), and ``drop_vertex`` clears a vertex of a packed set.  ``adj``
+unpacks the bool matrix on each read for callers outside the library.  The
+crossing digraph of a split of all of T is T's packed rows masked by the
+packed opposite side, with no n x n bool temporary.
 
 The search layer at the end of this module has one routine per job.  One
 BFS body serves both path searches: ``bfs_shortest_path`` runs it with one
@@ -96,10 +99,10 @@ class Digraph:
         return bool(int(self.packed[u, v >> 6]) >> (v & 63) & 1)
 
     def out_degrees(self):
-        return np.bitwise_count(self.packed).sum(axis=1, dtype=np.intp)
+        return counts_in(self.packed)
 
     def in_degrees(self):
-        return np.bitwise_count(self.rpacked).sum(axis=1, dtype=np.intp)
+        return counts_in(self.rpacked)
 
     def reverse(self):
         """The graph with every arc flipped (an involution): the two packed
@@ -140,6 +143,7 @@ def _square_loopless(adj):
 
 
 _BIT = np.uint64(1) << np.arange(64, dtype=np.uint64)  # bit i of a packed word
+_CHUNK = 1 << 15  # words per gathered block of a count, the bound of a sweep's batch
 
 
 def _tournament_rows(adj):
@@ -204,10 +208,12 @@ def _arc_rows(G):
 
 
 def row_bits(m):
-    """Row u of the boolean matrix ``m``, or of the packed rows ``m`` that
-    ``pack_rows`` made, as the int whose bit v is ``m[u, v]``.  Rows of one
-    word (at most 64 columns) are that word's value; wider rows take one
-    ``int.from_bytes`` per packed row."""
+    """Row u of the boolean matrix ``m``, or of the packed rows ``m``, as the
+    int whose bit v is ``m[u, v]``; a single row, boolean or packed, as its
+    int.  A one-word row is that word's value; any other row takes one
+    ``int.from_bytes``."""
+    if m.ndim == 1:
+        return int.from_bytes((m if m.dtype == np.uint64 else packed_set(m)).tobytes(), "little")
     packed = m if m.dtype == np.uint64 else pack_rows(m)
     if packed.shape[1] == 1:
         return packed[:, 0].tolist()
@@ -218,24 +224,54 @@ def row_bits(m):
     return [int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width)]
 
 
+class _IntRows(dict):
+    """``row_bits`` on demand, each row read once: ``rows[k]`` is packed row
+    k of ``packed`` as an int, ANDed with the int ``mask``."""
+
+    def __init__(self, packed, mask):
+        self.packed, self.mask = packed, mask
+
+    def __missing__(self, k):
+        self[k] = row = row_bits(self.packed[k]) & self.mask
+        return row
+
+
+def pack_ints(values, n):
+    """The ints ``values`` as packed rows over n columns: the inverse of
+    ``row_bits`` for ints below 2^n."""
+    width = 8 * ((n + 63) // 64)
+    data = b"".join(v.to_bytes(width, "little") for v in values)
+    return np.frombuffer(data, "<u8").reshape(-1, width // 8)
+
+
 def packed_set(mask):
     """The boolean vertex mask ``mask`` as one packed row."""
     return pack_rows(mask[None])[0]
 
 
-def counts_in(rows, within):
-    """For each of the packed rows ``rows`` (or for the one packed row), how
-    many vertices of the packed set ``within`` it holds, as intp: a bare
-    popcount sum is unsigned, and ``k - counts`` would wrap."""
-    return np.bitwise_count(rows & within).sum(axis=-1, dtype=np.intp)
+def drop_vertex(row, v):
+    """Clear vertex v from the packed row ``row`` in place."""
+    row[v >> 6] &= ~_BIT[v & 63]
 
 
-def _popcounts(words):
-    """The number of set bits in each packed row of ``words`` (in the one
-    row), as int32: exact for rows of fewer than 2^31 bits and signed like
-    ``counts_in``, whose intp accumulator numpy fills about a third slower
-    over a short inner axis.  int16 would overflow at 2^15 bits."""
-    return np.bitwise_count(words).sum(axis=-1, dtype=np.int32)
+def counts_in(rows, within=None, ids=None):
+    """How many vertices of the packed set ``within`` (of all, when None)
+    each of the packed rows ``rows``, or the one packed row, holds: int32,
+    signed so ``k - counts`` cannot wrap.  With ``ids`` and a ``within`` it
+    counts ``rows[ids]``, gathered and ANDed in blocks of at most ``_CHUNK``
+    words.  ``einsum`` sums hundreds of rows up to 2x faster, but costs a
+    microsecond more a call below about 128 rows, and no workload gained."""
+    if ids is None:
+        words = rows if within is None else rows & within
+        return np.bitwise_count(words).sum(axis=-1, dtype=np.int32)
+    step = max(1, _CHUNK // rows.shape[1])
+    counts = np.empty(len(ids), dtype=np.int32)
+    for lo in range(0, len(ids), step):
+        block = rows[ids[lo:lo + step]]
+        block &= within
+        counts[lo:lo + step] = counts_in(block)
+        del block  # freed before the next gather, so one block is held at a time
+    return counts
 
 
 def _id_array(vertices):

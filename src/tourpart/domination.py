@@ -20,17 +20,17 @@ row over the host's vertices, as ``pack_rows`` lays it out, together with
 its ids: a step ANDs it with the packed row of the vertex it takes and
 unpacks the ids once (a waiting vertex loses its bit and its id), and they
 serve the next step's count and the exception set.  The degrees inside a
-pool, which every step ranks, are popcounts of the host's packed rows
-ANDed with it, gathered in blocks of at most ``_CHUNK`` words and summed
-into int32, exact for any n below 2^31.  The taken vertex's degree is the
-next pool's size, so no pool is counted twice and no step cuts a submatrix
-out of the host or builds a |pool| x W temporary.  A build packs its alive
+pool, which every step ranks, are ``core.counts_in`` over the pool's ids,
+which gathers the host's rows in blocks: no step cuts a submatrix out of
+the host or builds a |pool| x W temporary, and the taken vertex's degree is
+the next pool's size, so no pool is counted twice.  A build packs its alive
 set once and hands it to the structure audit, ``_check_structure``, which
-runs on Python-int bitsets: it recounts the anchor's degree from T, reads
-the chain's transitivity off the members' rows (at most c ``row_bits``
-ints), and requires the alive set, less the taken vertices and the OR of
-the cover's rows, to be empty.  An anchor of too low a degree raises
-``AnchorDegreeError``, which carries the degree.
+reads the alive set, the anchor's row and the members' rows (at most c) as
+ints in one ``row_bits`` call.  It recounts the anchor's degree from T,
+reads the chain's transitivity off the members' rows, and requires the
+alive set, less the taken vertices and the OR of the cover's rows, to be
+empty.  An anchor of too low a degree raises ``AnchorDegreeError``, which
+carries the degree.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import _check_ids, _popcounts, counts_in, packed_set, row_bits, unpack_rows, vertex_mask
+from .core import _check_ids, counts_in, drop_vertex, packed_set, row_bits, unpack_rows, vertex_mask
 
 
 class AnchorDegreeError(ValueError):
@@ -93,31 +93,9 @@ def greedy_out_dominating_set(T):
     return _greedy_dominating(T.rpacked, np.ones(T.n, dtype=bool))
 
 
-_CHUNK = 1 << 15  # words per block of a degree count, the bound of a sweep's batch
-
-
-def _drop(pool, x):
-    """Clear the bit of vertex x in the packed row ``pool``."""
-    pool[x >> 6] &= ~np.uint64(1 << (x & 63))
-
-
 def _pool_ids(pool, n):
     """The vertices of the packed row ``pool`` over 0..n-1, ascending."""
     return unpack_rows(pool, n).nonzero()[0]
-
-
-def _pool_degrees(packed, pool, ids):
-    """How many vertices of the packed row ``pool`` each vertex of ``ids``
-    (the pool's own) holds in its row of ``packed``, as int32.  The rows are
-    gathered, ANDed and popcounted in blocks of at most ``_CHUNK`` words."""
-    step = max(1, _CHUNK // packed.shape[1])
-    degrees = np.empty(len(ids), dtype=np.int32)
-    for lo in range(0, len(ids), step):
-        block = packed[ids[lo:lo + step]]
-        block &= pool
-        degrees[lo:lo + step] = _popcounts(block)
-        del block  # freed before the next gather, so one block is held at a time
-    return degrees
 
 
 def _greedy_dominating(packed, alive):
@@ -130,7 +108,7 @@ def _greedy_dominating(packed, alive):
     pool = packed_set(alive)
     chosen = []
     while len(ids):
-        x = int(ids[_pool_degrees(packed, pool, ids).argmin()])
+        x = int(ids[counts_in(packed, pool, ids).argmin()])
         chosen.append(x)
         pool &= packed[x]
         ids = _pool_ids(pool, alive.size)
@@ -191,13 +169,13 @@ def out_dominating_structure(T, v, c, alive=None):
             return struct
 
         assert size >= 2
-        indeg = _pool_degrees(rows, pool, ids)
+        indeg = counts_in(rows, pool, ids)
         j = int(indeg.argmin())
         if indeg[j] == 0 and waiting is None:
             waiting = int(ids[j])
-            _drop(pool, waiting)
+            drop_vertex(pool, waiting)
             ids = np.delete(ids, j)
-            indeg = _pool_degrees(rows, pool, ids)
+            indeg = counts_in(rows, pool, ids)
             j = int(indeg.argmin())
         nxt = int(ids[j])
         chain.append(nxt)
@@ -224,22 +202,21 @@ def _check_structure(T, s, live):
     in-structure is checked as the out-structure it mirrors, in
     ``T.reverse()``.  The audit counts the anchor's in-degree in T[alive]
     itself, from its row of T, so a miscount in the builder does not pass
-    it.  It runs on Python-int bitsets: the alive set, the anchor's row,
-    the taken vertices and the members' rows, at most c of them
-    (``row_bits``).  T[A] is transitive when its degrees are 0..|A|-1, and
-    they order it."""
+    it.  It runs on Python-int bitsets: the taken vertices, and the alive
+    set, the anchor's row and the members' rows (at most c) from one
+    ``row_bits`` call.  T[A] is transitive when its degrees are 0..|A|-1,
+    and they order it."""
     if s.mode == "in":
         T, s = T.reverse(), replace(s, mode="out", order=s.order[::-1])
-    alive = int.from_bytes(live.tobytes(), "little")
-    degree = (int.from_bytes(T.rpacked[s.anchor].tobytes(), "little") & alive).bit_count()
     A = s.members
+    ids = sorted(A)
+    alive, anchor, *bits = row_bits(np.vstack([live, T.rpacked[s.anchor], T.packed[ids]]))
+    degree = (anchor & alive).bit_count()
     assert 2 <= len(A) <= s.cap
     assert s.anchor in A and s.tip in A
     assert not A & s.exceptions
     taken = sum(1 << v for v in A | s.exceptions)  # disjoint, so the sum is the union
     assert not taken & ~alive, "structure uses a vertex outside T[alive]"
-    ids = sorted(A)
-    bits = row_bits(T.packed[ids])  # the members' out-rows
     inside = sum(1 << v for v in ids)
     degs = [(row & inside).bit_count() for row in bits]  # in T[A]
     assert sorted(degs) == list(range(len(ids))), "chain is not transitive"

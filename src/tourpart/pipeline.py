@@ -107,11 +107,8 @@ class PipelineParams:
         no a-priori guarantee; ``dataclasses.replace`` sets any field."""
         return replace(PipelineParams.guaranteed(k), bundle_size=8, budget=None, strict=False)
 
-    def as_dict(self):
-        return asdict(self)
-
     def fingerprint(self):
-        text = ";".join(f"{k}={v}" for k, v in sorted(self.as_dict().items()))
+        text = ";".join(f"{k}={v}" for k, v in sorted(asdict(self).items()))
         return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
@@ -394,7 +391,7 @@ class _GrantWave:
 
     def __init__(self, col, free, k):
         self.col, self.k = col, k
-        self.free = row_bits(free[None])[0]
+        self.free = row_bits(free)
         self.alpha, self.beta = [], []
 
     def __enter__(self):
@@ -915,7 +912,7 @@ def finalize_coloring(state):
     c4 = state.snapshots["connectors"]
     exc_out_mask = vertex_mask(T.n, state.exc_out)
     exc_mask = exc_out_mask | vertex_mask(T.n, state.exc_in)
-    bulk = row_bits(vertex_mask(T.n, state.bulk)[None])[0]
+    bulk = row_bits(vertex_mask(T.n, state.bulk))
 
     # out-exceptions grab in-neighbours, in-exceptions grab out-neighbours
     grabbed = {}
@@ -960,7 +957,8 @@ def pipeline_feasible(T, k, params):
     n = T.n
     if n < 12 * k:
         return False, f"need at least {12 * k} vertices, have {n}"
-    d0 = int(min(T.in_degrees().min(), T.out_degrees().min()))
+    din = T.in_degrees()
+    d0 = int(min(din.min(), n - 1 - din.max()))  # the least out-degree is n - 1 - the most in
     if params.strict:
         need = 2 * params.budget
         if d0 < need:

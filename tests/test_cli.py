@@ -241,6 +241,37 @@ def test_malformed_link_pairs_are_input_errors(tmp_path, capsys, pairs, reason):
     assert code == 3 and out == "" and capsys.readouterr().err == f"error: {reason}\n"
 
 
+# One malformed file per input error of the readers: the tournament reader
+# behind ``analyze``, and the digraph reader behind ``subdivide --pattern``.
+MALFORMED_FILES = [
+    ("tournament", "3 3\n0 1\n\n1 2\n", "header announced 3 edges, found 2"),  # blank skipped
+    ("tournament", "3 3\n0 1 2\n0 2\n1 2\n", "line 2: expected 'u v', got '0 1 2'"),
+    ("tournament", "3 3\n0 1\n0 5\n1 2\n", "line 3: vertex out of range in '0 5'"),
+    ("tournament", "x 3\n", "line 1: bad header 'x 3'"),
+    ("tournament", "\n  \n", "empty input"),
+    ("tournament", "\n3\n", "line 2: bad header '3'"),
+    ("tournament", "3 2 101\n", "line 1: header announced 2 bits, got 3"),
+    ("tournament", "3 3\n0 1\n1 0\n1 2\n",
+     "not a tournament: some pair is unoriented or doubly oriented"),
+    ("pattern", "3 3 1\n", "line 1: bad header '3 3 1'"),
+]
+
+
+@pytest.mark.parametrize("role, text, reason", MALFORMED_FILES)
+def test_malformed_files_exit_3_with_their_reason(tmp_path, capsys, role, text, reason):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    if role == "tournament":
+        argv = ("analyze", str(bad))
+    else:
+        t = tmp_path / "c3.txt"
+        t.write_text("3 3\n0 1\n1 2\n2 0\n")
+        argv = ("subdivide", str(t), "--pattern", str(bad), "--map", "0:0")
+    code, out = run_cli(*argv)
+    assert code == 3 and out == ""
+    assert capsys.readouterr().err == f"error: {bad}: {reason}\n"
+
+
 @pytest.mark.parametrize("argv, reason", [
     (("carve",), "the following arguments are required: x, y"),
     (("carve", "0", "3", "--avoid", "1;2"), "bad id list '1;2'"),

@@ -12,18 +12,21 @@ from oracles import (
     reach_by_hand,
     transitive_order,
 )
-from tourpart import hamilton
+from tourpart import core, hamilton
 from tourpart.connectivity import certify
 from tourpart.core import (
     Digraph,
     Tournament,
+    _IntRows,
     _crossing_graph,
     bfs_parity_path,
     bfs_shortest_path,
     counts_in,
     digraph_from_edges,
+    drop_vertex,
     is_backwards_transitive,
     is_path,
+    pack_ints,
     pack_rows,
     packed_set,
     path_family_fault,
@@ -201,7 +204,7 @@ def test_degrees_are_the_row_sums(n):
     packed_only = Digraph._derived(pack_rows(adj), pack_rows(adj.T))
     for G, m in ((T, T.adj), (T.reverse(), T.adj.T), (D, adj), (packed_only, adj)):
         for got, want in ((G.out_degrees(), m.sum(axis=1)), (G.in_degrees(), m.sum(axis=0))):
-            assert got.dtype == np.intp and (got == want).all()
+            assert got.dtype == np.int32 and (got == want).all()
 
 
 @pytest.mark.parametrize("shape", [(0, 0), (1, 1), (40, 40), (2, 70_000)])
@@ -210,7 +213,7 @@ def test_counts_in_match_a_plain_sum(shape):
     m = rng.random(shape) < 0.5
     within = rng.random(shape[1]) < 0.5
     got = counts_in(pack_rows(m), packed_set(within))
-    assert got.dtype == np.intp and (got == (m & within).sum(axis=1)).all()
+    assert got.dtype == np.int32 and (got == (m & within).sum(axis=1)).all()
     # signed: a deficit k - count goes negative instead of wrapping
     assert ((1 - got) == 1 - (m & within).sum(axis=1)).all()
     full = counts_in(pack_rows(m.T), packed_set(np.ones(shape[0], dtype=bool)))
@@ -251,6 +254,47 @@ def test_row_bits_match_the_matrix(shape):
     # one-word rows are read as words, wider ones by bytes: both are ints
     assert rows == [int.from_bytes(row.tobytes(), "little") for row in packed]
     assert all(type(row) is int for row in rows)
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+def test_single_rows_and_gathered_counts_match_the_bool_matrix(monkeypatch, n):
+    # a single row, bool or packed, reads as its matrix row's int; ints pack
+    # back to the rows; a count over ids, in any blocks, is a bool-matrix sum
+    rng = np.random.default_rng(n)
+    m = rng.random((n, n)) < 0.5
+    within = rng.random(n) < 0.5
+    packed, ints = pack_rows(m), row_bits(m)
+    assert [row_bits(row) for row in packed] == [row_bits(row) for row in m] == ints
+    mask = sum(1 << v for v in np.flatnonzero(within).tolist())
+    assert row_bits(within) == row_bits(packed_set(within)) == mask
+    assert np.array_equal(pack_ints(ints, n), packed)
+    lazy = _IntRows(packed, mask)
+    assert [lazy[u] for u in reversed(range(n))] == [row & mask for row in reversed(ints)]
+    ids = rng.permutation(n)[:max(1, n // 2)]
+    for chunk in (1, 3, 1 << 15):
+        monkeypatch.setattr(core, "_CHUNK", chunk)
+        got = counts_in(packed, packed_set(within), ids)
+        assert got.dtype == np.int32 and got.tolist() == (m & within)[ids].sum(axis=1).tolist()
+    assert counts_in(packed).tolist() == m.sum(axis=1).tolist()
+    assert counts_in(packed[0], packed_set(within)) == (m[0] & within).sum()
+    row = packed_set(within)
+    for v in np.flatnonzero(within).tolist():
+        drop_vertex(row, v)
+        mask ^= 1 << v
+        assert row_bits(row) == mask
+    assert not row.any()
+
+
+@pytest.mark.parametrize("call, reason", [
+    (lambda: random_tournament(5, 0).subtournament([0, 5]), "vertex id out of range"),
+    (lambda: Digraph(np.zeros((2, 3), dtype=bool)), "adjacency matrix must be square"),
+    (lambda: Digraph(np.eye(3, dtype=bool)), "self-loops are not allowed"),
+    (lambda: digraph_from_edges(3, [(0, 1), (1, 1)]), "self-loop 1->1"),
+    (lambda: bfs_shortest_path(random_tournament(5, 0), 2, 2), "endpoints must differ"),
+])
+def test_core_input_checks_reject_through_their_public_callers(call, reason):
+    with pytest.raises(ValueError, match=f"^{reason}$"):
+        call()
 
 
 def test_backwards_transitive(c3):

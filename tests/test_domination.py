@@ -13,7 +13,7 @@ from tourpart import (
     out_dominating_structure,
 )
 from oracles import check_structure, pool_degrees_by_hand, transitive_order
-from tourpart import domination
+from tourpart import core, domination
 from tourpart.core import Tournament, counts_in, digraph_from_edges, pack_rows, packed_set
 from tourpart.domination import AnchorDegreeError
 from tourpart.generators import random_tournament, transitive_tournament
@@ -161,8 +161,8 @@ def test_check_structure_misses_no_undominated_vertex(mode):
 
 @pytest.mark.parametrize("width", [1, 2, 24, 70])
 def test_pool_degrees_match_a_plain_count(monkeypatch, width):
-    # blocks of one row, of three rows and of the whole pool: a step's rows
-    # split across blocks count as they do in one
+    # a step's pool degrees are core's row count over the pool's own ids:
+    # blocks of one row, of three rows and of the whole pool count as one
     rng = np.random.default_rng(width)
     n = 64 * width - int(rng.integers(0, min(40, 64 * width - 2)))
     adj = rng.random((n, n)) < 0.5
@@ -173,8 +173,8 @@ def test_pool_degrees_match_a_plain_count(monkeypatch, width):
     want = pool_degrees_by_hand(adj, pool)
     assert want[0] == len(ids) and want[-1] == 0
     for chunk in (1, width, 3 * width + 1, 1 << 15):
-        monkeypatch.setattr(domination, "_CHUNK", chunk)
-        got = domination._pool_degrees(pack_rows(adj), packed_set(pool), ids)
+        monkeypatch.setattr(core, "_CHUNK", chunk)
+        got = counts_in(pack_rows(adj), packed_set(pool), ids)
         assert got.dtype == np.int32 and got.tolist() == want
 
 
@@ -182,7 +182,7 @@ def test_pool_degrees_are_exact_past_two_bytes():
     # the widest row the pipeline gate admits at k = 3 (n = 70,920) holds more
     # bits than an int16 or a uint16 counts
     full = np.full((1, 1109), ~np.uint64(0))
-    assert domination._pool_degrees(full, full[0], np.zeros(1, dtype=np.intp)).tolist() == [70_976]
+    assert counts_in(full, full[0], np.zeros(1, dtype=np.intp)).tolist() == [70_976]
 
 
 def _family(n, seed):
@@ -195,9 +195,8 @@ def _family(n, seed):
 def test_a_multi_chunk_family_matches_the_plain_kernel(monkeypatch):
     # at n = 3000 (47 words a row) each first step counts in two or three blocks
     family = _family(3000, 5001)
-    assert all(trace[0] * 47 > domination._CHUNK for *_, trace in family)
-    monkeypatch.setattr(domination, "_pool_degrees",
-                        lambda packed, pool, ids: counts_in(packed[ids], pool))
+    assert all(trace[0] * 47 > core._CHUNK for *_, trace in family)
+    monkeypatch.setattr(core, "_CHUNK", 1 << 62)  # every count in one block
     assert _family(3000, 5001) == family
 
 
@@ -209,15 +208,15 @@ def test_a_first_step_adds_at_most_one_block_to_the_peak():
     T = random_tournament(4000, 3)
     pool = T.rpacked[0].copy()
     ids = domination._pool_ids(pool, T.n)
-    domination._pool_degrees(T.rpacked, pool, ids)
+    counts_in(T.rpacked, pool, ids)
     tracemalloc.start()
     try:
-        degrees = domination._pool_degrees(T.rpacked, pool, ids)
+        degrees = counts_in(T.rpacked, pool, ids)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(ids) * T.rpacked.shape[1] > 3 * domination._CHUNK
-    assert peak <= 9 * domination._CHUNK + 4 * np.getbufsize() + ids.nbytes
+    assert len(ids) * T.rpacked.shape[1] > 3 * core._CHUNK
+    assert peak <= 9 * core._CHUNK + 4 * np.getbufsize() + ids.nbytes
     assert degrees.tolist() == counts_in(T.rpacked[ids], pool).tolist()
 
 

@@ -1,12 +1,12 @@
 """Static checks on the source tree: no module imports a name it never uses,
-no function imports inside its body, only ``core`` copies subgraphs and
-calls ``is_path``, no module scatters through ``triu_indices``, no module
-reads a graph as a bool matrix, every pipeline parameter is read, the CLI
-certifies nothing itself, the pipeline audits safety only incrementally,
-the package exports only what its users use, with no public method that
-only tests call, no function assigns a local it never reads, and every
-default of the public surface is overridden by some caller outside the
-tests or has its reason on record."""
+no function imports inside its body, only ``core`` copies subgraphs, calls
+``is_path`` and reads a packed word, no module scatters through
+``triu_indices``, no module reads a graph as a bool matrix, every pipeline
+parameter is read, the CLI certifies nothing itself, the pipeline audits
+safety only incrementally, the package exports only what its users use,
+with no public method that only tests call, no function assigns a local it
+never reads, and every default of the public surface is overridden by some
+caller outside the tests or has its reason on record."""
 
 import ast
 import re
@@ -78,6 +78,39 @@ def test_only_connectivity_names_the_flow_and_the_short_path_count():
                  for node in ast.walk(ast.parse(path.read_text(), str(path)))
                  if {getattr(node, "id", None), getattr(node, "attr", None),
                      getattr(node, "name", None)} & kernel]
+    assert offenders == []
+
+
+# The names that read a packed word's bytes or bits.  ``formats`` turns the
+# compact format's ASCII digits, one uint8 per pair bit, into text and back
+# with ``tobytes`` and ``frombuffer``; those bytes are no packed word.
+WORD_READERS = {"bitwise_count", "from_bytes", "to_bytes", "tobytes", "frombuffer", "memoryview"}
+ASCII_DIGITS = {("formats.py", "tobytes"), ("formats.py", "frombuffer")}
+
+
+def _indexes_a_word(node):
+    """Whether ``node`` is ``v >> 6``, or ``v & 63`` either way round."""
+    if not isinstance(node, ast.BinOp):
+        return False
+    ends = {side.value for side in (node.left, node.right) if isinstance(side, ast.Constant)}
+    return (isinstance(node.op, ast.RShift) and isinstance(node.right, ast.Constant)
+            and node.right.value == 6) or (isinstance(node.op, ast.BitAnd) and 63 in ends)
+
+
+def test_only_core_reads_a_packed_word():
+    # the word layout (popcounts, byte order, bit positions) is core's: a
+    # module that names a byte or bit reader, or indexes a word by ``>> 6``
+    # and ``& 63``, is writing core's row count or int-row reader again
+    offenders = []
+    for path in _source_modules():
+        if path.name == "core.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = {getattr(node, "id", None), getattr(node, "attr", None),
+                     node.name if isinstance(node, ast.alias) else None}
+            named = {(path.name, name) for name in names & WORD_READERS} - ASCII_DIGITS
+            if named or _indexes_a_word(node):
+                offenders.append((path.name, node.lineno))
     assert offenders == []
 
 

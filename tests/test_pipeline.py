@@ -2,7 +2,7 @@ import hashlib
 import json
 import sys
 import tracemalloc
-from dataclasses import replace
+from dataclasses import asdict, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -305,7 +305,7 @@ def test_the_strict_connectors_cap_the_coloring_outside_the_bulk(monkeypatch):
 def test_guaranteed_params_arithmetic():
     # 10k+10 and 9k^2 follow from the run's k and are not params
     p = PipelineParams.guaranteed(1)
-    assert list(p.as_dict()) == ["chain_cap", "bundle_size", "budget", "strict"]
+    assert list(asdict(p)) == ["chain_cap", "bundle_size", "budget", "strict"]
     assert p.chain_cap == 9  # ceil(log2(120)) + 2
     assert short_cap(1) == 20
     assert growth(1) == 9
