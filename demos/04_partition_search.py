@@ -18,7 +18,7 @@ T = random_tournament(40, seed=3)
 t0 = time.perf_counter()
 res = search_partition(T, k=2, seed=0)
 dt = time.perf_counter() - t0
-print(f"n=40, k=2: {res.verdict} in {dt:.2f}s")
+print(f"n=40, k=2: {res.status} in {dt:.2f}s")
 print("per-graph connectivity (V1, V2, cross):", res.connectivity)
 print()
 print(format_partition(res))
@@ -27,11 +27,11 @@ print(format_partition(res))
 hits = 0
 for seed in range(10):
     r = search_partition(random_tournament(40, 100 + seed), 2, seed=seed)
-    hits += r.verdict == Verdict.FOUND
+    hits += r.status == Verdict.FOUND
 print(f"10 fresh instances at k=2: {hits}/10 partitioned")
 
 # Negative control: a transitive tournament is not strongly connected, so
 # the search must prove that no split exists rather than certify nonsense.
 r = search_partition(transitive_tournament(40), 1, seed=0, budget=150)
-assert r.verdict == Verdict.INFEASIBLE and not r.v1, r
-print(f"transitive n=40: {r.verdict}: {r.reason}")
+assert r.status == Verdict.INFEASIBLE and not r.v1, r
+print(f"transitive n=40: {r.status}: {r.reason}")

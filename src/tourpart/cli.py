@@ -11,11 +11,14 @@ Exit codes are a scripting contract:
      (``internal error: <Type>: <message>``) with no traceback
   141  standard output closed by its reader (128 + SIGPIPE, no message)
 
-``carve`` and ``subdivide`` report their remainder as a bool, "remainder
-strongly k-connected: true/false", and exit 1 exactly when it is false,
-with no verdict.  The remainder is certified by one exact sweep with no
-budget, so the check has no "unknown": a false one is a proof.  The bench's
-``Cli._check_carve`` pins this mapping.
+A library answer's ``status`` picks the exit code through ``EXIT_CODE``.
+A ``partition`` or ``link`` answer other than found names its status and
+``reason`` on one stderr line.  ``carve`` and ``subdivide`` print their
+remainder's status as "remainder strongly k-connected: true/false" and exit
+0 or 1 by it.  The remainder is certified by one exact sweep with no budget,
+so its status is never unknown: a false one is a proof.  The bench's
+``Cli._check_carve`` pins this mapping.  A carve or subdivision with no
+path raises ``NoPath``, which exits 1 with its message.
 
 Every randomized command takes an explicit --seed; there is no ambient
 entropy anywhere, so runs and experiment tables reproduce exactly.
@@ -70,10 +73,12 @@ def _load(path, read):
         raise InputError(f"{path}: {exc}") from None
 
 
-def _unresolved(verdict, reason):
-    """Name a verdict other than found and its reason on stderr; its exit code."""
-    print(f"{verdict}: {reason}", file=sys.stderr)
-    return EXIT_CODE[verdict]
+def _finish(res):
+    """The exit code of the answer ``res``; a status other than found is
+    named with its reason on stderr."""
+    if res.status != Verdict.FOUND:
+        print(f"{res.status}: {res.reason}", file=sys.stderr)
+    return EXIT_CODE[res.status]
 
 
 def _write_text(path, text):
@@ -160,7 +165,7 @@ def _report_remainder(res, k):
     print(f"status: {'theorem-backed' if res.theorem_backed else 'best-effort'} "
           f"(hypothesis: strongly {res.level}-connected)")
     print(f"remainder strongly {k}-connected: {str(res.remainder_ok).lower()}")
-    return EXIT_OK if res.remainder_ok else EXIT_INFEASIBLE
+    return EXIT_CODE[res.status]
 
 
 def cmd_link(args):
@@ -170,19 +175,15 @@ def cmd_link(args):
         if args.seed is None:
             raise InputError("--spanning uses randomized search and needs --seed")
         res = spanning_linkage(T, pairs, seed=args.seed)
-        reason = res.detail
     else:
         res = find_disjoint_paths(T, pairs)
-        reason = ("search budget exhausted" if res.status == Verdict.UNKNOWN
-                  else "no internally disjoint paths for these pairs")
-    if res.status != Verdict.FOUND:
-        return _unresolved(res.status, reason)
-    for (x, y), p in zip(pairs, res.paths):
-        print(f"{x}->{y}: " + " ".join(map(str, p)))
-    if args.spanning:
-        print(f"coverage: {len({v for p in res.paths for v in p})}/{T.n} vertices")
-        print(f"status: {'theorem-backed' if res.theorem_backed else 'best-effort'}")
-    return EXIT_OK
+    if res.status == Verdict.FOUND:
+        for (x, y), p in zip(pairs, res.paths):
+            print(f"{x}->{y}: " + " ".join(map(str, p)))
+        if args.spanning:
+            print(f"coverage: {len({v for p in res.paths for v in p})}/{T.n} vertices")
+            print(f"status: {'theorem-backed' if res.theorem_backed else 'best-effort'}")
+    return _finish(res)
 
 
 def cmd_subdivide(args):
@@ -229,9 +230,7 @@ def cmd_partition(args):
         _write_text(args.out, text)
         if args.out != "-":
             sys.stdout.write(text)
-    if not res.verified:
-        return _unresolved(res.verdict, res.reason)
-    return EXIT_OK
+    return _finish(res)
 
 
 # ---------------------------------------------------------------------------

@@ -413,17 +413,18 @@ class VertexFlow:
 
 @dataclass(frozen=True)
 class Certificate:
-    """The answer of ``sweep``: ``ok`` says whether G is strongly
-    ``stop``-connected and ``level`` is min(kappa(G), ceiling), or an upper
-    bound on it when the sweep stopped early.  When a swept pair fails,
-    ``pair`` is that pair, ``level`` its flow value (below ``stop``) and
-    ``cut`` the residual cut of ``level`` vertices separating it.  A graph
-    failing the size or degree screen carries no pair, nor does one whose
-    degree screen gives 1 and that fails the strong-connectivity check; a
-    graph that is not strong past a degree screen of 2 fails at a swept
-    pair with no path, or at an earlier one below ``stop``."""
+    """The answer of ``sweep``: ``status`` is found when G is strongly
+    ``stop``-connected and infeasible when it is not, and ``level`` is
+    min(kappa(G), ceiling), or an upper bound on it when the sweep stopped
+    early.  When a swept pair fails, ``pair`` is that pair, ``level`` its
+    flow value (below ``stop``) and ``cut`` the residual cut of ``level``
+    vertices separating it.  A graph failing the size or degree screen
+    carries no pair, nor does one whose degree screen gives 1 and that
+    fails the strong-connectivity check; a graph that is not strong past a
+    degree screen of 2 fails at a swept pair with no path, or at an earlier
+    one below ``stop``."""
 
-    ok: bool
+    status: Verdict
     pair: tuple | None = None
     cut: frozenset | None = None
     level: int = 0
@@ -478,9 +479,9 @@ def sweep(G, ceiling=None, stop=0, within=None):
             for H in (G, G.reverse())):
         best = 0
     if best < stop:
-        return Certificate(False, level=best)
+        return Certificate(Verdict.INFEASIBLE, level=best)
     if best < 2:  # the screens above decide a best of 0 or 1
-        return Certificate(n > stop, level=best)
+        return Certificate(Verdict.FOUND if n > stop else Verdict.INFEASIBLE, level=best)
     # the rows a Hall count reads: the handle's, or G's read on demand
     ends = (net.inn, net.out) if net is not None else (_IntRows(G.rpacked, full),
                                                        _IntRows(G.packed, full))
@@ -567,8 +568,8 @@ def sweep(G, ceiling=None, stop=0, within=None):
             # capped at best, the pair's value is the new best
             best, cut = _pair_value(net, x, y, best, spare)
             if best < stop:
-                return Certificate(False, (x, y), cut, best)
-    return Certificate(n > stop, level=best)
+                return Certificate(Verdict.INFEASIBLE, (x, y), cut, best)
+    return Certificate(Verdict.FOUND if n > stop else Verdict.INFEASIBLE, level=best)
 
 
 def _sweep_rows(G, ids, mask):
@@ -583,7 +584,7 @@ def certify(G, k):
 
 def is_strongly_k_connected(G, k):
     """Exact strong k-connectivity test per the |G| > k definition."""
-    return certify(G, k).ok
+    return certify(G, k).status == Verdict.FOUND
 
 
 def vertex_connectivity(G):
@@ -667,6 +668,10 @@ class TargetFlow:
 class LinkageResult:
     status: Verdict
     paths: list | None = None
+    reason: str = ""            # the cause when there are no paths
+
+
+_NO_LINKAGE = "no internally disjoint paths for these pairs"
 
 
 def disjoint_routes(T, x, y, allowed):
@@ -703,7 +708,7 @@ def find_disjoint_paths(T, pairs, budget=500_000):
         # the direct edge is one more internally disjoint path, taken once
         chosen = ([[x, y]] if T.has_edge(x, y) else []) + sorted(routes, key=len)
         if len(chosen) < len(pairs):
-            return LinkageResult(Verdict.INFEASIBLE)
+            return LinkageResult(Verdict.INFEASIBLE, reason=_NO_LINKAGE)
         chosen = chosen[:len(pairs)]
         _check_linkage(T, pairs, chosen)
         return LinkageResult(Verdict.FOUND, chosen)
@@ -751,15 +756,13 @@ def find_disjoint_paths(T, pairs, budget=500_000):
         return extend(x, 1 << x, [x])
 
     try:
-        if not feasible_rest(0, 0):
-            return LinkageResult(Verdict.INFEASIBLE)
-        if dfs_pair(0, 0):
-            result = [list(p) for p in paths]
-            _check_linkage(T, pairs, result)
-            return LinkageResult(Verdict.FOUND, result)
-        return LinkageResult(Verdict.INFEASIBLE)
+        if not (feasible_rest(0, 0) and dfs_pair(0, 0)):
+            return LinkageResult(Verdict.INFEASIBLE, reason=_NO_LINKAGE)
     except BudgetExceeded:
-        return LinkageResult(Verdict.UNKNOWN)
+        return LinkageResult(Verdict.UNKNOWN, reason="search budget exhausted")
+    result = [list(p) for p in paths]
+    _check_linkage(T, pairs, result)
+    return LinkageResult(Verdict.FOUND, result)
 
 
 def _check_linkage(T, pairs, paths):

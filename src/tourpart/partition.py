@@ -10,10 +10,11 @@ for a partition by seeded random splits and repair moves, and returns only
 splits that the same three sweeps certified.  ``partition`` wires the
 constructive pipeline and the search together behind one entry point.
 
-Each returns a ``PartitionResult`` with a verdict: found (a verified
-split), infeasible (``reason`` names the proof) or unknown.  Two proofs
-rule out every split: delta0(T) < 2k, and T not strongly k-connected, as
-T[V1, V2] spans T.  A split that fails verification proves nothing.
+Each returns a ``PartitionResult`` whose ``status`` is found (a verified
+split), infeasible (``reason`` names the proof) or unknown (``reason``
+names the cause).  Two proofs rule out every split: delta0(T) < 2k, and T
+not strongly k-connected, as T[V1, V2] spans T.  A split that fails
+verification proves nothing.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ class PartitionResult:
     v1: list
     v2: list
     k: int
-    verdict: Verdict
+    status: Verdict
     connectivity: tuple         # (T[V1], T[V2], T[V1,V2])
     connectivity_exact: bool    # exact kappa values vs verified floor only
     mode: str = "given"
@@ -43,7 +44,7 @@ class PartitionResult:
 
     @property
     def verified(self):
-        return self.verdict == Verdict.FOUND
+        return self.status == Verdict.FOUND
 
 
 EXACT_THRESHOLD = 150
@@ -66,7 +67,7 @@ def _sweep_split(T, in_v1, k, stop):
         G = T if which < 2 else _crossing_graph(T, in_v1)
         exact = (T.n if within is None else int(within.sum())) <= EXACT_THRESHOLD
         cert = sweep(G, None if exact else k, stop, within)
-        if not cert.ok:
+        if cert.status != Verdict.FOUND:
             return None, None if cert.pair is None else (which, cert.pair, cert.level, cert.cut)
         levels.append((cert.level, exact))
     found = all(level >= k for level, _ in levels)
@@ -107,7 +108,7 @@ def _degree_proof(T, k):
 
 def _certify_proof(T, k):
     """Why T itself rules out every split, or "" when it does not."""
-    return "" if certify(T, k).ok else (
+    return "" if certify(T, k).status == Verdict.FOUND else (
         f"T is not strongly {k}-connected, so neither is T[V1, V2], which spans T")
 
 
@@ -163,7 +164,7 @@ def search_partition(T, k, seed, budget=SEARCH_BUDGET):
     A fresh split is certified first.  Once the sweeps reject it, moves are
     scored by degree/reachability screens while those fail, then by the
     minimum-cut slack of the failing witness pair.  Dead ends trigger a
-    restart.  The verdict is found with a certified split or, with empty
+    restart.  The status is found with a certified split or, with empty
     sides, infeasible when T is not strongly k-connected (certified once,
     at the first rejection or, at budget 0, at the end), else unknown.
     """
@@ -257,7 +258,7 @@ def partition(T, k, mode="auto", params=None, seed=0, search_budget=SEARCH_BUDGE
     if mode == "pipeline":
         res = run_pipe()
         if not res.verified and (proof := _degree_proof(T, k) or _certify_proof(T, k)):
-            res.verdict, res.reason = Verdict.INFEASIBLE, proof
+            res.status, res.reason = Verdict.INFEASIBLE, proof
         return res
     if mode == "auto":
         try:  # an infeasible instance raises PipelineError("feasibility", ...)

@@ -26,31 +26,22 @@ class NoPath(Exception):
     """No directed path exists under the requested avoidance constraints."""
 
 
-def shortest_path_avoiding(T, x, y, forbidden=()):
-    """BFS-shortest x->y path in T minus ``forbidden``, or None.
+class _Remainder:
+    """An answer whose ``status`` is its remainder's: found when the
+    remainder is strongly k-connected, infeasible when it is not."""
 
-    Deterministic lowest-id tie-breaks; any returned path is checked to be
-    backwards-transitive.
-    """
-    if x == y:
-        raise ValueError("endpoints must differ")
-    blocked = {int(u) for u in forbidden}
-    _check_ids(T, [x, y, *sorted(blocked)])
-    if x in blocked or y in blocked:
-        raise ValueError("endpoints may not be forbidden")
-    path = bfs_shortest_path(T, x, y, ~vertex_mask(T.n, blocked))
-    if path is not None:
-        assert is_backwards_transitive(T, path), "shortest path has a forward chord"
-    return path
+    @property
+    def remainder_ok(self):
+        return self.status == Verdict.FOUND
 
 
 @dataclass
-class CarveResult:
+class CarveResult(_Remainder):
     path: list
     remainder: object  # Tournament
     index_map: list
     theorem_backed: bool
-    remainder_ok: bool
+    status: Verdict
     level: int
 
 
@@ -68,24 +59,29 @@ def remove_nonseparating_path(T, x, y, avoid=(), k=1, keep=()):
         raise ValueError("keep must be a subset of the endpoints")
     if x in avoid or y in avoid:
         raise ValueError("endpoints may not be avoided")
-    path = shortest_path_avoiding(T, x, y, avoid)
+    _check_ids(T, [x, y, *avoid])
+    # lowest-id tie-breaks; bfs_shortest_path raises for x == y
+    path = bfs_shortest_path(T, x, y, ~vertex_mask(T.n, avoid))
     if path is None:
         raise NoPath(f"no {x}->{y} path avoiding {avoid}")
+    assert is_backwards_transitive(T, path), "shortest path has a forward chord"
     level = k + len(avoid) + 4
     backed = is_strongly_k_connected(T, level)
     removed = set(path) - keep
-    remainder, index_map, ok = _remainder(T, [v for v in range(T.n) if v not in removed], k, backed)
-    return CarveResult(path, remainder, index_map, backed, ok, level)
+    remainder, index_map, status = _remainder(T, [v for v in range(T.n) if v not in removed], k, backed)
+    return CarveResult(path, remainder, index_map, backed, status, level)
 
 
 def _remainder(T, survivors, k, backed):
-    """T[survivors], its map of new ids to T's, and whether it is strongly
-    k-connected, which is asserted when the hypothesis held (``backed``)."""
+    """T[survivors], its map of new ids to T's, and its status: found when
+    it is strongly k-connected, which is asserted when the hypothesis held
+    (``backed``), else infeasible, which the exact sweep proves."""
     remainder, index_map = T.subtournament(survivors)
-    ok = is_strongly_k_connected(remainder, k)
+    # through is_strongly_k_connected, the call the bench traces as a certificate
+    status = Verdict.FOUND if is_strongly_k_connected(remainder, k) else Verdict.INFEASIBLE
     if backed:
-        assert ok, "guaranteed remainder failed its connectivity check"
-    return remainder, index_map, ok
+        assert status == Verdict.FOUND, "guaranteed remainder failed its connectivity check"
+    return remainder, index_map, status
 
 
 @dataclass
@@ -107,13 +103,13 @@ class SubdivisionSpec:
 
 
 @dataclass
-class Subdivision:
+class Subdivision(_Remainder):
     branches: list
     edge_paths: dict
     remainder: object
     index_map: list
     theorem_backed: bool
-    remainder_ok: bool
+    status: Verdict
     level: int
 
 
@@ -143,8 +139,8 @@ def nonseparating_subdivision(T, spec, k):
         for v in path[1:-1]:
             alive[v] = False
     survivors = [v for v in range(T.n) if alive[v] and v not in branch_set]
-    remainder, index_map, ok = _remainder(T, survivors, k, backed)
-    sub = Subdivision(list(spec.branches), edge_paths, remainder, index_map, backed, ok, level)
+    remainder, index_map, status = _remainder(T, survivors, k, backed)
+    sub = Subdivision(list(spec.branches), edge_paths, remainder, index_map, backed, status, level)
     check_subdivision(T, spec, sub)
     return sub
 
@@ -167,7 +163,7 @@ class SpanningLinkage:
     status: Verdict
     paths: list | None
     theorem_backed: bool
-    detail: str = ""
+    reason: str = ""            # the proof when infeasible, the cause when unknown
 
 
 def spanning_linkage(T, pairs, seed=0):

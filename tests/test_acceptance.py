@@ -216,14 +216,14 @@ def test_criterion_9_search_partition():
         t0 = time.perf_counter()
         res = search_partition(T, 2, seed=seed)
         times.append(time.perf_counter() - t0)
-        if res.verdict == Verdict.FOUND:
+        if res.status == Verdict.FOUND:
             assert res.verified  # certified by the full verifier
             successes += 1
     median = sorted(times)[25]
     negatives_ok = 0
     T = transitive_tournament(40)
     for seed in range(20):
-        if search_partition(T, 1, seed=seed, budget=120).verdict == Verdict.INFEASIBLE:
+        if search_partition(T, 1, seed=seed, budget=120).status == Verdict.INFEASIBLE:
             negatives_ok += 1
     _report("criterion 9: end-to-end search partitions",
             successes >= 45 and median < 10 and negatives_ok == 20,

@@ -15,10 +15,11 @@ from tourpart import cli
 from tourpart.cli import main
 from tourpart.core import Verdict
 from tourpart.formats import read_tournament, write_edge_list
-from tourpart.generators import random_tournament
+from tourpart.generators import random_tournament, transitive_tournament
 from tourpart.partition import partition, verify_partition
 from tourpart.pipeline import PipelineParams
 from test_golden import _count_sweeps, _planted
+from test_surgery import _transitive_with_flips
 
 # A subprocess imports the tourpart this suite imported, however the suite
 # was started: PYTHONPATH names that package's source directory.
@@ -186,6 +187,24 @@ def test_link_spanning_and_infeasible(tmp_path):
     assert code == 0 and "coverage: 4/4 vertices" in out
     code, _ = run_cli("link", str(t), "--pairs", "3:0")
     assert code == 1
+
+
+@pytest.mark.parametrize("build, argv, code, err", [
+    (lambda: transitive_tournament(4), ("--pairs", "3:0"), 1,
+     "infeasible: no internally disjoint paths for these pairs\n"),
+    (lambda: transitive_tournament(4), ("--pairs", "3:0", "--spanning", "--seed", "0"), 1,
+     "infeasible: pair 0: no spanning path exists\n"),
+    # the instance of test_spanning_carve_dead_end_is_unknown
+    (lambda: _transitive_with_flips(7, [(3, 5), (2, 3), (3, 4), (4, 6)]),
+     ("--pairs", "0:1,5:2,4:6", "--spanning", "--seed", "0"), 2,
+     "unknown: pair 1: carve order dead-ended\n"),
+])
+def test_link_without_paths_names_its_verdict_and_cause(tmp_path, capsys, build, argv, code, err):
+    t = tmp_path / "t.txt"
+    with t.open("w") as fh:
+        write_edge_list(build(), fh)
+    assert run_cli("link", str(t), *argv) == (code, "")
+    assert capsys.readouterr().err == err
 
 
 def test_link_rejected_pair_is_an_input_error(tmp_path, capsys):
@@ -573,6 +592,38 @@ def test_experiment_bad_value_names_its_line(tmp_path, capsys):
     assert f"{cfg}:2: bad value 'abc' for budget" in capsys.readouterr().err
 
 
+CSV_HEADER = ("instance,n,k,mode,success,kappa_v1,kappa_v2,kappa_cross,wall_time_s,seed,"
+              "params_fingerprint\r\n")
+
+
+@pytest.mark.parametrize("command, text, code, out, err", [
+    # lo:hi seeds, the transitive and Paley kinds and a search budget
+    ("experiment", "kind=transitive,paley\nn=7\nk=1\nseeds=2:4\nbudget=5\n", 0,
+     CSV_HEADER + "transitive-n7-s2,7,1,search,0,,,,<s>,2,search-5\r\n"
+     "transitive-n7-s3,7,1,search,0,,,,<s>,3,search-5\r\n"
+     "paley-n7-s2,7,1,search,0,,,,<s>,2,search-5\r\n"
+     "paley-n7-s3,7,1,search,0,,,,<s>,3,search-5\r\n"
+     "success rate: 0/4 (0.0%)\n", ""),
+    # the guaranteed params stop the pipeline at its gate: a failed trial
+    ("experiment", "n=30\nk=1\nmode=pipeline\nseeds=1\n", 0,
+     CSV_HEADER + "random-n30-s0,30,1,pipeline,0,,,,<s>,0,-\r\nsuccess rate: 0/1 (0.0%)\n", ""),
+    ("experiment", "n=30\nseeds\n", 3, "", "error: <cfg>:2: expected key=value\n"),
+    ("partition", "# relaxed\nbundle_size\n", 3, "", "error: <cfg>:2: expected key=value\n"),
+])
+def test_experiment_configs_and_params_files(tmp_path, command, text, code, out, err):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    if command == "experiment":
+        argv = ("experiment", str(cfg))
+    else:
+        r = tmp_path / "r12.txt"
+        run_cli("gen", "--kind", "random", "--n", "12", "--seed", "1", "--out", str(r))
+        argv = ("partition", str(r), "--k", "1", "--seed", "0", "--params-file", str(cfg))
+    got_code, got_out, got_err = _run_with_stderr(argv)
+    got_out = re.sub(r"^((?:[^,\n]*,){8})[0-9.]+,", r"\1<s>,", got_out, flags=re.M)
+    assert (got_code, got_out, got_err.replace(str(cfg), "<cfg>")) == (code, out, err)
+
+
 @pytest.mark.parametrize("key", ["k", "short_cap", "growth", "per_class"])
 def test_params_file_rejects_what_follows_from_k(tmp_path, capsys, key):
     # the run's k is --k; 10k+10, 9k^2 and the k structures per class
@@ -707,7 +758,7 @@ def test_library_verdicts_are_the_cli_exit_codes(tmp_path):
     # auto mode returns a verified pipeline split in-process
     res = partition(random_tournament(1500, 5001), 1, mode="auto",
                     params=PipelineParams.relaxed(1), seed=1)
-    assert res.mode == "pipeline" and res.verdict == Verdict.FOUND
+    assert res.mode == "pipeline" and res.status == Verdict.FOUND
     checked = 0
     for argv in _verdict_corpus(tmp_path):
         args = cli.build_parser().parse_args(list(argv)) if argv[0] == "partition" else None
@@ -719,6 +770,6 @@ def test_library_verdicts_are_the_cli_exit_codes(tmp_path):
         with open(args.path) as fh:
             T = read_tournament(fh)
         res = partition(T, args.k, mode=args.mode, seed=args.seed, search_budget=args.budget)
-        assert cli.EXIT_CODE[res.verdict] == code, argv
+        assert cli.EXIT_CODE[res.status] == code, argv
         checked += 1
     assert checked == 13

@@ -34,7 +34,7 @@ from tourpart.generators import paley_tournament, random_tournament, transitive_
 from tourpart.hamilton import PathSearch
 from tourpart.partition import PartitionResult, search_partition
 from tourpart.safety import UNCOLORED, Coloring, SafetyContext
-from tourpart.surgery import SpanningLinkage
+from tourpart.surgery import CarveResult, SpanningLinkage, Subdivision
 from test_golden import _planted
 
 
@@ -289,12 +289,13 @@ def test_the_bench_shapes_keep_their_count_path(monkeypatch):
     for s in range(3):
         for n, seed, k in ((60, s, 8), (40, 1000 + s, 10), (80, 2000 + s, 16)):
             batches.clear()
-            assert connectivity.certify(random_tournament(n, seed), k).ok and batches, (n, seed)
+            assert connectivity.certify(random_tournament(n, seed), k).status == Verdict.FOUND and batches, (n, seed)
 
 
 def test_no_result_type_has_a_truth_value():
     # a result holds a verdict, and a verdict has no truth value
-    results = (connectivity.LinkageResult, PathSearch, PartitionResult, SpanningLinkage)
+    results = (Certificate, connectivity.LinkageResult, PathSearch, PartitionResult, CarveResult,
+               Subdivision, SpanningLinkage)
     assert not [cls for cls in results if "__bool__" in vars(cls)]
 
 
@@ -351,7 +352,7 @@ def test_strong_check_at_degree_one_only_matches_brute_force():
             for stop in (0, 1, 2, 3):
                 for ceiling in (None, stop):
                     cert = sweep(H, ceiling, stop, mask)
-                    assert cert.ok == brute_strong_k(G, stop), (adj.tolist(), stop, mask)
+                    assert (cert.status == Verdict.FOUND) == brute_strong_k(G, stop), (adj.tolist(), stop, mask)
                     if cert.pair is None:
                         continue
                     x, y = (to_G[v] for v in cert.pair)
@@ -402,17 +403,19 @@ def test_level_one_sweeps_match_the_oracles():
                 for stop in (0, 1, 2):
                     cert = sweep(G, ceiling, stop, mask)
                     if m and (ceiling is None or ceiling >= stop):
-                        assert cert.ok == brute_strong_k(Digraph(sub_adj), stop)
+                        assert (cert.status == Verdict.FOUND) == brute_strong_k(Digraph(sub_adj), stop)
                     if screen < stop:
-                        assert cert == Certificate(False, level=screen)
+                        assert cert == Certificate(Verdict.INFEASIBLE, level=screen)
                         seen["screen"] += screen == 1
                     elif screen <= 1:
                         level = screen if strong else 0
-                        assert cert == Certificate(level >= stop and m > stop, level=level)
+                        found = level >= stop and m > stop
+                        assert cert == Certificate(Verdict.FOUND if found else Verdict.INFEASIBLE,
+                                                   level=level)
                         seen["reach"] += screen == 1
-                    elif cert.ok:
+                    elif cert.status == Verdict.FOUND:
                         kappa = brute_vertex_connectivity(Digraph(sub_adj))
-                        assert cert == Certificate(True, level=min(cap, kappa))
+                        assert cert == Certificate(Verdict.FOUND, level=min(cap, kappa))
                     else:
                         x, y = (int(np.searchsorted(keep, v)) for v in cert.pair)
                         cut = brute_min_cut(Digraph(sub_adj), x, y)
@@ -524,7 +527,7 @@ def test_a_chunk_of_ranks_adds_at_most_one_count_to_the_peak():
     sweep(T, 2, 2, half)
     tracemalloc.start()
     try:
-        assert sweep(T, 2, 2, half).ok
+        assert sweep(T, 2, 2, half).status == Verdict.FOUND
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -540,13 +543,13 @@ def test_the_flow_handle_is_built_only_for_a_pair_past_its_count(monkeypatch):
                         lambda self, *args: builds.append(args) or init(self, *args))
     T = random_tournament(1500, 3)
     half = np.random.default_rng(0).random(1500) < 0.5
-    assert sweep(T, 2, 2, half).ok and builds == []
+    assert sweep(T, 2, 2, half).status == Verdict.FOUND and builds == []
     # so do the Hall counts at level 40 of a half-masked n = 400 sweep; at
     # level 50 a sweep that screens a pair builds one handle, on the
     # sweep's packed mask
     T, half = random_tournament(400, 3), half[:400]
-    assert sweep(T, 40, 40, half).ok and builds == []
-    assert sweep(T, 50, 50, half).ok
+    assert sweep(T, 40, 40, half).status == Verdict.FOUND and builds == []
+    assert sweep(T, 50, 50, half).status == Verdict.FOUND
     assert len(builds) == 1 and np.array_equal(builds[0][1], core.packed_set(half))
 
 
@@ -757,7 +760,7 @@ def test_linkage_budget_exhaustion_is_distinct(rand):
     T = rand(14, 0)
     pairs = [(0, 1), (2, 3), (4, 5)]
     res = find_disjoint_paths(T, pairs, budget=3)
-    assert res.status == "unknown"
+    assert (res.status, res.paths, res.reason) == ("unknown", None, "search budget exhausted")
 
 
 def test_linkage_agrees_with_exhaustive_enumeration(rand):
@@ -774,13 +777,14 @@ def test_linkage_agrees_with_exhaustive_enumeration(rand):
 
 def test_identical_pair_bundles_via_flow(paley7):
     res = find_disjoint_paths(paley7, [(0, 3)] * 3)
-    assert res.status == "found"
+    assert (res.status, res.reason) == ("found", "")
     inner = [frozenset(p[1:-1]) for p in res.paths]
     assert len(set(map(tuple, res.paths))) == 3
     for a, b in itertools.combinations(inner, 2):
         assert not a & b
     res = find_disjoint_paths(paley7, [(0, 3)] * 5)
-    assert res.status == "infeasible"  # only 3 internally disjoint routes exist
+    # only 3 internally disjoint routes exist
+    assert (res.status, res.reason) == ("infeasible", "no internally disjoint paths for these pairs")
 
 
 def test_is_k_linked_examples(c3, t4, paley7):

@@ -192,7 +192,7 @@ def test_a_packed_only_graph_is_swept_without_unpacking(rand):
     T = rand(200, 2)
     side = np.arange(200) % 3 == 0
     G = _crossing_graph(T, side)
-    assert certify(G, 2).ok == certify(Digraph(T.adj & (side[:, None] != side[None, :])), 2).ok
+    assert certify(G, 2).status == certify(Digraph(T.adj & (side[:, None] != side[None, :])), 2).status
     assert set(vars(G)) == {"n", "packed", "rpacked"}
 
 

@@ -24,7 +24,7 @@ from oracles import (
     target_flows,
 )
 from tourpart.connectivity import certify, sweep, vertex_connectivity
-from tourpart.core import Tournament, reachable_mask
+from tourpart.core import Tournament, Verdict, reachable_mask
 from tourpart.domination import in_dominating_structure, out_dominating_structure
 from tourpart.generators import random_tournament, transitive_tournament
 from tourpart.partition import search_partition, verify_partition
@@ -399,8 +399,8 @@ def _assert_sweeps_agree(G, k, kappa, cert):
     """The uncapped sweep stops at certify's pair, value and cut, and the
     sweep capped at k reads min(kappa, k)."""
     stopped = sweep(G, None, k)
-    assert (stopped.ok, stopped.pair, _failed_value(stopped), stopped.cut) == \
-        (cert.ok, cert.pair, _failed_value(cert), cert.cut), (G.adj.tolist(), k)
+    assert (stopped.status, stopped.pair, _failed_value(stopped), stopped.cut) == \
+        (cert.status, cert.pair, _failed_value(cert), cert.cut), (G.adj.tolist(), k)
     assert sweep(G, k).level == min(kappa, k)
 
 
@@ -428,7 +428,7 @@ def test_sweeps_are_pinned():
         for k in sorted({1, 2, kappa, kappa + 1}):
             for ceiling, stop in ((None, 0), (k, k), (None, k)):
                 c = sweep(G, ceiling, stop)
-                answer = (c.ok, c.level, c.pair, _failed_value(c),
+                answer = (c.status == Verdict.FOUND, c.level, c.pair, _failed_value(c),
                           None if c.cut is None else sorted(c.cut))
                 h.update(repr(answer).encode())
     assert h.hexdigest()[:16] == SWEEP_DIGEST
@@ -468,11 +468,11 @@ def test_certify_agrees_with_the_definition_and_its_cuts_separate():
         for k in range(5):
             cert = certify(G, k)
             _assert_sweeps_agree(G, k, kappa, cert)
-            assert cert.ok == brute_strong_k(G, k) == (kappa >= k), (G.adj.tolist(), k)
+            assert (cert.status == Verdict.FOUND) == brute_strong_k(G, k) == (kappa >= k), (G.adj.tolist(), k)
             if cert.pair is None:
                 continue
             x, y = cert.pair
-            assert not cert.ok and not G.adj[x, y]
+            assert cert.status == Verdict.INFEASIBLE and not G.adj[x, y]
             assert len(cert.cut) == cert.level < k
             assert x not in cert.cut and y not in cert.cut
             allowed = np.ones(G.n, dtype=bool)

@@ -2,11 +2,12 @@
 no function imports inside its body, only ``core`` copies subgraphs, calls
 ``is_path`` and reads a packed word, no module scatters through
 ``triu_indices``, no module reads a graph as a bool matrix, every pipeline
-parameter is read, the CLI certifies nothing itself, the pipeline audits
-safety only incrementally, the package exports only what its users use,
-with no public method that only tests call, no function assigns a local it
-never reads, and every default of the public surface is overridden by some
-caller outside the tests or has its reason on record."""
+parameter is read, every answer spells its status and reason one way, the
+CLI certifies nothing itself, the pipeline audits safety only
+incrementally, the package exports only what its users use, with no public
+method that only tests call, no function assigns a local it never reads,
+and every default of the public surface is overridden by some caller
+outside the tests or has its reason on record."""
 
 import ast
 import re
@@ -170,6 +171,29 @@ def test_cli_proves_nothing_itself():
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                 for alias in node.names}
     assert imported.isdisjoint({"certify", "sweep"})
+
+
+# An answer's outcome is its ``status: Verdict`` and its cause its
+# ``reason``; these are the other spellings they replaced
+RETIRED_ANSWER_FIELDS = {"ok", "verdict", "detail", "remainder_ok"}
+REASONED_ANSWERS = {"PartitionResult", "LinkageResult", "SpanningLinkage"}
+
+
+def test_every_answer_spells_its_status_and_reason_one_way():
+    fields = {}
+    for path in _source_modules():
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ClassDef) and any(
+                    "dataclass" in ast.unparse(d) for d in node.decorator_list):
+                fields[node.name] = {item.target.id: ast.unparse(item.annotation)
+                                     for item in node.body if isinstance(item, ast.AnnAssign)}
+    offenders = sorted(f"{cls}.{name}" for cls, annotated in fields.items()
+                       for name, annotation in annotated.items()
+                       if name in RETIRED_ANSWER_FIELDS or annotation == "Verdict" and name != "status")
+    offenders += [f"{cls} has no reason" for cls in sorted(REASONED_ANSWERS)
+                  if "reason" not in fields.get(cls, {})]
+    assert len(fields) > 10
+    assert offenders == []
 
 
 def test_pipeline_audits_safety_only_through_its_helper():

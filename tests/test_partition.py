@@ -96,7 +96,7 @@ def test_search_negative_control(monkeypatch):
     monkeypatch.setattr(partition_module, "_screen_score", lambda *args: screens.append(args) or 1)
     for seed in range(3):
         res = search_partition(transitive_tournament(40), 1, seed=seed, budget=120)
-        assert res.verdict == Verdict.INFEASIBLE and res.v1 == res.v2 == []
+        assert res.status == Verdict.INFEASIBLE and res.v1 == res.v2 == []
         assert res.reason.startswith("T is not strongly 1-connected")
     assert screens == []
 
@@ -126,7 +126,7 @@ def test_every_rejection_without_a_witness_screens_positive(monkeypatch):
         return res, viol
 
     monkeypatch.setattr(partition_module, "_sweep_split", recording)
-    monkeypatch.setattr(partition_module, "certify", lambda T, k: SimpleNamespace(ok=True))
+    monkeypatch.setattr(partition_module, "certify", lambda T, k: SimpleNamespace(status=Verdict.FOUND))
     searches = ([(_planted(40, 2, seed), 2, seed, 60) for seed in range(3)]
                 + [(transitive_tournament(24), 1, seed, 40) for seed in range(3)])
     for T, k, seed, budget in searches:
@@ -156,7 +156,7 @@ def test_search_size_precondition():
         search_partition(random_tournament(12, 1), 1, seed=0, budget=-5)
     # no split was checked, so T's own certificate decides: it passes here
     res = search_partition(random_tournament(12, 1), 1, seed=0, budget=0)
-    assert res.verdict == Verdict.UNKNOWN and res.reason == "no partition found within budget 0"
+    assert res.status == Verdict.UNKNOWN and res.reason == "no partition found within budget 0"
 
 
 def test_partition_entry_modes(rand):
@@ -205,7 +205,7 @@ def test_a_rejected_pipeline_split_takes_a_proof_of_t(monkeypatch):
             (_planted(40, 1, 3), 2, "infeasible", "T is not strongly 2-connected"),
             (random_tournament(40, 3), 3, "unknown", "the split found failed verification")):
         res = partition(T, k, mode="pipeline", seed=0)
-        assert (res.verdict, res.mode) == (verdict, "pipeline")
+        assert (res.status, res.mode) == (verdict, "pipeline")
         assert res.reason.startswith(reason)
 
 

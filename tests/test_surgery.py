@@ -16,24 +16,26 @@ from tourpart import surgery
 from tourpart.core import Tournament, Verdict, is_backwards_transitive
 from tourpart.generators import random_tournament, transitive_tournament
 from tourpart.hamilton import PathSearch
-from tourpart.surgery import check_spanning_linkage, check_subdivision, shortest_path_avoiding
+from tourpart.surgery import check_spanning_linkage, check_subdivision
 
 
 def test_shortest_path_examples(c3, t4):
-    assert shortest_path_avoiding(c3, 0, 2) == [0, 1, 2]
-    assert shortest_path_avoiding(t4, 0, 3) == [0, 3]
-    assert shortest_path_avoiding(c3, 0, 2, {1}) is None
-    with pytest.raises(ValueError):
-        shortest_path_avoiding(c3, 0, 2, {0})
-    with pytest.raises(ValueError):
-        shortest_path_avoiding(c3, 1, 1)
+    # the carve's BFS-shortest path, lowest-id tie-breaks
+    assert remove_nonseparating_path(c3, 0, 2, keep=(0, 2)).path == [0, 1, 2]
+    assert remove_nonseparating_path(t4, 0, 3).path == [0, 3]
+    with pytest.raises(NoPath, match=r"no 0->2 path avoiding \[1\]"):
+        remove_nonseparating_path(c3, 0, 2, {1})
+    with pytest.raises(ValueError, match="endpoints may not be avoided"):
+        remove_nonseparating_path(c3, 0, 2, {0})
+    with pytest.raises(ValueError, match="endpoints must differ"):
+        remove_nonseparating_path(c3, 1, 1)
 
 
 @pytest.mark.parametrize("x, y, forbidden", [(0, 3, ()), (-1, 2, ()), (0, 2, (3,)),
                                              (0, 2, (-1,))])
 def test_shortest_path_rejects_foreign_ids(c3, x, y, forbidden):
     with pytest.raises(ValueError, match="out of range"):
-        shortest_path_avoiding(c3, x, y, forbidden)
+        remove_nonseparating_path(c3, x, y, forbidden)
 
 
 def test_carve_keep_semantics(t4):
@@ -206,7 +208,7 @@ def test_spanning_infeasible_on_transitive():
     T = transitive_tournament(10)
     res = spanning_linkage(T, [(3, 0)])
     assert (res.status, res.paths) == ("infeasible", None)
-    assert res.detail == "pair 0: no spanning path exists"
+    assert res.reason == "pair 0: no spanning path exists"
 
 
 def test_spanning_validation(t4):
@@ -234,17 +236,17 @@ def test_spanning_carve_without_a_path_in_the_untouched_t_is_infeasible(t4):
     # the first carve runs on all of T, so a missing path is a proof
     res = spanning_linkage(t4, [(0, 1), (3, 2)])
     assert (res.status, res.paths) == ("infeasible", None)
-    assert res.detail == "pair 1: no admissible 3->2 path exists"
+    assert res.reason == "pair 1: no admissible 3->2 path exists"
 
 
 def test_spanning_carve_dead_end_is_unknown():
     # pair 2's shortest path 4 -> 3 -> 6 takes vertex 3, which every path
     # 5 -> 2 needs (5's other out-neighbour is 6); T itself has 5 -> 3 -> 2
     T = _transitive_with_flips(7, [(3, 5), (2, 3), (3, 4), (4, 6)])
-    assert shortest_path_avoiding(T, 5, 2, {0, 1}) == [5, 3, 2]
+    assert remove_nonseparating_path(T, 5, 2, {0, 1}).path == [5, 3, 2]
     res = spanning_linkage(T, [(0, 1), (5, 2), (4, 6)])
     assert (res.status, res.paths) == ("unknown", None)
-    assert res.detail == "pair 1: carve order dead-ended"
+    assert res.reason == "pair 1: carve order dead-ended"
 
 
 def test_spanning_close_after_a_carve_is_unknown(t4):
@@ -252,7 +254,7 @@ def test_spanning_close_after_a_carve_is_unknown(t4):
     # the close ran on a carved remainder, so its failure proves nothing of T
     res = spanning_linkage(t4, [(3, 0), (1, 2)])
     assert (res.status, res.paths) == ("unknown", None)
-    assert res.detail == "pair 0: no Hamiltonian close for this carve order"
+    assert res.reason == "pair 0: no Hamiltonian close for this carve order"
 
 
 def test_spanning_close_whose_search_runs_out_of_branches_is_infeasible():
@@ -270,7 +272,7 @@ def test_spanning_close_whose_search_runs_out_of_branches_is_infeasible():
     assert is_strongly_k_connected(T, 1)
     res = spanning_linkage(T, [(x, y)])
     assert (res.status, res.paths) == ("infeasible", None)
-    assert res.detail == "pair 0: no spanning path exists"
+    assert res.reason == "pair 0: no spanning path exists"
 
 
 def test_spanning_close_whose_budget_runs_out_is_unknown(monkeypatch):
@@ -279,4 +281,4 @@ def test_spanning_close_whose_budget_runs_out_is_unknown(monkeypatch):
                         lambda *args, **kwargs: PathSearch(Verdict.UNKNOWN))
     res = spanning_linkage(random_tournament(20, 1), [(0, 1)])
     assert (res.status, res.paths) == ("unknown", None)
-    assert res.detail == "pair 0: Hamiltonian budget exhausted"
+    assert res.reason == "pair 0: Hamiltonian budget exhausted"
