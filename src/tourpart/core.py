@@ -9,7 +9,8 @@ inverse.  A checked constructor packs a bool matrix; a tournament's
 ``rpacked`` is the complement of ``packed`` off the diagonal, taken on
 words.  A tournament has a second constructor, from its pair bits (one
 bit per pair i < j, row-major, set when i->j), which are a tournament by
-construction and so are not checked; ``pair_bits`` reads them back.
+construction and so are not checked; it takes them, and ``_pair_blocks``
+reads them back, one block of 64 rows at a time, with no n x n temporary.
 ``reverse`` swaps the two, and a subgraph unpacks only the rows of its
 vertices.  Graphs are immutable after construction so they can be shared
 freely between concurrent workers.
@@ -120,7 +121,7 @@ class Tournament(Digraph):
         adj = _square_loopless(adj)
         if np.count_nonzero(adj == adj.T) != adj.shape[0]:  # only the diagonal agrees
             raise ValueError("not a tournament: some pair is unoriented or doubly oriented")
-        self._hold(*_tournament_rows(adj))
+        self._hold(*_tournament_rows(pack_rows(adj)))
 
     def subtournament(self, vertices):
         """Restriction to ``vertices``; returns (sub, index_map) with
@@ -130,7 +131,7 @@ class Tournament(Digraph):
             raise ValueError("subtournament needs at least one vertex")
         if ids[0] < 0 or ids[-1] >= self.n:
             raise ValueError("vertex id out of range")
-        return Tournament._derived(*_tournament_rows(_cut(self.rpacked, ids))), ids
+        return Tournament._derived(*_tournament_rows(pack_rows(_cut(self.rpacked, ids)))), ids
 
 
 def _square_loopless(adj):
@@ -146,11 +147,10 @@ _BIT = np.uint64(1) << np.arange(64, dtype=np.uint64)  # bit i of a packed word
 _CHUNK = 1 << 15  # words per gathered block of a count, the bound of a sweep's batch
 
 
-def _tournament_rows(adj):
-    """``packed`` and ``rpacked`` of the tournament ``adj``: its transpose is
-    its complement off the diagonal, taken on the packed words."""
-    n = adj.shape[0]
-    packed = pack_rows(adj)
+def _tournament_rows(packed):
+    """``packed`` and ``rpacked`` of the tournament ``packed``: its transpose
+    is its complement off the diagonal, taken on the packed words."""
+    n = packed.shape[0]
     rpacked = ~packed
     if n % 64:
         rpacked[:, -1] &= _BIT[n % 64] - np.uint64(1)
@@ -302,29 +302,54 @@ def digraph_from_edges(n, edges):
     return Digraph(adj)
 
 
+def _pair_count(n, lo, hi):
+    """How many pair bits rows lo..hi-1 of an n-vertex tournament hold."""
+    return (hi * (2 * n - 1 - hi) - lo * (2 * n - 1 - lo)) // 2
+
+
+def _tournament_from_blocks(n, block_bits):
+    """The tournament on n vertices whose row-major pair bits of rows
+    lo..hi-1 are ``block_bits(lo, hi)``, called once per block of 64 rows,
+    in order.  Row slices put a block's bits in its upper triangle; its
+    lower one is the block's column word of rows 0..hi-1, transposed and
+    complemented.  No n x n temporary is made."""
+    packed = np.zeros((n, (n + 63) // 64), dtype=np.uint64)
+    for lo in range(0, n, 64):
+        hi, word = min(lo + 64, n), lo >> 6
+        tile, bits = np.zeros((hi - lo, n - lo), dtype=bool), block_bits(lo, hi)
+        for r, row in enumerate(tile):  # row lo + r from column lo on
+            start = _pair_count(n, lo, lo + r)
+            row[r + 1:] = bits[start:start + n - lo - r - 1]
+        packed[lo:hi, word:] = pack_rows(tile)
+        lower = ~unpack_rows(packed[:hi, word:word + 1], 64)[:, :hi - lo].T
+        lower[:, lo:] = np.tril(lower[:, lo:], -1)
+        packed[lo:hi, :word + 1] |= pack_rows(lower)
+    return Tournament._derived(*_tournament_rows(packed))
+
+
 def tournament_from_pair_bits(n, bits):
     """The tournament on n vertices whose pair i < j runs i->j exactly when
     its bit is set, the n(n-1)/2 pairs in row-major order.  Such bits are
-    always a tournament, so nothing is validated: row slices fill the upper
-    triangle, and its transposed complement the lower one, 64 rows at a time."""
+    always a tournament, so nothing is validated."""
     bits = np.asarray(bits, dtype=bool)
     if bits.shape != (n * (n - 1) // 2,):
         raise ValueError(f"expected {n * (n - 1) // 2} pair bits, got {bits.size}")
-    adj = np.zeros((n, n), dtype=bool)
-    for i, row in zip(range(n), np.split(bits, np.cumsum(np.arange(n - 1, 0, -1)))):
-        adj[i, i + 1:] = row
-    for lo in range(0, n, 64):
-        lower = ~adj[:lo + 64, lo:lo + 64].T
-        lower[:, lo:] = np.tril(lower[:, lo:], -1)
-        adj[lo:lo + 64, :lo + 64] |= lower
-    return Tournament._derived(*_tournament_rows(adj))
+    return _tournament_from_blocks(
+        n, lambda lo, hi: bits[_pair_count(n, 0, lo):_pair_count(n, 0, hi)])
+
+
+def _pair_blocks(T):
+    """The pair bits of each block of 64 rows of the tournament T in turn,
+    read off ``T.packed``: what ``_tournament_from_blocks`` was given."""
+    for lo in range(0, T.n, 64):
+        rows = unpack_rows(T.packed[lo:lo + 64, lo >> 6:], T.n - lo)
+        yield np.concatenate([row[r + 1:] for r, row in enumerate(rows)])
 
 
 def pair_bits(T):
-    """The row-major pair bits of the tournament T, read off ``T.packed``:
-    the inverse of ``tournament_from_pair_bits``."""
-    rows = (unpack_rows(T.packed[i], T.n)[i + 1:] for i in range(T.n))
-    return np.concatenate([np.zeros(0, dtype=bool), *rows])
+    """The row-major pair bits of the tournament T: the inverse of
+    ``tournament_from_pair_bits``."""
+    return np.concatenate([np.zeros(0, dtype=bool), *_pair_blocks(T)])
 
 
 def _crossing_graph(T, in_a):

@@ -6,19 +6,24 @@ files that are not complete orientations.
 
 Compact format: a single line ``<n> <pair_count> <bitstring>`` holding a
 tournament's pair bits (``core.pair_bits``): the bit for the pair (i, j),
-i < j, taken in row-major order, is 1 iff the edge runs i->j.  The reader
-hands them to ``core.tournament_from_pair_bits``, so round-trips are
-bit-exact and the file of ``random_tournament(n, seed)`` holds exactly the
-bits it drew.
+i < j, taken in row-major order, is 1 iff the edge runs i->j.  Both sides
+take the bits one block of 64 rows at a time: the reader checks a line
+laid out as the writer writes it block by block into the builder, and
+parses any other text, a fault included, whole, to name the fault.
+Round-trips are bit-exact, and the file of ``random_tournament(n, seed)``
+holds exactly the bits it drew.
 
 DOT output is provided for eyeballing only; there is no DOT reader.
 """
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
-from .core import Digraph, Tournament, _arc_rows, pair_bits, tournament_from_pair_bits
+from .core import (Digraph, Tournament, _arc_rows, _pair_blocks, _pair_count,
+                   _tournament_from_blocks, tournament_from_pair_bits)
 
 
 class FormatError(ValueError):
@@ -36,8 +41,10 @@ def write_edge_list(G, fh):
 
 
 def write_compact(T, fh):
-    bits = pair_bits(T)
-    fh.write(f"{T.n} {bits.size} {(bits.view(np.uint8) + ord('0')).tobytes().decode()}\n")
+    fh.write(f"{T.n} {T.n * (T.n - 1) // 2} ")
+    for bits in _pair_blocks(T):
+        fh.write((bits.view(np.uint8) + ord("0")).tobytes().decode())
+    fh.write("\n")
 
 
 def _parse_edge_lines(lines, start_line, n, m):
@@ -92,8 +99,39 @@ def _load_lines(fh):
     raise FormatError("empty input")
 
 
+def _read_written_compact(fh, start):
+    """The tournament of a compact line laid out as ``write_compact`` lays
+    it out from ``start`` on, its digits read, checked and built one block
+    of 64 rows at a time; ValueError at the first character that departs."""
+    head = re.match(r"([0-9]+) ([0-9]+) ", fh.read(64))
+    n = int(head[1]) if head else 0
+    if n < 1 or int(head[2]) != n * (n - 1) // 2:
+        raise ValueError("not a compact line as written")
+    fh.seek(start)
+    fh.read(head.end())
+
+    def digits(lo, hi):
+        count = _pair_count(n, lo, hi)
+        # digit values; anything below "0" wraps around to above 1
+        block = np.frombuffer(fh.read(count).encode(), dtype=np.uint8) - ord("0")
+        if block.size != count or (block > 1).any():
+            raise ValueError("not a compact line as written")
+        return block
+
+    T = _tournament_from_blocks(n, digits)
+    if fh.read(1) not in ("", "\n"):
+        raise ValueError("not a compact line as written")
+    return T
+
+
 def read_tournament(fh):
     """Load a tournament from either on-disk format (auto-detected)."""
+    if fh.seekable():
+        start = fh.tell()
+        try:
+            return _read_written_compact(fh, start)
+        except (ValueError, MemoryError):  # MemoryError: a header larger than memory
+            fh.seek(start)
     lines, first = _load_lines(fh)
     head = lines[0].split()
     if len(head) not in (2, 3):

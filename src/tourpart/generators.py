@@ -1,11 +1,13 @@
 """Tournament instance generators for tests and experiments.
 
 Each generator computes the pair bits of its tournament (one bit per pair
-i < j, row-major, set when i->j) and hands them to the one builder,
-``core.tournament_from_pair_bits``.  Random generation uses numpy's PCG64
-stream, which is stable across platforms, and draws the pair bits in one
-call, so the compact file of ``random_tournament(n, seed)`` holds exactly
-the drawn bits and reproduces byte for byte.
+i < j, row-major, set when i->j) one block of 64 rows at a time for the one
+builder, ``core._tournament_from_blocks``.  Random generation uses numpy's
+PCG64 stream, which is stable across platforms.  A full block holds
+64(n-1-lo) - 2016 pairs, a multiple of the stream's 4-byte unit, so drawing
+each block's bits in one call (the last one rounded up) reads the bits of
+one whole draw, and the compact file of ``random_tournament(n, seed)``
+holds exactly the drawn bits and reproduces byte for byte.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import math
 
 import numpy as np
 
-from .core import tournament_from_pair_bits
+from .core import _pair_count, _tournament_from_blocks
 
 
 def random_tournament(n, seed):
@@ -22,15 +24,19 @@ def random_tournament(n, seed):
     if n < 1:
         raise ValueError("n must be at least 1")
     rng = np.random.default_rng(seed)
-    bits = rng.integers(0, 2, size=n * (n - 1) // 2, dtype=np.uint8)
-    return tournament_from_pair_bits(n, bits.view(bool))
+
+    def drawn(lo, hi):
+        count = _pair_count(n, lo, hi)
+        return rng.integers(0, 2, size=count + -count % 4, dtype=np.uint8)[:count].view(bool)
+
+    return _tournament_from_blocks(n, drawn)
 
 
 def transitive_tournament(n):
     """i -> j exactly when i < j; source 0, sink n-1."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    return tournament_from_pair_bits(n, np.ones(n * (n - 1) // 2, dtype=bool))
+    return _tournament_from_blocks(n, lambda lo, hi: np.ones(_pair_count(n, lo, hi), dtype=bool))
 
 
 def _is_prime(q):
@@ -46,4 +52,5 @@ def paley_tournament(q):
     residue = np.zeros(q, dtype=bool)
     residue[np.arange(1, q) ** 2 % q] = True
     # the pair (i, j), i < j, has difference j - i in 1..q-1-i
-    return tournament_from_pair_bits(q, np.concatenate([residue[1:q - i] for i in range(q - 1)]))
+    return _tournament_from_blocks(
+        q, lambda lo, hi: np.concatenate([residue[1:q - i] for i in range(lo, hi)]))

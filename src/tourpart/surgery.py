@@ -18,7 +18,7 @@ import numpy as np
 
 from .connectivity import is_strongly_k_connected
 from .core import (Digraph, Verdict, _check_ids, bfs_shortest_path, is_backwards_transitive,
-                   path_family_fault, vertex_mask)
+                   path_family_fault, tournament_from_pair_bits, vertex_mask)
 from .hamilton import hamiltonian_path
 
 
@@ -75,8 +75,11 @@ def remove_nonseparating_path(T, x, y, avoid=(), k=1, keep=()):
 def _remainder(T, survivors, k, backed):
     """T[survivors], its map of new ids to T's, and its status: found when
     it is strongly k-connected, which is asserted when the hypothesis held
-    (``backed``), else infeasible, which the exact sweep proves."""
-    remainder, index_map = T.subtournament(survivors)
+    (``backed``), else infeasible, which the exact sweep proves.  With no
+    survivors it is the empty tournament, which is never strongly
+    k-connected."""
+    remainder, index_map = (T.subtournament(survivors) if survivors
+                            else (tournament_from_pair_bits(0, ()), []))
     # through is_strongly_k_connected, the call the bench traces as a certificate
     status = Verdict.FOUND if is_strongly_k_connected(remainder, k) else Verdict.INFEASIBLE
     if backed:

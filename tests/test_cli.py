@@ -170,6 +170,17 @@ def test_carve_trivial_and_blocked(tmp_path):
     assert code == 1  # sink cannot reach the source
 
 
+def test_carve_that_takes_every_vertex_is_infeasible(tmp_path, capsys):
+    c3, rem = tmp_path / "c3.txt", tmp_path / "rem.txt"
+    run_cli("gen", "--kind", "paley", "--q", "3", "--out", str(c3))
+    code, out = run_cli("carve", str(c3), "0", "2", "--keep", "none", "--out", str(rem))
+    assert code == 1 and capsys.readouterr().err == ""
+    assert out.splitlines()[:3] == [
+        "path: 0 1 2", "status: best-effort (hypothesis: strongly 5-connected)",
+        "remainder strongly 1-connected: false"]
+    assert rem.read_text() == "0 0\n"
+
+
 def test_carve_qualified_random(tmp_path):
     r = tmp_path / "r60.txt"
     run_cli("gen", "--kind", "random", "--n", "60", "--seed", "5", "--out", str(r))

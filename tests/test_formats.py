@@ -1,9 +1,11 @@
 import io
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from oracles import triu_compact_text
+from oracles import triu_compact_text, triu_random_tournament
 from tourpart.core import digraph_from_edges
 from tourpart.formats import (
     FormatError,
@@ -72,6 +74,67 @@ def test_compact_text_is_the_drawn_pair_bits():
     buf = io.StringIO()
     write_compact(random_tournament(20, 5), buf)
     assert buf.getvalue().split()[2] == "".join(map(str, drawn.tolist()))
+
+
+def test_compact_file_roundtrip_across_row_blocks(tmp_path):
+    # 193 vertices make three full blocks of 64 rows and one of a single row
+    path = tmp_path / "t193.txt"
+    T = random_tournament(193, 7)
+    with open(path, "w") as fh:
+        write_compact(T, fh)
+    assert path.read_text() == triu_compact_text(triu_random_tournament(193, 7))
+    with open(path) as fh:
+        back = read_tournament(fh)
+    assert back.packed.tobytes() == T.packed.tobytes()
+    assert back.rpacked.tobytes() == T.rpacked.tobytes()
+
+
+def test_a_bad_digit_in_a_late_row_block_names_its_line():
+    # the digits of rows 0..127 (the first two blocks) are read and built
+    # before the fault in row 130, in the third block, is found
+    text = triu_compact_text(random_tournament(193, 7))
+    at = text.index(" ", text.index(" ") + 1) + 1 + 130 * (2 * 193 - 1 - 130) // 2 + 5
+    for bad in ("2", "/", "a"):
+        with pytest.raises(FormatError, match="^line 1: orientation bits must be 0/1$"):
+            read_tournament(io.StringIO(text[:at] + bad + text[at + 1:]))
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("3 3 0110\n", "line 1: header announced 3 bits, got 4"),
+    ("3 3 01\n", "line 1: header announced 3 bits, got 2"),
+    ("3 3 011 1\n", "line 1: bad header '3 3 011 1'"),
+    ("3 3 011\t\n", None),
+    ("\n3 3 011\n", None),
+])
+def test_a_compact_line_not_laid_out_as_written_is_parsed_whole(text, reason):
+    # the block reader hands any departure from the written layout to the
+    # whole-line parse, which names the fault or reads the line as before
+    if reason is None:
+        assert read_tournament(io.StringIO(text)).edges() == [(0, 2), (1, 0), (1, 2)]
+    else:
+        with pytest.raises(FormatError, match=f"^{re.escape(reason)}$"):
+            read_tournament(io.StringIO(text))
+
+
+def test_compact_io_holds_no_n_by_n_temporary(tmp_path):
+    # one block of digits at a time: the reader peaks near the tournament's
+    # two packed matrices, n^2 / 4 bytes, the writer near one block; whole
+    # strings and digit arrays took 3.30 n^2 and 1.66 n^2
+    n, path = 1500, tmp_path / "t1500.txt"
+    T = random_tournament(n, 5001)
+
+    def traced_peak(mode, call):
+        with open(path, mode) as fh:
+            tracemalloc.start()
+            try:
+                call(fh)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+    assert traced_peak("w", lambda fh: write_compact(T, fh)) < n * n
+    assert traced_peak("r", read_tournament) < n * n
+    assert read_tournament(io.StringIO(path.read_text())).packed.tobytes() == T.packed.tobytes()
 
 
 def test_loader_validates_completeness():

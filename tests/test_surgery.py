@@ -48,6 +48,17 @@ def test_carve_keep_semantics(t4):
         remove_nonseparating_path(t4, 0, 3, keep=(1,))
 
 
+def test_a_removal_that_leaves_no_vertex_is_infeasible(c3):
+    # the empty remainder is not strongly k-connected, so the answer is
+    # infeasible, not an input error
+    res = remove_nonseparating_path(c3, 0, 2, keep=())
+    assert res.path == [0, 1, 2] and res.remainder.n == 0 and res.index_map == []
+    assert res.status == Verdict.INFEASIBLE and not res.remainder_ok
+    H = digraph_from_edges(3, [(0, 1), (1, 2), (2, 0)])
+    sub = nonseparating_subdivision(c3, SubdivisionSpec(H, [0, 1, 2]), 1)
+    assert sub.remainder.n == 0 and sub.status == Verdict.INFEASIBLE
+
+
 def test_carve_no_path_is_an_error(c3):
     with pytest.raises(NoPath):
         remove_nonseparating_path(c3, 0, 2, avoid=(1,))
